@@ -9,6 +9,7 @@
 #include "flow/VirtualOrganization.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/File.h"
 #include "support/Flags.h"
 #include "support/Json.h"
 #include "support/Table.h"
@@ -19,7 +20,6 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -231,30 +231,23 @@ std::string BenchRun::json() const {
   std::string S;
   S += "{\n";
   S += "  \"schema\": \"cws-bench-v1\",\n";
-  S += "  \"name\": \"" + json::escape(Info->Name) + "\",\n";
-  S += "  \"description\": \"" + json::escape(Info->Description) + "\",\n";
+  S += "  \"name\": " + json::quote(Info->Name) + ",\n";
+  S += "  \"description\": " + json::quote(Info->Description) + ",\n";
   S += "  \"provenance\": {\"seed\": " + std::to_string(Prov.Seed);
   S += ", \"exec_seed\": " + std::to_string(ExecSeed);
-  S += ", \"config_hash\": \"" + json::escape(Prov.ConfigHash) + "\"";
-  S += ", \"scenario\": \"" + json::escape(Prov.ScenarioId) + "\"";
+  S += ", \"config_hash\": " + json::quote(Prov.ConfigHash);
+  S += ", \"scenario\": " + json::quote(Prov.ScenarioId);
   S += ", \"shards\": " + std::to_string(Prov.Shards);
-  S += ", \"invalidation\": \"" + json::escape(Invalidation) + "\"";
-  S += ", \"cli\": \"" + json::escape(Prov.Cli) + "\"},\n";
+  S += ", \"invalidation\": " + json::quote(Invalidation);
+  S += ", \"cli\": " + json::quote(Prov.Cli) + "},\n";
   S += "  \"reps\": " + std::to_string(Reps) + ",\n";
   S += "  \"warmup\": " + std::to_string(Warmup) + ",\n";
-  S += "  \"work\": {";
-  for (size_t I = 0; I < Work.size(); ++I) {
-    if (I)
-      S += ", ";
-    S += "\"" + json::escape(Work[I].first) +
-         "\": " + std::to_string(Work[I].second);
-  }
-  S += "},\n";
+  S += "  \"work\": " + obs::workCountersJson(Work) + ",\n";
   S += "  \"checks\": [";
   for (size_t I = 0; I < Checks.size(); ++I) {
     if (I)
       S += ", ";
-    S += "{\"what\": \"" + json::escape(Checks[I].What) + "\", \"pass\": ";
+    S += "{\"what\": " + json::quote(Checks[I].What) + ", \"pass\": ";
     S += Checks[I].Pass ? "true" : "false";
     S += "}";
   }
@@ -265,33 +258,11 @@ std::string BenchRun::json() const {
     if (!FirstMetric)
       S += ",";
     FirstMetric = false;
-    S += "\n    \"" + json::escape(M.first) + "\": ";
+    S += "\n    " + json::quote(M.first) + ": ";
     appendStats(S, M.second);
   }
   S += Metrics.empty() ? "},\n" : "\n  },\n";
-  S += "  \"profile\": [";
-  bool FirstPhase = true;
-  for (const obs::PhaseStats &P : Profile) {
-    if (!FirstPhase)
-      S += ",";
-    FirstPhase = false;
-    S += "\n    {\"name\": \"" + json::escape(P.Name) + "\"";
-    S += ", \"count\": " + std::to_string(P.Count);
-    S += ", \"total_us\": " + obs::renderNumber(P.TotalUs);
-    S += ", \"self_us\": " + obs::renderNumber(P.SelfUs);
-    S += ", \"p50_us\": " + obs::renderNumber(P.P50Us);
-    S += ", \"p99_us\": " + obs::renderNumber(P.P99Us);
-    S += ", \"work\": {";
-    for (size_t I = 0; I < P.Work.size(); ++I) {
-      if (I)
-        S += ", ";
-      S += "\"" + json::escape(P.Work[I].first) +
-           "\": " + std::to_string(P.Work[I].second);
-    }
-    S += "}}";
-  }
-  S += Profile.empty() ? "]\n" : "\n  ]\n";
-  S += "}\n";
+  S += "  \"profile\": " + obs::phaseRecordsJson(Profile) + "\n}\n";
   return S;
 }
 
@@ -319,24 +290,23 @@ bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
     Error = "missing provenance object";
     return false;
   }
-  double Num = 0;
-  if (Prov->getNumber("seed", Num))
-    Out.Seed = static_cast<uint64_t>(Num);
-  if (Prov->getNumber("exec_seed", Num))
-    Out.ExecSeed = static_cast<uint64_t>(Num);
-  if (!Prov->getString("config_hash", Out.ConfigHash)) {
+  obs::RunProvenance P;
+  unsigned Seen = 0;
+  if (!obs::readProvenance(*Prov, P, Seen, Error))
+    return false;
+  if (!(Seen & obs::ProvConfigHash)) {
     Error = "missing provenance config_hash";
     return false;
   }
-  Prov->getString("scenario", Out.Scenario);
+  Out.Seed = P.Seed;
+  Out.ConfigHash = P.ConfigHash;
+  Out.Scenario = P.ScenarioId;
+  Out.Cli = P.Cli;
+  Out.Shards = P.Shards;
+  Prov->getUint("exec_seed", Out.ExecSeed);
   Prov->getString("invalidation", Out.Invalidation);
-  Prov->getString("cli", Out.Cli);
-  if (Prov->getNumber("shards", Num))
-    Out.Shards = static_cast<int64_t>(Num);
-  if (Doc.getNumber("reps", Num))
-    Out.Reps = static_cast<int64_t>(Num);
-  if (Doc.getNumber("warmup", Num))
-    Out.Warmup = static_cast<int64_t>(Num);
+  Doc.getInt("reps", Out.Reps);
+  Doc.getInt("warmup", Out.Warmup);
 
   if (const json::Value *Work = Doc.find("work")) {
     if (!Work->isObject()) {
@@ -344,11 +314,13 @@ bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
       return false;
     }
     for (const auto &M : Work->members()) {
-      if (!M.second.isNumber()) {
-        Error = "work counter '" + M.first + "' must be a number";
+      uint64_t N = 0;
+      if (!M.second.getUint(N)) {
+        Error = "work counter '" + M.first +
+                "' must be a non-negative integer";
         return false;
       }
-      Out.Work.push_back({M.first, static_cast<uint64_t>(M.second.number())});
+      Out.Work.push_back({M.first, N});
     }
     std::sort(Out.Work.begin(), Out.Work.end());
   }
@@ -379,12 +351,10 @@ bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
     }
     for (const auto &M : Metrics->members()) {
       obs::SweepIndicatorStats St;
-      double V = 0;
-      if (!M.second.getNumber("n", V)) {
+      if (!M.second.getUint("n", St.N)) {
         Error = "metric '" + M.first + "' needs an 'n'";
         return false;
       }
-      St.N = static_cast<uint64_t>(V);
       struct Field {
         const char *Name;
         double *Dst;
@@ -608,18 +578,7 @@ std::string cws::bench::renderBenchCompare(const std::string &Name,
 // CLI
 //===----------------------------------------------------------------------===//
 
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
-
-int cws::bench::benchMain(int Argc, char **Argv,
-                          const std::string &DefaultFilter) {
+int cws::bench::benchMain(int Argc, char **Argv) {
   int64_t List = 0;
   int64_t Reps = 0;
   int64_t Warmup = -1;
@@ -646,8 +605,6 @@ int cws::bench::benchMain(int Argc, char **Argv,
   if (!F.parse(Argc, Argv))
     return 0;
 
-  if (Filter.empty())
-    Filter = DefaultFilter;
   std::vector<const BenchInfo *> Selected;
   for (const BenchInfo *B : BenchRegistry::global().all())
     if (Filter.empty() || std::string(B->Name).find(Filter) !=
@@ -704,9 +661,7 @@ int cws::bench::benchMain(int Argc, char **Argv,
       NewText = Run.json();
       if (!Out.empty()) {
         std::string Path = Out + "/BENCH_" + std::string(B->Name) + ".json";
-        std::ofstream OutFile(Path);
-        OutFile << NewText;
-        if (!OutFile) {
+        if (!writeTextFile(Path, NewText)) {
           std::fprintf(stderr, "cws-bench: cannot write '%s'\n",
                        Path.c_str());
           return 2;

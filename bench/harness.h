@@ -251,10 +251,8 @@ std::string renderBenchRun(const BenchRun &Run);
 std::string renderBenchCompare(const std::string &Name,
                                const BenchCompareResult &R);
 
-/// The `cws-bench` CLI (also the main of the per-bench alias binaries,
-/// which pass their bench name as \p DefaultFilter). Returns the
-/// process exit code.
-int benchMain(int Argc, char **Argv, const std::string &DefaultFilter);
+/// The `cws-bench` CLI. Returns the process exit code.
+int benchMain(int Argc, char **Argv);
 
 } // namespace bench
 } // namespace cws

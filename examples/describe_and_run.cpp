@@ -18,11 +18,10 @@
 #include "core/Scheduler.h"
 #include "lang/Parser.h"
 #include "resource/Network.h"
+#include "support/File.h"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace cws;
 
@@ -40,15 +39,9 @@ node perf 0.33
 
 int main(int Argc, char **Argv) {
   std::string Text = SampleDescription;
-  if (Argc > 1) {
-    std::ifstream In(Argv[1]);
-    if (!In) {
-      std::fprintf(stderr, "cannot open '%s'\n", Argv[1]);
-      return 1;
-    }
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
+  if (Argc > 1 && !readFile(Argv[1], Text)) {
+    std::fprintf(stderr, "cannot open '%s'\n", Argv[1]);
+    return 1;
   }
 
   ParseResult R = parseJobDescription(Text);

@@ -192,23 +192,12 @@ cws::runMultiFlowVo(const VoConfig &Config,
   });
   Background.start(BackgroundUntil);
 
-  // Wire the telemetry sampler to this run's grid and managers. Flow
-  // labels mirror publishMultiFlowAggregates (strategy name, with a
-  // `#<index>` suffix distinguishing duplicate kinds).
+  // Wire the telemetry sampler to this run's grid and managers.
   obs::TimeSeries &Ts = obs::TimeSeries::global();
   const bool Sampling = Ts.enabled();
   if (Sampling) {
     Ts.addDefaultProbes(obs::Registry::global());
-    std::vector<std::string> FlowNames;
-    for (size_t I = 0; I < Kinds.size(); ++I) {
-      std::string Label = strategyName(Kinds[I]);
-      for (size_t P = 0; P < I; ++P)
-        if (Kinds[P] == Kinds[I]) {
-          Label += "#" + std::to_string(I);
-          break;
-        }
-      FlowNames.push_back(std::move(Label));
-    }
+    std::vector<std::string> FlowNames = flowLabels(Kinds);
     // Sharded runs also expose one pseudo-flow track per shard (the
     // same totals sliced the other way); single-shard runs emit the
     // flow tracks alone, so the default telemetry CSV is byte-stable.
@@ -574,5 +563,20 @@ std::string cws::voConfigCanonical(const VoConfig &Config, StrategyKind Kind) {
   // configuration as a plain one.
   Out += std::string(" vo.reallocation=") +
          reallocationModeName(Config.Reallocation);
+  return Out;
+}
+
+std::vector<std::string>
+cws::flowLabels(const std::vector<StrategyKind> &Kinds) {
+  std::vector<std::string> Out;
+  for (size_t I = 0; I < Kinds.size(); ++I) {
+    std::string Label = strategyName(Kinds[I]);
+    for (size_t P = 0; P < I; ++P)
+      if (Kinds[P] == Kinds[I]) {
+        Label += "#" + std::to_string(I);
+        break;
+      }
+    Out.push_back(std::move(Label));
+  }
   return Out;
 }

@@ -120,6 +120,12 @@ std::vector<VoRunResult> runMultiFlowVo(const VoConfig &Config,
                                         const std::vector<StrategyKind> &Kinds,
                                         uint64_t Seed);
 
+/// The label of each flow of a multi-flow run, in \p Kinds order: the
+/// strategy name, plus a `#<index>` suffix when an earlier flow has the
+/// same strategy type. Telemetry flow tracks and per-flow metrics both
+/// use it.
+std::vector<std::string> flowLabels(const std::vector<StrategyKind> &Kinds);
+
 } // namespace cws
 
 #endif // CWS_FLOW_VIRTUALORGANIZATION_H

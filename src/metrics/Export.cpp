@@ -8,7 +8,9 @@
 #include "metrics/Export.h"
 #include "job/Job.h"
 #include "obs/Journal.h"
+#include "obs/Profiler.h"
 #include "obs/Trace.h"
+#include "support/File.h"
 
 #include <cstdio>
 
@@ -86,16 +88,6 @@ std::string cws::metricsCsv(const obs::Registry &R) {
   return Out;
 }
 
-bool cws::writeTextFile(const std::string &Path, const std::string &Text) {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  return Ok;
-}
-
 bool cws::writeMetricsSnapshot(const std::string &Path,
                                const obs::Registry &R) {
   // Snapshots of the global registry also carry the tracer's and
@@ -107,4 +99,115 @@ bool cws::writeMetricsSnapshot(const std::string &Path,
   }
   bool Csv = Path.size() >= 4 && Path.compare(Path.size() - 4, 4, ".csv") == 0;
   return writeTextFile(Path, Csv ? metricsCsv(R) : R.prometheusText());
+}
+
+void ObsArtifacts::addFlags(Flags &F) {
+  F.addString("trace", &Trace,
+              "write a Chrome trace-event JSON timeline of the run");
+  F.addString("trace-categories", &TraceCategories,
+              "record only these trace categories, comma-separated "
+              "(e.g. core,flow; empty = all)");
+  F.addString("metrics", &Metrics,
+              "write a metrics snapshot (Prometheus text, CSV if *.csv)");
+  F.addString("journal", &Journal,
+              "write the per-job decision journal as JSONL "
+              "(inspect with cws-explain)");
+  F.addString("timeseries", &TimeSeries,
+              "write the telemetry series (tidy CSV, JSONL if *.jsonl; "
+              "inspect with cws-report)");
+  F.addString("profile", &Profile,
+              "write the phase profile (where wall time and work went) "
+              "as JSON; inspect with cws-report --profile");
+}
+
+void ObsArtifacts::start(const obs::RunProvenance &Prov,
+                         const obs::TimeSeriesConfig &Sampling) const {
+  if (!Trace.empty()) {
+    obs::Tracer::global().setCategoryFilter(TraceCategories);
+    obs::Tracer::global().enable();
+  }
+  if (!Journal.empty())
+    obs::Journal::global().enable();
+  if (!Profile.empty())
+    obs::Profiler::global().enable();
+  if (!TimeSeries.empty())
+    obs::TimeSeries::global().enable(Sampling);
+  obs::Journal::global().setProvenance(Prov);
+  obs::TimeSeries::global().setProvenance(Prov);
+  obs::Profiler::global().setProvenance(Prov);
+}
+
+/// Prints "<Tool>: wrote N <Kind> <Units> to <Path>" plus the ring's
+/// losses and \p Note.
+static void noteWritten(const char *Tool, const char *Kind, const char *Units,
+                        uint64_t Recorded, uint64_t Dropped,
+                        const std::string &Path, const std::string &Note) {
+  std::fprintf(stderr, "%s: wrote %llu %s %s to %s", Tool,
+               static_cast<unsigned long long>(Recorded - Dropped), Kind,
+               Units, Path.c_str());
+  if (Dropped > 0)
+    std::fprintf(stderr, " (%llu older %s dropped by the ring)",
+                 static_cast<unsigned long long>(Dropped), Units);
+  std::fprintf(stderr, "%s\n", Note.c_str());
+}
+
+int ObsArtifacts::finish(const char *Tool) const {
+  auto CannotWrite = [Tool](const char *What, const std::string &Path) {
+    std::fprintf(stderr, "%s: cannot write %s '%s'\n", Tool, What,
+                 Path.c_str());
+    return 2;
+  };
+  // Stop sampling before any export; the counter tracks, occupancy
+  // slices and per-phase summary slices merge into the trace file next
+  // to the wall-clock spans.
+  std::string Extra;
+  obs::TimeSeries &Ts = obs::TimeSeries::global();
+  if (!TimeSeries.empty()) {
+    Ts.disable();
+    Extra = Ts.chromeTraceEvents();
+  }
+  if (!Profile.empty()) {
+    obs::Profiler &P = obs::Profiler::global();
+    P.disable();
+    std::string PhaseExtra = P.chromeTraceEvents();
+    if (!PhaseExtra.empty())
+      Extra += (Extra.empty() ? "" : ",") + PhaseExtra;
+    if (!P.writeJson(Profile))
+      return CannotWrite("profile", Profile);
+    obs::publishProfilerStats(P, obs::Registry::global());
+    std::fprintf(stderr, "%s: wrote %zu profiled phases to %s\n", Tool,
+                 P.snapshot().size(), Profile.c_str());
+  }
+  if (!Trace.empty()) {
+    obs::Tracer &Tr = obs::Tracer::global();
+    Tr.disable();
+    if (!Tr.writeJson(Trace, Extra))
+      return CannotWrite("trace", Trace);
+    std::string Masked;
+    if (Tr.filtered() > 0)
+      Masked = " (" + std::to_string(Tr.filtered()) +
+               " events masked by --trace-categories)";
+    noteWritten(Tool, "trace", "events", Tr.recorded(), Tr.dropped(), Trace,
+                Masked);
+  }
+  if (!Journal.empty()) {
+    obs::Journal &Jn = obs::Journal::global();
+    Jn.disable();
+    if (!Jn.writeJsonl(Journal))
+      return CannotWrite("journal", Journal);
+    noteWritten(Tool, "journal", "events", Jn.recorded(), Jn.dropped(),
+                Journal, "");
+  }
+  if (!TimeSeries.empty()) {
+    if (!Ts.writeFile(TimeSeries))
+      return CannotWrite("time series", TimeSeries);
+    obs::publishTimeSeriesStats(obs::Registry::global());
+    noteWritten(Tool, "telemetry", "frames", Ts.recorded(), Ts.dropped(),
+                TimeSeries, "");
+  }
+  // writeMetricsSnapshot publishes the tracer's and journal's loss
+  // counters into the snapshot it writes.
+  if (!Metrics.empty() && !writeMetricsSnapshot(Metrics))
+    return CannotWrite("metrics", Metrics);
+  return 0;
 }

@@ -8,7 +8,8 @@
 /// \file
 /// CSV renderers for external analysis and plotting: a distribution's
 /// placements, a strategy's variant summary, and the per-job QoS
-/// records of a virtual-organization run.
+/// records of a virtual-organization run. Also the one export path of
+/// the observability artifacts `cws-sim` and `cws-sched` write.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +20,9 @@
 #include "core/Strategy.h"
 #include "flow/JobManager.h"
 #include "obs/Metrics.h"
+#include "obs/Provenance.h"
+#include "obs/TimeSeries.h"
+#include "support/Flags.h"
 
 #include <string>
 #include <vector>
@@ -40,13 +44,40 @@ std::string voStatsCsv(const std::vector<VoJobStats> &Stats);
 /// `count` rows, mirroring the Prometheus exposition.
 std::string metricsCsv(const obs::Registry &R = obs::Registry::global());
 
-/// Writes \p Text to \p Path; returns false on I/O failure.
-bool writeTextFile(const std::string &Path, const std::string &Text);
-
 /// Writes a metrics snapshot of \p R to \p Path: CSV when the path ends
 /// in ".csv", Prometheus text exposition otherwise.
 bool writeMetricsSnapshot(const std::string &Path,
                           const obs::Registry &R = obs::Registry::global());
+
+/// The observability artifacts one tool run asked for (the `--trace`,
+/// `--trace-categories`, `--metrics`, `--journal`, `--timeseries` and
+/// `--profile` flags of cws-sim and cws-sched); an empty path leaves
+/// that sink off.
+struct ObsArtifacts {
+  std::string Trace;
+  /// Trace categories to record, comma-separated (empty = all).
+  std::string TraceCategories;
+  std::string Metrics;
+  std::string Journal;
+  std::string TimeSeries;
+  std::string Profile;
+
+  /// Registers the six flags above on \p F.
+  void addFlags(Flags &F);
+
+  /// Before the run: enables every sink with a path (the sampler at
+  /// \p Sampling) and stamps \p Prov into the journal, the sampler and
+  /// the profiler.
+  void start(const obs::RunProvenance &Prov,
+             const obs::TimeSeriesConfig &Sampling = {}) const;
+
+  /// After the run: stops the sampler and the profiler, splices their
+  /// Chrome trace fragments into the trace, writes each requested file
+  /// with a "<Tool>: wrote ..." note on stderr, and publishes the loss
+  /// counters before the metrics snapshot. Returns 0, or 2 after a
+  /// "<Tool>: cannot write ..." message.
+  int finish(const char *Tool) const;
+};
 
 } // namespace cws
 

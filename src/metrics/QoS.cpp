@@ -184,15 +184,10 @@ void cws::publishFlowAggregates(const VoAggregates &A,
 
 void cws::publishMultiFlowAggregates(const std::vector<VoRunResult> &Runs,
                                      obs::Registry &R) {
-  for (size_t I = 0; I < Runs.size(); ++I) {
-    std::string Label = strategyName(Runs[I].Kind);
-    // Runs may pit the same strategy type against itself; keep the
-    // labels distinct by flow position.
-    for (size_t P = 0; P < I; ++P)
-      if (Runs[P].Kind == Runs[I].Kind) {
-        Label += "#" + std::to_string(I);
-        break;
-      }
-    publishFlowAggregates(summarizeVo(Runs[I]), Label, R);
-  }
+  std::vector<StrategyKind> Kinds;
+  for (const VoRunResult &Run : Runs)
+    Kinds.push_back(Run.Kind);
+  std::vector<std::string> Labels = flowLabels(Kinds);
+  for (size_t I = 0; I < Runs.size(); ++I)
+    publishFlowAggregates(summarizeVo(Runs[I]), Labels[I], R);
 }

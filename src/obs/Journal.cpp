@@ -8,10 +8,10 @@
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/File.h"
+#include "support/Json.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 using namespace cws;
 using namespace cws::obs;
@@ -48,8 +48,7 @@ Journal &Journal::global() {
 void Journal::enable(size_t Capacity) {
   CWS_CHECK(Capacity > 0, "journal needs a non-empty ring");
   std::lock_guard<std::mutex> Lock(Mu);
-  Ring.assign(Capacity, JournalEvent{});
-  Head = 0;
+  Events.reset(Capacity);
   LastEnvChangeId = 0;
   LastOf.clear();
   FlowOf.clear();
@@ -72,8 +71,7 @@ RunProvenance Journal::provenance() const {
 void Journal::reset() {
   disable();
   std::lock_guard<std::mutex> Lock(Mu);
-  Ring.clear();
-  Head = 0;
+  Events.reset(0);
   LastEnvChangeId = 0;
   LastOf.clear();
   FlowOf.clear();
@@ -126,11 +124,11 @@ uint64_t Journal::append(JournalKind Kind, int64_t JobId, int64_t At,
 
 uint64_t Journal::appendEvent(const JournalBuffer::Pending &P) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Ring.empty())
+  if (Events.capacity() == 0)
     return 0; // reset() raced the enabled check.
-  JournalEvent &E = Ring[Head % Ring.size()];
+  JournalEvent &E = Events.push();
   E = JournalEvent{};
-  E.Id = Head + 1;
+  E.Id = Events.recorded();
   E.Kind = P.Kind;
   E.JobId = P.JobId;
   E.At = P.At;
@@ -159,7 +157,6 @@ uint64_t Journal::appendEvent(const JournalBuffer::Pending &P) {
   E.Trigger = Trigger;
   if (P.Kind == JournalKind::EnvChange)
     LastEnvChangeId = E.Id;
-  ++Head;
   return E.Id;
 }
 
@@ -195,12 +192,12 @@ void Journal::appendBufferedByJob(
 
 uint64_t Journal::recorded() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Head;
+  return Events.recorded();
 }
 
 uint64_t Journal::dropped() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Head > Ring.size() ? Head - Ring.size() : 0;
+  return Events.dropped();
 }
 
 uint64_t Journal::lastEnvChange() const {
@@ -210,119 +207,54 @@ uint64_t Journal::lastEnvChange() const {
 
 std::vector<JournalEvent> Journal::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<JournalEvent> Out;
-  if (Ring.empty())
-    return Out;
-  uint64_t Size = Head < Ring.size() ? Head : Ring.size();
-  Out.reserve(Size);
-  uint64_t Start = Head < Ring.size() ? 0 : Head;
-  for (uint64_t I = 0; I < Size; ++I)
-    Out.push_back(Ring[(Start + I) % Ring.size()]);
-  return Out;
-}
-
-/// Escapes a string for a JSON literal (same contract as the tracer's
-/// exporter: never emit invalid JSON, whatever the input).
-static void appendJsonString(std::string &Out, const char *S) {
-  Out += '"';
-  for (; *S; ++S) {
-    char C = *S;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
-static void appendInt(std::string &Out, int64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(V));
-  Out += Buf;
+  return Events.snapshot();
 }
 
 std::string Journal::jsonl() const {
   uint64_t Recorded, Dropped;
   RunProvenance P;
-  std::vector<JournalEvent> Events = snapshot();
+  std::vector<JournalEvent> Snapshot;
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    Recorded = Head;
-    Dropped = Head > Ring.size() ? Head - Ring.size() : 0;
+    Snapshot = Events.snapshot();
+    Recorded = Events.recorded();
+    Dropped = Events.dropped();
     P = Prov;
   }
-  std::string Out = "{\"kind\":\"journal.meta\",\"schema\":1,\"recorded\":";
-  appendInt(Out, static_cast<int64_t>(Recorded));
-  Out += ",\"dropped\":";
-  appendInt(Out, static_cast<int64_t>(Dropped));
+  auto Int = [](int64_t V) { return std::to_string(V); };
+  std::string Out = "{\"kind\":\"journal.meta\",\"schema\":1,\"recorded\":" +
+                    Int(static_cast<int64_t>(Recorded)) +
+                    ",\"dropped\":" + Int(static_cast<int64_t>(Dropped));
   if (P.Stamped) {
-    Out += ",\"seed\":";
-    appendInt(Out, static_cast<int64_t>(P.Seed));
-    Out += ",\"config_hash\":";
-    appendJsonString(Out, P.ConfigHash.c_str());
-    Out += ",\"scenario\":";
-    appendJsonString(Out, P.ScenarioId.c_str());
-    if (P.Shards > 0) {
-      Out += ",\"shards\":";
-      appendInt(Out, P.Shards);
-    }
-    Out += ",\"cli\":";
-    appendJsonString(Out, P.Cli.c_str());
+    Out += ",\"seed\":" + Int(static_cast<int64_t>(P.Seed)) +
+           ",\"config_hash\":" + json::quote(P.ConfigHash) +
+           ",\"scenario\":" + json::quote(P.ScenarioId);
+    if (P.Shards > 0)
+      Out += ",\"shards\":" + Int(P.Shards);
+    Out += ",\"cli\":" + json::quote(P.Cli);
   }
   Out += "}\n";
-  for (const JournalEvent &E : Events) {
-    Out += "{\"id\":";
-    appendInt(Out, static_cast<int64_t>(E.Id));
-    Out += ",\"kind\":";
-    appendJsonString(Out, journalKindName(E.Kind));
-    Out += ",\"tick\":";
-    appendInt(Out, E.At);
-    if (E.JobId >= 0) {
-      Out += ",\"job\":";
-      appendInt(Out, E.JobId);
-    }
-    if (E.FlowId >= 0) {
-      Out += ",\"flow\":";
-      appendInt(Out, E.FlowId);
-    }
-    if (E.Cause != 0) {
-      Out += ",\"cause\":";
-      appendInt(Out, static_cast<int64_t>(E.Cause));
-    }
-    if (E.Trigger != 0) {
-      Out += ",\"trigger\":";
-      appendInt(Out, static_cast<int64_t>(E.Trigger));
-    }
-    if (E.Detail) {
-      Out += ",\"detail\":";
-      appendJsonString(Out, E.Detail);
-    }
+  for (const JournalEvent &E : Snapshot) {
+    Out += "{\"id\":" + Int(static_cast<int64_t>(E.Id)) +
+           ",\"kind\":" + json::quote(journalKindName(E.Kind)) +
+           ",\"tick\":" + Int(E.At);
+    if (E.JobId >= 0)
+      Out += ",\"job\":" + Int(E.JobId);
+    if (E.FlowId >= 0)
+      Out += ",\"flow\":" + Int(E.FlowId);
+    if (E.Cause != 0)
+      Out += ",\"cause\":" + Int(static_cast<int64_t>(E.Cause));
+    if (E.Trigger != 0)
+      Out += ",\"trigger\":" + Int(static_cast<int64_t>(E.Trigger));
+    if (E.Detail)
+      Out += ",\"detail\":" + json::quote(E.Detail);
     if (E.ArgCount > 0) {
       Out += ",\"args\":{";
       for (uint8_t I = 0; I < E.ArgCount; ++I) {
         if (I)
           Out += ",";
-        appendJsonString(Out, E.Args[I].Key ? E.Args[I].Key : "");
-        Out += ":";
-        appendInt(Out, E.Args[I].Value);
+        Out += json::quote(E.Args[I].Key ? E.Args[I].Key : "") + ":" +
+               Int(E.Args[I].Value);
       }
       Out += "}";
     }
@@ -332,14 +264,7 @@ std::string Journal::jsonl() const {
 }
 
 bool Journal::writeJsonl(const std::string &Path) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Text = jsonl();
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  return Ok;
+  return writeTextFile(Path, jsonl());
 }
 
 void cws::obs::publishJournalStats(Registry &R) {
@@ -378,244 +303,113 @@ const ParsedJournalEvent *ParsedJournal::byId(uint64_t Id) const {
 }
 
 namespace {
-/// Minimal parser for one flat journal line: an object of string keys
-/// mapping to integers, strings, or one level of nested integer object
-/// (`args`). Strict enough that `cws-explain --summary` can vouch for
-/// the schema.
-class LineParser {
-public:
-  explicit LineParser(const std::string &S) : S(S) {}
-
-  bool fail(const std::string &Why) {
-    Error = Why;
+/// Parses one journal line: a JSON object whose members are integers,
+/// except the `kind` / `detail` / provenance strings and the `args`
+/// object of integers. Unknown members are rejected, so
+/// `cws-explain --summary` can vouch for the schema.
+bool parseLine(const std::string &Line, ParsedJournal &Out,
+               ParsedJournalEvent &E, bool &IsMeta, std::string &Error) {
+  json::Value Obj;
+  if (!json::parse(Line, Obj, Error))
     return false;
-  }
-  const std::string &error() const { return Error; }
-
-  void skipWs() {
-    while (Pos < S.size() && (S[Pos] == ' ' || S[Pos] == '\t'))
-      ++Pos;
-  }
-
-  bool consume(char C) {
-    skipWs();
-    if (Pos < S.size() && S[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-
-  bool atEnd() {
-    skipWs();
-    return Pos == S.size();
-  }
-
-  bool parseString(std::string &Out) {
-    skipWs();
-    if (Pos >= S.size() || S[Pos] != '"')
-      return fail("expected string");
-    ++Pos;
-    Out.clear();
-    while (Pos < S.size() && S[Pos] != '"') {
-      char C = S[Pos++];
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= S.size())
-        return fail("truncated escape");
-      char E = S[Pos++];
-      switch (E) {
-      case '"':
-        Out += '"';
-        break;
-      case '\\':
-        Out += '\\';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'u': {
-        if (Pos + 4 > S.size())
-          return fail("truncated \\u escape");
-        char Buf[5] = {S[Pos], S[Pos + 1], S[Pos + 2], S[Pos + 3], 0};
-        Pos += 4;
-        Out += static_cast<char>(std::strtol(Buf, nullptr, 16));
-        break;
-      }
-      default:
-        return fail("unknown escape");
-      }
-    }
-    if (Pos >= S.size())
-      return fail("unterminated string");
-    ++Pos;
-    return true;
-  }
-
-  bool parseInt(int64_t &Out) {
-    skipWs();
-    size_t Start = Pos;
-    if (Pos < S.size() && S[Pos] == '-')
-      ++Pos;
-    size_t DigitStart = Pos;
-    while (Pos < S.size() && S[Pos] >= '0' && S[Pos] <= '9')
-      ++Pos;
-    if (Pos == DigitStart)
-      return fail("expected integer");
-    Out = std::strtoll(S.substr(Start, Pos - Start).c_str(), nullptr, 10);
-    return true;
-  }
-
-private:
-  const std::string &S;
-  size_t Pos = 0;
-  std::string Error;
-};
-
-bool parseLine(const std::string &Line, ParsedJournalEvent &E,
-               std::string &MetaKind, uint64_t &Recorded, uint64_t &Dropped,
-               RunProvenance &Prov, bool &IsMeta, std::string &Error) {
-  LineParser P(Line);
-  IsMeta = false;
-  if (!P.consume('{')) {
+  if (!Obj.isObject()) {
     Error = "expected '{'";
     return false;
   }
-  bool First = true;
-  int64_t Schema = -1;
-  int64_t MetaRecorded = -1, MetaDropped = -1;
-  RunProvenance MetaProv;
-  bool SawSeed = false, SawProvString = false;
+  int64_t Id = 0, Cause = 0, Trigger = 0;
+  int64_t Schema = -1, Recorded = -1, Dropped = -1;
   bool SawId = false, SawKind = false, SawTick = false;
-  while (!P.consume('}')) {
-    if (!First && !P.consume(',')) {
-      Error = "expected ',' or '}'";
-      return false;
+  struct IntField {
+    const char *Key;
+    int64_t *Dst;
+    bool *Seen;
+  } IntFields[] = {{"id", &Id, &SawId},
+                   {"cause", &Cause, nullptr},
+                   {"trigger", &Trigger, nullptr},
+                   {"job", &E.JobId, nullptr},
+                   {"flow", &E.FlowId, nullptr},
+                   {"tick", &E.At, &SawTick},
+                   {"schema", &Schema, nullptr},
+                   {"recorded", &Recorded, nullptr},
+                   {"dropped", &Dropped, nullptr}};
+  for (const auto &[Key, V] : Obj.members()) {
+    if (Key == "kind" || Key == "detail") {
+      if (!V.isString()) {
+        Error = "expected string for '" + Key + "'";
+        return false;
+      }
+      if (Key == "kind") {
+        E.Kind = V.text();
+        SawKind = true;
+      } else {
+        E.Detail = V.text();
+      }
+      continue;
     }
-    First = false;
-    std::string Key;
-    if (!P.parseString(Key) || !P.consume(':')) {
-      Error = P.error().empty() ? "expected ':'" : P.error();
-      return false;
-    }
-    if (Key == "kind") {
-      std::string V;
-      if (!P.parseString(V)) {
-        Error = P.error();
-        return false;
-      }
-      E.Kind = V;
-      MetaKind = V;
-      SawKind = true;
-    } else if (Key == "detail") {
-      if (!P.parseString(E.Detail)) {
-        Error = P.error();
-        return false;
-      }
-    } else if (Key == "config_hash" || Key == "scenario" || Key == "cli") {
-      std::string V;
-      if (!P.parseString(V)) {
-        Error = P.error();
-        return false;
-      }
-      if (Key == "config_hash")
-        MetaProv.ConfigHash = std::move(V);
-      else if (Key == "scenario")
-        MetaProv.ScenarioId = std::move(V);
-      else
-        MetaProv.Cli = std::move(V);
-      SawProvString = true;
-    } else if (Key == "args") {
-      if (!P.consume('{')) {
+    if (isProvenanceKey(Key))
+      continue; // Read below, on meta and event lines alike.
+    if (Key == "args") {
+      if (!V.isObject()) {
         Error = "expected args object";
         return false;
       }
-      bool FirstArg = true;
-      while (!P.consume('}')) {
-        if (!FirstArg && !P.consume(',')) {
-          Error = "expected ',' or '}' in args";
+      for (const auto &[ArgKey, ArgValue] : V.members()) {
+        int64_t X;
+        if (!ArgValue.getInt(X)) {
+          Error = "expected integer for arg '" + ArgKey + "'";
           return false;
         }
-        FirstArg = false;
-        std::string AKey;
-        int64_t AVal;
-        if (!P.parseString(AKey) || !P.consume(':') || !P.parseInt(AVal)) {
-          Error = P.error().empty() ? "malformed args entry" : P.error();
-          return false;
-        }
-        E.Args.emplace_back(std::move(AKey), AVal);
+        E.Args.emplace_back(ArgKey, X);
       }
-    } else {
-      int64_t V;
-      if (!P.parseInt(V)) {
-        Error = P.error();
-        return false;
-      }
-      if (Key == "id") {
-        E.Id = static_cast<uint64_t>(V);
-        SawId = true;
-      } else if (Key == "cause") {
-        E.Cause = static_cast<uint64_t>(V);
-      } else if (Key == "trigger") {
-        E.Trigger = static_cast<uint64_t>(V);
-      } else if (Key == "job") {
-        E.JobId = V;
-      } else if (Key == "flow") {
-        E.FlowId = V;
-      } else if (Key == "tick") {
-        E.At = V;
-        SawTick = true;
-      } else if (Key == "schema") {
-        Schema = V;
-      } else if (Key == "recorded") {
-        MetaRecorded = V;
-      } else if (Key == "dropped") {
-        MetaDropped = V;
-      } else if (Key == "seed") {
-        MetaProv.Seed = static_cast<uint64_t>(V);
-        SawSeed = true;
-      } else if (Key == "shards") {
-        MetaProv.Shards = V;
-      } else {
-        Error = "unknown field '" + Key + "'";
-        return false;
-      }
+      continue;
     }
+    const IntField *F = nullptr;
+    for (const IntField &Candidate : IntFields)
+      if (Key == Candidate.Key)
+        F = &Candidate;
+    if (!F) {
+      Error = "unknown field '" + Key + "'";
+      return false;
+    }
+    if (!V.getInt(*F->Dst)) {
+      Error = "expected integer for '" + Key + "'";
+      return false;
+    }
+    if (F->Seen)
+      *F->Seen = true;
   }
-  if (!P.atEnd()) {
-    Error = "trailing garbage";
+  E.Id = static_cast<uint64_t>(Id);
+  E.Cause = static_cast<uint64_t>(Cause);
+  E.Trigger = static_cast<uint64_t>(Trigger);
+  RunProvenance Prov;
+  unsigned Seen = 0;
+  if (!readProvenance(Obj, Prov, Seen, Error))
     return false;
-  }
-  if (MetaKind == "journal.meta") {
-    IsMeta = true;
-    if (Schema != 1) {
-      Error = "unsupported journal schema";
-      return false;
-    }
-    if (MetaRecorded < 0 || MetaDropped < 0) {
-      Error = "meta line missing recorded/dropped";
-      return false;
-    }
-    Recorded = static_cast<uint64_t>(MetaRecorded);
-    Dropped = static_cast<uint64_t>(MetaDropped);
-    // A stamped header carries the seed; the string fields may be
-    // empty but must accompany it (a partial stamp is malformed).
-    if (SawSeed) {
-      MetaProv.Stamped = true;
-      Prov = std::move(MetaProv);
-    } else if (SawProvString) {
-      Error = "provenance stamp missing seed";
+  IsMeta = E.Kind == "journal.meta";
+  if (!IsMeta) {
+    if (!SawId || !SawKind || !SawTick) {
+      Error = "event missing id/kind/tick";
       return false;
     }
     return true;
   }
-  if (!SawId || !SawKind || !SawTick) {
-    Error = "event missing id/kind/tick";
+  if (Schema != 1) {
+    Error = "unsupported journal schema";
+    return false;
+  }
+  if (Recorded < 0 || Dropped < 0) {
+    Error = "meta line missing recorded/dropped";
+    return false;
+  }
+  Out.Recorded = static_cast<uint64_t>(Recorded);
+  Out.Dropped = static_cast<uint64_t>(Dropped);
+  // A stamped header carries the seed; the string fields may be empty
+  // but must accompany it (a partial stamp is malformed).
+  if (Seen & ProvSeed) {
+    Prov.Stamped = true;
+    Out.Prov = std::move(Prov);
+  } else if (Seen & (ProvConfigHash | ProvScenario | ProvCli)) {
+    Error = "provenance stamp missing seed";
     return false;
   }
   return true;
@@ -639,11 +433,9 @@ bool cws::obs::parseJournalJsonl(const std::string &Text, ParsedJournal &Out,
     if (!Line.empty() && Line.back() == '\r')
       Line.pop_back();
     ParsedJournalEvent E;
-    std::string MetaKind;
     bool IsMeta = false;
     std::string Why;
-    if (!parseLine(Line, E, MetaKind, Out.Recorded, Out.Dropped, Out.Prov,
-                   IsMeta, Why)) {
+    if (!parseLine(Line, Out, E, IsMeta, Why)) {
       Error = "line " + std::to_string(LineNo) + ": " + Why;
       return false;
     }

@@ -22,7 +22,7 @@
 ///     Jn.append(obs::JournalKind::Commit, J.id(), Now, {{"variant", 2}});
 ///
 /// and the instrumentation may stay in hot paths permanently (the
-/// `bench/obs_overhead` binary guards this). With `CWS_OBS_ENABLED=0`
+/// `obs_overhead` bench guards this). With `CWS_OBS_ENABLED=0`
 /// `enabled()` is a compile-time `false` and emission code dead-strips.
 ///
 /// Causality: the journal links each event to the previous event of the
@@ -45,6 +45,7 @@
 #define CWS_OBS_JOURNAL_H
 
 #include "obs/Provenance.h"
+#include "support/Ring.h"
 
 #include <atomic>
 #include <cstdint>
@@ -259,9 +260,7 @@ private:
   std::atomic<bool> On{false};
   mutable std::mutex Mu;
   RunProvenance Prov;
-  std::vector<JournalEvent> Ring;
-  /// Total events appended; Head % Ring.size() is the next slot.
-  uint64_t Head = 0;
+  Ring<JournalEvent> Events;
   uint64_t LastEnvChangeId = 0;
   /// Last event id per job (the automatic `Cause` chain).
   std::unordered_map<int64_t, uint64_t> LastOf;

@@ -8,12 +8,12 @@
 #include "obs/Profiler.h"
 
 #include "obs/Metrics.h"
+#include "support/File.h"
 #include "support/Json.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <thread>
 
 namespace cws {
@@ -39,6 +39,31 @@ const std::vector<double> &phaseBounds() {
 }
 
 } // namespace
+
+std::string
+workCountersJson(const std::vector<std::pair<std::string, uint64_t>> &Work) {
+  std::string Out = "{";
+  for (size_t I = 0; I < Work.size(); ++I)
+    Out += (I ? ", " : "") + json::quote(Work[I].first) + ": " +
+           std::to_string(Work[I].second);
+  return Out + "}";
+}
+
+std::string phaseRecordsJson(const std::vector<PhaseStats> &Phases) {
+  std::string Out = "[";
+  for (size_t I = 0; I < Phases.size(); ++I) {
+    const PhaseStats &S = Phases[I];
+    Out += I ? ",\n    " : "\n    ";
+    Out += "{\"name\": " + json::quote(S.Name);
+    Out += ", \"count\": " + std::to_string(S.Count);
+    Out += ", \"total_us\": " + renderNumber(S.TotalUs);
+    Out += ", \"self_us\": " + renderNumber(S.SelfUs);
+    Out += ", \"p50_us\": " + renderNumber(S.P50Us);
+    Out += ", \"p99_us\": " + renderNumber(S.P99Us);
+    Out += ", \"work\": " + workCountersJson(S.Work) + "}";
+  }
+  return Out + (Phases.empty() ? "]" : "\n  ]");
+}
 
 const uint64_t *PhaseStats::work(const std::string &Counter) const {
   for (const auto &W : Work)
@@ -164,41 +189,18 @@ std::string Profiler::json() const {
   std::string Out = "{\n  \"schema\": \"cws-profile-v1\"";
   if (P.valid()) {
     Out += ",\n  \"provenance\": {\"seed\": " + std::to_string(P.Seed);
-    Out += ", \"config_hash\": \"" + json::escape(P.ConfigHash) + "\"";
-    Out += ", \"scenario\": \"" + json::escape(P.ScenarioId) + "\"";
+    Out += ", \"config_hash\": " + json::quote(P.ConfigHash);
+    Out += ", \"scenario\": " + json::quote(P.ScenarioId);
     if (P.Shards > 0)
       Out += ", \"shards\": " + std::to_string(P.Shards);
-    Out += ", \"cli\": \"" + json::escape(P.Cli) + "\"}";
+    Out += ", \"cli\": " + json::quote(P.Cli) + "}";
   }
-  Out += ",\n  \"phases\": [";
-  for (size_t I = 0; I < Phases.size(); ++I) {
-    const PhaseStats &S = Phases[I];
-    Out += I ? ",\n    " : "\n    ";
-    Out += "{\"name\": \"" + json::escape(S.Name) + "\"";
-    Out += ", \"count\": " + std::to_string(S.Count);
-    Out += ", \"total_us\": " + renderNumber(S.TotalUs);
-    Out += ", \"self_us\": " + renderNumber(S.SelfUs);
-    Out += ", \"p50_us\": " + renderNumber(S.P50Us);
-    Out += ", \"p99_us\": " + renderNumber(S.P99Us);
-    Out += ", \"work\": {";
-    for (size_t W = 0; W < S.Work.size(); ++W) {
-      if (W)
-        Out += ", ";
-      Out += "\"" + json::escape(S.Work[W].first) +
-             "\": " + std::to_string(S.Work[W].second);
-    }
-    Out += "}}";
-  }
-  Out += Phases.empty() ? "]\n}\n" : "\n  ]\n}\n";
+  Out += ",\n  \"phases\": " + phaseRecordsJson(Phases) + "\n}\n";
   return Out;
 }
 
 bool Profiler::writeJson(const std::string &Path) const {
-  std::ofstream Out(Path, std::ios::binary);
-  if (!Out)
-    return false;
-  Out << json();
-  return static_cast<bool>(Out);
+  return writeTextFile(Path, json());
 }
 
 std::string Profiler::chromeTraceEvents() const {
@@ -213,8 +215,8 @@ std::string Profiler::chromeTraceEvents() const {
                     "\"args\":{\"name\":\"phase profile (merged)\"}}";
   double Ts = 0.0;
   for (const PhaseStats &S : Phases) {
-    Out += ",{\"name\":\"" + json::escape(S.Name) +
-           "\",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":3,\"tid\":0,\"ts\":" +
+    Out += ",{\"name\":" + json::quote(S.Name) +
+           ",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":3,\"tid\":0,\"ts\":" +
            renderNumber(Ts) + ",\"dur\":" + renderNumber(S.TotalUs) +
            ",\"args\":{\"count\":" + std::to_string(S.Count) +
            ",\"self_us\":" + renderNumber(S.SelfUs) + "}}";
@@ -243,15 +245,11 @@ bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
       Error = "profile: provenance is not an object";
       return false;
     }
-    double Seed = 0;
-    if (P->getNumber("seed", Seed))
-      Out.Prov.Seed = static_cast<uint64_t>(Seed);
-    P->getString("config_hash", Out.Prov.ConfigHash);
-    P->getString("scenario", Out.Prov.ScenarioId);
-    double Shards = 0;
-    if (P->getNumber("shards", Shards))
-      Out.Prov.Shards = static_cast<int64_t>(Shards);
-    P->getString("cli", Out.Prov.Cli);
+    unsigned Seen = 0;
+    if (!readProvenance(*P, Out.Prov, Seen, Error)) {
+      Error = "profile: " + Error;
+      return false;
+    }
     Out.Prov.Stamped = true;
   }
   const json::Value *Phases = Root.find("phases");
@@ -265,9 +263,7 @@ bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
       Error = "profile: phase record without a name";
       return false;
     }
-    double X = 0;
-    if (P.getNumber("count", X))
-      S.Count = static_cast<uint64_t>(X);
+    P.getUint("count", S.Count);
     P.getNumber("total_us", S.TotalUs);
     P.getNumber("self_us", S.SelfUs);
     P.getNumber("p50_us", S.P50Us);
@@ -278,13 +274,13 @@ bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
         return false;
       }
       for (const auto &Member : W->members()) {
-        if (!Member.second.isNumber()) {
+        uint64_t N = 0;
+        if (!Member.second.getUint(N)) {
           Error = "profile: work counter '" + Member.first +
-                  "' is not a number";
+                  "' is not a non-negative integer";
           return false;
         }
-        S.Work.emplace_back(Member.first,
-                            static_cast<uint64_t>(Member.second.Num));
+        S.Work.emplace_back(Member.first, N);
       }
       std::sort(S.Work.begin(), S.Work.end());
     }

@@ -22,7 +22,7 @@
 ///
 /// Like the tracer, the profiler is disabled by default and the
 /// disabled path is one relaxed atomic load plus a branch — no clock
-/// read, no allocation (`bench/obs_overhead` and `tests/test_profiler`
+/// read, no allocation (the `obs_overhead` bench and `tests/test_profiler`
 /// guard this). `CWS_OBS_ENABLED=0` removes the guard bodies entirely.
 ///
 /// Phase names must be string literals (or otherwise outlive the open
@@ -75,6 +75,17 @@ struct PhaseStats {
 
   const uint64_t *work(const std::string &Counter) const;
 };
+
+/// The `{"counter": N, ...}` object of work counters, as `profile.json`
+/// phases and `BENCH_*.json` render them.
+std::string
+workCountersJson(const std::vector<std::pair<std::string, uint64_t>> &Work);
+
+/// The JSON array of phase records `profile.json` and `BENCH_*.json`
+/// share: one `{"name", "count", "total_us", "self_us", "p50_us",
+/// "p99_us", "work"}` object per line, laid out as the value of a
+/// top-level member.
+std::string phaseRecordsJson(const std::vector<PhaseStats> &Phases);
 
 /// A parsed `profile.json` (written by `Profiler::json`).
 struct ParsedProfile {

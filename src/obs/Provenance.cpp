@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Provenance.h"
+#include "support/Json.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -96,5 +97,51 @@ bool cws::obs::parseProvenanceCsvComment(const std::string &Line,
     P.Cli.pop_back();
   P.Stamped = true;
   Out = P;
+  return true;
+}
+
+bool cws::obs::isProvenanceKey(const std::string &Key) {
+  return Key == "seed" || Key == "config_hash" || Key == "scenario" ||
+         Key == "shards" || Key == "cli";
+}
+
+bool cws::obs::readProvenance(const json::Value &Obj, RunProvenance &Out,
+                              unsigned &Seen, std::string &Error) {
+  Seen = 0;
+  if (const json::Value *V = Obj.find("seed")) {
+    int64_t Signed = 0;
+    if (V->getInt(Signed))
+      Out.Seed = static_cast<uint64_t>(Signed);
+    else if (!V->getUint(Out.Seed)) {
+      Error = "provenance seed is not an integer";
+      return false;
+    }
+    Seen |= ProvSeed;
+  }
+  if (const json::Value *V = Obj.find("shards")) {
+    if (!V->getInt(Out.Shards)) {
+      Error = "provenance shards is not an integer";
+      return false;
+    }
+    Seen |= ProvShards;
+  }
+  struct Text {
+    const char *Key;
+    std::string *Dst;
+    unsigned Bit;
+  } Texts[] = {{"config_hash", &Out.ConfigHash, ProvConfigHash},
+               {"scenario", &Out.ScenarioId, ProvScenario},
+               {"cli", &Out.Cli, ProvCli}};
+  for (const Text &T : Texts) {
+    const json::Value *V = Obj.find(T.Key);
+    if (!V)
+      continue;
+    if (!V->isString()) {
+      Error = std::string("provenance ") + T.Key + " is not a string";
+      return false;
+    }
+    *T.Dst = V->text();
+    Seen |= T.Bit;
+  }
   return true;
 }

@@ -28,6 +28,10 @@
 #include <string>
 
 namespace cws {
+namespace json {
+class Value;
+} // namespace json
+
 namespace obs {
 
 /// The provenance stamp of one run's artifacts.
@@ -80,6 +84,31 @@ std::string provenanceCsvComment(const RunProvenance &P);
 /// Parses a `# provenance ...` comment line back. Returns false when
 /// \p Line is not a provenance comment or is malformed.
 bool parseProvenanceCsvComment(const std::string &Line, RunProvenance &Out);
+
+/// The provenance members of a JSON object, as bits of readProvenance's
+/// `Seen` mask.
+enum ProvenanceMember : unsigned {
+  ProvSeed = 1,
+  ProvConfigHash = 2,
+  ProvScenario = 4,
+  ProvShards = 8,
+  ProvCli = 16,
+};
+
+/// True when \p Key names a provenance member.
+bool isProvenanceKey(const std::string &Key);
+
+/// Reads the provenance members of the JSON object \p Obj (the
+/// `journal.meta` line, the `provenance` object of `profile.json` and
+/// `BENCH_*.json`) into \p Out: `seed` and `shards` as exact integers
+/// (a seed keeps its 64-bit pattern, so the journal's signed rendering
+/// reads back as the seed that wrote it), `config_hash`, `scenario` and
+/// `cli` as strings. Absent members leave \p Out as it was, and `Seen`
+/// gets one ProvenanceMember bit per member present, so each artifact
+/// keeps its own rule for which are required. A member of the wrong
+/// kind fails with \p Error. `Stamped` is left to the caller.
+bool readProvenance(const json::Value &Obj, RunProvenance &Out,
+                    unsigned &Seen, std::string &Error);
 
 } // namespace obs
 } // namespace cws

@@ -8,9 +8,10 @@
 #include "obs/TimeSeries.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/File.h"
+#include "support/Json.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 
 using namespace cws;
@@ -30,10 +31,8 @@ void TimeSeries::enable(TimeSeriesConfig C) {
   OccupancyProvider = nullptr;
   FlowLabels.clear();
   FlowProvider = nullptr;
-  Ring.assign(Config.Capacity, TimeSeriesFrame{});
-  Head = 0;
-  SliceRing.assign(Config.SliceCapacity, OccupancySlice{});
-  SliceHead = 0;
+  Frames.reset(Config.Capacity);
+  Slices.reset(Config.SliceCapacity);
   NextSampleAt = 0;
   LastFrameAt = 0;
   LastReason = nullptr;
@@ -60,10 +59,8 @@ void TimeSeries::reset() {
   OccupancyProvider = nullptr;
   FlowLabels.clear();
   FlowProvider = nullptr;
-  Ring.clear();
-  Head = 0;
-  SliceRing.clear();
-  SliceHead = 0;
+  Frames.reset(0);
+  Slices.reset(0);
   NextSampleAt = 0;
   LastFrameAt = 0;
   LastReason = nullptr;
@@ -162,10 +159,10 @@ void TimeSeries::clearProviders() {
 
 void TimeSeries::capture(Tick Now, const char *Reason) {
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Ring.empty())
+  if (Frames.capacity() == 0)
     return; // reset() raced the enabled check.
-  TimeSeriesFrame &F = Ring[Head % Ring.size()];
-  F.Seq = Head;
+  TimeSeriesFrame &F = Frames.push();
+  F.Seq = Frames.recorded() - 1;
   F.At = Now;
   F.Reason = Reason;
   F.Metrics.clear();
@@ -177,7 +174,6 @@ void TimeSeries::capture(Tick Now, const char *Reason) {
   F.Flows.clear();
   if (FlowProvider)
     F.Flows = FlowProvider();
-  ++Head;
   LastFrameAt = Now;
   LastReason = Reason;
 }
@@ -185,7 +181,7 @@ void TimeSeries::capture(Tick Now, const char *Reason) {
 void TimeSeries::tick(Tick Now) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (Ring.empty() || Now < NextSampleAt)
+    if (Frames.capacity() == 0 || Now < NextSampleAt)
       return;
     NextSampleAt = (Now / Config.SampleEvery + 1) * Config.SampleEvery;
   }
@@ -195,12 +191,12 @@ void TimeSeries::tick(Tick Now) {
 void TimeSeries::event(Tick Now, const char *Reason) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    if (Ring.empty())
+    if (Frames.capacity() == 0)
       return;
     // Same-tick repeats of one event kind (e.g. several background
     // placements landing on one tick) coalesce into the frame already
     // taken.
-    if (Head > 0 && LastFrameAt == Now && LastReason &&
+    if (Frames.recorded() > 0 && LastFrameAt == Now && LastReason &&
         std::strcmp(LastReason, Reason) == 0)
       return;
   }
@@ -212,57 +208,38 @@ void TimeSeries::addOccupancySlice(unsigned Node, Tick Begin, Tick End,
   if (Begin >= End)
     return;
   std::lock_guard<std::mutex> Lock(Mu);
-  if (SliceRing.empty())
-    return;
-  SliceRing[SliceHead % SliceRing.size()] =
-      OccupancySlice{Node, Begin, End, Kind, Owner};
-  ++SliceHead;
+  if (Slices.capacity() > 0)
+    Slices.push() = OccupancySlice{Node, Begin, End, Kind, Owner};
 }
 
 uint64_t TimeSeries::recorded() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Head;
+  return Frames.recorded();
 }
 
 uint64_t TimeSeries::dropped() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Head > Ring.size() ? Head - Ring.size() : 0;
+  return Frames.dropped();
 }
 
 uint64_t TimeSeries::slicesRecorded() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return SliceHead;
+  return Slices.recorded();
 }
 
 uint64_t TimeSeries::slicesDropped() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return SliceHead > SliceRing.size() ? SliceHead - SliceRing.size() : 0;
+  return Slices.dropped();
 }
 
 std::vector<TimeSeriesFrame> TimeSeries::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<TimeSeriesFrame> Out;
-  if (Ring.empty())
-    return Out;
-  uint64_t Size = Head < Ring.size() ? Head : Ring.size();
-  Out.reserve(Size);
-  uint64_t Start = Head < Ring.size() ? 0 : Head;
-  for (uint64_t I = 0; I < Size; ++I)
-    Out.push_back(Ring[(Start + I) % Ring.size()]);
-  return Out;
+  return Frames.snapshot();
 }
 
 std::vector<OccupancySlice> TimeSeries::slices() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<OccupancySlice> Out;
-  if (SliceRing.empty())
-    return Out;
-  uint64_t Size = SliceHead < SliceRing.size() ? SliceHead : SliceRing.size();
-  Out.reserve(Size);
-  uint64_t Start = SliceHead < SliceRing.size() ? 0 : SliceHead;
-  for (uint64_t I = 0; I < Size; ++I)
-    Out.push_back(SliceRing[(Start + I) % SliceRing.size()]);
-  return Out;
+  return Slices.snapshot();
 }
 
 std::vector<std::string> TimeSeries::metricNames() const {
@@ -282,44 +259,13 @@ std::vector<std::string> TimeSeries::flowNames() const {
 // Export
 //===----------------------------------------------------------------------===//
 
-/// Escapes a string for a JSON literal (names are identifiers in
-/// practice, but the exporter must never emit invalid JSON).
-static void appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
-
 std::string TimeSeries::csv() const {
-  std::vector<TimeSeriesFrame> Frames = snapshot();
+  std::vector<TimeSeriesFrame> FrameList = snapshot();
   std::vector<std::string> Metrics = metricNames();
   std::vector<std::string> Flows = flowNames();
   std::string Out = provenanceCsvComment(provenance());
   Out += "seq,tick,reason,series,node,flow,value\n";
-  for (const TimeSeriesFrame &F : Frames) {
+  for (const TimeSeriesFrame &F : FrameList) {
     std::string Prefix = std::to_string(F.Seq) + "," +
                          std::to_string(F.At) + "," +
                          (F.Reason ? F.Reason : "") + ",";
@@ -349,49 +295,37 @@ std::string TimeSeries::csv() const {
 }
 
 std::string TimeSeries::jsonl() const {
-  std::vector<TimeSeriesFrame> Frames = snapshot();
+  std::vector<TimeSeriesFrame> FrameList = snapshot();
   std::vector<std::string> Metrics = metricNames();
   std::vector<std::string> Flows = flowNames();
   std::string Out = "{\"kind\":\"timeseries.meta\",\"schema\":1";
   {
     std::lock_guard<std::mutex> Lock(Mu);
     Out += ",\"sample_every\":" + std::to_string(Config.SampleEvery);
-    if (Prov.Stamped) {
-      Out += ",\"seed\":" + std::to_string(Prov.Seed) + ",\"config_hash\":";
-      appendJsonString(Out, Prov.ConfigHash);
-      Out += ",\"scenario\":";
-      appendJsonString(Out, Prov.ScenarioId);
-      Out += ",\"cli\":";
-      appendJsonString(Out, Prov.Cli);
-    }
+    if (Prov.Stamped)
+      Out += ",\"seed\":" + std::to_string(Prov.Seed) +
+             ",\"config_hash\":" + json::quote(Prov.ConfigHash) +
+             ",\"scenario\":" + json::quote(Prov.ScenarioId) +
+             ",\"cli\":" + json::quote(Prov.Cli);
   }
   Out += ",\"recorded\":" + std::to_string(recorded()) +
          ",\"dropped\":" + std::to_string(dropped()) + ",\"metrics\":[";
-  for (size_t I = 0; I < Metrics.size(); ++I) {
-    if (I)
-      Out += ",";
-    appendJsonString(Out, Metrics[I]);
-  }
+  for (size_t I = 0; I < Metrics.size(); ++I)
+    Out += (I ? "," : "") + json::quote(Metrics[I]);
   Out += "],\"flows\":[";
-  for (size_t I = 0; I < Flows.size(); ++I) {
-    if (I)
-      Out += ",";
-    appendJsonString(Out, Flows[I]);
-  }
+  for (size_t I = 0; I < Flows.size(); ++I)
+    Out += (I ? "," : "") + json::quote(Flows[I]);
   Out += "]}\n";
-  for (const TimeSeriesFrame &F : Frames) {
+  for (const TimeSeriesFrame &F : FrameList) {
     Out += "{\"seq\":" + std::to_string(F.Seq) +
-           ",\"tick\":" + std::to_string(F.At) + ",\"reason\":";
-    appendJsonString(Out, F.Reason ? F.Reason : "");
-    Out += ",\"metrics\":{";
+           ",\"tick\":" + std::to_string(F.At) +
+           ",\"reason\":" + json::quote(F.Reason ? F.Reason : "") +
+           ",\"metrics\":{";
     size_t N = F.Metrics.size() < Metrics.size() ? F.Metrics.size()
                                                  : Metrics.size();
-    for (size_t I = 0; I < N; ++I) {
-      if (I)
-        Out += ",";
-      appendJsonString(Out, Metrics[I]);
-      Out += ":" + renderNumber(F.Metrics[I]);
-    }
+    for (size_t I = 0; I < N; ++I)
+      Out += (I ? "," : "") + json::quote(Metrics[I]) + ":" +
+             renderNumber(F.Metrics[I]);
     Out += "},\"nodes\":[";
     for (size_t I = 0; I < F.Nodes.size(); ++I) {
       if (I)
@@ -416,19 +350,12 @@ std::string TimeSeries::jsonl() const {
 bool TimeSeries::writeFile(const std::string &Path) const {
   bool Jsonl = Path.size() >= 6 &&
                Path.compare(Path.size() - 6, 6, ".jsonl") == 0;
-  std::string Text = Jsonl ? jsonl() : csv();
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  size_t Written = std::fwrite(Text.data(), 1, Text.size(), F);
-  bool Ok = Written == Text.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  return Ok;
+  return writeTextFile(Path, Jsonl ? jsonl() : csv());
 }
 
 std::string TimeSeries::chromeTraceEvents() const {
-  std::vector<TimeSeriesFrame> Frames = snapshot();
-  std::vector<OccupancySlice> Slices = slices();
+  std::vector<TimeSeriesFrame> FrameList = snapshot();
+  std::vector<OccupancySlice> SliceList = slices();
   std::vector<std::string> Metrics = metricNames();
   std::vector<std::string> Flows = flowNames();
   std::string Out;
@@ -447,33 +374,31 @@ std::string TimeSeries::chromeTraceEvents() const {
   Emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,"
        "\"args\":{\"name\":\"flows + grid\"}}");
   size_t NodeCount = 0;
-  for (const TimeSeriesFrame &F : Frames)
+  for (const TimeSeriesFrame &F : FrameList)
     NodeCount = std::max(NodeCount, F.Nodes.size());
-  for (const OccupancySlice &S : Slices)
+  for (const OccupancySlice &S : SliceList)
     NodeCount = std::max(NodeCount, static_cast<size_t>(S.Node) + 1);
   for (size_t I = 0; I < NodeCount; ++I)
     Emit("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":2,\"tid\":" +
          std::to_string(100 + I) + ",\"args\":{\"name\":\"node " +
          std::to_string(I) + "\"}}");
-  for (const TimeSeriesFrame &F : Frames) {
+  for (const TimeSeriesFrame &F : FrameList) {
     std::string Ts = std::to_string(F.At);
     size_t N = F.Metrics.size() < Metrics.size() ? F.Metrics.size()
                                                  : Metrics.size();
     for (size_t I = 0; I < N; ++I) {
-      std::string E = "{\"name\":";
-      appendJsonString(E, Metrics[I]);
-      E += ",\"ph\":\"C\",\"ts\":" + Ts + ",\"pid\":2,\"tid\":0,"
-           "\"args\":{\"value\":" + renderNumber(F.Metrics[I]) + "}}";
-      Emit(E);
+      Emit("{\"name\":" + json::quote(Metrics[I]) +
+           ",\"ph\":\"C\",\"ts\":" + Ts +
+           ",\"pid\":2,\"tid\":0,\"args\":{\"value\":" +
+           renderNumber(F.Metrics[I]) + "}}");
     }
     size_t K = F.Flows.size() < Flows.size() ? F.Flows.size() : Flows.size();
     for (size_t I = 0; I < K; ++I) {
-      std::string E = "{\"name\":";
-      appendJsonString(E, "flow " + Flows[I] + " jobs");
-      E += ",\"ph\":\"C\",\"ts\":" + Ts + ",\"pid\":2,\"tid\":1,"
-           "\"args\":{\"queued\":" + std::to_string(F.Flows[I].Queued) +
-           ",\"in_flight\":" + std::to_string(F.Flows[I].InFlight) + "}}";
-      Emit(E);
+      Emit("{\"name\":" + json::quote("flow " + Flows[I] + " jobs") +
+           ",\"ph\":\"C\",\"ts\":" + Ts +
+           ",\"pid\":2,\"tid\":1,\"args\":{\"queued\":" +
+           std::to_string(F.Flows[I].Queued) +
+           ",\"in_flight\":" + std::to_string(F.Flows[I].InFlight) + "}}");
     }
     if (!F.Nodes.empty()) {
       double Busy = 0, Background = 0;
@@ -488,16 +413,13 @@ std::string TimeSeries::chromeTraceEvents() const {
            renderNumber(Background * Scale) + "}}");
     }
   }
-  for (const OccupancySlice &S : Slices) {
-    std::string E = "{\"name\":";
-    appendJsonString(E, S.Kind ? S.Kind : "other");
-    E += ",\"cat\":\"occupancy\",\"ph\":\"X\",\"ts\":" +
+  for (const OccupancySlice &S : SliceList)
+    Emit("{\"name\":" + json::quote(S.Kind ? S.Kind : "other") +
+         ",\"cat\":\"occupancy\",\"ph\":\"X\",\"ts\":" +
          std::to_string(S.Begin) +
          ",\"dur\":" + std::to_string(S.End - S.Begin) +
          ",\"pid\":2,\"tid\":" + std::to_string(100 + S.Node) +
-         ",\"args\":{\"owner\":" + std::to_string(S.Owner) + "}}";
-    Emit(E);
-  }
+         ",\"args\":{\"owner\":" + std::to_string(S.Owner) + "}}");
   return Out;
 }
 

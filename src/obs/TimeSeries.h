@@ -25,7 +25,7 @@
 /// for a fixed seed the exported series is byte-identical at any
 /// `--build-threads` lane count. The sampler is disabled by default;
 /// while disabled `onTick()` is one relaxed atomic load plus a branch
-/// (guarded by `bench/obs_overhead`), and with `CWS_OBS_ENABLED=0` it
+/// (guarded by the `obs_overhead` bench), and with `CWS_OBS_ENABLED=0` it
 /// compiles out entirely.
 ///
 /// Exports: tidy CSV / JSON-lines (`--timeseries=FILE`), and a Chrome
@@ -39,6 +39,7 @@
 
 #include "obs/Provenance.h"
 #include "sim/Time.h"
+#include "support/Ring.h"
 
 #include <atomic>
 #include <cstdint>
@@ -286,11 +287,8 @@ private:
   std::function<std::vector<NodeOccupancy>(Tick, Tick)> OccupancyProvider;
   std::vector<std::string> FlowLabels;
   std::function<std::vector<FlowSample>()> FlowProvider;
-  std::vector<TimeSeriesFrame> Ring;
-  /// Total frames recorded; Head % Ring.size() is the next slot.
-  uint64_t Head = 0;
-  std::vector<OccupancySlice> SliceRing;
-  uint64_t SliceHead = 0;
+  Ring<TimeSeriesFrame> Frames;
+  Ring<OccupancySlice> Slices;
   /// Next periodic boundary (a multiple of Config.SampleEvery).
   Tick NextSampleAt = 0;
   /// Tick of the most recent frame (the elapsed-window start).

@@ -8,6 +8,8 @@
 #include "obs/Trace.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
+#include "support/File.h"
+#include "support/Json.h"
 
 #include <chrono>
 #include <cstdio>
@@ -37,8 +39,7 @@ Tracer &Tracer::global() {
 void Tracer::enable(size_t Capacity) {
   CWS_CHECK(Capacity > 0, "tracer needs a non-empty ring");
   std::lock_guard<std::mutex> Lock(Mu);
-  Ring.assign(Capacity, TraceEvent{});
-  Head = 0;
+  Events.reset(Capacity);
   Filtered = 0;
   EpochMicros = steadyMicros();
   Enabled.store(true, std::memory_order_relaxed);
@@ -83,10 +84,9 @@ void Tracer::disable() { Enabled.store(false, std::memory_order_relaxed); }
 void Tracer::reset() {
   disable();
   std::lock_guard<std::mutex> Lock(Mu);
-  Ring.clear();
+  Events.reset(0);
   Categories.clear();
   Filtered = 0;
-  Head = 0;
 }
 
 void Tracer::record(TracePhase Phase, const char *Category, const char *Name,
@@ -96,7 +96,7 @@ void Tracer::record(TracePhase Phase, const char *Category, const char *Name,
   int64_t Ts = steadyMicros();
   uint32_t Tid = currentTid();
   std::lock_guard<std::mutex> Lock(Mu);
-  if (Ring.empty())
+  if (Events.capacity() == 0)
     return; // reset() raced the enabled check.
   if (!Categories.empty()) {
     bool Pass = false;
@@ -110,73 +110,31 @@ void Tracer::record(TracePhase Phase, const char *Category, const char *Name,
       return;
     }
   }
-  TraceEvent &E = Ring[Head % Ring.size()];
+  TraceEvent &E = Events.push();
   E.Name = Name;
   E.Category = Category;
   E.TsMicros = Ts - EpochMicros;
-  E.Seq = Head;
+  E.Seq = Events.recorded() - 1;
   E.Tid = Tid;
   E.Phase = Phase;
   E.ArgCount = static_cast<uint8_t>(ArgCount > 2 ? 2 : ArgCount);
   for (size_t I = 0; I < E.ArgCount; ++I)
     E.Args[I] = Args[I];
-  ++Head;
 }
 
 uint64_t Tracer::recorded() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Head;
+  return Events.recorded();
 }
 
 uint64_t Tracer::dropped() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  return Head > Ring.size() ? Head - Ring.size() : 0;
+  return Events.dropped();
 }
 
 std::vector<TraceEvent> Tracer::snapshot() const {
   std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<TraceEvent> Out;
-  if (Ring.empty())
-    return Out;
-  uint64_t Size = Head < Ring.size() ? Head : Ring.size();
-  Out.reserve(Size);
-  // Oldest surviving event first: when wrapped, that is slot Head mod N.
-  uint64_t Start = Head < Ring.size() ? 0 : Head;
-  for (uint64_t I = 0; I < Size; ++I)
-    Out.push_back(Ring[(Start + I) % Ring.size()]);
-  return Out;
-}
-
-/// Escapes a string for a JSON literal. Names are plain identifiers in
-/// practice, but the exporter must never emit invalid JSON.
-static void appendJsonString(std::string &Out, const char *S) {
-  Out += '"';
-  for (; *S; ++S) {
-    char C = *S;
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
+  return Events.snapshot();
 }
 
 std::string Tracer::chromeJson(const std::string &Extra) const {
@@ -188,10 +146,8 @@ std::string Tracer::chromeJson(const std::string &Extra) const {
     if (!First)
       Out += ",";
     First = false;
-    Out += "{\"name\":";
-    appendJsonString(Out, E.Name ? E.Name : "");
-    Out += ",\"cat\":";
-    appendJsonString(Out, E.Category ? E.Category : "");
+    Out += "{\"name\":" + json::quote(E.Name ? E.Name : "") +
+           ",\"cat\":" + json::quote(E.Category ? E.Category : "");
     std::snprintf(Buf, sizeof(Buf),
                   ",\"ph\":\"%c\",\"ts\":%lld,\"pid\":1,\"tid\":%u",
                   static_cast<char>(E.Phase),
@@ -204,7 +160,7 @@ std::string Tracer::chromeJson(const std::string &Extra) const {
       for (uint8_t I = 0; I < E.ArgCount; ++I) {
         if (I)
           Out += ",";
-        appendJsonString(Out, E.Args[I].Key ? E.Args[I].Key : "");
+        Out += json::quote(E.Args[I].Key ? E.Args[I].Key : "");
         std::snprintf(Buf, sizeof(Buf), ":%lld",
                       static_cast<long long>(E.Args[I].Value));
         Out += Buf;
@@ -224,14 +180,7 @@ std::string Tracer::chromeJson(const std::string &Extra) const {
 
 bool Tracer::writeJson(const std::string &Path,
                        const std::string &Extra) const {
-  std::FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return false;
-  std::string Json = chromeJson(Extra);
-  size_t Written = std::fwrite(Json.data(), 1, Json.size(), F);
-  bool Ok = Written == Json.size();
-  Ok = std::fclose(F) == 0 && Ok;
-  return Ok;
+  return writeTextFile(Path, chromeJson(Extra));
 }
 
 void cws::obs::publishTraceStats(Registry &R) {

@@ -13,7 +13,7 @@
 /// The tracer is disabled by default. While disabled every record call
 /// is a single relaxed atomic load plus a predictable branch, so
 /// instrumentation may stay in hot paths permanently; the
-/// `bench/obs_overhead` binary guards this property. Defining
+/// `obs_overhead` bench guards this property. Defining
 /// `CWS_OBS_ENABLED=0` at compile time removes the instrumentation
 /// bodies entirely.
 ///
@@ -24,6 +24,8 @@
 
 #ifndef CWS_OBS_TRACE_H
 #define CWS_OBS_TRACE_H
+
+#include "support/Ring.h"
 
 #include <atomic>
 #include <cstdint>
@@ -141,13 +143,11 @@ public:
 private:
   std::atomic<bool> Enabled{false};
   mutable std::mutex Mu;
-  std::vector<TraceEvent> Ring;
+  Ring<TraceEvent> Events;
   /// Enabled categories; empty means every category records.
   std::vector<std::string> Categories;
   /// Events rejected by the category filter since enable().
   uint64_t Filtered = 0;
-  /// Total events recorded; Head % Ring.size() is the next slot.
-  uint64_t Head = 0;
   /// steady_clock epoch (microseconds) set at enable().
   int64_t EpochMicros = 0;
 };

@@ -8,29 +8,35 @@
 #include "support/Flags.h"
 #include "support/Check.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 using namespace cws;
 
 void Flags::addInt(const std::string &Name, int64_t *Storage,
-                   const std::string &Help) {
-  Entries.push_back({Name, Kind::Int, Storage, Help});
+                   const std::string &Help, int64_t AtLeast) {
+  Entries.push_back({Name, Kind::Int, Storage, Help, AtLeast, -HUGE_VAL, {}});
 }
 
 void Flags::addReal(const std::string &Name, double *Storage,
-                    const std::string &Help) {
-  Entries.push_back({Name, Kind::Real, Storage, Help});
+                    const std::string &Help, double Above) {
+  Entries.push_back({Name, Kind::Real, Storage, Help, INT64_MIN, Above, {}});
 }
 
 void Flags::addString(const std::string &Name, std::string *Storage,
-                      const std::string &Help) {
-  Entries.push_back({Name, Kind::String, Storage, Help});
+                      const std::string &Help,
+                      std::vector<std::string> Choices) {
+  Entries.push_back({Name, Kind::String, Storage, Help, INT64_MIN, -HUGE_VAL,
+                     std::move(Choices)});
 }
 
 void Flags::addBool(const std::string &Name, bool *Storage,
                     const std::string &Help) {
-  Entries.push_back({Name, Kind::Bool, Storage, Help});
+  Entries.push_back(
+      {Name, Kind::Bool, Storage, Help, INT64_MIN, -HUGE_VAL, {}});
 }
 
 const Flags::Entry *Flags::find(const std::string &Name) const {
@@ -79,27 +85,53 @@ bool Flags::parse(int Argc, char **Argv) const {
       }
       Value = Argv[++I];
     }
+    auto Reject = [&](const std::string &Want) {
+      std::fprintf(stderr, "flag '--%s' %s, got '%s'\n", Name.c_str(),
+                   Want.c_str(), Value.c_str());
+      std::exit(2);
+    };
+    char *End = nullptr;
+    errno = 0;
     switch (E->FlagKind) {
     case Kind::Bool: {
       bool On = Value == "1" || Value == "true";
-      if (!On && Value != "0" && Value != "false") {
-        std::fprintf(stderr, "flag '--%s' takes 0|1|true|false, got '%s'\n",
-                     Name.c_str(), Value.c_str());
-        std::exit(2);
-      }
+      if (!On && Value != "0" && Value != "false")
+        Reject("takes 0|1|true|false");
       *static_cast<bool *>(E->Storage) = On;
       break;
     }
-    case Kind::Int:
-      *static_cast<int64_t *>(E->Storage) = std::strtoll(Value.c_str(),
-                                                         nullptr, 10);
+    case Kind::Int: {
+      long long V = std::strtoll(Value.c_str(), &End, 10);
+      if (Value.empty() || *End || errno == ERANGE)
+        Reject("takes an integer");
+      if (V < E->AtLeast)
+        Reject("must be >= " + std::to_string(E->AtLeast));
+      *static_cast<int64_t *>(E->Storage) = V;
       break;
-    case Kind::Real:
-      *static_cast<double *>(E->Storage) = std::strtod(Value.c_str(), nullptr);
+    }
+    case Kind::Real: {
+      double V = std::strtod(Value.c_str(), &End);
+      if (Value.empty() || *End || errno == ERANGE)
+        Reject("takes a number");
+      if (!(V > E->Above)) {
+        char Bound[32];
+        std::snprintf(Bound, sizeof(Bound), "%g", E->Above);
+        Reject(std::string("must be > ") + Bound);
+      }
+      *static_cast<double *>(E->Storage) = V;
       break;
-    case Kind::String:
+    }
+    case Kind::String: {
+      const std::vector<std::string> &Cs = E->Choices;
+      if (!Cs.empty() && std::find(Cs.begin(), Cs.end(), Value) == Cs.end()) {
+        std::string List;
+        for (const std::string &C : Cs)
+          List += (List.empty() ? "" : "|") + C;
+        Reject("takes " + List);
+      }
       *static_cast<std::string *>(E->Storage) = Value;
       break;
+    }
     }
   }
   return true;

@@ -6,15 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A tiny command line flag parser for the bench and example binaries:
-/// `--name=value` or `--name value`. Unknown flags are fatal so typos in
-/// experiment scripts do not silently run the default configuration.
+/// A tiny command line flag parser for the tools, bench and example
+/// binaries: `--name=value` or `--name value`. Unknown flags, values that
+/// do not parse as the flag's type, values outside a flag's choice list
+/// and values below its lower bound all exit 2 with a message, so typos
+/// in experiment scripts never silently run the default configuration.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CWS_SUPPORT_FLAGS_H
 #define CWS_SUPPORT_FLAGS_H
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -24,17 +27,21 @@ namespace cws {
 /// Registry of typed flags bound to caller-owned storage.
 class Flags {
 public:
-  /// Registers an integer flag writing into \p Storage.
+  /// Registers an integer flag writing into \p Storage; values below
+  /// \p AtLeast are rejected.
   void addInt(const std::string &Name, int64_t *Storage,
-              const std::string &Help);
+              const std::string &Help, int64_t AtLeast = INT64_MIN);
 
-  /// Registers a real-valued flag writing into \p Storage.
+  /// Registers a real-valued flag writing into \p Storage; values not
+  /// above \p Above are rejected.
   void addReal(const std::string &Name, double *Storage,
-               const std::string &Help);
+               const std::string &Help, double Above = -HUGE_VAL);
 
-  /// Registers a string flag writing into \p Storage.
+  /// Registers a string flag writing into \p Storage; with \p Choices,
+  /// any value outside the list is rejected.
   void addString(const std::string &Name, std::string *Storage,
-                 const std::string &Help);
+                 const std::string &Help,
+                 std::vector<std::string> Choices = {});
 
   /// Registers a boolean flag writing into \p Storage. A bare `--name`
   /// sets it; `--name=0|1|true|false` assigns explicitly. Unlike the
@@ -43,7 +50,7 @@ public:
                const std::string &Help);
 
   /// Parses argv. On `--help`, prints usage and returns false (caller
-  /// should exit). Unknown flags or malformed values abort.
+  /// should exit). Unknown flags and rejected values exit 2.
   bool parse(int Argc, char **Argv) const;
 
 private:
@@ -53,6 +60,11 @@ private:
     Kind FlagKind;
     void *Storage;
     std::string Help;
+    /// Lower bounds (Int, Real) and the allowed values (String; empty
+    /// allows any).
+    int64_t AtLeast;
+    double Above;
+    std::vector<std::string> Choices;
   };
   std::vector<Entry> Entries;
 

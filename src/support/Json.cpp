@@ -8,6 +8,7 @@
 #include "support/Json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -37,6 +38,30 @@ bool Value::getString(const std::string &Name, std::string &Out) const {
     return false;
   Out = V->Str;
   return true;
+}
+
+bool Value::getInt(int64_t &Out) const {
+  if (!HasInt)
+    return false;
+  Out = Int;
+  return true;
+}
+
+bool Value::getUint(uint64_t &Out) const {
+  if (!HasUint)
+    return false;
+  Out = Uint;
+  return true;
+}
+
+bool Value::getInt(const std::string &Name, int64_t &Out) const {
+  const Value *V = find(Name);
+  return V && V->getInt(Out);
+}
+
+bool Value::getUint(const std::string &Name, uint64_t &Out) const {
+  const Value *V = find(Name);
+  return V && V->getUint(Out);
 }
 
 namespace {
@@ -168,6 +193,22 @@ private:
       return fail("malformed number");
     Out.K = Value::Kind::Number;
     Out.Num = X;
+    // Integer literals also keep their exact value (a double holds
+    // integers exactly only up to 2^53).
+    if (Num.find_first_of(".eE+") == std::string::npos) {
+      errno = 0;
+      if (Num[0] == '-') {
+        long long I = std::strtoll(Num.c_str(), nullptr, 10);
+        Out.HasInt = errno == 0;
+        Out.Int = I;
+      } else {
+        unsigned long long U = std::strtoull(Num.c_str(), nullptr, 10);
+        Out.HasUint = errno == 0;
+        Out.Uint = U;
+        Out.HasInt = Out.HasUint && U <= static_cast<uint64_t>(INT64_MAX);
+        Out.Int = static_cast<int64_t>(U);
+      }
+    }
     return true;
   }
 
@@ -291,6 +332,8 @@ std::string escape(const std::string &Raw) {
   }
   return Out;
 }
+
+std::string quote(const std::string &Raw) { return '"' + escape(Raw) + '"'; }
 
 } // namespace json
 } // namespace cws

@@ -6,15 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A minimal JSON document model for the structured artifacts the stack
-/// writes and reads back (`profile.json`, `BENCH_*.json`): parse into an
-/// immutable value tree, navigate with checked accessors. This is a
-/// consumer-side parser for files the repository itself emits, not a
-/// general-purpose JSON library — it accepts standard JSON (RFC 8259)
-/// and rejects everything else with a byte-offset error.
+/// The one JSON codec of the stack. Readers parse the artifacts the
+/// repository writes (decision journal lines, `profile.json`,
+/// `BENCH_*.json`) into an immutable value tree and navigate it with
+/// checked accessors; it accepts standard JSON (RFC 8259) and rejects
+/// everything else with a byte-offset error. Integer literals keep an
+/// exact 64-bit value beside the double, so seeds and work counters
+/// above 2^53 read back unchanged.
 ///
-/// Writers stay hand-rolled (`obs::renderNumber` + manual escaping, the
-/// journal/trace precedent); only readers go through this tree.
+/// Writers render their fixed layouts directly and route every string
+/// through `escape` / `quote` (numbers through `obs::renderNumber`), so
+/// one escaper serves the journal, trace, time-series, profile and
+/// bench artifacts alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,6 +56,10 @@ public:
   double number(double Default = 0.0) const {
     return isNumber() ? Num : Default;
   }
+  /// Exact integer accessors: true only for a number written as an
+  /// integer literal that fits the type.
+  bool getInt(int64_t &Out) const;
+  bool getUint(uint64_t &Out) const;
   const std::string &text() const { return Str; }
   const std::vector<Value> &array() const { return Arr; }
   const std::vector<std::pair<std::string, Value>> &members() const {
@@ -65,10 +72,17 @@ public:
   /// member exists with the expected kind.
   bool getNumber(const std::string &Name, double &Out) const;
   bool getString(const std::string &Name, std::string &Out) const;
+  bool getInt(const std::string &Name, int64_t &Out) const;
+  bool getUint(const std::string &Name, uint64_t &Out) const;
 
   Kind K = Kind::Null;
   bool B = false;
   double Num = 0.0;
+  /// Exact value of an integer literal, per type it fits.
+  bool HasInt = false;
+  bool HasUint = false;
+  int64_t Int = 0;
+  uint64_t Uint = 0;
   std::string Str;
   std::vector<Value> Arr;
   std::vector<std::pair<std::string, Value>> Obj;
@@ -82,6 +96,9 @@ bool parse(const std::string &Text, Value &Out, std::string &Error);
 /// Escapes \p Raw for splicing between JSON string quotes (`"` / `\` /
 /// control characters; the writer-side twin of the parser above).
 std::string escape(const std::string &Raw);
+
+/// The JSON string literal of \p Raw: escape() between quotes.
+std::string quote(const std::string &Raw);
 
 } // namespace json
 } // namespace cws

@@ -6,13 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "sweep/Runner.h"
+#include "support/File.h"
 #include "sweep/Stats.h"
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <vector>
 
 #include <fcntl.h>
@@ -23,16 +22,6 @@
 
 using namespace cws;
 using namespace cws::sweep;
-
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 /// mkdir -p: creates \p Path and any missing parents.
 static bool makeDirs(const std::string &Path, std::string &Error) {

@@ -4,7 +4,7 @@
 # Part of CWS, a reproduction of Toporkov, "Application-Level and Job-Flow
 # Scheduling" (PaCT 2009). Distributed without any warranty.
 #
-# Usage: diff_smoke.sh <cws-sim> <cws-diff> <cws-explain>
+# Usage: diff_smoke.sh <cws-sim> <cws-diff> <cws-explain> <cws-sched>
 #
 # Pins the differential-analysis acceptance properties end to end:
 #  1. identical-workload runs at different shard counts and build-thread
@@ -13,7 +13,8 @@
 #  2. an injected one-event divergence exits 1 and the Markdown report
 #     names the job id, the tick, and both cause chains;
 #  3. the exit-code convention holds: 2 on missing files, unknown
-#     flags, and malformed artifacts;
+#     flags, malformed artifacts, and bad flag values of cws-sim and
+#     cws-sched (never an abort, never a silent default);
 #  4. the baseline gate round-trips: a fresh MANIFEST passes, a
 #     divergent artifact fails with exit 1, a stale digest fails with 2;
 #  5. cws-explain --diff-job renders both timelines and the divergence.
@@ -24,6 +25,7 @@ set -eu
 SIM=$1
 DIFF=$2
 EXPLAIN=$3
+SCHED=$4
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -73,6 +75,21 @@ STATUS=0
 "$DIFF" --mode journal "$TMP/garbage" "$TMP/a.jsonl" 2> /dev/null \
   || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
+for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
+            "--build-threads -1"; do
+  STATUS=0
+  "$SIM" $ARGS > /dev/null 2>&1 || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "cws-sim $ARGS exited $STATUS, expected 2"
+done
+printf 'job "j" deadline 30\ntask t ref 2 vol 20\nnode perf 1.0\n' \
+  > "$TMP/one.cws"
+for ARGS in "--strategy S9" "--build-threads -1" "--invalidation scan"; do
+  STATUS=0
+  "$SCHED" --file "$TMP/one.cws" $ARGS > /dev/null 2>&1 || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "cws-sched $ARGS exited $STATUS, expected 2"
+done
+"$SCHED" --file "$TMP/one.cws" > /dev/null \
+  || fail "cws-sched rejected a valid description"
 
 #=== 4. Baseline gate ====================================================#
 mkdir "$TMP/base"

@@ -144,10 +144,19 @@ TEST(BenchJsonTest, RoundTrip) {
   const BenchInfo *Fixture = findBench("harness_fixture");
   ASSERT_NE(Fixture, nullptr);
   BenchRun Run = runBench(*Fixture, 0, -1, "cws-bench");
-  std::string Json = Run.json();
 
+  // Seeds above 2^53 must survive as exact integers.
+  BenchRun Big = Run;
+  Big.Prov.Seed = 9007199254740993ull;
+  Big.ExecSeed = 9007199254740995ull;
   ParsedBench P;
   std::string Error;
+  ASSERT_TRUE(parseBenchJson(Big.json(), P, Error)) << Error;
+  EXPECT_EQ(P.Seed, 9007199254740993ull);
+  EXPECT_EQ(P.ExecSeed, 9007199254740995ull);
+
+  std::string Json = Run.json();
+  P = ParsedBench();
   ASSERT_TRUE(parseBenchJson(Json, P, Error)) << Error;
   EXPECT_EQ(P.Name, "harness_fixture");
   EXPECT_EQ(P.Seed, 7u);

@@ -7,6 +7,9 @@
 
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
+#include "obs/Profiler.h"
+#include "obs/TimeSeries.h"
+#include "support/Json.h"
 
 #include <gtest/gtest.h>
 
@@ -181,29 +184,52 @@ TEST_F(JournalTest, JsonlRoundTripPreservesEveryField) {
 
 TEST_F(JournalTest, ProvenanceStampRoundTripsThroughTheMetaLine) {
   Journal &Jn = Journal::global();
-  Jn.enable(16);
-  RunProvenance Prov;
-  Prov.Stamped = true;
-  Prov.Seed = 42;
-  Prov.ConfigHash = configHashOf("canonical text");
-  Prov.ScenarioId = "arrival_scale=2.0+strategy=S1";
-  Prov.Cli = "cws-sim --seed 42 --scenario \"x\"";
-  Prov.Shards = 4;
-  Jn.setProvenance(Prov);
-  Jn.append(JournalKind::Note, 1, 5);
-  Jn.disable();
+  RunProvenance Plain;
+  Plain.Stamped = true;
+  Plain.Seed = 42;
+  Plain.ConfigHash = configHashOf("canonical text");
+  Plain.ScenarioId = "arrival_scale=2.0+strategy=S1";
+  Plain.Cli = "cws-sim --seed 42 --scenario \"x\"";
+  Plain.Shards = 4;
+  // A seed a double cannot hold, and control characters in the CLI.
+  RunProvenance Exact = Plain;
+  Exact.Seed = 9007199254740993ull;
+  Exact.Cli = "cws-sim\r--seed\t9007199254740993\x01";
+  for (const RunProvenance &Prov : {Plain, Exact}) {
+    Jn.reset();
+    Jn.enable(16);
+    Jn.setProvenance(Prov);
+    Jn.append(JournalKind::Note, 1, 5);
+    Jn.disable();
+
+    ParsedJournal P;
+    std::string Error;
+    ASSERT_TRUE(parseJournalJsonl(Jn.jsonl(), P, Error)) << Error;
+    ASSERT_TRUE(P.Prov.valid());
+    EXPECT_EQ(P.Prov.Seed, Prov.Seed);
+    EXPECT_EQ(P.Prov.ConfigHash, Prov.ConfigHash);
+    EXPECT_EQ(P.Prov.ScenarioId, Prov.ScenarioId);
+    EXPECT_EQ(P.Prov.Cli, Prov.Cli);
+    EXPECT_EQ(P.Prov.Shards, 4);
+    EXPECT_TRUE(P.Prov.sameScenario(Prov));
+
+    // The journal, time-series and profile headers all escape the CLI
+    // with the one JSON escaper.
+    std::string Cli = json::quote(Prov.Cli);
+    TimeSeries Ts;
+    Ts.enable();
+    Ts.setProvenance(Prov);
+    Profiler Prof;
+    Prof.setProvenance(Prov);
+    EXPECT_NE(Jn.jsonl().find("\"cli\":" + Cli), std::string::npos);
+    EXPECT_NE(Ts.jsonl().find("\"cli\":" + Cli), std::string::npos);
+    EXPECT_NE(Prof.json().find("\"cli\": " + Cli), std::string::npos);
+  }
+  EXPECT_NE(json::quote(Exact.Cli).find("\\r--seed\\t9007199254740993\\u0001"),
+            std::string::npos);
 
   ParsedJournal P;
   std::string Error;
-  ASSERT_TRUE(parseJournalJsonl(Jn.jsonl(), P, Error)) << Error;
-  ASSERT_TRUE(P.Prov.valid());
-  EXPECT_EQ(P.Prov.Seed, 42u);
-  EXPECT_EQ(P.Prov.ConfigHash, Prov.ConfigHash);
-  EXPECT_EQ(P.Prov.ScenarioId, Prov.ScenarioId);
-  EXPECT_EQ(P.Prov.Cli, Prov.Cli);
-  EXPECT_EQ(P.Prov.Shards, 4);
-  EXPECT_TRUE(P.Prov.sameScenario(Prov));
-
   // An unstamped journal parses with no provenance; a partial stamp
   // (provenance strings without a seed) is rejected.
   Jn.reset();
@@ -255,6 +281,19 @@ TEST_F(JournalTest, ParserRejectsMalformedInput) {
       "\"dropped\":0}\n{\"kind\":\"note\",\"tick\":3}\n",
       P, Error));
   EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
+
+  // A non-integer tick, and a field outside the schema.
+  EXPECT_FALSE(parseJournalJsonl(
+      "{\"kind\":\"journal.meta\",\"schema\":1,\"recorded\":1,"
+      "\"dropped\":0}\n{\"id\":1,\"kind\":\"note\",\"tick\":3.5}\n",
+      P, Error));
+  EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
+  EXPECT_FALSE(parseJournalJsonl(
+      "{\"kind\":\"journal.meta\",\"schema\":1,\"recorded\":1,"
+      "\"dropped\":0}\n{\"id\":1,\"kind\":\"note\",\"tick\":3,"
+      "\"bogus\":1}\n",
+      P, Error));
+  EXPECT_NE(Error.find("unknown field 'bogus'"), std::string::npos) << Error;
 }
 
 TEST_F(JournalTest, ReenableClearsCausalBookkeeping) {

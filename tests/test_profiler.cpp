@@ -172,42 +172,48 @@ TEST_F(ProfilerTest, AddWorkWithoutOpenScopeLandsInMergedPhase) {
 }
 
 TEST_F(ProfilerTest, JsonRoundTrip) {
-  Profiler &P = Profiler::global();
-  RunProvenance Prov;
-  Prov.Stamped = true;
-  Prov.Seed = 42;
-  Prov.ConfigHash = "0x00000000deadbeef";
-  Prov.ScenarioId = "test:profile";
-  Prov.Shards = 2;
-  Prov.Cli = "test_profiler";
-  P.setProvenance(Prov);
-  P.enable();
-  {
-    CWS_PHASE("round.trip");
-    PhaseScope S("round.trip.child");
-    S.work("labels", 123);
-  }
-  P.disable();
+  // The second seed is above 2^53: it must survive as an exact integer.
+  for (uint64_t Seed : {uint64_t(42), uint64_t(9007199254740993ull)}) {
+    Profiler &P = Profiler::global();
+    P.reset();
+    RunProvenance Prov;
+    Prov.Stamped = true;
+    Prov.Seed = Seed;
+    Prov.ConfigHash = "0x00000000deadbeef";
+    Prov.ScenarioId = "test:profile";
+    Prov.Shards = 2;
+    Prov.Cli = "test_profiler";
+    P.setProvenance(Prov);
+    P.enable();
+    {
+      CWS_PHASE("round.trip");
+      PhaseScope S("round.trip.child");
+      S.work("labels", 123);
+    }
+    P.disable();
 
-  std::string Json = P.json();
-  ParsedProfile Parsed;
-  std::string Error;
-  ASSERT_TRUE(parseProfileJson(Json, Parsed, Error)) << Error;
-  EXPECT_TRUE(Parsed.Prov.Stamped);
-  EXPECT_EQ(Parsed.Prov.Seed, 42u);
-  EXPECT_EQ(Parsed.Prov.ConfigHash, "0x00000000deadbeef");
-  EXPECT_EQ(Parsed.Prov.ScenarioId, "test:profile");
-  EXPECT_EQ(Parsed.Prov.Shards, 2u);
-  ASSERT_EQ(Parsed.Phases.size(), 2u);
-  EXPECT_EQ(Parsed.Phases[0].Name, "round.trip");
-  EXPECT_EQ(Parsed.Phases[1].Name, "round.trip.child");
-  const uint64_t *Labels = Parsed.Phases[1].work("labels");
-  ASSERT_NE(Labels, nullptr);
-  EXPECT_EQ(*Labels, 123u);
-  EXPECT_EQ(Parsed.Phases[0].Count, 1u);
-  EXPECT_GE(Parsed.Phases[0].TotalUs, 0.0);
+    std::string Json = P.json();
+    ParsedProfile Parsed;
+    std::string Error;
+    ASSERT_TRUE(parseProfileJson(Json, Parsed, Error)) << Error;
+    EXPECT_TRUE(Parsed.Prov.Stamped);
+    EXPECT_EQ(Parsed.Prov.Seed, Seed);
+    EXPECT_EQ(Parsed.Prov.ConfigHash, "0x00000000deadbeef");
+    EXPECT_EQ(Parsed.Prov.ScenarioId, "test:profile");
+    EXPECT_EQ(Parsed.Prov.Shards, 2u);
+    ASSERT_EQ(Parsed.Phases.size(), 2u);
+    EXPECT_EQ(Parsed.Phases[0].Name, "round.trip");
+    EXPECT_EQ(Parsed.Phases[1].Name, "round.trip.child");
+    const uint64_t *Labels = Parsed.Phases[1].work("labels");
+    ASSERT_NE(Labels, nullptr);
+    EXPECT_EQ(*Labels, 123u);
+    EXPECT_EQ(Parsed.Phases[0].Count, 1u);
+    EXPECT_GE(Parsed.Phases[0].TotalUs, 0.0);
+  }
 
   // Malformed input and schema mismatches are rejected.
+  ParsedProfile Parsed;
+  std::string Error;
   EXPECT_FALSE(parseProfileJson("not json", Parsed, Error));
   EXPECT_FALSE(parseProfileJson("{\"schema\":\"nope\",\"phases\":[]}",
                                 Parsed, Error));

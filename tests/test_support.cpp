@@ -88,3 +88,33 @@ TEST(Flags, LaterFlagWins) {
   EXPECT_TRUE(F.parse(3, const_cast<char **>(Argv)));
   EXPECT_EQ(Jobs, 2);
 }
+
+TEST(Flags, RejectsBadValuesWithExitCode2) {
+  int64_t Jobs = 0;
+  double Slack = 1.0;
+  std::string Strategy = "S1";
+  Flags F;
+  F.addInt("jobs", &Jobs, "job count", /*AtLeast=*/0);
+  F.addReal("slack", &Slack, "deadline slack", /*Above=*/0);
+  F.addString("strategy", &Strategy, "strategy", {"S1", "S2"});
+  auto Parse = [&F](const char *Name, const char *Value) {
+    const char *Argv[] = {"prog", Name, Value};
+    return F.parse(3, const_cast<char **>(Argv));
+  };
+  EXPECT_EXIT(Parse("--jobs", "abc"), ::testing::ExitedWithCode(2),
+              "takes an integer");
+  EXPECT_EXIT(Parse("--jobs", "-3"), ::testing::ExitedWithCode(2),
+              "must be >= 0");
+  EXPECT_EXIT(Parse("--slack", "0"), ::testing::ExitedWithCode(2),
+              "must be > 0");
+  EXPECT_EXIT(Parse("--slack", "x"), ::testing::ExitedWithCode(2),
+              "takes a number");
+  EXPECT_EXIT(Parse("--strategy", "S9"), ::testing::ExitedWithCode(2),
+              "takes S1\\|S2");
+  EXPECT_TRUE(Parse("--jobs", "0"));
+  EXPECT_TRUE(Parse("--slack", "0.5"));
+  EXPECT_TRUE(Parse("--strategy", "S2"));
+  EXPECT_EQ(Jobs, 0);
+  EXPECT_DOUBLE_EQ(Slack, 0.5);
+  EXPECT_EQ(Strategy, "S2");
+}

@@ -24,5 +24,5 @@
 #include "harness.h"
 
 int main(int Argc, char **Argv) {
-  return cws::bench::benchMain(Argc, Argv, "");
+  return cws::bench::benchMain(Argc, Argv);
 }

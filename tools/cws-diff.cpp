@@ -39,10 +39,10 @@
 #include "obs/Journal.h"
 #include "obs/Provenance.h"
 #include "obs/Report.h"
+#include "support/File.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -85,16 +85,6 @@ static void printUsage() {
       "  --digest FILE         print the fnv1a64 content digest of FILE\n"
       "\n"
       "exit codes: 0 identical/compatible, 1 divergence, 2 usage or I/O\n");
-}
-
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
 }
 
 namespace {
@@ -507,13 +497,9 @@ int main(int Argc, char **Argv) {
                   Report);
   }
 
-  if (!ReportFile.empty() && Rc != 2) {
-    std::ofstream Out(ReportFile);
-    if (!Out || !(Out << Report)) {
-      std::fprintf(stderr, "cws-diff: cannot write '%s'\n",
-                   ReportFile.c_str());
-      return 2;
-    }
+  if (!ReportFile.empty() && Rc != 2 && !writeTextFile(ReportFile, Report)) {
+    std::fprintf(stderr, "cws-diff: cannot write '%s'\n", ReportFile.c_str());
+    return 2;
   }
   return Rc;
 }

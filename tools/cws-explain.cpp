@@ -28,12 +28,11 @@
 #include "obs/Diff.h"
 #include "obs/Explain.h"
 #include "obs/Journal.h"
+#include "support/File.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 using namespace cws;
@@ -138,19 +137,9 @@ int main(int Argc, char **Argv) {
     WantSummary = true;
 
   std::string Text;
-  if (Path == "-") {
-    std::ostringstream Buffer;
-    Buffer << std::cin.rdbuf();
-    Text = Buffer.str();
-  } else {
-    std::ifstream In(Path);
-    if (!In) {
-      std::fprintf(stderr, "cws-explain: cannot open '%s'\n", Path.c_str());
-      return 2;
-    }
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
+  if (!readFile(Path, Text)) {
+    std::fprintf(stderr, "cws-explain: cannot open '%s'\n", Path.c_str());
+    return 2;
   }
 
   obs::ParsedJournal J;
@@ -163,15 +152,12 @@ int main(int Argc, char **Argv) {
   if (WantDiffJob) {
     // An inspection across two runs, not a gate: skip the validation
     // pass so a journal from a misbehaving run can still be compared.
-    std::ifstream InB(PathB);
-    if (!InB) {
+    obs::ParsedJournal B;
+    if (!readFile(PathB, Text)) {
       std::fprintf(stderr, "cws-explain: cannot open '%s'\n", PathB.c_str());
       return 2;
     }
-    std::ostringstream BufferB;
-    BufferB << InB.rdbuf();
-    obs::ParsedJournal B;
-    if (!obs::parseJournalJsonl(BufferB.str(), B, Error)) {
+    if (!obs::parseJournalJsonl(Text, B, Error)) {
       std::fprintf(stderr, "cws-explain: %s: %s\n", PathB.c_str(),
                    Error.c_str());
       return 2;

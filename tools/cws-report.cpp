@@ -40,24 +40,13 @@
 #include "obs/Explain.h"
 #include "obs/Journal.h"
 #include "obs/Report.h"
+#include "support/File.h"
 #include "support/Flags.h"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace cws;
-
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
 
 int main(int Argc, char **Argv) {
   std::string JournalFile;
@@ -146,13 +135,10 @@ int main(int Argc, char **Argv) {
     std::string Report = obs::renderSweepReport(Store, Slo);
     if (OutFile.empty()) {
       std::cout << Report;
-    } else {
-      std::ofstream Out(OutFile);
-      if (!Out || !(Out << Report)) {
-        std::fprintf(stderr, "cws-report: cannot write '%s'\n",
-                     OutFile.c_str());
-        return 2;
-      }
+    } else if (!writeTextFile(OutFile, Report)) {
+      std::fprintf(stderr, "cws-report: cannot write '%s'\n",
+                   OutFile.c_str());
+      return 2;
     }
     return Breached ? 1 : 0;
   }
@@ -252,13 +238,10 @@ int main(int Argc, char **Argv) {
       obs::renderRunReport(J, Ts, Slo, HasProfile ? &Profile : nullptr);
   if (OutFile.empty()) {
     std::cout << Report;
-  } else {
-    std::ofstream Out(OutFile);
-    if (!Out || !(Out << Report)) {
-      std::fprintf(stderr, "cws-report: cannot write '%s'\n",
-                   OutFile.c_str());
-      return 2;
-    }
+  } else if (!writeTextFile(OutFile, Report)) {
+    std::fprintf(stderr, "cws-report: cannot write '%s'\n",
+                 OutFile.c_str());
+    return 2;
   }
   return Breached ? 1 : 0;
 }

@@ -14,7 +14,6 @@
 ///             [--trace out.json] [--trace-categories core]
 ///             [--metrics out.prom] [--journal run.jsonl]
 ///             [--timeseries ts.csv] [--profile profile.json]
-///             [--invalidation scan|index] [--reallocation repair|rebuild]
 ///
 /// The description must declare nodes (or pass --fig2grid 1 to use the
 /// paper's four-type environment).
@@ -26,19 +25,15 @@
 #include "core/Strategy.h"
 #include "lang/Parser.h"
 #include "metrics/Export.h"
-#include "obs/Journal.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/Provenance.h"
 #include "obs/TimeSeries.h"
-#include "obs/Trace.h"
 #include "resource/Network.h"
+#include "support/File.h"
 #include "support/Flags.h"
 #include "support/Table.h"
 
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 using namespace cws;
 
@@ -51,14 +46,11 @@ int main(int Argc, char **Argv) {
   int64_t Dot = 0;
   int64_t UseFig2Grid = 0;
   int64_t BuildThreads = 0;
-  std::string TraceFile;
-  std::string TraceCategories;
-  std::string MetricsFile;
-  std::string JournalFile;
-  std::string TimeSeriesFile;
+  ObsArtifacts Obs;
   Flags F;
   F.addString("file", &File, "job description file ('-' for stdin)");
-  F.addString("strategy", &StrategyName, "S1 | S2 | S3 | MS1");
+  F.addString("strategy", &StrategyName, "S1 | S2 | S3 | MS1",
+              {"S1", "S2", "S3", "MS1"});
   F.addInt("now", &Now, "scheduling moment (ticks)");
   F.addInt("gantt", &Gantt, "render an ASCII Gantt chart (0/1)");
   F.addInt("csv", &Csv, "print CSV instead of tables (0/1)");
@@ -67,95 +59,20 @@ int main(int Argc, char **Argv) {
            "use the paper's Fig. 2 environment (0/1)");
   F.addInt("build-threads", &BuildThreads,
            "worker lanes for the strategy build (0 = hardware concurrency / "
-           "CWS_BUILD_THREADS, 1 = serial)");
-  F.addString("trace", &TraceFile,
-              "write a Chrome trace-event JSON timeline of the build");
-  F.addString("trace-categories", &TraceCategories,
-              "record only these trace categories, comma-separated "
-              "(e.g. core; empty = all)");
-  F.addString("metrics", &MetricsFile,
-              "write a metrics snapshot (Prometheus text, CSV if *.csv)");
-  F.addString("journal", &JournalFile,
-              "write the per-job decision journal as JSONL "
-              "(inspect with cws-explain)");
-  F.addString("timeseries", &TimeSeriesFile,
-              "write the telemetry frames of the build (tidy CSV, JSONL "
-              "if *.jsonl)");
-  std::string ProfileFile;
-  F.addString("profile", &ProfileFile,
-              "write the phase profile (where wall time and work went) "
-              "as JSON; inspect with cws-report --profile");
-  // A single build has no environment changes to invalidate against;
-  // the flag is validated here so scripts can pass one uniform command
-  // line to both tools.
-  std::string Invalidation = "index";
-  F.addString("invalidation", &Invalidation,
-              "how env changes find broken strategies: index or scan "
-              "(no-op for a one-shot build; accepted for tool-flag "
-              "uniformity with cws-sim)");
-  // Like --invalidation: a one-shot build has no job flow to shard, but
-  // scripts pass one uniform command line to both tools.
-  int64_t Shards = 0;
-  F.addInt("shards", &Shards,
-           "worker shards of the job-flow level (no-op for a one-shot "
-           "build; accepted for tool-flag uniformity with cws-sim)");
-  std::string Reallocation = "repair";
-  F.addString("reallocation", &Reallocation,
-              "how stale strategies are replaced: repair or rebuild "
-              "(no-op for a one-shot build; accepted for tool-flag "
-              "uniformity with cws-sim)");
+           "CWS_BUILD_THREADS, 1 = serial)",
+           /*AtLeast=*/0);
+  Obs.addFlags(F);
   if (!F.parse(Argc, Argv))
     return 0;
-  if (Invalidation != "scan" && Invalidation != "index") {
-    std::fprintf(stderr,
-                 "cws-sched: --invalidation must be scan or index, got "
-                 "'%s'\n",
-                 Invalidation.c_str());
-    return 2;
-  }
-  if (Reallocation != "repair" && Reallocation != "rebuild") {
-    std::fprintf(stderr,
-                 "cws-sched: --reallocation must be repair or rebuild, got "
-                 "'%s'\n",
-                 Reallocation.c_str());
-    return 2;
-  }
-  if (Shards < 0) {
-    std::fprintf(stderr, "cws-sched: --shards must be >= 0\n");
-    return 2;
-  }
-
-  if (!TraceFile.empty()) {
-    obs::Tracer::global().setCategoryFilter(TraceCategories);
-    obs::Tracer::global().enable();
-  }
-  if (!JournalFile.empty())
-    obs::Journal::global().enable();
-  if (!ProfileFile.empty())
-    obs::Profiler::global().enable();
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries::global().enable();
-    obs::TimeSeries::global().addDefaultProbes(obs::Registry::global());
-  }
 
   if (File.empty()) {
     std::fprintf(stderr, "cws-sched: --file is required (try --help)\n");
     return 2;
   }
   std::string Text;
-  if (File == "-") {
-    std::ostringstream Buffer;
-    Buffer << std::cin.rdbuf();
-    Text = Buffer.str();
-  } else {
-    std::ifstream In(File);
-    if (!In) {
-      std::fprintf(stderr, "cws-sched: cannot open '%s'\n", File.c_str());
-      return 2;
-    }
-    std::ostringstream Buffer;
-    Buffer << In.rdbuf();
-    Text = Buffer.str();
+  if (!readFile(File, Text)) {
+    std::fprintf(stderr, "cws-sched: cannot open '%s'\n", File.c_str());
+    return 2;
   }
 
   ParseResult R = parseJobDescription(Text);
@@ -195,9 +112,10 @@ int main(int Argc, char **Argv) {
       " now=" + std::to_string(Now) + "\n" + Text);
   Prov.ScenarioId = "single";
   Prov.Cli = obs::cliStringOf(Argc, Argv);
-  obs::Journal::global().setProvenance(Prov);
-  obs::TimeSeries::global().setProvenance(Prov);
-  obs::Profiler::global().setProvenance(Prov);
+  Obs.start(Prov);
+  obs::TimeSeries &Ts = obs::TimeSeries::global();
+  if (!Obs.TimeSeries.empty())
+    Ts.addDefaultProbes(obs::Registry::global());
 
   Network Net;
   Strategy S = Strategy::build(R.TheJob, Env, Net, Config, /*Owner=*/1,
@@ -205,57 +123,9 @@ int main(int Argc, char **Argv) {
 
   // A one-shot build has no simulator clock driving periodic frames;
   // record a single post-build frame so the probes still export.
-  std::string TsExtra;
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries &Ts = obs::TimeSeries::global();
-    Ts.sampleEvent(Now, "build");
-    Ts.disable();
-    TsExtra = Ts.chromeTraceEvents();
-  }
-  if (!ProfileFile.empty()) {
-    obs::Profiler &P = obs::Profiler::global();
-    P.disable();
-    std::string PhaseExtra = P.chromeTraceEvents();
-    if (!PhaseExtra.empty())
-      TsExtra += (TsExtra.empty() ? "" : ",") + PhaseExtra;
-    if (!P.writeJson(ProfileFile)) {
-      std::fprintf(stderr, "cws-sched: cannot write profile '%s'\n",
-                   ProfileFile.c_str());
-      return 2;
-    }
-    publishProfilerStats(P, obs::Registry::global());
-  }
-
-  if (!TraceFile.empty()) {
-    obs::Tracer::global().disable();
-    if (!obs::Tracer::global().writeJson(TraceFile, TsExtra)) {
-      std::fprintf(stderr, "cws-sched: cannot write trace '%s'\n",
-                   TraceFile.c_str());
-      return 2;
-    }
-  }
-  if (!JournalFile.empty()) {
-    obs::Journal::global().disable();
-    if (!obs::Journal::global().writeJsonl(JournalFile)) {
-      std::fprintf(stderr, "cws-sched: cannot write journal '%s'\n",
-                   JournalFile.c_str());
-      return 2;
-    }
-  }
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries &Ts = obs::TimeSeries::global();
-    if (!Ts.writeFile(TimeSeriesFile)) {
-      std::fprintf(stderr, "cws-sched: cannot write time series '%s'\n",
-                   TimeSeriesFile.c_str());
-      return 2;
-    }
-    publishTimeSeriesStats(obs::Registry::global());
-  }
-  if (!MetricsFile.empty() && !writeMetricsSnapshot(MetricsFile)) {
-    std::fprintf(stderr, "cws-sched: cannot write metrics '%s'\n",
-                 MetricsFile.c_str());
-    return 2;
-  }
+  Ts.sampleEvent(Now, "build");
+  if (int Rc = Obs.finish("cws-sched"))
+    return Rc;
 
   if (Csv) {
     std::cout << strategyCsv(S);

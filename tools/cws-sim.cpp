@@ -31,11 +31,8 @@
 #include "flow/VirtualOrganization.h"
 #include "metrics/Export.h"
 #include "metrics/QoS.h"
-#include "obs/Journal.h"
-#include "obs/Profiler.h"
 #include "obs/Provenance.h"
 #include "obs/TimeSeries.h"
-#include "obs/Trace.h"
 #include "support/Flags.h"
 #include "support/Table.h"
 
@@ -53,57 +50,42 @@ int main(int Argc, char **Argv) {
   int64_t Csv = 0;
   int64_t Exec = 0;
   int64_t BuildThreads = 0;
-  std::string TraceFile;
-  std::string TraceCategories;
-  std::string MetricsFile;
-  std::string JournalFile;
-  std::string TimeSeriesFile;
+  ObsArtifacts Obs;
   int64_t SampleEvery = 25;
   Flags F;
-  F.addString("strategy", &StrategyName, "S1 | S2 | S3 | MS1");
-  F.addInt("jobs", &Jobs, "compound jobs in the flow");
+  F.addString("strategy", &StrategyName, "S1 | S2 | S3 | MS1",
+              {"S1", "S2", "S3", "MS1"});
+  F.addInt("jobs", &Jobs, "compound jobs in the flow", /*AtLeast=*/0);
   F.addInt("seed", &Seed, "run seed");
-  F.addReal("slack", &Slack, "deadline slack factor");
+  F.addReal("slack", &Slack, "deadline slack factor", /*Above=*/0);
   F.addInt("csv", &Csv, "print the per-job CSV instead of a summary");
   F.addInt("exec", &Exec,
            "execute committed schedules under runtime deviations (0/1)");
   F.addInt("build-threads", &BuildThreads,
            "worker lanes for strategy builds (0 = hardware concurrency / "
-           "CWS_BUILD_THREADS, 1 = serial)");
+           "CWS_BUILD_THREADS, 1 = serial)",
+           /*AtLeast=*/0);
   int64_t Shards = 0;
   F.addInt("shards", &Shards,
            "worker shards of the job-flow level: parallel ingest and "
            "tender evaluation, results byte-identical at any value "
-           "(0 = CWS_SHARDS env, 1 when unset)");
-  F.addString("trace", &TraceFile,
-              "write a Chrome trace-event JSON timeline of the run");
-  F.addString("trace-categories", &TraceCategories,
-              "record only these trace categories, comma-separated "
-              "(e.g. core,flow; empty = all)");
-  F.addString("metrics", &MetricsFile,
-              "write a metrics snapshot (Prometheus text, CSV if *.csv)");
-  F.addString("journal", &JournalFile,
-              "write the per-job decision journal as JSONL "
-              "(inspect with cws-explain)");
-  F.addString("timeseries", &TimeSeriesFile,
-              "write the sim-time telemetry series (tidy CSV, JSONL if "
-              "*.jsonl; inspect with cws-report)");
+           "(0 = CWS_SHARDS env, 1 when unset)",
+           /*AtLeast=*/0);
+  Obs.addFlags(F);
   F.addInt("sample-every", &SampleEvery,
            "periodic telemetry frame cadence in simulation ticks");
-  std::string ProfileFile;
-  F.addString("profile", &ProfileFile,
-              "write the phase profile (where wall time and work went) "
-              "as JSON; inspect with cws-report --profile");
   std::string Invalidation = "index";
   F.addString("invalidation", &Invalidation,
               "how env changes find broken strategies: index "
               "(event-driven slot index) or scan (full re-validation "
-              "oracle)");
+              "oracle)",
+              {"index", "scan"});
   std::string Reallocation = "repair";
   F.addString("reallocation", &Reallocation,
               "how stale strategies are replaced: repair (escalating "
               "staged repair) or rebuild (unconditional full rebuild "
-              "oracle)");
+              "oracle)",
+              {"repair", "rebuild"});
   bool RepairOracle = false;
   F.addBool("repair-oracle", &RepairOracle,
             "re-derive every staged repair with a side-effect-free "
@@ -115,10 +97,12 @@ int main(int Argc, char **Argv) {
   std::string Scenario = "single";
   F.addReal("arrival-scale", &ArrivalScale,
             "arrival-rate multiplier: interarrival gaps divide by this "
-            "(sweep axis; 1 = paper default)");
+            "(sweep axis; 1 = paper default)",
+            /*Above=*/0);
   F.addReal("background-scale", &BackgroundScale,
             "background-load multiplier: background mean gaps divide by "
-            "this (sweep axis; 1 = paper default)");
+            "this (sweep axis; 1 = paper default)",
+            /*Above=*/0);
   F.addReal("fast-share", &FastShare,
             "share of fast nodes in the grid (sweep axis; negative = "
             "paper default 1/3)");
@@ -126,46 +110,9 @@ int main(int Argc, char **Argv) {
               "scenario id stamped into artifact provenance");
   if (!F.parse(Argc, Argv))
     return 0;
-  if (ArrivalScale <= 0 || BackgroundScale <= 0) {
-    std::fprintf(stderr, "cws-sim: scale factors must be positive\n");
-    return 2;
-  }
-  if (FastShare >= 0 && FastShare > 1.0) {
+  if (FastShare > 1.0) {
     std::fprintf(stderr, "cws-sim: --fast-share must be in [0, 1]\n");
     return 2;
-  }
-  if (Invalidation != "scan" && Invalidation != "index") {
-    std::fprintf(stderr,
-                 "cws-sim: --invalidation must be scan or index, got "
-                 "'%s'\n",
-                 Invalidation.c_str());
-    return 2;
-  }
-  if (Reallocation != "repair" && Reallocation != "rebuild") {
-    std::fprintf(stderr,
-                 "cws-sim: --reallocation must be repair or rebuild, got "
-                 "'%s'\n",
-                 Reallocation.c_str());
-    return 2;
-  }
-  if (Shards < 0) {
-    std::fprintf(stderr, "cws-sim: --shards must be >= 0\n");
-    return 2;
-  }
-
-  if (!TraceFile.empty()) {
-    obs::Tracer::global().setCategoryFilter(TraceCategories);
-    obs::Tracer::global().enable();
-  }
-  if (!JournalFile.empty())
-    obs::Journal::global().enable();
-  if (!ProfileFile.empty())
-    obs::Profiler::global().enable();
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeriesConfig TsConfig;
-    if (SampleEvery > 0)
-      TsConfig.SampleEvery = SampleEvery;
-    obs::TimeSeries::global().enable(TsConfig);
   }
 
   StrategyKind Kind = StrategyKind::S1;
@@ -178,8 +125,7 @@ int main(int Argc, char **Argv) {
   Config.JobCount = static_cast<size_t>(Jobs);
   Config.Workload.DeadlineSlack = Slack;
   Config.ExecuteWithDeviations = Exec != 0;
-  Config.Strategy.BuildThreads = static_cast<size_t>(
-      BuildThreads > 0 ? BuildThreads : 0);
+  Config.Strategy.BuildThreads = static_cast<size_t>(BuildThreads);
   Config.Invalidation = Invalidation == "scan" ? InvalidationMode::Scan
                                                : InvalidationMode::Index;
   Config.Reallocation = Reallocation == "rebuild"
@@ -221,9 +167,10 @@ int main(int Argc, char **Argv) {
   Prov.ScenarioId = Scenario;
   Prov.Shards = static_cast<int64_t>(resolveShardCount(Config.Shards));
   Prov.Cli = obs::cliStringOf(Argc, Argv);
-  obs::Journal::global().setProvenance(Prov);
-  obs::TimeSeries::global().setProvenance(Prov);
-  obs::Profiler::global().setProvenance(Prov);
+  obs::TimeSeriesConfig Sampling;
+  if (SampleEvery > 0)
+    Sampling.SampleEvery = SampleEvery;
+  Obs.start(Prov, Sampling);
 
   VoRunResult Run =
       runVirtualOrganization(Config, Kind, static_cast<uint64_t>(Seed));
@@ -235,91 +182,8 @@ int main(int Argc, char **Argv) {
   VoAggregates A = summarizeVo(Run);
   publishVoAggregates(A);
   publishFlowAggregates(A, strategyName(Kind));
-
-  // Stop sampling before any export; the counter tracks and occupancy
-  // slices merge into the trace file next to the wall-clock spans.
-  std::string TsExtra;
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries::global().disable();
-    TsExtra = obs::TimeSeries::global().chromeTraceEvents();
-  }
-  if (!ProfileFile.empty()) {
-    obs::Profiler &P = obs::Profiler::global();
-    P.disable();
-    // The per-phase summary slices ride the same trace file as the
-    // spans and the sim-time lane.
-    std::string PhaseExtra = P.chromeTraceEvents();
-    if (!PhaseExtra.empty())
-      TsExtra += (TsExtra.empty() ? "" : ",") + PhaseExtra;
-    if (!P.writeJson(ProfileFile)) {
-      std::fprintf(stderr, "cws-sim: cannot write profile '%s'\n",
-                   ProfileFile.c_str());
-      return 2;
-    }
-    publishProfilerStats(P, obs::Registry::global());
-    std::fprintf(stderr, "cws-sim: wrote %zu profiled phases to %s\n",
-                 P.snapshot().size(), ProfileFile.c_str());
-  }
-
-  if (!TraceFile.empty()) {
-    obs::Tracer &Tr = obs::Tracer::global();
-    Tr.disable();
-    if (!Tr.writeJson(TraceFile, TsExtra)) {
-      std::fprintf(stderr, "cws-sim: cannot write trace '%s'\n",
-                   TraceFile.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "cws-sim: wrote %llu trace events to %s",
-                 static_cast<unsigned long long>(Tr.recorded() -
-                                                 Tr.dropped()),
-                 TraceFile.c_str());
-    if (Tr.dropped() > 0)
-      std::fprintf(stderr, " (%llu older events dropped by the ring)",
-                   static_cast<unsigned long long>(Tr.dropped()));
-    if (Tr.filtered() > 0)
-      std::fprintf(stderr, " (%llu events masked by --trace-categories)",
-                   static_cast<unsigned long long>(Tr.filtered()));
-    std::fprintf(stderr, "\n");
-  }
-  if (!JournalFile.empty()) {
-    obs::Journal &Jn = obs::Journal::global();
-    Jn.disable();
-    if (!Jn.writeJsonl(JournalFile)) {
-      std::fprintf(stderr, "cws-sim: cannot write journal '%s'\n",
-                   JournalFile.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "cws-sim: wrote %llu journal events to %s",
-                 static_cast<unsigned long long>(Jn.recorded() -
-                                                 Jn.dropped()),
-                 JournalFile.c_str());
-    if (Jn.dropped() > 0)
-      std::fprintf(stderr, " (%llu older events dropped by the ring)",
-                   static_cast<unsigned long long>(Jn.dropped()));
-    std::fprintf(stderr, "\n");
-  }
-  if (!TimeSeriesFile.empty()) {
-    obs::TimeSeries &Ts = obs::TimeSeries::global();
-    if (!Ts.writeFile(TimeSeriesFile)) {
-      std::fprintf(stderr, "cws-sim: cannot write time series '%s'\n",
-                   TimeSeriesFile.c_str());
-      return 2;
-    }
-    publishTimeSeriesStats(obs::Registry::global());
-    std::fprintf(stderr, "cws-sim: wrote %llu telemetry frames to %s",
-                 static_cast<unsigned long long>(Ts.recorded() -
-                                                 Ts.dropped()),
-                 TimeSeriesFile.c_str());
-    if (Ts.dropped() > 0)
-      std::fprintf(stderr, " (%llu older frames dropped by the ring)",
-                   static_cast<unsigned long long>(Ts.dropped()));
-    std::fprintf(stderr, "\n");
-  }
-  if (!MetricsFile.empty() && !writeMetricsSnapshot(MetricsFile)) {
-    std::fprintf(stderr, "cws-sim: cannot write metrics '%s'\n",
-                 MetricsFile.c_str());
-    return 2;
-  }
+  if (int Rc = Obs.finish("cws-sim"))
+    return Rc;
 
   if (RepairOracle) {
     const RepairOracleStats &O = Run.RepairOracle;

@@ -25,32 +25,16 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/File.h"
 #include "support/Flags.h"
 #include "sweep/Runner.h"
 #include "sweep/Scenario.h"
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
 using namespace cws;
-
-static bool readFile(const std::string &Path, std::string &Out) {
-  std::ifstream In(Path);
-  if (!In)
-    return false;
-  std::ostringstream Buffer;
-  Buffer << In.rdbuf();
-  Out = Buffer.str();
-  return true;
-}
-
-static bool writeFile(const std::string &Path, const std::string &Text) {
-  std::ofstream Out(Path);
-  return static_cast<bool>(Out && (Out << Text));
-}
 
 int main(int Argc, char **Argv) {
   std::string GridFile;
@@ -137,7 +121,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  if (!OutFile.empty() && !writeFile(OutFile, obs::sweepCsv(Store))) {
+  if (!OutFile.empty() && !writeTextFile(OutFile, obs::sweepCsv(Store))) {
     std::fprintf(stderr, "cws-sweep: cannot write '%s'\n", OutFile.c_str());
     return 2;
   }
@@ -177,7 +161,7 @@ int main(int Argc, char **Argv) {
   std::string Report = obs::renderSweepReport(Store, Slo);
   if (ReportFile.empty()) {
     std::cout << Report;
-  } else if (!writeFile(ReportFile, Report)) {
+  } else if (!writeTextFile(ReportFile, Report)) {
     std::fprintf(stderr, "cws-sweep: cannot write '%s'\n",
                  ReportFile.c_str());
     return 2;
