@@ -125,6 +125,23 @@ Tick chainEdgeBase(const Job &J, unsigned Src, unsigned Dst) {
   return Base;
 }
 
+/// The terms of placing one chain position's task on one candidate node
+/// that do not depend on the node of the previous chain task.
+struct NodeTerms {
+  /// The node's reservations.
+  const Timeline *Line;
+  /// Execution ticks on the node.
+  Tick Dur;
+  /// Ready time from placed predecessors and rerun bumps.
+  Tick Ready;
+  /// Latest feasible finish.
+  Tick Lft;
+  /// Billed inbound ticks from placed predecessors other than the
+  /// previous chain task.
+  Tick Inbound;
+  double ExecCost;
+};
+
 } // namespace
 
 bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
@@ -141,64 +158,98 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
   std::vector<Tick> ExtraReady(K, 0);
 
   for (int Attempt = 0; Attempt < 4; ++Attempt) {
-    // --- Forward DP over (chain position, candidate node). ---
+    // --- Forward DP over (chain position, candidate node). It skips
+    // only work whose result it would never use, so it keeps exactly the
+    // labels a full scan keeps:
+    //  * the terms that do not depend on the previous node are computed
+    //    once per (position, node);
+    //  * earliestFit(Ready, Dur) >= Ready, so a label with Ready + Dur
+    //    past the latest finish is dropped without a query; fronts are
+    //    sorted by Finish, so Ready never decreases along one, and the
+    //    first such label ends the scan of its front;
+    //  * a candidate the target front already dominates at Ready + Dur
+    //    is rejected whatever its start, and a rejected insert never
+    //    changes a front. ---
     std::vector<std::vector<LabelFront>> Fronts(K,
                                                 std::vector<LabelFront>(N));
+    std::vector<NodeTerms> Terms(N);
+    auto ComputeTerms = [&](size_t Pos) {
+      unsigned TaskId = Chain[Pos];
+      unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
+      for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+        unsigned NodeId = Cand[NodeIdx];
+        const ProcessorNode &Node = G.node(NodeId);
+        Tick Dur = Node.execTicks(J.task(TaskId).RefTicks);
+        Terms[NodeIdx] = {
+            &Node.timeline(),
+            Dur,
+            std::max(externalReady(TaskId, NodeId, Dist, Release),
+                     ExtraReady[Pos]),
+            latestFinish(TaskId, NodeId, Dist, Deadline),
+            placedInboundTicks(TaskId, NodeId, Dist, SkipPred),
+            Cost.nodeCost(NodeId, Dur)};
+      }
+    };
 
+    ComputeTerms(0);
     for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      unsigned NodeId = Cand[NodeIdx];
-      const ProcessorNode &Node = G.node(NodeId);
-      unsigned TaskId = Chain[0];
-      Tick Dur = Node.execTicks(J.task(TaskId).RefTicks);
-      Tick Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
-                            ExtraReady[0]);
-      Tick Start = Node.timeline().earliestFit(Ready, Dur);
-      Tick Finish = Start + Dur;
-      if (Finish > latestFinish(TaskId, NodeId, Dist, Deadline))
+      const NodeTerms &T = Terms[NodeIdx];
+      if (T.Ready + T.Dur > T.Lft)
         continue;
-      Tick Inbound = placedInboundTicks(TaskId, NodeId, Dist,
-                                        /*SkipPred=*/J.taskCount());
-      double C = Cost.nodeCost(NodeId, Dur) + Cost.transferCost(Inbound);
+      Tick Start = T.Line->earliestFit(T.Ready, T.Dur);
+      ++FitQueries;
+      Tick Finish = Start + T.Dur;
+      if (Finish > T.Lft)
+        continue;
+      double C = T.ExecCost + Cost.transferCost(T.Inbound);
       insertLabel(Fronts[0][NodeIdx], {Finish, C, Start, -1, -1});
     }
 
     for (size_t Pos = 1; Pos < K; ++Pos) {
+      const std::vector<LabelFront> &PrevFronts = Fronts[Pos - 1];
+      if (std::all_of(PrevFronts.begin(), PrevFronts.end(),
+                      [](const LabelFront &F) { return F.empty(); }))
+        break; // Nothing to extend: every later front stays empty.
       unsigned TaskId = Chain[Pos];
       unsigned PrevTask = Chain[Pos - 1];
       Tick EdgeBase = chainEdgeBase(J, PrevTask, TaskId);
+      ComputeTerms(Pos);
       for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
-        const auto &PrevFront = Fronts[Pos - 1][PrevIdx];
+        const LabelFront &PrevFront = PrevFronts[PrevIdx];
         if (PrevFront.empty())
           continue;
         unsigned PrevNode = Cand[PrevIdx];
         for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
           unsigned NodeId = Cand[NodeIdx];
-          const ProcessorNode &Node = G.node(NodeId);
-          Tick Dur = Node.execTicks(J.task(TaskId).RefTicks);
+          const NodeTerms &T = Terms[NodeIdx];
           Tick ChainTr =
               Policy.previewTicks(PrevTask, EdgeBase, PrevNode, NodeId);
+          if (std::max(T.Ready, PrevFront[0].Finish + ChainTr) + T.Dur >
+              T.Lft)
+            continue; // Not even the earliest label fits.
           Tick ChainBill =
               Policy.billedTicks(PrevTask, EdgeBase, PrevNode, NodeId);
-          Tick External = std::max(
-              externalReady(TaskId, NodeId, Dist, Release), ExtraReady[Pos]);
-          Tick Inbound =
-              placedInboundTicks(TaskId, NodeId, Dist, /*SkipPred=*/PrevTask);
-          Tick Lft = latestFinish(TaskId, NodeId, Dist, Deadline);
-          double StepCost = Cost.nodeCost(NodeId, Dur) +
-                            Cost.transferCost(ChainBill + Inbound) +
+          double StepCost = T.ExecCost +
+                            Cost.transferCost(ChainBill + T.Inbound) +
                             (NodeId != PrevNode ? Params.NodeSwitchPenalty
                                                 : 0.0);
+          LabelFront &Front = Fronts[Pos][NodeIdx];
           for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
             const Label &Prev = PrevFront[LabelIdx];
-            Tick Ready = std::max(External, Prev.Finish + ChainTr);
-            Tick Start = Node.timeline().earliestFit(Ready, Dur);
-            Tick Finish = Start + Dur;
-            if (Finish > Lft)
+            Tick Ready = std::max(T.Ready, Prev.Finish + ChainTr);
+            if (Ready + T.Dur > T.Lft)
+              break;
+            double C = Prev.Cost + StepCost;
+            if (paretoDominated(Front, Ready + T.Dur, C))
               continue;
-            insertLabel(Fronts[Pos][NodeIdx],
-                        {Finish, Prev.Cost + StepCost, Start,
-                         static_cast<int32_t>(PrevIdx),
-                         static_cast<int32_t>(LabelIdx)});
+            Tick Start = T.Line->earliestFit(Ready, T.Dur);
+            ++FitQueries;
+            Tick Finish = Start + T.Dur;
+            if (Finish > T.Lft)
+              continue;
+            insertLabel(Front, {Finish, C, Start,
+                                static_cast<int32_t>(PrevIdx),
+                                static_cast<int32_t>(LabelIdx)});
           }
         }
       }

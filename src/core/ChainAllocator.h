@@ -79,10 +79,11 @@ public:
                 std::vector<CollisionRecord> &Collisions);
 
   /// Cumulative DP work of this allocator instance — Pareto labels
-  /// kept and window-violation reruns. Deltas around an `allocate`
-  /// call give that call's deterministic work (the caller attributes
-  /// them to the `chain.dp` profiler phase).
+  /// kept, earliest-fit queries issued and window-violation reruns.
+  /// Deltas around an `allocate` call give that call's deterministic
+  /// work (the caller attributes them to the `chain.dp` profiler phase).
   uint64_t labelsKept() const { return KeptLabels; }
+  uint64_t fitQueries() const { return FitQueries; }
   uint64_t dpReruns() const { return DpReruns; }
 
 private:
@@ -128,6 +129,7 @@ private:
   const CostModel &Cost;
   const AllocatorPolicy &Params;
   mutable uint64_t KeptLabels = 0;
+  uint64_t FitQueries = 0;
   mutable uint64_t DpReruns = 0;
 };
 

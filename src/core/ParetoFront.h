@@ -13,13 +13,18 @@
 /// O(log F + moved elements) instead of the two linear scans of a naive
 /// dominance filter:
 ///
-///   * the insertion point is found by binary search on Finish;
-///   * the new label is dominated iff its left neighbour (the cheapest
-///     label finishing no later) costs no more, or an equal-Finish label
-///     at the insertion point costs no more;
+///   * the new label is dominated iff the last label finishing no later
+///     (the cheapest of those) costs no more — one binary search on
+///     Finish (`paretoDominated`);
 ///   * the labels the new one dominates are exactly a contiguous run
-///     starting at the insertion point (Finish no earlier, Cost no
+///     starting at its insertion point (Finish no earlier, Cost no
 ///     lower), removed with a single range erase.
+///
+/// A rejected insert never changes the front. So a caller that knows a
+/// candidate's cost and a lower bound on its finish can ask
+/// `paretoDominated` first and skip the work of computing the finish
+/// when the answer is yes; the chain DP does this before each
+/// earliest-fit query.
 ///
 /// The header is intentionally standalone and template-based so tests
 /// and future search layers can drive the maintenance with their own
@@ -55,6 +60,20 @@ struct ParetoInsertOutcome {
   bool EvictedForCap = false;
 };
 
+/// True when \p Front holds a label finishing no later than
+/// \p FinishBound that costs no more than \p Cost. Then `paretoInsert`
+/// rejects every label of cost \p Cost finishing at or after
+/// \p FinishBound, and leaves the front as it is.
+template <typename FrontT, typename FinishT>
+bool paretoDominated(const FrontT &Front, FinishT FinishBound, double Cost) {
+  // Cost descends along the front, so the last label finishing by the
+  // bound is the cheapest of those that do.
+  auto End = std::partition_point(
+      Front.begin(), Front.end(),
+      [FinishBound](const auto &E) { return E.Finish <= FinishBound; });
+  return End != Front.begin() && costLeq((End - 1)->Cost, Cost);
+}
+
 /// Inserts \p L into \p Front, preserving the front invariant. When the
 /// front would exceed \p MaxFrontSize the middle label is evicted so
 /// both extremes (earliest finish, cheapest cost) survive.
@@ -62,18 +81,11 @@ template <typename FrontT, typename LabelT>
 ParetoInsertOutcome paretoInsert(FrontT &Front, const LabelT &L,
                                  size_t MaxFrontSize) {
   ParetoInsertOutcome Outcome;
+  if (paretoDominated(Front, L.Finish, L.Cost))
+    return Outcome;
   auto Pos = std::lower_bound(
       Front.begin(), Front.end(), L,
       [](const LabelT &A, const LabelT &B) { return A.Finish < B.Finish; });
-
-  // Dominance. Labels left of Pos finish strictly earlier and the one
-  // directly left is the cheapest of them; a label at Pos with equal
-  // Finish is the only other candidate dominator.
-  if (Pos != Front.begin() && costLeq((Pos - 1)->Cost, L.Cost))
-    return Outcome;
-  if (Pos != Front.end() && Pos->Finish == L.Finish &&
-      costLeq(Pos->Cost, L.Cost))
-    return Outcome;
 
   // Eviction: everything from Pos finishes no earlier, and those the
   // new label dominates (cost no lower) are a contiguous prefix of that

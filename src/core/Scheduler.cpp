@@ -87,6 +87,7 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
     {
       obs::PhaseScope DpPhase("chain.dp");
       uint64_t Labels0 = Allocator.labelsKept();
+      uint64_t Fits0 = Allocator.fitQueries();
       uint64_t Reruns0 = Allocator.dpReruns();
       obs::Span AllocSpan("core", "allocateChain", "chain_len",
                           static_cast<int64_t>(Work.TaskIds.size()));
@@ -94,6 +95,7 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
                                   Owner, Result.Collisions);
       AllocSpan.arg("placed", Placed);
       DpPhase.work("labels", Allocator.labelsKept() - Labels0);
+      DpPhase.work("fit_queries", Allocator.fitQueries() - Fits0);
       DpPhase.work("dp_reruns", Allocator.dpReruns() - Reruns0);
     }
     if (Placed) {

@@ -185,6 +185,52 @@ TEST(ParetoInsert, MatchesTheLinearReferenceExactly) {
   }
 }
 
+TEST(ParetoDominated, PredictsRejectionAtEveryLaterFinish) {
+  // The chain DP asks paretoDominated(Front, Ready + Dur, Cost) before it
+  // pays for a start time. A "dominated" answer must mean paretoInsert
+  // rejects that cost at any finish from the bound on, and leaves the
+  // front exactly as it was.
+  Prng Rng(11);
+  size_t Dominated = 0;
+  size_t Open = 0;
+  auto RandomCost = [&Rng] {
+    // Half-unit steps, nudged within the epsilon to exercise cost ties.
+    return static_cast<double>(Rng.uniformInt(0, 20)) / 2.0 +
+           static_cast<double>(Rng.uniformInt(-1, 1)) * CostEpsilon / 2;
+  };
+  for (int Round = 0; Round < 100; ++Round) {
+    std::vector<L> Front;
+    size_t Cap = 2 + static_cast<size_t>(Rng.uniformInt(0, 6));
+    for (int I = 0; I < 60; ++I) {
+      int64_t Bound = static_cast<int64_t>(Rng.uniformInt(0, 20));
+      double Cost = RandomCost();
+      // The helper's answer is the linear scan's: some label finishes by
+      // the bound at no more cost.
+      bool Linear = false;
+      for (const L &E : Front)
+        Linear = Linear || (E.Finish <= Bound && costLeq(E.Cost, Cost));
+      ASSERT_EQ(paretoDominated(Front, Bound, Cost), Linear);
+      if (!Linear) {
+        ++Open;
+      } else {
+        ++Dominated;
+        for (int64_t Finish = Bound; Finish <= 22; ++Finish) {
+          std::vector<L> After = Front;
+          ASSERT_FALSE(paretoInsert(After, L{Finish, Cost}, Cap).Inserted)
+              << "label (" << Finish << ", " << Cost << ")";
+          ASSERT_EQ(After, Front);
+        }
+      }
+      paretoInsert(Front, L{static_cast<int64_t>(Rng.uniformInt(0, 20)),
+                            RandomCost()},
+                   Cap);
+    }
+  }
+  // Both answers occur, so the property is not vacuous.
+  EXPECT_GT(Dominated, 0u);
+  EXPECT_GT(Open, 0u);
+}
+
 TEST(ParetoInsert, WorksOnSmallVectorFronts) {
   // The allocator's front type: inline storage, raw-pointer iterators.
   SmallVector<L, 4> F;

@@ -6,11 +6,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/Strategy.h"
+#include "flow/BackgroundLoad.h"
+#include "flow/Metascheduler.h"
+#include "job/Generator.h"
 #include "job/Job.h"
+#include "metrics/Export.h"
+#include "obs/Metrics.h"
+#include "obs/Provenance.h"
 #include "resource/Network.h"
+#include "sim/Simulator.h"
+#include "support/Prng.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 using namespace cws;
 
@@ -21,6 +32,39 @@ Strategy buildFig2(StrategyKind Kind) {
   Config.Kind = Kind;
   return Strategy::build(makeFig2Job(), Grid::makeFig2(), Network{}, Config,
                          42);
+}
+
+/// A random grid from \p Seed carrying the background load placed by
+/// \p Until and none of the compound jobs: the shallow, read-only
+/// history strategies are built against in a VO.
+Grid loadedSnapshot(uint64_t Seed, Tick Until) {
+  Prng Root(Seed);
+  Grid Env = Grid::makeRandom(GridConfig{}, Root);
+  Simulator Sim;
+  BackgroundLoad Background(Env, Sim, BackgroundConfig{}, Root.fork());
+  Background.start(Until);
+  Sim.run(Until);
+  return Env;
+}
+
+/// Everything a build decides, as text: the variant summary, then each
+/// variant's placements and collision records.
+std::string strategyText(const Strategy &S) {
+  std::string Text = strategyCsv(S);
+  char Buf[160];
+  for (const ScheduleVariant &V : S.variants()) {
+    Text += distributionCsv(S.scheduledJob(), V.Result.Dist);
+    for (const CollisionRecord &C : V.Result.Collisions) {
+      std::snprintf(Buf, sizeof(Buf), "collision,%u,%u,%llu,%lld,%lld,%s\n",
+                    C.TaskId, C.NodeId,
+                    static_cast<unsigned long long>(C.BlockingOwner),
+                    static_cast<long long>(C.WantedStart),
+                    static_cast<long long>(C.ActualStart),
+                    collisionResolutionName(C.Resolution));
+      Text += Buf;
+    }
+  }
+  return Text;
 }
 
 } // namespace
@@ -228,4 +272,69 @@ TEST(Strategy, JobIdAndKindAreRecorded) {
   EXPECT_EQ(S.jobId(), 123u);
   EXPECT_EQ(S.kind(), StrategyKind::S2);
   EXPECT_EQ(S.builtAt(), 9);
+}
+
+TEST(Strategy, PinnedDigestOnALoadedSnapshot) {
+  // The chain DP's byte-identity oracle: every strategy type at four
+  // deadline slacks, from infeasible to loose, against a loaded grid,
+  // plus capped fronts and a restricted domain. A change that is meant
+  // to leave every schedule as it is must leave this constant as it is.
+  constexpr Tick Now = 1000;
+  const Grid Env = loadedSnapshot(/*Seed=*/7, Now);
+  const Network Net;
+  obs::Counter &Evictions =
+      obs::Registry::global().counter("cws_chain_front_evictions_total");
+  std::string Text;
+  size_t Builds = 0;
+  size_t Admissible = 0;
+  size_t Collisions = 0;
+  auto Build = [&](const Job &J, const StrategyConfig &Config) {
+    Strategy S = Strategy::build(J, Env, Net, Config,
+                                 Metascheduler::ownerOf(J.id()), Now);
+    ++Builds;
+    Admissible += S.admissible();
+    Collisions += S.allCollisions().size();
+    Text += strategyText(S);
+  };
+
+  constexpr size_t Jobs = 50;
+  for (double Slack : {1.2, 1.35, 1.6, 2.0}) {
+    WorkloadConfig WC;
+    WC.DeadlineSlack = Slack;
+    JobGenerator Gen(WC, /*Seed=*/2009);
+    for (size_t I = 0; I < Jobs; ++I) {
+      Job J = Gen.next(Now);
+      for (StrategyKind Kind : {StrategyKind::S1, StrategyKind::S2,
+                                StrategyKind::S3, StrategyKind::MS1}) {
+        StrategyConfig Config;
+        Config.Kind = Kind;
+        Build(J, Config);
+      }
+    }
+  }
+
+  WorkloadConfig WC;
+  WC.DeadlineSlack = 1.6;
+  JobGenerator Gen(WC, /*Seed=*/2010);
+  uint64_t Evicted0 = Evictions.value();
+  for (size_t I = 0; I < Jobs; ++I) {
+    Job J = Gen.next(Now);
+    // Fronts capped at three labels: cap evictions shape the DP.
+    StrategyConfig Capped;
+    Capped.MaxFrontSize = 3;
+    Build(J, Capped);
+    // A domain of every third node.
+    StrategyConfig Domain;
+    for (unsigned Id = 0; Id < Env.size(); Id += 3)
+      Domain.AllowedNodes.push_back(Id);
+    Build(J, Domain);
+  }
+  EXPECT_GT(Evictions.value(), Evicted0);
+
+  // The workload reaches both outcomes and real contention.
+  EXPECT_GT(Admissible, 0u);
+  EXPECT_LT(Admissible, Builds);
+  EXPECT_GT(Collisions, 0u);
+  EXPECT_EQ(obs::fnv1a64(Text), 0xbccae10c9239de26ULL)
+      << Text.size() << " bytes";
 }

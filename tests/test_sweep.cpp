@@ -144,8 +144,8 @@ TEST(SweepStats, GoldenMeanCiAndQuantiles) {
 TEST(SweepStats, SingleSampleHasZeroSpread) {
   SweepAccumulator Acc(ScenarioList{{"s", {}}}, 1);
   Acc.addRun(0, {{"miss", 0.25}});
-  const obs::SweepIndicatorStats *St =
-      Acc.finalize().Scenarios[0].indicator("miss");
+  obs::SweepStore Store = Acc.finalize();
+  const obs::SweepIndicatorStats *St = Store.Scenarios[0].indicator("miss");
   ASSERT_NE(St, nullptr);
   EXPECT_EQ(St->N, 1u);
   EXPECT_DOUBLE_EQ(St->Mean, 0.25);
