@@ -234,11 +234,12 @@ struct BenchCompareResult {
 
 /// Compares \p New against \p Base. Identity fields (config hash,
 /// scenario, seed, exec seed, invalidation) must match or the verdict
-/// is Refused; shard count and CLI text may differ (the shard-invariance
-/// contract). Work counters and checks gate; metric statistics are
-/// tested with the CI-overlap (|meanA - meanB| <= ci95A + ci95B) and
-/// relative quantile-shift (tolerance \p QuantileShiftTol) rules of
-/// `obs/Diff` but only ever produce advisory findings.
+/// is Refused; shard count and CLI text may differ (committed BENCH
+/// files record a shard count, which is now always 1). Work counters
+/// and checks gate; metric statistics are tested with the CI-overlap
+/// (|meanA - meanB| <= ci95A + ci95B) and relative quantile-shift
+/// (tolerance \p QuantileShiftTol) rules of `obs/Diff` but only ever
+/// produce advisory findings.
 BenchCompareResult compareBench(const ParsedBench &Base,
                                 const ParsedBench &New,
                                 double QuantileShiftTol = 0.10);

@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "flow/Economy.h"
-#include "obs/Profiler.h"
 #include "support/Check.h"
 
 #include <algorithm>
@@ -35,62 +34,14 @@ double Economy::remaining(unsigned User) const {
 
 bool Economy::canAfford(unsigned User, double Cost) const {
   CWS_CHECK(Cost >= 0.0, "negative cost");
-  return remaining(User) - pendingOf(User) + 1e-9 >= Cost;
+  return remaining(User) + 1e-9 >= Cost;
 }
 
 bool Economy::charge(unsigned User, double Cost) {
   if (!canAfford(User, Cost))
     return false;
-  if (ledgersOpen()) {
-    CWS_CHECK(ActiveShard < Ledgers.size(), "active shard out of range");
-    Ledgers[ActiveShard].push_back({User, ActiveJobId, Cost});
-    return true;
-  }
   Accounts[User].Spent += Cost;
   return true;
-}
-
-void Economy::beginLedgers(size_t Shards) {
-  CWS_CHECK(Shards > 0, "need at least one ledger");
-  mergeLedgers();
-  Ledgers.assign(Shards, {});
-  ActiveShard = 0;
-  ActiveJobId = 0;
-}
-
-void Economy::setActiveShard(size_t Shard, unsigned JobId) {
-  ActiveShard = Shard;
-  ActiveJobId = JobId;
-}
-
-void Economy::mergeLedgers() {
-  if (Ledgers.empty())
-    return;
-  obs::PhaseScope MergePhase("economy.merge");
-  std::vector<LedgerEntry> All;
-  for (auto &L : Ledgers) {
-    All.insert(All.end(), L.begin(), L.end());
-    L.clear();
-  }
-  // Ascending job id is the canonical fold order; ties (several charges
-  // of one job, e.g. after a failed first attempt) keep ledger order,
-  // which is recording order within the job's single owning shard.
-  std::stable_sort(All.begin(), All.end(),
-                   [](const LedgerEntry &A, const LedgerEntry &B) {
-                     return A.JobId < B.JobId;
-                   });
-  for (const LedgerEntry &E : All)
-    Accounts[E.User].Spent += E.Amount;
-  MergePhase.work("entries", All.size());
-}
-
-double Economy::pendingOf(unsigned User) const {
-  double Sum = 0.0;
-  for (const auto &L : Ledgers)
-    for (const LedgerEntry &E : L)
-      if (E.User == User)
-        Sum += E.Amount;
-  return Sum;
 }
 
 void Economy::refund(unsigned User, double Amount) {

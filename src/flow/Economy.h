@@ -22,16 +22,6 @@
 namespace cws {
 
 /// Quota accounts of a virtual organization's users.
-///
-/// Sharded runs open per-shard *ledgers*: while ledgers are open,
-/// charge() records a deferred entry (user, job, amount) into the
-/// active shard's ledger instead of debiting the account, and
-/// canAfford() counts those pending debits. mergeLedgers() — called at
-/// every tick barrier — folds all entries into the accounts in
-/// ascending job-id order, so the floating-point accumulation order
-/// (and therefore every later affordability verdict) is identical at
-/// any shard count and insensitive to the order shards recorded their
-/// charges in.
 class Economy {
 public:
   /// Opens an account with \p Quota conventional units; returns its id.
@@ -60,44 +50,14 @@ public:
   /// relative to the richest user. 0 when everyone is broke.
   double priority(unsigned User) const;
 
-  /// Opens \p Shards empty ledgers and routes subsequent charges
-  /// through them (see the class comment). Idempotent per run; closes
-  /// any previous ledgers by merging first.
-  void beginLedgers(size_t Shards);
-
-  /// True while charges are being deferred into ledgers.
-  bool ledgersOpen() const { return !Ledgers.empty(); }
-
-  /// Selects the ledger the next charges record to and the job id that
-  /// tags them for the canonical merge.
-  void setActiveShard(size_t Shard, unsigned JobId);
-
-  /// Folds every ledger entry into the accounts in ascending job-id
-  /// order and empties the ledgers (they stay open). Deterministic:
-  /// the fold order depends only on the set of entries, never on the
-  /// shard count or recording order.
-  void mergeLedgers();
-
-  /// Deferred debits of \p User not yet merged.
-  double pendingOf(unsigned User) const;
-
 private:
   struct Account {
     double Quota;
     double Spent;
   };
-  /// One deferred charge, tagged for the canonical merge order.
-  struct LedgerEntry {
-    unsigned User;
-    unsigned JobId;
-    double Amount;
-  };
   const Account &account(unsigned User) const;
 
   std::vector<Account> Accounts;
-  std::vector<std::vector<LedgerEntry>> Ledgers;
-  size_t ActiveShard = 0;
-  unsigned ActiveJobId = 0;
 };
 
 } // namespace cws

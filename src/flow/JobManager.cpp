@@ -46,13 +46,6 @@ struct FlowMetrics {
       "jobs committed on a different variant than forecast at arrival");
   obs::Counter &Completed = obs::Registry::global().counter(
       "cws_jobs_completed_total", "jobs that ran to completion");
-  obs::Counter &TenderKept = obs::Registry::global().counter(
-      "cws_shard_tender_kept_total",
-      "snapshot tender picks that survived re-validation at apply time");
-  obs::Counter &TenderRetried = obs::Registry::global().counter(
-      "cws_shard_tender_retried_total",
-      "snapshot tender picks broken by earlier commits of the drain, "
-      "re-evaluated serially");
   static FlowMetrics &get() {
     static FlowMetrics M;
     return M;
@@ -143,17 +136,12 @@ void journalInvalidate(obs::Journal &Jn, const Strategy &S, const Grid &G,
 }
 } // namespace
 
-JobManager::PreparedArrival JobManager::prepareArrival(const Job &J,
-                                                       Tick Now) {
-  FlowMetrics::get().Submitted.add();
+bool JobManager::onArrival(const Job &J, Tick Now) {
+  FlowMetrics &M = FlowMetrics::get();
+  M.Submitted.add();
   obs::Span ArrivalSpan("flow", "job.arrival", "job",
                         static_cast<int64_t>(J.id()));
-  PreparedArrival P{J, Strategy{}, {}};
   obs::Journal &Jn = obs::Journal::global();
-  // Defer the arrival and build events: batched admissions build in
-  // parallel, and finishArrival replays each buffer in canonical job
-  // order so the exported stream is independent of lane interleaving.
-  obs::JournalCaptureScope Capture(Jn, &P.Events);
   // The arrival event opens the job's causal chain and registers its
   // flow, so the flow-ignorant layers below (Strategy, Metascheduler)
   // inherit both.
@@ -162,20 +150,7 @@ JobManager::PreparedArrival JobManager::prepareArrival(const Job &J,
               {{"deadline", J.deadline()},
                {"tasks", static_cast<int64_t>(J.taskCount())}},
               strategyName(Meta.strategyConfig().Kind), FlowId);
-  P.S = Meta.buildStrategy(J, Now);
-  return P;
-}
-
-bool JobManager::onArrival(const Job &J, Tick Now) {
-  return finishArrival(prepareArrival(J, Now), Now);
-}
-
-bool JobManager::finishArrival(PreparedArrival &&P, Tick Now) {
-  FlowMetrics &M = FlowMetrics::get();
-  obs::Journal &Jn = obs::Journal::global();
-  Jn.appendBuffered(P.Events);
-  const Job &J = P.TheJob;
-  Strategy S = std::move(P.S);
+  Strategy S = Meta.buildStrategy(J, Now);
 
   VoJobStats St;
   St.JobId = J.id();
@@ -220,20 +195,7 @@ bool JobManager::finishArrival(PreparedArrival &&P, Tick Now) {
   return true;
 }
 
-size_t JobManager::prepareNegotiation(unsigned JobId) const {
-  obs::PhaseScope TenderPhase("tender.eval");
-  auto It = Active.find(JobId);
-  CWS_CHECK(It != Active.end(), "negotiation for an unknown job");
-  const ActiveJob &A = It->second;
-  const ScheduleVariant *Pick =
-      A.S.bestFitting(Meta.grid(), Metascheduler::ownerOf(JobId));
-  TenderPhase.work("variants_scanned", A.S.variants().size());
-  return Pick ? static_cast<size_t>(Pick - A.S.variants().data())
-              : PickNone;
-}
-
-std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
-                                              size_t PickHint) {
+std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now) {
   FlowMetrics &M = FlowMetrics::get();
   obs::Span NegotiationSpan("flow", "job.negotiate", "job",
                             static_cast<int64_t>(JobId));
@@ -247,26 +209,11 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
   // the job leaves the intersection index either way.
   deindexJob(JobId);
 
-  // Optimistic tender: trust a snapshot pick that still fits. Variant
-  // costs are static and earlier commits of this drain only *add*
-  // reservations, so the fitting set can only have shrunk since the
-  // snapshot — a hint that survived is exactly the first-cheapest
-  // variant a serial bestFitting would return now, and a PickNone
-  // snapshot verdict cannot have un-stuck. Only a broken hint pays for
-  // a serial re-evaluation.
   const ScheduleVariant *Pick = nullptr;
-  if (PickHint == NoPickHint) {
+  {
+    obs::PhaseScope TenderPhase("tender.eval");
     Pick = A.S.bestFitting(Meta.grid(), Owner);
-  } else if (PickHint != PickNone) {
-    CWS_CHECK(PickHint < A.S.variants().size(), "pick hint out of range");
-    const ScheduleVariant &Hint = A.S.variants()[PickHint];
-    if (Hint.feasible() && Hint.Result.Dist.fitsGrid(Meta.grid(), Owner)) {
-      Pick = &Hint;
-      M.TenderKept.add();
-    } else {
-      Pick = A.S.bestFitting(Meta.grid(), Owner);
-      M.TenderRetried.add();
-    }
+    TenderPhase.work("variants_scanned", A.S.variants().size());
   }
   if (!Pick) {
     // The whole arrival-time strategy went stale during negotiation:
@@ -421,8 +368,8 @@ void JobManager::runExecution(ActiveJob &A, const Distribution &D,
   ExecutionConfig Config = Exec;
   Config.DataKind = strategyDataPolicy(A.S.kind());
   // Derive the job's deviation stream from (seed base, job id): the
-  // deviations a job sees are then identical at any shard count and
-  // independent of the order commits drained in.
+  // deviations a job sees are then independent of the order commits
+  // drained in.
   Prng JobRng(ExecSeed ^
               ((static_cast<uint64_t>(A.TheJob.id()) + 1) *
                0x9e3779b97f4a7c15ULL));
@@ -487,7 +434,7 @@ uint64_t JobManager::revalidate(unsigned JobId, ActiveJob &A, Tick Now) {
   return Placements;
 }
 
-void JobManager::onEnvironmentChange(Tick Now) {
+uint64_t JobManager::onEnvironmentChange(Tick Now) {
   EnvMetrics &EM = EnvMetrics::get();
   EnvChangeLog *Log = Meta.envChangeLog();
   if (Mode == InvalidationMode::Index && Log) {
@@ -507,7 +454,7 @@ void JobManager::onEnvironmentChange(Tick Now) {
       Intersections += Index.collect(R.NodeId, R.Begin, R.End, Hits);
     });
     if (Hits.empty())
-      return;
+      return 0;
     std::sort(Hits.begin(), Hits.end(),
               [](const SlotRef &A, const SlotRef &B) {
                 return A.JobId != B.JobId ? A.JobId < B.JobId
@@ -542,12 +489,7 @@ void JobManager::onEnvironmentChange(Tick Now) {
     EM.IndexCandidates.add(Candidates);
     EM.IndexIntersections.add(Intersections);
     EM.IndexPlacements.add(Placements);
-    // The env.invalidate *scope* opens once per change on the caller
-    // (flow/VirtualOrganization.cpp); the work fans out per manager,
-    // so it is attributed by name and sums shard-invariantly.
-    obs::Profiler::global().addWork("env.invalidate", "placements",
-                                    Placements);
-    return;
+    return Placements;
   }
   // The full scan (differential-testing oracle, and the fallback when
   // no env-change log is wired): re-validate every TTL-open strategy
@@ -562,7 +504,7 @@ void JobManager::onEnvironmentChange(Tick Now) {
     if (!statsOf(A).TtlClosed)
       Open.push_back(JobId);
   if (Open.empty())
-    return; // Nothing scanned: keep the size histogram honest.
+    return 0; // Nothing scanned: keep the size histogram honest.
   std::sort(Open.begin(), Open.end());
   uint64_t Placements = 0;
   for (unsigned JobId : Open)
@@ -570,8 +512,7 @@ void JobManager::onEnvironmentChange(Tick Now) {
   EM.ScanJobs.add(Open.size());
   EM.ScanPlacements.add(Placements);
   EM.ScanSize.observe(static_cast<double>(Placements));
-  obs::Profiler::global().addWork("env.invalidate", "placements",
-                                  Placements);
+  return Placements;
 }
 
 void JobManager::onCompletion(unsigned JobId, Tick Now) {

@@ -22,7 +22,6 @@
 #include "flow/Execution.h"
 #include "flow/Metascheduler.h"
 #include "job/Job.h"
-#include "obs/Journal.h"
 #include "resource/SlotIndex.h"
 #include "sim/Time.h"
 
@@ -101,63 +100,22 @@ public:
   /// schedule is run through the execution engine and its actual
   /// completion (or wall-limit kill) recorded. Each job's deviations
   /// draw from a Prng derived from (\p SeedBase, job id), so they are
-  /// identical at any shard count and independent of commit order.
+  /// independent of commit order.
   void enableExecution(const ExecutionConfig &Config, uint64_t SeedBase) {
     Exec = Config;
     ExecSeed = SeedBase;
     ExecEnabled = true;
   }
 
-  /// The parallel half of a batched admission: the strategy build (the
-  /// expensive part of onArrival), safe to run concurrently with other
-  /// prepares — it reads the shared grid only and defers its journal
-  /// events into the returned capture buffer. finishArrival() applies
-  /// the result serially.
-  struct PreparedArrival {
-    Job TheJob;
-    Strategy S;
-    /// Arrival + build events captured during prepare, replayed ahead
-    /// of the admission verdict so the journal order matches a serial
-    /// run.
-    obs::JournalBuffer Events;
-  };
-  PreparedArrival prepareArrival(const Job &J, Tick Now);
-
-  /// The serial half of a batched admission: records admissibility and
-  /// the start forecast, indexes the strategy. Call in canonical
-  /// (ascending job id) order. Returns true when admissible (the
-  /// caller then schedules a negotiation event).
-  bool finishArrival(PreparedArrival &&P, Tick Now);
-
   /// A job entered the flow: build its strategy, record admissibility
   /// and the start forecast. Returns true when admissible (the caller
-  /// then schedules a negotiation event). Equivalent to
-  /// prepareArrival() + finishArrival() back to back.
+  /// then schedules a negotiation event).
   bool onArrival(const Job &J, Tick Now);
 
-  /// onNegotiation's \p PickHint when no tender was pre-evaluated:
-  /// evaluate inline.
-  static constexpr size_t NoPickHint = static_cast<size_t>(-1);
-  /// prepareNegotiation's verdict when no variant fit the snapshot.
-  static constexpr size_t PickNone = static_cast<size_t>(-2);
-
-  /// The parallel half of a batched negotiation: evaluates the tender
-  /// — the index of the cheapest variant still fitting the current
-  /// grid — from the tick-start snapshot. Read-only and safe to run
-  /// concurrently with other prepares. Because reservations are only
-  /// ever *added* while a batch drains, a snapshot pick that still
-  /// fits at apply time is exactly the pick a serial evaluation would
-  /// make (see onNegotiation), and a PickNone verdict can never
-  /// un-stick. Returns PickNone when nothing fits.
-  size_t prepareNegotiation(unsigned JobId) const;
-
   /// Negotiation concluded: commit the cheapest still-fitting variant,
-  /// after one reallocation attempt if the strategy went stale. A
-  /// \p PickHint from prepareNegotiation() is re-validated against the
-  /// live grid and only trusted while it still fits. Returns the
-  /// completion time on success.
-  std::optional<Tick> onNegotiation(unsigned JobId, Tick Now,
-                                    size_t PickHint = NoPickHint);
+  /// after one reallocation attempt if the strategy went stale. Returns
+  /// the completion time on success.
+  std::optional<Tick> onNegotiation(unsigned JobId, Tick Now);
 
   /// Selects how onEnvironmentChange finds broken strategies. Must be
   /// set before the first arrival (the slot index is maintained from
@@ -166,8 +124,9 @@ public:
   InvalidationMode invalidationMode() const { return Mode; }
 
   /// The environment changed: close the TTL of strategies that no
-  /// longer hold any fitting variant.
-  void onEnvironmentChange(Tick Now);
+  /// longer hold any fitting variant. Returns the placements
+  /// re-validated (the caller's `env.invalidate` work counter).
+  uint64_t onEnvironmentChange(Tick Now);
 
   /// The job's last reservation ended: close bookkeeping.
   void onCompletion(unsigned JobId, Tick Now);
@@ -231,8 +190,7 @@ private:
   /// Reserved slots of this flow's open (uncommitted, TTL-open)
   /// strategies, for intersection with environment changes.
   SlotIndex Index;
-  /// This manager's cursor into the metascheduler's env-change log
-  /// (sharded runs: one cursor per (flow, shard) manager).
+  /// This manager's cursor into the metascheduler's env-change log.
   EnvLogCursor LogCursor;
 };
 

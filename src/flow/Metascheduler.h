@@ -89,28 +89,9 @@ public:
                 StrategyConfig Config)
       : Env(Env), Net(Net), Econ(Econ), Config(Config) {}
 
-  /// Owner id a job's reservations use. Pure in the job id: owner ids
-  /// appear in journals and timelines, so they must not depend on the
-  /// shard count (the byte-identical-journal bar). Sharded runs
-  /// partition the id space *below* this mapping instead — see
-  /// shardOfJob.
+  /// Owner id a job's reservations use. Pure in the job id, because
+  /// owner ids appear in journals and timelines.
   static OwnerId ownerOf(unsigned JobId) { return JobOwnerBase + JobId; }
-
-  /// The worker shard that owns \p JobId when the flow level runs with
-  /// \p Shards shards. Shard S's owner-id allocation range is the
-  /// arithmetic stripe { JobOwnerBase + S + k * Shards : k >= 0 } —
-  /// ranges of distinct shards are disjoint, their union covers every
-  /// job owner id, and a job's owner id is the same at every shard
-  /// count (only *which shard allocates it* changes).
-  static size_t shardOfJob(unsigned JobId, size_t Shards) {
-    return Shards > 1 ? JobId % Shards : 0;
-  }
-
-  /// Maps a job owner id back to its owning shard; \p Owner must be
-  /// >= JobOwnerBase.
-  static size_t shardOfOwner(OwnerId Owner, size_t Shards) {
-    return shardOfJob(static_cast<unsigned>(Owner - JobOwnerBase), Shards);
-  }
 
   /// Builds the flow's strategy for \p J against the current load.
   Strategy buildStrategy(const Job &J, Tick Now) const {

@@ -8,22 +8,17 @@
 #include "flow/VirtualOrganization.h"
 #include "flow/Economy.h"
 #include "flow/Metascheduler.h"
-#include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "obs/Profiler.h"
 #include "obs/TimeSeries.h"
 #include "resource/Network.h"
 #include "sim/Simulator.h"
 #include "support/Check.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -32,14 +27,11 @@ using namespace cws;
 
 namespace {
 
-/// Shard-pipeline instrumentation (docs/OBSERVABILITY.md). Registered
-/// once; values reset with the registry. The drain-latency histogram is
-/// wall-clock and therefore nondeterministic — it is exposed for the
-/// scaling bench and never byte-compared (the telemetry CSV samples an
-/// explicit probe list that excludes it).
-struct ShardPipelineMetrics {
-  obs::Gauge &Count = obs::Registry::global().gauge(
-      "cws_shard_count", "worker shards of the job-flow level");
+/// Batching instrumentation of the job-flow level
+/// (docs/OBSERVABILITY.md). Registered once; values reset with the
+/// registry. The `cws_shard_` prefix is historical; the benchmark reads
+/// these names.
+struct BatchMetrics {
   obs::Counter &AdmissionBatches = obs::Registry::global().counter(
       "cws_shard_admission_batches_total",
       "per-tick admission batches drained");
@@ -57,54 +49,32 @@ struct ShardPipelineMetrics {
   obs::Histogram &CommitBatchJobs = obs::Registry::global().histogram(
       "cws_shard_commit_batch_jobs", {1, 2, 4, 8, 16, 32, 64},
       "negotiations per commit-pipeline drain");
-  obs::Histogram &CommitDrainMicros = obs::Registry::global().histogram(
-      "cws_shard_commit_drain_us",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000},
-      "wall-clock microseconds per commit-pipeline drain");
 };
 
-ShardPipelineMetrics &shardMetrics() {
-  static ShardPipelineMetrics M;
+BatchMetrics &batchMetrics() {
+  static BatchMetrics M;
   return M;
 }
 
 } // namespace
 
-size_t cws::resolveShardCount(size_t Configured) {
-  size_t Resolved = Configured;
-  if (Resolved == 0) {
-    if (const char *Env = std::getenv("CWS_SHARDS")) {
-      char *End = nullptr;
-      long V = std::strtol(Env, &End, 10);
-      if (End != Env && *End == '\0' && V > 0)
-        Resolved = static_cast<size_t>(V);
-    }
-  }
-  if (Resolved == 0)
-    Resolved = 1;
-  return std::min<size_t>(Resolved, 64);
-}
+size_t cws::resolveShardCount(size_t) { return 1; }
 
 std::vector<VoRunResult>
 cws::runMultiFlowVo(const VoConfig &Config,
                     const std::vector<StrategyKind> &Kinds, uint64_t Seed) {
   CWS_CHECK(!Kinds.empty(), "need at least one flow");
   const size_t NumFlows = Kinds.size();
-  const size_t ShardCount = resolveShardCount(Config.Shards);
   Prng Root(Seed);
   Grid Env = Grid::makeRandom(Config.GridCfg, Root);
   Network Net;
   Economy Econ;
 
-  // One metascheduler strategy profile and one quota account per flow;
-  // ShardCount job managers per flow (Managers[F * ShardCount + S]),
-  // each owning the stripe of job ids congruent to its shard index
-  // (Metascheduler::shardOfJob) — owner ids themselves stay pure in the
-  // job id, so journals and timelines cannot see the shard count. The
-  // env-change log is shared: commits by any flow and background
-  // placements both occupy slots that other flows' open strategies may
-  // have planned on, and each (flow, shard) manager drains the log with
-  // its own cursor.
+  // One metascheduler strategy profile, one quota account and one job
+  // manager per flow. The env-change log is shared: commits by any flow
+  // and background placements both occupy slots that other flows' open
+  // strategies may have planned on, and each manager drains the log
+  // with its own cursor.
   EnvChangeLog ChangeLog;
   std::vector<std::unique_ptr<Metascheduler>> Metas;
   std::vector<std::unique_ptr<JobManager>> Managers;
@@ -116,31 +86,16 @@ cws::runMultiFlowVo(const VoConfig &Config,
     Metas.back()->setEnvChangeLog(&ChangeLog);
     Metas.back()->setReallocationMode(Config.Reallocation);
     Metas.back()->setRepairOracle(Config.RepairOracle);
-    for (size_t S = 0; S < ShardCount; ++S) {
-      Managers.push_back(std::make_unique<JobManager>(
-          *Metas.back(), User, static_cast<int>(F)));
-      Managers.back()->setInvalidationMode(Config.Invalidation);
-    }
+    Managers.push_back(
+        std::make_unique<JobManager>(*Metas.back(), User, static_cast<int>(F)));
+    Managers.back()->setInvalidationMode(Config.Invalidation);
   }
-  // Commit charges drain through per-shard ledgers folded at each tick
-  // barrier, so the economy's float accumulation order is canonical
-  // (ascending job id) at any shard count.
-  Econ.beginLedgers(ShardCount);
-  ShardPipelineMetrics &SM = shardMetrics();
-  SM.Count.set(static_cast<int64_t>(ShardCount));
+  BatchMetrics &BM = batchMetrics();
 
   Simulator Sim;
   if (Config.ExecuteWithDeviations)
-    for (size_t F = 0; F < NumFlows; ++F) {
-      // One fork per *flow* (not per shard manager) keeps the root
-      // stream's draw count — and thus every downstream seed — equal at
-      // any shard count; the per-job seed derivation inside the
-      // managers does the rest.
-      uint64_t ExecSeed = Root.fork().next();
-      for (size_t S = 0; S < ShardCount; ++S)
-        Managers[F * ShardCount + S]->enableExecution(Config.Execution,
-                                                      ExecSeed);
-    }
+    for (auto &M : Managers)
+      M->enableExecution(Config.Execution, Root.fork().next());
   Prng ArrivalRng = Root.fork();
   Prng NegotiationRng = Root.fork();
   Prng BackgroundRng = Root.fork();
@@ -163,32 +118,17 @@ cws::runMultiFlowVo(const VoConfig &Config,
   Tick BackgroundUntil = LastArrival + 600;
   BackgroundLoad Background(Env, Sim, Config.Background, BackgroundRng);
   Background.setEnvChangeLog(&ChangeLog);
-  // Every (flow, shard) manager runs its invalidation pass in parallel
-  // (one lane per shard), journaling into a per-manager capture buffer;
-  // the buffers are replayed flow-major, merged by ascending job id
-  // within each flow — exactly the order a serial 1-shard pass appends
-  // in, so the journal is byte-identical at any shard count.
-  Background.setObserver([&Managers, NumFlows, ShardCount](Tick Now) {
-    // One profiler scope per environment change on the calling thread;
-    // the per-manager re-validation work joins it by name from the
-    // worker lanes, so counts and work stay shard-invariant.
-    CWS_PHASE("env.invalidate");
-    obs::Journal &Jn = obs::Journal::global();
-    std::vector<obs::JournalBuffer> Buffers(Managers.size());
-    ThreadPool::global().parallelFor(
-        Managers.size(),
-        [&](size_t I) {
-          obs::JournalCaptureScope Capture(Jn, &Buffers[I]);
-          Managers[I]->onEnvironmentChange(Now);
-        },
-        /*MaxLanes=*/ShardCount);
-    for (size_t F = 0; F < NumFlows; ++F) {
-      std::vector<obs::JournalBuffer *> FlowBuffers;
-      FlowBuffers.reserve(ShardCount);
-      for (size_t S = 0; S < ShardCount; ++S)
-        FlowBuffers.push_back(&Buffers[F * ShardCount + S]);
-      Jn.appendBufferedByJob(FlowBuffers);
-    }
+  // Every flow's manager re-validates in flow order; each journals its
+  // invalidations in ascending job id.
+  Background.setObserver([&Managers](Tick Now) {
+    obs::PhaseScope InvalidatePhase("env.invalidate");
+    uint64_t Placements = 0;
+    for (auto &M : Managers)
+      Placements += M->onEnvironmentChange(Now);
+    // Only a change that re-validated something attaches the counter,
+    // so a run that never re-validated has no `placements` key.
+    if (Placements)
+      InvalidatePhase.work("placements", Placements);
   });
   Background.start(BackgroundUntil);
 
@@ -197,36 +137,12 @@ cws::runMultiFlowVo(const VoConfig &Config,
   const bool Sampling = Ts.enabled();
   if (Sampling) {
     Ts.addDefaultProbes(obs::Registry::global());
-    std::vector<std::string> FlowNames = flowLabels(Kinds);
-    // Sharded runs also expose one pseudo-flow track per shard (the
-    // same totals sliced the other way); single-shard runs emit the
-    // flow tracks alone, so the default telemetry CSV is byte-stable.
-    if (ShardCount > 1)
-      for (size_t S = 0; S < ShardCount; ++S)
-        FlowNames.push_back("shard" + std::to_string(S));
-    Ts.setFlowProvider(std::move(FlowNames), [&Managers, NumFlows,
-                                              ShardCount] {
+    Ts.setFlowProvider(flowLabels(Kinds), [&Managers] {
       std::vector<obs::FlowSample> Out;
-      Out.reserve(NumFlows + (ShardCount > 1 ? ShardCount : 0));
-      for (size_t F = 0; F < NumFlows; ++F) {
-        int64_t Queued = 0, InFlight = 0;
-        for (size_t S = 0; S < ShardCount; ++S) {
-          const JobManager &M = *Managers[F * ShardCount + S];
-          Queued += static_cast<int64_t>(M.queuedCount());
-          InFlight += static_cast<int64_t>(M.inFlightCount());
-        }
-        Out.push_back({Queued, InFlight});
-      }
-      if (ShardCount > 1)
-        for (size_t S = 0; S < ShardCount; ++S) {
-          int64_t Queued = 0, InFlight = 0;
-          for (size_t F = 0; F < NumFlows; ++F) {
-            const JobManager &M = *Managers[F * ShardCount + S];
-            Queued += static_cast<int64_t>(M.queuedCount());
-            InFlight += static_cast<int64_t>(M.inFlightCount());
-          }
-          Out.push_back({Queued, InFlight});
-        }
+      Out.reserve(Managers.size());
+      for (const auto &M : Managers)
+        Out.push_back({static_cast<int64_t>(M->queuedCount()),
+                       static_cast<int64_t>(M->inFlightCount())});
       return Out;
     });
     const Tick Lookahead = Ts.config().ReservedLookahead;
@@ -253,22 +169,19 @@ cws::runMultiFlowVo(const VoConfig &Config,
     });
   }
 
-  // Deal jobs to the flows round-robin and to shard managers by job
-  // id. Arrival and negotiation events only *enqueue* work; the first
-  // enqueue of a tick arms one end-of-tick drain that processes the
-  // whole tick's batch — the expensive halves (strategy builds, tender
-  // evaluation) run in parallel across shards against the tick-start
-  // snapshot, the mutating halves apply serially in canonical ascending
-  // job-id order. The batched pipeline is the semantics at *every*
-  // shard count, 1 included: that is what makes journals, stats and
-  // timelines independent of the shard count and thread interleaving.
+  // Deal jobs to the flows round-robin. Arrival and negotiation events
+  // only *enqueue* work; the first enqueue of a tick arms one
+  // end-of-tick drain that processes the whole tick's batch in
+  // ascending job id. That order defines the results: it fixes the
+  // order in which grid reservations, quota charges and journal events
+  // land, whatever order the same-tick events fired in.
   struct PendingArrival {
-    size_t ManagerIdx;
+    JobManager *Manager;
     const Job *J;
     Tick Delay;
   };
   struct PendingNegotiation {
-    size_t ManagerIdx;
+    JobManager *Manager;
     unsigned JobId;
   };
   std::vector<PendingArrival> ArrivalBatch;
@@ -281,14 +194,11 @@ cws::runMultiFlowVo(const VoConfig &Config,
     DrainArmed = true;
     Sim.atEndOfTick([&Drain](Tick Now) { Drain(Now); });
   };
-  ThreadPool &Pool = ThreadPool::global();
   Drain = [&](Tick Now) {
     // Reset first: a zero-delay negotiation scheduled below lands on
     // this same tick and must re-arm a fresh drain behind itself.
     DrainArmed = false;
-    // Admission: sort the tick's arrivals into canonical order, build
-    // every strategy in parallel (one lane per shard, journal events
-    // captured per job), then admit serially in ascending job id.
+    // Admission: build and admit each of the tick's arrivals.
     if (!ArrivalBatch.empty()) {
       obs::PhaseScope AdmissionPhase("meta.admission");
       std::vector<PendingArrival> Batch;
@@ -297,84 +207,38 @@ cws::runMultiFlowVo(const VoConfig &Config,
                 [](const PendingArrival &A, const PendingArrival &B) {
                   return A.J->id() < B.J->id();
                 });
-      SM.AdmissionBatches.add();
-      SM.AdmissionJobs.add(Batch.size());
-      SM.AdmissionBatchJobs.observe(static_cast<double>(Batch.size()));
+      BM.AdmissionBatches.add();
+      BM.AdmissionJobs.add(Batch.size());
+      BM.AdmissionBatchJobs.observe(static_cast<double>(Batch.size()));
       AdmissionPhase.work("jobs", Batch.size());
-      std::vector<std::optional<JobManager::PreparedArrival>> Prepared(
-          Batch.size());
-      Pool.submitRange(
-          0, Batch.size(),
-          [&](size_t I) {
-            Prepared[I].emplace(Managers[Batch[I].ManagerIdx]->prepareArrival(
-                *Batch[I].J, Now));
-          },
-          /*MaxLanes=*/ShardCount);
-      for (size_t I = 0; I < Batch.size(); ++I) {
-        const PendingArrival &PA = Batch[I];
-        if (!Managers[PA.ManagerIdx]->finishArrival(std::move(*Prepared[I]),
-                                                    Now))
+      for (const PendingArrival &PA : Batch) {
+        if (!PA.Manager->onArrival(*PA.J, Now))
           continue;
-        size_t ManagerIdx = PA.ManagerIdx;
-        unsigned JobId = PA.J->id();
-        Sim.after(PA.Delay, [&NegotiationBatch, &Arm, ManagerIdx,
-                             JobId](Tick NegotiationNow) {
-          NegotiationBatch.push_back({ManagerIdx, JobId});
+        PendingNegotiation PN{PA.Manager, PA.J->id()};
+        Sim.after(PA.Delay, [&NegotiationBatch, &Arm, PN](Tick NegotiationNow) {
+          NegotiationBatch.push_back(PN);
           Arm(NegotiationNow);
         });
       }
     }
-    // Commit pipeline: evaluate every tender against the tick-start
-    // snapshot in parallel, then apply in ascending job id — grid
-    // reservations and economy charges land in canonical order
-    // regardless of shard count or thread interleaving.
+    // Commit: negotiate each of the tick's tenders.
     if (!NegotiationBatch.empty()) {
-      auto DrainStart = std::chrono::steady_clock::now();
       std::vector<PendingNegotiation> Ready;
       Ready.swap(NegotiationBatch);
       std::sort(Ready.begin(), Ready.end(),
                 [](const PendingNegotiation &A, const PendingNegotiation &B) {
                   return A.JobId < B.JobId;
                 });
-      SM.CommitBatches.add();
-      SM.CommitJobs.add(Ready.size());
-      SM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
-      std::vector<size_t> Hints(Ready.size());
-      {
-        obs::PhaseScope PreparePhase("commit.prepare");
-        PreparePhase.work("tenders", Ready.size());
-        Pool.submitRange(
-            0, Ready.size(),
-            [&](size_t I) {
-              Hints[I] = Managers[Ready[I].ManagerIdx]->prepareNegotiation(
-                  Ready[I].JobId);
-            },
-            /*MaxLanes=*/ShardCount);
-      }
-      {
-        obs::PhaseScope ApplyPhase("commit.apply");
-        ApplyPhase.work("tenders", Ready.size());
-        for (size_t I = 0; I < Ready.size(); ++I) {
-          const PendingNegotiation &PN = Ready[I];
-          Econ.setActiveShard(Metascheduler::shardOfJob(PN.JobId, ShardCount),
-                              PN.JobId);
-          std::optional<Tick> Completion =
-              Managers[PN.ManagerIdx]->onNegotiation(PN.JobId, Now, Hints[I]);
-          if (Completion) {
-            size_t ManagerIdx = PN.ManagerIdx;
-            unsigned JobId = PN.JobId;
-            Sim.at(*Completion, [&Managers, ManagerIdx, JobId](Tick CNow) {
-              Managers[ManagerIdx]->onCompletion(JobId, CNow);
-            });
-          }
-        }
-      }
-      // Tick barrier: fold the per-shard charge ledgers canonically.
-      Econ.mergeLedgers();
-      SM.CommitDrainMicros.observe(static_cast<double>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - DrainStart)
-              .count()));
+      BM.CommitBatches.add();
+      BM.CommitJobs.add(Ready.size());
+      BM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
+      obs::PhaseScope ApplyPhase("commit.apply");
+      ApplyPhase.work("tenders", Ready.size());
+      for (const PendingNegotiation &PN : Ready)
+        if (std::optional<Tick> Completion =
+                PN.Manager->onNegotiation(PN.JobId, Now))
+          Sim.at(*Completion,
+                 [PN](Tick CNow) { PN.Manager->onCompletion(PN.JobId, CNow); });
     }
   };
 
@@ -382,20 +246,16 @@ cws::runMultiFlowVo(const VoConfig &Config,
   for (size_t I = 0; I < Flow.size(); ++I) {
     size_t F = I % NumFlows;
     FlowOf[Flow[I].id()] = F;
-    const Job *J = &Flow[I];
-    Tick Delay = NegotiationRng.uniformInt(Config.NegotiationLo,
-                                           Config.NegotiationHi);
-    size_t ManagerIdx =
-        F * ShardCount + Metascheduler::shardOfJob(J->id(), ShardCount);
-    Sim.at(J->release(),
-           [&ArrivalBatch, &Arm, ManagerIdx, J, Delay](Tick Now) {
-             ArrivalBatch.push_back({ManagerIdx, J, Delay});
-             Arm(Now);
-           });
+    PendingArrival PA{Managers[F].get(), &Flow[I],
+                      NegotiationRng.uniformInt(Config.NegotiationLo,
+                                                Config.NegotiationHi)};
+    Sim.at(PA.J->release(), [&ArrivalBatch, &Arm, PA](Tick Now) {
+      ArrivalBatch.push_back(PA);
+      Arm(Now);
+    });
   }
 
   Sim.run();
-  Econ.mergeLedgers();
 
   if (Sampling) {
     // A final frame, then the per-node occupancy tracks: every surviving
@@ -418,20 +278,9 @@ cws::runMultiFlowVo(const VoConfig &Config,
     Results[F].Kind = Kinds[F];
     Results[F].BackgroundJobs = Background.placed();
     Results[F].RepairOracle = Metas[F]->repairOracle();
-    std::vector<VoJobStats> Merged;
-    for (size_t S = 0; S < ShardCount; ++S) {
-      std::vector<VoJobStats> Part = Managers[F * ShardCount + S]->takeStats();
-      Merged.insert(Merged.end(), std::make_move_iterator(Part.begin()),
-                    std::make_move_iterator(Part.end()));
-    }
-    // Each shard records its jobs in admission (ascending id) order;
-    // the flow-level merge restores the canonical order a 1-shard run
-    // produces directly.
-    std::stable_sort(Merged.begin(), Merged.end(),
-                     [](const VoJobStats &A, const VoJobStats &B) {
-                       return A.JobId < B.JobId;
-                     });
-    Results[F].Jobs = std::move(Merged);
+    // A manager records its jobs in admission order, which is
+    // ascending job id.
+    Results[F].Jobs = Managers[F]->takeStats();
     for (const auto &St : Results[F].Jobs)
       Horizon = std::max(Horizon, St.Completion);
   }
@@ -551,11 +400,6 @@ std::string cws::voConfigCanonical(const VoConfig &Config, StrategyKind Kind) {
   Num("vo.exec_factor_lo", Config.Execution.FactorLo);
   Num("vo.exec_factor_hi", Config.Execution.FactorHi);
   Int("vo.exec_extension", Config.Execution.MaxExtension);
-  // The shard count is deliberately absent, like BuildThreads: results
-  // are shard-invariant (pinned by tests), so two runs of one
-  // configuration at different shard counts must share a hash. The
-  // resolved count still reaches the provenance stamp as its own
-  // `shards` field, which `cws-diff` compares selectively.
   Out += std::string("vo.invalidation=") +
          (Config.Invalidation == InvalidationMode::Index ? "index" : "scan");
   // The repair oracle is absent too: it is a side-effect-free check

@@ -65,22 +65,13 @@ struct VoConfig {
   /// priced and side-effect-free: deliberately excluded from
   /// voConfigCanonical, like the journal toggle.
   bool RepairOracle = false;
-  /// Worker shards of the job-flow level: each flow's jobs are
-  /// partitioned across this many job managers (job id mod shards) and
-  /// per-tick admission / negotiation batches run their expensive
-  /// halves concurrently, one lane per shard. 0 = resolve from the
-  /// CWS_SHARDS environment variable (1 when unset). Results are
-  /// byte-identical at any value — see resolveShardCount.
-  size_t Shards = 0;
 };
 
-/// Effective shard count: \p Configured when positive, else the
-/// CWS_SHARDS environment variable when it parses to a positive
-/// integer, else 1; capped at 64 (the thread-pool's lane cap). The
-/// count only changes *who computes what in parallel* — journals,
-/// per-job stats and load attribution are byte-identical at any value,
-/// pinned by tests and the meta_shard_scaling bench.
-size_t resolveShardCount(size_t Configured);
+/// The job-flow level runs one serial job manager per flow, so the
+/// shard count is always 1. Kept because run provenance records it
+/// (`"shards":1` in journals, BENCH files and profiles) and the
+/// benchmark's child check reads it.
+size_t resolveShardCount(size_t);
 
 /// Result of one run.
 struct VoRunResult {

@@ -11,12 +11,12 @@
 /// with answers a scheduler engineer can act on.
 ///
 ///  - **Journal mode** aligns decision-journal events per job (the
-///    global interleaving is an implementation detail of the shard
-///    merge; the per-job causal chain is the contract), compares the
-///    meta/provenance header field by field under a `MetaPolicy`
-///    (shard count and CLI text legitimately differ between compared
-///    invocations; seed, scenario and config hash must not, unless a
-///    differential-oracle run says otherwise), and localizes the
+///    global interleaving is an implementation detail; the per-job
+///    causal chain is the contract), compares the meta/provenance
+///    header field by field under a `MetaPolicy` (shard count and CLI
+///    text legitimately differ between compared invocations; seed,
+///    scenario and config hash must not, unless a differential-oracle
+///    run says otherwise), and localizes the
 ///    *first* diverging (job, event) with both runs' cause chains —
 ///    "job 42 diverged at t=310: run A reallocated, run B committed"
 ///    instead of "byte 48211 differs".
@@ -55,9 +55,9 @@ namespace obs {
 
 /// Which provenance fields of two compared artifacts may legitimately
 /// differ. The default matches the common CI comparison — one run at
-/// different lane/shard counts: the CLI text (it names per-run paths
-/// and flags) and the shard count (results are shard-invariant) may
-/// differ, the identity fields may not.
+/// different lane counts: the CLI text (it names per-run paths and
+/// flags) may differ, and so may the shard count, which older
+/// artifacts record above 1; the identity fields may not.
 struct MetaPolicy {
   bool AllowSeed = false;
   bool AllowConfigHash = false;

@@ -11,7 +11,6 @@
 #include "support/File.h"
 #include "support/Json.h"
 
-#include <algorithm>
 
 using namespace cws;
 using namespace cws::obs;
@@ -165,29 +164,6 @@ void Journal::appendBuffered(JournalBuffer &Buf) {
     for (const JournalBuffer::Pending &P : Buf.Events)
       appendEvent(P);
   Buf.clear();
-}
-
-void Journal::appendBufferedByJob(
-    const std::vector<JournalBuffer *> &Buffers) {
-  if (enabled()) {
-    // Stable merge by ascending job id. Each buffer is already in
-    // ascending-job order and a job's events live in exactly one
-    // buffer, so a stable sort reproduces the order one shard would
-    // have emitted.
-    std::vector<const JournalBuffer::Pending *> Merged;
-    for (const JournalBuffer *B : Buffers)
-      for (const JournalBuffer::Pending &P : B->Events)
-        Merged.push_back(&P);
-    std::stable_sort(Merged.begin(), Merged.end(),
-                     [](const JournalBuffer::Pending *A,
-                        const JournalBuffer::Pending *B) {
-                       return A->JobId < B->JobId;
-                     });
-    for (const JournalBuffer::Pending *P : Merged)
-      appendEvent(*P);
-  }
-  for (JournalBuffer *B : Buffers)
-    B->clear();
 }
 
 uint64_t Journal::recorded() const {

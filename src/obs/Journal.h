@@ -221,13 +221,6 @@ public:
   /// Serial: call from one thread after the parallel phase ended.
   void appendBuffered(JournalBuffer &Buf);
 
-  /// Replays several capture buffers merged by ascending job id (stable
-  /// within a job) and clears them. This is the shard-merge primitive:
-  /// each shard's buffer is already in ascending-job order and jobs
-  /// never span shards, so the merged stream equals the order a single
-  /// shard would have produced.
-  void appendBufferedByJob(const std::vector<JournalBuffer *> &Buffers);
-
   /// Events appended since enable() (including overwritten ones).
   uint64_t recorded() const;
   /// Events lost to ring wraparound.

@@ -120,14 +120,6 @@ void Profiler::setProvenance(const RunProvenance &P) {
   Prov = P;
 }
 
-void Profiler::addWork(const char *Phase, const char *Counter, uint64_t N) {
-  if (!enabled())
-    return;
-  ThreadState &TS = threadState();
-  std::lock_guard<std::mutex> Lock(TS.Mu);
-  TS.Phases[Phase].Work[Counter] += N;
-}
-
 std::vector<PhaseStats> Profiler::snapshot() const {
   // Merge per-thread accumulators into one per-phase view. Counts,
   // work and histogram buckets add; the result depends only on what

@@ -11,14 +11,14 @@
 /// guards accumulate per-phase call counts, total/self wall time and
 /// duration quantiles (via `obs::Histogram`), plus named *work
 /// counters* (placements re-validated, DP labels kept, variants built)
-/// attached with `PhaseScope::work` or `Profiler::addWork`.
+/// attached with `PhaseScope::work`.
 ///
 /// Accumulation is per-thread — a guard never touches shared state
 /// while open, the same discipline as `JournalBuffer` — and threads
 /// merge deterministically at export: counts, work and histogram
 /// buckets add, phases sort by name. Counts and work counters are
-/// therefore identical at any `--build-threads` / `--shards` value;
-/// only the wall-time fields vary run to run.
+/// therefore identical at any `--build-threads` value; only the
+/// wall-time fields vary run to run.
 ///
 /// Like the tracer, the profiler is disabled by default and the
 /// disabled path is one relaxed atomic load plus a branch — no clock
@@ -26,11 +26,7 @@
 /// guard this). `CWS_OBS_ENABLED=0` removes the guard bodies entirely.
 ///
 /// Phase names must be string literals (or otherwise outlive the open
-/// scope). Work counters may be attached to a phase that is not open
-/// on the calling thread — `Profiler::addWork("env.invalidate", ...)`
-/// from a worker lane lands in the same merged accumulator as the
-/// caller-side scope, which is what keeps totals shard-invariant when
-/// the *scope* runs once on the caller but the *work* fans out.
+/// scope).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,11 +118,6 @@ public:
 
   /// Provenance stamped into `json()`, mirroring Journal/TimeSeries.
   void setProvenance(const RunProvenance &P);
-
-  /// Attaches \p N units of \p Counter to \p Phase on the calling
-  /// thread's accumulator, whether or not the phase is open here.
-  /// No-op while disabled.
-  void addWork(const char *Phase, const char *Counter, uint64_t N);
 
   /// Merges every thread's accumulators into the deterministic export
   /// form: phases sorted by name, counts / work / histogram buckets

@@ -90,11 +90,9 @@ private:
   std::vector<ReservedRange> Added;
 };
 
-/// One consumer's position in an EnvChangeLog. Sharded runs give every
-/// (flow, shard) job manager its own cursor, so each shard drains the
-/// shared log independently — concurrent drains are safe because the
-/// log is append-only, drains only read the suffix written before the
-/// tick barrier, and each cursor is owned by exactly one shard.
+/// One consumer's position in an EnvChangeLog. Every flow's job
+/// manager owns its own cursor, so each drains the shared append-only
+/// log independently.
 class EnvLogCursor {
 public:
   /// Invokes \p Fn on every range appended since the last drain and

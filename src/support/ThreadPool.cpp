@@ -60,17 +60,8 @@ void ThreadPool::workerLoop() {
 
 void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Body,
                              size_t MaxLanes) {
-  submitRange(0, N, Body, MaxLanes);
-}
-
-void ThreadPool::submitRange(size_t Begin, size_t End,
-                             const std::function<void(size_t)> &Body,
-                             size_t MaxLanes) {
-  if (Begin >= End)
-    return;
-  size_t N = End - Begin;
-  if (N == 1 || MaxLanes == 1) {
-    for (size_t I = Begin; I < End; ++I)
+  if (N <= 1 || MaxLanes == 1) {
+    for (size_t I = 0; I < N; ++I)
       Body(I);
     return;
   }
@@ -85,14 +76,12 @@ void ThreadPool::submitRange(size_t Begin, size_t End,
   struct Batch {
     std::atomic<size_t> Next{0};
     std::atomic<size_t> Done{0};
-    size_t Begin = 0;
     size_t N = 0;
     const std::function<void(size_t)> *Body = nullptr;
     std::mutex DoneMu;
     std::condition_variable AllDone;
   };
   auto B = std::make_shared<Batch>();
-  B->Begin = Begin;
   B->N = N;
   B->Body = &Body;
 
@@ -102,7 +91,7 @@ void ThreadPool::submitRange(size_t Begin, size_t End,
       size_t I = B->Next.fetch_add(1, std::memory_order_relaxed);
       if (I >= B->N)
         break;
-      (*B->Body)(B->Begin + I);
+      (*B->Body)(I);
       ++Finished;
     }
     if (Finished == 0)
@@ -118,7 +107,7 @@ void ThreadPool::submitRange(size_t Begin, size_t End,
 
   size_t Helpers;
   {
-    // One lock round-trip enqueues the helpers for the whole range.
+    // One lock round-trip enqueues the helpers for the whole batch.
     std::lock_guard<std::mutex> Lock(Mu);
     Helpers = std::min(Workers.size(), N - 1);
     if (MaxLanes != 0)

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A small reusable worker pool for embarrassingly parallel fan-out,
-/// built for `Strategy::build`'s independent variant generation and
-/// shared by any later job-flow parallelism. The central primitive is
+/// built for `Strategy::build`'s independent variant generation (the
+/// one parallelism knob, `--build-threads`). The central primitive is
 /// `parallelFor`: the calling thread *participates* in its own batch
 /// (claiming indices from a shared atomic), so a saturated — or empty —
 /// pool degrades to serial execution instead of deadlocking, and
@@ -59,15 +59,6 @@ public:
   /// calling thread; bodies must not throw. \p MaxLanes, when non-zero,
   /// caps the total lanes (helpers + caller) used for this batch.
   void parallelFor(size_t N, const std::function<void(size_t)> &Body,
-                   size_t MaxLanes = 0);
-
-  /// Batch submit: runs Body(Begin) .. Body(End - 1) with the same
-  /// claiming discipline as parallelFor, paying one queue lock
-  /// round-trip for the whole range instead of one per element — the
-  /// primitive per-tick admission batches are drained through. The
-  /// caller participates and the call blocks until the range is done.
-  void submitRange(size_t Begin, size_t End,
-                   const std::function<void(size_t)> &Body,
                    size_t MaxLanes = 0);
 
   /// The process-wide pool, sized to defaultThreads() - 1 workers (the

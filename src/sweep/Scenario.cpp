@@ -24,7 +24,6 @@ std::string cws::sweep::sweepAxisFlag(const std::string &Axis) {
       {"jobs", "--jobs"},
       {"invalidation", "--invalidation"},
       {"exec", "--exec"},
-      {"shards", "--shards"},
   };
   for (const auto &[Name, Flag] : Map)
     if (Axis == Name)
@@ -94,7 +93,7 @@ bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
       if (sweepAxisFlag(Axis.Name).empty())
         return Err("unknown axis '" + Axis.Name +
                    "' (arrival_scale, background_scale, fast_share, "
-                   "strategy, slack, jobs, invalidation, exec, shards)");
+                   "strategy, slack, jobs, invalidation, exec)");
       for (const SweepAxis &Prior : Out.Axes)
         if (Prior.Name == Axis.Name)
           return Err("duplicate axis '" + Axis.Name + "'");

@@ -8,8 +8,8 @@
 #
 # Pins the perf-trajectory acceptance properties end to end:
 #  1. BENCH_*.json work counters and config hashes are byte-identical
-#     across build-thread and shard counts (the determinism contract
-#     that makes the ratchet honest on any host);
+#     across build-thread counts (the determinism contract that makes
+#     the ratchet honest on any host);
 #  2. a clean `--against` rerun exits 0 — wall-time wobble never gates;
 #  3. an injected work-counter regression exits 1 and names the counter;
 #  4. tampering only with wall-time statistics still exits 0;
@@ -36,23 +36,21 @@ fail() {
 # a pure single-run workload.
 NAME=strategy_build_throughput
 
-#=== 1. Work counters are thread/shard invariant =========================#
+#=== 1. Work counters are thread invariant ================================#
 run_cell() {
-  # $1 = out dir, $2 = build threads, $3 = shards
-  CWS_BUILD_THREADS=$2 CWS_SHARDS=$3 \
+  # $1 = out dir, $2 = build threads
+  CWS_BUILD_THREADS=$2 \
     "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$1" > /dev/null \
-    || fail "bench run failed at threads=$2 shards=$3"
+    || fail "bench run failed at threads=$2"
   [ -f "$1/BENCH_$NAME.json" ] || fail "no BENCH_$NAME.json in $1"
 }
-run_cell "$TMP/t1s1" 1 1
-run_cell "$TMP/t4s1" 4 1
-run_cell "$TMP/t1s4" 1 4
-run_cell "$TMP/t4s4" 4 4
+run_cell "$TMP/t1" 1
+run_cell "$TMP/t4" 4
 
-# Strip the measured wall-time statistics and per-cell provenance
-# (shards, cli) and compare what must be deterministic: the identity
-# fields, every work-counter object (bench and per-phase), the phase
-# counts, and the check outcomes.
+# Strip the measured wall-time statistics and per-cell provenance (cli)
+# and compare what must be deterministic: the identity fields, every
+# work-counter object (bench and per-phase), the phase counts, and the
+# check outcomes.
 stable() {
   grep -o '"config_hash": "[^"]*"' "$1"
   grep -o '"seed": [0-9]*' "$1"
@@ -62,23 +60,21 @@ stable() {
   grep -o '"name": "[^"]*", "count": [0-9]*' "$1"
   grep -o '"what": "[^"]*", "pass": [a-z]*' "$1"
 }
-stable "$TMP/t1s1/BENCH_$NAME.json" > "$TMP/ref.stable"
-for CELL in t4s1 t1s4 t4s4; do
-  stable "$TMP/$CELL/BENCH_$NAME.json" > "$TMP/$CELL.stable"
-  cmp -s "$TMP/ref.stable" "$TMP/$CELL.stable" \
-    || fail "work counters diverged at cell $CELL"
-done
+stable "$TMP/t1/BENCH_$NAME.json" > "$TMP/ref.stable"
+stable "$TMP/t4/BENCH_$NAME.json" > "$TMP/t4.stable"
+cmp -s "$TMP/ref.stable" "$TMP/t4.stable" \
+  || fail "work counters diverged at 4 build threads"
 
 #=== 2. Clean rerun against the baseline exits 0 =========================#
 "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$TMP/new" \
-         --against "$TMP/t1s1" > "$TMP/clean.txt" \
+         --against "$TMP/t1" > "$TMP/clean.txt" \
   || fail "clean --against rerun gated (wall wobble must be advisory)"
 grep -q "$NAME" "$TMP/clean.txt" || fail "comparison output lacks the bench"
 
 #=== 3. Injected work regression exits 1 =================================#
 mkdir "$TMP/badwork"
 sed 's/"variants_total": *[0-9]*/"variants_total": 99999/' \
-    "$TMP/t1s1/BENCH_$NAME.json" > "$TMP/badwork/BENCH_$NAME.json"
+    "$TMP/t1/BENCH_$NAME.json" > "$TMP/badwork/BENCH_$NAME.json"
 STATUS=0
 "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$TMP/new2" \
          --against "$TMP/badwork" > "$TMP/reg.txt" || STATUS=$?
@@ -89,7 +85,7 @@ grep -q "variants_total" "$TMP/reg.txt" \
 #=== 4. Wall-time-only tamper stays advisory (exit 0) ====================#
 mkdir "$TMP/badwall"
 sed '/"wall_us"/,/}/s/\("mean": *\)[0-9.e+-]*/\19999999/' \
-    "$TMP/t1s1/BENCH_$NAME.json" > "$TMP/badwall/BENCH_$NAME.json"
+    "$TMP/t1/BENCH_$NAME.json" > "$TMP/badwall/BENCH_$NAME.json"
 "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$TMP/new3" \
          --against "$TMP/badwall" > /dev/null \
   || fail "wall-time-only shift gated; metrics must stay advisory"
@@ -97,7 +93,7 @@ sed '/"wall_us"/,/}/s/\("mean": *\)[0-9.e+-]*/\19999999/' \
 #=== 5. Identity mismatch is refused (exit 2) ============================#
 mkdir "$TMP/badhash"
 sed 's/"config_hash": *"0x/"config_hash": "0y/' \
-    "$TMP/t1s1/BENCH_$NAME.json" > "$TMP/badhash/BENCH_$NAME.json"
+    "$TMP/t1/BENCH_$NAME.json" > "$TMP/badhash/BENCH_$NAME.json"
 STATUS=0
 "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$TMP/new4" \
          --against "$TMP/badhash" > "$TMP/ref.txt" || STATUS=$?

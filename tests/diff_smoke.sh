@@ -5,16 +5,18 @@
 # Scheduling" (PaCT 2009). Distributed without any warranty.
 #
 # Usage: diff_smoke.sh <cws-sim> <cws-diff> <cws-explain> <cws-sched>
+#                      <cws-sweep>
 #
 # Pins the differential-analysis acceptance properties end to end:
-#  1. identical-workload runs at different shard counts and build-thread
-#     counts are a semantic fixed point (exit 0) even though the meta
-#     lines differ byte-wise;
+#  1. identical-workload runs at different build-thread counts are a
+#     semantic fixed point (exit 0) even though the meta lines differ
+#     byte-wise;
 #  2. an injected one-event divergence exits 1 and the Markdown report
 #     names the job id, the tick, and both cause chains;
 #  3. the exit-code convention holds: 2 on missing files, unknown
-#     flags, malformed artifacts, and bad flag values of cws-sim and
-#     cws-sched (never an abort, never a silent default);
+#     flags, malformed artifacts, bad flag values of cws-sim and
+#     cws-sched, and the removed shard knob (`--shards`, sweep axis
+#     `shards`) (never an abort, never a silent default);
 #  4. the baseline gate round-trips: a fresh MANIFEST passes, a
 #     divergent artifact fails with exit 1, a stale digest fails with 2;
 #  5. cws-explain --diff-job renders both timelines and the divergence.
@@ -26,6 +28,7 @@ SIM=$1
 DIFF=$2
 EXPLAIN=$3
 SCHED=$4
+SWEEP=$5
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -34,15 +37,15 @@ fail() {
   exit 1
 }
 
-#=== 1. Fixed point across shard / thread counts =========================#
-"$SIM" --jobs 12 --seed 5 --journal "$TMP/a.jsonl" \
+#=== 1. Fixed point across build-thread counts ===========================#
+"$SIM" --jobs 12 --seed 5 --build-threads 1 --journal "$TMP/a.jsonl" \
        --timeseries "$TMP/a.csv" > /dev/null
-"$SIM" --jobs 12 --seed 5 --shards 4 --build-threads 4 \
+"$SIM" --jobs 12 --seed 5 --build-threads 4 \
        --journal "$TMP/b.jsonl" --timeseries "$TMP/b.csv" > /dev/null
 "$DIFF" "$TMP/a.jsonl" "$TMP/b.jsonl" > /dev/null \
-  || fail "shard/thread count changed the journal semantics"
+  || fail "build-thread count changed the journal semantics"
 cmp -s "$TMP/a.jsonl" "$TMP/b.jsonl" \
-  && fail "meta lines should differ byte-wise (shards, cli)"
+  && fail "meta lines should differ byte-wise (cli)"
 
 #=== 2. Injected divergence is localized =================================#
 sed '0,/"kind":"commit"/s/"kind":"commit"/"kind":"reject"/' \
@@ -76,7 +79,7 @@ STATUS=0
   || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
 for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
-            "--build-threads -1"; do
+            "--build-threads -1" "--shards 4"; do
   STATUS=0
   "$SIM" $ARGS > /dev/null 2>&1 || STATUS=$?
   [ "$STATUS" -eq 2 ] || fail "cws-sim $ARGS exited $STATUS, expected 2"
@@ -90,6 +93,11 @@ for ARGS in "--strategy S9" "--build-threads -1" "--invalidation scan"; do
 done
 "$SCHED" --file "$TMP/one.cws" > /dev/null \
   || fail "cws-sched rejected a valid description"
+printf 'axis shards 1 4\nseeds 1\njobs 4\n' > "$TMP/shards.grid"
+STATUS=0
+"$SWEEP" --grid "$TMP/shards.grid" --out "$TMP/shards.csv" --quiet 1 \
+  > /dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "sweep axis shards exited $STATUS, expected 2"
 
 #=== 4. Baseline gate ====================================================#
 mkdir "$TMP/base"

@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// obs/Diff: the identical-run fixed point across build-thread / shard /
+// obs/Diff: the identical-run fixed point across build-thread /
 // invalidation-mode combinations, first-divergence localization of an
 // injected one-event change, the meta policy, series tolerance
 // classes, the sweep CI-overlap / quantile-shift verdicts with pinned
@@ -20,7 +20,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 using namespace cws;
@@ -34,15 +33,13 @@ protected:
   void TearDown() override { Journal::global().reset(); }
 };
 
-/// One journaled multi-flow run at the given parallelism knobs.
-std::string journaledRun(size_t Shards, size_t BuildThreads,
-                         InvalidationMode Mode) {
+/// One journaled multi-flow run at the given build-thread count.
+std::string journaledRun(size_t BuildThreads, InvalidationMode Mode) {
   VoConfig Config;
   Config.JobCount = 24;
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 6;
   Config.Invalidation = Mode;
-  Config.Shards = Shards;
   Config.Strategy.BuildThreads = BuildThreads;
   Journal &Jn = Journal::global();
   Jn.reset();
@@ -148,22 +145,15 @@ TEST(DiffGlob, MatchesStarsAnywhere) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(DiffTest, ParallelismKnobsAreASemanticFixedPoint) {
-  ASSERT_EQ(unsetenv("CWS_SHARDS"), 0);
   for (InvalidationMode Mode :
        {InvalidationMode::Scan, InvalidationMode::Index}) {
-    ParsedJournal Base = parsed(journaledRun(1, 1, Mode));
+    ParsedJournal Base = parsed(journaledRun(1, Mode));
     ASSERT_FALSE(Base.Events.empty());
-    for (size_t Shards : {size_t(1), size_t(4)})
-      for (size_t Threads : {size_t(1), size_t(4)}) {
-        if (Shards == 1 && Threads == 1)
-          continue;
-        ParsedJournal Other = parsed(journaledRun(Shards, Threads, Mode));
-        DiffResult R = diffJournals(Base, Other);
-        EXPECT_TRUE(R.identical())
-            << Shards << " shards, " << Threads << " threads, "
-            << (Mode == InvalidationMode::Scan ? "scan" : "index") << ": "
-            << renderDiffText(R, "base", "other");
-      }
+    ParsedJournal Other = parsed(journaledRun(4, Mode));
+    DiffResult R = diffJournals(Base, Other);
+    EXPECT_TRUE(R.identical())
+        << "4 threads, " << (Mode == InvalidationMode::Scan ? "scan" : "index")
+        << ": " << renderDiffText(R, "base", "other");
   }
 }
 

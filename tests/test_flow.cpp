@@ -9,12 +9,18 @@
 #include "flow/JobManager.h"
 #include "flow/Metascheduler.h"
 #include "flow/VirtualOrganization.h"
+#include "metrics/Export.h"
 #include "metrics/QoS.h"
+#include "obs/Journal.h"
+#include "obs/Metrics.h"
+#include "obs/Provenance.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <utility>
 
 using namespace cws;
 
@@ -31,6 +37,23 @@ struct FlowFixture {
 
   FlowFixture() { User = Econ.addUser(1e9); }
 };
+
+/// A journaled multi-flow run rendered as everything downstream
+/// consumers see: the journal JSONL plus every flow's per-job CSV.
+std::string journaledRunText(const VoConfig &Config,
+                             const std::vector<StrategyKind> &Kinds,
+                             uint64_t Seed) {
+  obs::Journal &Jn = obs::Journal::global();
+  Jn.reset();
+  Jn.enable();
+  std::vector<VoRunResult> Results = runMultiFlowVo(Config, Kinds, Seed);
+  Jn.disable();
+  std::string Text = Jn.jsonl();
+  Jn.reset();
+  for (const VoRunResult &R : Results)
+    Text += voStatsCsv(R.Jobs);
+  return Text;
+}
 
 } // namespace
 
@@ -365,5 +388,98 @@ TEST(VirtualOrganization, LoadPercentagesAreSane) {
     EXPECT_LE(R.JobLoadPercent[G], 100.0);
     EXPECT_GE(R.BackgroundLoadPercent[G], 0.0);
     EXPECT_LE(R.BackgroundLoadPercent[G], 100.0);
+  }
+}
+
+TEST(VirtualOrganization, PinnedDigestOfBurstyMultiFlowRuns) {
+  // The job-flow level's byte-identity oracle. Bursty arrivals put
+  // several jobs of competing flows into one tick's admission and commit
+  // drains, under both invalidation modes, execution with deviations and
+  // the rebuild reallocation mode. A change that is meant to leave every
+  // decision as it is must leave this constant as it is, at any
+  // CWS_BUILD_THREADS value.
+  obs::Counter &Batches =
+      obs::Registry::global().counter("cws_shard_admission_batches_total");
+  obs::Counter &Admitted =
+      obs::Registry::global().counter("cws_shard_admission_jobs_total");
+  const uint64_t Batches0 = Batches.value();
+  const uint64_t Admitted0 = Admitted.value();
+
+  VoConfig Base;
+  Base.JobCount = 36;
+  Base.InterarrivalLo = 0;
+  Base.InterarrivalHi = 6;
+  const std::vector<StrategyKind> TwoFlows = {StrategyKind::S1,
+                                              StrategyKind::S3};
+  const std::vector<StrategyKind> FourFlows = {
+      StrategyKind::S1, StrategyKind::S2, StrategyKind::S3,
+      StrategyKind::MS1};
+  std::string Text;
+  for (const std::vector<StrategyKind> *Kinds : {&TwoFlows, &FourFlows})
+    for (uint64_t Seed : {3u, 7u, 11u})
+      for (InvalidationMode Mode :
+           {InvalidationMode::Scan, InvalidationMode::Index}) {
+        VoConfig Config = Base;
+        Config.Invalidation = Mode;
+        Text += journaledRunText(Config, *Kinds, Seed);
+      }
+  VoConfig Exec = Base;
+  Exec.ExecuteWithDeviations = true;
+  Text += journaledRunText(Exec, FourFlows, /*Seed=*/5);
+  VoConfig Rebuild = Base;
+  Rebuild.Reallocation = ReallocationMode::Rebuild;
+  Text += journaledRunText(Rebuild, FourFlows, /*Seed=*/7);
+
+  // The drains really batch: more jobs than admission drains.
+  EXPECT_GT(Admitted.value() - Admitted0, Batches.value() - Batches0);
+  EXPECT_EQ(obs::fnv1a64(Text), 0xc7dd602c379191f5ULL)
+      << Text.size() << " bytes";
+}
+
+TEST(VirtualOrganization, QuotaHoldsAcrossASameTickCommitDrain) {
+  // Commits of one flow that land in one end-of-tick drain each see the
+  // debits of those before them. With a quota worth a handful of jobs,
+  // a commit is denied right behind a same-tick commit of its own flow,
+  // and no flow ever spends more than its quota.
+  VoConfig Config;
+  Config.JobCount = 36;
+  Config.InterarrivalLo = 0;
+  Config.InterarrivalHi = 3;
+  Config.UserQuota = 700.0;
+  obs::Journal &Jn = obs::Journal::global();
+  Jn.reset();
+  Jn.enable();
+  std::vector<VoRunResult> Results =
+      runMultiFlowVo(Config, {StrategyKind::S1, StrategyKind::S3}, 7);
+  Jn.disable();
+  std::vector<obs::JournalEvent> Events = Jn.snapshot();
+  Jn.reset();
+
+  // (flow, tick) pairs that already saw a successful commit attempt.
+  std::set<std::pair<int32_t, int64_t>> Charged;
+  size_t Denied = 0, DeniedBehindSameTickCommit = 0;
+  for (const obs::JournalEvent &E : Events) {
+    if (E.Kind != obs::JournalKind::CommitAttempt || !E.Detail)
+      continue;
+    if (std::strcmp(E.Detail, "ok") == 0) {
+      Charged.insert({E.FlowId, E.At});
+    } else if (std::strcmp(E.Detail, "quota-denied") == 0) {
+      ++Denied;
+      DeniedBehindSameTickCommit += Charged.count({E.FlowId, E.At});
+    }
+  }
+  EXPECT_GT(Denied, 0u);
+  EXPECT_GT(DeniedBehindSameTickCommit, 0u);
+
+  for (const VoRunResult &R : Results) {
+    double Spent = 0.0;
+    size_t Committed = 0;
+    for (const VoJobStats &St : R.Jobs)
+      if (St.Committed) {
+        Spent += St.Cost;
+        ++Committed;
+      }
+    EXPECT_GT(Committed, 0u);
+    EXPECT_LE(Spent, Config.UserQuota + 1e-9);
   }
 }

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 //
 // The hierarchical phase profiler: nesting and self-time accounting,
-// deterministic cross-thread merge, the disabled fast path, cross-
-// thread work attachment, the JSON round trip, metric publication, the
-// Chrome-trace fragment, and shard/thread invariance of the counts and
-// work counters a profiled VO run accumulates.
+// deterministic cross-thread merge, the disabled fast path, the JSON
+// round trip, metric publication, the Chrome-trace fragment, and
+// build-thread invariance of the counts and work counters a profiled
+// VO run accumulates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -112,7 +112,6 @@ TEST_F(ProfilerTest, DisabledPathRecordsNothing) {
     CWS_PHASE("ghost");
     PhaseScope S("ghost.child");
     S.work("units", 5);
-    P.addWork("ghost", "units", 7);
   }
   EXPECT_TRUE(P.snapshot().empty());
   EXPECT_EQ(P.chromeTraceEvents(), "");
@@ -125,12 +124,11 @@ TEST_F(ProfilerTest, CrossThreadMergeIsDeterministic) {
   constexpr int Reps = 25;
   std::vector<std::thread> Pool;
   for (int T = 0; T < Threads; ++T)
-    Pool.emplace_back([&P] {
+    Pool.emplace_back([] {
       for (int I = 0; I < Reps; ++I) {
         CWS_PHASE("worker.lane");
         PhaseScope S("worker.lane.child");
         S.work("units", 2);
-        P.addWork("worker.lane", "attached", 3);
       }
     });
   for (std::thread &T : Pool)
@@ -141,34 +139,12 @@ TEST_F(ProfilerTest, CrossThreadMergeIsDeterministic) {
   const PhaseStats *Lane = find(S, "worker.lane");
   ASSERT_NE(Lane, nullptr);
   EXPECT_EQ(Lane->Count, uint64_t(Threads * Reps));
-  const uint64_t *Attached = Lane->work("attached");
-  ASSERT_NE(Attached, nullptr);
-  EXPECT_EQ(*Attached, uint64_t(3 * Threads * Reps));
   const PhaseStats *Child = find(S, "worker.lane.child");
   ASSERT_NE(Child, nullptr);
   EXPECT_EQ(Child->Count, uint64_t(Threads * Reps));
   const uint64_t *Units = Child->work("units");
   ASSERT_NE(Units, nullptr);
   EXPECT_EQ(*Units, uint64_t(2 * Threads * Reps));
-}
-
-TEST_F(ProfilerTest, AddWorkWithoutOpenScopeLandsInMergedPhase) {
-  Profiler &P = Profiler::global();
-  P.enable();
-  {
-    CWS_PHASE("caller.side");
-  }
-  // A worker lane attaches work to a phase it never opened.
-  std::thread([&P] { P.addWork("caller.side", "fanout", 11); }).join();
-  P.disable();
-
-  std::vector<PhaseStats> S = P.snapshot();
-  const PhaseStats *Phase = find(S, "caller.side");
-  ASSERT_NE(Phase, nullptr);
-  EXPECT_EQ(Phase->Count, 1u);
-  const uint64_t *Fanout = Phase->work("fanout");
-  ASSERT_NE(Fanout, nullptr);
-  EXPECT_EQ(*Fanout, 11u);
 }
 
 TEST_F(ProfilerTest, JsonRoundTrip) {
@@ -260,7 +236,7 @@ TEST_F(ProfilerTest, ChromeTraceFragment) {
 /// Counts and work counters of a profiled VO run, wall time stripped.
 std::map<std::string, std::pair<uint64_t, std::vector<std::pair<
                                               std::string, uint64_t>>>>
-profiledVoWork(size_t Shards, size_t BuildThreads) {
+profiledVoWork(size_t BuildThreads) {
   Profiler &P = Profiler::global();
   P.reset();
   P.enable();
@@ -268,7 +244,6 @@ profiledVoWork(size_t Shards, size_t BuildThreads) {
   Config.JobCount = 24;
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 4;
-  Config.Shards = Shards;
   Config.Strategy.BuildThreads = BuildThreads;
   runVirtualOrganization(Config, StrategyKind::S1, /*Seed=*/5);
   P.disable();
@@ -281,21 +256,14 @@ profiledVoWork(size_t Shards, size_t BuildThreads) {
   return Out;
 }
 
-TEST_F(ProfilerTest, VoRunCountsAreShardAndThreadInvariant) {
-  auto Reference = profiledVoWork(/*Shards=*/1, /*BuildThreads=*/1);
+TEST_F(ProfilerTest, VoRunCountsAreThreadInvariant) {
+  auto Reference = profiledVoWork(/*BuildThreads=*/1);
   ASSERT_FALSE(Reference.empty());
   EXPECT_TRUE(Reference.count("sim.tick"));
   EXPECT_TRUE(Reference.count("chain.dp"));
   EXPECT_TRUE(Reference.count("strategy.build"));
-  for (size_t Shards : {size_t(1), size_t(4)})
-    for (size_t BuildThreads : {size_t(1), size_t(4)}) {
-      if (Shards == 1 && BuildThreads == 1)
-        continue;
-      auto Got = profiledVoWork(Shards, BuildThreads);
-      EXPECT_EQ(Got, Reference)
-          << "profile diverged at shards=" << Shards
-          << " build_threads=" << BuildThreads;
-    }
+  EXPECT_EQ(profiledVoWork(/*BuildThreads=*/4), Reference)
+      << "profile diverged at build_threads=4";
 }
 
 } // namespace

@@ -63,7 +63,7 @@ const Placement &latestPlacement(const ScheduleVariant &V) {
 
 /// One journaled single-flow run; returns the raw journal bytes.
 std::string voJournal(ReallocationMode Realloc, InvalidationMode Inval,
-                      size_t Shards, size_t BuildThreads, uint64_t Seed) {
+                      size_t BuildThreads, uint64_t Seed) {
   VoConfig Config;
   Config.JobCount = 36;
   // Bursty arrivals: overlapping active jobs make reallocations (and
@@ -72,7 +72,6 @@ std::string voJournal(ReallocationMode Realloc, InvalidationMode Inval,
   Config.InterarrivalHi = 6;
   Config.Reallocation = Realloc;
   Config.Invalidation = Inval;
-  Config.Shards = Shards;
   Config.Strategy.BuildThreads = BuildThreads;
   obs::Journal &Jn = obs::Journal::global();
   Jn.reset();
@@ -243,7 +242,7 @@ TEST_F(ReallocRepairTest, RepairJournalRecordsAStagePerReallocation) {
   obs::ParsedJournal J;
   std::string Error;
   ASSERT_TRUE(obs::parseJournalJsonl(
-      voJournal(ReallocationMode::Repair, InvalidationMode::Index, 1, 1, 7),
+      voJournal(ReallocationMode::Repair, InvalidationMode::Index, 1, 7),
       J, Error))
       << Error;
   size_t Reallocates = 0, Stages = 0;
@@ -272,7 +271,7 @@ TEST_F(ReallocRepairTest, RepairJournalRecordsAStagePerReallocation) {
 
 TEST_F(ReallocRepairTest, RebuildJournalHasNoRepairEvents) {
   std::string Journal =
-      voJournal(ReallocationMode::Rebuild, InvalidationMode::Index, 1, 1, 7);
+      voJournal(ReallocationMode::Rebuild, InvalidationMode::Index, 1, 7);
   obs::ParsedJournal J;
   std::string Error;
   ASSERT_TRUE(obs::parseJournalJsonl(Journal, J, Error)) << Error;
@@ -293,17 +292,16 @@ TEST_F(ReallocRepairTest, JournalsAreParallelismInvariantPerMode) {
   for (ReallocationMode Mode :
        {ReallocationMode::Repair, ReallocationMode::Rebuild}) {
     for (uint64_t Seed : {3u, 11u}) {
-      std::string Base =
-          voJournal(Mode, InvalidationMode::Index, 1, 1, Seed);
+      std::string Base = voJournal(Mode, InvalidationMode::Index, 1, Seed);
       ASSERT_FALSE(Base.empty());
-      // The invalidation oracle, worker shards and build threads may
-      // change who computes what — never what happens.
-      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Scan, 1, 1, Seed))
+      // The invalidation oracle and build threads may change who
+      // computes what — never what happens.
+      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Scan, 1, Seed))
           << "scan vs index, seed " << Seed;
-      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Index, 4, 1, Seed))
-          << "4 shards, seed " << Seed;
-      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Scan, 4, 4, Seed))
-          << "scan, 4 shards, 4 build threads, seed " << Seed;
+      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Index, 4, Seed))
+          << "4 build threads, seed " << Seed;
+      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Scan, 4, Seed))
+          << "scan, 4 build threads, seed " << Seed;
     }
   }
 }

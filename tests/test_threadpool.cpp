@@ -136,54 +136,4 @@ TEST(ThreadPool, GlobalPoolIsASingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
 }
 
-TEST(ThreadPool, SubmitRangeCoversTheHalfOpenInterval) {
-  ThreadPool Pool(3);
-  constexpr size_t Begin = 17, End = 412;
-  std::vector<std::atomic<int>> Hits(End);
-  Pool.submitRange(Begin, End, [&Hits](size_t I) {
-    Hits[I].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (size_t I = 0; I < End; ++I)
-    EXPECT_EQ(Hits[I].load(), I >= Begin ? 1 : 0) << "index " << I;
-}
-
-TEST(ThreadPool, SubmitRangeEmptyAndReversedRangesRunNothing) {
-  ThreadPool Pool(2);
-  size_t Ran = 0;
-  Pool.submitRange(5, 5, [&Ran](size_t) { ++Ran; });
-  Pool.submitRange(9, 3, [&Ran](size_t) { ++Ran; });
-  EXPECT_EQ(Ran, 0u);
-}
-
-TEST(ThreadPool, SubmitRangeSerialLaneStaysOnTheCaller) {
-  // MaxLanes = 1 is the 1-shard drain: the batch must run entirely on
-  // the calling thread, in ascending index order.
-  ThreadPool Pool(4);
-  std::thread::id Caller = std::this_thread::get_id();
-  bool AllOnCaller = true;
-  std::vector<size_t> Order;
-  Pool.submitRange(
-      3, 40,
-      [&](size_t I) {
-        if (std::this_thread::get_id() != Caller)
-          AllOnCaller = false;
-        Order.push_back(I);
-      },
-      /*MaxLanes=*/1);
-  EXPECT_TRUE(AllOnCaller);
-  ASSERT_EQ(Order.size(), 37u);
-  for (size_t I = 0; I < Order.size(); ++I)
-    EXPECT_EQ(Order[I], I + 3);
-}
-
-TEST(ThreadPool, SubmitRangeGrowsThePoolLikeParallelFor) {
-  ThreadPool Pool(0);
-  std::atomic<size_t> Ran{0};
-  Pool.submitRange(
-      0, 16, [&Ran](size_t) { Ran.fetch_add(1, std::memory_order_relaxed); },
-      /*MaxLanes=*/4);
-  EXPECT_EQ(Ran.load(), 16u);
-  EXPECT_EQ(Pool.threadCount(), 3u); // 3 helpers + the caller.
-}
-
 } // namespace

@@ -10,7 +10,7 @@
 /// command line and report QoS aggregates or a per-job CSV. Usage:
 ///
 ///   cws-sim [--strategy S1|S2|S3|MS1] [--jobs N] [--seed S]
-///           [--slack X] [--csv 1] [--build-threads N] [--shards N]
+///           [--slack X] [--csv 1] [--build-threads N]
 ///           [--trace out.json] [--trace-categories core,flow]
 ///           [--metrics out.prom] [--journal run.jsonl]
 ///           [--timeseries ts.csv] [--sample-every N]
@@ -64,12 +64,6 @@ int main(int Argc, char **Argv) {
   F.addInt("build-threads", &BuildThreads,
            "worker lanes for strategy builds (0 = hardware concurrency / "
            "CWS_BUILD_THREADS, 1 = serial)",
-           /*AtLeast=*/0);
-  int64_t Shards = 0;
-  F.addInt("shards", &Shards,
-           "worker shards of the job-flow level: parallel ingest and "
-           "tender evaluation, results byte-identical at any value "
-           "(0 = CWS_SHARDS env, 1 when unset)",
            /*AtLeast=*/0);
   Obs.addFlags(F);
   F.addInt("sample-every", &SampleEvery,
@@ -132,7 +126,6 @@ int main(int Argc, char **Argv) {
                             ? ReallocationMode::Rebuild
                             : ReallocationMode::Repair;
   Config.RepairOracle = RepairOracle;
-  Config.Shards = static_cast<size_t>(Shards);
   // Sweep axes. Gaps scale by 1/factor so a scale of 2 means twice the
   // arrival rate / background pressure; max(1, ...) keeps gaps legal.
   auto ScaleGap = [](Tick Gap, double Scale) {
@@ -165,7 +158,7 @@ int main(int Argc, char **Argv) {
   Prov.Seed = static_cast<uint64_t>(Seed);
   Prov.ConfigHash = obs::configHashOf(voConfigCanonical(Config, Kind));
   Prov.ScenarioId = Scenario;
-  Prov.Shards = static_cast<int64_t>(resolveShardCount(Config.Shards));
+  Prov.Shards = static_cast<int64_t>(resolveShardCount(0));
   Prov.Cli = obs::cliStringOf(Argc, Argv);
   obs::TimeSeriesConfig Sampling;
   if (SampleEvery > 0)

@@ -55,13 +55,13 @@ echo "update-baselines: wrote $OUT/{example.journal.jsonl,example.ts.csv,MANIFES
 # advisory in the ratchet anyway, and only the deterministic work
 # counters / checks gate, so a single rep is exactly as strong and much
 # faster. Run with pinned parallelism so the recorded provenance is
-# stable (the ratchet allows shards/cli to differ regardless).
+# stable (the ratchet allows cli to differ regardless).
 [ -x "$BUILD/tools/cws-bench" ] || {
   echo "update-baselines: $BUILD/tools/cws-bench missing;" \
        "build first (cmake --build $BUILD -j)" >&2
   exit 2
 }
-CWS_BUILD_THREADS=1 CWS_SHARDS=1 \
+CWS_BUILD_THREADS=1 \
   "$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$OUT/bench" \
   > /dev/null
 
