@@ -64,10 +64,6 @@ void BenchContext::setExecSeed(uint64_t S) {
   ExecSeedSet = true;
 }
 
-void BenchContext::setInvalidation(const std::string &Mode) {
-  Invalidation = Mode;
-}
-
 void BenchContext::setWork(const std::string &Counter, uint64_t Value) {
   if (!Measured)
     return;
@@ -190,7 +186,6 @@ struct BenchRunner {
     Run.Prov.Shards = static_cast<int64_t>(resolveShardCount(0));
     Run.Prov.Cli = Cli;
     Run.ExecSeed = Ctx.ExecSeedSet ? Ctx.ExecSeed : Ctx.Seed;
-    Run.Invalidation = Ctx.Invalidation;
     return Run;
   }
 };
@@ -238,7 +233,6 @@ std::string BenchRun::json() const {
   S += ", \"config_hash\": " + json::quote(Prov.ConfigHash);
   S += ", \"scenario\": " + json::quote(Prov.ScenarioId);
   S += ", \"shards\": " + std::to_string(Prov.Shards);
-  S += ", \"invalidation\": " + json::quote(Invalidation);
   S += ", \"cli\": " + json::quote(Prov.Cli) + "},\n";
   S += "  \"reps\": " + std::to_string(Reps) + ",\n";
   S += "  \"warmup\": " + std::to_string(Warmup) + ",\n";
@@ -304,7 +298,6 @@ bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
   Out.Cli = P.Cli;
   Out.Shards = P.Shards;
   Prov->getUint("exec_seed", Out.ExecSeed);
-  Prov->getString("invalidation", Out.Invalidation);
   Doc.getInt("reps", Out.Reps);
   Doc.getInt("warmup", Out.Warmup);
 
@@ -454,7 +447,6 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
   Identity("seed", std::to_string(Base.Seed), std::to_string(New.Seed));
   Identity("exec_seed", std::to_string(Base.ExecSeed),
            std::to_string(New.ExecSeed));
-  Identity("invalidation", Base.Invalidation, New.Invalidation);
   if (!R.Mismatched.empty()) {
     R.Verdict = BenchVerdict::Refused;
     return R;
@@ -538,8 +530,7 @@ std::string cws::bench::renderBenchRun(const BenchRun &Run) {
   Out << "bench " << Run.Info->Name << ": " << Run.Info->Description << "\n";
   Out << "  reps " << Run.Reps << " (+" << Run.Warmup << " warmup), seed "
       << Run.Prov.Seed << ", exec seed " << Run.ExecSeed << ", shards "
-      << Run.Prov.Shards << ", invalidation " << Run.Invalidation
-      << ", config " << Run.Prov.ConfigHash << "\n";
+      << Run.Prov.Shards << ", config " << Run.Prov.ConfigHash << "\n";
   if (!Run.Work.empty()) {
     Table W({"work counter", "value"});
     for (const auto &P : Run.Work)

@@ -14,8 +14,8 @@
 /// bench carrying:
 ///
 ///  - a provenance stamp (seed, exec seed, config hash, scenario,
-///    shards, invalidation mode, CLI) — the same fail-loudly identity
-///    `cws-sweep` pooling applies;
+///    shards, CLI) — the same fail-loudly identity `cws-sweep` pooling
+///    applies;
 ///  - **work counters**: deterministic per-run quantities (placements
 ///    re-validated, DP labels kept, variants built). The harness checks
 ///    them stable across repetitions and `cws-bench --against` gates on
@@ -87,7 +87,7 @@ struct BenchRegistrar {
 
 /// Declares and registers a bench body:
 ///
-///   CWS_BENCH(env_invalidation, "what one env change costs", 3, 1,
+///   CWS_BENCH(realloc_repair, "reallocation cost and stage mix", 3, 1,
 ///             /*Profile=*/true) {
 ///     Ctx.setSeed(7);
 ///     ...
@@ -123,8 +123,6 @@ public:
   /// workload seed; VO benches pass the root seed the per-job
   /// execution PRNGs fork from).
   void setExecSeed(uint64_t S);
-  /// Invalidation mode stamped into provenance ("index" by default).
-  void setInvalidation(const std::string &Mode);
 
   /// Records a deterministic work counter. Values must agree across
   /// measured repetitions; a disagreement records a failed
@@ -143,7 +141,6 @@ private:
   uint64_t Seed = 0;
   uint64_t ExecSeed = 0;
   bool ExecSeedSet = false;
-  std::string Invalidation = "index";
   std::vector<std::pair<std::string, uint64_t>> Work;
   std::map<std::string, double> RepMetrics;
   std::vector<CheckOutcome> Checks;
@@ -155,7 +152,6 @@ struct BenchRun {
   const BenchInfo *Info = nullptr;
   obs::RunProvenance Prov;
   uint64_t ExecSeed = 0;
-  std::string Invalidation;
   int Reps = 0;
   int Warmup = 0;
   /// Sorted by counter name.
@@ -187,7 +183,6 @@ struct ParsedBench {
   uint64_t ExecSeed = 0;
   std::string ConfigHash;
   std::string Scenario;
-  std::string Invalidation;
   std::string Cli;
   int64_t Shards = 0;
   int64_t Reps = 0;
@@ -233,9 +228,9 @@ struct BenchCompareResult {
 };
 
 /// Compares \p New against \p Base. Identity fields (config hash,
-/// scenario, seed, exec seed, invalidation) must match or the verdict
-/// is Refused; shard count and CLI text may differ (committed BENCH
-/// files record a shard count, which is now always 1). Work counters
+/// scenario, seed, exec seed) must match or the verdict is Refused;
+/// shard count and CLI text may differ (committed BENCH files record a
+/// shard count, which is now always 1). Work counters
 /// and checks gate; metric statistics are tested with the CI-overlap
 /// (|meanA - meanB| <= ci95A + ci95B) and relative quantile-shift
 /// (tolerance \p QuantileShiftTol) rules of `obs/Diff` but only ever

@@ -11,7 +11,6 @@
 #include "job/Job.h"
 #include "resource/DataPolicy.h"
 #include "resource/Grid.h"
-#include "resource/SlotIndex.h"
 #include "support/Check.h"
 
 #include <algorithm>

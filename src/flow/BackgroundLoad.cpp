@@ -58,8 +58,6 @@ void BackgroundLoad::scheduleNext(unsigned NodeId, Tick Until) {
           "cws_env_changes_total",
           "background placements that changed the environment");
       EnvChanges.add();
-      if (ChangeLog)
-        ChangeLog->noteAdded(NodeId, Start, Start + Dur);
       // Journal the change before the observer runs: invalidations it
       // finds then auto-attribute their trigger to this event.
       obs::Journal &Jn = obs::Journal::global();

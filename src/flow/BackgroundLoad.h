@@ -19,7 +19,6 @@
 #define CWS_FLOW_BACKGROUNDLOAD_H
 
 #include "resource/Grid.h"
-#include "resource/SlotIndex.h"
 #include "sim/Simulator.h"
 #include "support/Prng.h"
 
@@ -59,11 +58,6 @@ public:
 
   void setObserver(std::function<void(Tick)> Fn) { Observer = std::move(Fn); }
 
-  /// When set, every placed background reservation is appended to
-  /// \p Log before the observer fires, so index-mode managers know
-  /// exactly which (node, interval) ranges this change touched.
-  void setEnvChangeLog(EnvChangeLog *Log) { ChangeLog = Log; }
-
   /// Background jobs actually placed so far.
   size_t placed() const { return Placed; }
 
@@ -76,7 +70,6 @@ private:
   BackgroundConfig Config;
   Prng Rng;
   std::function<void(Tick)> Observer;
-  EnvChangeLog *ChangeLog = nullptr;
   size_t Placed = 0;
 };
 

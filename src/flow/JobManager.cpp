@@ -52,10 +52,8 @@ struct FlowMetrics {
   }
 };
 
-/// Instruments of the two invalidation paths. The scan triple sizes
-/// the full re-validation pass (the ROADMAP hotspot); the index side
-/// measures what the slot-index intersection pass looked at instead,
-/// so a run report can show them next to each other.
+/// Instruments of the invalidation pass: how many negotiating
+/// strategies and placements each environment change re-validated.
 struct EnvMetrics {
   obs::Counter &ScanJobs = obs::Registry::global().counter(
       "cws_env_scan_jobs_total",
@@ -67,18 +65,6 @@ struct EnvMetrics {
       "cws_env_scan_size",
       {8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0, 32768.0},
       "placements scanned per environment change");
-  obs::Counter &IndexCandidates = obs::Registry::global().counter(
-      "cws_env_index_candidates_total",
-      "jobs whose indexed slots intersected a changed range");
-  obs::Counter &IndexIntersections = obs::Registry::global().counter(
-      "cws_env_index_intersections_total",
-      "indexed slots intersected by changed ranges");
-  obs::Counter &IndexPlacements = obs::Registry::global().counter(
-      "cws_env_index_placements_total",
-      "placements re-validated by the slot-index intersection pass");
-  obs::Gauge &IndexSlots = obs::Registry::global().gauge(
-      "cws_env_index_slots",
-      "reserved slots currently indexed across open strategies");
   static EnvMetrics &get() {
     static EnvMetrics M;
     return M;
@@ -188,10 +174,8 @@ bool JobManager::onArrival(const Job &J, Tick Now) {
   }
   M.Admissible.add();
   ActiveJob A{J, std::move(S), Stats.size() - 1, ForecastVariant};
-  auto [Slot, Inserted] = Active.emplace(J.id(), std::move(A));
+  bool Inserted = Active.emplace(J.id(), std::move(A)).second;
   CWS_CHECK(Inserted, "duplicate job id in the flow");
-  if (Mode == InvalidationMode::Index)
-    indexJob(J.id(), Slot->second);
   return true;
 }
 
@@ -205,9 +189,6 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now) {
   ActiveJob &A = It->second;
   VoJobStats &St = statsOf(A);
   OwnerId Owner = Metascheduler::ownerOf(JobId);
-  // Negotiation always ends the open phase (committed or rejected), so
-  // the job leaves the intersection index either way.
-  deindexJob(JobId);
 
   const ScheduleVariant *Pick = nullptr;
   {
@@ -403,7 +384,13 @@ size_t JobManager::inFlightCount() const {
   return N;
 }
 
-void JobManager::invalidateJob(unsigned JobId, ActiveJob &A, Tick Now) {
+uint64_t JobManager::revalidate(unsigned JobId, ActiveJob &A, Tick Now) {
+  uint64_t Placements = 0;
+  for (const ScheduleVariant &V : A.S.variants())
+    if (V.feasible())
+      Placements += V.Result.Dist.placements().size();
+  if (A.S.bestFitting(Meta.grid(), Metascheduler::ownerOf(JobId)))
+    return Placements;
   VoJobStats &St = statsOf(A);
   St.Ttl = Now - St.Arrival;
   St.TtlClosed = true;
@@ -415,93 +402,19 @@ void JobManager::invalidateJob(unsigned JobId, ActiveJob &A, Tick Now) {
   obs::Journal &Jn = obs::Journal::global();
   if (Jn.enabled())
     journalInvalidate(Jn, A.S, Meta.grid(), JobId, Now, St.Ttl);
-  deindexJob(JobId);
-}
-
-uint64_t JobManager::revalidate(unsigned JobId, ActiveJob &A, Tick Now) {
-  uint64_t Placements = 0;
-  for (const ScheduleVariant &V : A.S.variants())
-    if (V.feasible())
-      Placements += V.Result.Dist.placements().size();
-  if (!A.S.bestFitting(Meta.grid(), Metascheduler::ownerOf(JobId))) {
-    // A committed schedule's reservations are pinned — later background
-    // load cannot break it, so a stale variant list (e.g. after a
-    // shift-recovery) must not close the TTL early or count as an
-    // invalidation.
-    if (!A.Committed)
-      invalidateJob(JobId, A, Now);
-  }
   return Placements;
 }
 
 uint64_t JobManager::onEnvironmentChange(Tick Now) {
-  EnvMetrics &EM = EnvMetrics::get();
-  EnvChangeLog *Log = Meta.envChangeLog();
-  if (Mode == InvalidationMode::Index && Log) {
-    // Event-driven pass: drain the ranges added since the last check
-    // and re-validate only the (job, variant) slots they intersect. A
-    // strategy is built against the environment it sees, so a feasible
-    // variant can only break when a *later* reservation overlaps one
-    // of its placements — and every such reservation is in the log
-    // (background placements and commits alike) while reservations are
-    // never released mid-run. An un-intersected variant therefore
-    // still fits, and a job is stale exactly when its last live
-    // variant is confirmed broken — the same verdict the full scan
-    // reaches, in the same (ascending job id) order.
-    std::vector<SlotRef> Hits;
-    uint64_t Intersections = 0;
-    LogCursor.drain(*Log, [&](const ReservedRange &R) {
-      Intersections += Index.collect(R.NodeId, R.Begin, R.End, Hits);
-    });
-    if (Hits.empty())
-      return 0;
-    std::sort(Hits.begin(), Hits.end(),
-              [](const SlotRef &A, const SlotRef &B) {
-                return A.JobId != B.JobId ? A.JobId < B.JobId
-                                          : A.Variant < B.Variant;
-              });
-    uint64_t Placements = 0, Candidates = 0;
-    for (size_t I = 0; I < Hits.size();) {
-      unsigned JobId = Hits[I].JobId;
-      auto It = Active.find(JobId);
-      CWS_CHECK(It != Active.end(), "slot index tracks a retired job");
-      ActiveJob &A = It->second;
-      ++Candidates;
-      for (; I < Hits.size() && Hits[I].JobId == JobId; ++I) {
-        unsigned Variant = Hits[I].Variant;
-        if (I > 0 && Hits[I - 1].JobId == JobId &&
-            Hits[I - 1].Variant == Variant)
-          continue; // duplicate (several ranges hit the same variant)
-        const ScheduleVariant &V = A.S.variants()[Variant];
-        Placements += V.Result.Dist.placements().size();
-        if (V.Result.Dist.fitsGrid(Meta.grid(),
-                                   Metascheduler::ownerOf(JobId)))
-          continue; // bucket-level near miss; the variant still fits
-        size_t Dropped = Index.removeVariant(JobId, Variant);
-        if (Dropped)
-          EM.IndexSlots.sub(static_cast<int64_t>(Dropped));
-        CWS_CHECK(A.LiveFeasible > 0, "broken variant count underflow");
-        --A.LiveFeasible;
-      }
-      if (A.LiveFeasible == 0)
-        invalidateJob(JobId, A, Now);
-    }
-    EM.IndexCandidates.add(Candidates);
-    EM.IndexIntersections.add(Intersections);
-    EM.IndexPlacements.add(Placements);
-    return Placements;
-  }
-  // The full scan (differential-testing oracle, and the fallback when
-  // no env-change log is wired): re-validate every TTL-open strategy
-  // placement by placement — O(active x variants x placements) per
-  // change, committed in-flight jobs included even though they can
-  // never invalidate. That wasted work is the baseline the index is
-  // measured against. Sorted job order keeps the scan's journal
-  // byte-identical to the index path's.
+  // Re-validate every strategy still negotiating, in ascending job id
+  // so the journal order is fixed. Committed jobs are skipped: their
+  // reservations are pinned, so later background load cannot break
+  // them, and a stale variant list (e.g. after a shift-recovery) must
+  // not close the TTL early or count as an invalidation.
   std::vector<unsigned> Open;
   Open.reserve(Active.size());
   for (auto &[JobId, A] : Active)
-    if (!statsOf(A).TtlClosed)
+    if (!A.Committed && !statsOf(A).TtlClosed)
       Open.push_back(JobId);
   if (Open.empty())
     return 0; // Nothing scanned: keep the size histogram honest.
@@ -509,6 +422,7 @@ uint64_t JobManager::onEnvironmentChange(Tick Now) {
   uint64_t Placements = 0;
   for (unsigned JobId : Open)
     Placements += revalidate(JobId, Active.find(JobId)->second, Now);
+  EnvMetrics &EM = EnvMetrics::get();
   EM.ScanJobs.add(Open.size());
   EM.ScanPlacements.add(Placements);
   EM.ScanSize.observe(static_cast<double>(Placements));
@@ -534,28 +448,6 @@ void JobManager::onCompletion(unsigned JobId, Tick Now) {
   if (Jn.enabled())
     Jn.append(obs::JournalKind::Complete, JobId, Now, {{"ttl", St.Ttl}});
   maybeRetire(JobId);
-}
-
-void JobManager::indexJob(unsigned JobId, ActiveJob &A) {
-  size_t Before = Index.slotCount();
-  const std::vector<ScheduleVariant> &Variants = A.S.variants();
-  for (size_t V = 0; V < Variants.size(); ++V) {
-    if (!Variants[V].feasible())
-      continue;
-    ++A.LiveFeasible;
-    for (const Placement &P : Variants[V].Result.Dist.placements())
-      Index.add(JobId, static_cast<unsigned>(V), P.NodeId, P.Start, P.End);
-  }
-  // The gauge is global while each manager owns its index, so publish
-  // deltas, not absolute sizes.
-  EnvMetrics::get().IndexSlots.add(
-      static_cast<int64_t>(Index.slotCount() - Before));
-}
-
-void JobManager::deindexJob(unsigned JobId) {
-  size_t Removed = Index.remove(JobId);
-  if (Removed)
-    EnvMetrics::get().IndexSlots.sub(static_cast<int64_t>(Removed));
 }
 
 void JobManager::maybeRetire(unsigned JobId) {

@@ -22,7 +22,6 @@
 #include "flow/Execution.h"
 #include "flow/Metascheduler.h"
 #include "job/Job.h"
-#include "resource/SlotIndex.h"
 #include "sim/Time.h"
 
 #include <cstddef>
@@ -32,17 +31,6 @@
 #include <vector>
 
 namespace cws {
-
-/// How a job manager finds the strategies an environment change broke.
-enum class InvalidationMode {
-  /// Re-validate every open strategy placement by placement (the
-  /// original full scan; kept as the differential-testing oracle).
-  Scan,
-  /// Re-validate only the jobs whose indexed slots intersect the
-  /// ranges the change actually touched (needs the metascheduler's
-  /// env-change log; falls back to the scan without one).
-  Index,
-};
 
 /// Per-job QoS record of one virtual-organization run.
 struct VoJobStats {
@@ -117,15 +105,10 @@ public:
   /// the completion time on success.
   std::optional<Tick> onNegotiation(unsigned JobId, Tick Now);
 
-  /// Selects how onEnvironmentChange finds broken strategies. Must be
-  /// set before the first arrival (the slot index is maintained from
-  /// admission on). Default: Index.
-  void setInvalidationMode(InvalidationMode M) { Mode = M; }
-  InvalidationMode invalidationMode() const { return Mode; }
-
-  /// The environment changed: close the TTL of strategies that no
-  /// longer hold any fitting variant. Returns the placements
-  /// re-validated (the caller's `env.invalidate` work counter).
+  /// The environment changed: re-validate every strategy still
+  /// negotiating and close the TTL of those left without a fitting
+  /// variant. Returns the placements re-validated (the caller's
+  /// `env.invalidate` work counter).
   uint64_t onEnvironmentChange(Tick Now);
 
   /// The job's last reservation ended: close bookkeeping.
@@ -154,25 +137,14 @@ private:
     size_t ForecastVariant;
     bool Committed = false;
     bool Done = false;
-    /// Feasible variants not yet confirmed broken by an environment
-    /// change (index mode; the strategy is stale when this hits 0).
-    size_t LiveFeasible = 0;
   };
 
   VoJobStats &statsOf(ActiveJob &A) { return Stats[A.StatsIdx]; }
   void maybeRetire(unsigned JobId);
 
-  /// Registers every feasible placement of \p A's strategy under
-  /// \p JobId in the slot index and seeds its live-variant count
-  /// (index mode only).
-  void indexJob(unsigned JobId, ActiveJob &A);
-  /// Drops \p JobId from the slot index (no-op when untracked).
-  void deindexJob(unsigned JobId);
-  /// The invalidation tail shared by both passes: closes the TTL,
-  /// counts, journals and de-indexes.
-  void invalidateJob(unsigned JobId, ActiveJob &A, Tick Now);
-  /// Scan-mode re-validation of one TTL-open strategy. Returns the
-  /// placements examined.
+  /// Re-validates one negotiating strategy and, when no variant fits
+  /// any more, closes its TTL, counts and journals the invalidation.
+  /// Returns the placements examined.
   uint64_t revalidate(unsigned JobId, ActiveJob &A, Tick Now);
 
   /// Runs the committed distribution when execution is enabled.
@@ -186,12 +158,6 @@ private:
   uint64_t ExecSeed = 0;
   std::unordered_map<unsigned, ActiveJob> Active;
   std::vector<VoJobStats> Stats;
-  InvalidationMode Mode = InvalidationMode::Index;
-  /// Reserved slots of this flow's open (uncommitted, TTL-open)
-  /// strategies, for intersection with environment changes.
-  SlotIndex Index;
-  /// This manager's cursor into the metascheduler's env-change log.
-  EnvLogCursor LogCursor;
 };
 
 } // namespace cws

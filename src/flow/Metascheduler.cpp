@@ -92,9 +92,6 @@ bool Metascheduler::commitDistribution(const Job &J, const Distribution &D,
   }
   bool Charged = Econ.charge(UserId, Cost);
   CWS_CHECK(Charged, "charge failed after affordability check");
-  if (ChangeLog)
-    for (const Placement &P : D.placements())
-      ChangeLog->noteAdded(P.NodeId, P.Start, P.End);
   M.Commits.add();
   CommitSpan.arg("ok", 1);
   Attempt(true, "ok");

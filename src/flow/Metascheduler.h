@@ -23,7 +23,6 @@
 #include "job/Job.h"
 #include "resource/Grid.h"
 #include "resource/Network.h"
-#include "resource/SlotIndex.h"
 
 namespace cws {
 
@@ -133,13 +132,6 @@ public:
   const Grid &grid() const { return Env; }
   const StrategyConfig &strategyConfig() const { return Config; }
 
-  /// When set, every successfully committed placement is appended to
-  /// \p Log: a commit occupies slots other flows' open strategies may
-  /// have planned on, so index-mode managers treat it like any other
-  /// environment change at their next intersection pass.
-  void setEnvChangeLog(EnvChangeLog *Log) { ChangeLog = Log; }
-  EnvChangeLog *envChangeLog() const { return ChangeLog; }
-
 private:
   /// Compares one staged repair against a reference rebuild (journal
   /// events swallowed, grid copied) and tallies into Oracle.
@@ -150,7 +142,6 @@ private:
   const Network &Net;
   Economy &Econ;
   StrategyConfig Config;
-  EnvChangeLog *ChangeLog = nullptr;
   ReallocationMode ReallocMode = ReallocationMode::Repair;
   bool OracleEnabled = false;
   RepairOracleStats Oracle;

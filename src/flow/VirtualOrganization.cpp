@@ -71,11 +71,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
   Economy Econ;
 
   // One metascheduler strategy profile, one quota account and one job
-  // manager per flow. The env-change log is shared: commits by any flow
-  // and background placements both occupy slots that other flows' open
-  // strategies may have planned on, and each manager drains the log
-  // with its own cursor.
-  EnvChangeLog ChangeLog;
+  // manager per flow.
   std::vector<std::unique_ptr<Metascheduler>> Metas;
   std::vector<std::unique_ptr<JobManager>> Managers;
   for (size_t F = 0; F < NumFlows; ++F) {
@@ -83,12 +79,10 @@ cws::runMultiFlowVo(const VoConfig &Config,
     SC.Kind = Kinds[F];
     unsigned User = Econ.addUser(Config.UserQuota);
     Metas.push_back(std::make_unique<Metascheduler>(Env, Net, Econ, SC));
-    Metas.back()->setEnvChangeLog(&ChangeLog);
     Metas.back()->setReallocationMode(Config.Reallocation);
     Metas.back()->setRepairOracle(Config.RepairOracle);
     Managers.push_back(
         std::make_unique<JobManager>(*Metas.back(), User, static_cast<int>(F)));
-    Managers.back()->setInvalidationMode(Config.Invalidation);
   }
   BatchMetrics &BM = batchMetrics();
 
@@ -117,7 +111,6 @@ cws::runMultiFlowVo(const VoConfig &Config,
   // has a chance to close.
   Tick BackgroundUntil = LastArrival + 600;
   BackgroundLoad Background(Env, Sim, Config.Background, BackgroundRng);
-  Background.setEnvChangeLog(&ChangeLog);
   // Every flow's manager re-validates in flow order; each journals its
   // invalidations in ascending job id.
   Background.setObserver([&Managers](Tick Now) {
@@ -400,12 +393,10 @@ std::string cws::voConfigCanonical(const VoConfig &Config, StrategyKind Kind) {
   Num("vo.exec_factor_lo", Config.Execution.FactorLo);
   Num("vo.exec_factor_hi", Config.Execution.FactorHi);
   Int("vo.exec_extension", Config.Execution.MaxExtension);
-  Out += std::string("vo.invalidation=") +
-         (Config.Invalidation == InvalidationMode::Index ? "index" : "scan");
-  // The repair oracle is absent too: it is a side-effect-free check
-  // (like the journal toggle), so an oracle run simulates the same
-  // configuration as a plain one.
-  Out += std::string(" vo.reallocation=") +
+  // VoConfig::Invalidation and the repair oracle are absent too: the
+  // first is ignored, the second is a side-effect-free check (like the
+  // journal toggle), so neither changes what a run simulates.
+  Out += std::string("vo.reallocation=") +
          reallocationModeName(Config.Reallocation);
   return Out;
 }

@@ -29,6 +29,12 @@
 
 namespace cws {
 
+/// Ignored. The job managers have one invalidation pass (re-validating
+/// every negotiating strategy) whichever value is set; the type and
+/// VoConfig::Invalidation stay only because the benchmark's reference
+/// child sets them.
+enum class InvalidationMode { Scan, Index };
+
 /// Parameters of one virtual-organization run.
 struct VoConfig {
   GridConfig GridCfg;
@@ -52,9 +58,7 @@ struct VoConfig {
   /// are recorded in the per-job stats.
   bool ExecuteWithDeviations = false;
   ExecutionConfig Execution;
-  /// How the job managers find strategies an environment change broke:
-  /// the event-driven slot-index pass (default) or the full scan (the
-  /// differential-testing oracle behind --invalidation=scan).
+  /// Ignored (see InvalidationMode); not part of voConfigCanonical.
   InvalidationMode Invalidation = InvalidationMode::Index;
   /// How the metascheduler serves reallocations: the escalating staged
   /// repair (default) or the unconditional full rebuild (the
@@ -113,8 +117,7 @@ std::vector<VoRunResult> runMultiFlowVo(const VoConfig &Config,
 
 /// The label of each flow of a multi-flow run, in \p Kinds order: the
 /// strategy name, plus a `#<index>` suffix when an earlier flow has the
-/// same strategy type. Telemetry flow tracks and per-flow metrics both
-/// use it.
+/// same strategy type. The telemetry flow tracks use it.
 std::vector<std::string> flowLabels(const std::vector<StrategyKind> &Kinds);
 
 } // namespace cws

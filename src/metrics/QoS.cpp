@@ -181,13 +181,3 @@ void cws::publishFlowAggregates(const VoAggregates &A,
       "share of committed jobs killed at a wall limit per flow",
       A.ExecutionKilledPercent);
 }
-
-void cws::publishMultiFlowAggregates(const std::vector<VoRunResult> &Runs,
-                                     obs::Registry &R) {
-  std::vector<StrategyKind> Kinds;
-  for (const VoRunResult &Run : Runs)
-    Kinds.push_back(Run.Kind);
-  std::vector<std::string> Labels = flowLabels(Kinds);
-  for (size_t I = 0; I < Runs.size(); ++I)
-    publishFlowAggregates(summarizeVo(Runs[I]), Labels[I], R);
-}

@@ -75,11 +75,6 @@ void publishVoAggregates(const VoAggregates &A,
 void publishFlowAggregates(const VoAggregates &A, const std::string &Flow,
                            obs::Registry &R = obs::Registry::global());
 
-/// Summarizes and publishes every flow of a multi-flow run under its
-/// strategy-type label (the per-flow QoS breakdown of the ROADMAP).
-void publishMultiFlowAggregates(const std::vector<VoRunResult> &Runs,
-                                obs::Registry &R = obs::Registry::global());
-
 } // namespace cws
 
 #endif // CWS_METRICS_QOS_H

@@ -354,16 +354,9 @@ cws::obs::computeIndicators(const ParsedJournal &J,
   }
   // Invalidation-pass sizing, when the sampler ran: probe values are
   // deltas since enable, so the last frame's value is the run total.
-  for (const TimeSeriesRow &R : Ts.Rows) {
-    if (R.Node >= 0)
-      continue;
-    if (R.Series == "env_scan_placements")
+  for (const TimeSeriesRow &R : Ts.Rows)
+    if (R.Node < 0 && R.Series == "env_scan_placements")
       Ind["env_scan_placements"] = R.Value;
-    else if (R.Series == "env_index_placements")
-      Ind["env_index_placements"] = R.Value;
-    else if (R.Series == "env_index_candidates")
-      Ind["env_index_candidates"] = R.Value;
-  }
   return Ind;
 }
 
@@ -520,18 +513,11 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
       Row("stage-1/2 repair share",
           renderPercent(Get("repair_stage12_share")));
   }
-  // Scan-vs-index comparison, present only when the run sampled the
-  // invalidation probes (a scan run shows the first, an index run the
-  // others — two runs of cws-report give the before/after).
+  // Invalidation-pass cost, present only when the run sampled the
+  // invalidation probe.
   if (Ind.count("env_scan_placements"))
     Row("placements re-validated (scan)",
         renderNumber(Get("env_scan_placements")));
-  if (Ind.count("env_index_candidates"))
-    Row("index candidates re-validated",
-        renderNumber(Get("env_index_candidates")));
-  if (Ind.count("env_index_placements"))
-    Row("placements re-validated (index)",
-        renderNumber(Get("env_index_placements")));
   Out += "\n";
 
   //===--- Utilization ----------------------------------------------------===//

@@ -126,3 +126,21 @@ void Grid::clearTimelines() {
   for (auto &N : Nodes)
     N.timeline().clear();
 }
+
+std::vector<BrokenSlot>
+cws::collectBrokenSlots(const Grid &G, const std::vector<PlannedSlot> &Slots,
+                        OwnerId Ignore) {
+  std::vector<BrokenSlot> Broken;
+  for (size_t I = 0; I < Slots.size(); ++I) {
+    const PlannedSlot &S = Slots[I];
+    for (const Interval &Busy : G.node(S.NodeId).timeline().intervals()) {
+      if (Busy.Owner == Ignore)
+        continue;
+      if (Busy.Begin < S.End && S.Begin < Busy.End) {
+        Broken.push_back({I, Busy.Begin, Busy.End});
+        break;
+      }
+    }
+  }
+  return Broken;
+}

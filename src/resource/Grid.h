@@ -104,6 +104,31 @@ private:
   std::vector<ProcessorNode> Nodes;
 };
 
+/// One reservation a scheduling strategy plans to hold — the raw
+/// (node, interval) shape the resource layer speaks; the flow layer
+/// maps its placements down to these.
+struct PlannedSlot {
+  unsigned NodeId = 0;
+  Tick Begin = 0, End = 0;
+};
+
+/// One planned slot the current environment no longer honours: the
+/// index into the queried slot sequence plus the first foreign busy
+/// interval overlapping it (diagnostic payload for journals and the
+/// staged reallocation repair).
+struct BrokenSlot {
+  size_t SlotIdx = 0;
+  Tick BusyStart = 0, BusyEnd = 0;
+};
+
+/// Scans \p Slots against \p G and returns the ones that are no longer
+/// free, in slot order, each annotated with the first overlapping
+/// interval (in timeline order) not owned by \p Ignore. An empty result
+/// means every planned slot still fits.
+std::vector<BrokenSlot>
+collectBrokenSlots(const Grid &G, const std::vector<PlannedSlot> &Slots,
+                   OwnerId Ignore);
+
 } // namespace cws
 
 #endif // CWS_RESOURCE_GRID_H

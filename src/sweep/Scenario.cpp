@@ -22,7 +22,6 @@ std::string cws::sweep::sweepAxisFlag(const std::string &Axis) {
       {"strategy", "--strategy"},
       {"slack", "--slack"},
       {"jobs", "--jobs"},
-      {"invalidation", "--invalidation"},
       {"exec", "--exec"},
   };
   for (const auto &[Name, Flag] : Map)
@@ -93,7 +92,7 @@ bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
       if (sweepAxisFlag(Axis.Name).empty())
         return Err("unknown axis '" + Axis.Name +
                    "' (arrival_scale, background_scale, fast_share, "
-                   "strategy, slack, jobs, invalidation, exec)");
+                   "strategy, slack, jobs, exec)");
       for (const SweepAxis &Prior : Out.Axes)
         if (Prior.Name == Axis.Name)
           return Err("duplicate axis '" + Axis.Name + "'");

@@ -63,7 +63,7 @@ struct SweepGrid {
 /// The `cws-sim` flag an axis name drives ("arrival_scale" ->
 /// "--arrival-scale"), empty for unknown axes. Known axes:
 /// arrival_scale, background_scale, fast_share, strategy, slack, jobs,
-/// invalidation, exec.
+/// exec.
 std::string sweepAxisFlag(const std::string &Axis);
 
 /// Parses a grid file. Returns false and sets \p Error (with a 1-based

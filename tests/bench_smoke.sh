@@ -55,7 +55,6 @@ stable() {
   grep -o '"config_hash": "[^"]*"' "$1"
   grep -o '"seed": [0-9]*' "$1"
   grep -o '"exec_seed": [0-9]*' "$1"
-  grep -o '"invalidation": "[^"]*"' "$1"
   grep -o '"work": {[^}]*}' "$1"
   grep -o '"name": "[^"]*", "count": [0-9]*' "$1"
   grep -o '"what": "[^"]*", "pass": [a-z]*' "$1"

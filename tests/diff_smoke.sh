@@ -79,7 +79,7 @@ STATUS=0
   || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
 for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
-            "--build-threads -1" "--shards 4"; do
+            "--build-threads -1" "--shards 4" "--invalidation scan"; do
   STATUS=0
   "$SIM" $ARGS > /dev/null 2>&1 || STATUS=$?
   [ "$STATUS" -eq 2 ] || fail "cws-sim $ARGS exited $STATUS, expected 2"
@@ -93,11 +93,13 @@ for ARGS in "--strategy S9" "--build-threads -1" "--invalidation scan"; do
 done
 "$SCHED" --file "$TMP/one.cws" > /dev/null \
   || fail "cws-sched rejected a valid description"
-printf 'axis shards 1 4\nseeds 1\njobs 4\n' > "$TMP/shards.grid"
-STATUS=0
-"$SWEEP" --grid "$TMP/shards.grid" --out "$TMP/shards.csv" --quiet 1 \
-  > /dev/null 2>&1 || STATUS=$?
-[ "$STATUS" -eq 2 ] || fail "sweep axis shards exited $STATUS, expected 2"
+for AXIS in "shards 1 4" "invalidation scan index"; do
+  printf 'axis %s\nseeds 1\njobs 4\n' "$AXIS" > "$TMP/removed.grid"
+  STATUS=0
+  "$SWEEP" --grid "$TMP/removed.grid" --out "$TMP/removed.csv" --quiet 1 \
+    > /dev/null 2>&1 || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "sweep axis $AXIS exited $STATUS, expected 2"
+done
 
 #=== 4. Baseline gate ====================================================#
 mkdir "$TMP/base"

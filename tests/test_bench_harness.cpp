@@ -38,7 +38,6 @@ CWS_BENCH(harness_fixture, "test fixture: one metric, stable work",
     ++FixtureMeasuredCalls;
   Ctx.setSeed(7);
   Ctx.setExecSeed(11);
-  Ctx.setInvalidation("scan");
   Ctx.setConfig("jobs=5\n");
   Ctx.setWork("units", 40);
   Ctx.addMetric("latency_us", 100.0 + 10.0 * Ctx.rep());
@@ -97,7 +96,6 @@ TEST(BenchRunTest, WarmupRepsAndProvenanceStamp) {
   EXPECT_TRUE(Run.Prov.Stamped);
   EXPECT_EQ(Run.Prov.Seed, 7u);
   EXPECT_EQ(Run.ExecSeed, 11u);
-  EXPECT_EQ(Run.Invalidation, "scan");
   EXPECT_EQ(Run.Prov.ScenarioId, "bench:harness_fixture");
   EXPECT_FALSE(Run.Prov.ConfigHash.empty());
   EXPECT_EQ(Run.Prov.Cli, "cws-bench harness_fixture");
@@ -161,7 +159,6 @@ TEST(BenchJsonTest, RoundTrip) {
   EXPECT_EQ(P.Name, "harness_fixture");
   EXPECT_EQ(P.Seed, 7u);
   EXPECT_EQ(P.ExecSeed, 11u);
-  EXPECT_EQ(P.Invalidation, "scan");
   EXPECT_EQ(P.ConfigHash, Run.Prov.ConfigHash);
   EXPECT_EQ(P.Scenario, "bench:harness_fixture");
   EXPECT_EQ(P.Reps, 3);
@@ -185,7 +182,6 @@ ParsedBench baselineBench() {
   B.ExecSeed = 7;
   B.ConfigHash = "0x00000000000000aa";
   B.Scenario = "bench:fixture";
-  B.Invalidation = "index";
   B.Cli = "cws-bench fixture";
   B.Shards = 1;
   B.Reps = 3;
@@ -289,7 +285,6 @@ TEST(BenchCompareTest, IdentityMismatchRefuses) {
       {"scenario", [](ParsedBench &B) { B.Scenario = "bench:other"; }},
       {"seed", [](ParsedBench &B) { B.Seed = 8; }},
       {"exec_seed", [](ParsedBench &B) { B.ExecSeed = 8; }},
-      {"invalidation", [](ParsedBench &B) { B.Invalidation = "scan"; }},
   };
   for (const Perturb &C : Cases) {
     ParsedBench New = baselineBench();

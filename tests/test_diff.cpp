@@ -5,11 +5,11 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// obs/Diff: the identical-run fixed point across build-thread /
-// invalidation-mode combinations, first-divergence localization of an
-// injected one-event change, the meta policy, series tolerance
-// classes, the sweep CI-overlap / quantile-shift verdicts with pinned
-// numerics, and the Markdown report golden.
+// obs/Diff: the identical-run fixed point across build-thread counts,
+// first-divergence localization of an injected one-event change, the
+// meta policy, series tolerance classes, the sweep CI-overlap /
+// quantile-shift verdicts with pinned numerics, and the Markdown report
+// golden.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,12 +34,11 @@ protected:
 };
 
 /// One journaled multi-flow run at the given build-thread count.
-std::string journaledRun(size_t BuildThreads, InvalidationMode Mode) {
+std::string journaledRun(size_t BuildThreads) {
   VoConfig Config;
   Config.JobCount = 24;
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 6;
-  Config.Invalidation = Mode;
   Config.Strategy.BuildThreads = BuildThreads;
   Journal &Jn = Journal::global();
   Jn.reset();
@@ -145,16 +144,12 @@ TEST(DiffGlob, MatchesStarsAnywhere) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(DiffTest, ParallelismKnobsAreASemanticFixedPoint) {
-  for (InvalidationMode Mode :
-       {InvalidationMode::Scan, InvalidationMode::Index}) {
-    ParsedJournal Base = parsed(journaledRun(1, Mode));
-    ASSERT_FALSE(Base.Events.empty());
-    ParsedJournal Other = parsed(journaledRun(4, Mode));
-    DiffResult R = diffJournals(Base, Other);
-    EXPECT_TRUE(R.identical())
-        << "4 threads, " << (Mode == InvalidationMode::Scan ? "scan" : "index")
-        << ": " << renderDiffText(R, "base", "other");
-  }
+  ParsedJournal Base = parsed(journaledRun(1));
+  ASSERT_FALSE(Base.Events.empty());
+  ParsedJournal Other = parsed(journaledRun(4));
+  DiffResult R = diffJournals(Base, Other);
+  EXPECT_TRUE(R.identical())
+      << "4 threads: " << renderDiffText(R, "base", "other");
 }
 
 //===----------------------------------------------------------------------===//

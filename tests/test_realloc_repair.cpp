@@ -10,8 +10,8 @@
 /// stage-1 single-slot shift and stage-2 DP re-run in isolation, the
 /// build-then-swap guarantee of a failed reallocation, journal shape
 /// (every reallocation records its resolution stage), determinism of
-/// both reallocation modes across the parallelism and invalidation
-/// knobs, and the by-rebuild repair oracle.
+/// both reallocation modes across build-thread counts, and the
+/// by-rebuild repair oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +62,8 @@ const Placement &latestPlacement(const ScheduleVariant &V) {
 }
 
 /// One journaled single-flow run; returns the raw journal bytes.
-std::string voJournal(ReallocationMode Realloc, InvalidationMode Inval,
-                      size_t BuildThreads, uint64_t Seed) {
+std::string voJournal(ReallocationMode Realloc, size_t BuildThreads,
+                      uint64_t Seed) {
   VoConfig Config;
   Config.JobCount = 36;
   // Bursty arrivals: overlapping active jobs make reallocations (and
@@ -71,7 +71,6 @@ std::string voJournal(ReallocationMode Realloc, InvalidationMode Inval,
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 6;
   Config.Reallocation = Realloc;
-  Config.Invalidation = Inval;
   Config.Strategy.BuildThreads = BuildThreads;
   obs::Journal &Jn = obs::Journal::global();
   Jn.reset();
@@ -241,9 +240,8 @@ TEST_F(ReallocRepairTest, FailedReallocationKeepsOldReservations) {
 TEST_F(ReallocRepairTest, RepairJournalRecordsAStagePerReallocation) {
   obs::ParsedJournal J;
   std::string Error;
-  ASSERT_TRUE(obs::parseJournalJsonl(
-      voJournal(ReallocationMode::Repair, InvalidationMode::Index, 1, 7),
-      J, Error))
+  ASSERT_TRUE(obs::parseJournalJsonl(voJournal(ReallocationMode::Repair, 1, 7),
+                                     J, Error))
       << Error;
   size_t Reallocates = 0, Stages = 0;
   for (const obs::ParsedJournalEvent &E : J.Events) {
@@ -270,8 +268,7 @@ TEST_F(ReallocRepairTest, RepairJournalRecordsAStagePerReallocation) {
 }
 
 TEST_F(ReallocRepairTest, RebuildJournalHasNoRepairEvents) {
-  std::string Journal =
-      voJournal(ReallocationMode::Rebuild, InvalidationMode::Index, 1, 7);
+  std::string Journal = voJournal(ReallocationMode::Rebuild, 1, 7);
   obs::ParsedJournal J;
   std::string Error;
   ASSERT_TRUE(obs::parseJournalJsonl(Journal, J, Error)) << Error;
@@ -285,23 +282,19 @@ TEST_F(ReallocRepairTest, RebuildJournalHasNoRepairEvents) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: both modes are invariant across the parallelism knobs
+// Determinism: both modes are invariant across build-thread counts
 //===----------------------------------------------------------------------===//
 
 TEST_F(ReallocRepairTest, JournalsAreParallelismInvariantPerMode) {
   for (ReallocationMode Mode :
        {ReallocationMode::Repair, ReallocationMode::Rebuild}) {
     for (uint64_t Seed : {3u, 11u}) {
-      std::string Base = voJournal(Mode, InvalidationMode::Index, 1, Seed);
+      std::string Base = voJournal(Mode, 1, Seed);
       ASSERT_FALSE(Base.empty());
-      // The invalidation oracle and build threads may change who
-      // computes what — never what happens.
-      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Scan, 1, Seed))
-          << "scan vs index, seed " << Seed;
-      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Index, 4, Seed))
+      // Build threads may change who computes what — never what
+      // happens.
+      EXPECT_EQ(Base, voJournal(Mode, 4, Seed))
           << "4 build threads, seed " << Seed;
-      EXPECT_EQ(Base, voJournal(Mode, InvalidationMode::Scan, 4, Seed))
-          << "scan, 4 build threads, seed " << Seed;
     }
   }
 }

@@ -15,9 +15,8 @@
 ///
 /// Deterministic work counters gate the comparison (exit 1 on any
 /// change); wall-time metrics are advisory only; runs whose provenance
-/// identity (config hash, scenario, seeds, invalidation mode) differs
-/// are refused with exit 2 — see bench/harness.h for the full
-/// contract.
+/// identity (config hash, scenario, seeds) differs are refused with
+/// exit 2 — see bench/harness.h for the full contract.
 ///
 //===----------------------------------------------------------------------===//
 
