@@ -7,22 +7,28 @@
 ///
 /// \file
 /// Pins the strategy-build throughput (builds/sec) of the serial path
-/// against the parallel variant-generation path on the simulator's
-/// standard workload, and verifies the parallel output is identical to
-/// the serial one — the contract that lets `Strategy::build` default to
-/// `hw_concurrency` lanes. The variant totals are work counters, so a
-/// change to the variant set (not just its speed) trips the ratchet.
+/// against the parallel path on the simulator's standard workload, and
+/// verifies the parallel output is identical to the serial one, variant
+/// for variant down to placement costs, collision records and critical
+/// works — the contract that lets `Strategy::build` default to
+/// `hw_concurrency` lanes. The parallel arm runs at least two lanes, so
+/// the check compares two paths even where CWS_BUILD_THREADS is 1. The
+/// variant totals, the schedules actually built and the DP labels of the
+/// serial build are work counters, so a change to the variant set or to
+/// the work behind it (not just its speed) trips the ratchet.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Strategy.h"
 #include "harness.h"
 #include "job/Generator.h"
+#include "obs/Profiler.h"
 #include "resource/Grid.h"
 #include "resource/Network.h"
 #include "support/Prng.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -43,7 +49,8 @@ template <typename F> double seconds(F &&Fn) {
 }
 
 /// True when both strategies hold variant-for-variant identical
-/// supporting schedules.
+/// supporting schedules: placements with their costs, collision records
+/// and critical works.
 bool identicalStrategies(const Strategy &A, const Strategy &B) {
   if (A.variants().size() != B.variants().size() || A.levels() != B.levels())
     return false;
@@ -60,11 +67,39 @@ bool identicalStrategies(const Strategy &A, const Strategy &B) {
     for (const Placement &P : DA.placements()) {
       const Placement *Q = DB.find(P.TaskId);
       if (!Q || Q->NodeId != P.NodeId || Q->Start != P.Start ||
-          Q->End != P.End)
+          Q->End != P.End || Q->EconomicCost != P.EconomicCost)
         return false;
     }
+    const std::vector<CollisionRecord> &CA = VA.Result.Collisions;
+    const std::vector<CollisionRecord> &CB = VB.Result.Collisions;
+    if (CA.size() != CB.size())
+      return false;
+    for (size_t K = 0; K < CA.size(); ++K)
+      if (CA[K].TaskId != CB[K].TaskId || CA[K].NodeId != CB[K].NodeId ||
+          CA[K].BlockingOwner != CB[K].BlockingOwner ||
+          CA[K].WantedStart != CB[K].WantedStart ||
+          CA[K].ActualStart != CB[K].ActualStart ||
+          CA[K].Resolution != CB[K].Resolution)
+        return false;
+    const std::vector<CriticalWork> &WA = VA.Result.Phases;
+    const std::vector<CriticalWork> &WB = VB.Result.Phases;
+    if (WA.size() != WB.size())
+      return false;
+    for (size_t K = 0; K < WA.size(); ++K)
+      if (WA[K].TaskIds != WB[K].TaskIds || WA[K].RefLength != WB[K].RefLength)
+        return false;
   }
   return true;
+}
+
+/// Work counter \p Counter of profiler phase \p Phase so far (0 when the
+/// profiler has not seen it).
+uint64_t phaseWork(const char *Phase, const char *Counter) {
+  for (const obs::PhaseStats &P : obs::Profiler::global().snapshot())
+    if (P.Name == Phase)
+      if (const uint64_t *W = P.work(Counter))
+        return *W;
+  return 0;
 }
 
 } // namespace
@@ -72,7 +107,7 @@ bool identicalStrategies(const Strategy &A, const Strategy &B) {
 CWS_BENCH(strategy_build_throughput,
           "serial vs parallel strategy builds on the standard workload",
           /*Reps=*/3, /*Warmup=*/1, /*Profile=*/true) {
-  const size_t Threads = ThreadPool::defaultThreads();
+  const size_t Threads = std::max<size_t>(2, ThreadPool::defaultThreads());
   Ctx.setSeed(Seed);
   Ctx.setExecSeed(Seed);
   Ctx.setConfig("jobs=" + std::to_string(Jobs) + "\nstrategy=S1\n");
@@ -99,7 +134,11 @@ CWS_BENCH(strategy_build_throughput,
   };
 
   // Build both ways and prove the determinism contract.
+  uint64_t Built0 = phaseWork("strategy.build", "variants_built");
+  uint64_t Labels0 = phaseWork("chain.dp", "labels");
   std::vector<Strategy> Serial = BuildAll(1);
+  uint64_t Built = phaseWork("strategy.build", "variants_built") - Built0;
+  uint64_t Labels = phaseWork("chain.dp", "labels") - Labels0;
   std::vector<Strategy> Parallel = BuildAll(Threads);
   bool Identical = true;
   for (size_t I = 0; I < Serial.size(); ++I)
@@ -114,6 +153,8 @@ CWS_BENCH(strategy_build_throughput,
   Ctx.setWork("jobs", static_cast<uint64_t>(Jobs));
   Ctx.setWork("variants_total", Variants);
   Ctx.setWork("feasible_total", Feasible);
+  Ctx.setWork("variants_built", Built);
+  Ctx.setWork("dp_labels", Labels);
 
   double SerialSec = seconds([&] { BuildAll(1); });
   double ParallelSec = seconds([&] { BuildAll(Threads); });

@@ -126,7 +126,7 @@ Tick chainEdgeBase(const Job &J, unsigned Src, unsigned Dst) {
 }
 
 /// The terms of placing one chain position's task on one candidate node
-/// that do not depend on the node of the previous chain task.
+/// that do not depend on the previous chain task's label.
 struct NodeTerms {
   /// The node's reservations.
   const Timeline *Line;
@@ -136,170 +136,267 @@ struct NodeTerms {
   Tick Ready;
   /// Latest feasible finish.
   Tick Lft;
+  /// False when no label can meet Lft on this node.
+  bool Reachable;
+  /// earliestFit(Ready, Dur), when reachable.
+  Tick FirstFit;
   /// Billed inbound ticks from placed predecessors other than the
   /// previous chain task.
   Tick Inbound;
   double ExecCost;
+  /// Chain-edge transfer ticks and step cost from a previous chain task
+  /// on this node ([0]) and on any other node ([1]).
+  Tick ChainTr[2];
+  double StepCost[2];
 };
 
 } // namespace
 
-bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
-                              Tick Release, Tick Deadline, OwnerId Owner,
-                              std::vector<CollisionRecord> &Collisions) {
-  const std::vector<unsigned> &Chain = Work.TaskIds;
-  CWS_CHECK(!Chain.empty(), "cannot allocate an empty critical work");
+void ChainAllocator::forward(const std::vector<unsigned> &Chain,
+                             const Distribution &Dist, Tick Release,
+                             Tick Deadline,
+                             const std::vector<Tick> &ExtraReady) {
+  // The forward DP over (chain position, candidate node). It skips only
+  // work whose result it would never use, so it keeps exactly the labels
+  // a full scan keeps:
+  //  * the terms that do not depend on the previous label are computed
+  //    once per (position, node). The scratch timelines do not change
+  //    during a pass, so that includes the first fit S0 =
+  //    earliestFit(Ready, Dur): a label ready by S0 starts at S0 without
+  //    a query, no label starts before S0, and a node where S0 misses
+  //    the latest finish takes no label;
+  //  * the chain-edge transfer depends on the node pair only through
+  //    whether the two nodes differ (the replica memory keys on the
+  //    destination), so it takes two values per node;
+  //  * a label with Ready + Dur past the latest finish is dropped; fronts
+  //    are sorted by Finish, so Ready never decreases along one, and the
+  //    first such label ends the scan of its front;
+  //  * a candidate the target front already dominates at
+  //    max(Ready, S0) + Dur is rejected whatever its start, and a
+  //    rejected insert never changes a front.
   const std::vector<unsigned> &Cand = Params.CandidateNodes;
   const size_t K = Chain.size();
   const size_t N = Cand.size();
+  if (Fronts.size() < K * N)
+    Fronts.resize(K * N);
+  for (size_t I = 0; I < K * N; ++I)
+    Fronts[I].clear();
 
-  // Readiness bumps discovered by the post-DP precedence verification of
-  // non-adjacent intra-chain edges (see below).
-  std::vector<Tick> ExtraReady(K, 0);
-
-  for (int Attempt = 0; Attempt < 4; ++Attempt) {
-    // --- Forward DP over (chain position, candidate node). It skips
-    // only work whose result it would never use, so it keeps exactly the
-    // labels a full scan keeps:
-    //  * the terms that do not depend on the previous node are computed
-    //    once per (position, node);
-    //  * earliestFit(Ready, Dur) >= Ready, so a label with Ready + Dur
-    //    past the latest finish is dropped without a query; fronts are
-    //    sorted by Finish, so Ready never decreases along one, and the
-    //    first such label ends the scan of its front;
-    //  * a candidate the target front already dominates at Ready + Dur
-    //    is rejected whatever its start, and a rejected insert never
-    //    changes a front. ---
-    std::vector<std::vector<LabelFront>> Fronts(K,
-                                                std::vector<LabelFront>(N));
-    std::vector<NodeTerms> Terms(N);
-    auto ComputeTerms = [&](size_t Pos) {
-      unsigned TaskId = Chain[Pos];
-      unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
-      for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-        unsigned NodeId = Cand[NodeIdx];
-        const ProcessorNode &Node = G.node(NodeId);
-        Tick Dur = Node.execTicks(J.task(TaskId).RefTicks);
-        Terms[NodeIdx] = {
-            &Node.timeline(),
-            Dur,
-            std::max(externalReady(TaskId, NodeId, Dist, Release),
-                     ExtraReady[Pos]),
-            latestFinish(TaskId, NodeId, Dist, Deadline),
-            placedInboundTicks(TaskId, NodeId, Dist, SkipPred),
-            Cost.nodeCost(NodeId, Dur)};
-      }
-    };
-
-    ComputeTerms(0);
+  std::vector<NodeTerms> Terms(N);
+  auto ComputeTerms = [&](size_t Pos) {
+    unsigned TaskId = Chain[Pos];
+    unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
+    Tick EdgeBase = Pos > 0 ? chainEdgeBase(J, SkipPred, TaskId) : 0;
     for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      const NodeTerms &T = Terms[NodeIdx];
+      unsigned NodeId = Cand[NodeIdx];
+      const ProcessorNode &Node = G.node(NodeId);
+      NodeTerms &T = Terms[NodeIdx];
+      T.Line = &Node.timeline();
+      T.Dur = Node.execTicks(J.task(TaskId).RefTicks);
+      T.Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
+                         ExtraReady[Pos]);
+      T.Lft = latestFinish(TaskId, NodeId, Dist, Deadline);
+      T.Reachable = false;
       if (T.Ready + T.Dur > T.Lft)
         continue;
-      Tick Start = T.Line->earliestFit(T.Ready, T.Dur);
+      T.FirstFit = T.Line->earliestFit(T.Ready, T.Dur);
       ++FitQueries;
-      Tick Finish = Start + T.Dur;
-      if (Finish > T.Lft)
+      if (T.FirstFit + T.Dur > T.Lft)
         continue;
-      double C = T.ExecCost + Cost.transferCost(T.Inbound);
-      insertLabel(Fronts[0][NodeIdx], {Finish, C, Start, -1, -1});
+      T.Reachable = true;
+      T.Inbound = placedInboundTicks(TaskId, NodeId, Dist, SkipPred);
+      T.ExecCost = Cost.nodeCost(NodeId, T.Dur);
+      if (Pos == 0)
+        continue;
+      for (int Other = 0; Other < 2; ++Other) {
+        if (Other && N == 1)
+          break; // No other candidate to come from.
+        unsigned Src = Other ? Cand[NodeIdx == 0 ? 1 : 0] : NodeId;
+        T.ChainTr[Other] = Policy.previewTicks(SkipPred, EdgeBase, Src, NodeId);
+        Tick ChainBill = Policy.billedTicks(SkipPred, EdgeBase, Src, NodeId);
+        T.StepCost[Other] = T.ExecCost +
+                            Cost.transferCost(ChainBill + T.Inbound) +
+                            (Other ? Params.NodeSwitchPenalty : 0.0);
+      }
     }
+  };
 
-    for (size_t Pos = 1; Pos < K; ++Pos) {
-      const std::vector<LabelFront> &PrevFronts = Fronts[Pos - 1];
-      if (std::all_of(PrevFronts.begin(), PrevFronts.end(),
-                      [](const LabelFront &F) { return F.empty(); }))
-        break; // Nothing to extend: every later front stays empty.
-      unsigned TaskId = Chain[Pos];
-      unsigned PrevTask = Chain[Pos - 1];
-      Tick EdgeBase = chainEdgeBase(J, PrevTask, TaskId);
-      ComputeTerms(Pos);
+  ComputeTerms(0);
+  for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+    const NodeTerms &T = Terms[NodeIdx];
+    if (!T.Reachable)
+      continue;
+    double C = T.ExecCost + Cost.transferCost(T.Inbound);
+    insertLabel(Fronts[NodeIdx], {T.FirstFit + T.Dur, C, T.FirstFit, -1, -1});
+  }
+
+  for (size_t Pos = 1; Pos < K; ++Pos) {
+    const LabelFront *PrevFronts = &Fronts[(Pos - 1) * N];
+    if (std::all_of(PrevFronts, PrevFronts + N,
+                    [](const LabelFront &F) { return F.empty(); }))
+      break; // Nothing to extend: every later front stays empty.
+    ComputeTerms(Pos);
+    for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+      const NodeTerms &T = Terms[NodeIdx];
+      if (!T.Reachable)
+        continue;
+      // Labels reach this front in (previous node, label) order, as in
+      // a scan over every pair: with a capped front the order matters.
+      LabelFront &Front = Fronts[Pos * N + NodeIdx];
       for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
         const LabelFront &PrevFront = PrevFronts[PrevIdx];
         if (PrevFront.empty())
           continue;
-        unsigned PrevNode = Cand[PrevIdx];
-        for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-          unsigned NodeId = Cand[NodeIdx];
-          const NodeTerms &T = Terms[NodeIdx];
-          Tick ChainTr =
-              Policy.previewTicks(PrevTask, EdgeBase, PrevNode, NodeId);
-          if (std::max(T.Ready, PrevFront[0].Finish + ChainTr) + T.Dur >
-              T.Lft)
-            continue; // Not even the earliest label fits.
-          Tick ChainBill =
-              Policy.billedTicks(PrevTask, EdgeBase, PrevNode, NodeId);
-          double StepCost = T.ExecCost +
-                            Cost.transferCost(ChainBill + T.Inbound) +
-                            (NodeId != PrevNode ? Params.NodeSwitchPenalty
-                                                : 0.0);
-          LabelFront &Front = Fronts[Pos][NodeIdx];
-          for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
-            const Label &Prev = PrevFront[LabelIdx];
-            Tick Ready = std::max(T.Ready, Prev.Finish + ChainTr);
-            if (Ready + T.Dur > T.Lft)
-              break;
-            double C = Prev.Cost + StepCost;
-            if (paretoDominated(Front, Ready + T.Dur, C))
-              continue;
-            Tick Start = T.Line->earliestFit(Ready, T.Dur);
+        int Other = PrevIdx != NodeIdx;
+        Tick ChainTr = T.ChainTr[Other];
+        if (std::max(T.Ready, PrevFront[0].Finish + ChainTr) + T.Dur > T.Lft)
+          continue; // Not even the earliest label fits.
+        for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
+          const Label &Prev = PrevFront[LabelIdx];
+          Tick Ready = std::max(T.Ready, Prev.Finish + ChainTr);
+          if (Ready + T.Dur > T.Lft)
+            break;
+          double C = Prev.Cost + T.StepCost[Other];
+          Tick Start = std::max(Ready, T.FirstFit);
+          if (paretoDominated(Front, Start + T.Dur, C))
+            continue;
+          if (Ready > T.FirstFit) {
+            Start = T.Line->earliestFit(Ready, T.Dur);
             ++FitQueries;
-            Tick Finish = Start + T.Dur;
-            if (Finish > T.Lft)
+            if (Start + T.Dur > T.Lft)
               continue;
-            insertLabel(Front, {Finish, C, Start,
-                                static_cast<int32_t>(PrevIdx),
-                                static_cast<int32_t>(LabelIdx)});
           }
+          insertLabel(Front, {Start + T.Dur, C, Start,
+                              static_cast<int32_t>(PrevIdx),
+                              static_cast<int32_t>(LabelIdx)});
         }
       }
     }
+  }
+}
 
-    // --- Select the best terminal label per the optimization bias. ---
-    int32_t BestNode = -1;
-    int32_t BestLabel = -1;
-    Tick BestFinish = std::numeric_limits<Tick>::max();
-    double BestCost = std::numeric_limits<double>::max();
-    for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      const auto &Front = Fronts[K - 1][NodeIdx];
-      for (size_t LabelIdx = 0; LabelIdx < Front.size(); ++LabelIdx) {
-        const Label &L = Front[LabelIdx];
-        bool Better;
-        if (Params.Bias == OptimizationBias::Cost)
-          Better = L.Cost < BestCost - 1e-9 ||
-                   (L.Cost < BestCost + 1e-9 && L.Finish < BestFinish);
-        else
-          Better = L.Finish < BestFinish ||
-                   (L.Finish == BestFinish && L.Cost < BestCost - 1e-9);
-        if (Better) {
-          BestNode = static_cast<int32_t>(NodeIdx);
-          BestLabel = static_cast<int32_t>(LabelIdx);
-          BestFinish = L.Finish;
-          BestCost = L.Cost;
+bool ChainAllocator::pick(OptimizationBias Bias,
+                          const std::vector<unsigned> &Chain,
+                          std::vector<ChainStep> &Path) const {
+  const std::vector<unsigned> &Cand = Params.CandidateNodes;
+  const size_t K = Chain.size();
+  const size_t N = Cand.size();
+  int32_t BestNode = -1;
+  int32_t BestLabel = -1;
+  Tick BestFinish = std::numeric_limits<Tick>::max();
+  double BestCost = std::numeric_limits<double>::max();
+  for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+    const LabelFront &Front = Fronts[(K - 1) * N + NodeIdx];
+    for (size_t LabelIdx = 0; LabelIdx < Front.size(); ++LabelIdx) {
+      const Label &L = Front[LabelIdx];
+      bool Better;
+      if (Bias == OptimizationBias::Cost)
+        Better = L.Cost < BestCost - 1e-9 ||
+                 (L.Cost < BestCost + 1e-9 && L.Finish < BestFinish);
+      else
+        Better = L.Finish < BestFinish ||
+                 (L.Finish == BestFinish && L.Cost < BestCost - 1e-9);
+      if (Better) {
+        BestNode = static_cast<int32_t>(NodeIdx);
+        BestLabel = static_cast<int32_t>(LabelIdx);
+        BestFinish = L.Finish;
+        BestCost = L.Cost;
+      }
+    }
+  }
+  if (BestNode < 0)
+    return false; // No feasible completion within the windows.
+
+  Path.resize(K);
+  int32_t NodeIdx = BestNode;
+  int32_t LabelIdx = BestLabel;
+  for (size_t Pos = K; Pos-- > 0;) {
+    const Label &L = Fronts[Pos * N + static_cast<size_t>(NodeIdx)]
+                           [static_cast<size_t>(LabelIdx)];
+    Path[Pos] = {Cand[static_cast<size_t>(NodeIdx)], L.Start, L.Finish};
+    NodeIdx = L.PrevNode;
+    LabelIdx = L.PrevLabel;
+  }
+  return true;
+}
+
+bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
+                              Tick Release, Tick Deadline, OwnerId Owner,
+                              std::vector<CollisionRecord> &Collisions) {
+  BiasLogs Logs{};
+  Logs[static_cast<size_t>(Params.Bias)] = &Collisions;
+  ChainSplit Try;
+  return allocate(Work, Dist, Release, Deadline, Owner, Logs, Try) ==
+         ChainOutcome::Placed;
+}
+
+ChainOutcome ChainAllocator::allocate(const CriticalWork &Work,
+                                      Distribution &Dist, Tick Release,
+                                      Tick Deadline, OwnerId Owner,
+                                      BiasLogs Logs, ChainSplit &Split) {
+  CWS_CHECK(!Work.TaskIds.empty(), "cannot allocate an empty critical work");
+  // Readiness bumps discovered by the post-DP precedence verification of
+  // non-adjacent intra-chain edges (see run()).
+  Split.Attempt = 0;
+  Split.ExtraReady.assign(Work.TaskIds.size(), 0);
+  return run(Work, Dist, Release, Deadline, Owner, Logs, Split, nullptr);
+}
+
+bool ChainAllocator::resume(const CriticalWork &Work, const ChainSplit &Split,
+                            OptimizationBias Bias, Distribution &Dist,
+                            Tick Release, Tick Deadline, OwnerId Owner,
+                            std::vector<CollisionRecord> &Collisions) {
+  BiasLogs Logs{};
+  Logs[static_cast<size_t>(Bias)] = &Collisions;
+  ChainSplit Try;
+  Try.Attempt = Split.Attempt;
+  Try.ExtraReady = Split.ExtraReady;
+  return run(Work, Dist, Release, Deadline, Owner, Logs, Try,
+             &Split.Paths[static_cast<size_t>(Bias)]) == ChainOutcome::Placed;
+}
+
+ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
+                                 Tick Release, Tick Deadline, OwnerId Owner,
+                                 BiasLogs Logs, ChainSplit &Try,
+                                 const std::vector<ChainStep> *Given) {
+  const std::vector<unsigned> &Chain = Work.TaskIds;
+  const std::vector<unsigned> &Cand = Params.CandidateNodes;
+  const size_t K = Chain.size();
+  std::vector<Tick> &ExtraReady = Try.ExtraReady;
+  std::vector<CollisionRecord> *CostLog =
+      Logs[static_cast<size_t>(OptimizationBias::Cost)];
+  std::vector<CollisionRecord> *TimeLog =
+      Logs[static_cast<size_t>(OptimizationBias::Time)];
+
+  std::vector<ChainStep> Path;
+  if (Given)
+    Path = *Given;
+  for (;; ++Try.Attempt) {
+    if (Try.Attempt == 4)
+      return ChainOutcome::Failed; // Verification kept failing.
+    if (!Given) {
+      forward(Chain, Dist, Release, Deadline, ExtraReady);
+      // The fronts are the same for both biases; only the pick differs.
+      OptimizationBias First =
+          CostLog ? OptimizationBias::Cost : OptimizationBias::Time;
+      if (!pick(First, Chain, Path))
+        return ChainOutcome::Failed; // Then no bias has a label either.
+      if (CostLog && TimeLog) {
+        std::vector<ChainStep> &TimePath =
+            Try.Paths[static_cast<size_t>(OptimizationBias::Time)];
+        pick(OptimizationBias::Time, Chain, TimePath);
+        if (!std::equal(Path.begin(), Path.end(), TimePath.begin(),
+                        [](const ChainStep &A, const ChainStep &B) {
+                          return A.NodeId == B.NodeId && A.Start == B.Start &&
+                                 A.Finish == B.Finish;
+                        })) {
+          Try.Paths[static_cast<size_t>(OptimizationBias::Cost)] =
+              std::move(Path);
+          return ChainOutcome::Split;
         }
       }
     }
-    if (BestNode < 0)
-      return false; // No feasible completion within the windows.
-
-    // --- Reconstruct the chosen path. ---
-    struct Chosen {
-      unsigned NodeId;
-      Tick Start;
-      Tick Finish;
-    };
-    std::vector<Chosen> Path(K);
-    {
-      int32_t NodeIdx = BestNode;
-      int32_t LabelIdx = BestLabel;
-      for (size_t Pos = K; Pos-- > 0;) {
-        const Label &L = Fronts[Pos][static_cast<size_t>(NodeIdx)]
-                               [static_cast<size_t>(LabelIdx)];
-        Path[Pos] = {Cand[static_cast<size_t>(NodeIdx)], L.Start, L.Finish};
-        NodeIdx = L.PrevNode;
-        LabelIdx = L.PrevLabel;
-      }
-    }
+    Given = nullptr;
 
     // --- Verify non-adjacent intra-chain precedence. The DP links only
     // consecutive chain tasks; a direct edge Chain[i] -> Chain[m] with
@@ -333,85 +430,86 @@ bool ChainAllocator::allocate(const CriticalWork &Work, Distribution &Dist,
       ++DpReruns;
       continue;
     }
+    break;
+  }
 
-    // --- Finalize: detect collisions, reserve, charge, record replicas.
-    for (size_t Pos = 0; Pos < K; ++Pos) {
-      unsigned TaskId = Chain[Pos];
-      unsigned NodeId = Path[Pos].NodeId;
-      const ProcessorNode &Node = G.node(NodeId);
-      Tick Dur = Path[Pos].Finish - Path[Pos].Start;
+  // --- Finalize: detect collisions, reserve, charge, record replicas.
+  for (size_t Pos = 0; Pos < K; ++Pos) {
+    unsigned TaskId = Chain[Pos];
+    unsigned NodeId = Path[Pos].NodeId;
+    const ProcessorNode &Node = G.node(NodeId);
+    Tick Dur = Path[Pos].Finish - Path[Pos].Start;
 
-      // Recompute the unconstrained ready time to detect contention.
-      Tick Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
-                            ExtraReady[Pos]);
-      Tick ChainTr = 0;
-      Tick ChainBill = 0;
-      if (Pos > 0) {
-        Tick EdgeBase = chainEdgeBase(J, Chain[Pos - 1], TaskId);
-        ChainTr = Policy.previewTicks(Chain[Pos - 1], EdgeBase,
-                                      Path[Pos - 1].NodeId, NodeId);
-        ChainBill = Policy.billedTicks(Chain[Pos - 1], EdgeBase,
-                                       Path[Pos - 1].NodeId, NodeId);
-        Ready = std::max(Ready, Path[Pos - 1].Finish + ChainTr);
-      }
-      if (Path[Pos].Start > Ready) {
-        // The preferred slot was occupied: a collision, resolved by
-        // shifting the task later on the same node.
+    // Recompute the unconstrained ready time to detect contention.
+    Tick Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
+                          ExtraReady[Pos]);
+    Tick ChainTr = 0;
+    Tick ChainBill = 0;
+    if (Pos > 0) {
+      Tick EdgeBase = chainEdgeBase(J, Chain[Pos - 1], TaskId);
+      ChainTr = Policy.previewTicks(Chain[Pos - 1], EdgeBase,
+                                    Path[Pos - 1].NodeId, NodeId);
+      ChainBill = Policy.billedTicks(Chain[Pos - 1], EdgeBase,
+                                     Path[Pos - 1].NodeId, NodeId);
+      Ready = std::max(Ready, Path[Pos - 1].Finish + ChainTr);
+    }
+    if (Path[Pos].Start > Ready) {
+      // The preferred slot was occupied: a collision, resolved by
+      // shifting the task later on the same node.
+      const Interval *Blocking =
+          Node.timeline().firstOverlap(Ready, Ready + Dur);
+      CollisionRecord C{TaskId, NodeId, Blocking ? Blocking->Owner : 0,
+                        Ready, Path[Pos].Start,
+                        CollisionResolution::Shifted};
+      for (std::vector<CollisionRecord> *Log : Logs)
+        if (Log)
+          Log->push_back(C);
+    } else if (CostLog) {
+      // Check whether a strictly cheaper node was contended: then the
+      // collision was resolved by moving the task here.
+      for (unsigned Other : Cand) {
+        if (Other == NodeId)
+          continue;
+        const ProcessorNode &Cheap = G.node(Other);
+        Tick CheapDur = Cheap.execTicks(J.task(TaskId).RefTicks);
+        if (Cost.nodeCost(Other, CheapDur) + 1e-9 >=
+            Cost.nodeCost(NodeId, Dur))
+          continue;
+        Tick CheapReady = externalReady(TaskId, Other, Dist, Release);
         const Interval *Blocking =
-            Node.timeline().firstOverlap(Ready, Ready + Dur);
-        Collisions.push_back({TaskId, NodeId,
-                              Blocking ? Blocking->Owner : 0, Ready,
-                              Path[Pos].Start,
-                              CollisionResolution::Shifted});
-      } else if (Params.Bias == OptimizationBias::Cost) {
-        // Check whether a strictly cheaper node was contended: then the
-        // collision was resolved by moving the task here.
-        for (unsigned Other : Cand) {
-          if (Other == NodeId)
-            continue;
-          const ProcessorNode &Cheap = G.node(Other);
-          Tick CheapDur = Cheap.execTicks(J.task(TaskId).RefTicks);
-          if (Cost.nodeCost(Other, CheapDur) + 1e-9 >=
-              Cost.nodeCost(NodeId, Dur))
-            continue;
-          Tick CheapReady = externalReady(TaskId, Other, Dist, Release);
-          const Interval *Blocking =
-              Cheap.timeline().firstOverlap(CheapReady, CheapReady + CheapDur);
-          if (Blocking) {
-            Collisions.push_back({TaskId, Other, Blocking->Owner, CheapReady,
-                                  Path[Pos].Start,
-                                  CollisionResolution::Moved});
-            break;
-          }
+            Cheap.timeline().firstOverlap(CheapReady, CheapReady + CheapDur);
+        if (Blocking) {
+          CostLog->push_back({TaskId, Other, Blocking->Owner, CheapReady,
+                              Path[Pos].Start, CollisionResolution::Moved});
+          break;
         }
       }
-
-      Tick Inbound = placedInboundTicks(
-          TaskId, NodeId, Dist,
-          /*SkipPred=*/Pos > 0 ? Chain[Pos - 1] : J.taskCount());
-      // The node-switch penalty shapes the DP toward coarse placements
-      // but is not a real quota charge, so it is excluded here.
-      double PlaceCost =
-          Cost.nodeCost(NodeId, Dur) + Cost.transferCost(ChainBill + Inbound);
-
-      bool Reserved = G.node(NodeId).timeline().reserve(
-          Path[Pos].Start, Path[Pos].Finish, Owner);
-      CWS_CHECK(Reserved, "DP produced an overlapping reservation");
-      Dist.add({TaskId, NodeId, Path[Pos].Start, Path[Pos].Finish, PlaceCost});
-
-      // Record data movements in the policy's replica memory.
-      for (size_t EdgeIdx : J.inEdges(TaskId)) {
-        const DataEdge &E = J.edge(EdgeIdx);
-        if (const Placement *Src = Dist.find(E.Src); Src && E.Src != TaskId)
-          Policy.transferTicks(E.Src, E.BaseTransfer, Src->NodeId, NodeId);
-      }
-      for (size_t EdgeIdx : J.outEdges(TaskId)) {
-        const DataEdge &E = J.edge(EdgeIdx);
-        if (const Placement *Dst = Dist.find(E.Dst))
-          Policy.transferTicks(TaskId, E.BaseTransfer, NodeId, Dst->NodeId);
-      }
     }
-    return true;
+
+    Tick Inbound = placedInboundTicks(
+        TaskId, NodeId, Dist,
+        /*SkipPred=*/Pos > 0 ? Chain[Pos - 1] : J.taskCount());
+    // The node-switch penalty shapes the DP toward coarse placements
+    // but is not a real quota charge, so it is excluded here.
+    double PlaceCost =
+        Cost.nodeCost(NodeId, Dur) + Cost.transferCost(ChainBill + Inbound);
+
+    bool Reserved = G.node(NodeId).timeline().reserve(
+        Path[Pos].Start, Path[Pos].Finish, Owner);
+    CWS_CHECK(Reserved, "DP produced an overlapping reservation");
+    Dist.add({TaskId, NodeId, Path[Pos].Start, Path[Pos].Finish, PlaceCost});
+
+    // Record data movements in the policy's replica memory.
+    for (size_t EdgeIdx : J.inEdges(TaskId)) {
+      const DataEdge &E = J.edge(EdgeIdx);
+      if (const Placement *Src = Dist.find(E.Src); Src && E.Src != TaskId)
+        Policy.transferTicks(E.Src, E.BaseTransfer, Src->NodeId, NodeId);
+    }
+    for (size_t EdgeIdx : J.outEdges(TaskId)) {
+      const DataEdge &E = J.edge(EdgeIdx);
+      if (const Placement *Dst = Dist.find(E.Dst))
+        Policy.transferTicks(TaskId, E.BaseTransfer, NodeId, Dst->NodeId);
+    }
   }
-  return false; // Verification kept failing; treat the chain as unplaceable.
+  return ChainOutcome::Placed;
 }

@@ -28,6 +28,7 @@
 #include "sim/Time.h"
 #include "support/SmallVector.h"
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -60,23 +61,73 @@ struct AllocatorPolicy {
   size_t MaxFrontSize = 8;
 };
 
+/// The collision log of each bias one chain placement serves, indexed
+/// by `OptimizationBias`; null for a bias it does not serve.
+using BiasLogs = std::array<std::vector<CollisionRecord> *, 2>;
+
+/// One step of a chosen chain path.
+struct ChainStep {
+  unsigned NodeId;
+  Tick Start;
+  Tick Finish;
+};
+
+/// Where a chain placement serving both biases stopped: the attempt at
+/// which the Cost and the Time pick first differed, the readiness bumps
+/// of the reruns before it, and each bias's path (indexed by bias).
+struct ChainSplit {
+  int Attempt = 0;
+  std::vector<Tick> ExtraReady;
+  std::array<std::vector<ChainStep>, 2> Paths;
+};
+
+/// How a chain placement ended.
+enum class ChainOutcome {
+  Placed,
+  /// No path met the windows; the state is untouched.
+  Failed,
+  /// The Cost and the Time pick differ; the state is untouched and the
+  /// caller continues each bias on its own copy with `resume`.
+  Split,
+};
+
 /// Allocates critical works into a scratch grid.
 ///
 /// The allocator mutates the grid's timelines (reserving each placement
 /// for the given owner) and the data policy's replica memory; callers
 /// own both and typically operate on copies while generating a strategy.
+///
+/// The forward DP never reads the bias: only the terminal pick and the
+/// Cost-only `Moved` scan do. So one placement can serve Cost and Time
+/// at once on one state, while their picks agree.
 class ChainAllocator {
 public:
   ChainAllocator(const Job &J, Grid &ScratchGrid, DataPolicy &Policy,
                  const CostModel &Cost, const AllocatorPolicy &Params);
 
-  /// Places every task of \p Work. On success the placements are
-  /// appended to \p Dist, reserved in the grid under \p Owner, and any
-  /// contention is recorded in \p Collisions. Returns false (leaving all
-  /// state untouched) when the chain cannot meet its windows.
+  /// Places every task of \p Work under `Params.Bias`. On success the
+  /// placements are appended to \p Dist, reserved in the grid under
+  /// \p Owner, and any contention is recorded in \p Collisions. Returns
+  /// false (leaving all state untouched) when the chain cannot meet its
+  /// windows.
   bool allocate(const CriticalWork &Work, Distribution &Dist, Tick Release,
                 Tick Deadline, OwnerId Owner,
                 std::vector<CollisionRecord> &Collisions);
+
+  /// Places every task of \p Work for each bias with a log in \p Logs.
+  /// While the picks agree one reservation serves both: `Shifted`
+  /// records go to every log, the `Moved` scan's records to Cost's
+  /// only. `Params.Bias` is not read.
+  ChainOutcome allocate(const CriticalWork &Work, Distribution &Dist,
+                        Tick Release, Tick Deadline, OwnerId Owner,
+                        BiasLogs Logs, ChainSplit &Split);
+
+  /// Continues a split placement for \p Bias from its pick in \p Split,
+  /// on a state equal to the one the split left.
+  bool resume(const CriticalWork &Work, const ChainSplit &Split,
+              OptimizationBias Bias, Distribution &Dist, Tick Release,
+              Tick Deadline, OwnerId Owner,
+              std::vector<CollisionRecord> &Collisions);
 
   /// Cumulative DP work of this allocator instance — Pareto labels
   /// kept, earliest-fit queries issued and window-violation reruns.
@@ -103,6 +154,24 @@ private:
   /// default knobs front maintenance never touches the heap.
   using LabelFront = SmallVector<Label, 8>;
 
+  /// The verify-and-rerun loop of one chain placement, from attempt
+  /// `Try.Attempt`. With \p Given it starts by verifying that path;
+  /// otherwise it starts with a forward pass.
+  ChainOutcome run(const CriticalWork &Work, Distribution &Dist,
+                   Tick Release, Tick Deadline, OwnerId Owner, BiasLogs Logs,
+                   ChainSplit &Try, const std::vector<ChainStep> *Given);
+
+  /// Fills `Fronts` for \p Chain: the forward DP over (position,
+  /// candidate node).
+  void forward(const std::vector<unsigned> &Chain, const Distribution &Dist,
+               Tick Release, Tick Deadline,
+               const std::vector<Tick> &ExtraReady);
+
+  /// The path of the best terminal label under \p Bias; false when the
+  /// last position has no label.
+  bool pick(OptimizationBias Bias, const std::vector<unsigned> &Chain,
+            std::vector<ChainStep> &Path) const;
+
   /// Ready time of chain position \p Pos on node \p NodeId considering
   /// placed predecessors only (the immediate chain predecessor is added
   /// by the DP transition).
@@ -128,6 +197,9 @@ private:
   DataPolicy &Policy;
   const CostModel &Cost;
   const AllocatorPolicy &Params;
+  /// The fronts of the last forward pass, position-major: `K * N`
+  /// entries for a chain of K tasks over N candidates.
+  std::vector<LabelFront> Fronts;
   mutable uint64_t KeptLabels = 0;
   uint64_t FitQueries = 0;
   mutable uint64_t DpReruns = 0;

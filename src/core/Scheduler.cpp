@@ -13,6 +13,8 @@
 #include "support/Check.h"
 
 #include <algorithm>
+#include <array>
+#include <optional>
 
 using namespace cws;
 
@@ -35,118 +37,208 @@ struct SchedulerMetrics {
     return M;
   }
 };
+
+/// The state one run of the critical works method mutates. A lane
+/// serves the bias its result belongs to and, until their picks first
+/// differ, also the Time bias with its own collision log.
+struct Lane {
+  Lane(const Grid &Env, DataPolicy Policy, size_t Tasks,
+       OptimizationBias Bias, bool WithTime)
+      : Scratch(Env), Policy(std::move(Policy)), Assigned(Tasks, false),
+        Remaining(Tasks), Bias(Bias), WithTime(WithTime) {}
+
+  Grid Scratch;
+  DataPolicy Policy;
+  ScheduleResult Result;
+  std::vector<CollisionRecord> TimeLog;
+  std::vector<bool> Assigned;
+  size_t Remaining;
+  // Collision repair rounds so far: when a later critical work cannot fit
+  // the windows left by earlier ones, the conflicting placed successors
+  // are released and rescheduled ("resolving collisions caused by
+  // conflicts between tasks of different critical works").
+  int Repairs = 0;
+  OptimizationBias Bias;
+  bool WithTime;
+
+  BiasLogs logs() {
+    BiasLogs Logs{};
+    Logs[static_cast<size_t>(Bias)] = &Result.Collisions;
+    if (WithTime)
+      Logs[static_cast<size_t>(OptimizationBias::Time)] = &TimeLog;
+    return Logs;
+  }
+};
+
+/// The critical works method for \p J: one lane serving \p Bias, plus
+/// the Time bias when \p WithTime. Returns the result of every lane that
+/// ran, indexed by bias.
+std::array<std::optional<ScheduleResult>, 2>
+runLanes(const Job &J, const Grid &Env, const Network &Net,
+         const SchedulerConfig &Config, OwnerId Owner, Tick Now,
+         OptimizationBias Bias, bool WithTime) {
+  CWS_CHECK(Owner != 0, "scheduling needs a non-zero owner id");
+  SchedulerMetrics &M = SchedulerMetrics::get();
+  obs::Span SchedSpan("core", "scheduleJob", "tasks",
+                      static_cast<int64_t>(J.taskCount()));
+  std::array<std::optional<ScheduleResult>, 2> Out;
+  if (J.taskCount() == 0) {
+    Out[static_cast<size_t>(Bias)].emplace().Feasible = true;
+    return Out;
+  }
+  CWS_CHECK(J.isAcyclic(), "compound jobs must be acyclic");
+
+  // Node prices are the same in every scratch copy of Env.
+  CostModel Cost(Env, Config.Costs);
+  AllocatorPolicy Alloc = Config.Alloc;
+  if (Alloc.CandidateNodes.empty())
+    for (const auto &N : Env.nodes())
+      Alloc.CandidateNodes.push_back(N.id());
+
+  Tick Release = std::max(Now, J.release());
+  const int MaxRepairs = Config.RepairBudget;
+  std::optional<Lane> Forked;
+  bool ForkPlaced = false;
+
+  // Runs \p L to completion. With \p Pending, the chain of its last
+  // phase was already placed (or not) when the lanes split.
+  auto Drive = [&](Lane &L, std::optional<bool> Pending) {
+    ChainAllocator Allocator(J, L.Scratch, L.Policy, Cost, Alloc);
+    while (Pending || L.Remaining > 0) {
+      bool Placed;
+      if (Pending) {
+        Placed = *Pending;
+        Pending.reset();
+      } else {
+        CriticalWork Work;
+        {
+          obs::Span ExtractSpan("core", "extractCriticalWork");
+          Work = findCriticalWork(J, L.Assigned);
+          ExtractSpan.arg("chain_len",
+                          static_cast<int64_t>(Work.TaskIds.size()));
+        }
+        CWS_CHECK(!Work.TaskIds.empty(), "tasks remain but no critical work");
+        L.Result.Phases.push_back(std::move(Work));
+        M.Phases.add();
+        const CriticalWork &Chain = L.Result.Phases.back();
+        obs::PhaseScope DpPhase("chain.dp");
+        uint64_t Labels0 = Allocator.labelsKept();
+        uint64_t Fits0 = Allocator.fitQueries();
+        uint64_t Reruns0 = Allocator.dpReruns();
+        obs::Span AllocSpan("core", "allocateChain", "chain_len",
+                            static_cast<int64_t>(Chain.TaskIds.size()));
+        // Work of the Time lane's continuation after a split.
+        uint64_t ForkLabels = 0, ForkFits = 0, ForkReruns = 0;
+        ChainSplit Split;
+        ChainOutcome Outcome =
+            Allocator.allocate(Chain, L.Result.Dist, Release, J.deadline(),
+                               Owner, L.logs(), Split);
+        Placed = Outcome == ChainOutcome::Placed;
+        if (Outcome == ChainOutcome::Split) {
+          // The picks differ: the Time bias continues on a copy of the
+          // state the split left, with its own collision log.
+          Forked.emplace(L);
+          Forked->Bias = OptimizationBias::Time;
+          Forked->WithTime = false;
+          Forked->Result.Collisions = std::move(Forked->TimeLog);
+          Forked->TimeLog.clear();
+          L.WithTime = false;
+          L.TimeLog.clear();
+          ChainAllocator TimeAllocator(J, Forked->Scratch, Forked->Policy,
+                                       Cost, Alloc);
+          ForkPlaced = TimeAllocator.resume(
+              Chain, Split, OptimizationBias::Time, Forked->Result.Dist,
+              Release, J.deadline(), Owner, Forked->Result.Collisions);
+          Placed = Allocator.resume(Chain, Split, L.Bias, L.Result.Dist,
+                                    Release, J.deadline(), Owner,
+                                    L.Result.Collisions);
+          ForkLabels = TimeAllocator.labelsKept();
+          ForkFits = TimeAllocator.fitQueries();
+          ForkReruns = TimeAllocator.dpReruns();
+        }
+        AllocSpan.arg("placed", Placed);
+        DpPhase.work("labels", Allocator.labelsKept() - Labels0 + ForkLabels);
+        DpPhase.work("fit_queries",
+                     Allocator.fitQueries() - Fits0 + ForkFits);
+        DpPhase.work("dp_reruns",
+                     Allocator.dpReruns() - Reruns0 + ForkReruns);
+      }
+      const CriticalWork &Work = L.Result.Phases.back();
+      if (Placed) {
+        for (unsigned TaskId : Work.TaskIds) {
+          L.Assigned[TaskId] = true;
+          --L.Remaining;
+        }
+        continue;
+      }
+
+      // The chain cannot meet its windows. Its placed successors impose
+      // the latest-finish bounds; free them and let later phases place
+      // them again around this chain.
+      std::vector<unsigned> Blockers;
+      for (unsigned TaskId : Work.TaskIds)
+        for (size_t EdgeIdx : J.outEdges(TaskId)) {
+          unsigned Succ = J.edge(EdgeIdx).Dst;
+          if (L.Result.Dist.find(Succ) &&
+              std::find(Blockers.begin(), Blockers.end(), Succ) ==
+                  Blockers.end())
+            Blockers.push_back(Succ);
+        }
+      if (Blockers.empty() || L.Repairs >= MaxRepairs)
+        break; // Genuinely infeasible within the deadline.
+      ++L.Repairs;
+      obs::Tracer::global().instant("core", "repairCollision", "blockers",
+                                    static_cast<int64_t>(Blockers.size()));
+      for (unsigned Blocked : Blockers) {
+        std::optional<Placement> P = L.Result.Dist.remove(Blocked);
+        CWS_CHECK(P, "blocker vanished from the distribution");
+        bool Released = L.Scratch.node(P->NodeId).timeline().release(
+            P->Start, P->End, Owner);
+        CWS_CHECK(Released, "blocker had no reservation");
+        L.Assigned[Blocked] = false;
+        ++L.Remaining;
+        CollisionRecord C{Blocked, P->NodeId, Owner, P->Start, P->Start,
+                          CollisionResolution::Moved};
+        for (std::vector<CollisionRecord> *Log : L.logs())
+          if (Log)
+            Log->push_back(C);
+      }
+    }
+    L.Result.Feasible =
+        L.Result.Dist.covers(J) && L.Result.Dist.makespan() <= J.deadline();
+    if (!L.Result.Feasible)
+      M.Infeasible.add();
+    M.Collisions.add(L.Result.Collisions.size());
+    M.Repairs.add(static_cast<uint64_t>(L.Repairs));
+    Out[static_cast<size_t>(L.Bias)] = std::move(L.Result);
+  };
+
+  Lane Main(Env, DataPolicy(Config.DataKind, Net, Config.DataConfig),
+            J.taskCount(), Bias, WithTime);
+  Drive(Main, std::nullopt);
+  if (Forked)
+    Drive(*Forked, ForkPlaced);
+  SchedSpan.arg("feasible", Out[static_cast<size_t>(Bias)]->Feasible);
+  return Out;
+}
+
 } // namespace
 
 ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
                                 const Network &Net,
                                 const SchedulerConfig &Config, OwnerId Owner,
                                 Tick Now) {
-  CWS_CHECK(Owner != 0, "scheduling needs a non-zero owner id");
-  SchedulerMetrics &M = SchedulerMetrics::get();
-  obs::Span SchedSpan("core", "scheduleJob", "tasks",
-                      static_cast<int64_t>(J.taskCount()));
-  ScheduleResult Result;
-  if (J.taskCount() == 0) {
-    Result.Feasible = true;
-    return Result;
-  }
-  CWS_CHECK(J.isAcyclic(), "compound jobs must be acyclic");
+  return std::move(*runLanes(J, Env, Net, Config, Owner, Now,
+                             Config.Alloc.Bias, /*WithTime=*/false)
+                        [static_cast<size_t>(Config.Alloc.Bias)]);
+}
 
-  Grid Scratch = Env;
-  DataPolicy Policy(Config.DataKind, Net, Config.DataConfig);
-  CostModel Cost(Scratch, Config.Costs);
-
-  AllocatorPolicy Alloc = Config.Alloc;
-  if (Alloc.CandidateNodes.empty())
-    for (const auto &N : Scratch.nodes())
-      Alloc.CandidateNodes.push_back(N.id());
-
-  ChainAllocator Allocator(J, Scratch, Policy, Cost, Alloc);
-
-  Tick Release = std::max(Now, J.release());
-  std::vector<bool> Assigned(J.taskCount(), false);
-  size_t Remaining = J.taskCount();
-  // Collision repair budget: when a later critical work cannot fit the
-  // windows left by earlier ones, the conflicting placed successors are
-  // released and rescheduled ("resolving collisions caused by conflicts
-  // between tasks of different critical works").
-  int Repairs = 0;
-  const int MaxRepairs = Config.RepairBudget;
-  while (Remaining > 0) {
-    CriticalWork Work;
-    {
-      obs::Span ExtractSpan("core", "extractCriticalWork");
-      Work = findCriticalWork(J, Assigned);
-      ExtractSpan.arg("chain_len",
-                      static_cast<int64_t>(Work.TaskIds.size()));
-    }
-    CWS_CHECK(!Work.TaskIds.empty(), "tasks remain but no critical work");
-    Result.Phases.push_back(Work);
-    M.Phases.add();
-    bool Placed;
-    {
-      obs::PhaseScope DpPhase("chain.dp");
-      uint64_t Labels0 = Allocator.labelsKept();
-      uint64_t Fits0 = Allocator.fitQueries();
-      uint64_t Reruns0 = Allocator.dpReruns();
-      obs::Span AllocSpan("core", "allocateChain", "chain_len",
-                          static_cast<int64_t>(Work.TaskIds.size()));
-      Placed = Allocator.allocate(Work, Result.Dist, Release, J.deadline(),
-                                  Owner, Result.Collisions);
-      AllocSpan.arg("placed", Placed);
-      DpPhase.work("labels", Allocator.labelsKept() - Labels0);
-      DpPhase.work("fit_queries", Allocator.fitQueries() - Fits0);
-      DpPhase.work("dp_reruns", Allocator.dpReruns() - Reruns0);
-    }
-    if (Placed) {
-      for (unsigned TaskId : Work.TaskIds) {
-        Assigned[TaskId] = true;
-        --Remaining;
-      }
-      continue;
-    }
-
-    // The chain cannot meet its windows. Its placed successors impose
-    // the latest-finish bounds; free them and let later phases place
-    // them again around this chain.
-    std::vector<unsigned> Blockers;
-    for (unsigned TaskId : Work.TaskIds)
-      for (size_t EdgeIdx : J.outEdges(TaskId)) {
-        unsigned Succ = J.edge(EdgeIdx).Dst;
-        if (Result.Dist.find(Succ) &&
-            std::find(Blockers.begin(), Blockers.end(), Succ) ==
-                Blockers.end())
-          Blockers.push_back(Succ);
-      }
-    if (Blockers.empty() || Repairs >= MaxRepairs) {
-      // Genuinely infeasible within the deadline.
-      M.Infeasible.add();
-      M.Collisions.add(Result.Collisions.size());
-      M.Repairs.add(static_cast<uint64_t>(Repairs));
-      SchedSpan.arg("feasible", 0);
-      return Result;
-    }
-    ++Repairs;
-    obs::Tracer::global().instant("core", "repairCollision", "blockers",
-                                  static_cast<int64_t>(Blockers.size()));
-    for (unsigned Blocked : Blockers) {
-      std::optional<Placement> P = Result.Dist.remove(Blocked);
-      CWS_CHECK(P, "blocker vanished from the distribution");
-      bool Released =
-          Scratch.node(P->NodeId).timeline().release(P->Start, P->End, Owner);
-      CWS_CHECK(Released, "blocker had no reservation");
-      Assigned[Blocked] = false;
-      ++Remaining;
-      Result.Collisions.push_back({Blocked, P->NodeId, Owner, P->Start,
-                                   P->Start, CollisionResolution::Moved});
-    }
-  }
-  Result.Feasible =
-      Result.Dist.covers(J) && Result.Dist.makespan() <= J.deadline();
-  if (!Result.Feasible)
-    M.Infeasible.add();
-  M.Collisions.add(Result.Collisions.size());
-  M.Repairs.add(static_cast<uint64_t>(Repairs));
-  SchedSpan.arg("feasible", Result.Feasible);
-  return Result;
+CostTimeSchedules cws::scheduleCostAndTime(const Job &J, const Grid &Env,
+                                           const Network &Net,
+                                           const SchedulerConfig &Config,
+                                           OwnerId Owner, Tick Now) {
+  auto Lanes = runLanes(J, Env, Net, Config, Owner, Now,
+                        OptimizationBias::Cost, /*WithTime=*/true);
+  return {std::move(*Lanes[static_cast<size_t>(OptimizationBias::Cost)]),
+          std::move(Lanes[static_cast<size_t>(OptimizationBias::Time)])};
 }

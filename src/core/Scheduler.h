@@ -27,6 +27,7 @@
 #include "resource/Grid.h"
 #include "resource/Network.h"
 
+#include <optional>
 #include <vector>
 
 namespace cws {
@@ -65,6 +66,25 @@ struct ScheduleResult {
 ScheduleResult scheduleJob(const Job &J, const Grid &Env, const Network &Net,
                            const SchedulerConfig &Config, OwnerId Owner,
                            Tick Now = 0);
+
+/// The Cost and the Time schedule of `scheduleJob`, built together.
+struct CostTimeSchedules {
+  ScheduleResult Cost;
+  /// Empty when the Time bias never picked differently from Cost: its
+  /// schedule would then equal Cost's except for the `Moved` collisions
+  /// only the Cost bias records.
+  std::optional<ScheduleResult> Time;
+};
+
+/// `scheduleJob` under both biases (`Config.Alloc.Bias` is not read).
+/// One scratch state serves both while their chain picks agree, so each
+/// critical work before the first differing pick is placed once; at that
+/// pick the state is copied and each bias continues on its own. Each
+/// result equals what `scheduleJob` returns for its bias.
+CostTimeSchedules scheduleCostAndTime(const Job &J, const Grid &Env,
+                                      const Network &Net,
+                                      const SchedulerConfig &Config,
+                                      OwnerId Owner, Tick Now = 0);
 
 } // namespace cws
 

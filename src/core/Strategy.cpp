@@ -138,45 +138,67 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
     for (size_t I = 0; I < S.Levels.size(); ++I)
       Covered.push_back(I);
 
-  // One build task per covered (level, bias) pair. Each task runs
-  // scheduleJob on its own scratch state (the scheduler copies the
-  // environment and owns its data policy and cost model), so the set is
-  // embarrassingly parallel — the paper's strategy is precisely a set
-  // of *independent* supporting schedules, one per environment event.
-  struct VariantTask {
+  // A node is full when the base load leaves it no window for the
+  // job's shortest task between its release and its deadline. No DP
+  // label can land on a full node: a scratch grid only adds the job's
+  // own reservations, every ready time is at least the release, every
+  // latest finish at most the deadline, no task runs shorter there than
+  // the shortest one, and earliestFit is monotone in its start and its
+  // duration.
+  const Job &Sched = S.Scheduled;
+  std::vector<bool> Full(Env.size(), false);
+  if (Sched.taskCount() > 0) {
+    Tick Shortest = Sched.task(0).RefTicks;
+    for (unsigned TaskId = 1; TaskId < Sched.taskCount(); ++TaskId)
+      Shortest = std::min(Shortest, Sched.task(TaskId).RefTicks);
+    Tick Release = std::max(Now, Sched.release());
+    for (const auto &N : Env.nodes()) {
+      Tick Dur = N.execTicks(Shortest);
+      Full[N.id()] =
+          N.timeline().earliestFit(Release, Dur) + Dur > Sched.deadline();
+    }
+  }
+
+  // One build task per distinct covered level: the candidate sets of two
+  // levels that differ only by full nodes yield the same distributions,
+  // so the higher level's variants would be merged away as duplicates
+  // (only the Cost bias's `Moved` scan sees the full nodes). Each task
+  // builds the Cost and the Time variant together on its own scratch
+  // state, so the tasks are independent — the paper's strategy is a set
+  // of independent supporting schedules, one per environment event.
+  struct LevelTask {
     size_t Level;
-    OptimizationBias Bias;
     std::vector<unsigned> Candidates;
   };
-  std::vector<VariantTask> Tasks;
+  std::vector<LevelTask> Tasks;
+  std::vector<unsigned> LastOpen;
   for (size_t Level : Covered) {
     // The variant for level L covers the event "every node faster than L
     // is taken": it may only use nodes at or below that performance.
-    std::vector<unsigned> Candidates;
+    std::vector<unsigned> Candidates, Open;
     for (const auto &N : Env.nodes())
-      if (IsAllowed(N.id()) && N.relPerf() <= S.Levels[Level] + 1e-9)
+      if (IsAllowed(N.id()) && N.relPerf() <= S.Levels[Level] + 1e-9) {
         Candidates.push_back(N.id());
-    if (Candidates.empty())
+        if (!Full[N.id()])
+          Open.push_back(N.id());
+      }
+    if (Candidates.empty() || (!Tasks.empty() && Open == LastOpen))
       continue;
-    for (OptimizationBias Bias :
-         {OptimizationBias::Cost, OptimizationBias::Time})
-      Tasks.push_back({Level, Bias, Candidates});
+    LastOpen = std::move(Open);
+    Tasks.push_back({Level, std::move(Candidates)});
   }
 
-  std::vector<ScheduleVariant> Built(Tasks.size());
+  std::vector<CostTimeSchedules> Built(Tasks.size());
   auto BuildOne = [&](size_t I) {
-    const VariantTask &T = Tasks[I];
     SchedulerConfig SC;
     SC.DataKind = strategyDataPolicy(Config.Kind);
     SC.DataConfig = Config.DataConfig;
     SC.Costs = Config.Costs;
-    SC.Alloc.CandidateNodes = T.Candidates;
-    SC.Alloc.Bias = T.Bias;
+    SC.Alloc.CandidateNodes = Tasks[I].Candidates;
     SC.Alloc.NodeSwitchPenalty =
         Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
     SC.Alloc.MaxFrontSize = Config.MaxFrontSize;
-    Built[I] = {T.Level, S.Levels[T.Level], T.Bias,
-                scheduleJob(S.Scheduled, Env, Net, SC, Owner, Now)};
+    Built[I] = scheduleCostAndTime(Sched, Env, Net, SC, Owner, Now);
   };
 
   size_t Lanes = Config.BuildThreads > 0 ? Config.BuildThreads
@@ -189,17 +211,23 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
 
   // Merge in (level, bias) order — deterministic and identical to the
   // serial build at any lane count. Identical supporting schedules add
-  // no coverage; keep one.
-  for (ScheduleVariant &Variant : Built) {
-    bool Duplicate = false;
+  // no coverage; keep one. A Time variant that was not built would have
+  // been a duplicate of its Cost twin.
+  size_t VariantsBuilt = 0;
+  auto Merge = [&](size_t Level, OptimizationBias Bias,
+                   ScheduleResult &&Result) {
+    ++VariantsBuilt;
     for (const auto &Existing : S.Variants)
-      if (Existing.feasible() == Variant.feasible() &&
-          sameDistribution(Existing.Result.Dist, Variant.Result.Dist)) {
-        Duplicate = true;
-        break;
-      }
-    if (!Duplicate)
-      S.Variants.push_back(std::move(Variant));
+      if (Existing.feasible() == Result.Feasible &&
+          sameDistribution(Existing.Result.Dist, Result.Dist))
+        return;
+    S.Variants.push_back({Level, S.Levels[Level], Bias, std::move(Result)});
+  };
+  for (size_t I = 0; I < Tasks.size(); ++I) {
+    Merge(Tasks[I].Level, OptimizationBias::Cost, std::move(Built[I].Cost));
+    if (Built[I].Time)
+      Merge(Tasks[I].Level, OptimizationBias::Time,
+            std::move(*Built[I].Time));
   }
   // Journal the per-variant outcomes post-merge, on the calling thread
   // and in (level, bias) order — the event stream stays byte-identical
@@ -234,7 +262,7 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
           std::chrono::steady_clock::now() - T0)
           .count()));
   BuildSpan.arg("variants", static_cast<int64_t>(S.Variants.size()));
-  BuildPhase.work("variants_built", Tasks.size());
+  BuildPhase.work("variants_built", VariantsBuilt);
   BuildPhase.work("variants_kept", S.Variants.size());
   return S;
 }

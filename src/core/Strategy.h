@@ -65,12 +65,13 @@ struct StrategyConfig {
   DataPolicyConfig DataConfig;
   CostConfig Costs;
   size_t MaxFrontSize = 8;
-  /// Worker lanes Strategy::build fans variants out over. 0 resolves to
+  /// Worker lanes Strategy::build fans its levels out over: one task per
+  /// distinct covered level, building that level's Cost and Time
+  /// variants on the task's own scratch state. 0 resolves to
   /// `ThreadPool::defaultThreads()` (the CWS_BUILD_THREADS environment
   /// variable, else hardware concurrency); 1 builds serially on the
-  /// calling thread. Variants are merged in (level, bias) order onto
-  /// per-variant scratch state, so the result is identical at any
-  /// thread count.
+  /// calling thread. Variants are merged in (level, bias) order, so the
+  /// result is identical at any thread count.
   size_t BuildThreads = 0;
   /// When non-empty, restrict scheduling to these node ids (a domain of
   /// the hierarchical framework). Estimation levels are derived from
@@ -94,8 +95,15 @@ struct ScheduleVariant {
 class Strategy {
 public:
   /// Generates the strategy of \p Config.Kind for \p J against the load
-  /// state of \p Env at time \p Now. Every variant is built on its own
-  /// copy of \p Env; the environment is not mutated.
+  /// state of \p Env at time \p Now; the environment is not mutated.
+  /// Each distinct covered level is built once, on its own copy of
+  /// \p Env: its Cost and Time variants share one lane (scratch state)
+  /// until their chain picks first differ, and then continue on two.
+  /// A level whose candidates differ from the previous covered level's
+  /// only by nodes the job cannot use (no window for its shortest task
+  /// before the deadline) is not built, and a Time lane that never split
+  /// from its Cost twin yields no variant: both would equal a variant
+  /// already kept.
   static Strategy build(const Job &J, const Grid &Env, const Network &Net,
                         const StrategyConfig &Config, OwnerId Owner,
                         Tick Now = 0);

@@ -103,6 +103,37 @@ TEST(DataPolicy, BilledTicksMatchesPreviewForOtherKinds) {
   EXPECT_EQ(Static.billedTicks(0, 10, 1, 2), Static.previewTicks(0, 10, 1, 2));
 }
 
+TEST(DataPolicy, TransferFromAnotherNodeDoesNotDependOnWhichNode) {
+  // The chain DP prices a chain edge once per destination node for
+  // every other source node, so previewed and billed ticks may depend on
+  // the source only through whether it is the destination.
+  NetworkConfig Slow;
+  Slow.TransferScale = 1.5;
+  Slow.Latency = 2;
+  for (const Network &Net : {Network(), Network(Slow)})
+    for (DataPolicyKind Kind :
+         {DataPolicyKind::ActiveReplication, DataPolicyKind::RemoteAccess,
+          DataPolicyKind::StaticStorage}) {
+      DataPolicy P(Kind, Net);
+      P.transferTicks(/*ProducerTask=*/3, 10, 0, 2); // A replica on node 2.
+      for (unsigned Producer : {3u, 4u})
+        for (Tick Base : {0, 1, 10})
+          for (unsigned Dst = 0; Dst < 4; ++Dst) {
+            unsigned First = Dst == 0 ? 1 : 0;
+            for (unsigned Src = 0; Src < 4; ++Src) {
+              if (Src == Dst)
+                continue;
+              EXPECT_EQ(P.previewTicks(Producer, Base, Src, Dst),
+                        P.previewTicks(Producer, Base, First, Dst))
+                  << dataPolicyName(Kind) << " " << Src << "->" << Dst;
+              EXPECT_EQ(P.billedTicks(Producer, Base, Src, Dst),
+                        P.billedTicks(Producer, Base, First, Dst))
+                  << dataPolicyName(Kind) << " " << Src << "->" << Dst;
+            }
+          }
+    }
+}
+
 TEST(DataPolicy, Names) {
   EXPECT_STREQ(dataPolicyName(DataPolicyKind::ActiveReplication),
                "replication");

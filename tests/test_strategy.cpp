@@ -12,6 +12,7 @@
 #include "job/Job.h"
 #include "metrics/Export.h"
 #include "obs/Metrics.h"
+#include "obs/Profiler.h"
 #include "obs/Provenance.h"
 #include "resource/Network.h"
 #include "sim/Simulator.h"
@@ -20,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -65,6 +67,138 @@ std::string strategyText(const Strategy &S) {
     }
   }
   return Text;
+}
+
+/// The first way in which two variant lists differ — level, bias,
+/// feasibility, a placement (cost included), a collision record or a
+/// critical work — or "" when they are identical.
+std::string firstDifference(const std::vector<ScheduleVariant> &A,
+                            const std::vector<ScheduleVariant> &B) {
+  if (A.size() != B.size())
+    return "variant count " + std::to_string(A.size()) + " vs " +
+           std::to_string(B.size());
+  for (size_t I = 0; I < A.size(); ++I) {
+    const ScheduleVariant &VA = A[I];
+    const ScheduleVariant &VB = B[I];
+    std::string At = "variant " + std::to_string(I) + ": ";
+    if (VA.Level != VB.Level || VA.Bias != VB.Bias ||
+        VA.feasible() != VB.feasible())
+      return At + "level, bias or feasibility";
+    const std::vector<Placement> &PA = VA.Result.Dist.placements();
+    const std::vector<Placement> &PB = VB.Result.Dist.placements();
+    if (PA.size() != PB.size())
+      return At + "placement count";
+    for (size_t K = 0; K < PA.size(); ++K)
+      if (PA[K].TaskId != PB[K].TaskId || PA[K].NodeId != PB[K].NodeId ||
+          PA[K].Start != PB[K].Start || PA[K].End != PB[K].End ||
+          PA[K].EconomicCost != PB[K].EconomicCost)
+        return At + "placement " + std::to_string(K);
+    const std::vector<CollisionRecord> &CA = VA.Result.Collisions;
+    const std::vector<CollisionRecord> &CB = VB.Result.Collisions;
+    if (CA.size() != CB.size())
+      return At + "collision count";
+    for (size_t K = 0; K < CA.size(); ++K)
+      if (CA[K].TaskId != CB[K].TaskId || CA[K].NodeId != CB[K].NodeId ||
+          CA[K].BlockingOwner != CB[K].BlockingOwner ||
+          CA[K].WantedStart != CB[K].WantedStart ||
+          CA[K].ActualStart != CB[K].ActualStart ||
+          CA[K].Resolution != CB[K].Resolution)
+        return At + "collision " + std::to_string(K);
+    const std::vector<CriticalWork> &WA = VA.Result.Phases;
+    const std::vector<CriticalWork> &WB = VB.Result.Phases;
+    if (WA.size() != WB.size())
+      return At + "phase count";
+    for (size_t K = 0; K < WA.size(); ++K)
+      if (WA[K].TaskIds != WB[K].TaskIds ||
+          WA[K].RefLength != WB[K].RefLength)
+        return At + "phase " + std::to_string(K);
+  }
+  return "";
+}
+
+/// \p S rebuilt one (level, bias) variant at a time: `scheduleJob` for
+/// every covered pair under the configuration Strategy::build uses, then
+/// the same merge (a variant equal in feasibility and placements to a
+/// kept one is dropped).
+std::vector<ScheduleVariant> perVariantReference(const Strategy &S,
+                                                 const Grid &Env,
+                                                 const Network &Net,
+                                                 const StrategyConfig &Config,
+                                                 OwnerId Owner, Tick Now) {
+  std::vector<size_t> Covered;
+  for (size_t L = 0; L < S.levels().size(); ++L)
+    if (!strategyBestWorstOnly(Config.Kind) || L == 0 ||
+        L + 1 == S.levels().size())
+      Covered.push_back(L);
+  std::vector<ScheduleVariant> Out;
+  for (size_t Level : Covered)
+    for (OptimizationBias Bias :
+         {OptimizationBias::Cost, OptimizationBias::Time}) {
+      SchedulerConfig SC;
+      SC.DataKind = strategyDataPolicy(Config.Kind);
+      SC.DataConfig = Config.DataConfig;
+      SC.Costs = Config.Costs;
+      for (const auto &N : Env.nodes())
+        if ((Config.AllowedNodes.empty() ||
+             std::count(Config.AllowedNodes.begin(), Config.AllowedNodes.end(),
+                        N.id())) &&
+            N.relPerf() <= S.levels()[Level] + 1e-9)
+          SC.Alloc.CandidateNodes.push_back(N.id());
+      if (SC.Alloc.CandidateNodes.empty())
+        continue;
+      SC.Alloc.Bias = Bias;
+      SC.Alloc.NodeSwitchPenalty =
+          Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
+      SC.Alloc.MaxFrontSize = Config.MaxFrontSize;
+      ScheduleVariant V{Level, S.levels()[Level], Bias,
+                        scheduleJob(S.scheduledJob(), Env, Net, SC, Owner,
+                                    Now)};
+      auto SameSchedule = [&V](const ScheduleVariant &Kept) {
+        const Distribution &A = Kept.Result.Dist;
+        const Distribution &B = V.Result.Dist;
+        if (Kept.feasible() != V.feasible() || A.size() != B.size())
+          return false;
+        for (const Placement &P : A.placements()) {
+          const Placement *Q = B.find(P.TaskId);
+          if (!Q || Q->NodeId != P.NodeId || Q->Start != P.Start ||
+              Q->End != P.End)
+            return false;
+        }
+        return true;
+      };
+      if (std::none_of(Out.begin(), Out.end(), SameSchedule))
+        Out.push_back(std::move(V));
+    }
+  return Out;
+}
+
+/// What one Strategy::build computed, from the profiler: schedules built
+/// (`strategy.build` variants_built), chain placements run (`chain.dp`
+/// calls) and DP reruns.
+struct BuildWork {
+  uint64_t VariantsBuilt = 0;
+  uint64_t DpCalls = 0;
+  uint64_t DpReruns = 0;
+};
+
+BuildWork profiledBuild(const Job &J, const Grid &Env,
+                        const StrategyConfig &Config, Strategy &Out) {
+  obs::Profiler &P = obs::Profiler::global();
+  P.reset();
+  P.enable();
+  Out = Strategy::build(J, Env, Network{}, Config, 42);
+  P.disable();
+  BuildWork W;
+  for (const obs::PhaseStats &Phase : P.snapshot()) {
+    if (Phase.Name == "strategy.build")
+      W.VariantsBuilt = *Phase.work("variants_built");
+    if (Phase.Name == "chain.dp") {
+      W.DpCalls = Phase.Count;
+      W.DpReruns = *Phase.work("dp_reruns");
+    }
+  }
+  P.reset();
+  return W;
 }
 
 } // namespace
@@ -225,8 +359,9 @@ TEST(Strategy, BuildLeavesEnvironmentUntouched) {
 }
 
 TEST(Strategy, ParallelBuildMatchesSerialExactly) {
-  // Variant generation fans out over a worker pool; the merged result
-  // must be indistinguishable from the serial build at any lane count.
+  // Levels fan out over a worker pool; the merged result must be
+  // indistinguishable from the serial build at any lane count, down to
+  // placement costs, collision records and critical works.
   Job J = makeFig2Job();
   Grid Env = Grid::makeFig2();
   Network Net;
@@ -240,26 +375,8 @@ TEST(Strategy, ParallelBuildMatchesSerialExactly) {
     Strategy A = Strategy::build(J, Env, Net, Serial, 42);
     Strategy B = Strategy::build(J, Env, Net, Parallel, 42);
     EXPECT_EQ(A.levels(), B.levels());
-    ASSERT_EQ(A.variants().size(), B.variants().size())
+    EXPECT_EQ(firstDifference(A.variants(), B.variants()), "")
         << strategyName(Kind);
-    for (size_t I = 0; I < A.variants().size(); ++I) {
-      const ScheduleVariant &VA = A.variants()[I];
-      const ScheduleVariant &VB = B.variants()[I];
-      EXPECT_EQ(VA.Level, VB.Level);
-      EXPECT_EQ(VA.Bias, VB.Bias);
-      EXPECT_EQ(VA.feasible(), VB.feasible());
-      const Distribution &DA = VA.Result.Dist;
-      const Distribution &DB = VB.Result.Dist;
-      ASSERT_EQ(DA.size(), DB.size());
-      for (const Placement &P : DA.placements()) {
-        const Placement *Q = DB.find(P.TaskId);
-        ASSERT_NE(Q, nullptr);
-        EXPECT_EQ(Q->NodeId, P.NodeId);
-        EXPECT_EQ(Q->Start, P.Start);
-        EXPECT_EQ(Q->End, P.End);
-        EXPECT_DOUBLE_EQ(Q->EconomicCost, P.EconomicCost);
-      }
-    }
   }
 }
 
@@ -337,4 +454,244 @@ TEST(Strategy, PinnedDigestOnALoadedSnapshot) {
   EXPECT_GT(Collisions, 0u);
   EXPECT_EQ(obs::fnv1a64(Text), 0xbccae10c9239de26ULL)
       << Text.size() << " bytes";
+}
+
+TEST(Strategy, BuildMatchesPerVariantReference) {
+  // Strategy::build shares chain placements between the Cost and Time
+  // variants and skips levels; the result must equal building every
+  // covered (level, bias) variant on its own and merging afterwards.
+  // Inputs: the PinnedDigestOnALoadedSnapshot workload.
+  constexpr Tick Now = 1000;
+  const Grid Env = loadedSnapshot(/*Seed=*/7, Now);
+  const Network Net;
+  std::vector<std::pair<Job, StrategyConfig>> Builds;
+  constexpr size_t Jobs = 50;
+  for (double Slack : {1.2, 1.35, 1.6, 2.0}) {
+    WorkloadConfig WC;
+    WC.DeadlineSlack = Slack;
+    JobGenerator Gen(WC, /*Seed=*/2009);
+    for (size_t I = 0; I < Jobs; ++I) {
+      Job J = Gen.next(Now);
+      for (StrategyKind Kind : {StrategyKind::S1, StrategyKind::S2,
+                                StrategyKind::S3, StrategyKind::MS1}) {
+        StrategyConfig Config;
+        Config.Kind = Kind;
+        Builds.push_back({J, Config});
+      }
+    }
+  }
+  WorkloadConfig WC;
+  WC.DeadlineSlack = 1.6;
+  JobGenerator Gen(WC, /*Seed=*/2010);
+  for (size_t I = 0; I < Jobs; ++I) {
+    Job J = Gen.next(Now);
+    StrategyConfig Capped;
+    Capped.MaxFrontSize = 3;
+    Builds.push_back({J, Capped});
+    StrategyConfig Domain;
+    for (unsigned Id = 0; Id < Env.size(); Id += 3)
+      Domain.AllowedNodes.push_back(Id);
+    Builds.push_back({J, Domain});
+  }
+
+  for (size_t Threads : {1, 4}) {
+    size_t Mismatches = 0;
+    for (auto &[J, Config] : Builds) {
+      Config.BuildThreads = Threads;
+      OwnerId Owner = Metascheduler::ownerOf(J.id());
+      Strategy S = Strategy::build(J, Env, Net, Config, Owner, Now);
+      std::string Diff = firstDifference(
+          S.variants(),
+          perVariantReference(S, Env, Net, Config, Owner, Now));
+      if (!Diff.empty() && ++Mismatches <= 5)
+        ADD_FAILURE() << strategyName(Config.Kind) << " job " << J.id()
+                      << " at " << Threads << " lanes: " << Diff;
+    }
+    EXPECT_EQ(Mismatches, 0u) << Threads << " lanes";
+  }
+}
+
+TEST(Strategy, PicksThatNeverDifferRunOneLanePerLevel) {
+  // The fastest node of every level is also its cheapest, so the Cost
+  // and the Time pick agree at every critical work: each level runs one
+  // lane, and each of its critical works is placed once.
+  Grid Env;
+  Env.addNodePriced(1.0, 1.0);
+  Env.addNodePriced(0.5, 4.0);
+  Env.addNodePriced(0.25, 8.0);
+  StrategyConfig Config;
+  Config.BuildThreads = 1;
+  Strategy S;
+  BuildWork W = profiledBuild(makeDiamondJob(100), Env, Config, S);
+  ASSERT_EQ(S.levels().size(), 3u);
+  ASSERT_EQ(S.variants().size(), 3u);
+  uint64_t Phases = 0;
+  for (const ScheduleVariant &V : S.variants()) {
+    EXPECT_EQ(V.Bias, OptimizationBias::Cost);
+    Phases += V.Result.Phases.size();
+  }
+  EXPECT_EQ(W.VariantsBuilt, 3u);
+  EXPECT_EQ(W.DpCalls, Phases);
+  EXPECT_EQ(firstDifference(S.variants(),
+                            perVariantReference(S, Env, Network{}, Config,
+                                                42, 0)),
+            "");
+}
+
+TEST(Strategy, PicksThatDifferAtTheFirstWorkShareItsPass) {
+  // One level; the cheap node is busy at first. Cost waits for it and
+  // Time takes the expensive node, so the picks differ at the first
+  // critical work (A-B-D of the diamond): two lanes, but that work's
+  // forward pass runs once.
+  Grid Env;
+  Env.addNodePriced(1.0, 10.0);
+  Env.addNodePriced(1.0, 1.0);
+  ASSERT_TRUE(Env.node(1).timeline().reserve(0, 4, 9));
+  StrategyConfig Config;
+  Config.BuildThreads = 1;
+  Strategy S;
+  BuildWork W = profiledBuild(makeDiamondJob(100), Env, Config, S);
+  ASSERT_EQ(S.variants().size(), 2u);
+  const ScheduleResult &Cost = S.variants()[0].Result;
+  const ScheduleResult &Time = S.variants()[1].Result;
+  EXPECT_EQ(S.variants()[1].Bias, OptimizationBias::Time);
+  EXPECT_NE(Cost.Dist.find(0)->NodeId, Time.Dist.find(0)->NodeId);
+  EXPECT_EQ(W.VariantsBuilt, 2u);
+  EXPECT_EQ(W.DpCalls, Cost.Phases.size() + Time.Phases.size() - 1);
+  EXPECT_EQ(firstDifference(S.variants(),
+                            perVariantReference(S, Env, Network{}, Config,
+                                                42, 0)),
+            "");
+}
+
+TEST(Strategy, LevelsThatDifferOnlyByFullNodesAreBuiltOnce) {
+  // The fastest node is reserved through the deadline, so levels 0 and
+  // 1 differ only by a full node: level 1 is not built.
+  Grid Env;
+  Env.addNode(1.0);
+  Env.addNode(0.5);
+  Env.addNode(0.25);
+  ASSERT_TRUE(Env.node(0).timeline().reserve(0, 1000, 9));
+  StrategyConfig Config;
+  Config.BuildThreads = 1;
+  Strategy S;
+  BuildWork W = profiledBuild(makeDiamondJob(40), Env, Config, S);
+  ASSERT_EQ(S.levels().size(), 3u);
+  // Level 0 splits into two lanes; level 2 runs one.
+  EXPECT_EQ(W.VariantsBuilt, 3u);
+  for (const ScheduleVariant &V : S.variants())
+    EXPECT_NE(V.Level, 1u);
+  EXPECT_EQ(firstDifference(S.variants(),
+                            perVariantReference(S, Env, Network{}, Config,
+                                                42, 0)),
+            "");
+}
+
+TEST(Strategy, NodeWithExactlyOneWindowForTheShortestTaskIsNotFull) {
+  // The chain job's shortest task runs 2 ticks on the fastest node. A
+  // window of exactly 2 ticks ending at the deadline keeps the node
+  // open, so level 1 is built; a 1-tick window does not.
+  Job J = makeChainJob(/*Deadline=*/40);
+  for (Tick Window : {2, 1}) {
+    Grid Env;
+    Env.addNode(1.0);
+    Env.addNode(0.5);
+    Env.addNode(0.25);
+    ASSERT_TRUE(Env.node(0).timeline().reserve(0, 40 - Window, 9));
+    ASSERT_TRUE(Env.node(0).timeline().reserve(40, 1000, 9));
+    StrategyConfig Config;
+    Config.BuildThreads = 1;
+    Strategy S;
+    BuildWork W = profiledBuild(J, Env, Config, S);
+    // Levels 0 and 1 split into two lanes each; level 2 runs one.
+    EXPECT_EQ(W.VariantsBuilt, Window == 2 ? 5u : 3u) << Window;
+    EXPECT_EQ(firstDifference(S.variants(),
+                              perVariantReference(S, Env, Network{}, Config,
+                                                  42, 0)),
+              "")
+        << Window;
+  }
+}
+
+TEST(Strategy, RerunAfterTheLanesSplitMatchesTheReference) {
+  // A -> B -> C plus a direct A -> C edge the chain DP does not see. Both
+  // picks move C off A's node, so both violate A -> C, but they differ:
+  // the lanes split at the first pick, each reruns its own DP, and both
+  // end on the same schedule, which the merge keeps once. Generated
+  // jobs never reach the rerun path: their edges join adjacent layers,
+  // so a chain has no non-adjacent edge.
+  Grid Env;
+  Env.addNodePriced(1.0, 10.0);
+  Env.addNodePriced(1.0, 1.0);
+  Env.addNodePriced(1.0, 1.0);
+  ASSERT_TRUE(Env.node(1).timeline().reserve(4, 30, 9));
+  ASSERT_TRUE(Env.node(2).timeline().reserve(0, 5, 9));
+  Job J;
+  unsigned A = J.addTask("A", 2, 20);
+  unsigned B = J.addTask("B", 2, 20);
+  unsigned C = J.addTask("C", 2, 20);
+  J.addEdge(A, B, 10);
+  J.addEdge(B, C, 0);
+  J.addEdge(A, C, 11);
+  J.setDeadline(100);
+  StrategyConfig Config;
+  Config.Kind = StrategyKind::S2;
+  Config.BuildThreads = 1;
+  Strategy S;
+  BuildWork W = profiledBuild(J, Env, Config, S);
+  EXPECT_EQ(W.VariantsBuilt, 2u);
+  EXPECT_EQ(W.DpCalls, 1u);
+  EXPECT_EQ(W.DpReruns, 2u);
+  ASSERT_EQ(S.variants().size(), 1u);
+  EXPECT_GE(S.variants()[0].Result.Dist.find(C)->Start,
+            S.variants()[0].Result.Dist.find(A)->End + 11);
+  EXPECT_EQ(firstDifference(S.variants(),
+                            perVariantReference(S, Env, Network{}, Config,
+                                                42, 0)),
+            "");
+}
+
+TEST(Strategy, SplitAfterASharedRerunKeepsItsReadinessBumps) {
+  // A chain 0 -> 1 -> 2 -> 3 -> 4 with direct edges 0 -> 2 and 2 -> 4.
+  // At level 0 the first pick violates a direct edge for both biases, so
+  // the shared lane reruns with a readiness bump; only then do the
+  // picks differ. Each lane must keep the bump: the Cost lane's
+  // collision wants task 4 at the bumped tick, not at its plain ready
+  // time.
+  Grid Env;
+  Env.addNodePriced(0.5, 7.0);
+  Env.addNodePriced(1.0, 2.0);
+  Env.addNodePriced(1.0, 2.0);
+  ASSERT_TRUE(Env.node(0).timeline().reserve(12, 21, 9));
+  ASSERT_TRUE(Env.node(1).timeline().reserve(9, 27, 9));
+  ASSERT_TRUE(Env.node(2).timeline().reserve(13, 27, 9));
+  Job J;
+  for (Tick Ref : {2, 3, 2, 1, 2})
+    J.addTask("t", Ref, 10.0 * static_cast<double>(Ref));
+  J.addEdge(0, 1, 7);
+  J.addEdge(1, 2, 0);
+  J.addEdge(2, 3, 0);
+  J.addEdge(3, 4, 9);
+  J.addEdge(0, 2, 5);
+  J.addEdge(2, 4, 7);
+  J.setDeadline(94);
+  StrategyConfig Config;
+  Config.Kind = StrategyKind::S2;
+  Config.BuildThreads = 1;
+  Strategy S;
+  BuildWork W = profiledBuild(J, Env, Config, S);
+  // Level 0: one shared placement with one rerun, then two lanes; level
+  // 1: one lane.
+  EXPECT_EQ(W.VariantsBuilt, 3u);
+  EXPECT_EQ(W.DpCalls, 2u);
+  EXPECT_EQ(W.DpReruns, 1u);
+  ASSERT_EQ(S.variants().size(), 3u);
+  const std::vector<CollisionRecord> &Cost = S.variants()[0].Result.Collisions;
+  ASSERT_EQ(Cost.size(), 1u);
+  EXPECT_EQ(Cost[0].TaskId, 4u);
+  EXPECT_EQ(Cost[0].WantedStart, 14);
+  EXPECT_EQ(firstDifference(S.variants(),
+                            perVariantReference(S, Env, Network{}, Config,
+                                                42, 0)),
+            "");
 }
