@@ -48,66 +48,72 @@ const char *cws::optimizationBiasName(OptimizationBias Bias) {
 ChainAllocator::ChainAllocator(const Job &J, Grid &ScratchGrid,
                                DataPolicy &Policy, const CostModel &Cost,
                                const AllocatorPolicy &Params)
-    : J(J), G(ScratchGrid), Policy(Policy), Cost(Cost), Params(Params) {
-  CWS_CHECK(!Params.CandidateNodes.empty(),
-            "allocation needs at least one candidate node");
+    : J(J), G(ScratchGrid), Policy(Policy), Cost(Cost), Params(Params),
+      Search(Params.SearchNodes ? *Params.SearchNodes
+                                : Params.CandidateNodes) {
+  const std::vector<unsigned> &Cand = Params.CandidateNodes;
+  CWS_CHECK(!Cand.empty(), "allocation needs at least one candidate node");
   CWS_CHECK(Params.MaxFrontSize >= 2, "front size cap too small");
+  // Labels reach a front and the pick sees fronts in candidate order, so
+  // the searched nodes must keep it.
+  auto At = Cand.begin();
+  for (unsigned NodeId : Search) {
+    At = std::find(At, Cand.end(), NodeId);
+    CWS_CHECK(At != Cand.end(),
+              "searched nodes must be candidates, in candidate order");
+    ++At;
+  }
 }
 
-Tick ChainAllocator::externalReady(unsigned TaskId, unsigned NodeId,
-                                   const Distribution &Dist,
-                                   Tick Release) const {
-  Tick Ready = Release;
+void ChainAllocator::gatherPlaced(unsigned TaskId, const Distribution &Dist) {
+  Preds.clear();
   for (size_t EdgeIdx : J.inEdges(TaskId)) {
     const DataEdge &E = J.edge(EdgeIdx);
-    const Placement *Src = Dist.find(E.Src);
-    if (!Src)
-      continue; // Unplaced predecessors belong to later phases.
-    Tick Tr = Policy.previewTicks(E.Src, E.BaseTransfer, Src->NodeId, NodeId);
-    Ready = std::max(Ready, Src->End + Tr);
+    // Unplaced predecessors belong to later phases.
+    if (const Placement *Src = Dist.find(E.Src))
+      Preds.push_back({E.Src, E.BaseTransfer, Src->NodeId, Src->End});
   }
+  Succs.clear();
+  for (size_t EdgeIdx : J.outEdges(TaskId)) {
+    const DataEdge &E = J.edge(EdgeIdx);
+    if (const Placement *Dst = Dist.find(E.Dst))
+      Succs.push_back({E.BaseTransfer, Dst->NodeId, Dst->Start});
+  }
+}
+
+Tick ChainAllocator::externalReady(unsigned NodeId, Tick Release) const {
+  Tick Ready = Release;
+  for (const PlacedPred &P : Preds)
+    Ready = std::max(Ready, P.End + Policy.previewTicks(P.Task, P.Base,
+                                                        P.Node, NodeId));
   return Ready;
 }
 
 Tick ChainAllocator::latestFinish(unsigned TaskId, unsigned NodeId,
-                                  const Distribution &Dist,
                                   Tick Deadline) const {
   Tick Latest = Deadline;
-  for (size_t EdgeIdx : J.outEdges(TaskId)) {
-    const DataEdge &E = J.edge(EdgeIdx);
-    const Placement *Dst = Dist.find(E.Dst);
-    if (!Dst)
-      continue;
-    Tick Tr = Policy.previewTicks(TaskId, E.BaseTransfer, NodeId, Dst->NodeId);
-    Latest = std::min(Latest, Dst->Start - Tr);
-  }
+  for (const PlacedSucc &S : Succs)
+    Latest = std::min(Latest, S.Start - Policy.previewTicks(TaskId, S.Base,
+                                                            NodeId, S.Node));
   return Latest;
 }
 
-Tick ChainAllocator::placedInboundTicks(unsigned TaskId, unsigned NodeId,
-                                        const Distribution &Dist,
+Tick ChainAllocator::placedInboundTicks(unsigned NodeId,
                                         unsigned SkipPred) const {
   Tick Sum = 0;
-  for (size_t EdgeIdx : J.inEdges(TaskId)) {
-    const DataEdge &E = J.edge(EdgeIdx);
-    if (E.Src == SkipPred)
-      continue;
-    const Placement *Src = Dist.find(E.Src);
-    if (!Src)
-      continue;
-    Sum += Policy.billedTicks(E.Src, E.BaseTransfer, Src->NodeId, NodeId);
-  }
+  for (const PlacedPred &P : Preds)
+    if (P.Task != SkipPred)
+      Sum += Policy.billedTicks(P.Task, P.Base, P.Node, NodeId);
   return Sum;
 }
 
-void ChainAllocator::insertLabel(LabelFront &Front, Label L) const {
-  ParetoInsertOutcome Outcome = paretoInsert(Front, L, Params.MaxFrontSize);
-  if (!Outcome.Inserted)
-    return;
-  AllocatorMetrics::get().Labels.add();
-  ++KeptLabels;
-  if (Outcome.EvictedForCap)
-    AllocatorMetrics::get().Evictions.add();
+void ChainAllocator::insertLabel(LabelFront &Front, const Label &L,
+                                 bool Checked) {
+  ParetoInsertOutcome Outcome =
+      Checked ? paretoInsertUndominated(Front, L, Params.MaxFrontSize)
+              : paretoInsert(Front, L, Params.MaxFrontSize);
+  KeptLabels += Outcome.Inserted;
+  EvictedLabels += Outcome.EvictedForCap;
 }
 
 namespace {
@@ -125,40 +131,22 @@ Tick chainEdgeBase(const Job &J, unsigned Src, unsigned Dst) {
   return Base;
 }
 
-/// The terms of placing one chain position's task on one candidate node
-/// that do not depend on the previous chain task's label.
-struct NodeTerms {
-  /// The node's reservations.
-  const Timeline *Line;
-  /// Execution ticks on the node.
-  Tick Dur;
-  /// Ready time from placed predecessors and rerun bumps.
-  Tick Ready;
-  /// Latest feasible finish.
-  Tick Lft;
-  /// False when no label can meet Lft on this node.
-  bool Reachable;
-  /// earliestFit(Ready, Dur), when reachable.
-  Tick FirstFit;
-  /// Billed inbound ticks from placed predecessors other than the
-  /// previous chain task.
-  Tick Inbound;
-  double ExecCost;
-  /// Chain-edge transfer ticks and step cost from a previous chain task
-  /// on this node ([0]) and on any other node ([1]).
-  Tick ChainTr[2];
-  double StepCost[2];
-};
-
 } // namespace
 
 void ChainAllocator::forward(const std::vector<unsigned> &Chain,
                              const Distribution &Dist, Tick Release,
                              Tick Deadline,
                              const std::vector<Tick> &ExtraReady) {
-  // The forward DP over (chain position, candidate node). It skips only
+  // The forward DP over (chain position, searched node). It skips only
   // work whose result it would never use, so it keeps exactly the labels
   // a full scan keeps:
+  //  * a node left out of the search set has an empty front at every
+  //    position. Dropping it drops only empty fronts from the (previous
+  //    node, label) order in which labels reach a front, so every front
+  //    receives the same labels in the same order;
+  //  * the placed neighbours of a position's task do not depend on the
+  //    node, so they are gathered once per position, and each node
+  //    folds over them in edge order;
   //  * the terms that do not depend on the previous label are computed
   //    once per (position, node). The scratch timelines do not change
   //    during a pass, so that includes the first fit S0 =
@@ -173,29 +161,34 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   //    first such label ends the scan of its front;
   //  * a candidate the target front already dominates at
   //    max(Ready, S0) + Dur is rejected whatever its start, and a
-  //    rejected insert never changes a front.
-  const std::vector<unsigned> &Cand = Params.CandidateNodes;
+  //    rejected insert never changes a front. A candidate that starts at
+  //    that bound is inserted without asking again.
   const size_t K = Chain.size();
-  const size_t N = Cand.size();
+  const size_t N = Search.size();
+  if (N == 0)
+    return; // No node to search: the pick finds no label.
   if (Fronts.size() < K * N)
     Fronts.resize(K * N);
   for (size_t I = 0; I < K * N; ++I)
     Fronts[I].clear();
+  Terms.resize(N);
+  const uint64_t Kept0 = KeptLabels;
+  const uint64_t Evicted0 = EvictedLabels;
 
-  std::vector<NodeTerms> Terms(N);
   auto ComputeTerms = [&](size_t Pos) {
     unsigned TaskId = Chain[Pos];
     unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
     Tick EdgeBase = Pos > 0 ? chainEdgeBase(J, SkipPred, TaskId) : 0;
+    Tick RefTicks = J.task(TaskId).RefTicks;
+    gatherPlaced(TaskId, Dist);
     for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      unsigned NodeId = Cand[NodeIdx];
+      unsigned NodeId = Search[NodeIdx];
       const ProcessorNode &Node = G.node(NodeId);
       NodeTerms &T = Terms[NodeIdx];
       T.Line = &Node.timeline();
-      T.Dur = Node.execTicks(J.task(TaskId).RefTicks);
-      T.Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
-                         ExtraReady[Pos]);
-      T.Lft = latestFinish(TaskId, NodeId, Dist, Deadline);
+      T.Dur = Node.execTicks(RefTicks);
+      T.Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
+      T.Lft = latestFinish(TaskId, NodeId, Deadline);
       T.Reachable = false;
       if (T.Ready + T.Dur > T.Lft)
         continue;
@@ -204,14 +197,14 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
       if (T.FirstFit + T.Dur > T.Lft)
         continue;
       T.Reachable = true;
-      T.Inbound = placedInboundTicks(TaskId, NodeId, Dist, SkipPred);
+      T.Inbound = placedInboundTicks(NodeId, SkipPred);
       T.ExecCost = Cost.nodeCost(NodeId, T.Dur);
       if (Pos == 0)
         continue;
       for (int Other = 0; Other < 2; ++Other) {
         if (Other && N == 1)
-          break; // No other candidate to come from.
-        unsigned Src = Other ? Cand[NodeIdx == 0 ? 1 : 0] : NodeId;
+          break; // No other searched node to come from.
+        unsigned Src = Other ? Search[NodeIdx == 0 ? 1 : 0] : NodeId;
         T.ChainTr[Other] = Policy.previewTicks(SkipPred, EdgeBase, Src, NodeId);
         Tick ChainBill = Policy.billedTicks(SkipPred, EdgeBase, Src, NodeId);
         T.StepCost[Other] = T.ExecCost +
@@ -227,7 +220,8 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     if (!T.Reachable)
       continue;
     double C = T.ExecCost + Cost.transferCost(T.Inbound);
-    insertLabel(Fronts[NodeIdx], {T.FirstFit + T.Dur, C, T.FirstFit, -1, -1});
+    insertLabel(Fronts[NodeIdx], {T.FirstFit + T.Dur, C, T.FirstFit, -1, -1},
+                /*Checked=*/true);
   }
 
   for (size_t Pos = 1; Pos < K; ++Pos) {
@@ -257,30 +251,41 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
           if (Ready + T.Dur > T.Lft)
             break;
           double C = Prev.Cost + T.StepCost[Other];
-          Tick Start = std::max(Ready, T.FirstFit);
-          if (paretoDominated(Front, Start + T.Dur, C))
+          Tick Bound = std::max(Ready, T.FirstFit);
+          if (paretoDominated(Front, Bound + T.Dur, C))
             continue;
+          Tick Start = Bound;
           if (Ready > T.FirstFit) {
             Start = T.Line->earliestFit(Ready, T.Dur);
             ++FitQueries;
             if (Start + T.Dur > T.Lft)
               continue;
           }
-          insertLabel(Front, {Start + T.Dur, C, Start,
-                              static_cast<int32_t>(PrevIdx),
-                              static_cast<int32_t>(LabelIdx)});
+          insertLabel(Front,
+                      {Start + T.Dur, C, Start, static_cast<int32_t>(PrevIdx),
+                       static_cast<int32_t>(LabelIdx)},
+                      /*Checked=*/Start == Bound);
         }
       }
     }
+  }
+
+  // Published once per pass, from plain counts: the registry totals are
+  // the same as per-label increments at every point outside a pass. The
+  // instruments register with the pass's first label, since registration
+  // order is the metrics file's order.
+  if (KeptLabels != Kept0) {
+    AllocatorMetrics &M = AllocatorMetrics::get();
+    M.Labels.add(KeptLabels - Kept0);
+    M.Evictions.add(EvictedLabels - Evicted0);
   }
 }
 
 bool ChainAllocator::pick(OptimizationBias Bias,
                           const std::vector<unsigned> &Chain,
                           std::vector<ChainStep> &Path) const {
-  const std::vector<unsigned> &Cand = Params.CandidateNodes;
   const size_t K = Chain.size();
-  const size_t N = Cand.size();
+  const size_t N = Search.size();
   int32_t BestNode = -1;
   int32_t BestLabel = -1;
   Tick BestFinish = std::numeric_limits<Tick>::max();
@@ -313,7 +318,7 @@ bool ChainAllocator::pick(OptimizationBias Bias,
   for (size_t Pos = K; Pos-- > 0;) {
     const Label &L = Fronts[Pos * N + static_cast<size_t>(NodeIdx)]
                            [static_cast<size_t>(LabelIdx)];
-    Path[Pos] = {Cand[static_cast<size_t>(NodeIdx)], L.Start, L.Finish};
+    Path[Pos] = {Search[static_cast<size_t>(NodeIdx)], L.Start, L.Finish};
     NodeIdx = L.PrevNode;
     LabelIdx = L.PrevLabel;
   }
@@ -404,7 +409,7 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
     // via-chain delay. Bump the readiness of the violated position and
     // re-run the DP. ---
     bool Violated = false;
-    std::vector<size_t> PosOf(J.taskCount(), SIZE_MAX);
+    PosOf.assign(J.taskCount(), SIZE_MAX);
     for (size_t Pos = 0; Pos < K; ++Pos)
       PosOf[Chain[Pos]] = Pos;
     for (size_t Pos = 1; Pos < K; ++Pos) {
@@ -441,8 +446,8 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
     Tick Dur = Path[Pos].Finish - Path[Pos].Start;
 
     // Recompute the unconstrained ready time to detect contention.
-    Tick Ready = std::max(externalReady(TaskId, NodeId, Dist, Release),
-                          ExtraReady[Pos]);
+    gatherPlaced(TaskId, Dist);
+    Tick Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
     Tick ChainTr = 0;
     Tick ChainBill = 0;
     if (Pos > 0) {
@@ -475,7 +480,7 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
         if (Cost.nodeCost(Other, CheapDur) + 1e-9 >=
             Cost.nodeCost(NodeId, Dur))
           continue;
-        Tick CheapReady = externalReady(TaskId, Other, Dist, Release);
+        Tick CheapReady = externalReady(Other, Release);
         const Interval *Blocking =
             Cheap.timeline().firstOverlap(CheapReady, CheapReady + CheapDur);
         if (Blocking) {
@@ -487,8 +492,7 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
     }
 
     Tick Inbound = placedInboundTicks(
-        TaskId, NodeId, Dist,
-        /*SkipPred=*/Pos > 0 ? Chain[Pos - 1] : J.taskCount());
+        NodeId, /*SkipPred=*/Pos > 0 ? Chain[Pos - 1] : J.taskCount());
     // The node-switch penalty shapes the DP toward coarse placements
     // but is not a real quota charge, so it is excluded here.
     double PlaceCost =

@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 namespace cws {
@@ -52,6 +53,15 @@ const char *optimizationBiasName(OptimizationBias Bias);
 struct AllocatorPolicy {
   /// Node ids the variant may use (the "environment event" it covers).
   std::vector<unsigned> CandidateNodes;
+  /// The candidates a label can land on, in candidate order: the forward
+  /// pass and the terminal pick search only these. A caller may leave
+  /// out a candidate only when no placement of the job can use it in
+  /// any scratch state of the run (`Strategy::build` leaves out its
+  /// *full* nodes). The Cost bias's `Moved` scan still walks every
+  /// candidate, since a cheaper full node is the contended node it
+  /// reports. Unset: every candidate is searched. Empty: every chain
+  /// fails, as a pass over the candidates would find no label.
+  std::optional<std::vector<unsigned>> SearchNodes;
   OptimizationBias Bias = OptimizationBias::Cost;
   /// Economic penalty for placing consecutive chain tasks on different
   /// nodes. Coarse-grain strategies (S3) set this high, gluing chains to
@@ -100,6 +110,13 @@ enum class ChainOutcome {
 /// The forward DP never reads the bias: only the terminal pick and the
 /// Cost-only `Moved` scan do. So one placement can serve Cost and Time
 /// at once on one state, while their picks agree.
+///
+/// The forward pass searches `Params.SearchNodes` (every candidate when
+/// unset). Its scratch state (the fronts, the per-node terms and the
+/// placed neighbours of the current task) lives in the allocator, so a
+/// pass allocates nothing once the buffers have grown, and it publishes
+/// its label and eviction counts to the metrics registry once, at its
+/// end.
 class ChainAllocator {
 public:
   ChainAllocator(const Job &J, Grid &ScratchGrid, DataPolicy &Policy,
@@ -150,9 +167,52 @@ private:
   };
 
   /// One (position, node) state's Pareto front. The inline capacity
-  /// matches the default `AllocatorPolicy::MaxFrontSize`, so with
-  /// default knobs front maintenance never touches the heap.
+  /// matches the default `AllocatorPolicy::MaxFrontSize`, and a capped
+  /// front never exceeds its cap, so with default knobs front
+  /// maintenance never touches the heap.
   using LabelFront = SmallVector<Label, 8>;
+
+  /// The terms of placing one chain position's task on one searched
+  /// node that do not depend on the previous chain task's label.
+  struct NodeTerms {
+    /// The node's reservations.
+    const Timeline *Line;
+    /// Execution ticks on the node.
+    Tick Dur;
+    /// Ready time from placed predecessors and rerun bumps.
+    Tick Ready;
+    /// Latest feasible finish.
+    Tick Lft;
+    /// False when no label can meet Lft on this node.
+    bool Reachable;
+    /// earliestFit(Ready, Dur), when reachable.
+    Tick FirstFit;
+    /// Billed inbound ticks from placed predecessors other than the
+    /// previous chain task.
+    Tick Inbound;
+    double ExecCost;
+    /// Chain-edge transfer ticks and step cost from a previous chain
+    /// task on this node ([0]) and on any other node ([1]).
+    Tick ChainTr[2];
+    double StepCost[2];
+  };
+
+  /// A placed predecessor of the current task: the producer, the edge's
+  /// base transfer, and the producer's node and finish.
+  struct PlacedPred {
+    unsigned Task;
+    Tick Base;
+    unsigned Node;
+    Tick End;
+  };
+
+  /// A placed successor of the current task: the edge's base transfer,
+  /// and the consumer's node and start.
+  struct PlacedSucc {
+    Tick Base;
+    unsigned Node;
+    Tick Start;
+  };
 
   /// The verify-and-rerun loop of one chain placement, from attempt
   /// `Try.Attempt`. With \p Given it starts by verifying that path;
@@ -172,37 +232,50 @@ private:
   bool pick(OptimizationBias Bias, const std::vector<unsigned> &Chain,
             std::vector<ChainStep> &Path) const;
 
-  /// Ready time of chain position \p Pos on node \p NodeId considering
+  /// Gathers the placed predecessors and successors of \p TaskId into
+  /// `Preds` and `Succs`, in edge order. The fold helpers below read
+  /// them; none of them depends on the node the task would run on.
+  void gatherPlaced(unsigned TaskId, const Distribution &Dist);
+
+  /// Ready time of the gathered task on node \p NodeId considering
   /// placed predecessors only (the immediate chain predecessor is added
   /// by the DP transition).
-  Tick externalReady(unsigned TaskId, unsigned NodeId,
-                     const Distribution &Dist, Tick Release) const;
+  Tick externalReady(unsigned NodeId, Tick Release) const;
 
-  /// Latest feasible finish of \p TaskId on \p NodeId given placed
-  /// successors and the deadline.
-  Tick latestFinish(unsigned TaskId, unsigned NodeId,
-                    const Distribution &Dist, Tick Deadline) const;
+  /// Latest feasible finish of the gathered task \p TaskId on \p NodeId
+  /// given placed successors and the deadline.
+  Tick latestFinish(unsigned TaskId, unsigned NodeId, Tick Deadline) const;
 
-  /// Inbound transfer ticks billed from already placed predecessors.
-  Tick placedInboundTicks(unsigned TaskId, unsigned NodeId,
-                          const Distribution &Dist, unsigned SkipPred) const;
+  /// Inbound transfer ticks billed from the gathered task's placed
+  /// predecessors other than \p SkipPred.
+  Tick placedInboundTicks(unsigned NodeId, unsigned SkipPred) const;
 
   /// Inserts a label into a Pareto front (sorted by Finish ascending,
-  /// Cost strictly descending); drops it when dominated. Thin metrics
-  /// wrapper over `paretoInsert` (core/ParetoFront.h).
-  void insertLabel(LabelFront &Front, Label L) const;
+  /// Cost strictly descending) and counts it; \p Checked says that
+  /// `paretoDominated(Front, L.Finish, L.Cost)` has already answered
+  /// false, so the insert does not search for a dominating label again.
+  void insertLabel(LabelFront &Front, const Label &L, bool Checked);
 
   const Job &J;
   Grid &G;
   DataPolicy &Policy;
   const CostModel &Cost;
   const AllocatorPolicy &Params;
+  /// The node ids the forward pass searches.
+  const std::vector<unsigned> &Search;
   /// The fronts of the last forward pass, position-major: `K * N`
-  /// entries for a chain of K tasks over N candidates.
+  /// entries for a chain of K tasks over N searched nodes.
   std::vector<LabelFront> Fronts;
-  mutable uint64_t KeptLabels = 0;
+  /// Per searched node, the current position's terms.
+  std::vector<NodeTerms> Terms;
+  std::vector<PlacedPred> Preds;
+  std::vector<PlacedSucc> Succs;
+  /// Chain position of each task of the job, for the precedence check.
+  std::vector<size_t> PosOf;
+  uint64_t KeptLabels = 0;
+  uint64_t EvictedLabels = 0;
   uint64_t FitQueries = 0;
-  mutable uint64_t DpReruns = 0;
+  uint64_t DpReruns = 0;
 };
 
 } // namespace cws

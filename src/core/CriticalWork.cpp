@@ -14,12 +14,12 @@
 using namespace cws;
 
 CriticalWork cws::findCriticalWork(const Job &J,
+                                   const std::vector<unsigned> &Order,
                                    const std::vector<bool> &Assigned) {
   CWS_CHECK(Assigned.size() == J.taskCount(),
             "assignment mask does not match the job");
-  std::vector<unsigned> Order = J.topoOrder();
-  CWS_CHECK(Order.size() == J.taskCount() || J.taskCount() == 0,
-            "critical work of a cyclic job");
+  CWS_CHECK(Order.size() == J.taskCount(),
+            "critical work needs the topological order of an acyclic job");
 
   // Longest path over the subgraph induced by unassigned tasks. Best[t]
   // is the best chain length ending at t; From[t] reconstructs it.
@@ -63,10 +63,11 @@ CriticalWork cws::findCriticalWork(const Job &J,
 
 std::vector<CriticalWork> cws::criticalWorkPhases(const Job &J) {
   std::vector<CriticalWork> Phases;
+  std::vector<unsigned> Order = J.topoOrder();
   std::vector<bool> Assigned(J.taskCount(), false);
   size_t Remaining = J.taskCount();
   while (Remaining > 0) {
-    CriticalWork Work = findCriticalWork(J, Assigned);
+    CriticalWork Work = findCriticalWork(J, Order, Assigned);
     CWS_CHECK(!Work.TaskIds.empty(),
               "no critical work although tasks remain");
     for (unsigned TaskId : Work.TaskIds) {

@@ -38,8 +38,11 @@ struct CriticalWork {
 
 /// Longest chain within the tasks for which Assigned[t] is false.
 /// Transfers count only between two unassigned chain neighbours. Returns
-/// an empty work when everything is assigned.
-CriticalWork findCriticalWork(const Job &J, const std::vector<bool> &Assigned);
+/// an empty work when everything is assigned. \p Order is
+/// `J.topoOrder()`, which a caller extracting several works computes
+/// once.
+CriticalWork findCriticalWork(const Job &J, const std::vector<unsigned> &Order,
+                              const std::vector<bool> &Assigned);
 
 /// The phase sequence of the critical works method: repeatedly the
 /// longest chain of still-unassigned tasks. The returned works partition

@@ -24,7 +24,9 @@
 /// candidate's cost and a lower bound on its finish can ask
 /// `paretoDominated` first and skip the work of computing the finish
 /// when the answer is yes; the chain DP does this before each
-/// earliest-fit query.
+/// earliest-fit query. When the finish then equals the bound it asked
+/// about, the answer still holds, and `paretoInsertUndominated` inserts
+/// without searching again.
 ///
 /// The header is intentionally standalone and template-based so tests
 /// and future search layers can drive the maintenance with their own
@@ -56,7 +58,9 @@ inline bool costLeq(double A, double B) { return A <= B + CostEpsilon; }
 struct ParetoInsertOutcome {
   /// False when the candidate was dominated and dropped.
   bool Inserted = false;
-  /// True when the size cap forced a middle-of-front eviction.
+  /// True when the size cap forced a middle-of-front eviction. The
+  /// evicted label may be the candidate itself, which then still counts
+  /// as inserted.
   bool EvictedForCap = false;
 };
 
@@ -74,15 +78,19 @@ bool paretoDominated(const FrontT &Front, FinishT FinishBound, double Cost) {
   return End != Front.begin() && costLeq((End - 1)->Cost, Cost);
 }
 
-/// Inserts \p L into \p Front, preserving the front invariant. When the
-/// front would exceed \p MaxFrontSize the middle label is evicted so
-/// both extremes (earliest finish, cheapest cost) survive.
+/// Inserts \p L, which \p Front does not dominate (the caller has seen
+/// `paretoDominated(Front, L.Finish, L.Cost)` answer false), preserving
+/// the front invariant. When the front would exceed \p MaxFrontSize the
+/// middle label is evicted so both extremes (earliest finish, cheapest
+/// cost) survive. The eviction happens before the insert, so a front
+/// built under one cap never holds more labels than the cap, not even
+/// briefly: a `SmallVector` front with that inline capacity never
+/// touches the heap.
 template <typename FrontT, typename LabelT>
-ParetoInsertOutcome paretoInsert(FrontT &Front, const LabelT &L,
-                                 size_t MaxFrontSize) {
+ParetoInsertOutcome paretoInsertUndominated(FrontT &Front, const LabelT &L,
+                                            size_t MaxFrontSize) {
   ParetoInsertOutcome Outcome;
-  if (paretoDominated(Front, L.Finish, L.Cost))
-    return Outcome;
+  Outcome.Inserted = true;
   auto Pos = std::lower_bound(
       Front.begin(), Front.end(), L,
       [](const LabelT &A, const LabelT &B) { return A.Finish < B.Finish; });
@@ -93,17 +101,35 @@ ParetoInsertOutcome paretoInsert(FrontT &Front, const LabelT &L,
   auto EvictEnd = std::partition_point(
       Pos, Front.end(),
       [&L](const LabelT &E) { return costLeq(L.Cost, E.Cost); });
-  Pos = Front.erase(Pos, EvictEnd);
-
-  Front.insert(Pos, L);
-  Outcome.Inserted = true;
-
-  // Keep the extremes; evict from the middle when over the cap.
-  if (Front.size() > MaxFrontSize) {
-    Front.erase(Front.begin() + static_cast<ptrdiff_t>(Front.size() / 2));
+  if (EvictEnd != Pos) {
+    Pos = Front.erase(Pos, EvictEnd);
+  } else if (Front.size() >= MaxFrontSize) {
+    // Keep the extremes: drop the label at index size / 2 of the front
+    // the insert would make. When that is the new label itself, the
+    // front stays as it is.
     Outcome.EvictedForCap = true;
+    auto Mid = Front.begin() + static_cast<ptrdiff_t>((Front.size() + 1) / 2);
+    if (Pos == Mid)
+      return Outcome;
+    if (Pos < Mid) {
+      Front.erase(Mid - 1);
+    } else {
+      Front.erase(Mid);
+      --Pos;
+    }
   }
+  Front.insert(Pos, L);
   return Outcome;
+}
+
+/// Inserts \p L into \p Front unless a label already there dominates
+/// it; see `paretoInsertUndominated`.
+template <typename FrontT, typename LabelT>
+ParetoInsertOutcome paretoInsert(FrontT &Front, const LabelT &L,
+                                 size_t MaxFrontSize) {
+  if (paretoDominated(Front, L.Finish, L.Cost))
+    return {};
+  return paretoInsertUndominated(Front, L, MaxFrontSize);
 }
 
 } // namespace cws

@@ -86,7 +86,9 @@ runLanes(const Job &J, const Grid &Env, const Network &Net,
     Out[static_cast<size_t>(Bias)].emplace().Feasible = true;
     return Out;
   }
-  CWS_CHECK(J.isAcyclic(), "compound jobs must be acyclic");
+  // One topological order serves every critical work of every lane.
+  const std::vector<unsigned> Order = J.topoOrder();
+  CWS_CHECK(Order.size() == J.taskCount(), "compound jobs must be acyclic");
 
   // Node prices are the same in every scratch copy of Env.
   CostModel Cost(Env, Config.Costs);
@@ -113,7 +115,7 @@ runLanes(const Job &J, const Grid &Env, const Network &Net,
         CriticalWork Work;
         {
           obs::Span ExtractSpan("core", "extractCriticalWork");
-          Work = findCriticalWork(J, L.Assigned);
+          Work = findCriticalWork(J, Order, L.Assigned);
           ExtractSpan.arg("chain_len",
                           static_cast<int64_t>(Work.TaskIds.size()));
         }

@@ -144,7 +144,8 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
   // own reservations, every ready time is at least the release, every
   // latest finish at most the deadline, no task runs shorter there than
   // the shortest one, and earliestFit is monotone in its start and its
-  // duration.
+  // duration. So the test bounds the DP's search (each level searches
+  // only its open candidates) as well as the set of levels built.
   const Job &Sched = S.Scheduled;
   std::vector<bool> Full(Env.size(), false);
   if (Sched.taskCount() > 0) {
@@ -169,23 +170,25 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
   struct LevelTask {
     size_t Level;
     std::vector<unsigned> Candidates;
+    /// The candidates that are not full: the DP's search set.
+    std::vector<unsigned> Open;
   };
   std::vector<LevelTask> Tasks;
-  std::vector<unsigned> LastOpen;
   for (size_t Level : Covered) {
     // The variant for level L covers the event "every node faster than L
     // is taken": it may only use nodes at or below that performance.
     std::vector<unsigned> Candidates, Open;
+    Candidates.reserve(Env.size());
+    Open.reserve(Env.size());
     for (const auto &N : Env.nodes())
       if (IsAllowed(N.id()) && N.relPerf() <= S.Levels[Level] + 1e-9) {
         Candidates.push_back(N.id());
         if (!Full[N.id()])
           Open.push_back(N.id());
       }
-    if (Candidates.empty() || (!Tasks.empty() && Open == LastOpen))
+    if (Candidates.empty() || (!Tasks.empty() && Open == Tasks.back().Open))
       continue;
-    LastOpen = std::move(Open);
-    Tasks.push_back({Level, std::move(Candidates)});
+    Tasks.push_back({Level, std::move(Candidates), std::move(Open)});
   }
 
   std::vector<CostTimeSchedules> Built(Tasks.size());
@@ -194,7 +197,9 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
     SC.DataKind = strategyDataPolicy(Config.Kind);
     SC.DataConfig = Config.DataConfig;
     SC.Costs = Config.Costs;
-    SC.Alloc.CandidateNodes = Tasks[I].Candidates;
+    // Each task is built once, so its node lists move into the config.
+    SC.Alloc.CandidateNodes = std::move(Tasks[I].Candidates);
+    SC.Alloc.SearchNodes = std::move(Tasks[I].Open);
     SC.Alloc.NodeSwitchPenalty =
         Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
     SC.Alloc.MaxFrontSize = Config.MaxFrontSize;

@@ -9,9 +9,15 @@
 #include "job/Job.h"
 #include "resource/Grid.h"
 #include "resource/Network.h"
+#include "support/Prng.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <string>
 
 using namespace cws;
 
@@ -44,6 +50,101 @@ CriticalWork wholeChain(const Job &J) {
     W.TaskIds.push_back(T);
   W.RefLength = J.criticalPathRefTicks();
   return W;
+}
+
+/// One chain placement serving both biases, continued past a split the
+/// way the scheduler continues it (each bias resumes on its own copy of
+/// the state): per bias, whether the chain was placed, the distribution
+/// and the collision log.
+struct BothBiases {
+  ChainOutcome Outcome = ChainOutcome::Failed;
+  ChainSplit Split;
+  std::array<bool, 2> Placed{};
+  std::array<Distribution, 2> Dist;
+  std::array<std::vector<CollisionRecord>, 2> Logs;
+  uint64_t FitQueries = 0;
+};
+
+BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
+                        const Network &Net, DataPolicyKind Kind,
+                        const Distribution &Pinned,
+                        const AllocatorPolicy &Params, Tick Release,
+                        Tick Deadline) {
+  constexpr OwnerId Owner = 42;
+  BothBiases R;
+  Grid G = Env;
+  CostModel Cost(Env);
+  DataPolicy Policy(Kind, Net);
+  Distribution Dist = Pinned;
+  std::array<std::vector<CollisionRecord>, 2> Logs;
+  ChainAllocator A(J, G, Policy, Cost, Params);
+  R.Outcome = A.allocate(W, Dist, Release, Deadline, Owner,
+                         BiasLogs{&Logs[0], &Logs[1]}, R.Split);
+  R.FitQueries = A.fitQueries();
+  for (size_t B = 0; B < 2; ++B) {
+    if (R.Outcome != ChainOutcome::Split) {
+      R.Placed[B] = R.Outcome == ChainOutcome::Placed;
+      R.Dist[B] = Dist;
+      R.Logs[B] = Logs[B];
+      continue;
+    }
+    Grid GB = G;
+    DataPolicy PB = Policy;
+    R.Dist[B] = Dist;
+    R.Logs[B] = Logs[B];
+    ChainAllocator AB(J, GB, PB, Cost, Params);
+    R.Placed[B] = AB.resume(W, R.Split, static_cast<OptimizationBias>(B),
+                            R.Dist[B], Release, Deadline, Owner, R.Logs[B]);
+    R.FitQueries += AB.fitQueries();
+  }
+  return R;
+}
+
+/// The first way in which two placements differ, or "".
+std::string firstDifference(const BothBiases &A, const BothBiases &B) {
+  if (A.Outcome != B.Outcome)
+    return "outcome";
+  if (A.Outcome == ChainOutcome::Split) {
+    if (A.Split.Attempt != B.Split.Attempt ||
+        A.Split.ExtraReady != B.Split.ExtraReady)
+      return "split attempt";
+    for (size_t Bias = 0; Bias < 2; ++Bias) {
+      const std::vector<ChainStep> &PA = A.Split.Paths[Bias];
+      const std::vector<ChainStep> &PB = B.Split.Paths[Bias];
+      if (!std::equal(PA.begin(), PA.end(), PB.begin(), PB.end(),
+                      [](const ChainStep &X, const ChainStep &Y) {
+                        return X.NodeId == Y.NodeId && X.Start == Y.Start &&
+                               X.Finish == Y.Finish;
+                      }))
+        return "split path " + std::to_string(Bias);
+    }
+  }
+  for (size_t Bias = 0; Bias < 2; ++Bias) {
+    std::string At = "bias " + std::to_string(Bias) + ": ";
+    if (A.Placed[Bias] != B.Placed[Bias])
+      return At + "placed";
+    const std::vector<Placement> &PA = A.Dist[Bias].placements();
+    const std::vector<Placement> &PB = B.Dist[Bias].placements();
+    if (PA.size() != PB.size())
+      return At + "placement count";
+    for (size_t K = 0; K < PA.size(); ++K)
+      if (PA[K].TaskId != PB[K].TaskId || PA[K].NodeId != PB[K].NodeId ||
+          PA[K].Start != PB[K].Start || PA[K].End != PB[K].End ||
+          PA[K].EconomicCost != PB[K].EconomicCost)
+        return At + "placement " + std::to_string(K);
+    const std::vector<CollisionRecord> &CA = A.Logs[Bias];
+    const std::vector<CollisionRecord> &CB = B.Logs[Bias];
+    if (CA.size() != CB.size())
+      return At + "collision count";
+    for (size_t K = 0; K < CA.size(); ++K)
+      if (CA[K].TaskId != CB[K].TaskId || CA[K].NodeId != CB[K].NodeId ||
+          CA[K].BlockingOwner != CB[K].BlockingOwner ||
+          CA[K].WantedStart != CB[K].WantedStart ||
+          CA[K].ActualStart != CB[K].ActualStart ||
+          CA[K].Resolution != CB[K].Resolution)
+        return At + "collision " + std::to_string(K);
+  }
+  return "";
 }
 
 } // namespace
@@ -212,4 +313,156 @@ TEST(ChainAllocator, EconomicCostIsPositive) {
   ASSERT_TRUE(F.allocate(J, wholeChain(J), 0, 100));
   for (const auto &P : F.Dist.placements())
     EXPECT_GT(P.EconomicCost, 0.0);
+}
+
+TEST(ChainAllocator, SearchingOnlyOpenNodesMatchesSearchingEveryCandidate) {
+  // Strategy::build hands the DP only the candidates that are not full
+  // (no window for the job's shortest task between the release and the
+  // deadline). Leaving them out must change nothing but the work: every
+  // outcome, path, distribution and both collision logs stay the same,
+  // at every front cap. Random chains (with pinned neighbours and
+  // non-adjacent edges) on random loaded timelines; some trials add a
+  // node with exactly one window for the shortest task, and a cheaper
+  // full node for the Cost bias's `Moved` scan to report.
+  const double Perfs[] = {1.0, 0.8, 0.5, 0.4, 0.33, 0.25};
+  const DataPolicyKind Kinds[] = {DataPolicyKind::ActiveReplication,
+                                  DataPolicyKind::RemoteAccess,
+                                  DataPolicyKind::StaticStorage};
+  const Network Net;
+  Prng Rng(2009);
+  size_t Compared = 0, WithFullNodes = 0, MovedToFull = 0;
+  size_t Outcomes[3] = {0, 0, 0};
+  uint64_t FitsAll = 0, FitsOpen = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    const auto N = static_cast<unsigned>(Rng.uniformInt(1, 6));
+    const auto K = static_cast<unsigned>(Rng.uniformInt(1, 6));
+    Job J;
+    for (unsigned T = 0; T < K; ++T) {
+      Tick Ref = Rng.uniformInt(1, 4);
+      J.addTask("t", Ref, 10.0 * static_cast<double>(Ref));
+    }
+    for (unsigned T = 1; T < K; ++T)
+      J.addEdge(T - 1, T, Rng.uniformInt(0, 3));
+    if (K >= 3 && Rng.bernoulli(0.3))
+      J.addEdge(0, 2, Rng.uniformInt(2, 6)); // Takes the rerun path.
+    const Tick Release = Rng.uniformInt(0, 10);
+    const Tick Deadline =
+        Release + Rng.uniformInt(2 * Tick(K), 10 * Tick(K) + 10);
+    // Placed neighbours outside the chain: a producer that ends just
+    // after the release and a consumer near the deadline.
+    bool PinPred = Rng.bernoulli(0.4);
+    bool PinSucc = Rng.bernoulli(0.4);
+    unsigned Pred = 0, Succ = 0;
+    if (PinPred) {
+      Pred = J.addTask("p", 1, 10);
+      J.addEdge(Pred, static_cast<unsigned>(Rng.index(K)),
+                Rng.uniformInt(0, 4));
+    }
+    if (PinSucc) {
+      Succ = J.addTask("s", 1, 10);
+      J.addEdge(static_cast<unsigned>(Rng.index(K)), Succ,
+                Rng.uniformInt(0, 4));
+    }
+    J.setDeadline(Deadline);
+    Tick Shortest = J.task(0).RefTicks;
+    for (unsigned T = 1; T < J.taskCount(); ++T)
+      Shortest = std::min(Shortest, J.task(T).RefTicks);
+
+    // The grid: random background load, one node reserved through the
+    // deadline now and then, and the two special nodes.
+    const bool Special = Trial % 3 == 0 && N >= 3;
+    const unsigned CheapFull =
+        Special ? static_cast<unsigned>(Rng.index(N)) : N;
+    const unsigned OneWindow =
+        Special ? (CheapFull + 1 + static_cast<unsigned>(Rng.index(N - 1))) % N
+                : N;
+    bool HasOneWindow = false;
+    Grid Env;
+    for (unsigned Id = 0; Id < N; ++Id) {
+      double Perf = Perfs[Rng.index(6)];
+      if (Id == CheapFull)
+        Env.addNodePriced(Perf, 0.01);
+      else
+        Env.addNode(Perf);
+      Timeline &Line = Env.node(Id).timeline();
+      Tick Dur = Env.node(Id).execTicks(Shortest);
+      if (Id == OneWindow && Deadline - Dur > Release) {
+        // The only window: [Deadline - Dur, Deadline).
+        Line.reserve(0, Deadline - Dur, 9);
+        Line.reserve(Deadline, Deadline + 50, 9);
+        HasOneWindow = true;
+      } else if (Id == CheapFull || Rng.bernoulli(0.15)) {
+        Line.reserve(0, Deadline + 50, 9);
+      } else {
+        for (int64_t I = Rng.uniformInt(0, 4); I > 0; --I) {
+          Tick Begin = Rng.uniformInt(0, Deadline);
+          Line.reserve(Begin, Begin + Rng.uniformInt(1, 8), 9);
+        }
+      }
+    }
+
+    // Full nodes, decided on the background load as Strategy::build does.
+    AllocatorPolicy Params;
+    std::vector<unsigned> Open;
+    for (unsigned Id = 0; Id < N; ++Id) {
+      Params.CandidateNodes.push_back(Id);
+      const ProcessorNode &Node = Env.node(Id);
+      Tick Dur = Node.execTicks(Shortest);
+      if (Node.timeline().earliestFit(Release, Dur) + Dur <= Deadline)
+        Open.push_back(Id);
+    }
+    if (HasOneWindow) {
+      EXPECT_NE(std::find(Open.begin(), Open.end(), OneWindow), Open.end());
+    }
+    WithFullNodes += Open.size() < N;
+
+    // Pin the neighbours: the job's own reservations on the scratch grid.
+    Distribution Pinned;
+    Grid Pinning = Env;
+    if (PinPred) {
+      unsigned Node = static_cast<unsigned>(Rng.index(N));
+      Tick End = Release + Rng.uniformInt(1, 4);
+      if (Pinning.node(Node).timeline().reserve(End - 1, End, 42))
+        Pinned.add({Pred, Node, End - 1, End, 1.0});
+    }
+    if (PinSucc) {
+      unsigned Node = static_cast<unsigned>(Rng.index(N));
+      Tick Start = Deadline - Rng.uniformInt(1, 6);
+      if (Pinning.node(Node).timeline().reserve(Start, Start + 1, 42))
+        Pinned.add({Succ, Node, Start, Start + 1, 1.0});
+    }
+
+    CriticalWork W;
+    for (unsigned T = 0; T < K; ++T)
+      W.TaskIds.push_back(T);
+    DataPolicyKind Kind = Kinds[Rng.index(3)];
+    Params.NodeSwitchPenalty = Rng.bernoulli(0.3) ? 5.0 : 0.0;
+    for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+      Params.MaxFrontSize = Cap;
+      Params.SearchNodes.reset();
+      BothBiases All = allocateBoth(J, W, Pinning, Net, Kind, Pinned, Params,
+                                    Release, Deadline);
+      Params.SearchNodes = Open;
+      BothBiases Searched = allocateBoth(J, W, Pinning, Net, Kind, Pinned,
+                                         Params, Release, Deadline);
+      std::string Diff = firstDifference(All, Searched);
+      ASSERT_EQ(Diff, "") << "trial " << Trial << ", cap " << Cap;
+      ++Compared;
+      ++Outcomes[static_cast<size_t>(All.Outcome)];
+      FitsAll += All.FitQueries;
+      FitsOpen += Searched.FitQueries;
+      for (const CollisionRecord &C : All.Logs[0])
+        MovedToFull += C.Resolution == CollisionResolution::Moved &&
+                       C.NodeId == CheapFull;
+    }
+  }
+  // The comparison is not vacuous: full nodes left the search and saved
+  // queries, the `Moved` scan reported a full node, and every outcome
+  // occurred.
+  EXPECT_EQ(Compared, 1200u);
+  EXPECT_GT(WithFullNodes, 50u);
+  EXPECT_GT(MovedToFull, 0u);
+  for (size_t Outcome : Outcomes)
+    EXPECT_GT(Outcome, 0u);
+  EXPECT_LT(FitsOpen, FitsAll);
 }

@@ -49,7 +49,7 @@ TEST(CriticalWork, Fig2FullChainsMatchPaper) {
 TEST(CriticalWork, FindPicksLongestUnassignedChain) {
   Job J = makeFig2Job();
   std::vector<bool> Assigned(6, false);
-  CriticalWork W = findCriticalWork(J, Assigned);
+  CriticalWork W = findCriticalWork(J, J.topoOrder(), Assigned);
   EXPECT_EQ(W.RefLength, 12);
   EXPECT_EQ(chainNames(J, W),
             (std::vector<std::string>{"P1", "P2", "P4", "P6"}));
@@ -60,7 +60,7 @@ TEST(CriticalWork, FindSkipsAssignedTasks) {
   std::vector<bool> Assigned(6, false);
   // Assign P1, P2, P4, P6 (ids 0, 1, 3, 5).
   Assigned[0] = Assigned[1] = Assigned[3] = Assigned[5] = true;
-  CriticalWork W = findCriticalWork(J, Assigned);
+  CriticalWork W = findCriticalWork(J, J.topoOrder(), Assigned);
   // Remaining: P3 -> P5 (via D6), length 1 + 1 + 1 = 3.
   EXPECT_EQ(W.RefLength, 3);
   EXPECT_EQ(chainNames(J, W), (std::vector<std::string>{"P3", "P5"}));
@@ -69,7 +69,7 @@ TEST(CriticalWork, FindSkipsAssignedTasks) {
 TEST(CriticalWork, FindOnFullyAssignedJobIsEmpty) {
   Job J = makeFig2Job();
   std::vector<bool> Assigned(6, true);
-  EXPECT_TRUE(findCriticalWork(J, Assigned).TaskIds.empty());
+  EXPECT_TRUE(findCriticalWork(J, J.topoOrder(), Assigned).TaskIds.empty());
 }
 
 TEST(CriticalWork, PhasesPartitionTasks) {

@@ -244,6 +244,31 @@ TEST(ParetoInsert, WorksOnSmallVectorFronts) {
   EXPECT_EQ(F[0], (L{9, 0.5}));
 }
 
+TEST(ParetoInsert, CappedSmallVectorFrontNeverSpillsToTheHeap) {
+  // The allocator's fronts hold `SmallVector<Label, 8>` at the default
+  // cap of 8. Mutually non-dominated labels fill the front and then
+  // force cap evictions; the front must never hold a ninth label, even
+  // between the insert and the eviction, so it stays inline. Each step
+  // still keeps exactly the reference's survivors.
+  Prng Rng(19);
+  SmallVector<L, 8> F;
+  std::vector<L> Ref;
+  size_t Evicted = 0;
+  for (int I = 0; I < 20; ++I) {
+    // Cost falls as Finish grows: no two distinct labels dominate.
+    int64_t Finish = Rng.uniformInt(0, 999);
+    L New{Finish, 2000.0 - static_cast<double>(Finish)};
+    Evicted += paretoInsert(F, New, 8).EvictedForCap;
+    referenceInsert(Ref, New, 8);
+    ASSERT_TRUE(F.inlined()) << "insert " << I;
+    ASSERT_EQ(F.size(), Ref.size());
+    for (size_t K = 0; K < F.size(); ++K)
+      ASSERT_EQ(F[K], Ref[K]);
+  }
+  EXPECT_EQ(F.size(), 8u);
+  EXPECT_GT(Evicted, 0u); // The cap did bind.
+}
+
 TEST(SmallVector, InlineThenHeapGrowthPreservesContents) {
   SmallVector<int, 4> V;
   EXPECT_TRUE(V.empty());

@@ -174,11 +174,13 @@ std::vector<ScheduleVariant> perVariantReference(const Strategy &S,
 
 /// What one Strategy::build computed, from the profiler: schedules built
 /// (`strategy.build` variants_built), chain placements run (`chain.dp`
-/// calls) and DP reruns.
+/// calls), DP reruns, labels kept and earliest-fit queries.
 struct BuildWork {
   uint64_t VariantsBuilt = 0;
   uint64_t DpCalls = 0;
   uint64_t DpReruns = 0;
+  uint64_t Labels = 0;
+  uint64_t FitQueries = 0;
 };
 
 BuildWork profiledBuild(const Job &J, const Grid &Env,
@@ -195,6 +197,8 @@ BuildWork profiledBuild(const Job &J, const Grid &Env,
     if (Phase.Name == "chain.dp") {
       W.DpCalls = Phase.Count;
       W.DpReruns = *Phase.work("dp_reruns");
+      W.Labels = *Phase.work("labels");
+      W.FitQueries = *Phase.work("fit_queries");
     }
   }
   P.reset();
@@ -581,6 +585,33 @@ TEST(Strategy, LevelsThatDifferOnlyByFullNodesAreBuiltOnce) {
   EXPECT_EQ(W.VariantsBuilt, 3u);
   for (const ScheduleVariant &V : S.variants())
     EXPECT_NE(V.Level, 1u);
+  EXPECT_EQ(firstDifference(S.variants(),
+                            perVariantReference(S, Env, Network{}, Config,
+                                                42, 0)),
+            "");
+}
+
+TEST(Strategy, FullNodesLeaveTheDpSearch) {
+  // Node 1 is reserved through the deadline, so it is full. Level 0
+  // (nodes 0-3) searches only nodes 0, 2 and 3, and level 1 (nodes 1-3)
+  // only nodes 2 and 3: no earliest-fit query lands on node 1. The
+  // counts are pinned. Searching every candidate keeps the same labels
+  // but runs 79 queries, 11 of them first fits on node 1.
+  Grid Env;
+  Env.addNode(1.0);
+  Env.addNode(0.5);
+  Env.addNode(0.5);
+  Env.addNode(0.25);
+  ASSERT_TRUE(Env.node(1).timeline().reserve(0, 1000, 9));
+  ASSERT_TRUE(Env.node(2).timeline().reserve(4, 9, 9));
+  StrategyConfig Config;
+  Config.BuildThreads = 1;
+  Strategy S;
+  BuildWork W = profiledBuild(makeDiamondJob(40), Env, Config, S);
+  EXPECT_EQ(W.VariantsBuilt, 5u);
+  EXPECT_EQ(W.DpCalls, 10u);
+  EXPECT_EQ(W.Labels, 51u);
+  EXPECT_EQ(W.FitQueries, 68u);
   EXPECT_EQ(firstDifference(S.variants(),
                             perVariantReference(S, Env, Network{}, Config,
                                                 42, 0)),
