@@ -7,6 +7,7 @@
 
 #include "harness.h"
 #include "flow/VirtualOrganization.h"
+#include "obs/Diff.h"
 #include "obs/Metrics.h"
 #include "support/Check.h"
 #include "support/File.h"
@@ -78,6 +79,12 @@ void BenchContext::setWork(const std::string &Counter, uint64_t Value) {
 void BenchContext::addMetric(const std::string &Name, double Sample) {
   if (!Measured)
     return;
+  // A non-finite sample has no JSON number form; drop it and fail the
+  // run instead of writing a BENCH file no reader accepts.
+  if (!std::isfinite(Sample)) {
+    Checks.push_back({"metric_finite:" + Name, false});
+    return;
+  }
   RepMetrics[Name] = Sample;
 }
 
@@ -392,43 +399,6 @@ const char *cws::bench::benchVerdictName(BenchVerdict V) {
   CWS_UNREACHABLE("unknown bench verdict");
 }
 
-static bool sameStats(const obs::SweepIndicatorStats &A,
-                      const obs::SweepIndicatorStats &B) {
-  return A.N == B.N && A.Mean == B.Mean && A.Stddev == B.Stddev &&
-         A.Ci95 == B.Ci95 && A.P50 == B.P50 && A.P90 == B.P90 &&
-         A.P99 == B.P99 && A.Min == B.Min && A.Max == B.Max;
-}
-
-/// The sweep-mode compatibility tests of obs/Diff: means must have
-/// overlapping 95% confidence intervals, quantiles must not shift by
-/// more than Tol relative to the larger magnitude.
-static bool statsCompatible(const obs::SweepIndicatorStats &A,
-                            const obs::SweepIndicatorStats &B, double Tol,
-                            std::string &Why) {
-  if (std::fabs(A.Mean - B.Mean) > A.Ci95 + B.Ci95) {
-    Why = "mean " + obs::renderNumber(A.Mean) + " -> " +
-          obs::renderNumber(B.Mean) + " outside CI overlap (" +
-          obs::renderNumber(A.Ci95) + " + " + obs::renderNumber(B.Ci95) + ")";
-    return false;
-  }
-  struct Q {
-    const char *Name;
-    double A, B;
-  } Quantiles[] = {{"p50", A.P50, B.P50},
-                   {"p90", A.P90, B.P90},
-                   {"p99", A.P99, B.P99}};
-  for (const Q &Qu : Quantiles) {
-    double Scale = std::max(std::fabs(Qu.A), std::fabs(Qu.B));
-    if (std::fabs(Qu.A - Qu.B) > Tol * Scale) {
-      Why = std::string(Qu.Name) + " " + obs::renderNumber(Qu.A) + " -> " +
-            obs::renderNumber(Qu.B) + " shifts more than " +
-            obs::renderNumber(Tol * 100) + "%";
-      return false;
-    }
-  }
-  return true;
-}
-
 BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
                                             const ParsedBench &New,
                                             double QuantileShiftTol) {
@@ -462,7 +432,7 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
     for (const CheckOutcome &N : New.Checks)
       Found = Found || N.What == C.What;
     if (!Found)
-      R.Advisory.push_back("check no longer recorded: " + C.What);
+      R.Gated.push_back("check dropped: " + C.What);
   }
 
   // Work counters gate exactly: they are deterministic quantities of
@@ -499,12 +469,17 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
       MetricsMoved = true;
       continue;
     }
-    if (sameStats(M.second, It->second))
+    obs::DiffVerdict V =
+        obs::compareIndicatorStats(M.second, It->second, QuantileShiftTol);
+    if (V == obs::DiffVerdict::Identical)
       continue;
     MetricsMoved = true;
-    std::string Why;
-    if (!statsCompatible(M.second, It->second, QuantileShiftTol, Why))
-      R.Advisory.push_back("metric " + M.first + ": " + Why);
+    if (V == obs::DiffVerdict::Diverged)
+      R.Advisory.push_back("metric " + M.first + ": " +
+                           obs::renderIndicatorStats(M.second) + " -> " +
+                           obs::renderIndicatorStats(It->second) +
+                           " outside the CI-overlap / quantile-shift "
+                           "tolerance");
   }
   for (const auto &M : New.Metrics)
     if (!Base.Metrics.count(M.first)) {
@@ -672,9 +647,12 @@ int cws::bench::benchMain(int Argc, char **Argv) {
     std::string BasePath = Against + "/BENCH_" + B->Name + ".json";
     std::string BaseText;
     if (!readFile(BasePath, BaseText)) {
+      // A bench without a baseline is ungated; refuse rather than let
+      // it pass unnoticed.
       std::cout << "against baseline, " << B->Name
-                << ": no baseline at " << BasePath
+                << ": refused, no baseline at " << BasePath
                 << " (run tools/update-baselines.sh)\n\n";
+      Escalate(2);
       continue;
     }
     ParsedBench BaseDoc;

@@ -30,7 +30,8 @@
 ///
 /// Comparison verdicts follow the repo-wide exit convention: 0 pass
 /// (identical or wall-time-only wobble), 1 regression (work counter or
-/// check), 2 refusal (provenance identity mismatch, I/O, schema).
+/// check), 2 refusal (provenance identity mismatch, missing baseline,
+/// I/O, schema).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -128,7 +129,9 @@ public:
   /// measured repetitions; a disagreement records a failed
   /// `work_stable:<counter>` check.
   void setWork(const std::string &Counter, uint64_t Value);
-  /// Records one sample of a measured metric for this repetition.
+  /// Records one sample of a measured metric for this repetition. A
+  /// non-finite sample is dropped and records a failed
+  /// `metric_finite:<name>` check.
   void addMetric(const std::string &Name, double Sample);
   /// Records a named invariant; any failure fails the bench.
   void check(const std::string &What, bool Ok);
@@ -206,7 +209,8 @@ enum class BenchVerdict : uint8_t {
   /// Work and checks equal; some metric moved, but metrics are
   /// advisory (wall-time wobble).
   Compatible,
-  /// A work counter changed or a check fails — the hard gate.
+  /// A work counter changed, appeared or dropped, or a check fails or
+  /// dropped — the hard gate.
   Regressed,
   /// Provenance identity mismatch: the runs measure different
   /// configurations and must not be compared.
@@ -231,10 +235,10 @@ struct BenchCompareResult {
 /// scenario, seed, exec seed) must match or the verdict is Refused;
 /// shard count and CLI text may differ (committed BENCH files record a
 /// shard count, which is now always 1). Work counters
-/// and checks gate; metric statistics are tested with the CI-overlap
-/// (|meanA - meanB| <= ci95A + ci95B) and relative quantile-shift
-/// (tolerance \p QuantileShiftTol) rules of `obs/Diff` but only ever
-/// produce advisory findings.
+/// and checks gate, including a check the baseline recorded and the
+/// new run does not; metric statistics are tested with
+/// `obs::compareIndicatorStats` (tolerance \p QuantileShiftTol) but
+/// only ever produce advisory findings.
 BenchCompareResult compareBench(const ParsedBench &Base,
                                 const ParsedBench &New,
                                 double QuantileShiftTol = 0.10);

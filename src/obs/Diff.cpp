@@ -552,15 +552,46 @@ bool statEq(double X, double Y) {
   return X == Y;
 }
 
-bool statsExactlyEqual(const SweepIndicatorStats &X,
-                       const SweepIndicatorStats &Y) {
-  return X.N == Y.N && statEq(X.Mean, Y.Mean) && statEq(X.Stddev, Y.Stddev) &&
-         statEq(X.Ci95, Y.Ci95) && statEq(X.P50, Y.P50) &&
-         statEq(X.P90, Y.P90) && statEq(X.P99, Y.P99) &&
-         statEq(X.Min, Y.Min) && statEq(X.Max, Y.Max);
+} // namespace
+
+DiffVerdict cws::obs::compareIndicatorStats(const SweepIndicatorStats &A,
+                                            const SweepIndicatorStats &B,
+                                            double QuantileShiftTol) {
+  if (A.N == B.N && statEq(A.Mean, B.Mean) && statEq(A.Stddev, B.Stddev) &&
+      statEq(A.Ci95, B.Ci95) && statEq(A.P50, B.P50) &&
+      statEq(A.P90, B.P90) && statEq(A.P99, B.P99) && statEq(A.Min, B.Min) &&
+      statEq(A.Max, B.Max))
+    return DiffVerdict::Identical;
+  // Not field-equal: statistical compatibility. Sample counts must
+  // agree (a replica-count change is never "noise"); means pass when
+  // their 95% CIs overlap; quantiles pass within the relative shift
+  // tolerance.
+  bool Compatible = A.N == B.N;
+  if (Compatible && !statEq(A.Mean, B.Mean))
+    Compatible = !std::isnan(A.Mean) && !std::isnan(B.Mean) &&
+                 std::fabs(A.Mean - B.Mean) <= A.Ci95 + B.Ci95;
+  auto QuantileOk = [QuantileShiftTol](double X, double Y) {
+    if (statEq(X, Y))
+      return true;
+    if (std::isnan(X) || std::isnan(Y))
+      return false;
+    double Scale = std::max(std::fabs(X), std::fabs(Y));
+    return std::fabs(X - Y) <= QuantileShiftTol * Scale;
+  };
+  if (Compatible)
+    Compatible = QuantileOk(A.P50, B.P50) && QuantileOk(A.P90, B.P90) &&
+                 QuantileOk(A.P99, B.P99);
+  return Compatible ? DiffVerdict::Compatible : DiffVerdict::Diverged;
 }
 
-} // namespace
+std::string cws::obs::renderIndicatorStats(const SweepIndicatorStats &S) {
+  auto Num = [](double X) {
+    return std::isnan(X) ? std::string("n/a") : renderNumber(X);
+  };
+  return "n=" + std::to_string(S.N) + " mean=" + Num(S.Mean) + "±" +
+         Num(S.Ci95) + " p50=" + Num(S.P50) + " p90=" + Num(S.P90) +
+         " p99=" + Num(S.P99);
+}
 
 DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
                                 const DiffOptions &Opts) {
@@ -597,40 +628,14 @@ DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
         AllCompatible = false;
         continue;
       }
-      if (statsExactlyEqual(StA, *StB))
+      DiffVerdict V = compareIndicatorStats(StA, *StB, Opts.QuantileShiftTol);
+      if (V == DiffVerdict::Identical)
         continue;
-      // Not field-equal: statistical compatibility. Sample counts must
-      // agree (a replica-count change is never "noise"); means pass
-      // when their 95% CIs overlap; quantiles pass within the relative
-      // shift tolerance.
-      bool Compatible = StA.N == StB->N;
-      if (Compatible && !statEq(StA.Mean, StB->Mean))
-        Compatible = !std::isnan(StA.Mean) && !std::isnan(StB->Mean) &&
-                     std::fabs(StA.Mean - StB->Mean) <= StA.Ci95 + StB->Ci95;
-      auto QuantileOk = [&](double X, double Y) {
-        if (statEq(X, Y))
-          return true;
-        if (std::isnan(X) || std::isnan(Y))
-          return false;
-        double Scale = std::max(std::fabs(X), std::fabs(Y));
-        return std::fabs(X - Y) <= Opts.QuantileShiftTol * Scale;
-      };
-      if (Compatible)
-        Compatible = QuantileOk(StA.P50, StB->P50) &&
-                     QuantileOk(StA.P90, StB->P90) &&
-                     QuantileOk(StA.P99, StB->P99);
+      bool Compatible = V == DiffVerdict::Compatible;
       if (!Compatible)
         AllCompatible = false;
-      auto Render = [](const SweepIndicatorStats &S) {
-        auto Num = [](double X) {
-          return std::isnan(X) ? std::string("n/a") : renderNumber(X);
-        };
-        return "n=" + std::to_string(S.N) + " mean=" + Num(S.Mean) +
-               "±" + Num(S.Ci95) + " p50=" + Num(S.P50) + " p90=" +
-               Num(S.P90) + " p99=" + Num(S.P99);
-      };
       F.add(Where + (Compatible ? " (compatible)" : " (regressed)"),
-            Render(StA), Render(*StB));
+            renderIndicatorStats(StA), renderIndicatorStats(*StB));
     }
     // Indicators only the B side has.
     for (const auto &[Name, StB] : SBS.Indicators)

@@ -207,8 +207,21 @@ DiffResult diffTimeSeries(const ParsedTimeSeries &A,
                           const ParsedTimeSeries &B,
                           const DiffOptions &Opts = DiffOptions());
 
-/// Sweep mode: scenario/indicator alignment, exact check, then the
-/// CI-overlap + quantile-shift compatibility tests.
+/// Sweep mode's rule for one pooled indicator. Identical when every
+/// statistic is field-equal (NaN equals NaN). Compatible when the
+/// sample counts agree, the means' 95% CIs overlap and p50/p90/p99
+/// shift by at most \p QuantileShiftTol of the larger magnitude.
+/// Diverged otherwise.
+DiffVerdict compareIndicatorStats(const SweepIndicatorStats &A,
+                                  const SweepIndicatorStats &B,
+                                  double QuantileShiftTol);
+
+/// Renders \p S as "n=3 mean=100±5 p50=100 p90=104 p99=105" (NaN as
+/// n/a).
+std::string renderIndicatorStats(const SweepIndicatorStats &S);
+
+/// Sweep mode: scenario/indicator alignment, then compareIndicatorStats
+/// per indicator.
 DiffResult diffSweeps(const SweepStore &A, const SweepStore &B,
                       const DiffOptions &Opts = DiffOptions());
 

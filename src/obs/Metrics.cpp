@@ -224,7 +224,10 @@ Histogram &Registry::histogram(const std::string &Name,
 
 std::string cws::obs::renderNumber(double X) {
   char Buf[64];
-  if (X == static_cast<double>(static_cast<long long>(X))) {
+  // Range-check before the cast: converting NaN, an infinity or a
+  // magnitude of 2^63 or more to long long is undefined.
+  constexpr double Limit = 9223372036854775808.0; // 2^63
+  if (X > -Limit && X < Limit && X == std::trunc(X)) {
     std::snprintf(Buf, sizeof(Buf), "%lld", static_cast<long long>(X));
     return Buf;
   }

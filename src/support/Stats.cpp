@@ -14,48 +14,6 @@
 
 using namespace cws;
 
-void OnlineStats::add(double Value) {
-  if (Count == 0) {
-    Min = Max = Value;
-  } else {
-    Min = std::min(Min, Value);
-    Max = std::max(Max, Value);
-  }
-  ++Count;
-  double Delta = Value - Mean;
-  Mean += Delta / static_cast<double>(Count);
-  M2 += Delta * (Value - Mean);
-}
-
-void OnlineStats::merge(const OnlineStats &Other) {
-  if (Other.Count == 0)
-    return;
-  if (Count == 0) {
-    *this = Other;
-    return;
-  }
-  size_t NewCount = Count + Other.Count;
-  double Delta = Other.Mean - Mean;
-  double NewMean =
-      Mean + Delta * static_cast<double>(Other.Count) /
-                 static_cast<double>(NewCount);
-  M2 += Other.M2 + Delta * Delta * static_cast<double>(Count) *
-                       static_cast<double>(Other.Count) /
-                       static_cast<double>(NewCount);
-  Mean = NewMean;
-  Count = NewCount;
-  Min = std::min(Min, Other.Min);
-  Max = std::max(Max, Other.Max);
-}
-
-double OnlineStats::variance() const {
-  if (Count < 2)
-    return 0.0;
-  return M2 / static_cast<double>(Count - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
-
 Histogram::Histogram(double Lo, double Hi, size_t Bins)
     : Lo(Lo), Hi(Hi), Counts(Bins, 0) {
   CWS_CHECK(Bins > 0, "histogram needs at least one bin");

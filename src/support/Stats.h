@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Streaming statistics used by the QoS factor collectors: online
-/// mean/variance, fixed-bin histograms and percentile extraction.
+/// Statistics used by the QoS factor collectors: fixed-bin histograms,
+/// percentile extraction and Student-t critical values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,30 +19,6 @@
 #include <vector>
 
 namespace cws {
-
-/// Online mean / variance / extrema accumulator (Welford).
-class OnlineStats {
-public:
-  void add(double Value);
-
-  /// Merges another accumulator into this one.
-  void merge(const OnlineStats &Other);
-
-  size_t count() const { return Count; }
-  double mean() const { return Count ? Mean : 0.0; }
-  double variance() const;
-  double stddev() const;
-  double min() const { return Count ? Min : 0.0; }
-  double max() const { return Count ? Max : 0.0; }
-  double sum() const { return Count ? Mean * static_cast<double>(Count) : 0.0; }
-
-private:
-  size_t Count = 0;
-  double Mean = 0.0;
-  double M2 = 0.0;
-  double Min = 0.0;
-  double Max = 0.0;
-};
 
 /// Fixed-width histogram over [Lo, Hi); values outside are clamped into
 /// the first/last bin so totals stay meaningful.
@@ -78,26 +54,6 @@ double quantile(std::vector<double> Samples, double Q);
 /// confidence intervals of sweep-pooled QoS indicators. Returns NaN for
 /// Df == 0 (one sample bounds nothing).
 double tCritical95(size_t Df);
-
-/// Ratio accumulator for percentage reporting (e.g. "38% admissible").
-class RatioCounter {
-public:
-  void add(bool Hit) {
-    ++Total;
-    if (Hit)
-      ++Hits;
-  }
-  size_t hits() const { return Hits; }
-  size_t total() const { return Total; }
-  double percent() const {
-    return Total ? 100.0 * static_cast<double>(Hits) / static_cast<double>(Total)
-                 : 0.0;
-  }
-
-private:
-  size_t Hits = 0;
-  size_t Total = 0;
-};
 
 } // namespace cws
 

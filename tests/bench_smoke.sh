@@ -14,8 +14,9 @@
 #  3. an injected work-counter regression exits 1 and names the counter;
 #  4. tampering only with wall-time statistics still exits 0;
 #  5. a config-hash (identity) mismatch is refused with exit 2;
-#  6. the exit-code convention holds on unknown flags / empty filters;
-#  7. cws-sim --profile + cws-report --profile round-trip: the report
+#  6. a bench without a baseline file is refused with exit 2;
+#  7. the exit-code convention holds on unknown flags / empty filters;
+#  8. cws-sim --profile + cws-report --profile round-trip: the report
 #     renders the phase table and phase.* SLO rules gate on it.
 #
 #===----------------------------------------------------------------------===#
@@ -100,14 +101,23 @@ STATUS=0
 grep -q "config_hash" "$TMP/ref.txt" \
   || fail "refusal does not name the mismatched field"
 
-#=== 6. Exit-code convention =============================================#
+#=== 6. A missing baseline is refused (exit 2) ===========================#
+mkdir "$TMP/empty"
+STATUS=0
+"$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$TMP/new5" \
+         --against "$TMP/empty" > "$TMP/missing.txt" || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "missing baseline exited $STATUS, expected 2"
+grep -q "no baseline" "$TMP/missing.txt" \
+  || fail "refusal does not name the missing baseline"
+
+#=== 7. Exit-code convention =============================================#
 STATUS=0; "$BENCH" --bogus 2> /dev/null || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "unknown flag exited $STATUS, expected 2"
 STATUS=0
 "$BENCH" --filter no_such_bench --out "$TMP/none" 2> /dev/null || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "empty filter exited $STATUS, expected 2"
 
-#=== 7. Profile round trip through cws-report ============================#
+#=== 8. Profile round trip through cws-report ============================#
 "$SIM" --jobs 15 --seed 3 --journal "$TMP/run.jsonl" \
        --profile "$TMP/profile.json" > /dev/null 2>&1 \
   || fail "cws-sim --profile failed"

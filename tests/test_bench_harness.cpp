@@ -17,6 +17,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -49,6 +51,14 @@ CWS_BENCH(harness_unstable_fixture, "test fixture: rep-varying work",
           /*Reps=*/2, /*Warmup=*/0, /*Profile=*/false) {
   Ctx.setSeed(1);
   Ctx.setWork("drifting", 10 + Ctx.rep());
+}
+
+CWS_BENCH(harness_nonfinite_fixture, "test fixture: non-finite metrics",
+          /*Reps=*/1, /*Warmup=*/0, /*Profile=*/false) {
+  Ctx.setSeed(1);
+  Ctx.addMetric("ratio", std::nan(""));
+  Ctx.addMetric("rate", std::numeric_limits<double>::infinity());
+  Ctx.addMetric("finite", 2.5);
 }
 
 const BenchInfo *findBench(const std::string &Name) {
@@ -136,6 +146,29 @@ TEST(BenchRunTest, UnstableWorkFailsTheRun) {
       EXPECT_FALSE(C.Pass);
     }
   EXPECT_TRUE(SawStability);
+}
+
+TEST(BenchRunTest, NonFiniteMetricsFailTheRunAndStayOutOfTheJson) {
+  const BenchInfo *Fixture = findBench("harness_nonfinite_fixture");
+  ASSERT_NE(Fixture, nullptr);
+  BenchRun Run = runBench(*Fixture, 0, -1, "test");
+  EXPECT_FALSE(Run.passed());
+  std::vector<std::string> Failed;
+  for (const CheckOutcome &C : Run.Checks)
+    if (!C.Pass)
+      Failed.push_back(C.What);
+  EXPECT_EQ(Failed, (std::vector<std::string>{"metric_finite:rate",
+                                              "metric_finite:ratio"}));
+  EXPECT_FALSE(Run.Metrics.count("ratio"));
+  EXPECT_FALSE(Run.Metrics.count("rate"));
+  ASSERT_TRUE(Run.Metrics.count("finite"));
+
+  // The document stays parseable, and the failed checks travel with it.
+  ParsedBench P;
+  std::string Error;
+  ASSERT_TRUE(parseBenchJson(Run.json(), P, Error)) << Error;
+  EXPECT_EQ(P.Checks.size(), 2u);
+  EXPECT_DOUBLE_EQ(P.Metrics.at("finite").Mean, 2.5);
 }
 
 TEST(BenchJsonTest, RoundTrip) {
@@ -270,6 +303,16 @@ TEST(BenchCompareTest, FailedCheckRegresses) {
   New.Checks = {{"oracle agrees", false}};
   BenchCompareResult R = compareBench(Base, New);
   EXPECT_EQ(R.Verdict, BenchVerdict::Regressed);
+}
+
+TEST(BenchCompareTest, DroppedCheckRegresses) {
+  ParsedBench Base = baselineBench();
+  ParsedBench New = Base;
+  New.Checks.clear();
+  BenchCompareResult R = compareBench(Base, New);
+  EXPECT_EQ(R.Verdict, BenchVerdict::Regressed);
+  ASSERT_EQ(R.Gated.size(), 1u);
+  EXPECT_NE(R.Gated[0].find("oracle agrees"), std::string::npos);
 }
 
 TEST(BenchCompareTest, IdentityMismatchRefuses) {

@@ -321,6 +321,18 @@ TEST(MetricsRegistry, LabeledSeriesShareOneFamilyHeader) {
             std::string::npos);
 }
 
+TEST(MetricsRegistry, RenderNumberHandlesValuesNoIntegerHolds) {
+  EXPECT_EQ(obs::renderNumber(42), "42");
+  EXPECT_EQ(obs::renderNumber(-7), "-7");
+  EXPECT_EQ(obs::renderNumber(6.4), "6.4");
+  // Outside long long's range and non-finite values take the %g path
+  // instead of an undefined integer conversion.
+  EXPECT_EQ(obs::renderNumber(1e19), "1e+19");
+  EXPECT_EQ(obs::renderNumber(-1e19), "-1e+19");
+  EXPECT_EQ(obs::renderNumber(INFINITY), "inf");
+  EXPECT_EQ(obs::renderNumber(NAN), "nan");
+}
+
 TEST(MetricsRegistry, EscapeLabelValueCoversTheExpositionEscapes) {
   // Prometheus exposition label values escape backslash, double quote
   // and newline — one pass, so the added backslashes are not

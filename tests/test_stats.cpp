@@ -14,73 +14,6 @@
 
 using namespace cws;
 
-TEST(OnlineStats, EmptyIsZero) {
-  OnlineStats S;
-  EXPECT_EQ(S.count(), 0u);
-  EXPECT_EQ(S.mean(), 0.0);
-  EXPECT_EQ(S.variance(), 0.0);
-  EXPECT_EQ(S.min(), 0.0);
-  EXPECT_EQ(S.max(), 0.0);
-}
-
-TEST(OnlineStats, MeanAndExtrema) {
-  OnlineStats S;
-  for (double V : {1.0, 2.0, 3.0, 4.0})
-    S.add(V);
-  EXPECT_EQ(S.count(), 4u);
-  EXPECT_DOUBLE_EQ(S.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(S.min(), 1.0);
-  EXPECT_DOUBLE_EQ(S.max(), 4.0);
-  EXPECT_DOUBLE_EQ(S.sum(), 10.0);
-}
-
-TEST(OnlineStats, VarianceMatchesDirectFormula) {
-  OnlineStats S;
-  std::vector<double> Values{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  for (double V : Values)
-    S.add(V);
-  // Sample variance of this classic dataset is 32/7.
-  EXPECT_NEAR(S.variance(), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(S.stddev() * S.stddev(), 32.0 / 7.0, 1e-12);
-}
-
-TEST(OnlineStats, SingleValueHasZeroVariance) {
-  OnlineStats S;
-  S.add(3.5);
-  EXPECT_EQ(S.variance(), 0.0);
-}
-
-TEST(OnlineStats, MergeEqualsBulk) {
-  OnlineStats A, B, Bulk;
-  for (int I = 0; I < 10; ++I) {
-    A.add(I * 1.5);
-    Bulk.add(I * 1.5);
-  }
-  for (int I = 10; I < 25; ++I) {
-    B.add(I * 0.5 - 3);
-    Bulk.add(I * 0.5 - 3);
-  }
-  A.merge(B);
-  EXPECT_EQ(A.count(), Bulk.count());
-  EXPECT_NEAR(A.mean(), Bulk.mean(), 1e-12);
-  EXPECT_NEAR(A.variance(), Bulk.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(A.min(), Bulk.min());
-  EXPECT_DOUBLE_EQ(A.max(), Bulk.max());
-}
-
-TEST(OnlineStats, MergeWithEmpty) {
-  OnlineStats A, Empty;
-  A.add(1.0);
-  A.add(2.0);
-  OnlineStats Before = A;
-  A.merge(Empty);
-  EXPECT_EQ(A.count(), 2u);
-  EXPECT_DOUBLE_EQ(A.mean(), Before.mean());
-  Empty.merge(A);
-  EXPECT_EQ(Empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(Empty.mean(), 1.5);
-}
-
 TEST(Histogram, BinsAndFractions) {
   Histogram H(0.0, 10.0, 5);
   for (double V : {0.5, 1.5, 2.5, 3.5, 9.5})
@@ -129,14 +62,3 @@ TEST(Quantile, Interpolates) {
   EXPECT_DOUBLE_EQ(quantile(V, 0.25), 2.5);
 }
 
-TEST(RatioCounter, Percent) {
-  RatioCounter R;
-  EXPECT_EQ(R.percent(), 0.0);
-  R.add(true);
-  R.add(false);
-  R.add(true);
-  R.add(true);
-  EXPECT_EQ(R.hits(), 3u);
-  EXPECT_EQ(R.total(), 4u);
-  EXPECT_DOUBLE_EQ(R.percent(), 75.0);
-}

@@ -13,9 +13,10 @@
 ///   cws-bench [--list] [--filter substr] [--reps N] [--warmup N]
 ///             [--out dir] [--against baseline-dir] [--compare-only 1]
 ///
-/// Deterministic work counters gate the comparison (exit 1 on any
-/// change); wall-time metrics are advisory only; runs whose provenance
-/// identity (config hash, scenario, seeds) differs are refused with
+/// Deterministic work counters and checks gate the comparison (exit 1
+/// on any change or dropped check); wall-time metrics are advisory
+/// only; runs whose provenance identity (config hash, scenario, seeds)
+/// differs, and benches without a baseline file, are refused with
 /// exit 2 — see bench/harness.h for the full contract.
 ///
 //===----------------------------------------------------------------------===//
