@@ -200,6 +200,14 @@ struct BenchRunner {
 } // namespace bench
 } // namespace cws
 
+uint64_t cws::bench::phaseWork(const char *Phase, const char *Counter) {
+  for (const obs::PhaseStats &P : obs::Profiler::global().snapshot())
+    if (P.Name == Phase)
+      if (const uint64_t *W = P.work(Counter))
+        return *W;
+  return 0;
+}
+
 BenchRun cws::bench::runBench(const BenchInfo &Info, int Reps, int Warmup,
                               const std::string &Cli) {
   return BenchRunner::run(Info, Reps, Warmup, Cli);

@@ -171,6 +171,11 @@ struct BenchRun {
   std::string json() const;
 };
 
+/// Work counter \p Counter of profiler phase \p Phase merged so far (0
+/// when the profiler has not seen it); an entry takes the difference
+/// around the run it measures.
+uint64_t phaseWork(const char *Phase, const char *Counter);
+
 /// Runs \p Info with \p Reps measured and \p Warmup discarded
 /// repetitions. Non-positive \p Reps and negative \p Warmup fall back
 /// to the bench defaults (zero warmup is a legitimate explicit

@@ -22,7 +22,6 @@
 #include "core/Strategy.h"
 #include "harness.h"
 #include "job/Generator.h"
-#include "obs/Profiler.h"
 #include "resource/Grid.h"
 #include "resource/Network.h"
 #include "support/Prng.h"
@@ -92,16 +91,6 @@ bool identicalStrategies(const Strategy &A, const Strategy &B) {
   return true;
 }
 
-/// Work counter \p Counter of profiler phase \p Phase so far (0 when the
-/// profiler has not seen it).
-uint64_t phaseWork(const char *Phase, const char *Counter) {
-  for (const obs::PhaseStats &P : obs::Profiler::global().snapshot())
-    if (P.Name == Phase)
-      if (const uint64_t *W = P.work(Counter))
-        return *W;
-  return 0;
-}
-
 } // namespace
 
 CWS_BENCH(strategy_build_throughput,
@@ -134,11 +123,12 @@ CWS_BENCH(strategy_build_throughput,
   };
 
   // Build both ways and prove the determinism contract.
-  uint64_t Built0 = phaseWork("strategy.build", "variants_built");
-  uint64_t Labels0 = phaseWork("chain.dp", "labels");
+  uint64_t Built0 = bench::phaseWork("strategy.build", "variants_built");
+  uint64_t Labels0 = bench::phaseWork("chain.dp", "labels");
   std::vector<Strategy> Serial = BuildAll(1);
-  uint64_t Built = phaseWork("strategy.build", "variants_built") - Built0;
-  uint64_t Labels = phaseWork("chain.dp", "labels") - Labels0;
+  uint64_t Built =
+      bench::phaseWork("strategy.build", "variants_built") - Built0;
+  uint64_t Labels = bench::phaseWork("chain.dp", "labels") - Labels0;
   std::vector<Strategy> Parallel = BuildAll(Threads);
   bool Identical = true;
   for (size_t I = 0; I < Serial.size(); ++I)

@@ -1,0 +1,112 @@
+//===-- bench/reg_vo_scale.cpp - VO runs along a job-count curve ----------===//
+//
+// Part of CWS, a reproduction of Toporkov, "Application-Level and Job-Flow
+// Scheduling" (PaCT 2009). Distributed without any warranty.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// Runs cws-sim's standard VO (S1, seed 7, deadline slack 2, one build
+/// lane) at 1,000, 2,000 and 4,000 jobs. The longer run schedules
+/// against a longer history, but a scratch grid copies only the
+/// reservations that end after the scheduling moment, so the
+/// reservations copied per job should not grow with it. Each run's
+/// outcome and work are exact work counters, and a check requires the
+/// reservations copied per job (`strategy.build` and `meta.repair`
+/// together) to stay within ±10% of the 1,000-job run's along the curve.
+/// Wall time, jobs/s and the process's peak RSS are advisory metrics;
+/// the peak is the process's, so in a full `cws-bench` pass it also
+/// carries the entries that ran before this one.
+///
+//===----------------------------------------------------------------------===//
+
+#include "flow/VirtualOrganization.h"
+#include "harness.h"
+#include "obs/Metrics.h"
+
+#include <sys/resource.h>
+
+#include <chrono>
+#include <cmath>
+#include <string>
+
+using namespace cws;
+
+namespace {
+
+constexpr uint64_t Seed = 7;
+constexpr size_t Sizes[] = {1000, 2000, 4000};
+/// How far the reservations copied per job may move along the curve.
+constexpr double CopiedPerJobTolerance = 0.10;
+
+/// Peak resident set of the process so far, in MiB.
+double peakRssMiB() {
+  rusage Ru{};
+  getrusage(RUSAGE_SELF, &Ru);
+  return static_cast<double>(Ru.ru_maxrss) / 1024.0;
+}
+
+} // namespace
+
+CWS_BENCH(vo_scale,
+          "cws-sim's VO at 1k, 2k and 4k jobs on one lane: work per job "
+          "along the curve",
+          /*Reps=*/1, /*Warmup=*/0, /*Profile=*/true) {
+  Ctx.setSeed(Seed);
+  Ctx.setExecSeed(Seed);
+  std::string Canon = "strategy=S1\nslack=2\nlanes=1\njobs=";
+  for (size_t Jobs : Sizes)
+    Canon += std::to_string(Jobs) + ",";
+  Ctx.setConfig(Canon + "\n");
+
+  double BasePerJob = 0;
+  bool Flat = true;
+  for (size_t Jobs : Sizes) {
+    VoConfig Config;
+    Config.JobCount = Jobs;
+    Config.Workload.DeadlineSlack = 2.0;
+    Config.Strategy.BuildThreads = 1;
+
+    obs::Counter &Builds =
+        obs::Registry::global().counter("cws_strategy_builds_total");
+    uint64_t Builds0 = Builds.value();
+    uint64_t BuildCopied0 =
+        bench::phaseWork("strategy.build", "intervals_copied");
+    uint64_t RepairCopied0 =
+        bench::phaseWork("meta.repair", "intervals_copied");
+    uint64_t Labels0 = bench::phaseWork("chain.dp", "labels");
+    auto T0 = std::chrono::steady_clock::now();
+    VoRunResult Run = runVirtualOrganization(Config, StrategyKind::S1, Seed);
+    double Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - T0)
+                         .count();
+    uint64_t BuildCopied =
+        bench::phaseWork("strategy.build", "intervals_copied") - BuildCopied0;
+    uint64_t RepairCopied =
+        bench::phaseWork("meta.repair", "intervals_copied") - RepairCopied0;
+
+    uint64_t Committed = 0;
+    for (const VoJobStats &St : Run.Jobs)
+      Committed += St.Committed;
+    const std::string Key = "jobs" + std::to_string(Jobs) + ".";
+    Ctx.setWork(Key + "committed", Committed);
+    Ctx.setWork(Key + "builds", Builds.value() - Builds0);
+    Ctx.setWork(Key + "build_intervals_copied", BuildCopied);
+    Ctx.setWork(Key + "repair_intervals_copied", RepairCopied);
+    Ctx.setWork(Key + "dp_labels",
+                bench::phaseWork("chain.dp", "labels") - Labels0);
+    Ctx.addMetric(Key + "wall_s", Seconds);
+    Ctx.addMetric(Key + "jobs_per_s", static_cast<double>(Jobs) / Seconds);
+
+    double PerJob = static_cast<double>(BuildCopied + RepairCopied) /
+                    static_cast<double>(Jobs);
+    if (BasePerJob == 0)
+      BasePerJob = PerJob;
+    else
+      Flat = Flat && std::abs(PerJob / BasePerJob - 1.0) <=
+                         CopiedPerJobTolerance;
+  }
+  Ctx.check("reservations copied per job stay within 10% along the curve",
+            BasePerJob > 0 && Flat);
+  Ctx.addMetric("peak_rss_mb", peakRssMiB());
+}

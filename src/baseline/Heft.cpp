@@ -66,7 +66,9 @@ HeftResult cws::scheduleHeft(const Job &J, const Grid &Env, const Network &Net,
   CWS_CHECK(J.isAcyclic(), "HEFT needs an acyclic job");
   CWS_CHECK(!Env.empty(), "HEFT needs nodes");
 
-  Grid Scratch = Env;
+  // Every placement starts at or after Release >= Now, so reservations
+  // that ended by Now cannot move one.
+  Grid Scratch = Env.liveCopy(Now);
   CostModel Cost(Scratch);
   Tick Release = std::max(Now, J.release());
 

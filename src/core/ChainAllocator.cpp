@@ -50,7 +50,8 @@ ChainAllocator::ChainAllocator(const Job &J, Grid &ScratchGrid,
                                const AllocatorPolicy &Params)
     : J(J), G(ScratchGrid), Policy(Policy), Cost(Cost), Params(Params),
       Search(Params.SearchNodes ? *Params.SearchNodes
-                                : Params.CandidateNodes) {
+                                : Params.CandidateNodes),
+      Buf(threadBuffers()) {
   const std::vector<unsigned> &Cand = Params.CandidateNodes;
   CWS_CHECK(!Cand.empty(), "allocation needs at least one candidate node");
   CWS_CHECK(Params.MaxFrontSize >= 2, "front size cap too small");
@@ -65,25 +66,30 @@ ChainAllocator::ChainAllocator(const Job &J, Grid &ScratchGrid,
   }
 }
 
+ChainAllocator::Buffers &ChainAllocator::threadBuffers() {
+  thread_local Buffers B;
+  return B;
+}
+
 void ChainAllocator::gatherPlaced(unsigned TaskId, const Distribution &Dist) {
-  Preds.clear();
+  Buf.Preds.clear();
   for (size_t EdgeIdx : J.inEdges(TaskId)) {
     const DataEdge &E = J.edge(EdgeIdx);
     // Unplaced predecessors belong to later phases.
     if (const Placement *Src = Dist.find(E.Src))
-      Preds.push_back({E.Src, E.BaseTransfer, Src->NodeId, Src->End});
+      Buf.Preds.push_back({E.Src, E.BaseTransfer, Src->NodeId, Src->End});
   }
-  Succs.clear();
+  Buf.Succs.clear();
   for (size_t EdgeIdx : J.outEdges(TaskId)) {
     const DataEdge &E = J.edge(EdgeIdx);
     if (const Placement *Dst = Dist.find(E.Dst))
-      Succs.push_back({E.BaseTransfer, Dst->NodeId, Dst->Start});
+      Buf.Succs.push_back({E.BaseTransfer, Dst->NodeId, Dst->Start});
   }
 }
 
 Tick ChainAllocator::externalReady(unsigned NodeId, Tick Release) const {
   Tick Ready = Release;
-  for (const PlacedPred &P : Preds)
+  for (const PlacedPred &P : Buf.Preds)
     Ready = std::max(Ready, P.End + Policy.previewTicks(P.Task, P.Base,
                                                         P.Node, NodeId));
   return Ready;
@@ -92,7 +98,7 @@ Tick ChainAllocator::externalReady(unsigned NodeId, Tick Release) const {
 Tick ChainAllocator::latestFinish(unsigned TaskId, unsigned NodeId,
                                   Tick Deadline) const {
   Tick Latest = Deadline;
-  for (const PlacedSucc &S : Succs)
+  for (const PlacedSucc &S : Buf.Succs)
     Latest = std::min(Latest, S.Start - Policy.previewTicks(TaskId, S.Base,
                                                             NodeId, S.Node));
   return Latest;
@@ -101,7 +107,7 @@ Tick ChainAllocator::latestFinish(unsigned TaskId, unsigned NodeId,
 Tick ChainAllocator::placedInboundTicks(unsigned NodeId,
                                         unsigned SkipPred) const {
   Tick Sum = 0;
-  for (const PlacedPred &P : Preds)
+  for (const PlacedPred &P : Buf.Preds)
     if (P.Task != SkipPred)
       Sum += Policy.billedTicks(P.Task, P.Base, P.Node, NodeId);
   return Sum;
@@ -167,11 +173,11 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   const size_t N = Search.size();
   if (N == 0)
     return; // No node to search: the pick finds no label.
-  if (Fronts.size() < K * N)
-    Fronts.resize(K * N);
+  if (Buf.Fronts.size() < K * N)
+    Buf.Fronts.resize(K * N);
   for (size_t I = 0; I < K * N; ++I)
-    Fronts[I].clear();
-  Terms.resize(N);
+    Buf.Fronts[I].clear();
+  Buf.Terms.resize(N);
   const uint64_t Kept0 = KeptLabels;
   const uint64_t Evicted0 = EvictedLabels;
 
@@ -184,7 +190,7 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
       unsigned NodeId = Search[NodeIdx];
       const ProcessorNode &Node = G.node(NodeId);
-      NodeTerms &T = Terms[NodeIdx];
+      NodeTerms &T = Buf.Terms[NodeIdx];
       T.Line = &Node.timeline();
       T.Dur = Node.execTicks(RefTicks);
       T.Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
@@ -216,27 +222,28 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
 
   ComputeTerms(0);
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-    const NodeTerms &T = Terms[NodeIdx];
+    const NodeTerms &T = Buf.Terms[NodeIdx];
     if (!T.Reachable)
       continue;
     double C = T.ExecCost + Cost.transferCost(T.Inbound);
-    insertLabel(Fronts[NodeIdx], {T.FirstFit + T.Dur, C, T.FirstFit, -1, -1},
+    insertLabel(Buf.Fronts[NodeIdx],
+                {T.FirstFit + T.Dur, C, T.FirstFit, -1, -1},
                 /*Checked=*/true);
   }
 
   for (size_t Pos = 1; Pos < K; ++Pos) {
-    const LabelFront *PrevFronts = &Fronts[(Pos - 1) * N];
+    const LabelFront *PrevFronts = &Buf.Fronts[(Pos - 1) * N];
     if (std::all_of(PrevFronts, PrevFronts + N,
                     [](const LabelFront &F) { return F.empty(); }))
       break; // Nothing to extend: every later front stays empty.
     ComputeTerms(Pos);
     for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      const NodeTerms &T = Terms[NodeIdx];
+      const NodeTerms &T = Buf.Terms[NodeIdx];
       if (!T.Reachable)
         continue;
       // Labels reach this front in (previous node, label) order, as in
       // a scan over every pair: with a capped front the order matters.
-      LabelFront &Front = Fronts[Pos * N + NodeIdx];
+      LabelFront &Front = Buf.Fronts[Pos * N + NodeIdx];
       for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
         const LabelFront &PrevFront = PrevFronts[PrevIdx];
         if (PrevFront.empty())
@@ -291,7 +298,7 @@ bool ChainAllocator::pick(OptimizationBias Bias,
   Tick BestFinish = std::numeric_limits<Tick>::max();
   double BestCost = std::numeric_limits<double>::max();
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-    const LabelFront &Front = Fronts[(K - 1) * N + NodeIdx];
+    const LabelFront &Front = Buf.Fronts[(K - 1) * N + NodeIdx];
     for (size_t LabelIdx = 0; LabelIdx < Front.size(); ++LabelIdx) {
       const Label &L = Front[LabelIdx];
       bool Better;
@@ -316,7 +323,7 @@ bool ChainAllocator::pick(OptimizationBias Bias,
   int32_t NodeIdx = BestNode;
   int32_t LabelIdx = BestLabel;
   for (size_t Pos = K; Pos-- > 0;) {
-    const Label &L = Fronts[Pos * N + static_cast<size_t>(NodeIdx)]
+    const Label &L = Buf.Fronts[Pos * N + static_cast<size_t>(NodeIdx)]
                            [static_cast<size_t>(LabelIdx)];
     Path[Pos] = {Search[static_cast<size_t>(NodeIdx)], L.Start, L.Finish};
     NodeIdx = L.PrevNode;
@@ -409,14 +416,14 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
     // via-chain delay. Bump the readiness of the violated position and
     // re-run the DP. ---
     bool Violated = false;
-    PosOf.assign(J.taskCount(), SIZE_MAX);
+    Buf.PosOf.assign(J.taskCount(), SIZE_MAX);
     for (size_t Pos = 0; Pos < K; ++Pos)
-      PosOf[Chain[Pos]] = Pos;
+      Buf.PosOf[Chain[Pos]] = Pos;
     for (size_t Pos = 1; Pos < K; ++Pos) {
       unsigned TaskId = Chain[Pos];
       for (size_t EdgeIdx : J.inEdges(TaskId)) {
         const DataEdge &E = J.edge(EdgeIdx);
-        size_t SrcPos = PosOf[E.Src];
+        size_t SrcPos = Buf.PosOf[E.Src];
         if (SrcPos == SIZE_MAX || SrcPos + 1 >= Pos + 1)
           continue; // Not an earlier chain task, or the adjacent one.
         if (SrcPos + 1 == Pos)

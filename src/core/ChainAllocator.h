@@ -113,10 +113,11 @@ enum class ChainOutcome {
 ///
 /// The forward pass searches `Params.SearchNodes` (every candidate when
 /// unset). Its scratch state (the fronts, the per-node terms and the
-/// placed neighbours of the current task) lives in the allocator, so a
-/// pass allocates nothing once the buffers have grown, and it publishes
-/// its label and eviction counts to the metrics registry once, at its
-/// end.
+/// placed neighbours of the current task) lives in buffers that every
+/// allocator on a thread shares, so a pass allocates nothing once the
+/// buffers have grown to the largest chain the thread has placed, and
+/// it publishes its label and eviction counts to the metrics registry
+/// once, at its end. An allocator is used on the thread that made it.
 class ChainAllocator {
 public:
   ChainAllocator(const Job &J, Grid &ScratchGrid, DataPolicy &Policy,
@@ -256,6 +257,24 @@ private:
   /// false, so the insert does not search for a dominating label again.
   void insertLabel(LabelFront &Front, const Label &L, bool Checked);
 
+  /// The scratch state of one chain placement. Every allocator on a
+  /// thread shares one set: a placement fills each buffer before it
+  /// reads it, and two placements on one thread never overlap.
+  struct Buffers {
+    /// The fronts of the last forward pass, position-major: `K * N`
+    /// entries for a chain of K tasks over N searched nodes.
+    std::vector<LabelFront> Fronts;
+    /// Per searched node, the current position's terms.
+    std::vector<NodeTerms> Terms;
+    std::vector<PlacedPred> Preds;
+    std::vector<PlacedSucc> Succs;
+    /// Chain position of each task of the job, for the precedence check.
+    std::vector<size_t> PosOf;
+  };
+
+  /// The calling thread's buffers.
+  static Buffers &threadBuffers();
+
   const Job &J;
   Grid &G;
   DataPolicy &Policy;
@@ -263,15 +282,7 @@ private:
   const AllocatorPolicy &Params;
   /// The node ids the forward pass searches.
   const std::vector<unsigned> &Search;
-  /// The fronts of the last forward pass, position-major: `K * N`
-  /// entries for a chain of K tasks over N searched nodes.
-  std::vector<LabelFront> Fronts;
-  /// Per searched node, the current position's terms.
-  std::vector<NodeTerms> Terms;
-  std::vector<PlacedPred> Preds;
-  std::vector<PlacedSucc> Succs;
-  /// Chain position of each task of the job, for the precedence check.
-  std::vector<size_t> PosOf;
+  Buffers &Buf;
   uint64_t KeptLabels = 0;
   uint64_t EvictedLabels = 0;
   uint64_t FitQueries = 0;

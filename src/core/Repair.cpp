@@ -210,9 +210,24 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
   // copy of the live environment, then re-run the chain DP for the
   // works in \p Rerun so it routes the re-planned chains around the
   // pins.
+  //
+  // The copy keeps the reservations that end after the horizon, the
+  // earlier of Now and the first pin's start. Each pin's `reserve`
+  // looks only at reservations ending after the pin starts, and the DP
+  // asks nothing before its release, which is at least Now; so every
+  // answer is the one the whole environment gives. A pin overlapping
+  // history is refused here as there, and the final `fitsGrid` on the
+  // whole environment refuses it in any case.
   auto Attempt =
       [&](const std::vector<bool> &Rerun) -> std::optional<VariantRepair> {
-    Grid Scratch = In.Env;
+    Tick Horizon = In.Now;
+    for (const Placement &Q : D.placements())
+      if (!Rerun[static_cast<size_t>(PhaseOfTask[Q.TaskId])])
+        Horizon = std::min(Horizon, Q.Start);
+    Grid Scratch;
+    size_t Copied = Scratch.assignLive(In.Env, Horizon);
+    if (In.IntervalsCopied)
+      *In.IntervalsCopied += Copied;
     Scratch.releaseOwner(In.Owner);
     Distribution Fixed;
     uint64_t Pinned = 0;

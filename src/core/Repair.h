@@ -73,6 +73,9 @@ struct RepairInputs {
   const StrategyConfig &Config;
   OwnerId Owner = 0;
   Tick Now = 0;
+  /// When set, each stage-2 attempt adds the reservations it copied into
+  /// its scratch grid.
+  uint64_t *IntervalsCopied = nullptr;
 };
 
 /// A successfully repaired supporting schedule plus how it was won.

@@ -42,12 +42,13 @@ struct SchedulerMetrics {
 /// serves the bias its result belongs to and, until their picks first
 /// differ, also the Time bias with its own collision log.
 struct Lane {
-  Lane(const Grid &Env, DataPolicy Policy, size_t Tasks,
-       OptimizationBias Bias, bool WithTime)
-      : Scratch(Env), Policy(std::move(Policy)), Assigned(Tasks, false),
+  Lane(Grid &Scratch, DataPolicy Policy, size_t Tasks, OptimizationBias Bias,
+       bool WithTime)
+      : Scratch(&Scratch), Policy(std::move(Policy)), Assigned(Tasks, false),
         Remaining(Tasks), Bias(Bias), WithTime(WithTime) {}
 
-  Grid Scratch;
+  /// The thread's lane or fork grid (see `runLanes`).
+  Grid *Scratch;
   DataPolicy Policy;
   ScheduleResult Result;
   std::vector<CollisionRecord> TimeLog;
@@ -70,21 +71,34 @@ struct Lane {
   }
 };
 
+/// What `runLanes` returns: the result of every lane that ran, indexed
+/// by bias, and the reservations copied into the lanes' grids.
+struct LaneResults {
+  std::array<std::optional<ScheduleResult>, 2> Out;
+  uint64_t IntervalsCopied = 0;
+};
+
 /// The critical works method for \p J: one lane serving \p Bias, plus
-/// the Time bias when \p WithTime. Returns the result of every lane that
-/// ran, indexed by bias.
-std::array<std::optional<ScheduleResult>, 2>
-runLanes(const Job &J, const Grid &Env, const Network &Net,
-         const SchedulerConfig &Config, OwnerId Owner, Tick Now,
-         OptimizationBias Bias, bool WithTime) {
+/// the Time bias when \p WithTime.
+///
+/// The lanes place into copies of \p Env that keep only reservations
+/// ending after \p Now: every query a lane asks starts at or after
+/// `Release = max(Now, J.release())` (ready times, earliest fits, the
+/// collision scans), and a reservation that ended by then can change no
+/// answer. The fork copies the main lane's grid, which holds nothing
+/// older.
+LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
+                     const SchedulerConfig &Config, OwnerId Owner, Tick Now,
+                     OptimizationBias Bias, bool WithTime) {
   CWS_CHECK(Owner != 0, "scheduling needs a non-zero owner id");
   SchedulerMetrics &M = SchedulerMetrics::get();
   obs::Span SchedSpan("core", "scheduleJob", "tasks",
                       static_cast<int64_t>(J.taskCount()));
-  std::array<std::optional<ScheduleResult>, 2> Out;
+  LaneResults Results;
+  std::array<std::optional<ScheduleResult>, 2> &Out = Results.Out;
   if (J.taskCount() == 0) {
     Out[static_cast<size_t>(Bias)].emplace().Feasible = true;
-    return Out;
+    return Results;
   }
   // One topological order serves every critical work of every lane.
   const std::vector<unsigned> Order = J.topoOrder();
@@ -102,10 +116,16 @@ runLanes(const Job &J, const Grid &Env, const Network &Net,
   std::optional<Lane> Forked;
   bool ForkPlaced = false;
 
+  // Each thread keeps the grids of a lane and of its fork and refills
+  // them in place for every run, so a run allocates grid storage only
+  // when it needs more than every earlier run on the thread did. A run
+  // never starts another on its thread.
+  thread_local Grid MainGrid, ForkGrid;
+
   // Runs \p L to completion. With \p Pending, the chain of its last
   // phase was already placed (or not) when the lanes split.
   auto Drive = [&](Lane &L, std::optional<bool> Pending) {
-    ChainAllocator Allocator(J, L.Scratch, L.Policy, Cost, Alloc);
+    ChainAllocator Allocator(J, *L.Scratch, L.Policy, Cost, Alloc);
     while (Pending || L.Remaining > 0) {
       bool Placed;
       if (Pending) {
@@ -140,13 +160,15 @@ runLanes(const Job &J, const Grid &Env, const Network &Net,
           // The picks differ: the Time bias continues on a copy of the
           // state the split left, with its own collision log.
           Forked.emplace(L);
+          Forked->Scratch = &ForkGrid;
+          Results.IntervalsCopied += ForkGrid.assignLive(*L.Scratch, Now);
           Forked->Bias = OptimizationBias::Time;
           Forked->WithTime = false;
           Forked->Result.Collisions = std::move(Forked->TimeLog);
           Forked->TimeLog.clear();
           L.WithTime = false;
           L.TimeLog.clear();
-          ChainAllocator TimeAllocator(J, Forked->Scratch, Forked->Policy,
+          ChainAllocator TimeAllocator(J, *Forked->Scratch, Forked->Policy,
                                        Cost, Alloc);
           ForkPlaced = TimeAllocator.resume(
               Chain, Split, OptimizationBias::Time, Forked->Result.Dist,
@@ -194,7 +216,7 @@ runLanes(const Job &J, const Grid &Env, const Network &Net,
       for (unsigned Blocked : Blockers) {
         std::optional<Placement> P = L.Result.Dist.remove(Blocked);
         CWS_CHECK(P, "blocker vanished from the distribution");
-        bool Released = L.Scratch.node(P->NodeId).timeline().release(
+        bool Released = L.Scratch->node(P->NodeId).timeline().release(
             P->Start, P->End, Owner);
         CWS_CHECK(Released, "blocker had no reservation");
         L.Assigned[Blocked] = false;
@@ -215,13 +237,14 @@ runLanes(const Job &J, const Grid &Env, const Network &Net,
     Out[static_cast<size_t>(L.Bias)] = std::move(L.Result);
   };
 
-  Lane Main(Env, DataPolicy(Config.DataKind, Net, Config.DataConfig),
+  Results.IntervalsCopied += MainGrid.assignLive(Env, Now);
+  Lane Main(MainGrid, DataPolicy(Config.DataKind, Net, Config.DataConfig),
             J.taskCount(), Bias, WithTime);
   Drive(Main, std::nullopt);
   if (Forked)
     Drive(*Forked, ForkPlaced);
   SchedSpan.arg("feasible", Out[static_cast<size_t>(Bias)]->Feasible);
-  return Out;
+  return Results;
 }
 
 } // namespace
@@ -232,15 +255,16 @@ ScheduleResult cws::scheduleJob(const Job &J, const Grid &Env,
                                 Tick Now) {
   return std::move(*runLanes(J, Env, Net, Config, Owner, Now,
                              Config.Alloc.Bias, /*WithTime=*/false)
-                        [static_cast<size_t>(Config.Alloc.Bias)]);
+                        .Out[static_cast<size_t>(Config.Alloc.Bias)]);
 }
 
 CostTimeSchedules cws::scheduleCostAndTime(const Job &J, const Grid &Env,
                                            const Network &Net,
                                            const SchedulerConfig &Config,
                                            OwnerId Owner, Tick Now) {
-  auto Lanes = runLanes(J, Env, Net, Config, Owner, Now,
-                        OptimizationBias::Cost, /*WithTime=*/true);
-  return {std::move(*Lanes[static_cast<size_t>(OptimizationBias::Cost)]),
-          std::move(Lanes[static_cast<size_t>(OptimizationBias::Time)])};
+  LaneResults Lanes = runLanes(J, Env, Net, Config, Owner, Now,
+                               OptimizationBias::Cost, /*WithTime=*/true);
+  return {std::move(*Lanes.Out[static_cast<size_t>(OptimizationBias::Cost)]),
+          std::move(Lanes.Out[static_cast<size_t>(OptimizationBias::Time)]),
+          Lanes.IntervalsCopied};
 }

@@ -27,6 +27,7 @@
 #include "resource/Grid.h"
 #include "resource/Network.h"
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -60,7 +61,8 @@ struct ScheduleResult {
 /// (the real environment is never mutated; committing the resulting
 /// distribution is the caller's decision). \p Now is the earliest
 /// allowed start (the scheduling moment); reservations are placed within
-/// [max(Now, J.release()), J.deadline()]. When
+/// [max(Now, J.release()), J.deadline()], so the copy keeps only the
+/// reservations of \p Env that end after \p Now. When
 /// \p Config.Alloc.CandidateNodes is empty every node of \p Env is a
 /// candidate.
 ScheduleResult scheduleJob(const Job &J, const Grid &Env, const Network &Net,
@@ -74,6 +76,8 @@ struct CostTimeSchedules {
   /// schedule would then equal Cost's except for the `Moved` collisions
   /// only the Cost bias records.
   std::optional<ScheduleResult> Time;
+  /// Reservations copied into the scratch grids of both schedules.
+  uint64_t IntervalsCopied = 0;
 };
 
 /// `scheduleJob` under both biases (`Config.Alloc.Bias` is not read).

@@ -219,6 +219,7 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
   // no coverage; keep one. A Time variant that was not built would have
   // been a duplicate of its Cost twin.
   size_t VariantsBuilt = 0;
+  uint64_t IntervalsCopied = 0;
   auto Merge = [&](size_t Level, OptimizationBias Bias,
                    ScheduleResult &&Result) {
     ++VariantsBuilt;
@@ -229,6 +230,7 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
     S.Variants.push_back({Level, S.Levels[Level], Bias, std::move(Result)});
   };
   for (size_t I = 0; I < Tasks.size(); ++I) {
+    IntervalsCopied += Built[I].IntervalsCopied;
     Merge(Tasks[I].Level, OptimizationBias::Cost, std::move(Built[I].Cost));
     if (Built[I].Time)
       Merge(Tasks[I].Level, OptimizationBias::Time,
@@ -269,6 +271,7 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
   BuildSpan.arg("variants", static_cast<int64_t>(S.Variants.size()));
   BuildPhase.work("variants_built", VariantsBuilt);
   BuildPhase.work("variants_kept", S.Variants.size());
+  BuildPhase.work("intervals_copied", IntervalsCopied);
   return S;
 }
 

@@ -113,11 +113,14 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
               Now, {}, "stale-strategy");
   OwnerId Owner = ownerOf(J.id());
   ReallocationResult Out;
+  // Every stage, the stage-3 rebuild included: its build is a child
+  // phase, and the grids the stages copy count here.
+  obs::PhaseScope RepairPhase("meta.repair");
+  uint64_t Copied = 0;
 
   if (ReallocMode == ReallocationMode::Repair && Stale.admissible()) {
-    obs::PhaseScope RepairPhase("meta.repair");
     const Job &Sched = Stale.scheduledJob();
-    RepairInputs In{Env, Net, Config, Owner, Now};
+    RepairInputs In{Env, Net, Config, Owner, Now, &Copied};
     // Candidate order: feasible variants, cheapest first — the flow
     // layer commits bestByCost, so the first variant that repairs is
     // the one whose revival is worth the most.
@@ -172,10 +175,11 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
                    {"pinned", static_cast<int64_t>(R->PlacementsPinned)}},
                   repairStageName(R->Stage));
       if (OracleEnabled)
-        checkRepairOracle(J, Out.S, UserId, Owner, Now);
+        checkRepairOracle(J, Out.S, UserId, Owner, Now, Copied);
       // The swap: the old reservations die only now, with the repaired
       // replacement validated against the live grid.
       Env.releaseOwner(Owner);
+      RepairPhase.work("intervals_copied", Copied);
       ReallocSpan.arg("stage", IsShift ? 1 : 2);
       return Out;
     }
@@ -185,9 +189,9 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   // build-then-swap — the job's reservations are released only once an
   // admissible replacement exists, so a failed rebuild leaves the old
   // strategy's state intact for the caller's rejection path.
-  Grid Scratch = Env;
-  Scratch.releaseOwner(Owner);
-  Out.S = Strategy::build(J, Scratch, Net, Config, Owner, Now);
+  Out.S = Strategy::build(J, rebuildGrid(Owner, Now, Copied), Net, Config,
+                          Owner, Now);
+  RepairPhase.work("intervals_copied", Copied);
   if (Out.S.admissible()) {
     Out.Stage = RepairStage::Rebuild;
     M.Rebuilt.add();
@@ -206,17 +210,26 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   return Out;
 }
 
+Grid Metascheduler::rebuildGrid(OwnerId Owner, Tick Now,
+                                uint64_t &Copied) const {
+  // A build at Now asks nothing before Now (see scheduleJob), so the
+  // reservations that ended by then cannot change it.
+  Grid Scratch;
+  Copied += Scratch.assignLive(Env, Now);
+  Scratch.releaseOwner(Owner);
+  return Scratch;
+}
+
 void Metascheduler::checkRepairOracle(const Job &J, const Strategy &Repaired,
                                       unsigned UserId, OwnerId Owner,
-                                      Tick Now) {
+                                      Tick Now, uint64_t &Copied) {
   // The reference rebuild must not perturb the run: the grid is copied
   // and the journal events of the build are swallowed by a throwaway
   // capture buffer (metric counters still tick — they are advisory).
   obs::JournalBuffer Discard;
   obs::JournalCaptureScope Swallow(obs::Journal::global(), &Discard);
-  Grid Scratch = Env;
-  Scratch.releaseOwner(Owner);
-  Strategy Rebuilt = Strategy::build(J, Scratch, Net, Config, Owner, Now);
+  Strategy Rebuilt = Strategy::build(J, rebuildGrid(Owner, Now, Copied), Net,
+                                     Config, Owner, Now);
 
   Oracle.Checked++;
   const ScheduleVariant *Best = Repaired.bestByCost();

@@ -133,10 +133,17 @@ public:
   const StrategyConfig &strategyConfig() const { return Config; }
 
 private:
+  /// The grid a rebuild of \p Owner's job at \p Now starts from: the
+  /// reservations of the environment that end after \p Now, less the
+  /// job's own. Adds the reservations it copied to \p Copied.
+  Grid rebuildGrid(OwnerId Owner, Tick Now, uint64_t &Copied) const;
+
   /// Compares one staged repair against a reference rebuild (journal
-  /// events swallowed, grid copied) and tallies into Oracle.
+  /// events swallowed, grid copied) and tallies into Oracle; adds the
+  /// reservations the rebuild's grid copied to \p Copied.
   void checkRepairOracle(const Job &J, const Strategy &Repaired,
-                         unsigned UserId, OwnerId Owner, Tick Now);
+                         unsigned UserId, OwnerId Owner, Tick Now,
+                         uint64_t &Copied);
 
   Grid &Env;
   const Network &Net;

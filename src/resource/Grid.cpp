@@ -127,6 +127,26 @@ void Grid::clearTimelines() {
     N.timeline().clear();
 }
 
+Grid Grid::liveCopy(Tick Horizon) const {
+  Grid Copy;
+  Copy.assignLive(*this, Horizon);
+  return Copy;
+}
+
+size_t Grid::assignLive(const Grid &From, Tick Horizon) {
+  if (Nodes.size() > From.Nodes.size())
+    Nodes.erase(Nodes.begin() + static_cast<ptrdiff_t>(From.Nodes.size()),
+                Nodes.end());
+  size_t Copied = 0;
+  for (size_t I = 0; I < From.Nodes.size(); ++I) {
+    const ProcessorNode &Src = From.Nodes[I];
+    if (I == Nodes.size())
+      Nodes.emplace_back(Src.id(), Src.relPerf(), Src.pricePerTick());
+    Copied += Nodes[I].assignLive(Src, Horizon);
+  }
+  return Copied;
+}
+
 std::vector<BrokenSlot>
 cws::collectBrokenSlots(const Grid &G, const std::vector<PlannedSlot> &Slots,
                         OwnerId Ignore) {

@@ -100,6 +100,16 @@ public:
   /// Clears every timeline (fresh environment).
   void clearTimelines();
 
+  /// A copy that keeps, on every node, only the reservations that end
+  /// after \p Horizon: the scratch grid of a search that asks nothing
+  /// before the horizon (see `Timeline::assignLive`).
+  Grid liveCopy(Tick Horizon) const;
+
+  /// Makes this grid `From.liveCopy(Horizon)` in this grid's storage, so
+  /// a scratch grid that is refilled allocates only when it needs more
+  /// room than before; returns how many reservations it copied.
+  size_t assignLive(const Grid &From, Tick Horizon);
+
 private:
   std::vector<ProcessorNode> Nodes;
 };

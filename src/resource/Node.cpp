@@ -39,6 +39,14 @@ ProcessorNode::ProcessorNode(unsigned Id, double RelPerf, double PricePerTick)
   CWS_CHECK(PricePerTick >= 0.0, "price per tick must be non-negative");
 }
 
+size_t ProcessorNode::assignLive(const ProcessorNode &From, Tick Horizon) {
+  Id = From.Id;
+  RelPerf = From.RelPerf;
+  PricePerTick = From.PricePerTick;
+  Group = From.Group;
+  return Line.assignLive(From.Line, Horizon);
+}
+
 Tick ProcessorNode::execTicks(Tick RefTicks) const {
   CWS_CHECK(RefTicks >= 0, "negative reference time");
   if (RefTicks == 0)

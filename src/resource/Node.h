@@ -52,6 +52,11 @@ public:
   Timeline &timeline() { return Line; }
   const Timeline &timeline() const { return Line; }
 
+  /// Becomes \p From with only the reservations that end after
+  /// \p Horizon, in this node's timeline storage (see
+  /// `Timeline::assignLive`); returns how many it copied.
+  size_t assignLive(const ProcessorNode &From, Tick Horizon);
+
 private:
   unsigned Id;
   double RelPerf;

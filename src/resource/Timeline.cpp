@@ -112,6 +112,13 @@ Tick Timeline::busyTicksOf(Tick From, Tick To, OwnerId MinOwner,
   return Sum;
 }
 
+size_t Timeline::assignLive(const Timeline &From, Tick Horizon) {
+  auto First = From.Busy.begin() +
+               static_cast<ptrdiff_t>(From.lowerBound(Horizon));
+  Busy.assign(First, From.Busy.end());
+  return Busy.size();
+}
+
 double Timeline::utilization(Tick From, Tick To) const {
   if (From >= To)
     return 0.0;

@@ -81,6 +81,14 @@ public:
   /// Drops everything.
   void clear() { Busy.clear(); }
 
+  /// Becomes the intervals of \p From that end after \p Horizon, in this
+  /// timeline's storage; returns how many it copied. A query that starts
+  /// at or after the horizon reads only intervals that end after its
+  /// start, so `isFree`, `isFreeFor`, `firstOverlap`, `earliestFit`,
+  /// `busyTicks`, `reserve` and `release` answer on the copy as on
+  /// \p From.
+  size_t assignLive(const Timeline &From, Tick Horizon);
+
 private:
   /// Index of the first interval with End > T.
   size_t lowerBound(Tick T) const;

@@ -430,6 +430,21 @@ TEST(VirtualOrganization, PinnedDigestOfBurstyMultiFlowRuns) {
       << Text.size() << " bytes";
 }
 
+TEST(VirtualOrganization, PinnedDigestOfALongRun) {
+  // The byte-identity oracle for a long history: 2,000 jobs at cws-sim's
+  // defaults, where most of each node's reservations have ended by the
+  // time a job is scheduled. The digest covers every job's outcome and
+  // the newest journal events the ring holds. A change that is meant to
+  // leave every decision as it is must leave this constant as it is, at
+  // any CWS_BUILD_THREADS value.
+  VoConfig Config;
+  Config.JobCount = 2000;
+  Config.Workload.DeadlineSlack = 2.0;
+  std::string Text = journaledRunText(Config, {StrategyKind::S1}, /*Seed=*/7);
+  EXPECT_EQ(obs::fnv1a64(Text), 0xedd91ed55ec57fdfULL)
+      << Text.size() << " bytes";
+}
+
 TEST(VirtualOrganization, QuotaHoldsAcrossASameTickCommitDrain) {
   // Commits of one flow that land in one end-of-tick drain each see the
   // debits of those before them. With a quota worth a handful of jobs,

@@ -6,8 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "resource/Grid.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 using namespace cws;
 
@@ -155,4 +159,147 @@ TEST(Grid, CopyIsIndependent) {
   Copy.node(0).timeline().reserve(0, 10, 1);
   EXPECT_TRUE(G.node(0).timeline().isFree(0, 10));
   EXPECT_FALSE(Copy.node(0).timeline().isFree(0, 10));
+}
+
+namespace {
+
+/// The reservations of \p Line that end after \p Horizon.
+std::vector<Interval> liveIntervals(const Timeline &Line, Tick Horizon) {
+  std::vector<Interval> Live;
+  for (const Interval &I : Line.intervals())
+    if (I.End > Horizon)
+      Live.push_back(I);
+  return Live;
+}
+
+/// True when \p Copy has \p Whole's nodes and exactly the reservations
+/// of \p Whole that end after \p Horizon.
+testing::AssertionResult isLiveCopyOf(const Grid &Copy, const Grid &Whole,
+                                      Tick Horizon) {
+  if (Copy.size() != Whole.size())
+    return testing::AssertionFailure() << "node count " << Copy.size();
+  for (unsigned Id = 0; Id < Whole.size(); ++Id) {
+    const ProcessorNode &A = Copy.node(Id);
+    const ProcessorNode &B = Whole.node(Id);
+    if (A.id() != B.id() || A.relPerf() != B.relPerf() ||
+        A.pricePerTick() != B.pricePerTick() || A.group() != B.group())
+      return testing::AssertionFailure() << "node " << Id << " attributes";
+    std::vector<Interval> Want = liveIntervals(B.timeline(), Horizon);
+    const std::vector<Interval> &Got = A.timeline().intervals();
+    if (Got.size() != Want.size())
+      return testing::AssertionFailure()
+             << "node " << Id << ": " << Got.size() << " reservations, want "
+             << Want.size();
+    for (size_t I = 0; I < Want.size(); ++I)
+      if (Got[I].Begin != Want[I].Begin || Got[I].End != Want[I].End ||
+          Got[I].Owner != Want[I].Owner)
+        return testing::AssertionFailure()
+               << "node " << Id << " reservation " << I;
+  }
+  return testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(Grid, LiveCopyAnswersLikeTheWholeGridFromTheHorizonOn) {
+  // A scratch grid keeps only the reservations that end after its
+  // horizon. Every query and update that starts at or after the horizon
+  // must answer on it as on the whole grid, and the two must keep
+  // agreeing on every reservation that ends after the horizon. One grid
+  // is refilled in place across rounds of different node counts.
+  Prng Rng(2024);
+  Grid Refilled;
+  size_t Queries = 0, Reserved = 0, Released = 0;
+  for (int Round = 0; Round < 300; ++Round) {
+    Grid Whole;
+    auto Nodes = static_cast<unsigned>(Rng.uniformInt(1, 6));
+    for (unsigned I = 0; I < Nodes; ++I)
+      Whole.addNode(Rng.uniformReal(0.33, 1.0));
+    Tick Last = 0;
+    for (unsigned Id = 0; Id < Nodes; ++Id) {
+      Tick T = Rng.uniformInt(0, 4);
+      for (int64_t K = Rng.uniformInt(0, 30); K > 0; --K) {
+        T += Rng.uniformInt(0, 5);
+        Tick Len = Rng.uniformInt(1, 8);
+        ASSERT_TRUE(Whole.node(Id).timeline().reserve(
+            T, T + Len, static_cast<OwnerId>(Rng.uniformInt(1, 4))));
+        T += Len;
+      }
+      Last = std::max(Last, T);
+    }
+    const Tick Horizon = Rng.uniformInt(0, Last + 4);
+    Grid Live = Whole.liveCopy(Horizon);
+    size_t Copied = Refilled.assignLive(Whole, Horizon);
+    ASSERT_TRUE(isLiveCopyOf(Live, Whole, Horizon)) << "round " << Round;
+    ASSERT_TRUE(isLiveCopyOf(Refilled, Whole, Horizon)) << "round " << Round;
+    size_t LiveCount = 0;
+    for (const ProcessorNode &N : Live.nodes())
+      LiveCount += N.timeline().intervals().size();
+    EXPECT_EQ(Copied, LiveCount);
+
+    for (int Op = 0; Op < 120; ++Op) {
+      auto Id = static_cast<unsigned>(Rng.index(Nodes));
+      Timeline &W = Whole.node(Id).timeline();
+      Timeline &L = Live.node(Id).timeline();
+      Tick B = Horizon + Rng.uniformInt(0, Last - Horizon + 6);
+      Tick Len = Rng.uniformInt(1, 10);
+      Tick E = B + Len;
+      auto Owner = static_cast<OwnerId>(Rng.uniformInt(1, 4));
+      switch (Rng.index(7)) {
+      case 0:
+        EXPECT_EQ(L.earliestFit(B, Len), W.earliestFit(B, Len));
+        break;
+      case 1:
+        EXPECT_EQ(L.isFree(B, E), W.isFree(B, E));
+        break;
+      case 2:
+        EXPECT_EQ(L.isFreeFor(B, E, Owner), W.isFreeFor(B, E, Owner));
+        break;
+      case 3: {
+        const Interval *A = L.firstOverlap(B, E);
+        const Interval *Want = W.firstOverlap(B, E);
+        ASSERT_EQ(A == nullptr, Want == nullptr);
+        if (A) {
+          EXPECT_EQ(A->Begin, Want->Begin);
+          EXPECT_EQ(A->End, Want->End);
+          EXPECT_EQ(A->Owner, Want->Owner);
+        }
+        break;
+      }
+      case 4:
+        EXPECT_EQ(L.busyTicks(B, E), W.busyTicks(B, E));
+        break;
+      case 5: {
+        bool Ok = W.reserve(B, E, Owner);
+        EXPECT_EQ(L.reserve(B, E, Owner), Ok);
+        Reserved += Ok;
+        break;
+      }
+      case 6: {
+        // Half the time an existing reservation that starts at or after
+        // the horizon, so releases also succeed.
+        std::vector<Interval> Starts;
+        for (const Interval &I : W.intervals())
+          if (I.Begin >= Horizon)
+            Starts.push_back(I);
+        if (!Starts.empty() && Rng.bernoulli(0.5)) {
+          const Interval &I = Starts[Rng.index(Starts.size())];
+          B = I.Begin;
+          E = I.End;
+          Owner = I.Owner;
+        }
+        bool Ok = W.release(B, E, Owner);
+        EXPECT_EQ(L.release(B, E, Owner), Ok);
+        Released += Ok;
+        break;
+      }
+      }
+      ++Queries;
+    }
+    ASSERT_TRUE(isLiveCopyOf(Live, Whole, Horizon)) << "round " << Round;
+  }
+  // The rounds reach every kind of answer.
+  EXPECT_GT(Reserved, 0u);
+  EXPECT_GT(Released, 0u);
+  EXPECT_GT(Queries, 30000u);
 }

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 using namespace cws;
 
@@ -39,9 +40,10 @@ Strategy buildFig2(StrategyKind Kind) {
 /// A random grid from \p Seed carrying the background load placed by
 /// \p Until and none of the compound jobs: the shallow, read-only
 /// history strategies are built against in a VO.
-Grid loadedSnapshot(uint64_t Seed, Tick Until) {
+Grid loadedSnapshot(uint64_t Seed, Tick Until,
+                    const GridConfig &Config = GridConfig{}) {
   Prng Root(Seed);
-  Grid Env = Grid::makeRandom(GridConfig{}, Root);
+  Grid Env = Grid::makeRandom(Config, Root);
   Simulator Sim;
   BackgroundLoad Background(Env, Sim, BackgroundConfig{}, Root.fork());
   Background.start(Until);
@@ -458,6 +460,51 @@ TEST(Strategy, PinnedDigestOnALoadedSnapshot) {
   EXPECT_GT(Collisions, 0u);
   EXPECT_EQ(obs::fnv1a64(Text), 0xbccae10c9239de26ULL)
       << Text.size() << " bytes";
+}
+
+TEST(Strategy, BuildsAfterOtherBuildsOnTheThreadMatchAFreshThread) {
+  // Each thread keeps its lanes' scratch grids and the chain DP's
+  // buffers from one build to the next. A build that follows a build of
+  // another job on a grid with another node count, either way, must
+  // decide exactly as a build on a thread that never built: the same
+  // variants, the same placements and the same collision records.
+  constexpr Tick Now = 1000;
+  const Grid EnvA = loadedSnapshot(/*Seed=*/7, Now);
+  GridConfig Wide;
+  Wide.MinNodes = Wide.MaxNodes = 40;
+  const Grid EnvB = loadedSnapshot(/*Seed=*/11, Now, Wide);
+  ASSERT_NE(EnvA.size(), EnvB.size());
+  const Network Net;
+  StrategyConfig Config;
+  Config.BuildThreads = 1;
+  auto Build = [&](const Job &J, const Grid &Env) {
+    return Strategy::build(J, Env, Net, Config,
+                           Metascheduler::ownerOf(J.id()), Now);
+  };
+
+  WorkloadConfig WC;
+  WC.DeadlineSlack = 1.35;
+  JobGenerator Gen(WC, /*Seed=*/2009);
+  size_t TimeVariants = 0, Collisions = 0;
+  for (size_t I = 0; I < 12; ++I) {
+    Job A = Gen.next(Now);
+    Job B = Gen.next(Now);
+    std::string First = strategyText(Build(A, EnvA));
+    std::string Other = strategyText(Build(B, EnvB));
+    Strategy Again = Build(A, EnvA);
+    std::string Fresh, OtherFresh;
+    std::thread([&] { Fresh = strategyText(Build(A, EnvA)); }).join();
+    std::thread([&] { OtherFresh = strategyText(Build(B, EnvB)); }).join();
+    EXPECT_EQ(strategyText(Again), Fresh) << "job " << I;
+    EXPECT_EQ(First, Fresh) << "job " << I;
+    EXPECT_EQ(Other, OtherFresh) << "job " << I;
+    for (const ScheduleVariant &V : Again.variants())
+      TimeVariants += V.Bias == OptimizationBias::Time;
+    Collisions += Again.allCollisions().size();
+  }
+  // The builds reach forked lanes and contention.
+  EXPECT_GT(TimeVariants, 0u);
+  EXPECT_GT(Collisions, 0u);
 }
 
 TEST(Strategy, BuildMatchesPerVariantReference) {

@@ -40,23 +40,9 @@
 #include <cmath>
 #include <iostream>
 
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 using namespace cws;
 
 int main(int Argc, char **Argv) {
-#ifdef __GLIBC__
-  // Every level a strategy build runs copies the grid and frees the copy
-  // at once. Past a few hundred jobs a copy outgrows glibc's default
-  // 128 KiB trim threshold, so each level hands the copy's pages back to
-  // the kernel and faults them in again (over half the wall time of a
-  // 4000-job run).
-  // Keep freed heap up to 64 MiB and serve blocks up to 16 MiB from it.
-  mallopt(M_MMAP_THRESHOLD, 16 << 20);
-  mallopt(M_TRIM_THRESHOLD, 64 << 20);
-#endif
   std::string StrategyName = "S1";
   int64_t Jobs = 200;
   int64_t Seed = 42;
