@@ -139,6 +139,131 @@ Tick chainEdgeBase(const Job &J, unsigned Src, unsigned Dst) {
 
 } // namespace
 
+bool ChainAllocator::computeTerms(size_t Pos,
+                                  const std::vector<unsigned> &Chain,
+                                  const Distribution &Dist, Tick Release,
+                                  Tick Deadline,
+                                  const std::vector<Tick> &ExtraReady) {
+  const size_t N = Search.size();
+  unsigned TaskId = Chain[Pos];
+  unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
+  Tick EdgeBase = Pos > 0 ? chainEdgeBase(J, SkipPred, TaskId) : 0;
+  Tick RefTicks = J.task(TaskId).RefTicks;
+  gatherPlaced(TaskId, Dist);
+  NodeTerms *Row = &Buf.Terms[Pos * N];
+  const NodeTerms *Prev = Pos > 0 ? Row - N : nullptr;
+  // The earliest and second earliest finish of the previous row, and the
+  // node of the earliest: the earliest finish on a node other than n is
+  // the second one when n holds the first.
+  Tick Min1 = NoLabel, Min2 = NoLabel;
+  size_t MinIdx = N;
+  for (size_t I = 0; Prev && I < N; ++I) {
+    Tick F = Prev[I].EarliestFinish;
+    if (F < Min1) {
+      Min2 = Min1;
+      Min1 = F;
+      MinIdx = I;
+    } else if (F < Min2) {
+      Min2 = F;
+    }
+  }
+  bool Any = false;
+  for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+    unsigned NodeId = Search[NodeIdx];
+    const ProcessorNode &Node = G.node(NodeId);
+    NodeTerms &T = Row[NodeIdx];
+    T.Line = &Node.timeline();
+    T.Dur = Node.execTicks(RefTicks);
+    T.Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
+    T.Lft = latestFinish(TaskId, NodeId, Deadline);
+    T.EarliestFinish = NoLabel;
+    T.Build = false;
+    if (T.Ready + T.Dur > T.Lft)
+      continue;
+    T.FirstFit = T.Line->earliestFit(T.Ready, T.Dur);
+    ++FitQueries;
+    if (T.FirstFit + T.Dur > T.Lft)
+      continue;
+    Tick Start = T.FirstFit;
+    // Sources of the chain edge: this node ([0]) and another one ([1]).
+    const unsigned Src[2] = {NodeId, N > 1 ? Search[NodeIdx == 0 ? 1 : 0]
+                                           : NodeId};
+    const int Sources = Pos == 0 ? 0 : N == 1 ? 1 : 2;
+    for (int Other = 0; Other < Sources; ++Other)
+      T.ChainTr[Other] =
+          Policy.previewTicks(SkipPred, EdgeBase, Src[Other], NodeId);
+    if (Pos > 0) {
+      // A label here extends one of the previous row, so it is ready no
+      // earlier than the earliest previous finish plus its transfer.
+      // With one searched node, no finish comes from another node.
+      Tick Ready = NoLabel;
+      if (Prev[NodeIdx].EarliestFinish != NoLabel)
+        Ready = Prev[NodeIdx].EarliestFinish + T.ChainTr[0];
+      Tick OtherFinish = MinIdx == NodeIdx ? Min2 : Min1;
+      if (OtherFinish != NoLabel)
+        Ready = std::min(Ready, OtherFinish + T.ChainTr[1]);
+      if (Ready == NoLabel)
+        continue;
+      Start = std::max(Start, Ready);
+    }
+    if (Start + T.Dur > T.Lft)
+      continue;
+    T.EarliestFinish = Start + T.Dur;
+    Any = true;
+    T.Inbound = placedInboundTicks(NodeId, SkipPred);
+    T.ExecCost = Cost.nodeCost(NodeId, T.Dur);
+    for (int Other = 0; Other < Sources; ++Other) {
+      Tick ChainBill =
+          Policy.billedTicks(SkipPred, EdgeBase, Src[Other], NodeId);
+      T.StepCost[Other] = T.ExecCost +
+                          Cost.transferCost(ChainBill + T.Inbound) +
+                          (Other ? Params.NodeSwitchPenalty : 0.0);
+    }
+  }
+  return Any;
+}
+
+void ChainAllocator::markBuilt(size_t K) {
+  const size_t N = Search.size();
+  NodeTerms *Last = &Buf.Terms[(K - 1) * N];
+  for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx)
+    Last[NodeIdx].Build = Last[NodeIdx].EarliestFinish != NoLabel;
+  constexpr Tick Never = std::numeric_limits<Tick>::min();
+  for (size_t Pos = K - 1; Pos-- > 0;) {
+    NodeTerms *Row = &Buf.Terms[Pos * N];
+    const NodeTerms *Next = Row + N;
+    // The latest finish at which a label here still passes the window
+    // test of a built front n of the next row is Lft - Dur - ChainTr of
+    // n. Over the built fronts on other nodes, keep the latest and the
+    // second latest, and the node of the latest.
+    Tick Max1 = Never, Max2 = Never;
+    size_t MaxIdx = N;
+    for (size_t I = 0; N > 1 && I < N; ++I) {
+      if (!Next[I].Build)
+        continue;
+      Tick L = Next[I].Lft - Next[I].Dur - Next[I].ChainTr[1];
+      if (L > Max1) {
+        Max2 = Max1;
+        Max1 = L;
+        MaxIdx = I;
+      } else if (L > Max2) {
+        Max2 = L;
+      }
+    }
+    for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+      NodeTerms &T = Row[NodeIdx];
+      if (T.EarliestFinish == NoLabel)
+        continue;
+      Tick Latest = MaxIdx == NodeIdx ? Max2 : Max1;
+      const NodeTerms &Same = Next[NodeIdx];
+      if (Same.Build)
+        Latest = std::max(Latest, Same.Lft - Same.Dur - Same.ChainTr[0]);
+      T.Build = T.EarliestFinish <= Latest;
+      FrontsSkipped += !T.Build;
+    }
+  }
+}
+
 void ChainAllocator::forward(const std::vector<unsigned> &Chain,
                              const Distribution &Dist, Tick Release,
                              Tick Deadline,
@@ -162,6 +287,18 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   //  * the chain-edge transfer depends on the node pair only through
   //    whether the two nodes differ (the replica memory keys on the
   //    destination), so it takes two values per node;
+  //  * before any front is built, a forward sweep over the terms bounds
+  //    each front's earliest finish: a label starts no earlier than S0
+  //    and than the previous row's earliest finish plus the transfer,
+  //    since earliestFit is monotone in its start. A front whose bound
+  //    misses the latest finish holds no label, and a chain whose last
+  //    row has no finite bound fails with no front built;
+  //  * a backward sweep then drops each front whose bound fails the
+  //    window test below for every built front of the next row. That
+  //    test runs before any dominance test or insert, so such a front
+  //    offers the built fronts nothing, and leaving it empty changes
+  //    neither their labels nor the order in which they arrive, cap
+  //    evictions and ties included;
   //  * a label with Ready + Dur past the latest finish is dropped; fronts
   //    are sorted by Finish, so Ready never decreases along one, and the
   //    first such label ends the scan of its front;
@@ -177,53 +314,24 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     Buf.Fronts.resize(K * N);
   for (size_t I = 0; I < K * N; ++I)
     Buf.Fronts[I].clear();
-  Buf.Terms.resize(N);
+  if (Buf.Terms.size() < K * N)
+    Buf.Terms.resize(K * N);
+  for (size_t Pos = 0; Pos < K; ++Pos) {
+    if (computeTerms(Pos, Chain, Dist, Release, Deadline, ExtraReady))
+      continue;
+    // No label reaches this position, so none reaches the last one.
+    ++PassesUnreachable;
+    for (size_t I = 0; I < Pos * N; ++I)
+      FrontsSkipped += Buf.Terms[I].EarliestFinish != NoLabel;
+    return;
+  }
+  markBuilt(K);
   const uint64_t Kept0 = KeptLabels;
   const uint64_t Evicted0 = EvictedLabels;
 
-  auto ComputeTerms = [&](size_t Pos) {
-    unsigned TaskId = Chain[Pos];
-    unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
-    Tick EdgeBase = Pos > 0 ? chainEdgeBase(J, SkipPred, TaskId) : 0;
-    Tick RefTicks = J.task(TaskId).RefTicks;
-    gatherPlaced(TaskId, Dist);
-    for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      unsigned NodeId = Search[NodeIdx];
-      const ProcessorNode &Node = G.node(NodeId);
-      NodeTerms &T = Buf.Terms[NodeIdx];
-      T.Line = &Node.timeline();
-      T.Dur = Node.execTicks(RefTicks);
-      T.Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
-      T.Lft = latestFinish(TaskId, NodeId, Deadline);
-      T.Reachable = false;
-      if (T.Ready + T.Dur > T.Lft)
-        continue;
-      T.FirstFit = T.Line->earliestFit(T.Ready, T.Dur);
-      ++FitQueries;
-      if (T.FirstFit + T.Dur > T.Lft)
-        continue;
-      T.Reachable = true;
-      T.Inbound = placedInboundTicks(NodeId, SkipPred);
-      T.ExecCost = Cost.nodeCost(NodeId, T.Dur);
-      if (Pos == 0)
-        continue;
-      for (int Other = 0; Other < 2; ++Other) {
-        if (Other && N == 1)
-          break; // No other searched node to come from.
-        unsigned Src = Other ? Search[NodeIdx == 0 ? 1 : 0] : NodeId;
-        T.ChainTr[Other] = Policy.previewTicks(SkipPred, EdgeBase, Src, NodeId);
-        Tick ChainBill = Policy.billedTicks(SkipPred, EdgeBase, Src, NodeId);
-        T.StepCost[Other] = T.ExecCost +
-                            Cost.transferCost(ChainBill + T.Inbound) +
-                            (Other ? Params.NodeSwitchPenalty : 0.0);
-      }
-    }
-  };
-
-  ComputeTerms(0);
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
     const NodeTerms &T = Buf.Terms[NodeIdx];
-    if (!T.Reachable)
+    if (!T.Build)
       continue;
     double C = T.ExecCost + Cost.transferCost(T.Inbound);
     insertLabel(Buf.Fronts[NodeIdx],
@@ -236,10 +344,9 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     if (std::all_of(PrevFronts, PrevFronts + N,
                     [](const LabelFront &F) { return F.empty(); }))
       break; // Nothing to extend: every later front stays empty.
-    ComputeTerms(Pos);
     for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      const NodeTerms &T = Buf.Terms[NodeIdx];
-      if (!T.Reachable)
+      const NodeTerms &T = Buf.Terms[Pos * N + NodeIdx];
+      if (!T.Build)
         continue;
       // Labels reach this front in (previous node, label) order, as in
       // a scan over every pair: with a capped front the order matters.

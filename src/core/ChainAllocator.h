@@ -30,6 +30,7 @@
 
 #include <array>
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -112,12 +113,15 @@ enum class ChainOutcome {
 /// at once on one state, while their picks agree.
 ///
 /// The forward pass searches `Params.SearchNodes` (every candidate when
-/// unset). Its scratch state (the fronts, the per-node terms and the
-/// placed neighbours of the current task) lives in buffers that every
-/// allocator on a thread shares, so a pass allocates nothing once the
-/// buffers have grown to the largest chain the thread has placed, and
-/// it publishes its label and eviction counts to the metrics registry
-/// once, at its end. An allocator is used on the thread that made it.
+/// unset). It first decides, from the per-node terms alone, which fronts
+/// can hold a label that reaches the last position, and builds only
+/// those: a chain no path can place builds no front. Its scratch state
+/// (the fronts, the per-node terms and the placed neighbours of the
+/// current task) lives in buffers that every allocator on a thread
+/// shares, so a pass allocates nothing once the buffers have grown to
+/// the largest chain the thread has placed, and it publishes its label
+/// and eviction counts to the metrics registry once, at its end. An
+/// allocator is used on the thread that made it.
 class ChainAllocator {
 public:
   ChainAllocator(const Job &J, Grid &ScratchGrid, DataPolicy &Policy,
@@ -148,12 +152,16 @@ public:
               std::vector<CollisionRecord> &Collisions);
 
   /// Cumulative DP work of this allocator instance — Pareto labels
-  /// kept, earliest-fit queries issued and window-violation reruns.
+  /// kept, earliest-fit queries issued, window-violation reruns, forward
+  /// passes that found no path before building a front, and fronts a
+  /// pass did not build although their task fits its window there.
   /// Deltas around an `allocate` call give that call's deterministic
   /// work (the caller attributes them to the `chain.dp` profiler phase).
   uint64_t labelsKept() const { return KeptLabels; }
   uint64_t fitQueries() const { return FitQueries; }
   uint64_t dpReruns() const { return DpReruns; }
+  uint64_t passesUnreachable() const { return PassesUnreachable; }
+  uint64_t frontsSkipped() const { return FrontsSkipped; }
 
 private:
   struct Label {
@@ -174,7 +182,8 @@ private:
   using LabelFront = SmallVector<Label, 8>;
 
   /// The terms of placing one chain position's task on one searched
-  /// node that do not depend on the previous chain task's label.
+  /// node that do not depend on the previous chain task's label, and
+  /// what the pass decided about the (position, node) front from them.
   struct NodeTerms {
     /// The node's reservations.
     const Timeline *Line;
@@ -184,10 +193,15 @@ private:
     Tick Ready;
     /// Latest feasible finish.
     Tick Lft;
-    /// False when no label can meet Lft on this node.
-    bool Reachable;
-    /// earliestFit(Ready, Dur), when reachable.
+    /// earliestFit(Ready, Dur), when Ready + Dur meets Lft.
     Tick FirstFit;
+    /// A lower bound on the finish of every label the front can hold, or
+    /// `NoLabel` when it can hold none. The remaining terms are set only
+    /// when it can hold one.
+    Tick EarliestFinish;
+    /// Whether the pass builds the front: it can hold a label that
+    /// reaches the last position.
+    bool Build;
     /// Billed inbound ticks from placed predecessors other than the
     /// previous chain task.
     Tick Inbound;
@@ -197,6 +211,9 @@ private:
     Tick ChainTr[2];
     double StepCost[2];
   };
+
+  /// `NodeTerms::EarliestFinish` of a front that can hold no label.
+  static constexpr Tick NoLabel = std::numeric_limits<Tick>::max();
 
   /// A placed predecessor of the current task: the producer, the edge's
   /// base transfer, and the producer's node and finish.
@@ -227,6 +244,16 @@ private:
   void forward(const std::vector<unsigned> &Chain, const Distribution &Dist,
                Tick Release, Tick Deadline,
                const std::vector<Tick> &ExtraReady);
+
+  /// Fills row \p Pos of `Terms`, the earliest finishes included, from
+  /// the row before it; returns whether some front of the row can hold
+  /// a label.
+  bool computeTerms(size_t Pos, const std::vector<unsigned> &Chain,
+                    const Distribution &Dist, Tick Release, Tick Deadline,
+                    const std::vector<Tick> &ExtraReady);
+
+  /// Marks the fronts to build, from the last position backwards.
+  void markBuilt(size_t K);
 
   /// The path of the best terminal label under \p Bias; false when the
   /// last position has no label.
@@ -264,7 +291,7 @@ private:
     /// The fronts of the last forward pass, position-major: `K * N`
     /// entries for a chain of K tasks over N searched nodes.
     std::vector<LabelFront> Fronts;
-    /// Per searched node, the current position's terms.
+    /// The terms of the last forward pass, position-major like `Fronts`.
     std::vector<NodeTerms> Terms;
     std::vector<PlacedPred> Preds;
     std::vector<PlacedSucc> Succs;
@@ -287,6 +314,8 @@ private:
   uint64_t EvictedLabels = 0;
   uint64_t FitQueries = 0;
   uint64_t DpReruns = 0;
+  uint64_t PassesUnreachable = 0;
+  uint64_t FrontsSkipped = 0;
 };
 
 } // namespace cws

@@ -9,8 +9,6 @@
 #include "resource/Grid.h"
 #include "support/Check.h"
 
-#include <cmath>
-
 using namespace cws;
 
 CostModel::CostModel(const Grid &G, CostConfig Config)
@@ -19,7 +17,7 @@ CostModel::CostModel(const Grid &G, CostConfig Config)
 int64_t CostModel::cfTerm(double Volume, Tick LoadTicks) {
   CWS_CHECK(LoadTicks > 0, "CF term needs a positive load time");
   double Exact = Volume / static_cast<double>(LoadTicks);
-  return static_cast<int64_t>(std::ceil(Exact - 1e-9));
+  return ceilTicks(Exact - 1e-9);
 }
 
 double CostModel::nodeCost(unsigned NodeId, Tick Ticks) const {

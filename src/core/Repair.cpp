@@ -51,8 +51,8 @@ cws::repairVariantByShift(const Job &Scheduled, const ScheduleVariant &V,
   if (!V.feasible())
     return std::nullopt;
   const Distribution &D = V.Result.Dist;
-  std::vector<BrokenSlot> Broken =
-      collectBrokenSlots(In.Env, plannedSlots(D), In.Owner);
+  std::vector<BrokenSlot> Broken = collectBrokenSlots(
+      In.Env, plannedSlots(D), In.Owner, In.IntervalsScanned);
   // One broken reservation is the stage-1 contract: with several, a
   // per-slot shift can violate the transfer gaps between them, which is
   // exactly what the stage-2 DP re-run handles.
@@ -90,12 +90,13 @@ cws::repairVariantByShift(const Job &Scheduled, const ScheduleVariant &V,
   bool Fits = false;
   while (P.End + Delta <= LatestEnd) {
     Tick Next = Delta;
-    for (const Interval &Busy : Line.intervals()) {
-      if (Busy.Owner == In.Owner || Busy.End <= P.Start + Delta ||
-          Busy.Begin >= P.End + Delta)
-        continue;
-      Next = std::max(Next, Busy.End - P.Start);
-    }
+    std::span<const Interval> Overlap =
+        Line.overlapping(P.Start + Delta, P.End + Delta);
+    if (In.IntervalsScanned)
+      *In.IntervalsScanned += Overlap.size();
+    for (const Interval &Busy : Overlap)
+      if (Busy.Owner != In.Owner)
+        Next = std::max(Next, Busy.End - P.Start);
     for (const Placement &Q : D.placements()) {
       if (Q.TaskId == P.TaskId || Q.NodeId != P.NodeId ||
           Q.End <= P.Start + Delta || Q.Start >= P.End + Delta)
@@ -148,8 +149,8 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
   const std::vector<CriticalWork> &Phases = V.Result.Phases;
   if (Phases.empty())
     return std::nullopt;
-  std::vector<BrokenSlot> Broken =
-      collectBrokenSlots(In.Env, plannedSlots(D), In.Owner);
+  std::vector<BrokenSlot> Broken = collectBrokenSlots(
+      In.Env, plannedSlots(D), In.Owner, In.IntervalsScanned);
   if (Broken.empty())
     return std::nullopt;
 

@@ -76,6 +76,9 @@ struct RepairInputs {
   /// When set, each stage-2 attempt adds the reservations it copied into
   /// its scratch grid.
   uint64_t *IntervalsCopied = nullptr;
+  /// When set, stages 1 and 2 add the reservations their overlap scans
+  /// of `Env` read.
+  uint64_t *IntervalsScanned = nullptr;
 };
 
 /// A successfully repaired supporting schedule plus how it was won.

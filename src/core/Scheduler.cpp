@@ -147,10 +147,13 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
         uint64_t Labels0 = Allocator.labelsKept();
         uint64_t Fits0 = Allocator.fitQueries();
         uint64_t Reruns0 = Allocator.dpReruns();
+        uint64_t Unreachable0 = Allocator.passesUnreachable();
+        uint64_t Skipped0 = Allocator.frontsSkipped();
         obs::Span AllocSpan("core", "allocateChain", "chain_len",
                             static_cast<int64_t>(Chain.TaskIds.size()));
         // Work of the Time lane's continuation after a split.
         uint64_t ForkLabels = 0, ForkFits = 0, ForkReruns = 0;
+        uint64_t ForkUnreachable = 0, ForkSkipped = 0;
         ChainSplit Split;
         ChainOutcome Outcome =
             Allocator.allocate(Chain, L.Result.Dist, Release, J.deadline(),
@@ -179,6 +182,8 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
           ForkLabels = TimeAllocator.labelsKept();
           ForkFits = TimeAllocator.fitQueries();
           ForkReruns = TimeAllocator.dpReruns();
+          ForkUnreachable = TimeAllocator.passesUnreachable();
+          ForkSkipped = TimeAllocator.frontsSkipped();
         }
         AllocSpan.arg("placed", Placed);
         DpPhase.work("labels", Allocator.labelsKept() - Labels0 + ForkLabels);
@@ -186,6 +191,10 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
                      Allocator.fitQueries() - Fits0 + ForkFits);
         DpPhase.work("dp_reruns",
                      Allocator.dpReruns() - Reruns0 + ForkReruns);
+        DpPhase.work("passes_unreachable", Allocator.passesUnreachable() -
+                                               Unreachable0 + ForkUnreachable);
+        DpPhase.work("fronts_skipped",
+                     Allocator.frontsSkipped() - Skipped0 + ForkSkipped);
       }
       const CriticalWork &Work = L.Result.Phases.back();
       if (Placed) {

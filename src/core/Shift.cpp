@@ -28,7 +28,8 @@ Distribution cws::shiftDistribution(const Distribution &D, Tick Delta) {
 
 std::optional<Tick> cws::minimalFeasibleShift(const Distribution &D,
                                               const Grid &G, Tick Deadline,
-                                              OwnerId Ignore) {
+                                              OwnerId Ignore,
+                                              uint64_t *Scanned) {
   if (D.empty())
     return 0;
   // Delta = 0 fast path: an already-feasible distribution needs no
@@ -59,13 +60,12 @@ std::optional<Tick> cws::minimalFeasibleShift(const Distribution &D,
       Blocked = true;
       // Find the furthest blocking interval overlapping [B, E) and jump
       // past it.
-      for (const auto &I : Line.intervals()) {
-        if (I.Begin >= E)
-          break;
-        if (I.End <= B || I.Owner == Ignore)
-          continue;
-        NextDelta = std::max(NextDelta, I.End - P.Start);
-      }
+      std::span<const Interval> Overlap = Line.overlapping(B, E);
+      if (Scanned)
+        *Scanned += Overlap.size();
+      for (const Interval &I : Overlap)
+        if (I.Owner != Ignore)
+          NextDelta = std::max(NextDelta, I.End - P.Start);
     }
     if (!Blocked)
       return Delta;

@@ -20,6 +20,7 @@
 
 #include "core/Distribution.h"
 
+#include <cstdint>
 #include <optional>
 
 namespace cws {
@@ -38,9 +39,12 @@ Distribution shiftDistribution(const Distribution &D, Tick Delta);
 /// when no such shift exists. An already-feasible distribution is a
 /// pinned Delta = 0 fast path — checked first, with no side effects, so
 /// recovery code can rely on "already fits" being a strict no-op.
-/// Runs in O(conflicts x placements).
+/// Runs in O(conflicts x placements); each blocked placement reads only
+/// the intervals that overlap it, and when \p Scanned is set their
+/// number is added to it.
 std::optional<Tick> minimalFeasibleShift(const Distribution &D, const Grid &G,
-                                         Tick Deadline, OwnerId Ignore = 0);
+                                         Tick Deadline, OwnerId Ignore = 0,
+                                         uint64_t *Scanned = nullptr);
 
 } // namespace cws
 

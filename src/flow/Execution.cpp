@@ -12,7 +12,6 @@
 #include "support/Check.h"
 
 #include <algorithm>
-#include <cmath>
 
 using namespace cws;
 
@@ -67,8 +66,7 @@ ExecutionResult cws::executeDistribution(const Job &J, const Distribution &D,
     Tick Reserved = P->End - P->Start;
     double Factor = Rng.uniformReal(Config.FactorLo, Config.FactorHi);
     Tick Actual = std::max<Tick>(
-        1, static_cast<Tick>(
-               std::ceil(static_cast<double>(Reserved) * Factor - 1e-9)));
+        1, ceilTicks(static_cast<double>(Reserved) * Factor - 1e-9));
     Tick End = Start + Actual;
 
     if (End > P->End) {

@@ -179,7 +179,8 @@ bool JobManager::onArrival(const Job &J, Tick Now) {
   return true;
 }
 
-std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now) {
+std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
+                                              uint64_t *Scanned) {
   FlowMetrics &M = FlowMetrics::get();
   obs::Span NegotiationSpan("flow", "job.negotiate", "job",
                             static_cast<int64_t>(JobId));
@@ -218,7 +219,7 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now) {
       if (!V.feasible())
         continue;
       std::optional<Tick> Delta = minimalFeasibleShift(
-          V.Result.Dist, Meta.grid(), A.TheJob.deadline(), Owner);
+          V.Result.Dist, Meta.grid(), A.TheJob.deadline(), Owner, Scanned);
       if (!Delta)
         continue;
       double Cost = V.Result.Dist.economicCost();

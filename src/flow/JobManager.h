@@ -102,8 +102,12 @@ public:
 
   /// Negotiation concluded: commit the cheapest still-fitting variant,
   /// after one reallocation attempt if the strategy went stale. Returns
-  /// the completion time on success.
-  std::optional<Tick> onNegotiation(unsigned JobId, Tick Now);
+  /// the completion time on success. When \p Scanned is set, the
+  /// reservations the shift recovery's overlap scans read are added to
+  /// it (the caller's `commit.apply` work counter; the reallocation
+  /// counts its own on `meta.repair`).
+  std::optional<Tick> onNegotiation(unsigned JobId, Tick Now,
+                                    uint64_t *Scanned = nullptr);
 
   /// The environment changed: re-validate every strategy still
   /// negotiating and close the TTL of those left without a fitting

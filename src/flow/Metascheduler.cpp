@@ -117,10 +117,11 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   // phase, and the grids the stages copy count here.
   obs::PhaseScope RepairPhase("meta.repair");
   uint64_t Copied = 0;
+  uint64_t Scanned = 0;
 
   if (ReallocMode == ReallocationMode::Repair && Stale.admissible()) {
     const Job &Sched = Stale.scheduledJob();
-    RepairInputs In{Env, Net, Config, Owner, Now, &Copied};
+    RepairInputs In{Env, Net, Config, Owner, Now, &Copied, &Scanned};
     // Candidate order: feasible variants, cheapest first — the flow
     // layer commits bestByCost, so the first variant that repairs is
     // the one whose revival is worth the most.
@@ -180,6 +181,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
       // replacement validated against the live grid.
       Env.releaseOwner(Owner);
       RepairPhase.work("intervals_copied", Copied);
+      RepairPhase.work("intervals_scanned", Scanned);
       ReallocSpan.arg("stage", IsShift ? 1 : 2);
       return Out;
     }
@@ -192,6 +194,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   Out.S = Strategy::build(J, rebuildGrid(Owner, Now, Copied), Net, Config,
                           Owner, Now);
   RepairPhase.work("intervals_copied", Copied);
+  RepairPhase.work("intervals_scanned", Scanned);
   if (Out.S.admissible()) {
     Out.Stage = RepairStage::Rebuild;
     M.Rebuilt.add();

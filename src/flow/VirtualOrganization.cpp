@@ -227,11 +227,13 @@ cws::runMultiFlowVo(const VoConfig &Config,
       BM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
       obs::PhaseScope ApplyPhase("commit.apply");
       ApplyPhase.work("tenders", Ready.size());
+      uint64_t Scanned = 0;
       for (const PendingNegotiation &PN : Ready)
         if (std::optional<Tick> Completion =
-                PN.Manager->onNegotiation(PN.JobId, Now))
+                PN.Manager->onNegotiation(PN.JobId, Now, &Scanned))
           Sim.at(*Completion,
                  [PN](Tick CNow) { PN.Manager->onCompletion(PN.JobId, CNow); });
+      ApplyPhase.work("intervals_scanned", Scanned);
     }
   };
 

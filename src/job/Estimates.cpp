@@ -26,7 +26,7 @@ EstimateGrid::EstimateGrid(const Job &J, std::vector<double> Levels)
     Table[T.Id].reserve(PerfLevels.size());
     for (double Perf : PerfLevels) {
       double Exact = static_cast<double>(T.RefTicks) / Perf;
-      Table[T.Id].push_back(static_cast<Tick>(std::ceil(Exact - 1e-9)));
+      Table[T.Id].push_back(ceilTicks(Exact - 1e-9));
     }
   }
 }

@@ -8,7 +8,6 @@
 #include "job/Generator.h"
 #include "support/Check.h"
 
-#include <cmath>
 #include <string>
 
 using namespace cws;
@@ -69,6 +68,6 @@ Job JobGenerator::next(Tick Release) {
   J.setRelease(Release);
   double Span = Config.DeadlineSlack *
                 static_cast<double>(J.criticalPathRefTicks());
-  J.setDeadline(Release + static_cast<Tick>(std::ceil(Span)));
+  J.setDeadline(Release + ceilTicks(Span));
   return J;
 }

@@ -8,7 +8,7 @@
 #include "resource/DataPolicy.h"
 #include "support/Check.h"
 
-#include <cmath>
+#include <algorithm>
 
 using namespace cws;
 
@@ -28,9 +28,13 @@ DataPolicy::DataPolicy(DataPolicyKind Kind, const Network &Net,
                        DataPolicyConfig Config)
     : Kind(Kind), Net(Net), Config(Config) {}
 
+bool DataPolicy::hasReplica(unsigned ProducerTask, unsigned Node) const {
+  return std::find(Replicas.begin(), Replicas.end(),
+                   replicaKey(ProducerTask, Node)) != Replicas.end();
+}
+
 static Tick scaleTicks(Tick Ticks, double Factor) {
-  return static_cast<Tick>(
-      std::ceil(static_cast<double>(Ticks) * Factor - 1e-9));
+  return ceilTicks(static_cast<double>(Ticks) * Factor - 1e-9);
 }
 
 Tick DataPolicy::previewTicks(unsigned ProducerTask, Tick BaseTicks,
@@ -40,7 +44,7 @@ Tick DataPolicy::previewTicks(unsigned ProducerTask, Tick BaseTicks,
     return 0;
   switch (Kind) {
   case DataPolicyKind::ActiveReplication:
-    if (Replicas.count(replicaKey(ProducerTask, DstNode)))
+    if (hasReplica(ProducerTask, DstNode))
       return 0;
     return scaleTicks(Wire, Config.ReplicationFactor);
   case DataPolicyKind::RemoteAccess:
@@ -56,7 +60,7 @@ Tick DataPolicy::billedTicks(unsigned ProducerTask, Tick BaseTicks,
   if (Kind != DataPolicyKind::ActiveReplication)
     return previewTicks(ProducerTask, BaseTicks, SrcNode, DstNode);
   Tick Wire = Net.transferTicks(BaseTicks, SrcNode, DstNode);
-  if (Wire == 0 || Replicas.count(replicaKey(ProducerTask, DstNode)))
+  if (Wire == 0 || hasReplica(ProducerTask, DstNode))
     return 0;
   return scaleTicks(Wire, Config.ReplicationBilling);
 }
@@ -64,7 +68,8 @@ Tick DataPolicy::billedTicks(unsigned ProducerTask, Tick BaseTicks,
 Tick DataPolicy::transferTicks(unsigned ProducerTask, Tick BaseTicks,
                                unsigned SrcNode, unsigned DstNode) {
   Tick Ticks = previewTicks(ProducerTask, BaseTicks, SrcNode, DstNode);
-  if (Kind == DataPolicyKind::ActiveReplication && SrcNode != DstNode)
-    Replicas.insert(replicaKey(ProducerTask, DstNode));
+  if (Kind == DataPolicyKind::ActiveReplication && SrcNode != DstNode &&
+      !hasReplica(ProducerTask, DstNode))
+    Replicas.push_back(replicaKey(ProducerTask, DstNode));
   return Ticks;
 }

@@ -21,7 +21,7 @@
 #include "sim/Time.h"
 
 #include <cstdint>
-#include <unordered_set>
+#include <vector>
 
 namespace cws {
 
@@ -90,10 +90,15 @@ private:
     return (static_cast<uint64_t>(ProducerTask) << 32) | Node;
   }
 
+  bool hasReplica(unsigned ProducerTask, unsigned Node) const;
+
   DataPolicyKind Kind;
   const Network &Net;
   DataPolicyConfig Config;
-  std::unordered_set<uint64_t> Replicas;
+  /// The (producer, node) keys of the replicas made, each once. A
+  /// distribution makes about one per cross-node edge, so a flat list is
+  /// searched faster than a hash set and copied with a lane for less.
+  std::vector<uint64_t> Replicas;
 };
 
 } // namespace cws

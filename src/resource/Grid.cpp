@@ -149,14 +149,16 @@ size_t Grid::assignLive(const Grid &From, Tick Horizon) {
 
 std::vector<BrokenSlot>
 cws::collectBrokenSlots(const Grid &G, const std::vector<PlannedSlot> &Slots,
-                        OwnerId Ignore) {
+                        OwnerId Ignore, uint64_t *Scanned) {
   std::vector<BrokenSlot> Broken;
   for (size_t I = 0; I < Slots.size(); ++I) {
     const PlannedSlot &S = Slots[I];
-    for (const Interval &Busy : G.node(S.NodeId).timeline().intervals()) {
-      if (Busy.Owner == Ignore)
-        continue;
-      if (Busy.Begin < S.End && S.Begin < Busy.End) {
+    std::span<const Interval> Overlap =
+        G.node(S.NodeId).timeline().overlapping(S.Begin, S.End);
+    if (Scanned)
+      *Scanned += Overlap.size();
+    for (const Interval &Busy : Overlap) {
+      if (Busy.Owner != Ignore) {
         Broken.push_back({I, Busy.Begin, Busy.End});
         break;
       }

@@ -19,6 +19,7 @@
 #include "support/Prng.h"
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -134,10 +135,12 @@ struct BrokenSlot {
 /// Scans \p Slots against \p G and returns the ones that are no longer
 /// free, in slot order, each annotated with the first overlapping
 /// interval (in timeline order) not owned by \p Ignore. An empty result
-/// means every planned slot still fits.
+/// means every planned slot still fits. Each slot reads only the
+/// intervals that overlap it; when \p Scanned is set, their number is
+/// added to it.
 std::vector<BrokenSlot>
 collectBrokenSlots(const Grid &G, const std::vector<PlannedSlot> &Slots,
-                   OwnerId Ignore);
+                   OwnerId Ignore, uint64_t *Scanned = nullptr);
 
 } // namespace cws
 

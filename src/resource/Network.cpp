@@ -8,8 +8,6 @@
 #include "resource/Network.h"
 #include "support/Check.h"
 
-#include <cmath>
-
 using namespace cws;
 
 Tick Network::transferTicks(Tick BaseTicks, unsigned SrcNode,
@@ -18,5 +16,5 @@ Tick Network::transferTicks(Tick BaseTicks, unsigned SrcNode,
   if (SrcNode == DstNode || BaseTicks == 0)
     return SrcNode == DstNode ? 0 : Config.Latency;
   double Scaled = static_cast<double>(BaseTicks) * Config.TransferScale;
-  return Config.Latency + static_cast<Tick>(std::ceil(Scaled - 1e-9));
+  return Config.Latency + ceilTicks(Scaled - 1e-9);
 }

@@ -8,8 +8,6 @@
 #include "resource/Node.h"
 #include "support/Check.h"
 
-#include <cmath>
-
 using namespace cws;
 
 const char *cws::perfGroupName(PerfGroup Group) {
@@ -54,5 +52,5 @@ Tick ProcessorNode::execTicks(Tick RefTicks) const {
   // ceil(RefTicks / RelPerf) with a tolerance so perfs stored as 1/3 or
   // 1/4 reproduce the paper's integral estimation table exactly.
   double Exact = static_cast<double>(RefTicks) / RelPerf;
-  return static_cast<Tick>(std::ceil(Exact - 1e-9));
+  return ceilTicks(Exact - 1e-9);
 }

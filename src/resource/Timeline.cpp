@@ -46,6 +46,14 @@ const Interval *Timeline::firstOverlap(Tick B, Tick E) const {
   return &Busy[Idx];
 }
 
+std::span<const Interval> Timeline::overlapping(Tick B, Tick E) const {
+  const Interval *First = Busy.data() + lowerBound(B);
+  const Interval *Last = First;
+  while (Last != Busy.data() + Busy.size() && Last->Begin < E)
+    ++Last;
+  return {First, Last};
+}
+
 bool Timeline::reserve(Tick B, Tick E, OwnerId Owner) {
   CWS_CHECK(B < E, "reservation must be a non-empty interval");
   CWS_CHECK(Owner != 0, "owner id 0 is reserved");

@@ -21,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cws {
@@ -62,6 +63,12 @@ public:
 
   /// First busy interval overlapping [B, E), or nullptr.
   const Interval *firstOverlap(Tick B, Tick E) const;
+
+  /// Every busy interval with End > B and Begin < E, in order: the ones
+  /// overlapping [B, E). They are contiguous from the first interval
+  /// that ends after B, so the range is found without reading the
+  /// intervals that ended by B.
+  std::span<const Interval> overlapping(Tick B, Tick E) const;
 
   /// Busy ticks within [From, To).
   Tick busyTicks(Tick From, Tick To) const;

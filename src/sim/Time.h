@@ -30,6 +30,15 @@ inline constexpr Tick TickMax = INT64_MAX / 4;
 /// integer" in the paper).
 constexpr Tick ceilDiv(Tick A, Tick B) { return (A + B - 1) / B; }
 
+/// std::ceil(X) as a tick, for |X| < 2^63, without a libm call: the cast
+/// truncates toward zero, and a fraction left above it adds one. Every
+/// double of magnitude 2^52 or more is an integer, so there the cast is
+/// exact and nothing is added.
+constexpr Tick ceilTicks(double X) {
+  auto T = static_cast<Tick>(X);
+  return T + (static_cast<double>(T) < X);
+}
+
 } // namespace cws
 
 #endif // CWS_SIM_TIME_H

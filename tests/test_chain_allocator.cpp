@@ -7,6 +7,8 @@
 
 #include "core/ChainAllocator.h"
 #include "job/Job.h"
+#include "obs/Metrics.h"
+#include "obs/Provenance.h"
 #include "resource/Grid.h"
 #include "resource/Network.h"
 #include "support/Prng.h"
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 using namespace cws;
@@ -63,6 +66,8 @@ struct BothBiases {
   std::array<Distribution, 2> Dist;
   std::array<std::vector<CollisionRecord>, 2> Logs;
   uint64_t FitQueries = 0;
+  uint64_t PassesUnreachable = 0;
+  uint64_t FrontsSkipped = 0;
 };
 
 BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
@@ -81,6 +86,8 @@ BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
   R.Outcome = A.allocate(W, Dist, Release, Deadline, Owner,
                          BiasLogs{&Logs[0], &Logs[1]}, R.Split);
   R.FitQueries = A.fitQueries();
+  R.PassesUnreachable = A.passesUnreachable();
+  R.FrontsSkipped = A.frontsSkipped();
   for (size_t B = 0; B < 2; ++B) {
     if (R.Outcome != ChainOutcome::Split) {
       R.Placed[B] = R.Outcome == ChainOutcome::Placed;
@@ -96,8 +103,44 @@ BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
     R.Placed[B] = AB.resume(W, R.Split, static_cast<OptimizationBias>(B),
                             R.Dist[B], Release, Deadline, Owner, R.Logs[B]);
     R.FitQueries += AB.fitQueries();
+    R.PassesUnreachable += AB.passesUnreachable();
+    R.FrontsSkipped += AB.frontsSkipped();
   }
   return R;
+}
+
+/// Everything a placement serving both biases decided, as one line: the
+/// outcome, the split attempt and readiness bumps, both split paths, and
+/// per bias whether it placed, its distribution and its collision log.
+std::string describe(const BothBiases &R) {
+  std::string S = "o" + std::to_string(static_cast<int>(R.Outcome)) + " a" +
+                  std::to_string(R.Split.Attempt) + " x";
+  for (Tick T : R.Split.ExtraReady)
+    S += "," + std::to_string(T);
+  if (R.Outcome == ChainOutcome::Split)
+    for (const std::vector<ChainStep> &Path : R.Split.Paths) {
+      S += " p";
+      for (const ChainStep &St : Path)
+        S += "," + std::to_string(St.NodeId) + ":" + std::to_string(St.Start) +
+             "-" + std::to_string(St.Finish);
+    }
+  for (size_t Bias = 0; Bias < 2; ++Bias) {
+    S += " b" + std::to_string(R.Placed[Bias]);
+    for (const Placement &P : R.Dist[Bias].placements()) {
+      char Cost[32];
+      std::snprintf(Cost, sizeof Cost, "%.17g", P.EconomicCost);
+      S += " " + std::to_string(P.TaskId) + "@" + std::to_string(P.NodeId) +
+           ":" + std::to_string(P.Start) + "-" + std::to_string(P.End) +
+           "$" + Cost;
+    }
+    for (const CollisionRecord &C : R.Logs[Bias])
+      S += " c" + std::to_string(C.TaskId) + "@" + std::to_string(C.NodeId) +
+           "/" + std::to_string(C.BlockingOwner) + ":" +
+           std::to_string(C.WantedStart) + ">" +
+           std::to_string(C.ActualStart) + "r" +
+           std::to_string(static_cast<int>(C.Resolution));
+  }
+  return S + "\n";
 }
 
 /// The first way in which two placements differ, or "".
@@ -465,4 +508,109 @@ TEST(ChainAllocator, SearchingOnlyOpenNodesMatchesSearchingEveryCandidate) {
   for (size_t Outcome : Outcomes)
     EXPECT_GT(Outcome, 0u);
   EXPECT_LT(FitsOpen, FitsAll);
+}
+
+TEST(ChainAllocator, PinnedDigestOfRandomChainsAtTightWindows) {
+  // The DP's byte-identity oracle at the feasibility edge. Random chains
+  // (pinned neighbours, non-adjacent edges) get deadlines between about
+  // half and twice their work on a unit-speed node, on random loaded
+  // timelines, so many forward passes end with no label at the last
+  // position and many fronts cannot feed one that does. Every decision
+  // of both biases, split and resumed as the scheduler does, is hashed
+  // at four front caps. A change that is meant to leave every decision
+  // as it is must leave this constant as it is.
+  const double Perfs[] = {1.0, 0.8, 0.5, 0.4, 0.33, 0.25};
+  const DataPolicyKind Kinds[] = {DataPolicyKind::ActiveReplication,
+                                  DataPolicyKind::RemoteAccess,
+                                  DataPolicyKind::StaticStorage};
+  const Network Net;
+  obs::Counter &Evictions =
+      obs::Registry::global().counter("cws_chain_front_evictions_total");
+  const uint64_t Evicted0 = Evictions.value();
+  Prng Rng(1309);
+  std::string Text;
+  size_t Outcomes[3] = {0, 0, 0};
+  uint64_t Unreachable = 0, Skipped = 0;
+  for (int Trial = 0; Trial < 1000; ++Trial) {
+    const auto N = static_cast<unsigned>(Rng.uniformInt(1, 6));
+    const auto K = static_cast<unsigned>(Rng.uniformInt(1, 7));
+    Job J;
+    Tick Work = 0;
+    for (unsigned T = 0; T < K; ++T) {
+      Tick Ref = Rng.uniformInt(1, 4);
+      J.addTask("t", Ref, 10.0 * static_cast<double>(Ref));
+      Work += Ref;
+    }
+    for (unsigned T = 1; T < K; ++T)
+      J.addEdge(T - 1, T, Rng.uniformInt(0, 3));
+    if (K >= 3 && Rng.bernoulli(0.2))
+      J.addEdge(0, 2, Rng.uniformInt(2, 6)); // Takes the rerun path.
+    const Tick Release = Rng.uniformInt(0, 10);
+    const Tick Deadline = Release + Rng.uniformInt(Work / 2 + 1, 2 * Work + 4);
+    bool PinPred = Rng.bernoulli(0.4);
+    bool PinSucc = Rng.bernoulli(0.4);
+    unsigned Pred = 0, Succ = 0;
+    if (PinPred) {
+      Pred = J.addTask("p", 1, 10);
+      J.addEdge(Pred, static_cast<unsigned>(Rng.index(K)),
+                Rng.uniformInt(0, 4));
+    }
+    if (PinSucc) {
+      Succ = J.addTask("s", 1, 10);
+      J.addEdge(static_cast<unsigned>(Rng.index(K)), Succ,
+                Rng.uniformInt(0, 4));
+    }
+    J.setDeadline(Deadline);
+
+    Grid Env;
+    AllocatorPolicy Params;
+    for (unsigned Id = 0; Id < N; ++Id) {
+      Env.addNode(Perfs[Rng.index(6)]);
+      Params.CandidateNodes.push_back(Id);
+      Timeline &Line = Env.node(Id).timeline();
+      for (int64_t I = Rng.uniformInt(0, 5); I > 0; --I) {
+        Tick Begin = Rng.uniformInt(0, Deadline);
+        Line.reserve(Begin, Begin + Rng.uniformInt(1, 8), 9);
+      }
+    }
+    Distribution Pinned;
+    if (PinPred) {
+      unsigned Node = static_cast<unsigned>(Rng.index(N));
+      Tick End = Release + Rng.uniformInt(1, 4);
+      if (Env.node(Node).timeline().reserve(End - 1, End, 42))
+        Pinned.add({Pred, Node, End - 1, End, 1.0});
+    }
+    if (PinSucc) {
+      unsigned Node = static_cast<unsigned>(Rng.index(N));
+      Tick Start = Deadline - Rng.uniformInt(0, 4);
+      if (Env.node(Node).timeline().reserve(Start, Start + 1, 42))
+        Pinned.add({Succ, Node, Start, Start + 1, 1.0});
+    }
+
+    CriticalWork W;
+    for (unsigned T = 0; T < K; ++T)
+      W.TaskIds.push_back(T);
+    DataPolicyKind Kind = Kinds[Rng.index(3)];
+    Params.NodeSwitchPenalty = Rng.bernoulli(0.3) ? 5.0 : 0.0;
+    for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+      Params.MaxFrontSize = Cap;
+      BothBiases R = allocateBoth(J, W, Env, Net, Kind, Pinned, Params,
+                                  Release, Deadline);
+      Text += describe(R);
+      ++Outcomes[static_cast<size_t>(R.Outcome)];
+      Unreachable += R.PassesUnreachable;
+      Skipped += R.FrontsSkipped;
+    }
+  }
+  // Not vacuous: every outcome occurred and capped fronts evicted
+  // labels. How far the sweeps reach is pinned too: a looser bound keeps
+  // every decision but fails fewer passes before building a front, or
+  // skips fewer fronts.
+  for (size_t Outcome : Outcomes)
+    EXPECT_GT(Outcome, 0u);
+  EXPECT_GT(Evictions.value() - Evicted0, 0u);
+  EXPECT_EQ(Unreachable, 2356u);
+  EXPECT_EQ(Skipped, 9558u);
+  EXPECT_EQ(obs::fnv1a64(Text), 0xcb59abd136334075ULL)
+      << Text.size() << " bytes";
 }

@@ -445,6 +445,28 @@ TEST(VirtualOrganization, PinnedDigestOfALongRun) {
       << Text.size() << " bytes";
 }
 
+TEST(VirtualOrganization, PinnedDigestOfTightSlackRuns) {
+  // The byte-identity oracle at the feasibility edge of the job flow: at
+  // deadline slack 1.3 many chain placements of strategy builds and of
+  // stage-2 repairs find no path. Four competing flows, in both
+  // reallocation modes. A change that is meant to leave every decision
+  // as it is must leave this constant as it is, at any
+  // CWS_BUILD_THREADS value.
+  VoConfig Config;
+  Config.JobCount = 400;
+  Config.Workload.DeadlineSlack = 1.3;
+  const std::vector<StrategyKind> Kinds = {StrategyKind::S1, StrategyKind::S2,
+                                           StrategyKind::S3, StrategyKind::MS1};
+  std::string Text;
+  for (ReallocationMode Mode :
+       {ReallocationMode::Repair, ReallocationMode::Rebuild}) {
+    Config.Reallocation = Mode;
+    Text += journaledRunText(Config, Kinds, /*Seed=*/7);
+  }
+  EXPECT_EQ(obs::fnv1a64(Text), 0xc618586e3bf49b9cULL)
+      << Text.size() << " bytes";
+}
+
 TEST(VirtualOrganization, QuotaHoldsAcrossASameTickCommitDrain) {
   // Commits of one flow that land in one end-of-tick drain each see the
   // debits of those before them. With a quota worth a handful of jobs,

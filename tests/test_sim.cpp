@@ -7,9 +7,12 @@
 
 #include "sim/EventQueue.h"
 #include "sim/Simulator.h"
+#include "sim/Time.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 using namespace cws;
@@ -143,4 +146,44 @@ TEST(Simulator, PendingCount) {
   EXPECT_EQ(Sim.pending(), 2u);
   Sim.run();
   EXPECT_EQ(Sim.pending(), 0u);
+}
+
+TEST(Time, CeilTicksEqualsStdCeil) {
+  // ceilTicks replaces std::ceil wherever a computed time becomes whole
+  // ticks, so it must agree with it everywhere a tick can reach.
+  std::vector<double> Values;
+  for (int64_t K = -1000; K <= 1000; ++K) {
+    auto X = static_cast<double>(K);
+    // Integers, and values within 1e-9 of one on either side.
+    for (double D : {0.0, 1e-9, -1e-9, 1e-10, -1e-10, 5e-10, -5e-10})
+      Values.push_back(X + D);
+    Values.push_back(std::nextafter(X, -1e300));
+    Values.push_back(std::nextafter(X, 1e300));
+  }
+  // The estimation table: reference times over the perfs the grids use,
+  // with the tolerance execTicks subtracts.
+  for (double Perf : {1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0, 0.8, 0.4, 0.33,
+                      0.25, 2.0 / 3.0}) {
+    for (int64_t Ref = 0; Ref <= 400; ++Ref) {
+      double Exact = static_cast<double>(Ref) / Perf;
+      Values.push_back(Exact);
+      Values.push_back(Exact - 1e-9);
+    }
+  }
+  // Where doubles stop holding fractions.
+  const double Two53 = 9007199254740992.0;
+  for (double X : {Two53 - 1, Two53, Two53 + 1, Two53 + 2, -Two53 + 1,
+                   -Two53, -Two53 - 1, Two53 / 2 + 0.5, -Two53 / 2 - 0.5,
+                   4.0e18, -4.0e18})
+    Values.push_back(X);
+  // Random doubles over several magnitudes.
+  Prng Rng(53);
+  for (int I = 0; I < 100000; ++I) {
+    double Scale = std::ldexp(1.0, static_cast<int>(Rng.uniformInt(-4, 60)));
+    Values.push_back(Rng.uniformReal(-Scale, Scale));
+  }
+  for (double X : Values)
+    ASSERT_EQ(ceilTicks(X), static_cast<Tick>(std::ceil(X))) << X;
+  static_assert(ceilTicks(2.5) == 3 && ceilTicks(-2.5) == -2 &&
+                ceilTicks(3.0) == 3 && ceilTicks(-0.5) == 0);
 }

@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 using namespace cws;
 
 TEST(Timeline, FreshIsFree) {
@@ -159,6 +162,37 @@ TEST_P(TimelineFuzz, InvariantsHoldUnderRandomOps) {
       EXPECT_LT(I[K].Begin, I[K].End);
     }
   }
+}
+
+TEST(Timeline, OverlappingEqualsTheFullScanFilter) {
+  // The bounded range must hold exactly the intervals a scan over every
+  // reservation keeps (End > B and Begin < E), in timeline order, for
+  // any query: empty and inverted ones, and ones before, inside and
+  // past the reservations.
+  Prng Rng(2024);
+  size_t NonEmpty = 0;
+  for (int Trial = 0; Trial < 300; ++Trial) {
+    Timeline T;
+    for (int64_t I = Rng.uniformInt(0, 40); I > 0; --I) {
+      Tick Begin = Rng.uniformInt(0, 200);
+      T.reserve(Begin, Begin + Rng.uniformInt(1, 12), 1 + Rng.index(3));
+    }
+    const std::vector<Interval> &All = T.intervals();
+    for (int Query = 0; Query < 40; ++Query) {
+      Tick B = Rng.uniformInt(-10, 220);
+      Tick E = B + Rng.uniformInt(-5, 30);
+      std::vector<const Interval *> Want;
+      for (const Interval &I : All)
+        if (I.End > B && I.Begin < E)
+          Want.push_back(&I);
+      std::span<const Interval> Got = T.overlapping(B, E);
+      ASSERT_EQ(Got.size(), Want.size()) << "[" << B << ", " << E << ")";
+      for (size_t K = 0; K < Got.size(); ++K)
+        EXPECT_EQ(&Got[K], Want[K]);
+      NonEmpty += !Got.empty();
+    }
+  }
+  EXPECT_GT(NonEmpty, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TimelineFuzz,
