@@ -1,4 +1,4 @@
-//===-- bench/reg_strategy_build_throughput.cpp - Parallel build gauge ----===//
+//===-- bench/reg_strategy_build_throughput.cpp - Build throughput --------===//
 //
 // Part of CWS, a reproduction of Toporkov, "Application-Level and Job-Flow
 // Scheduling" (PaCT 2009). Distributed without any warranty.
@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the strategy-build throughput (builds/sec) of the serial path
-/// against the parallel path on the simulator's standard workload, and
-/// verifies the parallel output is identical to the serial one, variant
+/// Pins the strategy-build throughput (builds/sec) on the simulator's
+/// standard workload. A first pass counts the work; a second, timed pass
+/// builds every strategy again on the thread's warm scratch state (the
+/// lane grids and chain-DP buffers a thread keeps from build to build),
+/// and the check requires the rebuild to equal the first build, variant
 /// for variant down to placement costs, collision records and critical
-/// works — the contract that lets `Strategy::build` default to
-/// `hw_concurrency` lanes. The parallel arm runs at least two lanes, so
-/// the check compares two paths even where CWS_BUILD_THREADS is 1. The
-/// variant totals, the schedules actually built and the DP labels of the
-/// serial build are work counters, so a change to the variant set or to
-/// the work behind it (not just its speed) trips the ratchet.
+/// works. The variant totals, the schedules actually built and the DP
+/// labels of the first pass are work counters, so a change to the
+/// variant set or to the work behind it (not just its speed) trips the
+/// ratchet.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,9 +25,7 @@
 #include "resource/Grid.h"
 #include "resource/Network.h"
 #include "support/Prng.h"
-#include "support/ThreadPool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <string>
 #include <vector>
@@ -94,9 +92,8 @@ bool identicalStrategies(const Strategy &A, const Strategy &B) {
 } // namespace
 
 CWS_BENCH(strategy_build_throughput,
-          "serial vs parallel strategy builds on the standard workload",
+          "strategy builds per second on the standard workload",
           /*Reps=*/3, /*Warmup=*/1, /*Profile=*/true) {
-  const size_t Threads = std::max<size_t>(2, ThreadPool::defaultThreads());
   Ctx.setSeed(Seed);
   Ctx.setExecSeed(Seed);
   Ctx.setConfig("jobs=" + std::to_string(Jobs) + "\nstrategy=S1\n");
@@ -112,31 +109,23 @@ CWS_BENCH(strategy_build_throughput,
   Network Net;
   StrategyConfig Config;
 
-  auto BuildAll = [&](size_t Lanes) {
+  auto BuildAll = [&] {
     std::vector<Strategy> Out;
     Out.reserve(Workload.size());
-    StrategyConfig C = Config;
-    C.BuildThreads = Lanes;
     for (const Job &J : Workload)
-      Out.push_back(Strategy::build(J, Env, Net, C, /*Owner=*/1));
+      Out.push_back(Strategy::build(J, Env, Net, Config, /*Owner=*/1));
     return Out;
   };
 
-  // Build both ways and prove the determinism contract.
   uint64_t Built0 = bench::phaseWork("strategy.build", "variants_built");
   uint64_t Labels0 = bench::phaseWork("chain.dp", "labels");
-  std::vector<Strategy> Serial = BuildAll(1);
+  std::vector<Strategy> First = BuildAll();
   uint64_t Built =
       bench::phaseWork("strategy.build", "variants_built") - Built0;
   uint64_t Labels = bench::phaseWork("chain.dp", "labels") - Labels0;
-  std::vector<Strategy> Parallel = BuildAll(Threads);
-  bool Identical = true;
-  for (size_t I = 0; I < Serial.size(); ++I)
-    Identical = Identical && identicalStrategies(Serial[I], Parallel[I]);
-  Ctx.check("parallel build identical to the serial build", Identical);
 
   uint64_t Variants = 0, Feasible = 0;
-  for (const Strategy &S : Serial) {
+  for (const Strategy &S : First) {
     Variants += S.variants().size();
     Feasible += S.feasibleCount();
   }
@@ -146,10 +135,13 @@ CWS_BENCH(strategy_build_throughput,
   Ctx.setWork("variants_built", Built);
   Ctx.setWork("dp_labels", Labels);
 
-  double SerialSec = seconds([&] { BuildAll(1); });
-  double ParallelSec = seconds([&] { BuildAll(Threads); });
-  double N = static_cast<double>(Jobs);
-  Ctx.addMetric("serial_builds_per_sec", N / SerialSec);
-  Ctx.addMetric("parallel_builds_per_sec", N / ParallelSec);
-  Ctx.addMetric("parallel_speedup", SerialSec / ParallelSec);
+  std::vector<Strategy> Again;
+  double Sec = seconds([&] { Again = BuildAll(); });
+  bool Identical = true;
+  for (size_t I = 0; I < First.size(); ++I)
+    Identical = Identical && identicalStrategies(First[I], Again[I]);
+  Ctx.check("a rebuild on the thread's warm scratch state is identical to "
+            "the first build",
+            Identical);
+  Ctx.addMetric("serial_builds_per_sec", static_cast<double>(Jobs) / Sec);
 }

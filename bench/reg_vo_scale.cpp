@@ -83,7 +83,6 @@ CWS_BENCH(vo_scale,
     VoConfig Config;
     Config.JobCount = Jobs;
     Config.Workload.DeadlineSlack = 2.0;
-    Config.Strategy.BuildThreads = 1;
 
     obs::Counter &Builds =
         obs::Registry::global().counter("cws_strategy_builds_total");

@@ -14,13 +14,13 @@
 #include "obs/Profiler.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
-#include "support/ThreadPool.h"
 
 #include <cmath>
 
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 using namespace cws;
 
@@ -160,64 +160,9 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
     }
   }
 
-  // One build task per distinct covered level: the candidate sets of two
-  // levels that differ only by full nodes yield the same distributions,
-  // so the higher level's variants would be merged away as duplicates
-  // (only the Cost bias's `Moved` scan sees the full nodes). Each task
-  // builds the Cost and the Time variant together on its own scratch
-  // state, so the tasks are independent — the paper's strategy is a set
-  // of independent supporting schedules, one per environment event.
-  struct LevelTask {
-    size_t Level;
-    std::vector<unsigned> Candidates;
-    /// The candidates that are not full: the DP's search set.
-    std::vector<unsigned> Open;
-  };
-  std::vector<LevelTask> Tasks;
-  for (size_t Level : Covered) {
-    // The variant for level L covers the event "every node faster than L
-    // is taken": it may only use nodes at or below that performance.
-    std::vector<unsigned> Candidates, Open;
-    Candidates.reserve(Env.size());
-    Open.reserve(Env.size());
-    for (const auto &N : Env.nodes())
-      if (IsAllowed(N.id()) && N.relPerf() <= S.Levels[Level] + 1e-9) {
-        Candidates.push_back(N.id());
-        if (!Full[N.id()])
-          Open.push_back(N.id());
-      }
-    if (Candidates.empty() || (!Tasks.empty() && Open == Tasks.back().Open))
-      continue;
-    Tasks.push_back({Level, std::move(Candidates), std::move(Open)});
-  }
-
-  std::vector<CostTimeSchedules> Built(Tasks.size());
-  auto BuildOne = [&](size_t I) {
-    SchedulerConfig SC;
-    SC.DataKind = strategyDataPolicy(Config.Kind);
-    SC.DataConfig = Config.DataConfig;
-    SC.Costs = Config.Costs;
-    // Each task is built once, so its node lists move into the config.
-    SC.Alloc.CandidateNodes = std::move(Tasks[I].Candidates);
-    SC.Alloc.SearchNodes = std::move(Tasks[I].Open);
-    SC.Alloc.NodeSwitchPenalty =
-        Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
-    SC.Alloc.MaxFrontSize = Config.MaxFrontSize;
-    Built[I] = scheduleCostAndTime(Sched, Env, Net, SC, Owner, Now);
-  };
-
-  size_t Lanes = Config.BuildThreads > 0 ? Config.BuildThreads
-                                         : ThreadPool::defaultThreads();
-  if (Lanes <= 1 || Tasks.size() <= 1)
-    for (size_t I = 0; I < Tasks.size(); ++I)
-      BuildOne(I);
-  else
-    ThreadPool::global().parallelFor(Tasks.size(), BuildOne, Lanes);
-
-  // Merge in (level, bias) order — deterministic and identical to the
-  // serial build at any lane count. Identical supporting schedules add
-  // no coverage; keep one. A Time variant that was not built would have
-  // been a duplicate of its Cost twin.
+  // Identical supporting schedules add no coverage; keep one. A Time
+  // variant that was not built would have been a duplicate of its Cost
+  // twin.
   size_t VariantsBuilt = 0;
   uint64_t IntervalsCopied = 0;
   auto Merge = [&](size_t Level, OptimizationBias Bias,
@@ -229,16 +174,47 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
         return;
     S.Variants.push_back({Level, S.Levels[Level], Bias, std::move(Result)});
   };
-  for (size_t I = 0; I < Tasks.size(); ++I) {
-    IntervalsCopied += Built[I].IntervalsCopied;
-    Merge(Tasks[I].Level, OptimizationBias::Cost, std::move(Built[I].Cost));
-    if (Built[I].Time)
-      Merge(Tasks[I].Level, OptimizationBias::Time,
-            std::move(*Built[I].Time));
+
+  // Each distinct covered level is built once, its Cost and Time variants
+  // together on one lane, and merged in (level, bias) order. The
+  // candidate sets of two levels that differ only by full nodes yield
+  // the same distributions, so the higher level's variants would be
+  // merged away as duplicates (only the Cost bias's `Moved` scan sees
+  // the full nodes): such a level is skipped.
+  std::optional<std::vector<unsigned>> PrevOpen;
+  for (size_t Level : Covered) {
+    // The variant for level L covers the event "every node faster than L
+    // is taken": it may only use nodes at or below that performance. The
+    // candidates that are not full are the DP's search set.
+    std::vector<unsigned> Candidates, Open;
+    Candidates.reserve(Env.size());
+    Open.reserve(Env.size());
+    for (const auto &N : Env.nodes())
+      if (IsAllowed(N.id()) && N.relPerf() <= S.Levels[Level] + 1e-9) {
+        Candidates.push_back(N.id());
+        if (!Full[N.id()])
+          Open.push_back(N.id());
+      }
+    if (Candidates.empty() || (PrevOpen && Open == *PrevOpen))
+      continue;
+    SchedulerConfig SC;
+    SC.DataKind = strategyDataPolicy(Config.Kind);
+    SC.DataConfig = Config.DataConfig;
+    SC.Costs = Config.Costs;
+    SC.Alloc.CandidateNodes = std::move(Candidates);
+    SC.Alloc.SearchNodes = std::move(Open);
+    SC.Alloc.NodeSwitchPenalty =
+        Config.Kind == StrategyKind::S3 ? Config.CoarsePenalty : 0.0;
+    SC.Alloc.MaxFrontSize = Config.MaxFrontSize;
+    CostTimeSchedules Built =
+        scheduleCostAndTime(Sched, Env, Net, SC, Owner, Now);
+    PrevOpen = std::move(SC.Alloc.SearchNodes);
+    IntervalsCopied += Built.IntervalsCopied;
+    Merge(Level, OptimizationBias::Cost, std::move(Built.Cost));
+    if (Built.Time)
+      Merge(Level, OptimizationBias::Time, std::move(*Built.Time));
   }
-  // Journal the per-variant outcomes post-merge, on the calling thread
-  // and in (level, bias) order — the event stream stays byte-identical
-  // at any BuildThreads lane count.
+  // Journal the per-variant outcomes post-merge, in (level, bias) order.
   obs::Journal &Jn = obs::Journal::global();
   if (Jn.enabled()) {
     auto JobId = static_cast<int64_t>(J.id());

@@ -65,14 +65,6 @@ struct StrategyConfig {
   DataPolicyConfig DataConfig;
   CostConfig Costs;
   size_t MaxFrontSize = 8;
-  /// Worker lanes Strategy::build fans its levels out over: one task per
-  /// distinct covered level, building that level's Cost and Time
-  /// variants on the task's own scratch state. 0 resolves to
-  /// `ThreadPool::defaultThreads()` (the CWS_BUILD_THREADS environment
-  /// variable, else hardware concurrency); 1 builds serially on the
-  /// calling thread. Variants are merged in (level, bias) order, so the
-  /// result is identical at any thread count.
-  size_t BuildThreads = 0;
   /// When non-empty, restrict scheduling to these node ids (a domain of
   /// the hierarchical framework). Estimation levels are derived from
   /// the restricted set.

@@ -11,7 +11,6 @@
 #include "obs/TimeSeries.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
-#include "support/ThreadPool.h"
 
 #include <limits>
 #include <optional>
@@ -99,23 +98,12 @@ DispatchDecision DomainDispatcher::dispatch(const Job &J, OwnerId Owner,
     // Economic tender: every node manager offers its cheapest
     // admissible supporting schedule; the metascheduler takes the
     // lowest bid. The winner's strategy is reused, so losing domains
-    // cost only their generation time. The bids are independent
-    // read-only builds against disjoint node domains, so they run in
-    // parallel; each domain journals into a capture buffer replayed in
-    // domain order, and the serial lowest-bid fold below keeps the
-    // decision identical to the serial loop it replaces.
-    std::vector<std::optional<Strategy>> Built(Domains.size());
-    std::vector<obs::JournalBuffer> Buffers(Domains.size());
-    obs::Journal &Jn = obs::Journal::global();
-    ThreadPool::global().parallelFor(Domains.size(), [&](size_t I) {
-      obs::JournalCaptureScope Capture(Jn, &Buffers[I]);
-      Built[I].emplace(buildOn(J, Domains[I], Owner, Now));
-    });
+    // cost only their generation time. The domains bid in order, and a
+    // tie keeps the earlier domain.
     double BestBid = std::numeric_limits<double>::max();
     std::optional<Strategy> Winner;
     for (size_t I = 0; I < Domains.size(); ++I) {
-      Jn.appendBuffered(Buffers[I]);
-      Strategy S = std::move(*Built[I]);
+      Strategy S = buildOn(J, Domains[I], Owner, Now);
       double Bid = std::numeric_limits<double>::infinity();
       if (const ScheduleVariant *Best = S.bestByCost())
         Bid = Best->Result.Dist.economicCost();

@@ -227,10 +227,9 @@ void Metascheduler::checkRepairOracle(const Job &J, const Strategy &Repaired,
                                       unsigned UserId, OwnerId Owner,
                                       Tick Now, uint64_t &Copied) {
   // The reference rebuild must not perturb the run: the grid is copied
-  // and the journal events of the build are swallowed by a throwaway
-  // capture buffer (metric counters still tick — they are advisory).
-  obs::JournalBuffer Discard;
-  obs::JournalCaptureScope Swallow(obs::Journal::global(), &Discard);
+  // and the journal events of the build are dropped (metric counters
+  // still tick — they are advisory).
+  obs::JournalDiscardScope Swallow(obs::Journal::global());
   Strategy Rebuilt = Strategy::build(J, rebuildGrid(Owner, Now, Copied), Net,
                                      Config, Owner, Now);
 

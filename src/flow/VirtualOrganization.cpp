@@ -373,9 +373,8 @@ std::string cws::voConfigCanonical(const VoConfig &Config, StrategyKind Kind) {
   Num("strat.replication_billing", S.DataConfig.ReplicationBilling);
   Num("strat.transfer_cost", S.Costs.TransferCostPerTick);
   Int("strat.max_front", static_cast<long long>(S.MaxFrontSize));
-  // BuildThreads and AllowedNodes are deliberately absent: thread count
-  // never changes results (pinned by determinism tests), and the tools
-  // never restrict node domains at the VO level.
+  // AllowedNodes is deliberately absent: the tools never restrict node
+  // domains at the VO level.
 
   const BackgroundConfig &B = Config.Background;
   Int("bg.gap_fast", B.MeanGapFast);

@@ -54,10 +54,10 @@ namespace cws {
 namespace obs {
 
 /// Which provenance fields of two compared artifacts may legitimately
-/// differ. The default matches the common CI comparison — one run at
-/// different lane counts: the CLI text (it names per-run paths and
-/// flags) may differ, and so may the shard count, which older
-/// artifacts record above 1; the identity fields may not.
+/// differ. The default matches the common CI comparison — one workload
+/// run twice: the CLI text (it names per-run paths and flags) may
+/// differ, and so may the shard count, which older artifacts record
+/// above 1; the identity fields may not.
 struct MetaPolicy {
   bool AllowSeed = false;
   bool AllowConfigHash = false;

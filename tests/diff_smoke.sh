@@ -8,15 +8,16 @@
 #                      <cws-sweep>
 #
 # Pins the differential-analysis acceptance properties end to end:
-#  1. identical-workload runs at different build-thread counts are a
-#     semantic fixed point (exit 0) even though the meta lines differ
+#  1. two runs of one workload are a semantic fixed point (exit 0)
+#     even though their command lines, and so their meta lines, differ
 #     byte-wise;
 #  2. an injected one-event divergence exits 1 and the Markdown report
 #     names the job id, the tick, and both cause chains;
 #  3. the exit-code convention holds: 2 on missing files, unknown
 #     flags, malformed artifacts, bad flag values of cws-sim and
-#     cws-sched, and the removed shard knob (`--shards`, sweep axis
-#     `shards`) (never an abort, never a silent default);
+#     cws-sched, and the removed knobs (`--build-threads`, `--shards`,
+#     `--invalidation`, sweep axes `shards` and `invalidation`) (never
+#     an abort, never a silent default);
 #  4. the baseline gate round-trips: a fresh MANIFEST passes, a
 #     divergent artifact fails with exit 1, a stale digest fails with 2;
 #  5. cws-explain --diff-job renders both timelines and the divergence.
@@ -37,13 +38,15 @@ fail() {
   exit 1
 }
 
-#=== 1. Fixed point across build-thread counts ===========================#
-"$SIM" --jobs 12 --seed 5 --build-threads 1 --journal "$TMP/a.jsonl" \
+#=== 1. Fixed point across two runs ======================================#
+# The second run spells out the default --sample-every, so its command
+# line differs while the workload does not.
+"$SIM" --jobs 12 --seed 5 --journal "$TMP/a.jsonl" \
        --timeseries "$TMP/a.csv" > /dev/null
-"$SIM" --jobs 12 --seed 5 --build-threads 4 \
+"$SIM" --jobs 12 --seed 5 --sample-every 25 \
        --journal "$TMP/b.jsonl" --timeseries "$TMP/b.csv" > /dev/null
 "$DIFF" "$TMP/a.jsonl" "$TMP/b.jsonl" > /dev/null \
-  || fail "build-thread count changed the journal semantics"
+  || fail "a second run changed the journal semantics"
 cmp -s "$TMP/a.jsonl" "$TMP/b.jsonl" \
   && fail "meta lines should differ byte-wise (cli)"
 
@@ -79,14 +82,16 @@ STATUS=0
   || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
 for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
-            "--build-threads -1" "--shards 4" "--invalidation scan"; do
+            "--build-threads -1" "--build-threads 1" "--shards 4" \
+            "--invalidation scan"; do
   STATUS=0
   "$SIM" $ARGS > /dev/null 2>&1 || STATUS=$?
   [ "$STATUS" -eq 2 ] || fail "cws-sim $ARGS exited $STATUS, expected 2"
 done
 printf 'job "j" deadline 30\ntask t ref 2 vol 20\nnode perf 1.0\n' \
   > "$TMP/one.cws"
-for ARGS in "--strategy S9" "--build-threads -1" "--invalidation scan"; do
+for ARGS in "--strategy S9" "--build-threads -1" "--build-threads 1" \
+            "--invalidation scan"; do
   STATUS=0
   "$SCHED" --file "$TMP/one.cws" $ARGS > /dev/null 2>&1 || STATUS=$?
   [ "$STATUS" -eq 2 ] || fail "cws-sched $ARGS exited $STATUS, expected 2"

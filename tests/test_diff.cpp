@@ -5,7 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// obs/Diff: the identical-run fixed point across build-thread counts,
+// obs/Diff: the fixed point of two runs of one workload,
 // first-divergence localization of an injected one-event change, the
 // meta policy, series tolerance classes, the sweep CI-overlap /
 // quantile-shift verdicts with pinned numerics, and the Markdown report
@@ -33,13 +33,12 @@ protected:
   void TearDown() override { Journal::global().reset(); }
 };
 
-/// One journaled multi-flow run at the given build-thread count.
-std::string journaledRun(size_t BuildThreads) {
+/// One journaled multi-flow run.
+std::string journaledRun() {
   VoConfig Config;
   Config.JobCount = 24;
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 6;
-  Config.Strategy.BuildThreads = BuildThreads;
   Journal &Jn = Journal::global();
   Jn.reset();
   Jn.enable();
@@ -140,16 +139,15 @@ TEST(DiffGlob, MatchesStarsAnywhere) {
 }
 
 //===----------------------------------------------------------------------===//
-// Journal fixed point across parallelism knobs
+// Journal fixed point across repeated runs
 //===----------------------------------------------------------------------===//
 
-TEST_F(DiffTest, ParallelismKnobsAreASemanticFixedPoint) {
-  ParsedJournal Base = parsed(journaledRun(1));
+TEST_F(DiffTest, RepeatedRunsAreASemanticFixedPoint) {
+  ParsedJournal Base = parsed(journaledRun());
   ASSERT_FALSE(Base.Events.empty());
-  ParsedJournal Other = parsed(journaledRun(4));
+  ParsedJournal Other = parsed(journaledRun());
   DiffResult R = diffJournals(Base, Other);
-  EXPECT_TRUE(R.identical())
-      << "4 threads: " << renderDiffText(R, "base", "other");
+  EXPECT_TRUE(R.identical()) << renderDiffText(R, "base", "other");
 }
 
 //===----------------------------------------------------------------------===//

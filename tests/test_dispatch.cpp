@@ -204,8 +204,10 @@ TEST(Dispatch, CommitAfterDispatchReservesInTheDomain) {
   DispatchDecision D = Dispatcher.dispatch(J, Metascheduler::ownerOf(3), 0);
   ASSERT_TRUE(D.S.admissible());
   ASSERT_TRUE(Meta.commit(J, *D.S.bestByCost(), User));
-  for (const auto &N : Env.nodes())
-    if (!N.timeline().intervals().empty())
+  for (const auto &N : Env.nodes()) {
+    if (!N.timeline().intervals().empty()) {
       EXPECT_TRUE(Domains[D.DomainIdx].contains(N.id()))
           << "reservation leaked outside the domain";
+    }
+  }
 }

@@ -7,9 +7,9 @@
 ///
 /// \file
 /// End-to-end tests of the decision journal on a deterministic VO run
-/// (schema validity, causal-chain completeness, byte-determinism across
-/// build-thread counts) plus golden renderings of the cws-explain
-/// analyses on a hand-built journal.
+/// (schema validity, causal-chain completeness, byte-determinism from
+/// run to run) plus golden renderings of the cws-explain analyses on a
+/// hand-built journal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,19 +34,13 @@ protected:
   void TearDown() override { Journal::global().reset(); }
 };
 
-VoConfig smallConfig(size_t BuildThreads) {
+std::string journaledRun() {
   VoConfig Config;
   Config.JobCount = 30;
-  Config.Strategy.BuildThreads = BuildThreads;
-  return Config;
-}
-
-std::string journaledRun(size_t BuildThreads) {
   Journal &Jn = Journal::global();
   Jn.reset();
   Jn.enable();
-  runVirtualOrganization(smallConfig(BuildThreads), StrategyKind::S1,
-                         /*Seed=*/7);
+  runVirtualOrganization(Config, StrategyKind::S1, /*Seed=*/7);
   Jn.disable();
   std::string Out = Jn.jsonl();
   Jn.reset();
@@ -56,7 +50,7 @@ std::string journaledRun(size_t BuildThreads) {
 TEST_F(ExplainTest, SimulationJournalPassesValidation) {
   ParsedJournal J;
   std::string Error;
-  ASSERT_TRUE(parseJournalJsonl(journaledRun(1), J, Error)) << Error;
+  ASSERT_TRUE(parseJournalJsonl(journaledRun(), J, Error)) << Error;
   EXPECT_EQ(J.Dropped, 0u);
   EXPECT_GT(J.Events.size(), 0u);
   std::vector<std::string> Violations = validateJournal(J);
@@ -64,16 +58,14 @@ TEST_F(ExplainTest, SimulationJournalPassesValidation) {
       << Violations.size() << " violations, first: " << Violations.front();
 }
 
-TEST_F(ExplainTest, JournalIsByteDeterministicAcrossBuildThreads) {
-  std::string Serial = journaledRun(1);
-  std::string Parallel = journaledRun(4);
-  EXPECT_EQ(Serial, Parallel);
+TEST_F(ExplainTest, JournalIsByteDeterministicRunToRun) {
+  EXPECT_EQ(journaledRun(), journaledRun());
 }
 
 TEST_F(ExplainTest, EveryJobChainStartsWithArrivalThenAdmission) {
   ParsedJournal J;
   std::string Error;
-  ASSERT_TRUE(parseJournalJsonl(journaledRun(1), J, Error)) << Error;
+  ASSERT_TRUE(parseJournalJsonl(journaledRun(), J, Error)) << Error;
   // Group kinds per job in id order; every journaled job must open with
   // arrival -> admission and close with a terminal decision.
   std::map<int64_t, std::vector<const ParsedJournalEvent *>> PerJob;
@@ -102,7 +94,7 @@ TEST_F(ExplainTest, EveryJobChainStartsWithArrivalThenAdmission) {
 TEST_F(ExplainTest, ExplainJobRendersTheTimeline) {
   ParsedJournal J;
   std::string Error;
-  ASSERT_TRUE(parseJournalJsonl(journaledRun(1), J, Error)) << Error;
+  ASSERT_TRUE(parseJournalJsonl(journaledRun(), J, Error)) << Error;
   ASSERT_FALSE(J.Events.empty());
   // Pick the first job that appears.
   int64_t Job = -1;
@@ -125,7 +117,7 @@ TEST_F(ExplainTest, ExplainJobRendersTheTimeline) {
 TEST_F(ExplainTest, SummaryCountsFlowsAndEnvChanges) {
   ParsedJournal J;
   std::string Error;
-  ASSERT_TRUE(parseJournalJsonl(journaledRun(1), J, Error)) << Error;
+  ASSERT_TRUE(parseJournalJsonl(journaledRun(), J, Error)) << Error;
   std::string Out = journalSummary(J);
   EXPECT_NE(Out.find("journal: "), std::string::npos) << Out;
   EXPECT_NE(Out.find("environment change(s)"), std::string::npos) << Out;

@@ -259,8 +259,9 @@ TEST(VirtualOrganization, SmallRunProducesConsistentStats) {
       EXPECT_LE(St.Completion, St.Deadline);
       EXPECT_GT(St.Cost, 0.0);
     }
-    if (St.TtlClosed)
+    if (St.TtlClosed) {
       EXPECT_GE(St.Ttl, 0);
+    }
   }
 }
 
@@ -396,7 +397,7 @@ TEST(VirtualOrganization, PinnedDigestOfBurstyMultiFlowRuns) {
   // several jobs of competing flows into one tick's admission and commit
   // drains, plus execution with deviations and the rebuild reallocation
   // mode. A change that is meant to leave every decision as it is must
-  // leave this constant as it is, at any CWS_BUILD_THREADS value.
+  // leave this constant as it is.
   obs::Counter &Batches =
       obs::Registry::global().counter("cws_shard_admission_batches_total");
   obs::Counter &Admitted =
@@ -435,8 +436,7 @@ TEST(VirtualOrganization, PinnedDigestOfALongRun) {
   // defaults, where most of each node's reservations have ended by the
   // time a job is scheduled. The digest covers every job's outcome and
   // the newest journal events the ring holds. A change that is meant to
-  // leave every decision as it is must leave this constant as it is, at
-  // any CWS_BUILD_THREADS value.
+  // leave every decision as it is must leave this constant as it is.
   VoConfig Config;
   Config.JobCount = 2000;
   Config.Workload.DeadlineSlack = 2.0;
@@ -450,8 +450,7 @@ TEST(VirtualOrganization, PinnedDigestOfTightSlackRuns) {
   // deadline slack 1.3 many chain placements of strategy builds and of
   // stage-2 repairs find no path. Four competing flows, in both
   // reallocation modes. A change that is meant to leave every decision
-  // as it is must leave this constant as it is, at any
-  // CWS_BUILD_THREADS value.
+  // as it is must leave this constant as it is.
   VoConfig Config;
   Config.JobCount = 400;
   Config.Workload.DeadlineSlack = 1.3;

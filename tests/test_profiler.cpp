@@ -8,8 +8,8 @@
 // The hierarchical phase profiler: nesting and self-time accounting,
 // deterministic cross-thread merge, the disabled fast path, the JSON
 // round trip, metric publication, the Chrome-trace fragment, and
-// build-thread invariance of the counts and work counters a profiled
-// VO run accumulates.
+// run-to-run invariance of the counts and work counters a profiled VO
+// run accumulates.
 //
 //===----------------------------------------------------------------------===//
 
@@ -101,8 +101,9 @@ TEST_F(ProfilerTest, OpenScopesAreNotCounted) {
   ASSERT_NE(Closed, nullptr);
   EXPECT_EQ(Closed->Count, 1u);
   const PhaseStats *StillOpen = find(S, "still.open");
-  if (StillOpen != nullptr)
+  if (StillOpen != nullptr) {
     EXPECT_EQ(StillOpen->Count, 0u);
+  }
 }
 
 TEST_F(ProfilerTest, DisabledPathRecordsNothing) {
@@ -236,7 +237,7 @@ TEST_F(ProfilerTest, ChromeTraceFragment) {
 /// Counts and work counters of a profiled VO run, wall time stripped.
 std::map<std::string, std::pair<uint64_t, std::vector<std::pair<
                                               std::string, uint64_t>>>>
-profiledVoWork(size_t BuildThreads) {
+profiledVoWork() {
   Profiler &P = Profiler::global();
   P.reset();
   P.enable();
@@ -244,7 +245,6 @@ profiledVoWork(size_t BuildThreads) {
   Config.JobCount = 24;
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 4;
-  Config.Strategy.BuildThreads = BuildThreads;
   runVirtualOrganization(Config, StrategyKind::S1, /*Seed=*/5);
   P.disable();
   std::map<std::string,
@@ -256,14 +256,13 @@ profiledVoWork(size_t BuildThreads) {
   return Out;
 }
 
-TEST_F(ProfilerTest, VoRunCountsAreThreadInvariant) {
-  auto Reference = profiledVoWork(/*BuildThreads=*/1);
+TEST_F(ProfilerTest, VoRunCountsAreRunToRunInvariant) {
+  auto Reference = profiledVoWork();
   ASSERT_FALSE(Reference.empty());
   EXPECT_TRUE(Reference.count("sim.tick"));
   EXPECT_TRUE(Reference.count("chain.dp"));
   EXPECT_TRUE(Reference.count("strategy.build"));
-  EXPECT_EQ(profiledVoWork(/*BuildThreads=*/4), Reference)
-      << "profile diverged at build_threads=4";
+  EXPECT_EQ(profiledVoWork(), Reference);
 }
 
 } // namespace

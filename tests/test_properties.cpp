@@ -77,8 +77,9 @@ TEST_P(StrategySweep, VariantsUpholdAllInvariants) {
       for (const auto &E : Scheduled.edges()) {
         const Placement *Src = V.Result.Dist.find(E.Src);
         const Placement *Dst = V.Result.Dist.find(E.Dst);
-        if (Src->NodeId == Dst->NodeId)
+        if (Src->NodeId == Dst->NodeId) {
           EXPECT_GE(Dst->Start, Src->End);
+        }
       }
     }
   }
@@ -129,15 +130,17 @@ TEST_P(VoSweep, RunInvariants) {
       EXPECT_GT(St.Cost, 0.0);
       EXPECT_GT(St.Cf, 0);
     }
-    if (St.Rejected)
+    if (St.Rejected) {
       EXPECT_FALSE(St.Committed);
+    }
     if (!St.Admissible) {
       EXPECT_FALSE(St.Committed);
       EXPECT_TRUE(St.TtlClosed);
       EXPECT_EQ(St.Ttl, 0);
     }
-    if (St.TtlClosed && St.Admissible && St.Committed)
+    if (St.TtlClosed && St.Admissible && St.Committed) {
       EXPECT_LE(St.Ttl, St.Completion - St.Arrival);
+    }
   }
 }
 
@@ -193,8 +196,9 @@ TEST_P(LangFuzz, ParserNeverCrashesOnGarbage) {
       Text += Alphabet[Rng.index(sizeof(Alphabet) - 1)];
     ParseResult R = parseJobDescription(Text);
     // Whatever came out must be internally consistent.
-    if (R.ok())
+    if (R.ok()) {
       EXPECT_TRUE(R.TheJob.isAcyclic());
+    }
     for (const auto &D : R.Errors) {
       EXPECT_GE(D.Line, 1u);
       EXPECT_GE(D.Col, 1u);
@@ -218,8 +222,9 @@ TEST_P(LangFuzz, KeywordSoupParses) {
       Text += Rng.bernoulli(0.2) ? "\n" : " ";
     }
     ParseResult R = parseJobDescription(Text);
-    if (R.ok())
+    if (R.ok()) {
       EXPECT_TRUE(R.TheJob.isAcyclic());
+    }
   }
 }
 

@@ -9,9 +9,9 @@
 /// Tests of the escalating staged repair behind reallocation: the
 /// stage-1 single-slot shift and stage-2 DP re-run in isolation, the
 /// build-then-swap guarantee of a failed reallocation, journal shape
-/// (every reallocation records its resolution stage), determinism of
-/// both reallocation modes across build-thread counts, and the
-/// by-rebuild repair oracle.
+/// (every reallocation records its resolution stage), run-to-run
+/// determinism of both reallocation modes, and the by-rebuild repair
+/// oracle.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -62,8 +62,7 @@ const Placement &latestPlacement(const ScheduleVariant &V) {
 }
 
 /// One journaled single-flow run; returns the raw journal bytes.
-std::string voJournal(ReallocationMode Realloc, size_t BuildThreads,
-                      uint64_t Seed) {
+std::string voJournal(ReallocationMode Realloc, uint64_t Seed) {
   VoConfig Config;
   Config.JobCount = 36;
   // Bursty arrivals: overlapping active jobs make reallocations (and
@@ -71,7 +70,6 @@ std::string voJournal(ReallocationMode Realloc, size_t BuildThreads,
   Config.InterarrivalLo = 0;
   Config.InterarrivalHi = 6;
   Config.Reallocation = Realloc;
-  Config.Strategy.BuildThreads = BuildThreads;
   obs::Journal &Jn = obs::Journal::global();
   Jn.reset();
   Jn.enable();
@@ -240,7 +238,7 @@ TEST_F(ReallocRepairTest, FailedReallocationKeepsOldReservations) {
 TEST_F(ReallocRepairTest, RepairJournalRecordsAStagePerReallocation) {
   obs::ParsedJournal J;
   std::string Error;
-  ASSERT_TRUE(obs::parseJournalJsonl(voJournal(ReallocationMode::Repair, 1, 7),
+  ASSERT_TRUE(obs::parseJournalJsonl(voJournal(ReallocationMode::Repair, 7),
                                      J, Error))
       << Error;
   size_t Reallocates = 0, Stages = 0;
@@ -268,7 +266,7 @@ TEST_F(ReallocRepairTest, RepairJournalRecordsAStagePerReallocation) {
 }
 
 TEST_F(ReallocRepairTest, RebuildJournalHasNoRepairEvents) {
-  std::string Journal = voJournal(ReallocationMode::Rebuild, 1, 7);
+  std::string Journal = voJournal(ReallocationMode::Rebuild, 7);
   obs::ParsedJournal J;
   std::string Error;
   ASSERT_TRUE(obs::parseJournalJsonl(Journal, J, Error)) << Error;
@@ -282,19 +280,16 @@ TEST_F(ReallocRepairTest, RebuildJournalHasNoRepairEvents) {
 }
 
 //===----------------------------------------------------------------------===//
-// Determinism: both modes are invariant across build-thread counts
+// Determinism: both modes are invariant from run to run
 //===----------------------------------------------------------------------===//
 
-TEST_F(ReallocRepairTest, JournalsAreParallelismInvariantPerMode) {
+TEST_F(ReallocRepairTest, JournalsAreRunToRunInvariantPerMode) {
   for (ReallocationMode Mode :
        {ReallocationMode::Repair, ReallocationMode::Rebuild}) {
     for (uint64_t Seed : {3u, 11u}) {
-      std::string Base = voJournal(Mode, 1, Seed);
+      std::string Base = voJournal(Mode, Seed);
       ASSERT_FALSE(Base.empty());
-      // Build threads may change who computes what — never what
-      // happens.
-      EXPECT_EQ(Base, voJournal(Mode, 4, Seed))
-          << "4 build threads, seed " << Seed;
+      EXPECT_EQ(Base, voJournal(Mode, Seed)) << "seed " << Seed;
     }
   }
 }
@@ -321,7 +316,7 @@ TEST_F(ReallocRepairTest, OracleFindsEveryRepairFeasibleAndAffordable) {
 
 TEST_F(ReallocRepairTest, OracleIsSideEffectFree) {
   // Same run with and without the oracle: identical journals (the
-  // oracle's reference rebuilds are swallowed by a capture buffer).
+  // oracle's reference rebuilds run in a journal discard scope).
   auto Run = [](bool Oracle) {
     VoConfig Config;
     Config.JobCount = 36;

@@ -260,9 +260,11 @@ TEST(Strategy, BestByTimeMinimizesMakespan) {
   Strategy S = buildFig2(StrategyKind::S1);
   const ScheduleVariant *Fastest = S.bestByTime();
   ASSERT_NE(Fastest, nullptr);
-  for (const auto &V : S.variants())
-    if (V.feasible())
+  for (const auto &V : S.variants()) {
+    if (V.feasible()) {
       EXPECT_GE(V.Result.Dist.makespan(), Fastest->Result.Dist.makespan());
+    }
+  }
 }
 
 TEST(Strategy, Ms1CoversOnlyBestAndWorstLevels) {
@@ -324,8 +326,9 @@ TEST(Strategy, BestFittingRespectsCurrentLoad) {
   const Placement &P = Before->Result.Dist.placements().front();
   ASSERT_TRUE(Env.node(P.NodeId).timeline().reserve(P.Start, P.End, 7));
   const ScheduleVariant *After = S.bestFitting(Env);
-  if (After)
+  if (After) {
     EXPECT_NE(After, Before);
+  }
 }
 
 TEST(Strategy, BestFittingIgnoresOwnReservations) {
@@ -362,28 +365,6 @@ TEST(Strategy, BuildLeavesEnvironmentUntouched) {
   Strategy::build(makeFig2Job(), Env, Network{}, Config, 42);
   for (const auto &N : Env.nodes())
     EXPECT_TRUE(N.timeline().intervals().empty());
-}
-
-TEST(Strategy, ParallelBuildMatchesSerialExactly) {
-  // Levels fan out over a worker pool; the merged result must be
-  // indistinguishable from the serial build at any lane count, down to
-  // placement costs, collision records and critical works.
-  Job J = makeFig2Job();
-  Grid Env = Grid::makeFig2();
-  Network Net;
-  for (StrategyKind Kind : {StrategyKind::S1, StrategyKind::S2,
-                            StrategyKind::S3, StrategyKind::MS1}) {
-    StrategyConfig Serial;
-    Serial.Kind = Kind;
-    Serial.BuildThreads = 1;
-    StrategyConfig Parallel = Serial;
-    Parallel.BuildThreads = 4;
-    Strategy A = Strategy::build(J, Env, Net, Serial, 42);
-    Strategy B = Strategy::build(J, Env, Net, Parallel, 42);
-    EXPECT_EQ(A.levels(), B.levels());
-    EXPECT_EQ(firstDifference(A.variants(), B.variants()), "")
-        << strategyName(Kind);
-  }
 }
 
 TEST(Strategy, JobIdAndKindAreRecorded) {
@@ -476,7 +457,6 @@ TEST(Strategy, BuildsAfterOtherBuildsOnTheThreadMatchAFreshThread) {
   ASSERT_NE(EnvA.size(), EnvB.size());
   const Network Net;
   StrategyConfig Config;
-  Config.BuildThreads = 1;
   auto Build = [&](const Job &J, const Grid &Env) {
     return Strategy::build(J, Env, Net, Config,
                            Metascheduler::ownerOf(J.id()), Now);
@@ -545,21 +525,17 @@ TEST(Strategy, BuildMatchesPerVariantReference) {
     Builds.push_back({J, Domain});
   }
 
-  for (size_t Threads : {1, 4}) {
-    size_t Mismatches = 0;
-    for (auto &[J, Config] : Builds) {
-      Config.BuildThreads = Threads;
-      OwnerId Owner = Metascheduler::ownerOf(J.id());
-      Strategy S = Strategy::build(J, Env, Net, Config, Owner, Now);
-      std::string Diff = firstDifference(
-          S.variants(),
-          perVariantReference(S, Env, Net, Config, Owner, Now));
-      if (!Diff.empty() && ++Mismatches <= 5)
-        ADD_FAILURE() << strategyName(Config.Kind) << " job " << J.id()
-                      << " at " << Threads << " lanes: " << Diff;
-    }
-    EXPECT_EQ(Mismatches, 0u) << Threads << " lanes";
+  size_t Mismatches = 0;
+  for (const auto &[J, Config] : Builds) {
+    OwnerId Owner = Metascheduler::ownerOf(J.id());
+    Strategy S = Strategy::build(J, Env, Net, Config, Owner, Now);
+    std::string Diff = firstDifference(
+        S.variants(), perVariantReference(S, Env, Net, Config, Owner, Now));
+    if (!Diff.empty() && ++Mismatches <= 5)
+      ADD_FAILURE() << strategyName(Config.Kind) << " job " << J.id() << ": "
+                    << Diff;
   }
+  EXPECT_EQ(Mismatches, 0u);
 }
 
 TEST(Strategy, PicksThatNeverDifferRunOneLanePerLevel) {
@@ -571,7 +547,6 @@ TEST(Strategy, PicksThatNeverDifferRunOneLanePerLevel) {
   Env.addNodePriced(0.5, 4.0);
   Env.addNodePriced(0.25, 8.0);
   StrategyConfig Config;
-  Config.BuildThreads = 1;
   Strategy S;
   BuildWork W = profiledBuild(makeDiamondJob(100), Env, Config, S);
   ASSERT_EQ(S.levels().size(), 3u);
@@ -599,7 +574,6 @@ TEST(Strategy, PicksThatDifferAtTheFirstWorkShareItsPass) {
   Env.addNodePriced(1.0, 1.0);
   ASSERT_TRUE(Env.node(1).timeline().reserve(0, 4, 9));
   StrategyConfig Config;
-  Config.BuildThreads = 1;
   Strategy S;
   BuildWork W = profiledBuild(makeDiamondJob(100), Env, Config, S);
   ASSERT_EQ(S.variants().size(), 2u);
@@ -624,7 +598,6 @@ TEST(Strategy, LevelsThatDifferOnlyByFullNodesAreBuiltOnce) {
   Env.addNode(0.25);
   ASSERT_TRUE(Env.node(0).timeline().reserve(0, 1000, 9));
   StrategyConfig Config;
-  Config.BuildThreads = 1;
   Strategy S;
   BuildWork W = profiledBuild(makeDiamondJob(40), Env, Config, S);
   ASSERT_EQ(S.levels().size(), 3u);
@@ -652,7 +625,6 @@ TEST(Strategy, FullNodesLeaveTheDpSearch) {
   ASSERT_TRUE(Env.node(1).timeline().reserve(0, 1000, 9));
   ASSERT_TRUE(Env.node(2).timeline().reserve(4, 9, 9));
   StrategyConfig Config;
-  Config.BuildThreads = 1;
   Strategy S;
   BuildWork W = profiledBuild(makeDiamondJob(40), Env, Config, S);
   EXPECT_EQ(W.VariantsBuilt, 5u);
@@ -678,7 +650,6 @@ TEST(Strategy, NodeWithExactlyOneWindowForTheShortestTaskIsNotFull) {
     ASSERT_TRUE(Env.node(0).timeline().reserve(0, 40 - Window, 9));
     ASSERT_TRUE(Env.node(0).timeline().reserve(40, 1000, 9));
     StrategyConfig Config;
-    Config.BuildThreads = 1;
     Strategy S;
     BuildWork W = profiledBuild(J, Env, Config, S);
     // Levels 0 and 1 split into two lanes each; level 2 runs one.
@@ -714,7 +685,6 @@ TEST(Strategy, RerunAfterTheLanesSplitMatchesTheReference) {
   J.setDeadline(100);
   StrategyConfig Config;
   Config.Kind = StrategyKind::S2;
-  Config.BuildThreads = 1;
   Strategy S;
   BuildWork W = profiledBuild(J, Env, Config, S);
   EXPECT_EQ(W.VariantsBuilt, 2u);
@@ -755,7 +725,6 @@ TEST(Strategy, SplitAfterASharedRerunKeepsItsReadinessBumps) {
   J.setDeadline(94);
   StrategyConfig Config;
   Config.Kind = StrategyKind::S2;
-  Config.BuildThreads = 1;
   Strategy S;
   BuildWork W = profiledBuild(J, Env, Config, S);
   // Level 0: one shared placement with one rerun, then two lanes; level

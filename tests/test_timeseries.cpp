@@ -7,7 +7,7 @@
 ///
 /// \file
 /// Tests of the sim-time telemetry sampler: byte-determinism of the
-/// exported series across build-thread counts, periodic cadence and
+/// exported series from run to run, periodic cadence and
 /// event coalescing, ring-overflow accounting, utilization bounds on a
 /// real VO run, and the CSV / JSONL / trace-fragment export shapes.
 ///
@@ -33,41 +33,37 @@ protected:
   void TearDown() override { TimeSeries::global().reset(); }
 };
 
-VoConfig smallConfig(size_t BuildThreads) {
+VoConfig smallConfig() {
   VoConfig Config;
   Config.JobCount = 25;
-  Config.Strategy.BuildThreads = BuildThreads;
   return Config;
 }
 
 /// One sampled VO run through the global sampler; returns the CSV.
-std::string sampledRun(size_t BuildThreads,
-                       TimeSeriesConfig Config = TimeSeriesConfig()) {
+std::string sampledRun(TimeSeriesConfig Config = TimeSeriesConfig()) {
   TimeSeries &Ts = TimeSeries::global();
   Ts.reset();
   Ts.enable(Config);
-  runVirtualOrganization(smallConfig(BuildThreads), StrategyKind::S1,
-                         /*Seed=*/7);
+  runVirtualOrganization(smallConfig(), StrategyKind::S1, /*Seed=*/7);
   Ts.disable();
   return Ts.csv();
 }
 
-TEST_F(TimeSeriesTest, CsvIsByteDeterministicAcrossBuildThreads) {
-  std::string Serial = sampledRun(1);
-  std::string Parallel = sampledRun(4);
-  EXPECT_EQ(Serial, Parallel);
-  EXPECT_EQ(Serial.rfind("seq,tick,reason,series,node,flow,value\n", 0), 0u)
-      << Serial.substr(0, 120);
+TEST_F(TimeSeriesTest, CsvIsByteDeterministicRunToRun) {
+  std::string First = sampledRun();
+  EXPECT_EQ(First, sampledRun());
+  EXPECT_EQ(First.rfind("seq,tick,reason,series,node,flow,value\n", 0), 0u)
+      << First.substr(0, 120);
   // The run produced periodic frames and forced event frames.
-  EXPECT_NE(Serial.find(",sample,"), std::string::npos);
-  EXPECT_NE(Serial.find(",env.change,"), std::string::npos);
-  EXPECT_NE(Serial.find(",run.end,"), std::string::npos);
+  EXPECT_NE(First.find(",sample,"), std::string::npos);
+  EXPECT_NE(First.find(",env.change,"), std::string::npos);
+  EXPECT_NE(First.find(",run.end,"), std::string::npos);
 }
 
 TEST_F(TimeSeriesTest, UtilizationFractionsStayWithinBounds) {
   TimeSeries &Ts = TimeSeries::global();
   Ts.enable();
-  runVirtualOrganization(smallConfig(1), StrategyKind::S1, /*Seed=*/7);
+  runVirtualOrganization(smallConfig(), StrategyKind::S1, /*Seed=*/7);
   Ts.disable();
   std::vector<TimeSeriesFrame> Frames = Ts.snapshot();
   ASSERT_FALSE(Frames.empty());
@@ -92,7 +88,7 @@ TEST_F(TimeSeriesTest, UtilizationFractionsStayWithinBounds) {
 TEST_F(TimeSeriesTest, RingOverflowIsCountedNotSilent) {
   TimeSeriesConfig Config;
   Config.Capacity = 8;
-  sampledRun(1, Config);
+  sampledRun(Config);
   TimeSeries &Ts = TimeSeries::global();
   EXPECT_GT(Ts.dropped(), 0u);
   std::vector<TimeSeriesFrame> Frames = Ts.snapshot();

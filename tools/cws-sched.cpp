@@ -10,7 +10,7 @@
 /// "-") and report the strategy. Usage:
 ///
 ///   cws-sched --file job.cws [--strategy S1|S2|S3|MS1]
-///             [--now T] [--gantt 1] [--csv 1] [--build-threads N]
+///             [--now T] [--gantt 1] [--csv 1]
 ///             [--trace out.json] [--trace-categories core]
 ///             [--metrics out.prom] [--journal run.jsonl]
 ///             [--timeseries ts.csv] [--profile profile.json]
@@ -45,7 +45,6 @@ int main(int Argc, char **Argv) {
   int64_t Csv = 0;
   int64_t Dot = 0;
   int64_t UseFig2Grid = 0;
-  int64_t BuildThreads = 0;
   ObsArtifacts Obs;
   Flags F;
   F.addString("file", &File, "job description file ('-' for stdin)");
@@ -57,10 +56,6 @@ int main(int Argc, char **Argv) {
   F.addInt("dot", &Dot, "print the job as a Graphviz digraph and exit");
   F.addInt("fig2grid", &UseFig2Grid,
            "use the paper's Fig. 2 environment (0/1)");
-  F.addInt("build-threads", &BuildThreads,
-           "worker lanes for the strategy build (0 = hardware concurrency / "
-           "CWS_BUILD_THREADS, 1 = serial)",
-           /*AtLeast=*/0);
   Obs.addFlags(F);
   if (!F.parse(Argc, Argv))
     return 0;
@@ -98,8 +93,6 @@ int main(int Argc, char **Argv) {
                          StrategyKind::S3, StrategyKind::MS1})
     if (StrategyName == strategyName(K))
       Config.Kind = K;
-  if (BuildThreads > 0)
-    Config.BuildThreads = static_cast<size_t>(BuildThreads);
 
   // Provenance for the one-shot build: no seed or VoConfig exists, so
   // the config hash covers the job description text plus the strategy

@@ -10,7 +10,7 @@
 /// command line and report QoS aggregates or a per-job CSV. Usage:
 ///
 ///   cws-sim [--strategy S1|S2|S3|MS1] [--jobs N] [--seed S]
-///           [--slack X] [--csv 1] [--build-threads N]
+///           [--slack X] [--csv 1]
 ///           [--trace out.json] [--trace-categories core,flow]
 ///           [--metrics out.prom] [--journal run.jsonl]
 ///           [--timeseries ts.csv] [--sample-every N]
@@ -49,7 +49,6 @@ int main(int Argc, char **Argv) {
   double Slack = 2.0;
   int64_t Csv = 0;
   int64_t Exec = 0;
-  int64_t BuildThreads = 0;
   ObsArtifacts Obs;
   int64_t SampleEvery = 25;
   Flags F;
@@ -61,10 +60,6 @@ int main(int Argc, char **Argv) {
   F.addInt("csv", &Csv, "print the per-job CSV instead of a summary");
   F.addInt("exec", &Exec,
            "execute committed schedules under runtime deviations (0/1)");
-  F.addInt("build-threads", &BuildThreads,
-           "worker lanes for strategy builds (0 = hardware concurrency / "
-           "CWS_BUILD_THREADS, 1 = serial)",
-           /*AtLeast=*/0);
   Obs.addFlags(F);
   F.addInt("sample-every", &SampleEvery,
            "periodic telemetry frame cadence in simulation ticks");
@@ -113,7 +108,6 @@ int main(int Argc, char **Argv) {
   Config.JobCount = static_cast<size_t>(Jobs);
   Config.Workload.DeadlineSlack = Slack;
   Config.ExecuteWithDeviations = Exec != 0;
-  Config.Strategy.BuildThreads = static_cast<size_t>(BuildThreads);
   Config.Reallocation = Reallocation == "rebuild"
                             ? ReallocationMode::Rebuild
                             : ReallocationMode::Repair;

@@ -14,10 +14,10 @@
 # The matrix, all at seed 7: strategy S1, S2, S3 and MS1, times
 #   300 jobs; 300 jobs with --reallocation rebuild; 120 jobs with
 #   --arrival-scale 6; 200 jobs with --exec 1; 150 jobs with --slack 1.3;
-#   300 jobs with --repair-oracle 1,
-# times --build-threads 1 and 4: 48 configurations. Per configuration
-# it compares the journal events after the meta line (the meta line
-# records the command line), the --csv 1 stdout and the exit code.
+#   300 jobs with --repair-oracle 1:
+# 24 configurations. Per configuration it compares the journal events
+# after the meta line (the meta line records the command line), the
+# --csv 1 stdout and the exit code.
 #
 # Exits 0 when every configuration matches, 1 naming the first one that
 # differs, and 2 on a usage error.
@@ -59,22 +59,20 @@ for Strategy in S1 S2 S3 MS1; do
                "--jobs 200 --exec 1" \
                "--jobs 150 --slack 1.3" \
                "--jobs 300 --repair-oracle 1"; do
-    for Threads in 1 4; do
-      Config="--strategy $Strategy $Shape --build-threads $Threads"
-      rm -f "$Work"/*.jsonl
-      # Word splitting of $Config is intended: it holds the flags.
-      # shellcheck disable=SC2086
-      run parent "$1" $Config
-      # shellcheck disable=SC2086
-      run new "$2" $Config
-      for Part in code out events; do
-        cmp -s "$Work/parent.$Part" "$Work/new.$Part" || {
-          echo "decision-diff: differs ($Part) at: $Config" >&2
-          exit 1
-        }
-      done
-      Count=$((Count + 1))
+    Config="--strategy $Strategy $Shape"
+    rm -f "$Work"/*.jsonl
+    # Word splitting of $Config is intended: it holds the flags.
+    # shellcheck disable=SC2086
+    run parent "$1" $Config
+    # shellcheck disable=SC2086
+    run new "$2" $Config
+    for Part in code out events; do
+      cmp -s "$Work/parent.$Part" "$Work/new.$Part" || {
+        echo "decision-diff: differs ($Part) at: $Config" >&2
+        exit 1
+      }
     done
+    Count=$((Count + 1))
   done
 done
 echo "decision-diff: identical on $Count configurations"

@@ -54,15 +54,12 @@ echo "update-baselines: wrote $OUT/{example.journal.jsonl,example.ts.csv,MANIFES
 # The perf baselines. One measured repetition: wall-time statistics are
 # advisory in the ratchet anyway, and only the deterministic work
 # counters / checks gate, so a single rep is exactly as strong and much
-# faster. Run with pinned parallelism so the recorded provenance is
-# stable (the ratchet allows cli to differ regardless).
+# faster.
 [ -x "$BUILD/tools/cws-bench" ] || {
   echo "update-baselines: $BUILD/tools/cws-bench missing;" \
        "build first (cmake --build $BUILD -j)" >&2
   exit 2
 }
-CWS_BUILD_THREADS=1 \
-  "$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$OUT/bench" \
-  > /dev/null
+"$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$OUT/bench" > /dev/null
 
 echo "update-baselines: wrote $OUT/bench/BENCH_*.json"
