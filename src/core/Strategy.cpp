@@ -7,7 +7,6 @@
 
 #include "core/Strategy.h"
 #include "job/Coarsen.h"
-#include "job/Estimates.h"
 #include "job/Job.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"

@@ -13,7 +13,6 @@
 #include "support/Check.h"
 
 #include <limits>
-#include <optional>
 #include <vector>
 
 using namespace cws;
@@ -99,36 +98,28 @@ DispatchDecision DomainDispatcher::dispatch(const Job &J, OwnerId Owner,
     // admissible supporting schedule; the metascheduler takes the
     // lowest bid. The winner's strategy is reused, so losing domains
     // cost only their generation time. The domains bid in order, and a
-    // tie keeps the earlier domain.
-    double BestBid = std::numeric_limits<double>::max();
-    std::optional<Strategy> Winner;
+    // tie keeps the earlier domain. Domain 0 holds until a lower bid,
+    // so with no admissible bid anywhere the caller still sees its
+    // (inadmissible) strategy.
+    double BestBid = std::numeric_limits<double>::infinity();
     for (size_t I = 0; I < Domains.size(); ++I) {
       Strategy S = buildOn(J, Domains[I], Owner, Now);
       double Bid = std::numeric_limits<double>::infinity();
       if (const ScheduleVariant *Best = S.bestByCost())
         Bid = Best->Result.Dist.economicCost();
       Decision.Bids.push_back(Bid);
-      if (Bid < BestBid) {
+      if (I == 0 || Bid < BestBid) {
         BestBid = Bid;
         Decision.DomainIdx = I;
-        Winner = std::move(S);
+        Decision.S = std::move(S);
       }
     }
-    if (Winner) {
-      Decision.S = std::move(*Winner);
-      DispatchSpan.arg("domain",
-                       static_cast<int64_t>(Decision.DomainIdx));
-      journalDecision(J, Decision, Now);
-      return Decision;
-    }
-    // No admissible bid anywhere: return the first domain's strategy
-    // so the caller still sees the (inadmissible) result.
-    Decision.DomainIdx = 0;
     break;
   }
   }
 
-  Decision.S = buildOn(J, Domains[Decision.DomainIdx], Owner, Now);
+  if (Policy != DispatchPolicy::CheapestBid)
+    Decision.S = buildOn(J, Domains[Decision.DomainIdx], Owner, Now);
   DispatchSpan.arg("domain", static_cast<int64_t>(Decision.DomainIdx));
   journalDecision(J, Decision, Now);
   return Decision;

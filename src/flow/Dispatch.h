@@ -62,7 +62,7 @@ public:
 
   /// Picks a domain for \p J at \p Now and builds the flow's strategy
   /// restricted to it. For CheapestBid this builds one strategy per
-  /// domain and returns the winner's.
+  /// domain and returns the winner's, or domain 0's when no domain bids.
   DispatchDecision dispatch(const Job &J, OwnerId Owner, Tick Now);
 
   /// Feeds the forecaster with the utilization window ending at \p Now

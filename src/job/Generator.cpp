@@ -31,7 +31,9 @@ Job JobGenerator::next(Tick Release) {
 
   // Partition tasks into layers of width 1..MaxWidth; the layer sequence
   // defines precedence (every task of layer l+1 depends on at least one
-  // task of layer l), which guarantees an acyclic connected graph.
+  // task of layer l). So the graph is acyclic and its sources are the
+  // first layer, but it need not be connected: a first-layer task that
+  // no later task picks has no edge at all.
   std::vector<std::vector<unsigned>> Layers;
   unsigned Created = 0;
   while (Created < TaskCount) {
@@ -56,7 +58,8 @@ Job JobGenerator::next(Tick Release) {
   for (size_t L = 1; L < Layers.size(); ++L) {
     const auto &Prev = Layers[L - 1];
     for (unsigned Dst : Layers[L]) {
-      // Mandatory parent keeps the job connected.
+      // Mandatory parent: every task after the first layer has a
+      // predecessor.
       unsigned Parent = Prev[Rng.index(Prev.size())];
       J.addEdge(Parent, Dst, RandomTransfer());
       for (unsigned Src : Prev)

@@ -78,16 +78,6 @@ std::string cws::voStatsCsv(const std::vector<VoJobStats> &Stats) {
   return Out;
 }
 
-std::string cws::metricsCsv(const obs::Registry &R) {
-  std::string Out = "metric,type,series,le,value\n";
-  char Buf[64];
-  for (const obs::Registry::Sample &S : R.samples()) {
-    std::snprintf(Buf, sizeof(Buf), ",%.17g\n", S.Value);
-    Out += S.Name + "," + S.Type + "," + S.Series + "," + S.Le + Buf;
-  }
-  return Out;
-}
-
 bool cws::writeMetricsSnapshot(const std::string &Path,
                                const obs::Registry &R) {
   // Snapshots of the global registry also carry the tracer's and
@@ -97,8 +87,7 @@ bool cws::writeMetricsSnapshot(const std::string &Path,
     obs::publishTraceStats(obs::Registry::global());
     obs::publishJournalStats(obs::Registry::global());
   }
-  bool Csv = Path.size() >= 4 && Path.compare(Path.size() - 4, 4, ".csv") == 0;
-  return writeTextFile(Path, Csv ? metricsCsv(R) : R.prometheusText());
+  return writeTextFile(Path, R.prometheusText());
 }
 
 void ObsArtifacts::addFlags(Flags &F) {
@@ -108,13 +97,13 @@ void ObsArtifacts::addFlags(Flags &F) {
               "record only these trace categories, comma-separated "
               "(e.g. core,flow; empty = all)");
   F.addString("metrics", &Metrics,
-              "write a metrics snapshot (Prometheus text, CSV if *.csv)");
+              "write a metrics snapshot (Prometheus text)");
   F.addString("journal", &Journal,
               "write the per-job decision journal as JSONL "
               "(inspect with cws-explain)");
   F.addString("timeseries", &TimeSeries,
-              "write the telemetry series (tidy CSV, JSONL if *.jsonl; "
-              "inspect with cws-report)");
+              "write the telemetry series as tidy CSV "
+              "(inspect with cws-report)");
   F.addString("profile", &Profile,
               "write the phase profile (where wall time and work went) "
               "as JSON; inspect with cws-report --profile");

@@ -39,13 +39,8 @@ std::string strategyCsv(const Strategy &S);
 /// Per-job VO records as CSV (one row per job).
 std::string voStatsCsv(const std::vector<VoJobStats> &Stats);
 
-/// Registry snapshot as CSV: metric,type,series,le,value. Histograms
-/// expand into one cumulative `bucket` row per bound plus `sum` and
-/// `count` rows, mirroring the Prometheus exposition.
-std::string metricsCsv(const obs::Registry &R = obs::Registry::global());
-
-/// Writes a metrics snapshot of \p R to \p Path: CSV when the path ends
-/// in ".csv", Prometheus text exposition otherwise.
+/// Writes a metrics snapshot of \p R to \p Path in Prometheus text
+/// exposition.
 bool writeMetricsSnapshot(const std::string &Path,
                           const obs::Registry &R = obs::Registry::global());
 

@@ -323,49 +323,6 @@ std::string Registry::prometheusText() const {
   return Out;
 }
 
-std::vector<Registry::Sample> Registry::samples() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  std::vector<Sample> Out;
-  for (const auto &E : Entries) {
-    switch (E->EntryKind) {
-    case Kind::Counter:
-      Out.push_back({E->Name, "counter", "", "",
-                     static_cast<double>(E->C->value())});
-      break;
-    case Kind::Gauge:
-      Out.push_back({E->Name, "gauge", "", "",
-                     static_cast<double>(E->G->value())});
-      break;
-    case Kind::RealGauge:
-      Out.push_back({E->Name, "gauge", "", "", E->R->value()});
-      break;
-    case Kind::Histogram: {
-      const Histogram &H = *E->H;
-      uint64_t Cumulative = 0;
-      for (size_t I = 0; I < H.bounds().size(); ++I) {
-        Cumulative += H.bucketCount(I);
-        Out.push_back({E->Name, "histogram", "bucket",
-                       renderNumber(H.bounds()[I]),
-                       static_cast<double>(Cumulative)});
-      }
-      Cumulative += H.bucketCount(H.bounds().size());
-      Out.push_back({E->Name, "histogram", "bucket", "+Inf",
-                     static_cast<double>(Cumulative)});
-      Out.push_back({E->Name, "histogram", "sum", "", H.sum()});
-      Out.push_back({E->Name, "histogram", "count", "",
-                     static_cast<double>(H.count())});
-      if (H.count() > 0) {
-        Out.push_back({E->Name, "histogram", "p50", "", H.quantile(0.50)});
-        Out.push_back({E->Name, "histogram", "p90", "", H.quantile(0.90)});
-        Out.push_back({E->Name, "histogram", "p99", "", H.quantile(0.99)});
-      }
-      break;
-    }
-    }
-  }
-  return Out;
-}
-
 void Registry::reset() {
   std::lock_guard<std::mutex> Lock(Mu);
   for (auto &E : Entries) {

@@ -160,20 +160,6 @@ public:
   /// Prometheus text exposition (version 0.0.4) of every instrument.
   std::string prometheusText() const;
 
-  /// One flat sample per exposed series, for CSV export and tests.
-  struct Sample {
-    std::string Name;
-    /// "counter" | "gauge" | "histogram".
-    std::string Type;
-    /// Histogram series suffix: `bucket` / `sum` / `count` /
-    /// `p50` / `p90` / `p99`, else empty.
-    std::string Series;
-    /// Bucket upper bound rendered like the `le` label ("+Inf" last).
-    std::string Le;
-    double Value = 0.0;
-  };
-  std::vector<Sample> samples() const;
-
   /// Zeroes every instrument's value; registrations survive.
   void reset();
 

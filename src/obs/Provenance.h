@@ -8,8 +8,8 @@
 /// \file
 /// Run provenance: the (seed, config hash, CLI args, scenario id)
 /// quadruple a tool stamps into the headers of every artifact it writes
-/// — the `journal.meta` / `timeseries.meta` JSONL lines and a leading
-/// `# provenance ...` comment of the time-series CSV. Aggregators
+/// — the `journal.meta` JSONL line and a leading `# provenance ...`
+/// comment of the time-series CSV. Aggregators
 /// (`cws-sweep`) verify the stamp before pooling, so statistics can
 /// never silently mix runs of different scenarios, configs or seeds.
 ///

@@ -290,63 +290,8 @@ std::string TimeSeries::csv() const {
   return Out;
 }
 
-std::string TimeSeries::jsonl() const {
-  std::vector<TimeSeriesFrame> FrameList = snapshot();
-  std::vector<std::string> Metrics = metricNames();
-  std::vector<std::string> Flows = flowNames();
-  std::string Out = "{\"kind\":\"timeseries.meta\",\"schema\":1";
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Out += ",\"sample_every\":" + std::to_string(Config.SampleEvery);
-    if (Prov.Stamped)
-      Out += ",\"seed\":" + std::to_string(Prov.Seed) +
-             ",\"config_hash\":" + json::quote(Prov.ConfigHash) +
-             ",\"scenario\":" + json::quote(Prov.ScenarioId) +
-             ",\"cli\":" + json::quote(Prov.Cli);
-  }
-  Out += ",\"recorded\":" + std::to_string(recorded()) +
-         ",\"dropped\":" + std::to_string(dropped()) + ",\"metrics\":[";
-  for (size_t I = 0; I < Metrics.size(); ++I)
-    Out += (I ? "," : "") + json::quote(Metrics[I]);
-  Out += "],\"flows\":[";
-  for (size_t I = 0; I < Flows.size(); ++I)
-    Out += (I ? "," : "") + json::quote(Flows[I]);
-  Out += "]}\n";
-  for (const TimeSeriesFrame &F : FrameList) {
-    Out += "{\"seq\":" + std::to_string(F.Seq) +
-           ",\"tick\":" + std::to_string(F.At) +
-           ",\"reason\":" + json::quote(F.Reason ? F.Reason : "") +
-           ",\"metrics\":{";
-    size_t N = F.Metrics.size() < Metrics.size() ? F.Metrics.size()
-                                                 : Metrics.size();
-    for (size_t I = 0; I < N; ++I)
-      Out += (I ? "," : "") + json::quote(Metrics[I]) + ":" +
-             renderNumber(F.Metrics[I]);
-    Out += "},\"nodes\":[";
-    for (size_t I = 0; I < F.Nodes.size(); ++I) {
-      if (I)
-        Out += ",";
-      Out += "[" + renderNumber(F.Nodes[I].Busy) + "," +
-             renderNumber(F.Nodes[I].Background) + "," +
-             renderNumber(F.Nodes[I].Reserved) + "]";
-    }
-    Out += "],\"flows\":[";
-    size_t K = F.Flows.size() < Flows.size() ? F.Flows.size() : Flows.size();
-    for (size_t I = 0; I < K; ++I) {
-      if (I)
-        Out += ",";
-      Out += "[" + std::to_string(F.Flows[I].Queued) + "," +
-             std::to_string(F.Flows[I].InFlight) + "]";
-    }
-    Out += "]}\n";
-  }
-  return Out;
-}
-
 bool TimeSeries::writeFile(const std::string &Path) const {
-  bool Jsonl = Path.size() >= 6 &&
-               Path.compare(Path.size() - 6, 6, ".jsonl") == 0;
-  return writeTextFile(Path, Jsonl ? jsonl() : csv());
+  return writeTextFile(Path, csv());
 }
 
 std::string TimeSeries::chromeTraceEvents() const {

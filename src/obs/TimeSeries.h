@@ -28,7 +28,7 @@
 /// (guarded by the `obs_overhead` bench), and with `CWS_OBS_ENABLED=0` it
 /// compiles out entirely.
 ///
-/// Exports: tidy CSV / JSON-lines (`--timeseries=FILE`), and a Chrome
+/// Exports: tidy CSV (`--timeseries=FILE`), and a Chrome
 /// trace-event fragment (counter tracks + per-node occupancy slices)
 /// that `Tracer::chromeJson` merges next to the wall-clock spans.
 ///
@@ -138,9 +138,9 @@ public:
   /// Stops sampling. Recorded frames stay exportable.
   void disable();
 
-  /// Stamps the run provenance into every later export: a leading
-  /// `# provenance ...` comment of the CSV form and extra fields of the
-  /// `timeseries.meta` JSONL header. Cleared by enable() and reset().
+  /// Stamps the run provenance into every later export as a leading
+  /// `# provenance ...` comment of the CSV. Cleared by enable() and
+  /// reset().
   void setProvenance(RunProvenance P);
   RunProvenance provenance() const;
 
@@ -251,12 +251,7 @@ public:
   /// `in_flight`. Byte-deterministic for a fixed seed.
   std::string csv() const;
 
-  /// JSON-lines export: one `timeseries.meta` header (schema version,
-  /// cadence, recorded/dropped counts) then one object per frame.
-  std::string jsonl() const;
-
-  /// Writes jsonl() when \p Path ends in ".jsonl", csv() otherwise;
-  /// returns false on I/O failure.
+  /// Writes csv() to \p Path; returns false on I/O failure.
   bool writeFile(const std::string &Path) const;
 
   /// Chrome trace-event objects (comma-separated, no surrounding

@@ -25,11 +25,6 @@ using Tick = int64_t;
 /// Sentinel for "no deadline" / "never".
 inline constexpr Tick TickMax = INT64_MAX / 4;
 
-/// Integer ceil(A / B) for positive B. Used to turn computation volumes
-/// into whole-tick execution times ("rounded to nearest not-smaller
-/// integer" in the paper).
-constexpr Tick ceilDiv(Tick A, Tick B) { return (A + B - 1) / B; }
-
 /// std::ceil(X) as a tick, for |X| < 2^63, without a libm call: the cast
 /// truncates toward zero, and a fraction left above it adds one. Every
 /// double of magnitude 2^52 or more is an integer, so there the cast is

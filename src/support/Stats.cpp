@@ -6,45 +6,11 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Stats.h"
-#include "support/Check.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 using namespace cws;
-
-Histogram::Histogram(double Lo, double Hi, size_t Bins)
-    : Lo(Lo), Hi(Hi), Counts(Bins, 0) {
-  CWS_CHECK(Bins > 0, "histogram needs at least one bin");
-  CWS_CHECK(Lo < Hi, "histogram range must be non-empty");
-}
-
-void Histogram::add(double Value) {
-  double Unit = (Value - Lo) / (Hi - Lo);
-  auto Bin = static_cast<int64_t>(Unit * static_cast<double>(Counts.size()));
-  Bin = std::clamp<int64_t>(Bin, 0, static_cast<int64_t>(Counts.size()) - 1);
-  ++Counts[static_cast<size_t>(Bin)];
-  ++Total;
-}
-
-size_t Histogram::binCount(size_t Bin) const {
-  CWS_CHECK(Bin < Counts.size(), "histogram bin out of range");
-  return Counts[Bin];
-}
-
-double Histogram::binLo(size_t Bin) const {
-  return Lo + (Hi - Lo) * static_cast<double>(Bin) /
-                  static_cast<double>(Counts.size());
-}
-
-double Histogram::binHi(size_t Bin) const { return binLo(Bin + 1); }
-
-double Histogram::fraction(size_t Bin) const {
-  if (Total == 0)
-    return 0.0;
-  return static_cast<double>(binCount(Bin)) / static_cast<double>(Total);
-}
 
 double cws::tCritical95(size_t Df) {
   // Standard two-sided 95% quantiles of Student's t distribution.

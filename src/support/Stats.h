@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Statistics used by the QoS factor collectors: fixed-bin histograms,
-/// percentile extraction and Student-t critical values.
+/// Statistics used by the QoS factor collectors: percentile extraction
+/// and Student-t critical values.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,33 +15,9 @@
 #define CWS_SUPPORT_STATS_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace cws {
-
-/// Fixed-width histogram over [Lo, Hi); values outside are clamped into
-/// the first/last bin so totals stay meaningful.
-class Histogram {
-public:
-  Histogram(double Lo, double Hi, size_t Bins);
-
-  void add(double Value);
-  size_t binCount(size_t Bin) const;
-  size_t total() const { return Total; }
-  size_t bins() const { return Counts.size(); }
-  double binLo(size_t Bin) const;
-  double binHi(size_t Bin) const;
-
-  /// Fraction of samples in \p Bin; 0 when empty.
-  double fraction(size_t Bin) const;
-
-private:
-  double Lo;
-  double Hi;
-  std::vector<size_t> Counts;
-  size_t Total = 0;
-};
 
 /// Returns the \p Q quantile (0..1) of \p Samples. Sorts a copy; intended
 /// for end-of-experiment reporting, not hot paths. Returns NaN when

@@ -8,6 +8,8 @@
 #include "flow/Dispatch.h"
 #include "flow/Metascheduler.h"
 #include "job/Generator.h"
+#include "obs/Journal.h"
+#include "obs/Metrics.h"
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
@@ -166,14 +168,48 @@ TEST(Dispatch, CheapestBidPicksCheapestAdmissibleDomain) {
 TEST(Dispatch, CheapestBidFallsBackWhenNobodyBids) {
   Grid Env = makeTieredGrid();
   Network Net;
-  DomainDispatcher Dispatcher(Env, Net, StrategyConfig{},
-                              partitionByGroup(Env),
+  std::vector<Domain> Domains = partitionByGroup(Env);
+  DomainDispatcher Dispatcher(Env, Net, StrategyConfig{}, Domains,
                               DispatchPolicy::CheapestBid);
   Job J = makeChainJob(2); // Impossible deadline.
+  // The variant set each domain bids with, built apart.
+  std::vector<size_t> SetSizes;
+  size_t AllVariants = 0;
+  for (const Domain &Dom : Domains) {
+    StrategyConfig Restricted;
+    Restricted.AllowedNodes = Dom.NodeIds;
+    SetSizes.push_back(
+        Strategy::build(J, Env, Net, Restricted, 100, 0).variants().size());
+    ASSERT_GE(SetSizes.back(), 1u);
+    AllVariants += SetSizes.back();
+  }
+
+  obs::Counter &Builds =
+      obs::Registry::global().counter("cws_strategy_builds_total");
+  obs::Journal &Jn = obs::Journal::global();
+  Jn.reset();
+  Jn.enable();
+  uint64_t BuildsBefore = Builds.value();
   DispatchDecision D = Dispatcher.dispatch(J, 100, 0);
+  uint64_t BuildsMade = Builds.value() - BuildsBefore;
+  std::vector<obs::JournalEvent> Events = Jn.snapshot();
+  Jn.reset();
+
   EXPECT_FALSE(D.S.admissible());
+  EXPECT_EQ(D.DomainIdx, 0u);
+  ASSERT_EQ(D.Bids.size(), Domains.size());
   for (double Bid : D.Bids)
     EXPECT_TRUE(std::isinf(Bid));
+  // The fallback returns the strategy domain 0 bid with; it does not
+  // build that domain a second time.
+  EXPECT_EQ(D.S.variants().size(), SetSizes[0]);
+  EXPECT_EQ(BuildsMade, Domains.size());
+  size_t Variants = 0;
+  for (const obs::JournalEvent &E : Events)
+    Variants += E.Kind == obs::JournalKind::Variant;
+  EXPECT_EQ(Variants, AllVariants);
+  ASSERT_FALSE(Events.empty());
+  EXPECT_EQ(Events.back().Kind, obs::JournalKind::Dispatch);
 }
 
 TEST(Dispatch, StrategyIsRestrictedToTheDomain) {

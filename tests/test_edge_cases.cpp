@@ -82,15 +82,22 @@ TEST(EdgeCases, WideFanOutSchedulesEveryBranch) {
   EXPECT_EQ(R.Phases.size(), 12u);
 }
 
-TEST(EdgeCases, HomogeneousGridHasOneLevel) {
-  Grid Env;
-  for (int I = 0; I < 4; ++I)
-    Env.addNode(0.5);
+TEST(EdgeCases, RepeatedNodePerfsCollapseToDistinctDescendingLevels) {
   Network Net;
   Job J = makeChainJob(200);
-  Strategy S = Strategy::build(J, Env, Net, StrategyConfig{}, 42);
+  // A homogeneous grid has one level.
+  Grid Homogeneous;
+  for (int I = 0; I < 4; ++I)
+    Homogeneous.addNode(0.5);
+  Strategy S = Strategy::build(J, Homogeneous, Net, StrategyConfig{}, 42);
   EXPECT_EQ(S.levels().size(), 1u);
   EXPECT_TRUE(S.admissible());
+  // Repeats collapse whatever the node order; the fastest level is first.
+  Grid Mixed;
+  for (double Perf : {0.5, 1.0, 0.5, 0.33})
+    Mixed.addNode(Perf);
+  Strategy M = Strategy::build(J, Mixed, Net, StrategyConfig{}, 42);
+  EXPECT_EQ(M.levels(), (std::vector<double>{1.0, 0.5, 0.33}));
 }
 
 TEST(EdgeCases, CoarsenedSingleChainExecutes) {

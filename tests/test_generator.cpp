@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 using namespace cws;
 
@@ -64,14 +65,17 @@ TEST_P(GeneratorSweep, JobsAreWellFormed) {
       EXPECT_GE(E.BaseTransfer, Config.TransferLo);
       EXPECT_LE(E.BaseTransfer, Config.TransferHi);
     }
-    // Connectivity: every non-source task has a predecessor.
-    size_t Sources = J.sources().size();
-    for (const auto &T : J.tasks()) {
-      if (!J.inEdges(T.Id).empty()) {
-        EXPECT_FALSE(J.inEdges(T.Id).empty());
-      }
-    }
-    EXPECT_GE(Sources, 1u);
+    // The sources are exactly the first layer, ids 0..k-1 with
+    // 1 <= k <= MaxWidth; every later task has a predecessor. (A
+    // first-layer task may still have no edge at all.)
+    std::vector<unsigned> Sources = J.sources();
+    ASSERT_GE(Sources.size(), 1u);
+    EXPECT_LE(Sources.size(), Config.MaxWidth);
+    for (unsigned I = 0; I < Sources.size(); ++I)
+      EXPECT_EQ(Sources[I], I);
+    for (unsigned Id = static_cast<unsigned>(Sources.size());
+         Id < J.taskCount(); ++Id)
+      EXPECT_FALSE(J.inEdges(Id).empty()) << "task " << Id;
     // Deadline honours the slack formula.
     Tick Expected = static_cast<Tick>(std::ceil(
         Config.DeadlineSlack * static_cast<double>(J.criticalPathRefTicks())));

@@ -8,7 +8,6 @@
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "obs/Profiler.h"
-#include "obs/TimeSeries.h"
 #include "support/Json.h"
 
 #include <gtest/gtest.h>
@@ -213,16 +212,12 @@ TEST_F(JournalTest, ProvenanceStampRoundTripsThroughTheMetaLine) {
     EXPECT_EQ(P.Prov.Shards, 4);
     EXPECT_TRUE(P.Prov.sameScenario(Prov));
 
-    // The journal, time-series and profile headers all escape the CLI
-    // with the one JSON escaper.
+    // The journal and profile headers both escape the CLI with the one
+    // JSON escaper.
     std::string Cli = json::quote(Prov.Cli);
-    TimeSeries Ts;
-    Ts.enable();
-    Ts.setProvenance(Prov);
     Profiler Prof;
     Prof.setProvenance(Prov);
     EXPECT_NE(Jn.jsonl().find("\"cli\":" + Cli), std::string::npos);
-    EXPECT_NE(Ts.jsonl().find("\"cli\":" + Cli), std::string::npos);
     EXPECT_NE(Prof.json().find("\"cli\": " + Cli), std::string::npos);
   }
   EXPECT_NE(json::quote(Exact.Cli).find("\\r--seed\\t9007199254740993\\u0001"),

@@ -5,7 +5,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "metrics/Export.h"
 #include "metrics/QoS.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
@@ -122,12 +121,6 @@ TEST(MetricsRealGauge, ExposesAsPrometheusGauge) {
   EXPECT_NE(Text.find("# TYPE cws_test_ratio gauge\n"), std::string::npos);
   EXPECT_NE(Text.find("cws_test_ratio 62.5\n"), std::string::npos);
 
-  std::vector<Registry::Sample> S = R.samples();
-  ASSERT_EQ(S.size(), 1u);
-  EXPECT_EQ(S[0].Name, "cws_test_ratio");
-  EXPECT_EQ(S[0].Type, "gauge");
-  EXPECT_EQ(S[0].Value, 62.5);
-
   R.reset();
   EXPECT_NE(R.prometheusText().find("cws_test_ratio 0\n"),
             std::string::npos);
@@ -158,38 +151,6 @@ TEST(MetricsRegistry, PrometheusExpositionFormat) {
             std::string::npos);
   EXPECT_NE(Text.find("cws_test_micros_sum 50.25\n"), std::string::npos);
   EXPECT_NE(Text.find("cws_test_micros_count 2\n"), std::string::npos);
-}
-
-TEST(MetricsRegistry, SamplesMirrorTheExposition) {
-  Registry R;
-  R.counter("a_total").add(1);
-  Histogram &H = R.histogram("b_micros", {1.0});
-  H.observe(0.5);
-  std::vector<Registry::Sample> S = R.samples();
-  // counter + (1 bucket + Inf bucket + sum + count + p50/p90/p99).
-  ASSERT_EQ(S.size(), 8u);
-  EXPECT_EQ(S[0].Name, "a_total");
-  EXPECT_EQ(S[0].Type, "counter");
-  EXPECT_EQ(S[0].Value, 1.0);
-  EXPECT_EQ(S[1].Series, "bucket");
-  EXPECT_EQ(S[1].Le, "1");
-  EXPECT_EQ(S[2].Le, "+Inf");
-  EXPECT_EQ(S[3].Series, "sum");
-  EXPECT_EQ(S[4].Series, "count");
-  EXPECT_EQ(S[4].Value, 1.0);
-  EXPECT_EQ(S[5].Series, "p50");
-  EXPECT_EQ(S[6].Series, "p90");
-  EXPECT_EQ(S[7].Series, "p99");
-}
-
-TEST(MetricsRegistry, CsvExportHasHeaderAndAllRows) {
-  Registry R;
-  R.counter("a_total").add(2);
-  R.gauge("b_depth").set(7);
-  std::string Csv = metricsCsv(R);
-  EXPECT_NE(Csv.find("metric,type,series,le,value\n"), std::string::npos);
-  EXPECT_NE(Csv.find("a_total,counter,,,2\n"), std::string::npos);
-  EXPECT_NE(Csv.find("b_depth,gauge,,,7\n"), std::string::npos);
 }
 
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsRegistrations) {
@@ -279,7 +240,7 @@ TEST(MetricsHistogramDeathTest, MergeRejectsMismatchedBounds) {
   EXPECT_DEATH(A.merge(B), "bounds");
 }
 
-TEST(MetricsHistogram, QuantilesAppearInExpositionAndSamples) {
+TEST(MetricsHistogram, QuantilesAppearInExposition) {
   Registry R;
   Histogram &H = R.histogram("lat_micros", {1.0, 2.0, 4.0, 8.0});
   // An empty histogram must not emit NaN quantile series.
@@ -292,14 +253,6 @@ TEST(MetricsHistogram, QuantilesAppearInExpositionAndSamples) {
   EXPECT_NE(Text.find("lat_micros_p50 2\n"), std::string::npos) << Text;
   EXPECT_NE(Text.find("lat_micros_p90 6.4\n"), std::string::npos) << Text;
   EXPECT_NE(Text.find("lat_micros_p99 7.84\n"), std::string::npos) << Text;
-  std::vector<Registry::Sample> S = R.samples();
-  // 4 buckets + Inf + sum + count + 3 quantiles.
-  ASSERT_EQ(S.size(), 10u);
-  EXPECT_EQ(S[7].Series, "p50");
-  EXPECT_EQ(S[7].Value, 2.0);
-  EXPECT_EQ(S[8].Series, "p90");
-  EXPECT_EQ(S[9].Series, "p99");
-  EXPECT_EQ(S[9].Value, 7.84);
 }
 
 TEST(MetricsRegistry, LabeledSeriesShareOneFamilyHeader) {

@@ -256,8 +256,10 @@ TEST_F(ReportTest, UnjudgedDeadlineMissRateIsUndefinedAndFailsClosed) {
   // stays undefined, not a reassuring 0.0.
   EXPECT_EQ(Ind.count("deadline_miss_rate"), 0u);
 
-  std::vector<SloResult> Results = evaluateSlo(
-      {{"deadline_miss_rate", /*IsUpper=*/true, 0.05}}, Ind);
+  std::vector<SloResult> Results =
+      evaluateSlo({{"deadline_miss_rate", /*IsUpper=*/true, 0.05,
+                    /*Stat=*/"", /*AcrossSeeds=*/false}},
+                  Ind);
   ASSERT_EQ(Results.size(), 1u);
   EXPECT_FALSE(Results[0].Pass); // undefined fails closed
   EXPECT_FALSE(Results[0].Known);
@@ -295,9 +297,13 @@ TEST_F(ReportTest, JoinsUtilizationFromTheTimeSeries) {
 TEST_F(ReportTest, EvaluatesRulesAndFailsClosedOnUnknownIndicators) {
   std::map<std::string, double> Ind{{"commit_rate", 0.6},
                                     {"deadline_miss_rate", 0.1}};
-  std::vector<SloRule> Rules{{"commit_rate", /*IsUpper=*/false, 0.5},
-                             {"deadline_miss_rate", /*IsUpper=*/true, 0.05},
-                             {"made_up_indicator", /*IsUpper=*/true, 1.0}};
+  std::vector<SloRule> Rules{
+      {"commit_rate", /*IsUpper=*/false, 0.5, /*Stat=*/"",
+       /*AcrossSeeds=*/false},
+      {"deadline_miss_rate", /*IsUpper=*/true, 0.05, /*Stat=*/"",
+       /*AcrossSeeds=*/false},
+      {"made_up_indicator", /*IsUpper=*/true, 1.0, /*Stat=*/"",
+       /*AcrossSeeds=*/false}};
   std::vector<SloResult> Results = evaluateSlo(Rules, Ind);
   ASSERT_EQ(Results.size(), 3u);
   EXPECT_TRUE(Results[0].Pass);
@@ -316,7 +322,8 @@ TEST_F(ReportTest, ReportRendersOverviewFlowsAndSloVerdict) {
   ParsedJournal J = syntheticJournal();
   std::map<std::string, double> Ind =
       computeIndicators(J, ParsedTimeSeries());
-  std::vector<SloRule> Rules{{"deadline_miss_rate", /*IsUpper=*/true, 0.05}};
+  std::vector<SloRule> Rules{{"deadline_miss_rate", /*IsUpper=*/true, 0.05,
+                              /*Stat=*/"", /*AcrossSeeds=*/false}};
   std::string Report =
       renderRunReport(J, ParsedTimeSeries(), evaluateSlo(Rules, Ind));
   EXPECT_EQ(Report.rfind("# CWS run report\n", 0), 0u);
@@ -331,7 +338,9 @@ TEST_F(ReportTest, ReportRendersOverviewFlowsAndSloVerdict) {
 
   std::string Passing = renderRunReport(
       J, ParsedTimeSeries(),
-      evaluateSlo({{"commit_rate", /*IsUpper=*/false, 0.5}}, Ind));
+      evaluateSlo({{"commit_rate", /*IsUpper=*/false, 0.5, /*Stat=*/"",
+                    /*AcrossSeeds=*/false}},
+                  Ind));
   EXPECT_NE(Passing.find("SLO: **PASS**"), std::string::npos) << Passing;
 }
 

@@ -14,33 +14,6 @@
 
 using namespace cws;
 
-TEST(Histogram, BinsAndFractions) {
-  Histogram H(0.0, 10.0, 5);
-  for (double V : {0.5, 1.5, 2.5, 3.5, 9.5})
-    H.add(V);
-  EXPECT_EQ(H.total(), 5u);
-  EXPECT_EQ(H.binCount(0), 2u); // 0.5, 1.5
-  EXPECT_EQ(H.binCount(1), 2u); // 2.5, 3.5
-  EXPECT_EQ(H.binCount(4), 1u); // 9.5
-  EXPECT_DOUBLE_EQ(H.fraction(0), 0.4);
-}
-
-TEST(Histogram, OutOfRangeClampsIntoEdgeBins) {
-  Histogram H(0.0, 1.0, 2);
-  H.add(-5.0);
-  H.add(42.0);
-  EXPECT_EQ(H.binCount(0), 1u);
-  EXPECT_EQ(H.binCount(1), 1u);
-}
-
-TEST(Histogram, BinBoundaries) {
-  Histogram H(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(H.binLo(0), 0.0);
-  EXPECT_DOUBLE_EQ(H.binHi(0), 2.0);
-  EXPECT_DOUBLE_EQ(H.binLo(4), 8.0);
-  EXPECT_DOUBLE_EQ(H.binHi(4), 10.0);
-}
-
 TEST(Quantile, EmptyAndSingle) {
   // No samples -> no quantiles: NaN (reports render "n/a", SLO rules
   // fail closed), never a silent 0.

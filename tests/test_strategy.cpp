@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <thread>
 
@@ -272,6 +273,25 @@ TEST(Strategy, Ms1CoversOnlyBestAndWorstLevels) {
   ASSERT_EQ(S.levels().size(), 4u);
   for (const auto &V : S.variants())
     EXPECT_TRUE(V.Level == 0 || V.Level == 3) << "level " << V.Level;
+
+  // With two distinct perfs, best and worst are every level: MS1 covers
+  // both and builds what S1 builds. The deadline fits only the fast
+  // nodes, so the slow level's variant is no duplicate of the fast one.
+  Grid Two;
+  for (double Perf : {1.0, 0.5, 1.0, 0.5})
+    Two.addNode(Perf);
+  Job J = makeChainJob(10);
+  StrategyConfig Config;
+  Config.Kind = StrategyKind::MS1;
+  Strategy Ms1 = Strategy::build(J, Two, Network{}, Config, 42);
+  ASSERT_EQ(Ms1.levels().size(), 2u);
+  std::set<size_t> Covered;
+  for (const auto &V : Ms1.variants())
+    Covered.insert(V.Level);
+  EXPECT_EQ(Covered, (std::set<size_t>{0, 1}));
+  Config.Kind = StrategyKind::S1;
+  EXPECT_EQ(strategyText(Ms1),
+            strategyText(Strategy::build(J, Two, Network{}, Config, 42)));
 }
 
 TEST(Strategy, Ms1HasNoMoreVariantsThanS1) {

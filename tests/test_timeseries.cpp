@@ -187,12 +187,6 @@ TEST_F(TimeSeriesTest, CsvRowsCoverMetricsNodesAndFlows) {
       << Csv;
   EXPECT_NE(Csv.find("0,5,commit,in_flight,,S1,1\n"), std::string::npos)
       << Csv;
-
-  std::string Jsonl = Ts.jsonl();
-  EXPECT_EQ(Jsonl.rfind("{\"kind\":\"timeseries.meta\",\"schema\":1", 0),
-            0u)
-      << Jsonl.substr(0, 120);
-  EXPECT_NE(Jsonl.find("\"reason\":\"commit\""), std::string::npos);
 }
 
 TEST_F(TimeSeriesTest, ChromeFragmentCarriesCounterAndOccupancyTracks) {
