@@ -561,13 +561,16 @@ int cws::bench::benchMain(int Argc, char **Argv) {
   std::string Out;
   std::string Against;
   Flags F;
-  F.addInt("list", &List, "list registered benches and exit (0/1)");
+  F.addInt("list", &List, "list registered benches and exit (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
   F.addString("filter", &Filter,
               "run only benches whose name contains this substring");
   F.addInt("reps", &Reps,
-           "measured repetitions per bench (0 = bench default)");
+           "measured repetitions per bench (0 = bench default)",
+           /*AtLeast=*/0);
   F.addInt("warmup", &Warmup,
-           "discarded warmup repetitions (-1 = bench default)");
+           "discarded warmup repetitions (-1 = bench default)",
+           /*AtLeast=*/-1);
   F.addString("out", &Out,
               "directory to write one BENCH_<name>.json per bench into");
   F.addString("against", &Against,
@@ -575,7 +578,8 @@ int cws::bench::benchMain(int Argc, char **Argv) {
               "against (work counters gate, wall time is advisory)");
   F.addInt("compare-only", &CompareOnly,
            "with --against and --out: compare the files already in "
-           "--out instead of running the benches (0/1)");
+           "--out instead of running the benches (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
   if (!F.parse(Argc, Argv))
     return 0;
 

@@ -113,15 +113,6 @@ Tick ChainAllocator::placedInboundTicks(unsigned NodeId,
   return Sum;
 }
 
-void ChainAllocator::insertLabel(LabelFront &Front, const Label &L,
-                                 bool Checked) {
-  ParetoInsertOutcome Outcome =
-      Checked ? paretoInsertUndominated(Front, L, Params.MaxFrontSize)
-              : paretoInsert(Front, L, Params.MaxFrontSize);
-  KeptLabels += Outcome.Inserted;
-  EvictedLabels += Outcome.EvictedForCap;
-}
-
 namespace {
 
 /// Maximum base transfer over all edges Src -> Dst (parallel edges
@@ -305,7 +296,18 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   //  * a candidate the target front already dominates at
   //    max(Ready, S0) + Dur is rejected whatever its start, and a
   //    rejected insert never changes a front. A candidate that starts at
-  //    that bound is inserted without asking again.
+  //    that bound is inserted without asking again. Along a previous
+  //    front, that bound never falls and the cost never rises, so when
+  //    the target front dominates the first label's bound at the last
+  //    label's cost, it rejects the whole previous front unread;
+  //  * at the last position only the pick reads the fronts, and it reads
+  //    only each front's earliest-finish and cheapest label. So there a
+  //    front keeps just those two, and a candidate that can replace
+  //    neither skips its earliest-fit query. Labels between the two
+  //    matter only where a candidate's cost nearly ties a front's
+  //    cheapest label; the first such candidate stops the row, which is
+  //    then rebuilt with full fronts (docs/ARCHITECTURE.md, "What the
+  //    pick reads").
   const size_t K = Chain.size();
   const size_t N = Search.size();
   if (N == 0)
@@ -334,9 +336,8 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     if (!T.Build)
       continue;
     double C = T.ExecCost + Cost.transferCost(T.Inbound);
-    insertLabel(Buf.Fronts[NodeIdx],
-                {T.FirstFit + T.Dur, C, T.FirstFit, -1, -1},
-                /*Checked=*/true);
+    Buf.Fronts[NodeIdx].push_back({T.FirstFit + T.Dur, C, T.FirstFit, -1, -1});
+    ++KeptLabels;
   }
 
   for (size_t Pos = 1; Pos < K; ++Pos) {
@@ -344,44 +345,17 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     if (std::all_of(PrevFronts, PrevFronts + N,
                     [](const LabelFront &F) { return F.empty(); }))
       break; // Nothing to extend: every later front stays empty.
-    for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
-      const NodeTerms &T = Buf.Terms[Pos * N + NodeIdx];
-      if (!T.Build)
-        continue;
-      // Labels reach this front in (previous node, label) order, as in
-      // a scan over every pair: with a capped front the order matters.
-      LabelFront &Front = Buf.Fronts[Pos * N + NodeIdx];
-      for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
-        const LabelFront &PrevFront = PrevFronts[PrevIdx];
-        if (PrevFront.empty())
-          continue;
-        int Other = PrevIdx != NodeIdx;
-        Tick ChainTr = T.ChainTr[Other];
-        if (std::max(T.Ready, PrevFront[0].Finish + ChainTr) + T.Dur > T.Lft)
-          continue; // Not even the earliest label fits.
-        for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
-          const Label &Prev = PrevFront[LabelIdx];
-          Tick Ready = std::max(T.Ready, Prev.Finish + ChainTr);
-          if (Ready + T.Dur > T.Lft)
-            break;
-          double C = Prev.Cost + T.StepCost[Other];
-          Tick Bound = std::max(Ready, T.FirstFit);
-          if (paretoDominated(Front, Bound + T.Dur, C))
-            continue;
-          Tick Start = Bound;
-          if (Ready > T.FirstFit) {
-            Start = T.Line->earliestFit(Ready, T.Dur);
-            ++FitQueries;
-            if (Start + T.Dur > T.Lft)
-              continue;
-          }
-          insertLabel(Front,
-                      {Start + T.Dur, C, Start, static_cast<int32_t>(PrevIdx),
-                       static_cast<int32_t>(LabelIdx)},
-                      /*Checked=*/Start == Bound);
-        }
-      }
+    if (Pos + 1 < K) {
+      buildRow<false>(Pos);
+      continue;
     }
+    if (buildRow<true>(Pos))
+      continue;
+    // A near cost tie at the last position: rebuild it with full fronts.
+    ++TieFallbacks;
+    for (size_t I = Pos * N; I < K * N; ++I)
+      Buf.Fronts[I].clear();
+    buildRow<false>(Pos);
   }
 
   // Published once per pass, from plain counts: the registry totals are
@@ -393,6 +367,78 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     M.Labels.add(KeptLabels - Kept0);
     M.Evictions.add(EvictedLabels - Evicted0);
   }
+}
+
+template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
+  const size_t N = Search.size();
+  const LabelFront *PrevFronts = &Buf.Fronts[(Pos - 1) * N];
+  for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
+    const NodeTerms &T = Buf.Terms[Pos * N + NodeIdx];
+    if (!T.Build)
+      continue;
+    // Labels reach this front in (previous node, label) order, as in a
+    // scan over every pair: with a capped front the order matters.
+    LabelFront &Front = Buf.Fronts[Pos * N + NodeIdx];
+    for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
+      const LabelFront &PrevFront = PrevFronts[PrevIdx];
+      if (PrevFront.empty())
+        continue;
+      int Other = PrevIdx != NodeIdx;
+      Tick ChainTr = T.ChainTr[Other];
+      double Step = T.StepCost[Other];
+      Tick Ready0 = std::max(T.Ready, PrevFront[0].Finish + ChainTr);
+      if (Ready0 + T.Dur > T.Lft)
+        continue; // Not even the earliest label fits.
+      Tick Bound0 = std::max(Ready0, T.FirstFit) + T.Dur;
+      double Cheapest = PrevFront.back().Cost + Step;
+      if (paretoDominated(Front, Bound0, Cheapest))
+        continue; // Every label of the previous front is dominated.
+      if constexpr (Extremes)
+        if (paretoExtremesKept(Front, Bound0, Cheapest) &&
+            !costNearTie(Cheapest, Front.back().Cost))
+          continue; // No label can replace an extreme or nearly tie.
+      for (size_t LabelIdx = 0; LabelIdx < PrevFront.size(); ++LabelIdx) {
+        const Label &Prev = PrevFront[LabelIdx];
+        Tick Ready = std::max(T.Ready, Prev.Finish + ChainTr);
+        if (Ready + T.Dur > T.Lft)
+          break;
+        double C = Prev.Cost + Step;
+        Tick Bound = std::max(Ready, T.FirstFit);
+        size_t Rank = paretoRank(Front, Bound + T.Dur);
+        if (paretoDominatedAt(Front, Rank, C))
+          continue;
+        if constexpr (Extremes) {
+          if (!Front.empty() && costNearTie(C, Front.back().Cost))
+            return false;
+          if (paretoExtremesKept(Front, Bound + T.Dur, C))
+            continue;
+        }
+        Tick Start = Bound;
+        if (Ready > T.FirstFit) {
+          Start = T.Line->earliestFit(Ready, T.Dur);
+          ++FitQueries;
+          if (Start + T.Dur > T.Lft)
+            continue;
+          if (Start != Bound) {
+            Rank = paretoRank(Front, Start + T.Dur);
+            if (paretoDominatedAt(Front, Rank, C))
+              continue;
+          }
+        }
+        Label L{Start + T.Dur, C, Start, static_cast<int32_t>(PrevIdx),
+                static_cast<int32_t>(LabelIdx)};
+        if constexpr (Extremes) {
+          KeptLabels += paretoExtremesInsert(Front, L);
+        } else {
+          ParetoInsertOutcome Outcome =
+              paretoInsertAt(Front, Rank, L, Params.MaxFrontSize);
+          KeptLabels += Outcome.Inserted;
+          EvictedLabels += Outcome.EvictedForCap;
+        }
+      }
+    }
+  }
+  return true;
 }
 
 bool ChainAllocator::pick(OptimizationBias Bias,

@@ -115,7 +115,12 @@ enum class ChainOutcome {
 /// The forward pass searches `Params.SearchNodes` (every candidate when
 /// unset). It first decides, from the per-node terms alone, which fronts
 /// can hold a label that reaches the last position, and builds only
-/// those: a chain no path can place builds no front. Its scratch state
+/// those: a chain no path can place builds no front. At the last
+/// position, which only the pick reads, each front keeps only its
+/// earliest-finish and its cheapest label, unless a candidate's cost
+/// nearly ties a front's cheapest one: then the pass rebuilds that
+/// position with full fronts (see docs/ARCHITECTURE.md, "What the pick
+/// reads"). Its scratch state
 /// (the fronts, the per-node terms and the placed neighbours of the
 /// current task) lives in buffers that every allocator on a thread
 /// shares, so a pass allocates nothing once the buffers have grown to
@@ -152,9 +157,11 @@ public:
               std::vector<CollisionRecord> &Collisions);
 
   /// Cumulative DP work of this allocator instance — Pareto labels
-  /// kept, earliest-fit queries issued, window-violation reruns, forward
-  /// passes that found no path before building a front, and fronts a
-  /// pass did not build although their task fits its window there.
+  /// kept (at the last position: labels that changed a front's
+  /// extremes), earliest-fit queries issued, window-violation reruns,
+  /// forward passes that found no path before building a front, fronts a
+  /// pass did not build although their task fits its window there, and
+  /// last positions rebuilt with full fronts after a near cost tie.
   /// Deltas around an `allocate` call give that call's deterministic
   /// work (the caller attributes them to the `chain.dp` profiler phase).
   uint64_t labelsKept() const { return KeptLabels; }
@@ -162,6 +169,7 @@ public:
   uint64_t dpReruns() const { return DpReruns; }
   uint64_t passesUnreachable() const { return PassesUnreachable; }
   uint64_t frontsSkipped() const { return FrontsSkipped; }
+  uint64_t tieFallbacks() const { return TieFallbacks; }
 
 private:
   struct Label {
@@ -255,6 +263,12 @@ private:
   /// Marks the fronts to build, from the last position backwards.
   void markBuilt(size_t K);
 
+  /// Fills the built fronts of row \p Pos from row `Pos - 1`. With
+  /// \p Extremes each front keeps only its earliest-finish and its
+  /// cheapest label; then it stops and returns false at the first
+  /// candidate whose cost nearly ties a front's cheapest label.
+  template <bool Extremes> bool buildRow(size_t Pos);
+
   /// The path of the best terminal label under \p Bias; false when the
   /// last position has no label.
   bool pick(OptimizationBias Bias, const std::vector<unsigned> &Chain,
@@ -277,12 +291,6 @@ private:
   /// Inbound transfer ticks billed from the gathered task's placed
   /// predecessors other than \p SkipPred.
   Tick placedInboundTicks(unsigned NodeId, unsigned SkipPred) const;
-
-  /// Inserts a label into a Pareto front (sorted by Finish ascending,
-  /// Cost strictly descending) and counts it; \p Checked says that
-  /// `paretoDominated(Front, L.Finish, L.Cost)` has already answered
-  /// false, so the insert does not search for a dominating label again.
-  void insertLabel(LabelFront &Front, const Label &L, bool Checked);
 
   /// The scratch state of one chain placement. Every allocator on a
   /// thread shares one set: a placement fills each buffer before it
@@ -316,6 +324,7 @@ private:
   uint64_t DpReruns = 0;
   uint64_t PassesUnreachable = 0;
   uint64_t FrontsSkipped = 0;
+  uint64_t TieFallbacks = 0;
 };
 
 } // namespace cws

@@ -8,25 +8,34 @@
 /// \file
 /// Maintenance of the chain DP's Pareto fronts of (finish time, economic
 /// cost) labels. A front is kept sorted by Finish strictly ascending and
-/// Cost strictly descending (modulo the cost epsilon) — the defining
-/// invariant of a two-objective Pareto set — which makes insertion
-/// O(log F + moved elements) instead of the two linear scans of a naive
-/// dominance filter:
+/// Cost strictly descending (any two labels differ by more than the cost
+/// epsilon) — the defining invariant of a two-objective Pareto set. So
+/// one count tells everything an insert needs:
 ///
-///   * the new label is dominated iff the last label finishing no later
-///     (the cheapest of those) costs no more — one binary search on
-///     Finish (`paretoDominated`);
-///   * the labels the new one dominates are exactly a contiguous run
-///     starting at its insertion point (Finish no earlier, Cost no
-///     lower), removed with a single range erase.
+///   * the *rank* of a finish is the number of labels finishing no later
+///     (`paretoRank`, one linear count: a front holds a few labels);
+///   * the new label is dominated iff the last label of its rank (the
+///     cheapest of those) costs no more (`paretoDominatedAt`);
+///   * otherwise it goes in at its rank, before a label of equal finish,
+///     and the labels it dominates are exactly a contiguous run starting
+///     there (Finish no earlier, Cost no lower), removed in one erase.
 ///
 /// A rejected insert never changes the front. So a caller that knows a
 /// candidate's cost and a lower bound on its finish can ask
 /// `paretoDominated` first and skip the work of computing the finish
 /// when the answer is yes; the chain DP does this before each
 /// earliest-fit query. When the finish then equals the bound it asked
-/// about, the answer still holds, and `paretoInsertUndominated` inserts
-/// without searching again.
+/// about, the rank still holds, and `paretoInsertAt` inserts without
+/// counting again.
+///
+/// A reader that only wants the two extremes of a front (its earliest
+/// finish and its cheapest label) can keep just those: the extremes of
+/// the full front evolve without the labels between them, except where
+/// a candidate's cost nearly ties the cheapest one (`costNearTie`).
+/// `paretoExtremesKept` and `paretoExtremesInsert` maintain such a
+/// front; the chain DP keeps one at a chain's last position, which only
+/// its terminal pick reads (see docs/ARCHITECTURE.md, "What the pick
+/// reads").
 ///
 /// The header is intentionally standalone and template-based so tests
 /// and future search layers can drive the maintenance with their own
@@ -39,6 +48,7 @@
 #define CWS_CORE_PARETOFRONT_H
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 
 namespace cws {
@@ -54,6 +64,16 @@ inline constexpr double CostEpsilon = 1e-9;
 /// deterministically keep the incumbent label.
 inline bool costLeq(double A, double B) { return A <= B + CostEpsilon; }
 
+/// True when \p A and \p B differ, but by at most 2 * CostEpsilon (plus
+/// a few units in the last place, for the roundings of the epsilon
+/// comparisons). Only between such costs can a label inside a front
+/// change the front's extremes or a Cost pick over them.
+inline bool costNearTie(double A, double B) {
+  double Gap = std::abs(A - B);
+  return Gap != 0 &&
+         Gap <= 2 * CostEpsilon + 0x1p-48 * std::max(std::abs(A), std::abs(B));
+}
+
 /// Outcome of one insertion, for the caller's load metrics.
 struct ParetoInsertOutcome {
   /// False when the candidate was dominated and dropped.
@@ -64,72 +84,133 @@ struct ParetoInsertOutcome {
   bool EvictedForCap = false;
 };
 
-/// True when \p Front holds a label finishing no later than
-/// \p FinishBound that costs no more than \p Cost. Then `paretoInsert`
-/// rejects every label of cost \p Cost finishing at or after
-/// \p FinishBound, and leaves the front as it is.
+/// The number of labels of \p Front finishing no later than \p Finish.
 template <typename FrontT, typename FinishT>
-bool paretoDominated(const FrontT &Front, FinishT FinishBound, double Cost) {
-  // Cost descends along the front, so the last label finishing by the
-  // bound is the cheapest of those that do.
-  auto End = std::partition_point(
-      Front.begin(), Front.end(),
-      [FinishBound](const auto &E) { return E.Finish <= FinishBound; });
-  return End != Front.begin() && costLeq((End - 1)->Cost, Cost);
+size_t paretoRank(const FrontT &Front, FinishT Finish) {
+  size_t Rank = 0;
+  for (const auto &E : Front)
+    Rank += E.Finish <= Finish;
+  return Rank;
 }
 
-/// Inserts \p L, which \p Front does not dominate (the caller has seen
-/// `paretoDominated(Front, L.Finish, L.Cost)` answer false), preserving
-/// the front invariant. When the front would exceed \p MaxFrontSize the
-/// middle label is evicted so both extremes (earliest finish, cheapest
-/// cost) survive. The eviction happens before the insert, so a front
-/// built under one cap never holds more labels than the cap, not even
-/// briefly: a `SmallVector` front with that inline capacity never
-/// touches the heap.
+/// True when \p Front holds a label among the first \p Rank that costs
+/// no more than \p Cost. With the rank of a finish F, `paretoInsertAt`
+/// then rejects every label of cost \p Cost finishing at F or later, and
+/// leaves the front as it is.
+template <typename FrontT>
+bool paretoDominatedAt(const FrontT &Front, size_t Rank, double Cost) {
+  // Cost descends along the front, so the last label of the rank is the
+  // cheapest of those finishing by F.
+  return Rank != 0 && costLeq(Front[Rank - 1].Cost, Cost);
+}
+
+/// True when \p Front holds a label finishing no later than
+/// \p FinishBound that costs no more than \p Cost.
+template <typename FrontT, typename FinishT>
+bool paretoDominated(const FrontT &Front, FinishT FinishBound, double Cost) {
+  return paretoDominatedAt(Front, paretoRank(Front, FinishBound), Cost);
+}
+
+/// Inserts \p L, which \p Front does not dominate, given the rank of its
+/// finish (the caller has seen `paretoDominatedAt(Front, Rank, L.Cost)`
+/// answer false), preserving the front invariant. When the front would
+/// exceed \p MaxFrontSize the middle label is evicted so both extremes
+/// (earliest finish, cheapest cost) survive. The eviction happens before
+/// the insert, so a front built under one cap never holds more labels
+/// than the cap, not even briefly: a `SmallVector` front with that inline
+/// capacity never touches the heap.
 template <typename FrontT, typename LabelT>
-ParetoInsertOutcome paretoInsertUndominated(FrontT &Front, const LabelT &L,
-                                            size_t MaxFrontSize) {
+ParetoInsertOutcome paretoInsertAt(FrontT &Front, size_t Rank,
+                                   const LabelT &L, size_t MaxFrontSize) {
   ParetoInsertOutcome Outcome;
   Outcome.Inserted = true;
-  auto Pos = std::lower_bound(
-      Front.begin(), Front.end(), L,
-      [](const LabelT &A, const LabelT &B) { return A.Finish < B.Finish; });
+  // Finish ascends strictly, so at most the last label of the rank
+  // finishes with L, and L goes in before it.
+  size_t Pos = Rank;
+  if (Pos != 0 && Front[Pos - 1].Finish == L.Finish)
+    --Pos;
 
   // Eviction: everything from Pos finishes no earlier, and those the
   // new label dominates (cost no lower) are a contiguous prefix of that
   // suffix because Cost descends.
-  auto EvictEnd = std::partition_point(
-      Pos, Front.end(),
-      [&L](const LabelT &E) { return costLeq(L.Cost, E.Cost); });
+  size_t EvictEnd = Pos;
+  while (EvictEnd != Front.size() && costLeq(L.Cost, Front[EvictEnd].Cost))
+    ++EvictEnd;
+  auto At = Front.begin() + static_cast<ptrdiff_t>(Pos);
   if (EvictEnd != Pos) {
-    Pos = Front.erase(Pos, EvictEnd);
+    At = Front.erase(At, Front.begin() + static_cast<ptrdiff_t>(EvictEnd));
   } else if (Front.size() >= MaxFrontSize) {
     // Keep the extremes: drop the label at index size / 2 of the front
     // the insert would make. When that is the new label itself, the
     // front stays as it is.
     Outcome.EvictedForCap = true;
-    auto Mid = Front.begin() + static_cast<ptrdiff_t>((Front.size() + 1) / 2);
+    size_t Mid = (Front.size() + 1) / 2;
     if (Pos == Mid)
       return Outcome;
     if (Pos < Mid) {
-      Front.erase(Mid - 1);
+      Front.erase(Front.begin() + static_cast<ptrdiff_t>(Mid - 1));
     } else {
-      Front.erase(Mid);
-      --Pos;
+      Front.erase(Front.begin() + static_cast<ptrdiff_t>(Mid));
+      --At;
     }
   }
-  Front.insert(Pos, L);
+  Front.insert(At, L);
   return Outcome;
 }
 
 /// Inserts \p L into \p Front unless a label already there dominates
-/// it; see `paretoInsertUndominated`.
+/// it; see `paretoInsertAt`.
 template <typename FrontT, typename LabelT>
 ParetoInsertOutcome paretoInsert(FrontT &Front, const LabelT &L,
                                  size_t MaxFrontSize) {
-  if (paretoDominated(Front, L.Finish, L.Cost))
+  size_t Rank = paretoRank(Front, L.Finish);
+  if (paretoDominatedAt(Front, Rank, L.Cost))
     return {};
-  return paretoInsertUndominated(Front, L, MaxFrontSize);
+  return paretoInsertAt(Front, Rank, L, MaxFrontSize);
+}
+
+/// For \p Front holding only the extremes of a full front (its first
+/// label, then its last one when they differ): true when a label of
+/// cost \p Cost finishing no earlier than \p FinishBound replaces
+/// neither extreme of the full front. It finishes after the first
+/// label, and the cheapest label is cheaper by more than the epsilon, so
+/// the full front keeps it between the two, or drops it.
+template <typename FrontT, typename FinishT>
+bool paretoExtremesKept(const FrontT &Front, FinishT FinishBound,
+                        double Cost) {
+  return !Front.empty() && FinishBound > Front[0].Finish &&
+         !costLeq(Cost, Front.back().Cost);
+}
+
+/// Inserts \p L into \p Front, which holds only the extremes of a full
+/// front, as a `paretoInsertAt` into the full front (under any cap)
+/// would change them. The extremes must not dominate \p L, and its cost
+/// must not nearly tie the cheapest label's (`costNearTie`): only then
+/// do the labels between the extremes not matter. Returns whether an
+/// extreme changed.
+template <typename FrontT, typename LabelT>
+bool paretoExtremesInsert(FrontT &Front, const LabelT &L) {
+  if (Front.empty()) {
+    Front.push_back(L);
+    return true;
+  }
+  // Not dominated, so finishing no later than the first label means
+  // evicting or preceding it. The cheapest label goes when L finishes
+  // after it (and so is cheaper by more than the epsilon) or L costs no
+  // more: then no label between them dominates L, as each costs more
+  // than the cheapest one by more than the epsilon.
+  bool First = L.Finish <= Front[0].Finish;
+  bool Last = L.Finish >= Front.back().Finish ||
+              costLeq(L.Cost, Front.back().Cost);
+  if (!First && !Last)
+    return false;
+  LabelT Earliest = First ? L : Front[0];
+  LabelT Cheapest = Last ? L : Front.back();
+  Front.clear();
+  Front.push_back(Earliest);
+  if (!(First && Last))
+    Front.push_back(Cheapest);
+  return true;
 }
 
 } // namespace cws

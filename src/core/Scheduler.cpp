@@ -149,11 +149,12 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
         uint64_t Reruns0 = Allocator.dpReruns();
         uint64_t Unreachable0 = Allocator.passesUnreachable();
         uint64_t Skipped0 = Allocator.frontsSkipped();
+        uint64_t Ties0 = Allocator.tieFallbacks();
         obs::Span AllocSpan("core", "allocateChain", "chain_len",
                             static_cast<int64_t>(Chain.TaskIds.size()));
         // Work of the Time lane's continuation after a split.
         uint64_t ForkLabels = 0, ForkFits = 0, ForkReruns = 0;
-        uint64_t ForkUnreachable = 0, ForkSkipped = 0;
+        uint64_t ForkUnreachable = 0, ForkSkipped = 0, ForkTies = 0;
         ChainSplit Split;
         ChainOutcome Outcome =
             Allocator.allocate(Chain, L.Result.Dist, Release, J.deadline(),
@@ -184,6 +185,7 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
           ForkReruns = TimeAllocator.dpReruns();
           ForkUnreachable = TimeAllocator.passesUnreachable();
           ForkSkipped = TimeAllocator.frontsSkipped();
+          ForkTies = TimeAllocator.tieFallbacks();
         }
         AllocSpan.arg("placed", Placed);
         DpPhase.work("labels", Allocator.labelsKept() - Labels0 + ForkLabels);
@@ -195,6 +197,8 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
                                                Unreachable0 + ForkUnreachable);
         DpPhase.work("fronts_skipped",
                      Allocator.frontsSkipped() - Skipped0 + ForkSkipped);
+        DpPhase.work("tie_fallbacks",
+                     Allocator.tieFallbacks() - Ties0 + ForkTies);
       }
       const CriticalWork &Work = L.Result.Phases.back();
       if (Placed) {

@@ -92,6 +92,7 @@ bool Metascheduler::commitDistribution(const Job &J, const Distribution &D,
   }
   bool Charged = Econ.charge(UserId, Cost);
   CWS_CHECK(Charged, "charge failed after affordability check");
+  Committed.insert(ownerOf(J.id()));
   M.Commits.add();
   CommitSpan.arg("ok", 1);
   Attempt(true, "ok");
@@ -179,7 +180,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
         checkRepairOracle(J, Out.S, UserId, Owner, Now, Copied);
       // The swap: the old reservations die only now, with the repaired
       // replacement validated against the live grid.
-      Env.releaseOwner(Owner);
+      releaseCommitted(Owner);
       RepairPhase.work("intervals_copied", Copied);
       RepairPhase.work("intervals_scanned", Scanned);
       ReallocSpan.arg("stage", IsShift ? 1 : 2);
@@ -199,7 +200,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
     Out.Stage = RepairStage::Rebuild;
     M.Rebuilt.add();
     M.Reallocations.add();
-    Env.releaseOwner(Owner);
+    releaseCommitted(Owner);
   } else {
     Out.Stage = RepairStage::Failed;
     M.ReallocFailed.add();
@@ -219,8 +220,16 @@ Grid Metascheduler::rebuildGrid(OwnerId Owner, Tick Now,
   // reservations that ended by then cannot change it.
   Grid Scratch;
   Copied += Scratch.assignLive(Env, Now);
-  Scratch.releaseOwner(Owner);
+  if (Committed.count(Owner))
+    Scratch.releaseOwner(Owner);
   return Scratch;
+}
+
+void Metascheduler::releaseCommitted(OwnerId Owner) {
+  // Only a commit puts a job's reservations into the environment, so an
+  // owner that holds none skips the walk over every node's intervals.
+  if (Committed.erase(Owner))
+    Env.releaseOwner(Owner);
 }
 
 void Metascheduler::checkRepairOracle(const Job &J, const Strategy &Repaired,

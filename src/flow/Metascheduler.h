@@ -24,6 +24,8 @@
 #include "resource/Grid.h"
 #include "resource/Network.h"
 
+#include <unordered_set>
+
 namespace cws {
 
 /// How the metascheduler serves a reallocation request.
@@ -114,8 +116,9 @@ public:
   /// rebuild mode the rebuild runs unconditionally. Build-then-swap:
   /// reservations \p J holds are released only once an admissible
   /// replacement exists, so a failed reallocation leaves the old state
-  /// intact. \p UserId is the paying user (repairs must stay within
-  /// quota).
+  /// intact. Only a commit's reservations are released: a job that was
+  /// never committed leaves the grid as it is. \p UserId is the paying
+  /// user (repairs must stay within quota).
   ReallocationResult reallocate(const Job &J, const Strategy &Stale,
                                 unsigned UserId, Tick Now);
 
@@ -138,6 +141,10 @@ private:
   /// job's own. Adds the reservations it copied to \p Copied.
   Grid rebuildGrid(OwnerId Owner, Tick Now, uint64_t &Copied) const;
 
+  /// Releases \p Owner's reservations in the environment if a commit
+  /// made them.
+  void releaseCommitted(OwnerId Owner);
+
   /// Compares one staged repair against a reference rebuild (journal
   /// events swallowed, grid copied) and tallies into Oracle; adds the
   /// reservations the rebuild's grid copied to \p Copied.
@@ -152,6 +159,9 @@ private:
   ReallocationMode ReallocMode = ReallocationMode::Repair;
   bool OracleEnabled = false;
   RepairOracleStats Oracle;
+  /// The owners whose committed reservations a reallocation has not
+  /// released yet.
+  std::unordered_set<OwnerId> Committed;
 };
 
 } // namespace cws

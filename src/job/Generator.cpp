@@ -22,6 +22,8 @@ JobGenerator::JobGenerator(WorkloadConfig Config, uint64_t Seed)
   CWS_CHECK(Config.TransferLo >= 0 && Config.TransferLo <= Config.TransferHi,
             "invalid transfer tick range");
   CWS_CHECK(Config.DeadlineSlack > 0.0, "deadline slack must be positive");
+  CWS_CHECK(Config.DeadlineSlack <= Config.maxDeadlineSlack(),
+            "deadline slack overflows the tick range");
 }
 
 Job JobGenerator::next(Tick Release) {

@@ -43,6 +43,14 @@ struct WorkloadConfig {
   /// DeadlineSlack * criticalPathRefTicks (a slack below ~1 is
   /// unsatisfiable even on an empty, all-fast environment).
   double DeadlineSlack = 1.5;
+
+  /// The largest slack whose deadline spans stay below 2^62 ticks, so a
+  /// deadline fits a `Tick`: a critical path has at most MaxTasks tasks
+  /// of RefTicksHi reference ticks.
+  double maxDeadlineSlack() const {
+    return 0x1p62 /
+           (static_cast<double>(MaxTasks) * static_cast<double>(RefTicksHi));
+  }
 };
 
 /// Deterministic generator of randomized compound jobs.

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -17,26 +18,29 @@
 using namespace cws;
 
 void Flags::addInt(const std::string &Name, int64_t *Storage,
-                   const std::string &Help, int64_t AtLeast) {
-  Entries.push_back({Name, Kind::Int, Storage, Help, AtLeast, -HUGE_VAL, {}});
+                   const std::string &Help, int64_t AtLeast,
+                   int64_t AtMost) {
+  Entries.push_back({Name, Kind::Int, Storage, Help, AtLeast, AtMost,
+                     -HUGE_VAL, HUGE_VAL, {}});
 }
 
 void Flags::addReal(const std::string &Name, double *Storage,
-                    const std::string &Help, double Above) {
-  Entries.push_back({Name, Kind::Real, Storage, Help, INT64_MIN, Above, {}});
+                    const std::string &Help, double Above, double AtMost) {
+  Entries.push_back({Name, Kind::Real, Storage, Help, INT64_MIN, INT64_MAX,
+                     Above, AtMost, {}});
 }
 
 void Flags::addString(const std::string &Name, std::string *Storage,
                       const std::string &Help,
                       std::vector<std::string> Choices) {
-  Entries.push_back({Name, Kind::String, Storage, Help, INT64_MIN, -HUGE_VAL,
-                     std::move(Choices)});
+  Entries.push_back({Name, Kind::String, Storage, Help, INT64_MIN, INT64_MAX,
+                     -HUGE_VAL, HUGE_VAL, std::move(Choices)});
 }
 
 void Flags::addBool(const std::string &Name, bool *Storage,
                     const std::string &Help) {
-  Entries.push_back(
-      {Name, Kind::Bool, Storage, Help, INT64_MIN, -HUGE_VAL, {}});
+  Entries.push_back({Name, Kind::Bool, Storage, Help, INT64_MIN, INT64_MAX,
+                     -HUGE_VAL, HUGE_VAL, {}});
 }
 
 const Flags::Entry *Flags::find(const std::string &Name) const {
@@ -106,6 +110,8 @@ bool Flags::parse(int Argc, char **Argv) const {
         Reject("takes an integer");
       if (V < E->AtLeast)
         Reject("must be >= " + std::to_string(E->AtLeast));
+      if (V > E->AtMostInt)
+        Reject("must be <= " + std::to_string(E->AtMostInt));
       *static_cast<int64_t *>(E->Storage) = V;
       break;
     }
@@ -113,10 +119,16 @@ bool Flags::parse(int Argc, char **Argv) const {
       double V = std::strtod(Value.c_str(), &End);
       if (Value.empty() || *End || errno == ERANGE)
         Reject("takes a number");
+      if (!std::isfinite(V))
+        Reject("takes a finite number");
+      char Bound[32];
       if (!(V > E->Above)) {
-        char Bound[32];
         std::snprintf(Bound, sizeof(Bound), "%g", E->Above);
         Reject(std::string("must be > ") + Bound);
+      }
+      if (V > E->AtMostReal) {
+        std::snprintf(Bound, sizeof(Bound), "%g", E->AtMostReal);
+        Reject(std::string("must be <= ") + Bound);
       }
       *static_cast<double *>(E->Storage) = V;
       break;

@@ -8,9 +8,10 @@
 /// \file
 /// A tiny command line flag parser for the tools, bench and example
 /// binaries: `--name=value` or `--name value`. Unknown flags, values that
-/// do not parse as the flag's type, values outside a flag's choice list
-/// and values below its lower bound all exit 2 with a message, so typos
-/// in experiment scripts never silently run the default configuration.
+/// do not parse as the flag's type, non-finite reals, values outside a
+/// flag's choice list and values outside its bounds all exit 2 with a
+/// message, so typos in experiment scripts never silently run the
+/// default configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,14 +29,18 @@ namespace cws {
 class Flags {
 public:
   /// Registers an integer flag writing into \p Storage; values below
-  /// \p AtLeast are rejected.
+  /// \p AtLeast or above \p AtMost are rejected (a 0/1 switch passes 0
+  /// and 1).
   void addInt(const std::string &Name, int64_t *Storage,
-              const std::string &Help, int64_t AtLeast = INT64_MIN);
+              const std::string &Help, int64_t AtLeast = INT64_MIN,
+              int64_t AtMost = INT64_MAX);
 
-  /// Registers a real-valued flag writing into \p Storage; values not
-  /// above \p Above are rejected.
+  /// Registers a real-valued flag writing into \p Storage; values that
+  /// are not finite, not above \p Above or above \p AtMost are
+  /// rejected.
   void addReal(const std::string &Name, double *Storage,
-               const std::string &Help, double Above = -HUGE_VAL);
+               const std::string &Help, double Above = -HUGE_VAL,
+               double AtMost = HUGE_VAL);
 
   /// Registers a string flag writing into \p Storage; with \p Choices,
   /// any value outside the list is rejected.
@@ -60,10 +65,12 @@ private:
     Kind FlagKind;
     void *Storage;
     std::string Help;
-    /// Lower bounds (Int, Real) and the allowed values (String; empty
-    /// allows any).
+    /// Bounds (Int, Real) and the allowed values (String; empty allows
+    /// any).
     int64_t AtLeast;
+    int64_t AtMostInt;
     double Above;
+    double AtMostReal;
     std::vector<std::string> Choices;
   };
   std::vector<Entry> Entries;

@@ -10,8 +10,9 @@
 /// containers whose typical size is small and bounded (the chain DP's
 /// Pareto fronts are capped at `MaxFrontSize`, default 8, so a matching
 /// inline capacity removes every per-state heap allocation). Restricted
-/// to trivially copyable element types: growth and erasure are plain
-/// memmove/memcpy, no element lifetimes to manage.
+/// to trivially copyable element types: growth is a plain memcpy, and
+/// insert and erase shift the few elements after the position in place,
+/// with no element lifetimes to manage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,7 +87,8 @@ public:
     CWS_CHECK(Idx <= Sz, "insert position out of range");
     reserve(Sz + 1);
     T *D = data();
-    std::memmove(D + Idx + 1, D + Idx, (Sz - Idx) * sizeof(T));
+    for (size_t I = Sz; I > Idx; --I)
+      D[I] = D[I - 1];
     D[Idx] = V;
     ++Sz;
   }
@@ -97,7 +99,8 @@ public:
     size_t Hi = static_cast<size_t>(Last - data());
     CWS_CHECK(Lo <= Hi && Hi <= Sz, "erase range out of bounds");
     T *D = data();
-    std::memmove(D + Lo, D + Hi, (Sz - Hi) * sizeof(T));
+    for (size_t I = Hi; I < Sz; ++I)
+      D[Lo + I - Hi] = D[I];
     Sz -= Hi - Lo;
     return D + Lo;
   }

@@ -82,6 +82,8 @@ STATUS=0
   || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
 for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
+            "--slack 1e300" "--slack inf" "--sample-every 0" \
+            "--sample-every -5" "--csv 5" "--exec 2" \
             "--build-threads -1" "--build-threads 1" "--shards 4" \
             "--invalidation scan"; do
   STATUS=0
@@ -90,7 +92,8 @@ for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
 done
 printf 'job "j" deadline 30\ntask t ref 2 vol 20\nnode perf 1.0\n' \
   > "$TMP/one.cws"
-for ARGS in "--strategy S9" "--build-threads -1" "--build-threads 1" \
+for ARGS in "--strategy S9" "--gantt 7" "--csv 3" "--fig2grid 9" \
+            "--now -5" "--build-threads -1" "--build-threads 1" \
             "--invalidation scan"; do
   STATUS=0
   "$SCHED" --file "$TMP/one.cws" $ARGS > /dev/null 2>&1 || STATUS=$?

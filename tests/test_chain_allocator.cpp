@@ -68,6 +68,7 @@ struct BothBiases {
   uint64_t FitQueries = 0;
   uint64_t PassesUnreachable = 0;
   uint64_t FrontsSkipped = 0;
+  uint64_t TieFallbacks = 0;
 };
 
 BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
@@ -88,6 +89,7 @@ BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
   R.FitQueries = A.fitQueries();
   R.PassesUnreachable = A.passesUnreachable();
   R.FrontsSkipped = A.frontsSkipped();
+  R.TieFallbacks = A.tieFallbacks();
   for (size_t B = 0; B < 2; ++B) {
     if (R.Outcome != ChainOutcome::Split) {
       R.Placed[B] = R.Outcome == ChainOutcome::Placed;
@@ -105,6 +107,7 @@ BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
     R.FitQueries += AB.fitQueries();
     R.PassesUnreachable += AB.passesUnreachable();
     R.FrontsSkipped += AB.frontsSkipped();
+    R.TieFallbacks += AB.tieFallbacks();
   }
   return R;
 }
@@ -614,4 +617,126 @@ TEST(ChainAllocator, PinnedDigestOfRandomChainsAtTightWindows) {
   EXPECT_EQ(Skipped, 9558u);
   EXPECT_EQ(obs::fnv1a64(Text), 0xcb59abd136334075ULL)
       << Text.size() << " bytes";
+}
+
+TEST(ChainAllocator, PinnedDigestOfNearTieChains) {
+  // The DP's byte-identity oracle where costs tie. Every task runs one
+  // tick on every node, and a node's price is 1 plus 0 to 7 quarters of
+  // the cost epsilon, so distinct paths often cost exactly the same or
+  // within 2 * CostEpsilon of each other; some trials add a node-switch
+  // penalty of one epsilon. Every decision of both biases, split and
+  // resumed as the scheduler does, is hashed at four front caps. The
+  // constant was recorded while every front kept every label; at the
+  // last position such ties are where a front that keeps only its
+  // extremes must fall back to full fronts, and without the fallback
+  // several of these decisions change.
+  const DataPolicyKind Kinds[] = {DataPolicyKind::ActiveReplication,
+                                  DataPolicyKind::RemoteAccess,
+                                  DataPolicyKind::StaticStorage};
+  const Network Net;
+  Prng Rng(2025);
+  std::string Text;
+  size_t Outcomes[3] = {0, 0, 0};
+  uint64_t Fallbacks = 0;
+  for (int Trial = 0; Trial < 1000; ++Trial) {
+    const auto N = static_cast<unsigned>(Rng.uniformInt(2, 6));
+    const auto K = static_cast<unsigned>(Rng.uniformInt(2, 5));
+    Job J;
+    for (unsigned T = 0; T < K; ++T)
+      J.addTask("t", 1, 10);
+    for (unsigned T = 1; T < K; ++T)
+      J.addEdge(T - 1, T, 0);
+    const Tick Release = Rng.uniformInt(0, 4);
+    const Tick Deadline = Release + Rng.uniformInt(K + 2, 3 * K + 8);
+    J.setDeadline(Deadline);
+
+    Grid Env;
+    AllocatorPolicy Params;
+    for (unsigned Id = 0; Id < N; ++Id) {
+      double Nudge = static_cast<double>(Rng.uniformInt(0, 7)) * CostEpsilon / 4;
+      Env.addNodePriced(1.0, 1.0 + Nudge);
+      Params.CandidateNodes.push_back(Id);
+      Timeline &Line = Env.node(Id).timeline();
+      for (int64_t I = Rng.uniformInt(0, 4); I > 0; --I) {
+        Tick Begin = Rng.uniformInt(0, Deadline);
+        Line.reserve(Begin, Begin + Rng.uniformInt(1, 4), 9);
+      }
+    }
+
+    CriticalWork W;
+    for (unsigned T = 0; T < K; ++T)
+      W.TaskIds.push_back(T);
+    DataPolicyKind Kind = Kinds[Rng.index(3)];
+    Params.NodeSwitchPenalty = Rng.bernoulli(0.3) ? CostEpsilon : 0.0;
+    for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+      Params.MaxFrontSize = Cap;
+      BothBiases R = allocateBoth(J, W, Env, Net, Kind, Distribution(), Params,
+                                  Release, Deadline);
+      Text += describe(R);
+      ++Outcomes[static_cast<size_t>(R.Outcome)];
+      Fallbacks += R.TieFallbacks;
+    }
+  }
+  // Not vacuous: every outcome occurred, and near ties sent last
+  // positions back to full fronts.
+  for (size_t Outcome : Outcomes)
+    EXPECT_GT(Outcome, 0u);
+  EXPECT_GT(Fallbacks, 0u);
+  EXPECT_EQ(obs::fnv1a64(Text), 0xa20fc2ba2b578a9eULL) << Text.size() << " bytes";
+}
+
+TEST(ChainAllocator, MiddleLabelNearTieDecidesTheCostPick) {
+  // Two one-tick tasks; the chain edge carries no data. Task 0 fits only
+  // on nodes 2-4 (no room for task 1 there), finishing at 1, 3 and 5 at
+  // costs 1 + 5.9 eps, 1 + 1.8 eps and 1. Task 1 runs on node 0 (price
+  // 10, free from 5) or node 1 (0.9 eps cheaper, free from 1). At the
+  // last position node 0's front holds (6, 11) and node 1's holds
+  // (2, 11 + 5 eps), (4, 11 + 0.9 eps) and (6, 11 - 0.9 eps). The Cost
+  // pick reads node 0's label first: node 1's cheapest label alone does
+  // not beat it (cheaper by less than the epsilon, no earlier), but the
+  // middle one does (within the epsilon and earlier), and the cheapest
+  // then beats the middle one. So the pick takes node 1, which a front
+  // keeping only its extremes would miss: its middle label costs 1.8 eps
+  // more than its cheapest one, and a near-tie window narrower than
+  // 2 * CostEpsilon would not send it back to full fronts. At cap 2 the
+  // full front drops that middle label itself, and the pick stays on
+  // node 0. The Time pick takes the earliest finish, on node 1.
+  Grid Env;
+  Env.addNodePriced(1.0, 10.0);
+  Env.addNodePriced(1.0, 10.0 - 0.9 * CostEpsilon);
+  Env.addNodePriced(1.0, 1.0 + 5.9 * CostEpsilon);
+  Env.addNodePriced(1.0 / 3, (1.0 + 1.8 * CostEpsilon) / 3); // 3 ticks.
+  Env.addNodePriced(0.2, 0.2);                                // 5 ticks.
+  ASSERT_TRUE(Env.node(0).timeline().reserve(0, 5, 9));
+  ASSERT_TRUE(Env.node(1).timeline().reserve(0, 1, 9));
+  ASSERT_TRUE(Env.node(2).timeline().reserve(1, 100, 9));
+  ASSERT_TRUE(Env.node(3).timeline().reserve(3, 100, 9));
+  ASSERT_TRUE(Env.node(4).timeline().reserve(5, 100, 9));
+  Job J;
+  J.addTask("t0", 1, 10);
+  J.addTask("t1", 1, 10);
+  J.addEdge(0, 1, 0);
+  J.setDeadline(6);
+  CriticalWork W{{0, 1}, 2};
+  AllocatorPolicy Params;
+  Params.CandidateNodes = {0, 1, 2, 3, 4};
+  for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+    Params.MaxFrontSize = Cap;
+    BothBiases R = allocateBoth(J, W, Env, Network(),
+                                DataPolicyKind::RemoteAccess, Distribution(),
+                                Params, 0, 6);
+    ASSERT_EQ(R.Outcome, ChainOutcome::Split) << Cap;
+    const std::vector<Placement> &Cost = R.Dist[0].placements();
+    const std::vector<Placement> &Time = R.Dist[1].placements();
+    ASSERT_EQ(Cost.size(), 2u);
+    ASSERT_EQ(Time.size(), 2u);
+    EXPECT_EQ(Cost[0].NodeId, 4u) << Cap;
+    EXPECT_EQ(Cost[1].NodeId, Cap == 2 ? 0u : 1u) << Cap;
+    EXPECT_EQ(Cost[1].Start, 5) << Cap;
+    EXPECT_EQ(Time[0].NodeId, 2u) << Cap;
+    EXPECT_EQ(Time[1].NodeId, 1u) << Cap;
+    EXPECT_EQ(Time[1].End, 2) << Cap;
+    // The near tie sends the last position back to full fronts.
+    EXPECT_GT(R.TieFallbacks, 0u) << Cap;
+  }
 }

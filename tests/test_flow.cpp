@@ -107,6 +107,32 @@ TEST(Metascheduler, ReallocateReleasesOldReservations) {
       EXPECT_NE(I.Owner, Metascheduler::ownerOf(J.id()));
 }
 
+TEST(Metascheduler, ReallocatingANeverCommittedJobLeavesTheGridAsItIs) {
+  // Only a commit puts a job's reservations into the environment, so a
+  // reallocation of a job that was never committed releases nothing:
+  // not even an interval reserved under its owner id by other means.
+  FlowFixture F;
+  Job J = makeFig2Job();
+  Strategy S = F.Meta.buildStrategy(J, 0);
+  ASSERT_TRUE(
+      F.Env.node(0).timeline().reserve(90, 95, Metascheduler::ownerOf(J.id())));
+  std::vector<std::vector<Interval>> Before;
+  for (const auto &N : F.Env.nodes())
+    Before.push_back(N.timeline().intervals());
+  ReallocationResult R = F.Meta.reallocate(J, S, F.User, 5);
+  EXPECT_TRUE(R.admissible());
+  ASSERT_EQ(F.Env.nodes().size(), Before.size());
+  for (size_t Id = 0; Id < Before.size(); ++Id) {
+    const std::vector<Interval> &After = F.Env.nodes()[Id].timeline().intervals();
+    ASSERT_EQ(After.size(), Before[Id].size()) << "node " << Id;
+    for (size_t K = 0; K < After.size(); ++K) {
+      EXPECT_EQ(After[K].Begin, Before[Id][K].Begin);
+      EXPECT_EQ(After[K].End, Before[Id][K].End);
+      EXPECT_EQ(After[K].Owner, Before[Id][K].Owner);
+    }
+  }
+}
+
 TEST(JobManager, AdmissibleArrivalIsTracked) {
   FlowFixture F;
   EXPECT_TRUE(F.Manager.onArrival(makeFig2Job(), 0));

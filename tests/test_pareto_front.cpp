@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 using namespace cws;
@@ -163,17 +164,21 @@ TEST(ParetoInsert, FrontInvariantHoldsUnderRandomInserts) {
 }
 
 TEST(ParetoInsert, MatchesTheLinearReferenceExactly) {
-  // The fast path (binary search + neighbor dominance + suffix erase)
+  // The fast path (one rank count + neighbor dominance + suffix erase)
   // must keep the exact label sets of the full linear scan it replaced
-  // — the tier-1 tests pin schedules built on these fronts.
+  // — the tier-1 tests pin schedules built on these fronts. Half the
+  // rounds draw costs on a half-unit grid, half on a grid of half the
+  // cost epsilon, where nearly every comparison is an epsilon tie.
   Prng Rng(42);
-  for (int Round = 0; Round < 100; ++Round) {
+  const size_t Caps[] = {1, 2, 3, 4, 5, 6, 7, 8, 16, SIZE_MAX};
+  for (int Round = 0; Round < 200; ++Round) {
     std::vector<L> Fast;
     std::vector<L> Ref;
-    size_t Cap = 1 + static_cast<size_t>(Rng.uniformInt(0, 7));
+    size_t Cap = Caps[Rng.index(std::size(Caps))];
+    const double Step = Round % 2 ? CostEpsilon / 2 : 0.5;
     for (int I = 0; I < 120; ++I) {
       L New{static_cast<int64_t>(Rng.uniformInt(0, 20)),
-            static_cast<double>(Rng.uniformInt(0, 20)) / 2.0};
+            1.0 + static_cast<double>(Rng.uniformInt(0, 20)) * Step};
       bool InsertedFast = paretoInsert(Fast, New, Cap).Inserted;
       bool InsertedRef = referenceInsert(Ref, New, Cap);
       ASSERT_EQ(InsertedFast, InsertedRef)
@@ -229,6 +234,63 @@ TEST(ParetoDominated, PredictsRejectionAtEveryLaterFinish) {
   // Both answers occur, so the property is not vacuous.
   EXPECT_GT(Dominated, 0u);
   EXPECT_GT(Open, 0u);
+}
+
+TEST(CostNearTie, CoversDistinctCostsWithinTwoEpsilons) {
+  EXPECT_FALSE(costNearTie(1.0, 1.0));
+  EXPECT_TRUE(costNearTie(1.0, 1.0 + CostEpsilon / 4));
+  EXPECT_TRUE(costNearTie(1.0 + CostEpsilon, 1.0));
+  EXPECT_TRUE(costNearTie(1.0, 1.0 + 2 * CostEpsilon));
+  EXPECT_FALSE(costNearTie(1.0, 1.0 + 3 * CostEpsilon));
+  EXPECT_FALSE(costNearTie(1.0, 1.5));
+}
+
+TEST(ParetoExtremes, TrackTheFullFrontsExtremesAwayFromNearTies) {
+  // A front that keeps only its extremes, driven as the chain DP drives
+  // its last position: skip a candidate the extremes dominate, stop at
+  // one whose cost nearly ties the cheapest label, skip one that
+  // `paretoExtremesKept` says changes nothing, insert the rest. After
+  // every candidate it must hold the first and the last label of the
+  // full front built from the same candidates under any cap, and a
+  // skipped candidate must leave those two as they were.
+  Prng Rng(23);
+  const size_t Caps[] = {2, 3, 8, 16, SIZE_MAX};
+  size_t Kept = 0, Changed = 0, Stopped = 0;
+  for (int Round = 0; Round < 400; ++Round) {
+    std::vector<L> Full;
+    std::vector<L> Extremes;
+    size_t Cap = Caps[Rng.index(std::size(Caps))];
+    const double Step = Round % 2 ? CostEpsilon / 2 : 0.5;
+    for (int I = 0; I < 60; ++I) {
+      int64_t Bound = Rng.uniformInt(0, 20);
+      L New{Bound + Rng.uniformInt(0, 2),
+            1.0 + static_cast<double>(Rng.uniformInt(0, 20)) * Step};
+      std::vector<L> Before = Full;
+      paretoInsert(Full, New, Cap);
+      if (paretoDominated(Extremes, New.Finish, New.Cost)) {
+        ASSERT_EQ(Full, Before);
+        continue;
+      }
+      if (!Extremes.empty() && costNearTie(New.Cost, Extremes.back().Cost)) {
+        ++Stopped;
+        break;
+      }
+      if (paretoExtremesKept(Extremes, Bound, New.Cost)) {
+        ++Kept;
+        ASSERT_EQ(Full.front(), Before.front());
+        ASSERT_EQ(Full.back(), Before.back());
+        continue;
+      }
+      Changed += paretoExtremesInsert(Extremes, New);
+      ASSERT_EQ(Extremes.front(), Full.front());
+      ASSERT_EQ(Extremes.back(), Full.back());
+      ASSERT_EQ(Extremes.size(), Full.size() == 1 ? 1u : 2u);
+    }
+  }
+  // Every branch ran.
+  EXPECT_GT(Kept, 0u);
+  EXPECT_GT(Changed, 0u);
+  EXPECT_GT(Stopped, 0u);
 }
 
 TEST(ParetoInsert, WorksOnSmallVectorFronts) {

@@ -118,3 +118,33 @@ TEST(Flags, RejectsBadValuesWithExitCode2) {
   EXPECT_DOUBLE_EQ(Slack, 0.5);
   EXPECT_EQ(Strategy, "S2");
 }
+
+TEST(Flags, RejectsValuesAboveTheUpperBoundAndNonFiniteReals) {
+  int64_t Csv = 0;
+  double Slack = 1.0;
+  double Rate = 0.0;
+  Flags F;
+  F.addInt("csv", &Csv, "0/1 switch", /*AtLeast=*/0, /*AtMost=*/1);
+  F.addReal("slack", &Slack, "deadline slack", /*Above=*/0, /*AtMost=*/1e6);
+  F.addReal("rate", &Rate, "unbounded rate");
+  auto Parse = [&F](const char *Name, const char *Value) {
+    const char *Argv[] = {"prog", Name, Value};
+    return F.parse(3, const_cast<char **>(Argv));
+  };
+  EXPECT_EXIT(Parse("--csv", "5"), ::testing::ExitedWithCode(2),
+              "must be <= 1");
+  EXPECT_EXIT(Parse("--csv", "-1"), ::testing::ExitedWithCode(2),
+              "must be >= 0");
+  EXPECT_EXIT(Parse("--slack", "1e300"), ::testing::ExitedWithCode(2),
+              "must be <= 1e\\+06");
+  for (const char *Value : {"inf", "-inf", "nan", "infinity"})
+    EXPECT_EXIT(Parse("--rate", Value), ::testing::ExitedWithCode(2),
+                "takes a finite number")
+        << Value;
+  EXPECT_TRUE(Parse("--csv", "1"));
+  EXPECT_TRUE(Parse("--slack", "1e6"));
+  EXPECT_TRUE(Parse("--rate", "-1e300"));
+  EXPECT_EQ(Csv, 1);
+  EXPECT_DOUBLE_EQ(Slack, 1e6);
+  EXPECT_DOUBLE_EQ(Rate, -1e300);
+}

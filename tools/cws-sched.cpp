@@ -50,12 +50,16 @@ int main(int Argc, char **Argv) {
   F.addString("file", &File, "job description file ('-' for stdin)");
   F.addString("strategy", &StrategyName, "S1 | S2 | S3 | MS1",
               {"S1", "S2", "S3", "MS1"});
-  F.addInt("now", &Now, "scheduling moment (ticks)");
-  F.addInt("gantt", &Gantt, "render an ASCII Gantt chart (0/1)");
-  F.addInt("csv", &Csv, "print CSV instead of tables (0/1)");
-  F.addInt("dot", &Dot, "print the job as a Graphviz digraph and exit");
+  F.addInt("now", &Now, "scheduling moment (ticks)", /*AtLeast=*/0);
+  F.addInt("gantt", &Gantt, "render an ASCII Gantt chart (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
+  F.addInt("csv", &Csv, "print CSV instead of tables (0/1)", /*AtLeast=*/0,
+           /*AtMost=*/1);
+  F.addInt("dot", &Dot, "print the job as a Graphviz digraph and exit (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
   F.addInt("fig2grid", &UseFig2Grid,
-           "use the paper's Fig. 2 environment (0/1)");
+           "use the paper's Fig. 2 environment (0/1)", /*AtLeast=*/0,
+           /*AtMost=*/1);
   Obs.addFlags(F);
   if (!F.parse(Argc, Argv))
     return 0;

@@ -56,13 +56,17 @@ int main(int Argc, char **Argv) {
               {"S1", "S2", "S3", "MS1"});
   F.addInt("jobs", &Jobs, "compound jobs in the flow", /*AtLeast=*/0);
   F.addInt("seed", &Seed, "run seed");
-  F.addReal("slack", &Slack, "deadline slack factor", /*Above=*/0);
-  F.addInt("csv", &Csv, "print the per-job CSV instead of a summary");
+  F.addReal("slack", &Slack, "deadline slack factor", /*Above=*/0,
+            /*AtMost=*/WorkloadConfig().maxDeadlineSlack());
+  F.addInt("csv", &Csv, "print the per-job CSV instead of a summary (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
   F.addInt("exec", &Exec,
-           "execute committed schedules under runtime deviations (0/1)");
+           "execute committed schedules under runtime deviations (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
   Obs.addFlags(F);
   F.addInt("sample-every", &SampleEvery,
-           "periodic telemetry frame cadence in simulation ticks");
+           "periodic telemetry frame cadence in simulation ticks",
+           /*AtLeast=*/1);
   std::string Reallocation = "repair";
   F.addString("reallocation", &Reallocation,
               "how stale strategies are replaced: repair (escalating "
@@ -147,8 +151,7 @@ int main(int Argc, char **Argv) {
   Prov.Shards = static_cast<int64_t>(resolveShardCount(0));
   Prov.Cli = obs::cliStringOf(Argc, Argv);
   obs::TimeSeriesConfig Sampling;
-  if (SampleEvery > 0)
-    Sampling.SampleEvery = SampleEvery;
+  Sampling.SampleEvery = SampleEvery;
   Obs.start(Prov, Sampling);
 
   VoRunResult Run =

@@ -62,8 +62,10 @@ int main(int Argc, char **Argv) {
   F.addString("runs-dir", &RunsDir, "directory for per-run artifacts");
   F.addInt("workers", &Workers, "concurrent worker processes");
   F.addInt("keep-runs", &KeepRuns,
-           "keep per-run journals / series / logs after pooling (0/1)");
-  F.addInt("quiet", &Quiet, "suppress per-run progress lines (0/1)");
+           "keep per-run journals / series / logs after pooling (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
+  F.addInt("quiet", &Quiet, "suppress per-run progress lines (0/1)",
+           /*AtLeast=*/0, /*AtMost=*/1);
   if (!F.parse(Argc, Argv))
     return 0;
 
