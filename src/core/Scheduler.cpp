@@ -143,7 +143,7 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
         L.Result.Phases.push_back(std::move(Work));
         M.Phases.add();
         const CriticalWork &Chain = L.Result.Phases.back();
-        obs::PhaseScope DpPhase("chain.dp");
+        CWS_PHASE_AS(DpPhase, "chain.dp");
         uint64_t Labels0 = Allocator.labelsKept();
         uint64_t Fits0 = Allocator.fitQueries();
         uint64_t Reruns0 = Allocator.dpReruns();

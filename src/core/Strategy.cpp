@@ -93,7 +93,7 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
       {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000,
        250000, 1000000},
       "wall-clock latency of one Strategy::build (microseconds)");
-  obs::PhaseScope BuildPhase("strategy.build");
+  CWS_PHASE_AS(BuildPhase, "strategy.build");
   obs::Span BuildSpan("core", "strategy.build", "job",
                       static_cast<int64_t>(J.id()));
   auto T0 = std::chrono::steady_clock::now();

@@ -193,7 +193,7 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
 
   const ScheduleVariant *Pick = nullptr;
   {
-    obs::PhaseScope TenderPhase("tender.eval");
+    CWS_PHASE_AS(TenderPhase, "tender.eval");
     Pick = A.S.bestFitting(Meta.grid(), Owner);
     TenderPhase.work("variants_scanned", A.S.variants().size());
   }

@@ -116,7 +116,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   ReallocationResult Out;
   // Every stage, the stage-3 rebuild included: its build is a child
   // phase, and the grids the stages copy count here.
-  obs::PhaseScope RepairPhase("meta.repair");
+  CWS_PHASE_AS(RepairPhase, "meta.repair");
   uint64_t Copied = 0;
   uint64_t Scanned = 0;
 

@@ -114,7 +114,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
   // Every flow's manager re-validates in flow order; each journals its
   // invalidations in ascending job id.
   Background.setObserver([&Managers](Tick Now) {
-    obs::PhaseScope InvalidatePhase("env.invalidate");
+    CWS_PHASE_AS(InvalidatePhase, "env.invalidate");
     uint64_t Placements = 0;
     for (auto &M : Managers)
       Placements += M->onEnvironmentChange(Now);
@@ -193,7 +193,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
     DrainArmed = false;
     // Admission: build and admit each of the tick's arrivals.
     if (!ArrivalBatch.empty()) {
-      obs::PhaseScope AdmissionPhase("meta.admission");
+      CWS_PHASE_AS(AdmissionPhase, "meta.admission");
       std::vector<PendingArrival> Batch;
       Batch.swap(ArrivalBatch);
       std::sort(Batch.begin(), Batch.end(),
@@ -225,7 +225,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
       BM.CommitBatches.add();
       BM.CommitJobs.add(Ready.size());
       BM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
-      obs::PhaseScope ApplyPhase("commit.apply");
+      CWS_PHASE_AS(ApplyPhase, "commit.apply");
       ApplyPhase.work("tenders", Ready.size());
       uint64_t Scanned = 0;
       for (const PendingNegotiation &PN : Ready)

@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 
 using namespace cws;
@@ -21,6 +22,27 @@ namespace {
 bool isStatementKeyword(const Token &T) {
   return T.isKeyword("job") || T.isKeyword("task") || T.isKeyword("edge") ||
          T.isKeyword("node") || T.isKeyword("busy");
+}
+
+/// Reads \p Value into \p Out when it is a whole number in [Lo, Hi];
+/// false when it is not finite, has a fraction or lies outside.
+/// Converting such a double to an integer type is undefined.
+bool wholeIn(double Value, int64_t Lo, int64_t Hi, int64_t &Out) {
+  // Every double strictly inside (-2^63, 2^63) converts to int64_t.
+  constexpr double Limit = 9223372036854775808.0; // 2^63
+  if (!(Value > -Limit && Value < Limit) || Value != std::trunc(Value))
+    return false;
+  auto V = static_cast<int64_t>(Value);
+  if (V < Lo || V > Hi)
+    return false;
+  Out = V;
+  return true;
+}
+
+/// "<What> must be an integer in [Lo, Hi]".
+std::string rangeMessage(const std::string &What, int64_t Lo, int64_t Hi) {
+  return What + " must be an integer in [" + std::to_string(Lo) + ", " +
+         std::to_string(Hi) + "]";
 }
 
 /// Parser state: intermediate declarations are collected first so task
@@ -121,23 +143,27 @@ void Parser::parseJob(const Token &Kw) {
   }
   parseAttrs([&](const std::string &Name, double Value, const Token &At) {
     if (Name == "deadline") {
-      Deadline = static_cast<Tick>(Value);
-      if (Deadline <= 0) {
-        error(At, "deadline must be positive");
+      if (!wholeIn(Value, 1, TickMax, Deadline)) {
+        error(At, rangeMessage("deadline", 1, TickMax));
         return false;
       }
       return true;
     }
     if (Name == "release") {
-      Release = static_cast<Tick>(Value);
-      if (Release < 0) {
-        error(At, "release must be non-negative");
+      if (!wholeIn(Value, 0, TickMax, Release)) {
+        error(At, rangeMessage("release", 0, TickMax));
         return false;
       }
       return true;
     }
     if (Name == "id") {
-      JobId = static_cast<unsigned>(Value);
+      constexpr int64_t MaxId = std::numeric_limits<unsigned>::max();
+      int64_t Id = 0;
+      if (!wholeIn(Value, 0, MaxId, Id)) {
+        error(At, rangeMessage("job 'id'", 0, MaxId));
+        return false;
+      }
+      JobId = static_cast<unsigned>(Id);
       return true;
     }
     error(At, "unknown job attribute '" + Name + "'");
@@ -159,17 +185,16 @@ void Parser::parseTask(const Token &Kw) {
   bool Ok =
       parseAttrs([&](const std::string &Attr, double Value, const Token &At) {
         if (Attr == "ref") {
-          Decl.Ref = static_cast<Tick>(Value);
-          if (Decl.Ref <= 0) {
-            error(At, "task 'ref' must be a positive integer");
+          if (!wholeIn(Value, 1, TickMax, Decl.Ref)) {
+            error(At, rangeMessage("task 'ref'", 1, TickMax));
             return false;
           }
           return true;
         }
         if (Attr == "vol") {
           Decl.Vol = Value;
-          if (Decl.Vol < 0) {
-            error(At, "task 'vol' must be non-negative");
+          if (!std::isfinite(Decl.Vol) || Decl.Vol < 0) {
+            error(At, "task 'vol' must be finite and non-negative");
             return false;
           }
           return true;
@@ -215,9 +240,8 @@ void Parser::parseEdge(const Token &Kw) {
   bool Ok =
       parseAttrs([&](const std::string &Attr, double Value, const Token &At) {
         if (Attr == "transfer") {
-          Decl.Transfer = static_cast<Tick>(Value);
-          if (Decl.Transfer < 0) {
-            error(At, "edge 'transfer' must be non-negative");
+          if (!wholeIn(Value, 0, TickMax, Decl.Transfer)) {
+            error(At, rangeMessage("edge 'transfer'", 0, TickMax));
             return false;
           }
           return true;
@@ -240,16 +264,16 @@ void Parser::parseNode(const Token &Kw) {
       parseAttrs([&](const std::string &Attr, double Value, const Token &At) {
         if (Attr == "perf") {
           Decl.Perf = Value;
-          if (Decl.Perf <= 0.0) {
-            error(At, "node 'perf' must be positive");
+          if (!std::isfinite(Decl.Perf) || Decl.Perf <= 0.0) {
+            error(At, "node 'perf' must be finite and positive");
             return false;
           }
           return true;
         }
         if (Attr == "price") {
           Decl.Price = Value;
-          if (Decl.Price < 0.0) {
-            error(At, "node 'price' must be non-negative");
+          if (!std::isfinite(Decl.Price) || Decl.Price < 0.0) {
+            error(At, "node 'price' must be finite and non-negative");
             return false;
           }
           return true;
@@ -270,7 +294,8 @@ void Parser::parseNode(const Token &Kw) {
 
 void Parser::parseBusy(const Token &Kw) {
   // busy NODE BEGIN END — a pre-existing reservation of the scenario.
-  Tick Values[3];
+  Tick Values[3] = {0, 0, 0};
+  bool Whole = true;
   for (Tick &V : Values) {
     Token T = Lex.next();
     if (!T.is(TokenKind::Number)) {
@@ -278,7 +303,12 @@ void Parser::parseBusy(const Token &Kw) {
       synchronize();
       return;
     }
-    V = static_cast<Tick>(std::strtod(T.Text.c_str(), nullptr));
+    Whole &= wholeIn(std::strtod(T.Text.c_str(), nullptr), 0, TickMax, V);
+  }
+  if (!Whole || Values[1] >= Values[2]) {
+    error(Kw, "'busy' needs integers node >= 0 and 0 <= begin < end <= " +
+                  std::to_string(TickMax));
+    return;
   }
   BusyDecl Decl;
   Decl.NodeIdx = static_cast<size_t>(Values[0]);
@@ -286,10 +316,6 @@ void Parser::parseBusy(const Token &Kw) {
   Decl.End = Values[2];
   Decl.Line = Kw.Line;
   Decl.Col = Kw.Col;
-  if (Values[0] < 0 || Decl.Begin < 0 || Decl.Begin >= Decl.End) {
-    error(Kw, "'busy' needs node >= 0 and 0 <= begin < end");
-    return;
-  }
   BusySlots.push_back(Decl);
 }
 

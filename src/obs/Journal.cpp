@@ -11,7 +11,6 @@
 #include "support/File.h"
 #include "support/Json.h"
 
-
 using namespace cws;
 using namespace cws::obs;
 
@@ -46,30 +45,16 @@ Journal &Journal::global() {
 
 void Journal::enable(size_t Capacity) {
   CWS_CHECK(Capacity > 0, "journal needs a non-empty ring");
-  std::lock_guard<std::mutex> Lock(Mu);
   Events.reset(Capacity);
   LastEnvChangeId = 0;
   LastOf.clear();
   FlowOf.clear();
   Prov = RunProvenance{};
-  On.store(true, std::memory_order_relaxed);
-}
-
-void Journal::disable() { On.store(false, std::memory_order_relaxed); }
-
-void Journal::setProvenance(RunProvenance P) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Prov = std::move(P);
-}
-
-RunProvenance Journal::provenance() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Prov;
+  On = true;
 }
 
 void Journal::reset() {
   disable();
-  std::lock_guard<std::mutex> Lock(Mu);
   Events.reset(0);
   LastEnvChangeId = 0;
   LastOf.clear();
@@ -78,8 +63,8 @@ void Journal::reset() {
 }
 
 namespace {
-/// The journal this thread's appends are dropped from, if any.
-thread_local Journal *Discarding = nullptr;
+/// The journal appends are dropped from, if any.
+Journal *Discarding = nullptr;
 } // namespace
 
 JournalDiscardScope::JournalDiscardScope(Journal &J) : Prev(Discarding) {
@@ -93,9 +78,6 @@ uint64_t Journal::append(JournalKind Kind, int64_t JobId, int64_t At,
                          const char *Detail, int FlowId, uint64_t Trigger) {
   if (!enabled() || Discarding == this)
     return 0;
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Events.capacity() == 0)
-    return 0; // reset() raced the enabled check.
   JournalEvent &E = Events.push();
   E = JournalEvent{};
   E.Id = Events.recorded();
@@ -130,51 +112,21 @@ uint64_t Journal::append(JournalKind Kind, int64_t JobId, int64_t At,
   return E.Id;
 }
 
-uint64_t Journal::recorded() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.recorded();
-}
-
-uint64_t Journal::dropped() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.dropped();
-}
-
-uint64_t Journal::lastEnvChange() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return LastEnvChangeId;
-}
-
-std::vector<JournalEvent> Journal::snapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.snapshot();
-}
-
 std::string Journal::jsonl() const {
-  uint64_t Recorded, Dropped;
-  RunProvenance P;
-  std::vector<JournalEvent> Snapshot;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Snapshot = Events.snapshot();
-    Recorded = Events.recorded();
-    Dropped = Events.dropped();
-    P = Prov;
-  }
   auto Int = [](int64_t V) { return std::to_string(V); };
   std::string Out = "{\"kind\":\"journal.meta\",\"schema\":1,\"recorded\":" +
-                    Int(static_cast<int64_t>(Recorded)) +
-                    ",\"dropped\":" + Int(static_cast<int64_t>(Dropped));
-  if (P.Stamped) {
-    Out += ",\"seed\":" + Int(static_cast<int64_t>(P.Seed)) +
-           ",\"config_hash\":" + json::quote(P.ConfigHash) +
-           ",\"scenario\":" + json::quote(P.ScenarioId);
-    if (P.Shards > 0)
-      Out += ",\"shards\":" + Int(P.Shards);
-    Out += ",\"cli\":" + json::quote(P.Cli);
+                    Int(static_cast<int64_t>(recorded())) +
+                    ",\"dropped\":" + Int(static_cast<int64_t>(dropped()));
+  if (Prov.Stamped) {
+    Out += ",\"seed\":" + Int(static_cast<int64_t>(Prov.Seed)) +
+           ",\"config_hash\":" + json::quote(Prov.ConfigHash) +
+           ",\"scenario\":" + json::quote(Prov.ScenarioId);
+    if (Prov.Shards > 0)
+      Out += ",\"shards\":" + Int(Prov.Shards);
+    Out += ",\"cli\":" + json::quote(Prov.Cli);
   }
   Out += "}\n";
-  for (const JournalEvent &E : Snapshot) {
+  for (const JournalEvent &E : snapshot()) {
     Out += "{\"id\":" + Int(static_cast<int64_t>(E.Id)) +
            ",\"kind\":" + json::quote(journalKindName(E.Kind)) +
            ",\"tick\":" + Int(E.At);

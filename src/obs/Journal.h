@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The per-job decision journal ("flight recorder"): an append-only,
-/// thread-safe ring of structured events recording the full causal
+/// The per-job decision journal ("flight recorder"): an append-only
+/// ring of structured events recording the full causal
 /// chain of every job through the job-flow level — arrival, admission
 /// verdict, per-variant strategy-build outcomes, collisions, background
 /// -load invalidations, shift-recovery attempts, reallocations,
@@ -15,15 +15,18 @@
 /// (one event per line) for `cws-explain`.
 ///
 /// The journal is disabled by default. While disabled, `enabled()` is a
-/// single relaxed atomic load, so call sites guard emission with
+/// single load of a flag, so call sites guard emission with
 ///
 ///   obs::Journal &Jn = obs::Journal::global();
 ///   if (Jn.enabled())
 ///     Jn.append(obs::JournalKind::Commit, J.id(), Now, {{"variant", 2}});
 ///
 /// and the instrumentation may stay in hot paths permanently (the
-/// `obs_overhead` bench guards this). With `CWS_OBS_ENABLED=0`
-/// `enabled()` is a compile-time `false` and emission code dead-strips.
+/// `obs_overhead` bench guards this).
+///
+/// Thread-compatible, like a standard container: one thread at a time.
+/// The program starts no second thread, and the `single_thread_guard`
+/// test keeps it that way.
 ///
 /// Causality: the journal links each event to the previous event of the
 /// same job automatically (`Cause`), so per-job chains reconstruct
@@ -46,18 +49,12 @@
 #include "obs/Provenance.h"
 #include "support/Ring.h"
 
-#include <atomic>
 #include <cstdint>
 #include <initializer_list>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
-
-#ifndef CWS_OBS_ENABLED
-#define CWS_OBS_ENABLED 1
-#endif
 
 namespace cws {
 namespace obs {
@@ -154,7 +151,7 @@ struct JournalEvent {
   JournalArg Args[MaxArgs];
 };
 
-/// Thread-safe append-only ring journal.
+/// Append-only ring journal.
 class Journal {
 public:
   static constexpr size_t DefaultCapacity = 1 << 16;
@@ -167,25 +164,19 @@ public:
   void enable(size_t Capacity = DefaultCapacity);
 
   /// Stops recording. Already recorded events stay exportable.
-  void disable();
+  void disable() { On = false; }
 
   /// Stamps the run provenance (seed, config hash, CLI, scenario id)
   /// into the `journal.meta` header of every later export, so
   /// aggregators can verify which run a journal belongs to. Cleared by
   /// enable() and reset().
-  void setProvenance(RunProvenance P);
-  RunProvenance provenance() const;
+  void setProvenance(RunProvenance P) { Prov = std::move(P); }
+  RunProvenance provenance() const { return Prov; }
 
-  bool enabled() const {
-#if CWS_OBS_ENABLED
-    return On.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return On; }
 
-  /// Appends one event and returns its id (0 while disabled, or when
-  /// this thread is in a JournalDiscardScope of this journal). `Cause`
+  /// Appends one event and returns its id (0 while disabled, or inside
+  /// a JournalDiscardScope of this journal). `Cause`
   /// is filled from the job's previous event; `FlowId < 0` inherits the
   /// flow recorded by the job's earlier events; `Trigger == 0` on
   /// Invalidate/Reallocate events resolves to the last EnvChange.
@@ -195,14 +186,14 @@ public:
                   uint64_t Trigger = 0);
 
   /// Events appended since enable() (including overwritten ones).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return Events.recorded(); }
   /// Events lost to ring wraparound.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return Events.dropped(); }
   /// Id of the most recent EnvChange event (0 = none yet).
-  uint64_t lastEnvChange() const;
+  uint64_t lastEnvChange() const { return LastEnvChangeId; }
 
   /// Copies the surviving events out in append order.
-  std::vector<JournalEvent> snapshot() const;
+  std::vector<JournalEvent> snapshot() const { return Events.snapshot(); }
 
   /// Renders the surviving events as JSONL: one `journal.meta` header
   /// line (schema version, recorded/dropped counts) followed by one
@@ -217,8 +208,7 @@ public:
   void reset();
 
 private:
-  std::atomic<bool> On{false};
-  mutable std::mutex Mu;
+  bool On = false;
   RunProvenance Prov;
   Ring<JournalEvent> Events;
   uint64_t LastEnvChangeId = 0;
@@ -228,9 +218,8 @@ private:
   std::unordered_map<int64_t, int32_t> FlowOf;
 };
 
-/// RAII scope: while alive, every append() *this thread* makes to \p J
-/// is dropped (other threads are unaffected — the flag is thread-local).
-/// Scopes nest; destruction restores the previous one. The repair oracle
+/// RAII scope: while alive, every append() to \p J is dropped. Scopes
+/// nest; destruction restores the previous one. The repair oracle
 /// wraps its reference rebuild in one, so the check leaves no trace in
 /// the run's journal.
 class JournalDiscardScope {

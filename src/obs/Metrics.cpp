@@ -11,7 +11,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <unordered_set>
 
 using namespace cws;
@@ -27,36 +26,16 @@ Histogram::Histogram(std::vector<double> UpperBounds)
   for (size_t I = 1; I < Bounds.size(); ++I)
     CWS_CHECK(Bounds[I - 1] < Bounds[I],
               "histogram bounds must be strictly increasing");
-  Buckets = std::make_unique<std::atomic<uint64_t>[]>(Bounds.size() + 1);
-  for (size_t I = 0; I <= Bounds.size(); ++I)
-    Buckets[I].store(0, std::memory_order_relaxed);
+  Buckets.assign(Bounds.size() + 1, 0);
 }
 
 void Histogram::observe(double X) {
   size_t I = 0;
   while (I < Bounds.size() && X > Bounds[I])
     ++I;
-  Buckets[I].fetch_add(1, std::memory_order_relaxed);
-  N.fetch_add(1, std::memory_order_relaxed);
-  uint64_t Old = SumBits.load(std::memory_order_relaxed);
-  double New;
-  do {
-    double OldSum;
-    std::memcpy(&OldSum, &Old, sizeof(OldSum));
-    New = OldSum + X;
-    uint64_t NewBits;
-    std::memcpy(&NewBits, &New, sizeof(NewBits));
-    if (SumBits.compare_exchange_weak(Old, NewBits,
-                                      std::memory_order_relaxed))
-      break;
-  } while (true);
-}
-
-double Histogram::sum() const {
-  uint64_t Bits = SumBits.load(std::memory_order_relaxed);
-  double S;
-  std::memcpy(&S, &Bits, sizeof(S));
-  return S;
+  ++Buckets[I];
+  ++N;
+  Sum += X;
 }
 
 uint64_t Histogram::cumulativeCount(size_t I) const {
@@ -102,34 +81,16 @@ double Histogram::quantile(double Q) const {
 void Histogram::merge(const Histogram &Other) {
   CWS_CHECK(Bounds == Other.Bounds,
             "histogram merge requires identical bucket bounds");
-  uint64_t Added = 0;
-  for (size_t I = 0; I <= Bounds.size(); ++I) {
-    uint64_t Cnt = Other.bucketCount(I);
-    if (Cnt == 0)
-      continue;
-    Buckets[I].fetch_add(Cnt, std::memory_order_relaxed);
-    Added += Cnt;
-  }
-  N.fetch_add(Added, std::memory_order_relaxed);
-  double OtherSum = Other.sum();
-  uint64_t Old = SumBits.load(std::memory_order_relaxed);
-  do {
-    double OldSum;
-    std::memcpy(&OldSum, &Old, sizeof(OldSum));
-    double New = OldSum + OtherSum;
-    uint64_t NewBits;
-    std::memcpy(&NewBits, &New, sizeof(NewBits));
-    if (SumBits.compare_exchange_weak(Old, NewBits,
-                                      std::memory_order_relaxed))
-      break;
-  } while (true);
+  for (size_t I = 0; I < Buckets.size(); ++I)
+    Buckets[I] += Other.Buckets[I];
+  N += Other.N;
+  Sum += Other.Sum;
 }
 
 void Histogram::reset() {
-  for (size_t I = 0; I <= Bounds.size(); ++I)
-    Buckets[I].store(0, std::memory_order_relaxed);
-  N.store(0, std::memory_order_relaxed);
-  SumBits.store(0, std::memory_order_relaxed);
+  Buckets.assign(Buckets.size(), 0);
+  N = 0;
+  Sum = 0.0;
 }
 
 //===----------------------------------------------------------------------===//
@@ -156,7 +117,6 @@ const Registry::Entry *Registry::find(const std::string &Name) const {
 }
 
 Counter &Registry::counter(const std::string &Name, const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Entry *E = find(Name)) {
     CWS_CHECK(E->EntryKind == Kind::Counter,
               "metric re-registered under a different kind");
@@ -172,7 +132,6 @@ Counter &Registry::counter(const std::string &Name, const std::string &Help) {
 }
 
 Gauge &Registry::gauge(const std::string &Name, const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Entry *E = find(Name)) {
     CWS_CHECK(E->EntryKind == Kind::Gauge,
               "metric re-registered under a different kind");
@@ -189,7 +148,6 @@ Gauge &Registry::gauge(const std::string &Name, const std::string &Help) {
 
 RealGauge &Registry::realGauge(const std::string &Name,
                                const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Entry *E = find(Name)) {
     CWS_CHECK(E->EntryKind == Kind::RealGauge,
               "metric re-registered under a different kind");
@@ -207,7 +165,6 @@ RealGauge &Registry::realGauge(const std::string &Name,
 Histogram &Registry::histogram(const std::string &Name,
                                std::vector<double> UpperBounds,
                                const std::string &Help) {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Entry *E = find(Name)) {
     CWS_CHECK(E->EntryKind == Kind::Histogram,
               "metric re-registered under a different kind");
@@ -268,7 +225,6 @@ static std::string familyOf(const std::string &Name) {
 }
 
 std::string Registry::prometheusText() const {
-  std::lock_guard<std::mutex> Lock(Mu);
   std::string Out;
   // Labeled series of one family (cws_flow_x{flow="S1"}, {flow="S2"},
   // ...) share one HELP/TYPE header.
@@ -324,7 +280,6 @@ std::string Registry::prometheusText() const {
 }
 
 void Registry::reset() {
-  std::lock_guard<std::mutex> Lock(Mu);
   for (auto &E : Entries) {
     switch (E->EntryKind) {
     case Kind::Counter:

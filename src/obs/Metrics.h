@@ -7,8 +7,8 @@
 ///
 /// \file
 /// A metrics registry of named counters, gauges and fixed-bucket
-/// histograms with Prometheus-style text exposition. Updates are relaxed
-/// atomics, cheap enough to stay in hot paths unconditionally; call
+/// histograms with Prometheus-style text exposition. Updates are plain
+/// arithmetic, cheap enough to stay in hot paths unconditionally; call
 /// sites cache the instrument reference in a function-local static:
 ///
 ///   static obs::Counter &Collisions = obs::Registry::global().counter(
@@ -18,16 +18,17 @@
 /// Instrument references stay valid for the registry's lifetime;
 /// `reset()` zeroes values but never unregisters.
 ///
+/// Thread-compatible, like a standard container: one thread at a time.
+/// The program starts no second thread, and the `single_thread_guard`
+/// test keeps it that way.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CWS_OBS_METRICS_H
 #define CWS_OBS_METRICS_H
 
-#include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -47,48 +48,37 @@ std::string escapeLabelValue(const std::string &Raw);
 /// Monotone event counter.
 class Counter {
 public:
-  void add(uint64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
-  uint64_t value() const { return V.load(std::memory_order_relaxed); }
-  void reset() { V.store(0, std::memory_order_relaxed); }
+  void add(uint64_t N = 1) { V += N; }
+  uint64_t value() const { return V; }
+  void reset() { V = 0; }
 
 private:
-  std::atomic<uint64_t> V{0};
+  uint64_t V = 0;
 };
 
 /// Last-value gauge (signed: depths, deltas, clocks).
 class Gauge {
 public:
-  void set(int64_t X) { V.store(X, std::memory_order_relaxed); }
-  void add(int64_t N = 1) { V.fetch_add(N, std::memory_order_relaxed); }
-  void sub(int64_t N = 1) { V.fetch_sub(N, std::memory_order_relaxed); }
-  int64_t value() const { return V.load(std::memory_order_relaxed); }
-  void reset() { V.store(0, std::memory_order_relaxed); }
+  void set(int64_t X) { V = X; }
+  void add(int64_t N = 1) { V += N; }
+  void sub(int64_t N = 1) { V -= N; }
+  int64_t value() const { return V; }
+  void reset() { V = 0; }
 
 private:
-  std::atomic<int64_t> V{0};
+  int64_t V = 0;
 };
 
 /// Last-value gauge for real-valued samples (QoS means, percentages,
-/// ratios). Stored as a bit-cast double so set/value stay single
-/// relaxed atomic operations; exposed as a Prometheus gauge.
+/// ratios); exposed as a Prometheus gauge.
 class RealGauge {
 public:
-  void set(double X) {
-    uint64_t Bits;
-    std::memcpy(&Bits, &X, sizeof(Bits));
-    V.store(Bits, std::memory_order_relaxed);
-  }
-  double value() const {
-    uint64_t Bits = V.load(std::memory_order_relaxed);
-    double X;
-    std::memcpy(&X, &Bits, sizeof(X));
-    return X;
-  }
-  void reset() { V.store(0, std::memory_order_relaxed); }
+  void set(double X) { V = X; }
+  double value() const { return V; }
+  void reset() { V = 0.0; }
 
 private:
-  /// Bits of 0.0 are all-zero, so the default is an exact 0.0.
-  std::atomic<uint64_t> V{0};
+  double V = 0.0;
 };
 
 /// Fixed-bucket histogram with Prometheus `le` (less-or-equal)
@@ -102,14 +92,12 @@ public:
 
   void observe(double X);
 
-  uint64_t count() const { return N.load(std::memory_order_relaxed); }
-  double sum() const;
+  uint64_t count() const { return N; }
+  double sum() const { return Sum; }
   const std::vector<double> &bounds() const { return Bounds; }
   /// Non-cumulative count of bucket \p I; I == bounds().size() is the
   /// +Inf bucket.
-  uint64_t bucketCount(size_t I) const {
-    return Buckets[I].load(std::memory_order_relaxed);
-  }
+  uint64_t bucketCount(size_t I) const { return Buckets[I]; }
   /// Cumulative count of observations <= bounds()[I] (Prometheus
   /// exposition form).
   uint64_t cumulativeCount(size_t I) const;
@@ -132,11 +120,9 @@ public:
 private:
   std::vector<double> Bounds;
   /// Bounds.size() + 1 slots; the last is +Inf.
-  std::unique_ptr<std::atomic<uint64_t>[]> Buckets;
-  std::atomic<uint64_t> N{0};
-  /// Sum as a bit-cast double updated by CAS (atomic<double>::fetch_add
-  /// is not universally available).
-  std::atomic<uint64_t> SumBits{0};
+  std::vector<uint64_t> Buckets;
+  uint64_t N = 0;
+  double Sum = 0.0;
 };
 
 /// Named instrument registry.
@@ -178,7 +164,6 @@ private:
   Entry *find(const std::string &Name);
   const Entry *find(const std::string &Name) const;
 
-  mutable std::mutex Mu;
   /// Exposition preserves registration order; lookups scan (registration
   /// is rare, updates go through cached references).
   std::vector<std::unique_ptr<Entry>> Entries;

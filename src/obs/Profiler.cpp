@@ -13,8 +13,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <thread>
 
 namespace cws {
 namespace obs {
@@ -28,8 +26,7 @@ int64_t nowNs() {
 }
 
 /// Per-scope duration buckets (microseconds): sub-microsecond guards up
-/// to full-run phases. Shared by every phase so merged histograms stay
-/// merge-compatible.
+/// to full-run phases.
 const std::vector<double> &phaseBounds() {
   static const std::vector<double> Bounds = {
       1,    2,    5,     10,    25,    50,     100,    250,    500,
@@ -72,122 +69,60 @@ const uint64_t *PhaseStats::work(const std::string &Counter) const {
   return nullptr;
 }
 
-Profiler::Profiler() = default;
-Profiler::~Profiler() = default;
+PhaseAccum::PhaseAccum() : DurUs(phaseBounds()) {}
 
 Profiler &Profiler::global() {
   static Profiler P;
   return P;
 }
 
-Profiler::ThreadState &Profiler::threadState() {
-  // One cached state per (thread, profiler); re-resolving through the
-  // registry map keeps a second instance (tests) correct, just slower.
-  thread_local Profiler *CachedOwner = nullptr;
-  thread_local ThreadState *CachedTS = nullptr;
-  if (CachedOwner == this && CachedTS)
-    return *CachedTS;
-  std::lock_guard<std::mutex> Lock(Mu);
-  // Thread states are never removed, so scanning for a state this
-  // thread registered earlier is bounded by the peak thread count.
-  thread_local std::vector<std::pair<Profiler *, ThreadState *>> Mine;
-  for (const auto &Entry : Mine)
-    if (Entry.first == this) {
-      CachedOwner = this;
-      CachedTS = Entry.second;
-      return *CachedTS;
-    }
-  Threads.emplace_back(new ThreadState());
-  ThreadState *TS = Threads.back().get();
-  Mine.emplace_back(this, TS);
-  CachedOwner = this;
-  CachedTS = TS;
-  return *TS;
+PhaseAccum &Profiler::phase(const char *Name) {
+  return Phases.try_emplace(Name).first->second;
 }
 
 void Profiler::reset() {
   disable();
-  std::lock_guard<std::mutex> Lock(Mu);
-  for (auto &TS : Threads) {
-    std::lock_guard<std::mutex> TLock(TS->Mu);
-    TS->Phases.clear();
-  }
+  // Zeroed in place: call sites hold references to the accumulators.
+  for (auto &Entry : Phases)
+    Entry.second = PhaseAccum();
   Prov = RunProvenance();
 }
 
-void Profiler::setProvenance(const RunProvenance &P) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Prov = P;
-}
+void Profiler::setProvenance(const RunProvenance &P) { Prov = P; }
 
 std::vector<PhaseStats> Profiler::snapshot() const {
-  // Merge per-thread accumulators into one per-phase view. Counts,
-  // work and histogram buckets add; the result depends only on what
-  // ran, never on which thread ran it.
-  struct Merged {
-    uint64_t Count = 0;
-    double TotalUs = 0.0;
-    double ChildUs = 0.0;
-    std::unique_ptr<Histogram> DurUs;
-    std::map<std::string, uint64_t> Work;
-  };
-  std::map<std::string, Merged> ByName;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    for (const auto &TS : Threads) {
-      std::lock_guard<std::mutex> TLock(TS->Mu);
-      for (const auto &Entry : TS->Phases) {
-        Merged &M = ByName[Entry.first];
-        const PhaseAccum &A = Entry.second;
-        M.Count += A.Count;
-        M.TotalUs += A.TotalUs;
-        M.ChildUs += A.ChildUs;
-        if (A.DurUs) {
-          if (!M.DurUs)
-            M.DurUs.reset(new Histogram(phaseBounds()));
-          M.DurUs->merge(*A.DurUs);
-        }
-        for (const auto &W : A.Work)
-          M.Work[W.first] += W.second;
-      }
-    }
-  }
-
   std::vector<PhaseStats> Out;
-  Out.reserve(ByName.size());
-  for (const auto &Entry : ByName) {
-    const Merged &M = Entry.second;
+  for (const auto &Entry : Phases) {
+    const PhaseAccum &A = Entry.second;
+    // An accumulator outlives reset(), and a site reached while the
+    // profiler was disabled creates one; neither has anything to show.
+    if (A.Count == 0 && A.Work.empty())
+      continue;
     PhaseStats S;
     S.Name = Entry.first;
-    S.Count = M.Count;
-    S.TotalUs = M.TotalUs;
-    S.SelfUs = std::max(0.0, M.TotalUs - M.ChildUs);
-    S.P50Us = M.Count && M.DurUs ? M.DurUs->quantile(0.5) : 0.0;
-    S.P99Us = M.Count && M.DurUs ? M.DurUs->quantile(0.99) : 0.0;
-    S.Work.assign(M.Work.begin(), M.Work.end());
+    S.Count = A.Count;
+    S.TotalUs = A.TotalUs;
+    S.SelfUs = std::max(0.0, A.TotalUs - A.ChildUs);
+    S.P50Us = A.Count ? A.DurUs.quantile(0.5) : 0.0;
+    S.P99Us = A.Count ? A.DurUs.quantile(0.99) : 0.0;
+    S.Work = A.Work;
+    std::sort(S.Work.begin(), S.Work.end());
     Out.push_back(std::move(S));
   }
   return Out;
 }
 
 std::string Profiler::json() const {
-  RunProvenance P;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    P = Prov;
-  }
-  std::vector<PhaseStats> Phases = snapshot();
-
   std::string Out = "{\n  \"schema\": \"cws-profile-v1\"";
-  if (P.valid()) {
-    Out += ",\n  \"provenance\": {\"seed\": " + std::to_string(P.Seed);
-    Out += ", \"config_hash\": " + json::quote(P.ConfigHash);
-    Out += ", \"scenario\": " + json::quote(P.ScenarioId);
-    if (P.Shards > 0)
-      Out += ", \"shards\": " + std::to_string(P.Shards);
-    Out += ", \"cli\": " + json::quote(P.Cli) + "}";
+  if (Prov.valid()) {
+    Out += ",\n  \"provenance\": {\"seed\": " + std::to_string(Prov.Seed);
+    Out += ", \"config_hash\": " + json::quote(Prov.ConfigHash);
+    Out += ", \"scenario\": " + json::quote(Prov.ScenarioId);
+    if (Prov.Shards > 0)
+      Out += ", \"shards\": " + std::to_string(Prov.Shards);
+    Out += ", \"cli\": " + json::quote(Prov.Cli) + "}";
   }
-  Out += ",\n  \"phases\": " + phaseRecordsJson(Phases) + "\n}\n";
+  Out += ",\n  \"phases\": " + phaseRecordsJson(snapshot()) + "\n}\n";
   return Out;
 }
 
@@ -196,8 +131,8 @@ bool Profiler::writeJson(const std::string &Path) const {
 }
 
 std::string Profiler::chromeTraceEvents() const {
-  std::vector<PhaseStats> Phases = snapshot();
-  if (Phases.empty())
+  std::vector<PhaseStats> Stats = snapshot();
+  if (Stats.empty())
     return "";
   // Summary slices on a dedicated pid (the tracer's spans are pid 1,
   // the sim-time lane pid 2): one complete event per phase, laid end
@@ -206,7 +141,7 @@ std::string Profiler::chromeTraceEvents() const {
                     "\"tid\":0,\"ts\":0,"
                     "\"args\":{\"name\":\"phase profile (merged)\"}}";
   double Ts = 0.0;
-  for (const PhaseStats &S : Phases) {
+  for (const PhaseStats &S : Stats) {
     Out += ",{\"name\":" + json::quote(S.Name) +
            ",\"cat\":\"phase\",\"ph\":\"X\",\"pid\":3,\"tid\":0,\"ts\":" +
            renderNumber(Ts) + ",\"dur\":" + renderNumber(S.TotalUs) +
@@ -285,46 +220,35 @@ bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
   return true;
 }
 
-#if CWS_OBS_ENABLED
-
-PhaseScope::PhaseScope(const char *Name) : Name(Name) {
+void PhaseScope::open(PhaseAccum &Phase) {
   Profiler &P = Profiler::global();
-  if (!P.enabled())
-    return; // TS stays null; the destructor is a no-op.
-  TS = &P.threadState();
-  Parent = TS->Open;
-  TS->Open = this;
+  Accum = &Phase;
+  Parent = P.Open;
+  P.Open = this;
   StartNs = nowNs();
 }
 
-PhaseScope::~PhaseScope() {
-  if (!TS)
-    return;
+void PhaseScope::close() {
   double DurUs = static_cast<double>(nowNs() - StartNs) / 1000.0;
-  TS->Open = Parent;
-  // Self-time is a same-thread notion: a parent only absorbs child
-  // time its own thread spent (cross-thread fan-out shows up as the
-  // child phase's total, not as the parent's child time).
-  if (Parent && Parent->TS == TS)
+  Profiler::global().Open = Parent;
+  if (Parent)
     Parent->ChildUs += DurUs;
-  std::lock_guard<std::mutex> Lock(TS->Mu);
-  Profiler::PhaseAccum &A = TS->Phases[Name];
-  A.Count += 1;
-  A.TotalUs += DurUs;
-  A.ChildUs += ChildUs;
-  if (!A.DurUs)
-    A.DurUs.reset(new Histogram(phaseBounds()));
-  A.DurUs->observe(DurUs);
+  Accum->Count += 1;
+  Accum->TotalUs += DurUs;
+  Accum->ChildUs += ChildUs;
+  Accum->DurUs.observe(DurUs);
 }
 
 void PhaseScope::work(const char *Counter, uint64_t N) {
-  if (!TS)
+  if (!Accum)
     return;
-  std::lock_guard<std::mutex> Lock(TS->Mu);
-  TS->Phases[Name].Work[Counter] += N;
+  for (auto &W : Accum->Work)
+    if (W.first == Counter) {
+      W.second += N;
+      return;
+    }
+  Accum->Work.emplace_back(Counter, N);
 }
-
-#endif // CWS_OBS_ENABLED
 
 void publishProfilerStats(const Profiler &P, Registry &R) {
   for (const PhaseStats &S : P.snapshot()) {

@@ -13,44 +13,39 @@
 /// counters* (placements re-validated, DP labels kept, variants built)
 /// attached with `PhaseScope::work`.
 ///
-/// Accumulation is per-thread — a guard never touches shared state
-/// while open — and threads merge deterministically at export: counts,
-/// work and histogram buckets add, phases sort by name. Counts and work
-/// counters are therefore identical from run to run; only the wall-time
-/// fields vary.
+/// Every scope of one phase name adds into that name's accumulator.
+/// A call site resolves its accumulator once, through a function-local
+/// static (`CWS_PHASE` and `CWS_PHASE_AS` do this), so closing a scope
+/// is plain arithmetic on it: no lookup by name. Exports list phases
+/// sorted by name. Counts and work counters are identical from run to
+/// run; only the wall-time fields vary.
 ///
 /// Like the tracer, the profiler is disabled by default and the
-/// disabled path is one relaxed atomic load plus a branch — no clock
-/// read, no allocation (the `obs_overhead` bench and `tests/test_profiler`
-/// guard this). `CWS_OBS_ENABLED=0` removes the guard bodies entirely.
+/// disabled path is one load of a flag plus a branch: no clock read,
+/// no allocation (the `obs_overhead` bench and `tests/test_profiler`
+/// guard this).
 ///
-/// Phase names must be string literals (or otherwise outlive the open
-/// scope).
+/// Thread-compatible, like a standard container: one thread at a time.
+/// The program starts no second thread, and the `single_thread_guard`
+/// test keeps it that way.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CWS_OBS_PROFILER_H
 #define CWS_OBS_PROFILER_H
 
+#include "obs/Metrics.h"
 #include "obs/Provenance.h"
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
-
-#ifndef CWS_OBS_ENABLED
-#define CWS_OBS_ENABLED 1
-#endif
 
 namespace cws {
 namespace obs {
 
-class Histogram;
-class Registry;
 class PhaseScope;
 
 /// Merged statistics of one phase, the unit of every export form.
@@ -60,9 +55,9 @@ struct PhaseStats {
   uint64_t Count = 0;
   /// Wall time inside the phase, child phases included.
   double TotalUs = 0.0;
-  /// Wall time minus same-thread child-phase time, >= 0.
+  /// Wall time minus child-phase time, >= 0.
   double SelfUs = 0.0;
-  /// Per-scope duration quantiles (NaN when Count == 0).
+  /// Per-scope duration quantiles (0 when Count == 0).
   double P50Us = 0.0;
   double P99Us = 0.0;
   /// Deterministic work counters, sorted by name.
@@ -95,32 +90,53 @@ struct ParsedProfile {
 bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
                       std::string &Error);
 
-/// The process-wide phase profiler. Tests may construct their own.
+/// The accumulator of one phase name: every scope of that name adds
+/// its count, wall time and work here. `Profiler::phase` hands it out;
+/// call sites keep the reference.
+class PhaseAccum {
+public:
+  PhaseAccum();
+
+private:
+  friend class Profiler;
+  friend class PhaseScope;
+
+  uint64_t Count = 0;
+  double TotalUs = 0.0;
+  /// Child-phase time inside this phase.
+  double ChildUs = 0.0;
+  Histogram DurUs;
+  /// Work counters in first-attached order.
+  std::vector<std::pair<std::string, uint64_t>> Work;
+};
+
+/// The process's phase profiler.
 class Profiler {
 public:
-  Profiler();
-  ~Profiler();
-
-  /// The instance every `CWS_PHASE` guard records into.
+  /// The instance every `PhaseScope` records into.
   static Profiler &global();
 
   /// Starts accumulating. Unlike the tracer there is no ring to size:
   /// state is per-phase, not per-event. Previously accumulated data is
   /// kept (pause/resume); call reset() for a fresh profile.
-  void enable() { On.store(true, std::memory_order_relaxed); }
-  void disable() { On.store(false, std::memory_order_relaxed); }
-  bool enabled() const { return On.load(std::memory_order_relaxed); }
+  void enable() { On = true; }
+  void disable() { On = false; }
+  bool enabled() const { return On; }
 
-  /// Drops all accumulated data (thread registrations survive, like
-  /// the metrics registry) and disables the profiler.
+  /// The accumulator of phase \p Name, created on first use. It lives
+  /// as long as the profiler, so a call site may cache the reference.
+  PhaseAccum &phase(const char *Name);
+
+  /// Zeroes every accumulator (they survive, like the metrics
+  /// registry's instruments), drops the provenance and disables the
+  /// profiler.
   void reset();
 
   /// Provenance stamped into `json()`, mirroring Journal/TimeSeries.
   void setProvenance(const RunProvenance &P);
 
-  /// Merges every thread's accumulators into the deterministic export
-  /// form: phases sorted by name, counts / work / histogram buckets
-  /// added across threads.
+  /// The deterministic export form: one record per phase closed, or
+  /// given work, since the last reset(), sorted by name.
   std::vector<PhaseStats> snapshot() const;
 
   /// The `profile.json` document (`cws-profile-v1` schema): provenance
@@ -139,70 +155,65 @@ public:
 private:
   friend class PhaseScope;
 
-  /// Accumulator of one phase on one thread.
-  struct PhaseAccum {
-    uint64_t Count = 0;
-    double TotalUs = 0.0;
-    /// Same-thread child-phase time inside this phase.
-    double ChildUs = 0.0;
-    std::unique_ptr<Histogram> DurUs;
-    std::map<std::string, uint64_t> Work;
-  };
+  Profiler() = default;
 
-  /// One thread's accumulation state. Owned by the profiler so data
-  /// survives thread exit; the mutex only contends with snapshot().
-  struct ThreadState {
-    mutable std::mutex Mu;
-    std::map<std::string, PhaseAccum> Phases;
-    /// Innermost open scope on this thread (self-time chain).
-    PhaseScope *Open = nullptr;
-  };
-
-  ThreadState &threadState();
-
-  std::atomic<bool> On{false};
-  mutable std::mutex Mu;
-  std::vector<std::unique_ptr<ThreadState>> Threads;
+  bool On = false;
+  /// By name, so exports come out sorted; map nodes never move, so the
+  /// references phase() hands out stay valid.
+  std::map<std::string, PhaseAccum> Phases;
+  /// Innermost open scope (the self-time chain).
+  PhaseScope *Open = nullptr;
   RunProvenance Prov;
 };
 
 /// RAII phase guard; see the file comment for the accounting rules.
 class PhaseScope {
 public:
-#if CWS_OBS_ENABLED
-  explicit PhaseScope(const char *Name);
-  ~PhaseScope();
+  /// Opens a scope of \p Phase; records nothing unless the profiler
+  /// is enabled now.
+  explicit PhaseScope(PhaseAccum &Phase) {
+    if (Profiler::global().enabled())
+      open(Phase);
+  }
+  ~PhaseScope() {
+    if (Accum)
+      close();
+  }
   /// Attaches \p N units of \p Counter to this phase.
   void work(const char *Counter, uint64_t N);
-#else
-  explicit PhaseScope(const char *) {}
-  void work(const char *, uint64_t) {}
-#endif
 
   PhaseScope(const PhaseScope &) = delete;
   PhaseScope &operator=(const PhaseScope &) = delete;
 
 private:
-#if CWS_OBS_ENABLED
-  friend class Profiler;
-  const char *Name;
-  Profiler::ThreadState *TS = nullptr;
+  void open(PhaseAccum &Phase);
+  void close();
+
+  /// Null when the scope opened with the profiler disabled.
+  PhaseAccum *Accum = nullptr;
   PhaseScope *Parent = nullptr;
   int64_t StartNs = 0;
-  /// Closed same-thread child time, accumulated by the children.
+  /// Closed child time, accumulated by the children.
   double ChildUs = 0.0;
-#endif
 };
 
 #define CWS_PHASE_CONCAT_IMPL(A, B) A##B
 #define CWS_PHASE_CONCAT(A, B) CWS_PHASE_CONCAT_IMPL(A, B)
-/// Opens a profiler phase for the enclosing scope:
+/// Declares \p Scope, a `PhaseScope` open for the enclosing block,
+/// resolving its accumulator once per call site; name the scope when
+/// the site attaches work:
+///   CWS_PHASE_AS(DpPhase, "chain.dp");
+///   DpPhase.work("labels", Kept);
+#define CWS_PHASE_AS(Scope, NameLiteral)                                       \
+  static ::cws::obs::PhaseAccum &CWS_PHASE_CONCAT(CwsPhaseAccum_, __LINE__) =  \
+      ::cws::obs::Profiler::global().phase(NameLiteral);                       \
+  ::cws::obs::PhaseScope Scope(CWS_PHASE_CONCAT(CwsPhaseAccum_, __LINE__))
+/// Opens an unnamed profiler phase for the enclosing block:
 ///   CWS_PHASE("meta.commit.apply");
 #define CWS_PHASE(NameLiteral)                                                 \
-  ::cws::obs::PhaseScope CWS_PHASE_CONCAT(CwsPhaseScope_,                      \
-                                          __LINE__)(NameLiteral)
+  CWS_PHASE_AS(CWS_PHASE_CONCAT(CwsPhaseScope_, __LINE__), NameLiteral)
 
-/// Publishes \p P's merged snapshot into \p R as `cws_phase_count` /
+/// Publishes \p P's snapshot into \p R as `cws_phase_count` /
 /// `cws_phase_total_us` / `cws_phase_self_us` gauges and
 /// `cws_phase_work{phase=...,counter=...}` counters, so a `--metrics`
 /// snapshot carries the phase breakdown next to everything else.

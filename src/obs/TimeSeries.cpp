@@ -25,7 +25,6 @@ TimeSeries &TimeSeries::global() {
 void TimeSeries::enable(TimeSeriesConfig C) {
   CWS_CHECK(C.SampleEvery > 0, "sampling cadence must be positive");
   CWS_CHECK(C.Capacity > 0, "sampler needs a non-empty frame ring");
-  std::lock_guard<std::mutex> Lock(Mu);
   Config = C;
   Probes.clear();
   OccupancyProvider = nullptr;
@@ -37,24 +36,11 @@ void TimeSeries::enable(TimeSeriesConfig C) {
   LastFrameAt = 0;
   LastReason = nullptr;
   Prov = RunProvenance{};
-  On.store(true, std::memory_order_relaxed);
-}
-
-void TimeSeries::disable() { On.store(false, std::memory_order_relaxed); }
-
-void TimeSeries::setProvenance(RunProvenance P) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  Prov = std::move(P);
-}
-
-RunProvenance TimeSeries::provenance() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Prov;
+  On = true;
 }
 
 void TimeSeries::reset() {
   disable();
-  std::lock_guard<std::mutex> Lock(Mu);
   Probes.clear();
   OccupancyProvider = nullptr;
   FlowLabels.clear();
@@ -68,7 +54,6 @@ void TimeSeries::reset() {
 }
 
 void TimeSeries::addProbe(const char *Name, std::function<double()> Fn) {
-  std::lock_guard<std::mutex> Lock(Mu);
   Probes.push_back(Probe{Name, std::move(Fn)});
 }
 
@@ -132,13 +117,11 @@ void TimeSeries::addDefaultProbes(Registry &R) {
 
 void TimeSeries::setOccupancyProvider(
     std::function<std::vector<NodeOccupancy>(Tick, Tick)> Fn) {
-  std::lock_guard<std::mutex> Lock(Mu);
   OccupancyProvider = std::move(Fn);
 }
 
 void TimeSeries::setFlowProvider(std::vector<std::string> Names,
                                  std::function<std::vector<FlowSample>()> Fn) {
-  std::lock_guard<std::mutex> Lock(Mu);
   FlowLabels = std::move(Names);
   FlowProvider = std::move(Fn);
 }
@@ -146,7 +129,6 @@ void TimeSeries::setFlowProvider(std::vector<std::string> Names,
 void TimeSeries::clearProviders() {
   // Drop only the callables (they capture references into the run's
   // grid and managers); names stay so recorded frames still export.
-  std::lock_guard<std::mutex> Lock(Mu);
   for (Probe &P : Probes)
     P.Fn = nullptr;
   OccupancyProvider = nullptr;
@@ -154,9 +136,6 @@ void TimeSeries::clearProviders() {
 }
 
 void TimeSeries::capture(Tick Now, const char *Reason) {
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Frames.capacity() == 0)
-    return; // reset() raced the enabled check.
   TimeSeriesFrame &F = Frames.push();
   F.Seq = Frames.recorded() - 1;
   F.At = Now;
@@ -175,27 +154,19 @@ void TimeSeries::capture(Tick Now, const char *Reason) {
 }
 
 void TimeSeries::tick(Tick Now) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Frames.capacity() == 0 || Now < NextSampleAt)
-      return;
-    NextSampleAt = (Now / Config.SampleEvery + 1) * Config.SampleEvery;
-  }
+  if (Now < NextSampleAt)
+    return;
+  NextSampleAt = (Now / Config.SampleEvery + 1) * Config.SampleEvery;
   capture(Now, "sample");
 }
 
 void TimeSeries::event(Tick Now, const char *Reason) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Frames.capacity() == 0)
-      return;
-    // Same-tick repeats of one event kind (e.g. several background
-    // placements landing on one tick) coalesce into the frame already
-    // taken.
-    if (Frames.recorded() > 0 && LastFrameAt == Now && LastReason &&
-        std::strcmp(LastReason, Reason) == 0)
-      return;
-  }
+  // Same-tick repeats of one event kind (e.g. several background
+  // placements landing on one tick) coalesce into the frame already
+  // taken.
+  if (Frames.recorded() > 0 && LastFrameAt == Now && LastReason &&
+      std::strcmp(LastReason, Reason) == 0)
+    return;
   capture(Now, Reason);
 }
 
@@ -203,52 +174,15 @@ void TimeSeries::addOccupancySlice(unsigned Node, Tick Begin, Tick End,
                                    const char *Kind, uint64_t Owner) {
   if (Begin >= End)
     return;
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Slices.capacity() > 0)
     Slices.push() = OccupancySlice{Node, Begin, End, Kind, Owner};
 }
 
-uint64_t TimeSeries::recorded() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Frames.recorded();
-}
-
-uint64_t TimeSeries::dropped() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Frames.dropped();
-}
-
-uint64_t TimeSeries::slicesRecorded() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Slices.recorded();
-}
-
-uint64_t TimeSeries::slicesDropped() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Slices.dropped();
-}
-
-std::vector<TimeSeriesFrame> TimeSeries::snapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Frames.snapshot();
-}
-
-std::vector<OccupancySlice> TimeSeries::slices() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Slices.snapshot();
-}
-
 std::vector<std::string> TimeSeries::metricNames() const {
-  std::lock_guard<std::mutex> Lock(Mu);
   std::vector<std::string> Out;
   for (const Probe &P : Probes)
     Out.push_back(P.Name);
   return Out;
-}
-
-std::vector<std::string> TimeSeries::flowNames() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return FlowLabels;
 }
 
 //===----------------------------------------------------------------------===//

@@ -24,9 +24,8 @@
 /// Frames carry the simulation tick only — never wall-clock time — so
 /// for a fixed seed the exported series is byte-identical from run to
 /// run. The sampler is disabled by default;
-/// while disabled `onTick()` is one relaxed atomic load plus a branch
-/// (guarded by the `obs_overhead` bench), and with `CWS_OBS_ENABLED=0` it
-/// compiles out entirely.
+/// while disabled `onTick()` is one load of a flag plus a branch
+/// (guarded by the `obs_overhead` bench).
 ///
 /// Exports: tidy CSV (`--timeseries=FILE`), and a Chrome
 /// trace-event fragment (counter tracks + per-node occupancy slices)
@@ -41,16 +40,11 @@
 #include "sim/Time.h"
 #include "support/Ring.h"
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
-
-#ifndef CWS_OBS_ENABLED
-#define CWS_OBS_ENABLED 1
-#endif
 
 namespace cws {
 namespace obs {
@@ -125,9 +119,9 @@ struct OccupancySlice {
 /// process-wide `TimeSeries::global()` instance; tests may construct
 /// their own.
 ///
-/// Threading: frames are only ever captured on the simulation thread
-/// (the `Simulator` run loop and the event handlers it dispatches);
-/// the mutex makes enable/export from other threads safe.
+/// Threading: thread-compatible, like a standard container: one thread
+/// at a time. The program starts no second thread, and the
+/// `single_thread_guard` test keeps it that way.
 class TimeSeries {
 public:
   static TimeSeries &global();
@@ -136,27 +130,18 @@ public:
   void enable(TimeSeriesConfig Config = TimeSeriesConfig());
 
   /// Stops sampling. Recorded frames stay exportable.
-  void disable();
+  void disable() { On = false; }
 
   /// Stamps the run provenance into every later export as a leading
   /// `# provenance ...` comment of the CSV. Cleared by enable() and
   /// reset().
-  void setProvenance(RunProvenance P);
-  RunProvenance provenance() const;
+  void setProvenance(RunProvenance P) { Prov = std::move(P); }
+  RunProvenance provenance() const { return Prov; }
 
   /// The active configuration (as passed to enable()).
-  TimeSeriesConfig config() const {
-    std::lock_guard<std::mutex> Lock(Mu);
-    return Config;
-  }
+  TimeSeriesConfig config() const { return Config; }
 
-  bool enabled() const {
-#if CWS_OBS_ENABLED
-    return On.load(std::memory_order_relaxed);
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return On; }
 
   //===--------------------------------------------------------------------===//
   // Wiring (done by the run harness once the grid and flows exist)
@@ -195,27 +180,18 @@ public:
 
   /// Simulator hook: called as the clock advances; takes a periodic
   /// frame when \p Now reaches the next sampling boundary. No-op (one
-  /// relaxed load + branch) while disabled.
+  /// load + branch) while disabled.
   void onTick(Tick Now) {
-#if CWS_OBS_ENABLED
     if (enabled())
       tick(Now);
-#else
-    (void)Now;
-#endif
   }
 
   /// Event hook: forces a frame at \p Now tagged \p Reason (a string
   /// literal). Same-tick events with the same reason coalesce into one
   /// frame. No-op while disabled.
   void sampleEvent(Tick Now, const char *Reason) {
-#if CWS_OBS_ENABLED
     if (enabled())
       event(Now, Reason);
-#else
-    (void)Now;
-    (void)Reason;
-#endif
   }
 
   /// Records one reservation interval for the per-node occupancy
@@ -228,21 +204,21 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Frames recorded since enable() (including overwritten ones).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return Frames.recorded(); }
   /// Frames lost to ring wraparound.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return Frames.dropped(); }
   /// Occupancy slices recorded / lost.
-  uint64_t slicesRecorded() const;
-  uint64_t slicesDropped() const;
+  uint64_t slicesRecorded() const { return Slices.recorded(); }
+  uint64_t slicesDropped() const { return Slices.dropped(); }
 
   /// Copies the surviving frames out in record order.
-  std::vector<TimeSeriesFrame> snapshot() const;
-  std::vector<OccupancySlice> slices() const;
+  std::vector<TimeSeriesFrame> snapshot() const { return Frames.snapshot(); }
+  std::vector<OccupancySlice> slices() const { return Slices.snapshot(); }
 
   /// Probe names in registration order.
   std::vector<std::string> metricNames() const;
   /// Flow names as registered by setFlowProvider.
-  std::vector<std::string> flowNames() const;
+  std::vector<std::string> flowNames() const { return FlowLabels; }
 
   /// Tidy long-form CSV, one row per (frame, series):
   /// `seq,tick,reason,series,node,flow,value`. Metric rows leave
@@ -266,7 +242,7 @@ public:
 private:
   void tick(Tick Now);
   void event(Tick Now, const char *Reason);
-  /// Captures one frame; caller holds no lock.
+  /// Captures one frame.
   void capture(Tick Now, const char *Reason);
 
   struct Probe {
@@ -274,8 +250,7 @@ private:
     std::function<double()> Fn;
   };
 
-  std::atomic<bool> On{false};
-  mutable std::mutex Mu;
+  bool On = false;
   RunProvenance Prov;
   TimeSeriesConfig Config;
   std::vector<Probe> Probes;

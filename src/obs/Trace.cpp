@@ -23,14 +23,6 @@ static int64_t steadyMicros() {
       .count();
 }
 
-/// Small dense thread ids for the trace viewer's per-track layout
-/// (std::thread::id hashes are visually useless).
-static uint32_t currentTid() {
-  static std::atomic<uint32_t> Next{1};
-  thread_local uint32_t Tid = Next.fetch_add(1, std::memory_order_relaxed);
-  return Tid;
-}
-
 Tracer &Tracer::global() {
   static Tracer T;
   return T;
@@ -38,11 +30,10 @@ Tracer &Tracer::global() {
 
 void Tracer::enable(size_t Capacity) {
   CWS_CHECK(Capacity > 0, "tracer needs a non-empty ring");
-  std::lock_guard<std::mutex> Lock(Mu);
   Events.reset(Capacity);
   Filtered = 0;
   EpochMicros = steadyMicros();
-  Enabled.store(true, std::memory_order_relaxed);
+  Enabled = true;
 }
 
 void Tracer::setCategoryFilter(const std::string &CommaSeparated) {
@@ -60,12 +51,10 @@ void Tracer::setCategoryFilter(const std::string &CommaSeparated) {
       Parsed.push_back(Part.substr(B, E - B + 1));
     Pos = Comma + 1;
   }
-  std::lock_guard<std::mutex> Lock(Mu);
   Categories = std::move(Parsed);
 }
 
 bool Tracer::categoryEnabled(const char *Category) const {
-  std::lock_guard<std::mutex> Lock(Mu);
   if (Categories.empty())
     return true;
   for (const std::string &C : Categories)
@@ -74,16 +63,8 @@ bool Tracer::categoryEnabled(const char *Category) const {
   return false;
 }
 
-uint64_t Tracer::filtered() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Filtered;
-}
-
-void Tracer::disable() { Enabled.store(false, std::memory_order_relaxed); }
-
 void Tracer::reset() {
   disable();
-  std::lock_guard<std::mutex> Lock(Mu);
   Events.reset(0);
   Categories.clear();
   Filtered = 0;
@@ -93,65 +74,35 @@ void Tracer::record(TracePhase Phase, const char *Category, const char *Name,
                     const TraceArg *Args, size_t ArgCount) {
   if (!enabled())
     return;
-  int64_t Ts = steadyMicros();
-  uint32_t Tid = currentTid();
-  std::lock_guard<std::mutex> Lock(Mu);
-  if (Events.capacity() == 0)
-    return; // reset() raced the enabled check.
-  if (!Categories.empty()) {
-    bool Pass = false;
-    for (const std::string &C : Categories)
-      if (Category && C == Category) {
-        Pass = true;
-        break;
-      }
-    if (!Pass) {
-      ++Filtered;
-      return;
-    }
+  if (!categoryEnabled(Category)) {
+    ++Filtered;
+    return;
   }
   TraceEvent &E = Events.push();
   E.Name = Name;
   E.Category = Category;
-  E.TsMicros = Ts - EpochMicros;
+  E.TsMicros = steadyMicros() - EpochMicros;
   E.Seq = Events.recorded() - 1;
-  E.Tid = Tid;
   E.Phase = Phase;
   E.ArgCount = static_cast<uint8_t>(ArgCount > 2 ? 2 : ArgCount);
   for (size_t I = 0; I < E.ArgCount; ++I)
     E.Args[I] = Args[I];
 }
 
-uint64_t Tracer::recorded() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.recorded();
-}
-
-uint64_t Tracer::dropped() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.dropped();
-}
-
-std::vector<TraceEvent> Tracer::snapshot() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Events.snapshot();
-}
-
 std::string Tracer::chromeJson(const std::string &Extra) const {
-  std::vector<TraceEvent> Events = snapshot();
   std::string Out = "{\"traceEvents\":[";
   char Buf[96];
   bool First = true;
-  for (const TraceEvent &E : Events) {
+  for (const TraceEvent &E : snapshot()) {
     if (!First)
       Out += ",";
     First = false;
     Out += "{\"name\":" + json::quote(E.Name ? E.Name : "") +
            ",\"cat\":" + json::quote(E.Category ? E.Category : "");
     std::snprintf(Buf, sizeof(Buf),
-                  ",\"ph\":\"%c\",\"ts\":%lld,\"pid\":1,\"tid\":%u",
+                  ",\"ph\":\"%c\",\"ts\":%lld,\"pid\":1,\"tid\":1",
                   static_cast<char>(E.Phase),
-                  static_cast<long long>(E.TsMicros), E.Tid);
+                  static_cast<long long>(E.TsMicros));
     Out += Buf;
     if (E.Phase == TracePhase::Instant)
       Out += ",\"s\":\"t\"";

@@ -6,16 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A low-overhead span tracer: a thread-safe ring buffer of begin/end/
-/// instant events, recorded through RAII `Span` guards, exported as
-/// Chrome trace-event JSON (loadable in chrome://tracing or Perfetto).
+/// A low-overhead span tracer: a ring buffer of begin/end/instant
+/// events, recorded through RAII `Span` guards, exported as Chrome
+/// trace-event JSON (loadable in chrome://tracing or Perfetto).
 ///
 /// The tracer is disabled by default. While disabled every record call
-/// is a single relaxed atomic load plus a predictable branch, so
+/// is a single load of a flag plus a predictable branch, so
 /// instrumentation may stay in hot paths permanently; the
-/// `obs_overhead` bench guards this property. Defining
-/// `CWS_OBS_ENABLED=0` at compile time removes the instrumentation
-/// bodies entirely.
+/// `obs_overhead` bench guards this property.
+///
+/// Thread-compatible, like a standard container: one thread at a time.
+/// The program starts no second thread, and the `single_thread_guard`
+/// test keeps it that way. Every event is on trace thread 1.
 ///
 /// Event names and categories must be string literals (or otherwise
 /// outlive the tracer): the ring buffer stores the pointers only.
@@ -27,15 +29,9 @@
 
 #include "support/Ring.h"
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
-
-#ifndef CWS_OBS_ENABLED
-#define CWS_OBS_ENABLED 1
-#endif
 
 namespace cws {
 namespace obs {
@@ -64,13 +60,12 @@ struct TraceEvent {
   int64_t TsMicros = 0;
   /// Monotone sequence number; orders events across wraparound.
   uint64_t Seq = 0;
-  uint32_t Tid = 0;
   TracePhase Phase = TracePhase::Instant;
   uint8_t ArgCount = 0;
   TraceArg Args[2];
 };
 
-/// Thread-safe ring-buffer tracer.
+/// Ring-buffer tracer.
 ///
 /// Most code records through the process-wide `Tracer::global()`
 /// instance via `Span` guards and `instant()`; tests may construct
@@ -87,9 +82,9 @@ public:
   void enable(size_t Capacity = DefaultCapacity);
 
   /// Stops recording. Already recorded events stay exportable.
-  void disable();
+  void disable() { Enabled = false; }
 
-  bool enabled() const { return Enabled.load(std::memory_order_relaxed); }
+  bool enabled() const { return Enabled; }
 
   /// Restricts recording to the categories in \p CommaSeparated (e.g.
   /// "core,flow"); the empty string lifts the restriction. High-volume
@@ -102,7 +97,7 @@ public:
   bool categoryEnabled(const char *Category) const;
 
   /// Events rejected by the category filter since enable().
-  uint64_t filtered() const;
+  uint64_t filtered() const { return Filtered; }
 
   /// Records one event; no-op while disabled.
   void record(TracePhase Phase, const char *Category, const char *Name,
@@ -119,12 +114,12 @@ public:
   }
 
   /// Events recorded since enable() (including overwritten ones).
-  uint64_t recorded() const;
+  uint64_t recorded() const { return Events.recorded(); }
   /// Events lost to ring wraparound.
-  uint64_t dropped() const;
+  uint64_t dropped() const { return Events.dropped(); }
 
   /// Copies the surviving events out in record order.
-  std::vector<TraceEvent> snapshot() const;
+  std::vector<TraceEvent> snapshot() const { return Events.snapshot(); }
 
   /// Renders the surviving events as Chrome trace-event JSON. \p Extra
   /// is a pre-rendered comma-separated fragment of additional trace
@@ -141,8 +136,7 @@ public:
   void reset();
 
 private:
-  std::atomic<bool> Enabled{false};
-  mutable std::mutex Mu;
+  bool Enabled = false;
   Ring<TraceEvent> Events;
   /// Enabled categories; empty means every category records.
   std::vector<std::string> Categories;
@@ -158,7 +152,6 @@ private:
 /// (counts, outcomes) can be attached before it closes.
 class Span {
 public:
-#if CWS_OBS_ENABLED
   Span(const char *Category, const char *Name)
       : Category(Category), Name(Name),
         Active(Tracer::global().enabled()) {
@@ -184,21 +177,15 @@ public:
     Args[Slot] = TraceArg{Key, Value};
   }
 
+  Span(const Span &) = delete;
+  Span &operator=(const Span &) = delete;
+
 private:
   const char *Category;
   const char *Name;
   TraceArg Args[2];
   uint8_t ArgCount = 0;
   bool Active;
-#else
-  Span(const char *, const char *) {}
-  Span(const char *, const char *, const char *, int64_t) {}
-  void arg(const char *, int64_t) {}
-#endif
-
-public:
-  Span(const Span &) = delete;
-  Span &operator=(const Span &) = delete;
 };
 
 /// Publishes the global tracer's loss counters into \p R as

@@ -11,8 +11,8 @@
 /// of slots the newest entry overwrites oldest-first, with the count of
 /// entries ever recorded and of those lost to wraparound. push() hands
 /// out the slot to fill in place, so a slot's heap buffers are reused
-/// across laps. Not thread-safe: each recorder guards its ring with its
-/// own mutex.
+/// across laps. Thread-compatible, like its recorders: one thread at a
+/// time, which the `single_thread_guard` test keeps true.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,9 +6,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "sweep/Scenario.h"
+#include "job/Generator.h"
+#include "obs/Metrics.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace cws;
@@ -57,11 +60,27 @@ static std::vector<std::string> splitWords(const std::string &Line) {
   return Words;
 }
 
-static bool parseUint(const std::string &Word, uint64_t &Out) {
-  char *End = nullptr;
-  Out = std::strtoull(Word.c_str(), &End, 10);
-  return End != Word.c_str() && !*End;
+/// Reads \p Word into \p Out when it is a decimal integer in [Lo, Hi].
+/// Digits only: strtoull alone would wrap a leading '-'.
+static bool parseUint(const std::string &Word, uint64_t Lo, uint64_t Hi,
+                      uint64_t &Out) {
+  if (Word.empty() || Word.find_first_not_of("0123456789") != Word.npos)
+    return false;
+  errno = 0;
+  uint64_t V = std::strtoull(Word.c_str(), nullptr, 10);
+  if (errno == ERANGE || V < Lo || V > Hi)
+    return false;
+  Out = V;
+  return true;
 }
+
+/// The most runs a grid may expand to. expandSweepGrid reserves and
+/// builds every run spec before the first run starts, about 1.2 KB each
+/// with three axes, so this cap keeps the specs near 125 MB; a larger
+/// study runs as several grids over disjoint base_seed ranges.
+static constexpr uint64_t MaxRuns = 100000;
+/// The largest value of a cws-sim integer flag.
+static constexpr uint64_t MaxFlagInt = INT64_MAX;
 
 bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
                                 std::string &Error) {
@@ -111,31 +130,52 @@ bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
     }
     if (Words.size() != 2)
       return Err("expected '" + Key + " <value>'");
+    // The fixed knobs become cws-sim flags, so each takes the range its
+    // flag accepts; cws-sim's integer flags are signed 64-bit.
+    auto Uint = [&](uint64_t Lo, uint64_t Hi, uint64_t &V) {
+      return parseUint(Words[1], Lo, Hi, V) ||
+             Err(Key + " must be an integer in [" + std::to_string(Lo) +
+                 ", " + std::to_string(Hi) + "]");
+    };
+    uint64_t V = 0;
     if (Key == "seeds") {
-      if (!parseUint(Words[1], Out.Seeds) || Out.Seeds == 0)
-        return Err("seeds must be a positive integer");
+      if (!Uint(1, MaxRuns, Out.Seeds))
+        return false;
     } else if (Key == "base_seed") {
-      if (!parseUint(Words[1], Out.BaseSeed))
-        return Err("bad base_seed '" + Words[1] + "'");
+      if (!Uint(0, MaxFlagInt, Out.BaseSeed))
+        return false;
     } else if (Key == "jobs") {
-      uint64_t Jobs = 0;
-      if (!parseUint(Words[1], Jobs) || Jobs == 0)
-        return Err("jobs must be a positive integer");
-      Out.Jobs = static_cast<int64_t>(Jobs);
+      if (!Uint(1, MaxFlagInt, V))
+        return false;
+      Out.Jobs = static_cast<int64_t>(V);
     } else if (Key == "slack") {
       char *End = nullptr;
       Out.Slack = std::strtod(Words[1].c_str(), &End);
-      if (End == Words[1].c_str() || *End || Out.Slack <= 0)
+      if (End == Words[1].c_str() || *End || !std::isfinite(Out.Slack) ||
+          Out.Slack <= 0 || Out.Slack > WorkloadConfig().maxDeadlineSlack())
         return Err("bad slack '" + Words[1] + "'");
     } else if (Key == "sample_every") {
-      uint64_t Every = 0;
-      if (!parseUint(Words[1], Every) || Every == 0)
-        return Err("sample_every must be a positive integer");
-      Out.SampleEvery = static_cast<int64_t>(Every);
+      if (!Uint(1, MaxFlagInt, V))
+        return false;
+      Out.SampleEvery = static_cast<int64_t>(V);
     } else {
       return Err("unknown directive '" + Key +
                  "' (axis, seeds, base_seed, jobs, slack, sample_every)");
     }
+  }
+  if (Out.BaseSeed > MaxFlagInt - (Out.Seeds - 1)) {
+    Error = "the last replica seed, base_seed + seeds - 1, exceeds " +
+            std::to_string(MaxFlagInt);
+    return false;
+  }
+  uint64_t Runs = Out.Seeds;
+  for (const SweepAxis &Axis : Out.Axes) {
+    if (Runs > MaxRuns / Axis.Values.size()) {
+      Error = "the grid expands to more than " + std::to_string(MaxRuns) +
+              " runs";
+      return false;
+    }
+    Runs *= Axis.Values.size();
   }
   return true;
 }
@@ -185,10 +225,8 @@ std::vector<SweepRunSpec> cws::sweep::expandSweepGrid(const SweepGrid &Grid) {
       Base.SimArgs.push_back(std::to_string(Grid.Jobs));
     }
     if (Grid.Slack > 0 && !HasAxis("slack")) {
-      char Buf[32];
-      std::snprintf(Buf, sizeof(Buf), "%g", Grid.Slack);
       Base.SimArgs.push_back("--slack");
-      Base.SimArgs.push_back(Buf);
+      Base.SimArgs.push_back(obs::renderNumber(Grid.Slack));
     }
     if (Grid.SampleEvery > 0) {
       Base.SimArgs.push_back("--sample-every");

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 using namespace cws;
 
 // --- Lexer ---
@@ -186,6 +189,32 @@ TEST(Parser, ReportsBadAttributeValue) {
   ASSERT_FALSE(R.ok());
   EXPECT_NE(formatDiagnostics(R.Errors).find("expected number"),
             std::string::npos);
+
+  // Numbers that are not finite, have a fraction where the field is an
+  // integer, or lie outside the field's range are errors, never a
+  // wrapped or truncated value (converting them is undefined).
+  const std::string Huge(400, '9'); // Parses to an infinity.
+  const std::pair<std::string, const char *> Cases[] = {
+      {"job deadline 100000000000000000000000", "deadline"},
+      {"job deadline 2.5", "deadline"},
+      {"job release 2.5", "release"},
+      {"job id -1", "'id'"},
+      {"job id 10000000000", "'id'"},
+      {"task a ref 99999999999999999999", "'ref'"},
+      {"task a ref 2.7", "'ref'"},
+      {"task a ref 1 vol " + Huge, "'vol'"},
+      {"task a ref 1\ntask b ref 1\nedge a -> b transfer 1.5", "'transfer'"},
+      {"node perf " + Huge, "'perf'"},
+      {"node perf 1 price " + Huge, "'price'"},
+      {"node perf 1.0\nbusy 0 0 99999999999999999999", "'busy'"},
+      {"node perf 1.0\nbusy 0.5 0 10", "'busy'"},
+  };
+  for (const auto &[Text, Names] : Cases) {
+    ParseResult Bad = parseJobDescription(Text);
+    ASSERT_FALSE(Bad.ok()) << Text;
+    EXPECT_NE(formatDiagnostics(Bad.Errors).find(Names), std::string::npos)
+        << Text << "\n" << formatDiagnostics(Bad.Errors);
+  }
 }
 
 TEST(Parser, ReportsUnknownAttribute) {

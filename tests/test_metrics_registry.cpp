@@ -13,7 +13,6 @@
 
 #include <cmath>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace cws;
@@ -28,22 +27,6 @@ TEST(MetricsCounter, AddsAndReturnsTheSameInstance) {
   C.add(4);
   EXPECT_EQ(C.value(), 5u);
   EXPECT_EQ(&R.counter("requests_total"), &C);
-}
-
-TEST(MetricsCounter, ConcurrentIncrementsAreLossless) {
-  Registry R;
-  Counter &C = R.counter("contended_total");
-  constexpr size_t Threads = 8;
-  constexpr size_t PerThread = 10000;
-  std::vector<std::thread> Workers;
-  for (size_t W = 0; W < Threads; ++W)
-    Workers.emplace_back([&C] {
-      for (size_t I = 0; I < PerThread; ++I)
-        C.add();
-    });
-  for (auto &W : Workers)
-    W.join();
-  EXPECT_EQ(C.value(), Threads * PerThread);
 }
 
 TEST(MetricsGauge, SetAddSub) {
@@ -79,24 +62,6 @@ TEST(MetricsHistogram, BucketBoundariesAreLessOrEqual) {
   EXPECT_EQ(H.cumulativeCount(1), 4u);
   EXPECT_EQ(H.cumulativeCount(2), 5u);
   EXPECT_EQ(H.cumulativeCount(3), 6u);
-}
-
-TEST(MetricsHistogram, ConcurrentObservationsAreLossless) {
-  Registry R;
-  Histogram &H = R.histogram("contended", {10.0, 100.0});
-  constexpr size_t Threads = 8;
-  constexpr size_t PerThread = 5000;
-  std::vector<std::thread> Workers;
-  for (size_t W = 0; W < Threads; ++W)
-    Workers.emplace_back([&H] {
-      for (size_t I = 0; I < PerThread; ++I)
-        H.observe(1.0);
-    });
-  for (auto &W : Workers)
-    W.join();
-  EXPECT_EQ(H.count(), Threads * PerThread);
-  EXPECT_EQ(H.bucketCount(0), Threads * PerThread);
-  EXPECT_DOUBLE_EQ(H.sum(), static_cast<double>(Threads * PerThread));
 }
 
 TEST(MetricsRealGauge, StoresDoublesExactly) {

@@ -6,8 +6,8 @@
 //===----------------------------------------------------------------------===//
 //
 // The hierarchical phase profiler: nesting and self-time accounting,
-// deterministic cross-thread merge, the disabled fast path, the JSON
-// round trip, metric publication, the Chrome-trace fragment, and
+// work summed over repeated scopes, the disabled fast path, reset, the
+// JSON round trip, metric publication, the Chrome-trace fragment, and
 // run-to-run invariance of the counts and work counters a profiled VO
 // run accumulates.
 //
@@ -20,10 +20,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <chrono>
 #include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace cws;
@@ -62,7 +61,8 @@ TEST_F(ProfilerTest, NestingAndSelfTime) {
     CWS_PHASE("outer");
     burn(200);
     {
-      CWS_PHASE("inner");
+      CWS_PHASE_AS(S, "inner");
+      S.work("units", 2);
       burn(200);
     }
   }
@@ -87,6 +87,11 @@ TEST_F(ProfilerTest, NestingAndSelfTime) {
   EXPECT_DOUBLE_EQ(Inner->SelfUs, Inner->TotalUs);
   EXPECT_GT(Outer->P50Us, 0.0);
   EXPECT_GE(Outer->P99Us, Outer->P50Us);
+  // Work attached on each of the three closes adds up.
+  const uint64_t *Units = Inner->work("units");
+  ASSERT_NE(Units, nullptr);
+  EXPECT_EQ(*Units, 3u * 2u);
+  EXPECT_EQ(Outer->work("units"), nullptr);
 }
 
 TEST_F(ProfilerTest, OpenScopesAreNotCounted) {
@@ -95,7 +100,7 @@ TEST_F(ProfilerTest, OpenScopesAreNotCounted) {
   {
     CWS_PHASE("closed");
   }
-  PhaseScope Open("still.open");
+  CWS_PHASE_AS(Open, "still.open");
   std::vector<PhaseStats> S = P.snapshot();
   const PhaseStats *Closed = find(S, "closed");
   ASSERT_NE(Closed, nullptr);
@@ -111,41 +116,33 @@ TEST_F(ProfilerTest, DisabledPathRecordsNothing) {
   ASSERT_FALSE(P.enabled());
   for (int I = 0; I < 1000; ++I) {
     CWS_PHASE("ghost");
-    PhaseScope S("ghost.child");
+    CWS_PHASE_AS(S, "ghost.child");
     S.work("units", 5);
   }
   EXPECT_TRUE(P.snapshot().empty());
   EXPECT_EQ(P.chromeTraceEvents(), "");
 }
 
-TEST_F(ProfilerTest, CrossThreadMergeIsDeterministic) {
+TEST_F(ProfilerTest, ResetForgetsPhasesUntilTheyCloseAgain) {
+  // Accumulators outlive reset(): a phase closed only before it has
+  // nothing to show, and one closed again starts from zero.
   Profiler &P = Profiler::global();
   P.enable();
-  constexpr int Threads = 4;
-  constexpr int Reps = 25;
-  std::vector<std::thread> Pool;
-  for (int T = 0; T < Threads; ++T)
-    Pool.emplace_back([] {
-      for (int I = 0; I < Reps; ++I) {
-        CWS_PHASE("worker.lane");
-        PhaseScope S("worker.lane.child");
-        S.work("units", 2);
-      }
-    });
-  for (std::thread &T : Pool)
-    T.join();
+  for (const char *Name : {"before.only", "both"}) {
+    PhaseScope S(P.phase(Name));
+    S.work("units", 7);
+  }
+  P.reset();
+  P.enable();
+  {
+    PhaseScope S(P.phase("both"));
+  }
   P.disable();
-
   std::vector<PhaseStats> S = P.snapshot();
-  const PhaseStats *Lane = find(S, "worker.lane");
-  ASSERT_NE(Lane, nullptr);
-  EXPECT_EQ(Lane->Count, uint64_t(Threads * Reps));
-  const PhaseStats *Child = find(S, "worker.lane.child");
-  ASSERT_NE(Child, nullptr);
-  EXPECT_EQ(Child->Count, uint64_t(Threads * Reps));
-  const uint64_t *Units = Child->work("units");
-  ASSERT_NE(Units, nullptr);
-  EXPECT_EQ(*Units, uint64_t(2 * Threads * Reps));
+  ASSERT_EQ(S.size(), 1u);
+  EXPECT_EQ(S[0].Name, "both");
+  EXPECT_EQ(S[0].Count, 1u);
+  EXPECT_TRUE(S[0].Work.empty());
 }
 
 TEST_F(ProfilerTest, JsonRoundTrip) {
@@ -164,7 +161,7 @@ TEST_F(ProfilerTest, JsonRoundTrip) {
     P.enable();
     {
       CWS_PHASE("round.trip");
-      PhaseScope S("round.trip.child");
+      CWS_PHASE_AS(S, "round.trip.child");
       S.work("labels", 123);
     }
     P.disable();
@@ -201,7 +198,7 @@ TEST_F(ProfilerTest, PublishesPhaseMetrics) {
   P.enable();
   {
     CWS_PHASE("pub.phase");
-    PhaseScope S("pub.phase");
+    CWS_PHASE_AS(S, "pub.phase");
     S.work("units", 4);
   }
   P.disable();

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <string>
@@ -66,6 +67,28 @@ TEST(SweepGrid, RejectsMalformedGrids) {
   EXPECT_FALSE(parseSweepGrid("seeds 0\n", G, Error));
   EXPECT_FALSE(parseSweepGrid("slack nope\n", G, Error));
   EXPECT_FALSE(parseSweepGrid("frobnicate 3\n", G, Error));
+  // Numbers outside a directive's range are errors, never a wrapped or
+  // defaulted value: a negative count would wrap to 2^64 - n.
+  for (const char *Bad :
+       {"jobs -5\n", "seeds -1\n", "seeds +3\n", "base_seed -1\n",
+        "sample_every -2\n", "slack inf\n", "slack nan\n", "slack -1\n",
+        "seeds 18446744073709551616\n", "base_seed 9223372036854775808\n",
+        "jobs 9223372036854775808\n", "seeds 100001\n"}) {
+    EXPECT_FALSE(parseSweepGrid(Bad, G, Error)) << Bad;
+    EXPECT_NE(Error.find("line 1"), std::string::npos) << Error;
+  }
+  // The last replica seed must fit cws-sim's --seed, and every run is
+  // expanded up front, so the run count is bounded too.
+  EXPECT_FALSE(
+      parseSweepGrid("base_seed 9223372036854775807\nseeds 2\n", G, Error));
+  EXPECT_NE(Error.find("replica seed"), std::string::npos) << Error;
+  EXPECT_TRUE(
+      parseSweepGrid("base_seed 9223372036854775806\nseeds 2\n", G, Error))
+      << Error;
+  EXPECT_FALSE(parseSweepGrid("axis jobs 1 2 3 4 5 6 7 8 9 10\n"
+                              "seeds 10001\n",
+                              G, Error));
+  EXPECT_NE(Error.find("100000 runs"), std::string::npos) << Error;
 }
 
 TEST(SweepGrid, ExpansionIsCartesianWithSeedReplicas) {
@@ -105,10 +128,16 @@ TEST(SweepGrid, ExpansionIsCartesianWithSeedReplicas) {
 TEST(SweepGrid, AxisFreeGridIsOneScenario) {
   SweepGrid G;
   std::string Error;
-  ASSERT_TRUE(parseSweepGrid("seeds 3\n", G, Error)) << Error;
+  ASSERT_TRUE(parseSweepGrid("seeds 3\nslack 1.23456789\n", G, Error))
+      << Error;
   std::vector<SweepRunSpec> Runs = expandSweepGrid(G);
   ASSERT_EQ(Runs.size(), 3u);
   EXPECT_EQ(Runs[0].ScenarioId, "default");
+  // The fixed slack reaches cws-sim as written, not rounded.
+  const std::vector<std::string> &Args = Runs[0].SimArgs;
+  auto Slack = std::find(Args.begin(), Args.end(), "--slack");
+  ASSERT_TRUE(Slack != Args.end() && Slack + 1 != Args.end());
+  EXPECT_EQ(*(Slack + 1), "1.23456789");
 }
 
 //===----------------------------------------------------------------------===//

@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace cws;
@@ -222,30 +221,6 @@ TEST_F(TraceTest, ChromeJsonIsStructurallyValid) {
 TEST_F(TraceTest, EmptyTracerStillExportsValidJson) {
   std::string Json = Tracer::global().chromeJson();
   EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
-}
-
-TEST_F(TraceTest, ConcurrentRecordingLosesNoEvents) {
-  Tracer &T = Tracer::global();
-  constexpr size_t Threads = 4;
-  constexpr size_t PerThread = 2000;
-  // Each iteration records Begin + instant + End; size the ring so
-  // nothing wraps.
-  T.enable(Threads * PerThread * 3);
-  std::vector<std::thread> Workers;
-  for (size_t W = 0; W < Threads; ++W)
-    Workers.emplace_back([&T] {
-      for (size_t I = 0; I < PerThread; ++I) {
-        Span S("test", "worker");
-        T.instant("test", "tick");
-      }
-    });
-  for (auto &W : Workers)
-    W.join();
-  T.disable();
-  // Each iteration records Begin + instant + End.
-  EXPECT_EQ(T.recorded(), Threads * PerThread * 3);
-  EXPECT_EQ(T.snapshot().size(), Threads * PerThread * 3);
-  EXPECT_TRUE(JsonChecker(T.chromeJson()).valid());
 }
 
 TEST_F(TraceTest, CategoryFilterMasksUnlistedCategories) {
