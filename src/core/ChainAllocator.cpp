@@ -115,6 +115,25 @@ Tick ChainAllocator::placedInboundTicks(unsigned NodeId,
 
 namespace {
 
+/// The two smallest values over a row's fronts and the front holding the
+/// smaller: the smallest over the fronts other than n is `other(n)`.
+template <typename T> struct RowMin {
+  T Min1 = std::numeric_limits<T>::max();
+  T Min2 = std::numeric_limits<T>::max();
+  size_t Idx = SIZE_MAX;
+
+  void add(T V, size_t I) {
+    if (V < Min1) {
+      Min2 = Min1;
+      Min1 = V;
+      Idx = I;
+    } else if (V < Min2) {
+      Min2 = V;
+    }
+  }
+  T other(size_t I) const { return I == Idx ? Min2 : Min1; }
+};
+
 /// Maximum base transfer over all edges Src -> Dst (parallel edges
 /// overlap, so the longest one gates readiness).
 Tick chainEdgeBase(const Job &J, unsigned Src, unsigned Dst) {
@@ -143,21 +162,10 @@ bool ChainAllocator::computeTerms(size_t Pos,
   gatherPlaced(TaskId, Dist);
   NodeTerms *Row = &Buf.Terms[Pos * N];
   const NodeTerms *Prev = Pos > 0 ? Row - N : nullptr;
-  // The earliest and second earliest finish of the previous row, and the
-  // node of the earliest: the earliest finish on a node other than n is
-  // the second one when n holds the first.
-  Tick Min1 = NoLabel, Min2 = NoLabel;
-  size_t MinIdx = N;
-  for (size_t I = 0; Prev && I < N; ++I) {
-    Tick F = Prev[I].EarliestFinish;
-    if (F < Min1) {
-      Min2 = Min1;
-      Min1 = F;
-      MinIdx = I;
-    } else if (F < Min2) {
-      Min2 = F;
-    }
-  }
+  // The earliest finish of the previous row on a node other than n.
+  RowMin<Tick> PrevFinish;
+  for (size_t I = 0; Prev && I < N; ++I)
+    PrevFinish.add(Prev[I].EarliestFinish, I);
   bool Any = false;
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
     unsigned NodeId = Search[NodeIdx];
@@ -190,7 +198,7 @@ bool ChainAllocator::computeTerms(size_t Pos,
       Tick Ready = NoLabel;
       if (Prev[NodeIdx].EarliestFinish != NoLabel)
         Ready = Prev[NodeIdx].EarliestFinish + T.ChainTr[0];
-      Tick OtherFinish = MinIdx == NodeIdx ? Min2 : Min1;
+      Tick OtherFinish = PrevFinish.other(NodeIdx);
       if (OtherFinish != NoLabel)
         Ready = std::min(Ready, OtherFinish + T.ChainTr[1]);
       if (Ready == NoLabel)
@@ -307,7 +315,13 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   //    matter only where a candidate's cost nearly ties a front's
   //    cheapest label; the first such candidate stops the row, which is
   //    then rebuilt with full fronts (docs/ARCHITECTURE.md, "What the
-  //    pick reads").
+  //    pick reads");
+  //  * the last position builds its fronts in the order the pick folds
+  //    them and folds each one in as it is done, so a candidate that the
+  //    fronts before its own already beat for both picks skips its query
+  //    and its insert. The skip keeps both picks unless a candidate of
+  //    the same front costs one to two epsilons above the Cost pick's
+  //    best; such a front also sends the row back to full fronts.
   const size_t K = Chain.size();
   const size_t N = Search.size();
   if (N == 0)
@@ -351,7 +365,8 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     }
     if (buildRow<true>(Pos))
       continue;
-    // A near cost tie at the last position: rebuild it with full fronts.
+    // A near cost tie, or a skip next to the band, at the last position:
+    // rebuild it with full fronts.
     ++TieFallbacks;
     for (size_t I = Pos * N; I < K * N; ++I)
       Buf.Fronts[I].clear();
@@ -372,6 +387,19 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
 template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
   const size_t N = Search.size();
   const LabelFront *PrevFronts = &Buf.Fronts[(Pos - 1) * N];
+  // At the last position: both picks' best over the fronts built so far,
+  // folded as `pick` folds them, and the earliest first finish and the
+  // cheapest cost of the previous row's fronts on other nodes than the
+  // target's, which bound every candidate that reaches it from them.
+  ParetoPick<Tick> TimeBest{false}, CostBest{true};
+  RowMin<Tick> FirstFinish;
+  RowMin<double> LastCost;
+  if constexpr (Extremes)
+    for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx)
+      if (!PrevFronts[PrevIdx].empty()) {
+        FirstFinish.add(PrevFronts[PrevIdx][0].Finish, PrevIdx);
+        LastCost.add(PrevFronts[PrevIdx].back().Cost, PrevIdx);
+      }
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
     const NodeTerms &T = Buf.Terms[Pos * N + NodeIdx];
     if (!T.Build)
@@ -379,7 +407,26 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
     // Labels reach this front in (previous node, label) order, as in a
     // scan over every pair: with a capped front the order matters.
     LabelFront &Front = Buf.Fronts[Pos * N + NodeIdx];
-    for (size_t PrevIdx = 0; PrevIdx < N; ++PrevIdx) {
+    // Whether a candidate the picks beat was skipped, and whether one
+    // costs within `costInTieBand` of the Cost pick's best: together they
+    // send the row back to full fronts.
+    bool Skipped = false, Band = false;
+    size_t PrevBegin = 0, PrevEnd = N;
+    if constexpr (Extremes) {
+      Tick OtherFinish = FirstFinish.other(NodeIdx);
+      if (OtherFinish != NoLabel &&
+          paretoPicksBeat(TimeBest, CostBest,
+                          std::max({T.Ready, OtherFinish + T.ChainTr[1],
+                                    T.FirstFit}) +
+                              T.Dur,
+                          LastCost.other(NodeIdx) + T.StepCost[1])) {
+        // Every candidate from another node is beaten.
+        Skipped = true;
+        PrevBegin = NodeIdx;
+        PrevEnd = NodeIdx + 1;
+      }
+    }
+    for (size_t PrevIdx = PrevBegin; PrevIdx < PrevEnd; ++PrevIdx) {
       const LabelFront &PrevFront = PrevFronts[PrevIdx];
       if (PrevFront.empty())
         continue;
@@ -391,6 +438,22 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
         continue; // Not even the earliest label fits.
       Tick Bound0 = std::max(Ready0, T.FirstFit) + T.Dur;
       double Cheapest = PrevFront.back().Cost + Step;
+      if constexpr (Extremes) {
+        if (paretoPicksBeat(TimeBest, CostBest, Bound0, Cheapest)) {
+          Skipped = true;
+          continue; // Every label of the previous front is beaten.
+        }
+        // Costs descend along the previous front, so only a front whose
+        // costs straddle the band (widened by its dearest label's slack,
+        // the largest) can put a candidate in it.
+        double Dearest = PrevFront[0].Cost + Step;
+        double Slack = costTieSlack(Dearest, CostBest.Cost);
+        if (TimeBest.Found && !Band &&
+            Cheapest - CostBest.Cost <= 2 * CostEpsilon + Slack &&
+            Dearest - CostBest.Cost >= CostEpsilon - Slack)
+          for (const Label &Prev : PrevFront)
+            Band = Band || costInTieBand(Prev.Cost + Step, CostBest.Cost);
+      }
       if (paretoDominated(Front, Bound0, Cheapest))
         continue; // Every label of the previous front is dominated.
       if constexpr (Extremes)
@@ -404,6 +467,11 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
           break;
         double C = Prev.Cost + Step;
         Tick Bound = std::max(Ready, T.FirstFit);
+        if constexpr (Extremes)
+          if (paretoPicksBeat(TimeBest, CostBest, Bound + T.Dur, C)) {
+            Skipped = true;
+            continue; // No start can make it win a pick.
+          }
         size_t Rank = paretoRank(Front, Bound + T.Dur);
         if (paretoDominatedAt(Front, Rank, C))
           continue;
@@ -419,6 +487,11 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
           ++FitQueries;
           if (Start + T.Dur > T.Lft)
             continue;
+          if constexpr (Extremes)
+            if (paretoPicksBeat(TimeBest, CostBest, Start + T.Dur, C)) {
+              Skipped = true;
+              continue;
+            }
           if (Start != Bound) {
             Rank = paretoRank(Front, Start + T.Dur);
             if (paretoDominatedAt(Front, Rank, C))
@@ -437,6 +510,14 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
         }
       }
     }
+    if constexpr (Extremes) {
+      if (Skipped && Band)
+        return false;
+      for (const Label &L : Front) {
+        TimeBest.fold(L.Finish, L.Cost);
+        CostBest.fold(L.Finish, L.Cost);
+      }
+    }
   }
   return true;
 }
@@ -448,26 +529,14 @@ bool ChainAllocator::pick(OptimizationBias Bias,
   const size_t N = Search.size();
   int32_t BestNode = -1;
   int32_t BestLabel = -1;
-  Tick BestFinish = std::numeric_limits<Tick>::max();
-  double BestCost = std::numeric_limits<double>::max();
+  ParetoPick<Tick> Best{Bias == OptimizationBias::Cost};
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
     const LabelFront &Front = Buf.Fronts[(K - 1) * N + NodeIdx];
-    for (size_t LabelIdx = 0; LabelIdx < Front.size(); ++LabelIdx) {
-      const Label &L = Front[LabelIdx];
-      bool Better;
-      if (Bias == OptimizationBias::Cost)
-        Better = L.Cost < BestCost - 1e-9 ||
-                 (L.Cost < BestCost + 1e-9 && L.Finish < BestFinish);
-      else
-        Better = L.Finish < BestFinish ||
-                 (L.Finish == BestFinish && L.Cost < BestCost - 1e-9);
-      if (Better) {
+    for (size_t LabelIdx = 0; LabelIdx < Front.size(); ++LabelIdx)
+      if (Best.fold(Front[LabelIdx].Finish, Front[LabelIdx].Cost)) {
         BestNode = static_cast<int32_t>(NodeIdx);
         BestLabel = static_cast<int32_t>(LabelIdx);
-        BestFinish = L.Finish;
-        BestCost = L.Cost;
       }
-    }
   }
   if (BestNode < 0)
     return false; // No feasible completion within the windows.

@@ -117,8 +117,10 @@ enum class ChainOutcome {
 /// can hold a label that reaches the last position, and builds only
 /// those: a chain no path can place builds no front. At the last
 /// position, which only the pick reads, each front keeps only its
-/// earliest-finish and its cheapest label, unless a candidate's cost
-/// nearly ties a front's cheapest one: then the pass rebuilds that
+/// earliest-finish and its cheapest label, and skips the candidates that
+/// the fronts the pick reads before it already beat for both picks,
+/// unless a candidate's cost nearly ties a front's cheapest one or lies
+/// in the band next to the Cost pick's best: then the pass rebuilds that
 /// position with full fronts (see docs/ARCHITECTURE.md, "What the pick
 /// reads"). Its scratch state
 /// (the fronts, the per-node terms and the placed neighbours of the
@@ -161,7 +163,8 @@ public:
   /// extremes), earliest-fit queries issued, window-violation reruns,
   /// forward passes that found no path before building a front, fronts a
   /// pass did not build although their task fits its window there, and
-  /// last positions rebuilt with full fronts after a near cost tie.
+  /// last positions rebuilt with full fronts after a near cost tie or a
+  /// skip next to the band.
   /// Deltas around an `allocate` call give that call's deterministic
   /// work (the caller attributes them to the `chain.dp` profiler phase).
   uint64_t labelsKept() const { return KeptLabels; }
@@ -265,8 +268,10 @@ private:
 
   /// Fills the built fronts of row \p Pos from row `Pos - 1`. With
   /// \p Extremes each front keeps only its earliest-finish and its
-  /// cheapest label; then it stops and returns false at the first
-  /// candidate whose cost nearly ties a front's cheapest label.
+  /// cheapest label and skips the candidates the fronts before it beat
+  /// for both picks; then it stops and returns false at the first
+  /// candidate whose cost nearly ties a front's cheapest label, and at a
+  /// front that skipped a candidate and saw one in the band.
   template <bool Extremes> bool buildRow(size_t Pos);
 
   /// The path of the best terminal label under \p Bias; false when the

@@ -35,7 +35,9 @@
 /// `paretoExtremesKept` and `paretoExtremesInsert` maintain such a
 /// front; the chain DP keeps one at a chain's last position, which only
 /// its terminal pick reads (see docs/ARCHITECTURE.md, "What the pick
-/// reads").
+/// reads"). `ParetoPick` is that pick's fold; the DP runs it over the
+/// last position's fronts as it builds them, and `paretoPicksBeat` tells
+/// it which candidates the fronts folded so far already beat.
 ///
 /// The header is intentionally standalone and template-based so tests
 /// and future search layers can drive the maintenance with their own
@@ -50,6 +52,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 
 namespace cws {
 
@@ -64,14 +67,76 @@ inline constexpr double CostEpsilon = 1e-9;
 /// deterministically keep the incumbent label.
 inline bool costLeq(double A, double B) { return A <= B + CostEpsilon; }
 
+/// A few units in the last place of the larger of \p A and \p B: the
+/// near-tie tests below widen their windows by it, for the roundings of
+/// the epsilon comparisons.
+inline double costTieSlack(double A, double B) {
+  return 0x1p-48 * std::max(std::abs(A), std::abs(B));
+}
+
 /// True when \p A and \p B differ, but by at most 2 * CostEpsilon (plus
-/// a few units in the last place, for the roundings of the epsilon
-/// comparisons). Only between such costs can a label inside a front
-/// change the front's extremes or a Cost pick over them.
+/// the slack). Only between such costs can a label inside a front change
+/// the front's extremes or a Cost pick over them.
 inline bool costNearTie(double A, double B) {
   double Gap = std::abs(A - B);
-  return Gap != 0 &&
-         Gap <= 2 * CostEpsilon + 0x1p-48 * std::max(std::abs(A), std::abs(B));
+  return Gap != 0 && Gap <= 2 * CostEpsilon + costTieSlack(A, B);
+}
+
+/// True when \p Cost exceeds \p Best by more than 2 * CostEpsilon plus
+/// the slack: no label within CostEpsilon of such a cost is cheaper than
+/// \p Best + CostEpsilon.
+inline bool costAboveTie(double Cost, double Best) {
+  return Cost - Best > 2 * CostEpsilon + costTieSlack(Cost, Best);
+}
+
+/// True when \p Cost exceeds \p Best by CostEpsilon to 2 * CostEpsilon,
+/// each end widened by the slack: the costs between those below
+/// \p Best + CostEpsilon and those `costAboveTie` accepts.
+inline bool costInTieBand(double Cost, double Best) {
+  double Gap = Cost - Best;
+  double Slack = costTieSlack(Cost, Best);
+  return Gap >= CostEpsilon - Slack && Gap <= 2 * CostEpsilon + Slack;
+}
+
+/// One of the chain DP's two terminal picks, folded over labels in the
+/// order it reads them: the Cost pick (\p ByCost) keeps a label cheaper
+/// than the best by more than the epsilon, or within it and finishing
+/// earlier; the Time pick keeps an earlier finish, or an equal one
+/// cheaper by more than the epsilon.
+template <typename FinishT> struct ParetoPick {
+  bool ByCost;
+  FinishT Finish = std::numeric_limits<FinishT>::max();
+  double Cost = std::numeric_limits<double>::max();
+  /// Whether a label has been folded in.
+  bool Found = false;
+
+  /// Folds in a label; returns whether it became the best.
+  bool fold(FinishT F, double C) {
+    bool Better = ByCost ? C < Cost - CostEpsilon ||
+                               (C < Cost + CostEpsilon && F < Finish)
+                         : F < Finish || (F == Finish && C < Cost - CostEpsilon);
+    if (Better) {
+      Finish = F;
+      Cost = C;
+      Found = true;
+    }
+    return Better;
+  }
+};
+
+/// True when a candidate finishing at \p FinishBound or later and costing
+/// \p Cost wins neither pick, for a front the picks read after the fronts
+/// folded into \p Time and \p Cheapest: it finishes after the Time
+/// pick's best, and its cost is `costAboveTie` of the Cost pick's. A
+/// front that skips such candidates keeps what both picks read unless a
+/// candidate of it costs `costInTieBand` of the Cost pick's best (see
+/// docs/ARCHITECTURE.md, "What the pick reads").
+template <typename FinishT>
+bool paretoPicksBeat(const ParetoPick<FinishT> &Time,
+                     const ParetoPick<FinishT> &Cheapest, FinishT FinishBound,
+                     double Cost) {
+  return Time.Found && FinishBound > Time.Finish &&
+         costAboveTie(Cost, Cheapest.Cost);
 }
 
 /// Outcome of one insertion, for the caller's load metrics.

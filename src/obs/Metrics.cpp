@@ -78,15 +78,6 @@ double Histogram::quantile(double Q) const {
   return Bounds.back();
 }
 
-void Histogram::merge(const Histogram &Other) {
-  CWS_CHECK(Bounds == Other.Bounds,
-            "histogram merge requires identical bucket bounds");
-  for (size_t I = 0; I < Buckets.size(); ++I)
-    Buckets[I] += Other.Buckets[I];
-  N += Other.N;
-  Sum += Other.Sum;
-}
-
 void Histogram::reset() {
   Buckets.assign(Buckets.size(), 0);
   N = 0;

@@ -108,13 +108,6 @@ public:
   /// when empty.
   double quantile(double Q) const;
 
-  /// Merges \p Other into this histogram: bucket counts, observation
-  /// count and sum add up, so pooling per-run histograms across a
-  /// scenario sweep is exact (both must use identical bounds; a
-  /// mismatch aborts). The merged result equals observing both streams
-  /// into one histogram, in any merge order.
-  void merge(const Histogram &Other);
-
   void reset();
 
 private:

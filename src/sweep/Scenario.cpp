@@ -74,6 +74,41 @@ static bool parseUint(const std::string &Word, uint64_t Lo, uint64_t Hi,
   return true;
 }
 
+/// What is wrong with \p Value on axis \p Axis, as cws-sim would reject
+/// it in the flag the axis becomes, or "": `strategy` takes S1, S2, S3 or
+/// MS1, `jobs` an integer >= 0, `exec` 0 or 1, and the rest a finite
+/// number: `slack` in (0, maxDeadlineSlack()], `arrival_scale` and
+/// `background_scale` above 0, `fast_share` at most 1.
+static std::string axisValueError(const std::string &Axis,
+                                  const std::string &Value) {
+  if (Axis == "strategy")
+    return Value == "S1" || Value == "S2" || Value == "S3" || Value == "MS1"
+               ? ""
+               : "must be S1, S2, S3 or MS1";
+  char *End = nullptr;
+  errno = 0;
+  if (Axis == "jobs" || Axis == "exec") {
+    long long V = std::strtoll(Value.c_str(), &End, 10);
+    if (*End || errno == ERANGE)
+      return "must be an integer";
+    if (Axis == "exec")
+      return V == 0 || V == 1 ? "" : "must be 0 or 1";
+    return V >= 0 ? "" : "must be >= 0";
+  }
+  double V = std::strtod(Value.c_str(), &End);
+  if (*End || errno == ERANGE || !std::isfinite(V))
+    return "must be a finite number";
+  if (Axis == "slack") {
+    double Max = WorkloadConfig().maxDeadlineSlack();
+    return V > 0 && V <= Max
+               ? ""
+               : "must be in (0, " + obs::renderNumber(Max) + "]";
+  }
+  if (Axis == "fast_share")
+    return V <= 1 ? "" : "must be <= 1";
+  return V > 0 ? "" : "must be > 0";
+}
+
 /// The most runs a grid may expand to. expandSweepGrid reserves and
 /// builds every run spec before the first run starts, about 1.2 KB each
 /// with three axes, so this cap keeps the specs near 125 MB; a larger
@@ -123,6 +158,10 @@ bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
           if (Words[J] == Words[I])
             return Err("duplicate value '" + Words[I] + "' on axis '" +
                        Axis.Name + "'");
+        if (std::string Why = axisValueError(Axis.Name, Words[I]);
+            !Why.empty())
+          return Err("axis " + Axis.Name + " value '" + Words[I] + "' " +
+                     Why);
         Axis.Values.push_back(Words[I]);
       }
       Out.Axes.push_back(std::move(Axis));

@@ -685,6 +685,154 @@ TEST(ChainAllocator, PinnedDigestOfNearTieChains) {
   EXPECT_EQ(obs::fnv1a64(Text), 0xa20fc2ba2b578a9eULL) << Text.size() << " bytes";
 }
 
+TEST(ChainAllocator, PinnedDigestOfIncomingBestChains) {
+  // The DP's byte-identity oracle where a last-position candidate sits
+  // next to the best label of a front the pick reads before its own.
+  // Nodes come in groups with one price and one timeline, so finishes
+  // tie across fronts; prices differ by 0 to 11 quarters of the cost
+  // epsilon, so a candidate often costs within 1 to 3 epsilons of
+  // another front's cheapest label; a node in six is half as fast and
+  // dearer, so many candidates are plainly beaten. Every decision of
+  // both biases, split and resumed as the scheduler does, is hashed at
+  // four front caps. The constant was recorded while every last-position
+  // front was built whatever the fronts before it held.
+  const DataPolicyKind Kinds[] = {DataPolicyKind::ActiveReplication,
+                                  DataPolicyKind::RemoteAccess,
+                                  DataPolicyKind::StaticStorage};
+  const Network Net;
+  Prng Rng(4177);
+  std::string Text;
+  size_t Outcomes[3] = {0, 0, 0};
+  uint64_t Fallbacks = 0, Queries = 0;
+  for (int Trial = 0; Trial < 1000; ++Trial) {
+    const auto N = static_cast<unsigned>(Rng.uniformInt(3, 7));
+    const auto K = static_cast<unsigned>(Rng.uniformInt(2, 5));
+    Job J;
+    for (unsigned T = 0; T < K; ++T)
+      J.addTask("t", 1, 10);
+    for (unsigned T = 1; T < K; ++T)
+      J.addEdge(T - 1, T, Rng.uniformInt(0, 1));
+    const Tick Release = Rng.uniformInt(0, 4);
+    const Tick Deadline = Release + Rng.uniformInt(K + 3, 3 * K + 10);
+    J.setDeadline(Deadline);
+
+    Grid Env;
+    AllocatorPolicy Params;
+    std::vector<std::pair<Tick, Tick>> Busy;
+    for (unsigned Id = 0; Id < N; ++Id) {
+      bool NewGroup = Id == 0 || Rng.bernoulli(0.5);
+      if (NewGroup) {
+        double Nudge =
+            static_cast<double>(Rng.uniformInt(0, 11)) * CostEpsilon / 4;
+        bool Slow = Rng.bernoulli(1.0 / 6);
+        Env.addNodePriced(Slow ? 0.5 : 1.0, Slow ? 0.75 + Nudge : 1.0 + Nudge);
+        Busy.clear();
+        for (int64_t I = Rng.uniformInt(0, 4); I > 0; --I) {
+          Tick Begin = Rng.uniformInt(0, Deadline);
+          Busy.push_back({Begin, Begin + Rng.uniformInt(1, 4)});
+        }
+      } else {
+        const ProcessorNode &Like = Env.node(Id - 1);
+        Env.addNodePriced(Like.relPerf(), Like.pricePerTick());
+      }
+      Params.CandidateNodes.push_back(Id);
+      for (auto [Begin, End] : Busy)
+        Env.node(Id).timeline().reserve(Begin, End, 9);
+    }
+
+    CriticalWork W;
+    for (unsigned T = 0; T < K; ++T)
+      W.TaskIds.push_back(T);
+    DataPolicyKind Kind = Kinds[Rng.index(3)];
+    Params.NodeSwitchPenalty = Rng.bernoulli(0.3) ? CostEpsilon : 0.0;
+    for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+      Params.MaxFrontSize = Cap;
+      BothBiases R = allocateBoth(J, W, Env, Net, Kind, Distribution(), Params,
+                                  Release, Deadline);
+      Text += describe(R);
+      ++Outcomes[static_cast<size_t>(R.Outcome)];
+      Fallbacks += R.TieFallbacks;
+      Queries += R.FitQueries;
+    }
+  }
+  // Not vacuous: every outcome occurred, and last positions still went
+  // back to full fronts. The skip fired: building every last-position
+  // front whatever the fronts before it held ran 185,677 earliest-fit
+  // queries.
+  for (size_t Outcome : Outcomes)
+    EXPECT_GT(Outcome, 0u);
+  EXPECT_GT(Fallbacks, 0u);
+  EXPECT_EQ(Queries, 173859u);
+  EXPECT_EQ(obs::fnv1a64(Text), 0xd4c664cf97f55cf3ULL) << Text.size() << " bytes";
+}
+
+TEST(ChainAllocator, BandCandidateAfterASkipDecidesTheCostPick) {
+  // Task 0 (1 ref tick) runs one tick everywhere; task 1 (2 ref ticks)
+  // fits only on the double-speed nodes 0 and 2, in one tick. Node 1
+  // (price 1) runs task 0 at [7, 8), nodes 3-5 (prices 1 + 7.2, 6.5 and
+  // 5.8 eps) at [2, 3), [3, 4) and [5, 6). Node 0 (price 10 + 5 eps) is
+  // free at [0, 2) and [9, 10), so its last-position front holds
+  // (2, 20 + 10 eps) and (10, B) with B = 11 + 5 eps: the Time pick's
+  // best finish is 2, and the Cost pick's best costs B and finishes at
+  // 10. Node 2 (price 10) is free at [1, 8), so its front sees
+  // (2, 20 + 5 eps), then (4, B + 2.2 eps), which both picks already
+  // beat, then (5, B + 1.5 eps), in the band next to B and dominated by
+  // the beaten candidate, then (7, B + 0.8 eps), which only that band
+  // candidate dominates. So the full front keeps (7, B + 0.8 eps),
+  // within the epsilon of B and earlier, and the Cost pick takes it on
+  // node 2. A front that skipped the beaten candidate without going back
+  // to full fronts would keep the band candidate, lose (7, B + 0.8 eps)
+  // to it, and leave the Cost pick on node 0.
+  Grid Env;
+  Env.addNodePriced(2.0, 10.0 + 5 * CostEpsilon);
+  Env.addNodePriced(1.0, 1.0);
+  Env.addNodePriced(2.0, 10.0);
+  Env.addNodePriced(1.0, 1.0 + 7.2 * CostEpsilon);
+  Env.addNodePriced(1.0, 1.0 + 6.5 * CostEpsilon);
+  Env.addNodePriced(1.0, 1.0 + 5.8 * CostEpsilon);
+  const std::pair<Tick, Tick> Free[] = {{0, 2}, {7, 8}, {1, 8},
+                                        {2, 3}, {3, 4}, {5, 6}};
+  for (unsigned Id = 0; Id < 6; ++Id) {
+    Timeline &Line = Env.node(Id).timeline();
+    auto [Begin, End] = Free[Id];
+    if (Begin > 0) {
+      ASSERT_TRUE(Line.reserve(0, Begin, 9));
+    }
+    if (Id == 0) { // Also free at [9, 10).
+      ASSERT_TRUE(Line.reserve(2, 9, 9));
+      Begin = 9;
+      End = 10;
+    }
+    ASSERT_TRUE(Line.reserve(End, 100, 9));
+  }
+  Job J;
+  J.addTask("t0", 1, 10);
+  J.addTask("t1", 2, 10);
+  J.addEdge(0, 1, 0);
+  J.setDeadline(20);
+  CriticalWork W{{0, 1}, 3};
+  AllocatorPolicy Params;
+  Params.CandidateNodes = {0, 1, 2, 3, 4, 5};
+  for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+    Params.MaxFrontSize = Cap;
+    BothBiases R = allocateBoth(J, W, Env, Network(),
+                                DataPolicyKind::RemoteAccess, Distribution(),
+                                Params, 0, 20);
+    ASSERT_EQ(R.Outcome, ChainOutcome::Split) << Cap;
+    const std::vector<Placement> &Cost = R.Dist[0].placements();
+    const std::vector<Placement> &Time = R.Dist[1].placements();
+    ASSERT_EQ(Cost.size(), 2u);
+    ASSERT_EQ(Time.size(), 2u);
+    EXPECT_EQ(Cost[0].NodeId, 5u) << Cap;
+    EXPECT_EQ(Cost[1].NodeId, 2u) << Cap;
+    EXPECT_EQ(Cost[1].End, 7) << Cap;
+    EXPECT_EQ(Time[0].NodeId, 0u) << Cap;
+    EXPECT_EQ(Time[1].NodeId, 2u) << Cap;
+    EXPECT_EQ(Time[1].End, 2) << Cap;
+    EXPECT_GT(R.TieFallbacks, 0u) << Cap;
+  }
+}
+
 TEST(ChainAllocator, MiddleLabelNearTieDecidesTheCostPick) {
   // Two one-tick tasks; the chain edge carries no data. Task 0 fits only
   // on nodes 2-4 (no room for task 1 there), finishing at 1, 3 and 5 at

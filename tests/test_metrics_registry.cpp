@@ -162,49 +162,6 @@ TEST(MetricsHistogram, QuantileInterpolatesPrometheusStyle) {
   EXPECT_DOUBLE_EQ(Tail.quantile(0.99), 2.0);
 }
 
-TEST(MetricsHistogram, MergeEqualsObservingBothStreams) {
-  Registry R;
-  Histogram &A = R.histogram("merge_a_micros", {1.0, 2.0, 4.0});
-  Histogram &B = R.histogram("merge_b_micros", {1.0, 2.0, 4.0});
-  Histogram &Both = R.histogram("merge_ab_micros", {1.0, 2.0, 4.0});
-  for (double X : {0.5, 1.5, 9.0}) {
-    A.observe(X);
-    Both.observe(X);
-  }
-  for (double X : {3.0, 3.5}) {
-    B.observe(X);
-    Both.observe(X);
-  }
-  A.merge(B);
-  EXPECT_EQ(A.count(), Both.count());
-  EXPECT_DOUBLE_EQ(A.sum(), Both.sum());
-  for (size_t I = 0; I <= A.bounds().size(); ++I)
-    EXPECT_EQ(A.bucketCount(I), Both.bucketCount(I));
-  EXPECT_DOUBLE_EQ(A.quantile(0.5), Both.quantile(0.5));
-  EXPECT_DOUBLE_EQ(A.quantile(0.9), Both.quantile(0.9));
-}
-
-TEST(MetricsHistogram, MergeWithEmptyIsIdentity) {
-  Registry R;
-  Histogram &A = R.histogram("merge_id_micros", {1.0, 2.0});
-  Histogram &Empty = R.histogram("merge_empty_micros", {1.0, 2.0});
-  A.observe(0.5);
-  A.observe(1.5);
-  A.merge(Empty);
-  EXPECT_EQ(A.count(), 2u);
-  EXPECT_DOUBLE_EQ(A.sum(), 2.0);
-  Empty.merge(A);
-  EXPECT_EQ(Empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(Empty.quantile(0.5), A.quantile(0.5));
-}
-
-TEST(MetricsHistogramDeathTest, MergeRejectsMismatchedBounds) {
-  Registry R;
-  Histogram &A = R.histogram("merge_x_micros", {1.0, 2.0});
-  Histogram &B = R.histogram("merge_y_micros", {1.0, 3.0});
-  EXPECT_DEATH(A.merge(B), "bounds");
-}
-
 TEST(MetricsHistogram, QuantilesAppearInExposition) {
   Registry R;
   Histogram &H = R.histogram("lat_micros", {1.0, 2.0, 4.0, 8.0});

@@ -11,8 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iterator>
+#include <utility>
 #include <vector>
 
 using namespace cws;
@@ -291,6 +294,137 @@ TEST(ParetoExtremes, TrackTheFullFrontsExtremesAwayFromNearTies) {
   EXPECT_GT(Kept, 0u);
   EXPECT_GT(Changed, 0u);
   EXPECT_GT(Stopped, 0u);
+}
+
+/// A label that remembers which candidate it came from.
+struct IdL {
+  int64_t Finish;
+  double Cost;
+  int Id;
+};
+
+/// A candidate of one last-position front: its label and the lower bound
+/// on its finish that the chain DP knows before an earliest-fit query.
+struct Cand {
+  int64_t Bound;
+  IdL Label;
+};
+
+/// What both picks take from a row of fronts, folded as the chain DP's
+/// `pick` folds them: the front and the candidate, Cost pick first.
+std::array<std::pair<int, int>, 2> foldRow(
+    const std::vector<std::vector<IdL>> &Row) {
+  ParetoPick<int64_t> Cost{true}, Time{false};
+  std::array<std::pair<int, int>, 2> Picks{{{-1, -1}, {-1, -1}}};
+  for (size_t Node = 0; Node < Row.size(); ++Node)
+    for (const IdL &E : Row[Node]) {
+      if (Cost.fold(E.Finish, E.Cost))
+        Picks[0] = {static_cast<int>(Node), E.Id};
+      if (Time.fold(E.Finish, E.Cost))
+        Picks[1] = {static_cast<int>(Node), E.Id};
+    }
+  return Picks;
+}
+
+/// Builds a row of two-label fronts as the chain DP builds its last
+/// position: each front skips the candidates that the fronts before it
+/// beat for both picks, and the row stops (returns false) at a near tie,
+/// or when a front skipped a candidate and one costs within
+/// `costInTieBand` of the Cost pick's best.
+bool buildRowWithSkip(const std::vector<std::vector<Cand>> &Streams,
+                      std::vector<std::vector<IdL>> &Row, size_t &Skips) {
+  ParetoPick<int64_t> TimeBest{false}, CostBest{true};
+  for (size_t Node = 0; Node < Streams.size(); ++Node) {
+    std::vector<IdL> &Front = Row[Node];
+    bool Skipped = false, Band = false;
+    for (const Cand &C : Streams[Node]) {
+      double Cost = C.Label.Cost;
+      if (paretoPicksBeat(TimeBest, CostBest, C.Bound, Cost)) {
+        Skipped = true;
+        ++Skips;
+        continue;
+      }
+      Band = Band || (TimeBest.Found && costInTieBand(Cost, CostBest.Cost));
+      if (paretoDominated(Front, C.Bound, Cost))
+        continue;
+      if (!Front.empty() && costNearTie(Cost, Front.back().Cost))
+        return false;
+      if (paretoExtremesKept(Front, C.Bound, Cost))
+        continue;
+      if (paretoPicksBeat(TimeBest, CostBest, C.Label.Finish, Cost)) {
+        Skipped = true;
+        ++Skips;
+        continue;
+      }
+      if (!paretoDominated(Front, C.Label.Finish, Cost))
+        paretoExtremesInsert(Front, C.Label);
+    }
+    if (Skipped && Band)
+      return false;
+    for (const IdL &E : Front) {
+      TimeBest.fold(E.Finish, E.Cost);
+      CostBest.fold(E.Finish, E.Cost);
+    }
+  }
+  return true;
+}
+
+TEST(ParetoPick, SkippingWhatEarlierFrontsBeatKeepsBothPicks) {
+  // Rows of last-position fronts fed random candidate streams: costs on
+  // a CostEpsilon / 4 grid (so near ties and the band are common) or
+  // plainly apart, finishes that often tie across fronts, and fronts
+  // that repeat an earlier one's stream at a nudged cost, as nodes with
+  // one timeline do. Both picks over full fronts under every cap must
+  // equal those over two-label fronts that skip what the fronts before
+  // them beat, unless that row stopped and was rebuilt with full fronts.
+  Prng Rng(31);
+  const size_t Caps[] = {2, 3, 4, 8, SIZE_MAX};
+  size_t Skips = 0, Stopped = 0, Compared = 0;
+  for (int Round = 0; Round < 100000; ++Round) {
+    const size_t N = static_cast<size_t>(Rng.uniformInt(2, 6));
+    const double Step = Rng.bernoulli(0.8) ? CostEpsilon / 4 : 0.25;
+    std::vector<std::vector<Cand>> Streams(N);
+    int Id = 0;
+    for (size_t Node = 0; Node < N; ++Node) {
+      if (Node > 0 && Rng.bernoulli(0.3)) {
+        const std::vector<Cand> &Like = Streams[Rng.index(Node)];
+        double Nudge = static_cast<double>(Rng.uniformInt(0, 12)) * Step;
+        for (const Cand &C : Like)
+          Streams[Node].push_back(
+              {C.Bound, {C.Label.Finish, C.Label.Cost + Nudge, Id++}});
+        continue;
+      }
+      // Runs of finishes that rise as costs fall, as candidates arrive
+      // from the labels of one previous front.
+      for (int64_t Run = Rng.uniformInt(0, 4); Run > 0; --Run) {
+        int64_t Finish = Rng.uniformInt(0, 30);
+        double Cost = 1.0 + static_cast<double>(Rng.uniformInt(0, 48)) * Step;
+        for (int64_t I = Rng.uniformInt(1, 4); I > 0; --I) {
+          int64_t Bound = std::max<int64_t>(0, Finish - Rng.uniformInt(0, 2));
+          Streams[Node].push_back({Bound, {Finish, Cost, Id++}});
+          Finish += Rng.uniformInt(0, 4);
+          Cost -= static_cast<double>(Rng.uniformInt(1, 6)) * Step;
+        }
+      }
+    }
+    size_t Cap = Caps[Rng.index(std::size(Caps))];
+    std::vector<std::vector<IdL>> Full(N);
+    for (size_t Node = 0; Node < N; ++Node)
+      for (const Cand &C : Streams[Node])
+        paretoInsert(Full[Node], C.Label, Cap);
+    std::vector<std::vector<IdL>> Skipping(N);
+    if (!buildRowWithSkip(Streams, Skipping, Skips)) {
+      ++Stopped; // Rebuilt with full fronts: the picks are the reference.
+      continue;
+    }
+    ++Compared;
+    ASSERT_EQ(foldRow(Skipping), foldRow(Full)) << "round " << Round;
+  }
+  // Not vacuous: candidates were skipped, and rows both stopped and ran
+  // to the end.
+  EXPECT_GT(Skips, 0u);
+  EXPECT_GT(Stopped, 0u);
+  EXPECT_GT(Compared, 0u);
 }
 
 TEST(ParetoInsert, WorksOnSmallVectorFronts) {

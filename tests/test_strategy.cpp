@@ -636,11 +636,12 @@ TEST(Strategy, FullNodesLeaveTheDpSearch) {
   // (nodes 0-3) searches only nodes 0, 2 and 3, and level 1 (nodes 1-3)
   // only nodes 2 and 3: no earliest-fit query lands on node 1. The
   // counts are pinned. Searching every candidate keeps the same labels
-  // but runs 78 queries, 11 of them first fits on node 1. At a chain's
+  // but runs 69 queries, 11 of them first fits on node 1. At a chain's
   // last position a front keeps only its earliest-finish and cheapest
-  // label, so one label that a full front keeps between the two is not
-  // kept there, and one earliest-fit query is not run: full fronts keep
-  // 51 labels and run 68 queries.
+  // label, and skips the candidates that the fronts the pick reads
+  // before it beat for both picks: full fronts keep 51 labels and run
+  // 68 queries, and two-label fronts that skip no such candidate keep 50
+  // labels and run 67 queries.
   Grid Env;
   Env.addNode(1.0);
   Env.addNode(0.5);
@@ -653,8 +654,8 @@ TEST(Strategy, FullNodesLeaveTheDpSearch) {
   BuildWork W = profiledBuild(makeDiamondJob(40), Env, Config, S);
   EXPECT_EQ(W.VariantsBuilt, 5u);
   EXPECT_EQ(W.DpCalls, 10u);
-  EXPECT_EQ(W.Labels, 50u);
-  EXPECT_EQ(W.FitQueries, 67u);
+  EXPECT_EQ(W.Labels, 40u);
+  EXPECT_EQ(W.FitQueries, 58u);
   EXPECT_EQ(firstDifference(S.variants(),
                             perVariantReference(S, Env, Network{}, Config,
                                                 42, 0)),

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -89,6 +90,68 @@ TEST(SweepGrid, RejectsMalformedGrids) {
                               "seeds 10001\n",
                               G, Error));
   EXPECT_NE(Error.find("100000 runs"), std::string::npos) << Error;
+}
+
+/// Parses a grid that declares one axis on its second line; returns the
+/// parse error, or "" when the grid parses.
+std::string axisError(const std::string &Axis) {
+  SweepGrid G;
+  std::string Error;
+  return parseSweepGrid("seeds 1\naxis " + Axis + "\n", G, Error) ? ""
+                                                                    : Error;
+}
+
+/// Expects every value in \p Bad, declared after the good value
+/// \p Good, to fail the grid on line 2 with an error naming it.
+void expectAxisRejects(const std::string &Name, const std::string &Good,
+                       std::initializer_list<const char *> Bad) {
+  for (const char *Value : Bad) {
+    std::string Error = axisError(Name + " " + Good + " " + Value);
+    EXPECT_NE(Error.find("line 2: axis " + Name + " value '" + Value + "'"),
+              std::string::npos)
+        << Value << ": " << Error;
+  }
+}
+
+// Each axis takes what its cws-sim flag accepts, so a bad value fails
+// the grid before any run instead of failing that run.
+
+TEST(SweepGrid, JobsAxisTakesCountsFromZero) {
+  EXPECT_EQ(axisError("jobs 0 5 4000"), "");
+  EXPECT_EQ(axisError("jobs 5 -5"),
+            "line 2: axis jobs value '-5' must be >= 0");
+  expectAxisRejects("jobs", "5", {"2.5", "x", "9223372036854775808"});
+}
+
+TEST(SweepGrid, SlackAxisTakesWhatSlackAccepts) {
+  EXPECT_EQ(axisError("slack 0.5 1.3 4"), "");
+  expectAxisRejects("slack", "2", {"0", "-1", "inf", "nan", "1e300", "2x"});
+}
+
+TEST(SweepGrid, ArrivalScaleAxisTakesPositiveFiniteNumbers) {
+  EXPECT_EQ(axisError("arrival_scale 0.25 2"), "");
+  expectAxisRejects("arrival_scale", "1", {"0", "-2", "inf", "nan", "1e999"});
+}
+
+TEST(SweepGrid, BackgroundScaleAxisTakesPositiveFiniteNumbers) {
+  EXPECT_EQ(axisError("background_scale 0.25 2"), "");
+  expectAxisRejects("background_scale", "1", {"0", "-2", "inf", "nan", "x"});
+}
+
+TEST(SweepGrid, FastShareAxisTakesFiniteSharesUpToOne) {
+  // A negative share is cws-sim's paper default.
+  EXPECT_EQ(axisError("fast_share -1 0 0.33 1"), "");
+  expectAxisRejects("fast_share", "0.5", {"1.5", "inf", "nan", "-inf"});
+}
+
+TEST(SweepGrid, ExecAxisTakesZeroOrOne) {
+  EXPECT_EQ(axisError("exec 0 1"), "");
+  expectAxisRejects("exec", "1", {"2", "-1", "true", "0.5"});
+}
+
+TEST(SweepGrid, StrategyAxisTakesTheFourStrategies) {
+  EXPECT_EQ(axisError("strategy S1 S2 S3 MS1"), "");
+  expectAxisRejects("strategy", "S2", {"S9", "s1", "MS2"});
 }
 
 TEST(SweepGrid, ExpansionIsCartesianWithSeedReplicas) {
