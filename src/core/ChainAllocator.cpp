@@ -8,6 +8,7 @@
 #include "core/ChainAllocator.h"
 #include "job/Job.h"
 #include "obs/Metrics.h"
+#include "obs/Profiler.h"
 #include "resource/Grid.h"
 #include "support/Check.h"
 
@@ -34,6 +35,46 @@ struct AllocatorMetrics {
   }
 };
 } // namespace
+
+DpWork &DpWork::operator+=(const DpWork &Other) {
+  Labels += Other.Labels;
+  FitQueries += Other.FitQueries;
+  Reruns += Other.Reruns;
+  PassesUnreachable += Other.PassesUnreachable;
+  FrontsSkipped += Other.FrontsSkipped;
+  TieFallbacks += Other.TieFallbacks;
+  return *this;
+}
+
+DpWork &DpWork::operator-=(const DpWork &Other) {
+  Labels -= Other.Labels;
+  FitQueries -= Other.FitQueries;
+  Reruns -= Other.Reruns;
+  PassesUnreachable -= Other.PassesUnreachable;
+  FrontsSkipped -= Other.FrontsSkipped;
+  TieFallbacks -= Other.TieFallbacks;
+  return *this;
+}
+
+static obs::PhaseAccum &chainDpAccum() {
+  static obs::PhaseAccum &Accum = obs::Profiler::global().phase("chain.dp");
+  return Accum;
+}
+
+ChainDpPhase::ChainDpPhase(const ChainAllocator &Allocator)
+    : Scope(chainDpAccum()), Allocator(Allocator), Start(Allocator.work()) {}
+
+ChainDpPhase::~ChainDpPhase() {
+  DpWork W = Allocator.work();
+  W -= Start;
+  W += Added;
+  Scope.work("labels", W.Labels);
+  Scope.work("fit_queries", W.FitQueries);
+  Scope.work("dp_reruns", W.Reruns);
+  Scope.work("passes_unreachable", W.PassesUnreachable);
+  Scope.work("fronts_skipped", W.FrontsSkipped);
+  Scope.work("tie_fallbacks", W.TieFallbacks);
+}
 
 const char *cws::optimizationBiasName(OptimizationBias Bias) {
   switch (Bias) {
@@ -69,48 +110,6 @@ ChainAllocator::ChainAllocator(const Job &J, Grid &ScratchGrid,
 ChainAllocator::Buffers &ChainAllocator::threadBuffers() {
   thread_local Buffers B;
   return B;
-}
-
-void ChainAllocator::gatherPlaced(unsigned TaskId, const Distribution &Dist) {
-  Buf.Preds.clear();
-  for (size_t EdgeIdx : J.inEdges(TaskId)) {
-    const DataEdge &E = J.edge(EdgeIdx);
-    // Unplaced predecessors belong to later phases.
-    if (const Placement *Src = Dist.find(E.Src))
-      Buf.Preds.push_back({E.Src, E.BaseTransfer, Src->NodeId, Src->End});
-  }
-  Buf.Succs.clear();
-  for (size_t EdgeIdx : J.outEdges(TaskId)) {
-    const DataEdge &E = J.edge(EdgeIdx);
-    if (const Placement *Dst = Dist.find(E.Dst))
-      Buf.Succs.push_back({E.BaseTransfer, Dst->NodeId, Dst->Start});
-  }
-}
-
-Tick ChainAllocator::externalReady(unsigned NodeId, Tick Release) const {
-  Tick Ready = Release;
-  for (const PlacedPred &P : Buf.Preds)
-    Ready = std::max(Ready, P.End + Policy.previewTicks(P.Task, P.Base,
-                                                        P.Node, NodeId));
-  return Ready;
-}
-
-Tick ChainAllocator::latestFinish(unsigned TaskId, unsigned NodeId,
-                                  Tick Deadline) const {
-  Tick Latest = Deadline;
-  for (const PlacedSucc &S : Buf.Succs)
-    Latest = std::min(Latest, S.Start - Policy.previewTicks(TaskId, S.Base,
-                                                            NodeId, S.Node));
-  return Latest;
-}
-
-Tick ChainAllocator::placedInboundTicks(unsigned NodeId,
-                                        unsigned SkipPred) const {
-  Tick Sum = 0;
-  for (const PlacedPred &P : Buf.Preds)
-    if (P.Task != SkipPred)
-      Sum += Policy.billedTicks(P.Task, P.Base, P.Node, NodeId);
-  return Sum;
 }
 
 namespace {
@@ -149,17 +148,69 @@ Tick chainEdgeBase(const Job &J, unsigned Src, unsigned Dst) {
 
 } // namespace
 
+void ChainAllocator::gatherPlaced(size_t Pos,
+                                  const std::vector<unsigned> &Chain,
+                                  const Distribution &Dist) {
+  unsigned TaskId = Chain[Pos];
+  unsigned ChainPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
+  Buf.Preds.clear();
+  for (size_t EdgeIdx : J.inEdges(TaskId)) {
+    const DataEdge &E = J.edge(EdgeIdx);
+    // Unplaced predecessors belong to later phases.
+    const Placement *Src = Dist.find(E.Src);
+    if (!Src)
+      continue;
+    // The chain edge bills the transfer from the previous chain task.
+    DataPolicy::FarTicks Far = Policy.far(E.BaseTransfer);
+    Buf.Preds.push_back(
+        {Src->End, Far.Wait, E.Src == ChainPred ? 0 : Far.Billed});
+    if (Buf.PredFree.size() < Buf.Preds.size())
+      Buf.PredFree.emplace_back();
+    NodeSet &Free = Buf.PredFree[Buf.Preds.size() - 1];
+    Policy.replicaNodes(E.Src, Free);
+    Free.insert(Src->NodeId);
+  }
+  Policy.replicaNodes(TaskId, Buf.OwnReplicas);
+  Buf.Succs.clear();
+  for (size_t EdgeIdx : J.outEdges(TaskId)) {
+    const DataEdge &E = J.edge(EdgeIdx);
+    if (const Placement *Dst = Dist.find(E.Dst))
+      Buf.Succs.push_back({Dst->NodeId, Dst->Start,
+                           Buf.OwnReplicas.contains(Dst->NodeId)
+                               ? 0
+                               : Policy.far(E.BaseTransfer).Wait});
+  }
+  Buf.ChainFar = {0, 0};
+  Buf.ChainReplicas.clear();
+  if (Pos > 0) {
+    Buf.ChainFar = Policy.far(chainEdgeBase(J, ChainPred, TaskId));
+    Policy.replicaNodes(ChainPred, Buf.ChainReplicas);
+  }
+}
+
+ChainAllocator::PlacedTerms ChainAllocator::placedOn(unsigned NodeId,
+                                                     Tick Release) const {
+  PlacedTerms Out{Release, 0};
+  for (size_t I = 0; I < Buf.Preds.size(); ++I) {
+    const PlacedPred &P = Buf.Preds[I];
+    if (Buf.PredFree[I].contains(NodeId)) {
+      Out.Ready = std::max(Out.Ready, P.End);
+      continue;
+    }
+    Out.Ready = std::max(Out.Ready, P.End + P.Wait);
+    Out.Inbound += P.Billed;
+  }
+  return Out;
+}
+
 bool ChainAllocator::computeTerms(size_t Pos,
                                   const std::vector<unsigned> &Chain,
                                   const Distribution &Dist, Tick Release,
                                   Tick Deadline,
                                   const std::vector<Tick> &ExtraReady) {
   const size_t N = Search.size();
-  unsigned TaskId = Chain[Pos];
-  unsigned SkipPred = Pos > 0 ? Chain[Pos - 1] : J.taskCount();
-  Tick EdgeBase = Pos > 0 ? chainEdgeBase(J, SkipPred, TaskId) : 0;
-  Tick RefTicks = J.task(TaskId).RefTicks;
-  gatherPlaced(TaskId, Dist);
+  Tick RefTicks = J.task(Chain[Pos]).RefTicks;
+  gatherPlaced(Pos, Chain, Dist);
   NodeTerms *Row = &Buf.Terms[Pos * N];
   const NodeTerms *Prev = Pos > 0 ? Row - N : nullptr;
   // The earliest finish of the previous row on a node other than n.
@@ -173,24 +224,24 @@ bool ChainAllocator::computeTerms(size_t Pos,
     NodeTerms &T = Row[NodeIdx];
     T.Line = &Node.timeline();
     T.Dur = Node.execTicks(RefTicks);
-    T.Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
-    T.Lft = latestFinish(TaskId, NodeId, Deadline);
+    PlacedTerms Placed = placedOn(NodeId, Release);
+    T.Ready = std::max(Placed.Ready, ExtraReady[Pos]);
+    T.Lft = Deadline;
+    for (const PlacedSucc &S : Buf.Succs)
+      T.Lft = std::min(T.Lft, S.Start - (S.Node == NodeId ? 0 : S.Wait));
     T.EarliestFinish = NoLabel;
     T.Build = false;
     if (T.Ready + T.Dur > T.Lft)
       continue;
     T.FirstFit = T.Line->earliestFit(T.Ready, T.Dur);
-    ++FitQueries;
+    ++Done.FitQueries;
     if (T.FirstFit + T.Dur > T.Lft)
       continue;
     Tick Start = T.FirstFit;
-    // Sources of the chain edge: this node ([0]) and another one ([1]).
-    const unsigned Src[2] = {NodeId, N > 1 ? Search[NodeIdx == 0 ? 1 : 0]
-                                           : NodeId};
-    const int Sources = Pos == 0 ? 0 : N == 1 ? 1 : 2;
-    for (int Other = 0; Other < Sources; ++Other)
-      T.ChainTr[Other] =
-          Policy.previewTicks(SkipPred, EdgeBase, Src[Other], NodeId);
+    // The chain edge from another node is free only to a replica.
+    const bool ChainFree = Buf.ChainReplicas.contains(NodeId);
+    T.ChainTr[0] = 0;
+    T.ChainTr[1] = ChainFree ? 0 : Buf.ChainFar.Wait;
     if (Pos > 0) {
       // A label here extends one of the previous row, so it is ready no
       // earlier than the earliest previous finish plus its transfer.
@@ -209,15 +260,13 @@ bool ChainAllocator::computeTerms(size_t Pos,
       continue;
     T.EarliestFinish = Start + T.Dur;
     Any = true;
-    T.Inbound = placedInboundTicks(NodeId, SkipPred);
+    T.Inbound = Placed.Inbound;
     T.ExecCost = Cost.nodeCost(NodeId, T.Dur);
-    for (int Other = 0; Other < Sources; ++Other) {
-      Tick ChainBill =
-          Policy.billedTicks(SkipPred, EdgeBase, Src[Other], NodeId);
+    const Tick ChainBill[2] = {0, ChainFree ? 0 : Buf.ChainFar.Billed};
+    for (int Other = 0; Other < 2; ++Other)
       T.StepCost[Other] = T.ExecCost +
-                          Cost.transferCost(ChainBill + T.Inbound) +
+                          Cost.transferCost(ChainBill[Other] + T.Inbound) +
                           (Other ? Params.NodeSwitchPenalty : 0.0);
-    }
   }
   return Any;
 }
@@ -258,7 +307,7 @@ void ChainAllocator::markBuilt(size_t K) {
       if (Same.Build)
         Latest = std::max(Latest, Same.Lft - Same.Dur - Same.ChainTr[0]);
       T.Build = T.EarliestFinish <= Latest;
-      FrontsSkipped += !T.Build;
+      Done.FrontsSkipped += !T.Build;
     }
   }
 }
@@ -275,8 +324,9 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   //    node, label) order in which labels reach a front, so every front
   //    receives the same labels in the same order;
   //  * the placed neighbours of a position's task do not depend on the
-  //    node, so they are gathered once per position, and each node
-  //    folds over them in edge order;
+  //    node, and neither does any transfer's cost except through
+  //    whether it is free (DataPolicy), so they are gathered and priced
+  //    once per position, and each node folds over them with bit tests;
   //  * the terms that do not depend on the previous label are computed
   //    once per (position, node). The scratch timelines do not change
   //    during a pass, so that includes the first fit S0 =
@@ -285,7 +335,7 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   //    the latest finish takes no label;
   //  * the chain-edge transfer depends on the node pair only through
   //    whether the two nodes differ (the replica memory keys on the
-  //    destination), so it takes two values per node;
+  //    destination), so it takes two values per node, 0 on one node;
   //  * before any front is built, a forward sweep over the terms bounds
   //    each front's earliest finish: a label starts no earlier than S0
   //    and than the previous row's earliest finish plus the transfer,
@@ -336,13 +386,13 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     if (computeTerms(Pos, Chain, Dist, Release, Deadline, ExtraReady))
       continue;
     // No label reaches this position, so none reaches the last one.
-    ++PassesUnreachable;
+    ++Done.PassesUnreachable;
     for (size_t I = 0; I < Pos * N; ++I)
-      FrontsSkipped += Buf.Terms[I].EarliestFinish != NoLabel;
+      Done.FrontsSkipped += Buf.Terms[I].EarliestFinish != NoLabel;
     return;
   }
   markBuilt(K);
-  const uint64_t Kept0 = KeptLabels;
+  const uint64_t Kept0 = Done.Labels;
   const uint64_t Evicted0 = EvictedLabels;
 
   for (size_t NodeIdx = 0; NodeIdx < N; ++NodeIdx) {
@@ -351,7 +401,7 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
       continue;
     double C = T.ExecCost + Cost.transferCost(T.Inbound);
     Buf.Fronts[NodeIdx].push_back({T.FirstFit + T.Dur, C, T.FirstFit, -1, -1});
-    ++KeptLabels;
+    ++Done.Labels;
   }
 
   for (size_t Pos = 1; Pos < K; ++Pos) {
@@ -367,7 +417,7 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
       continue;
     // A near cost tie, or a skip next to the band, at the last position:
     // rebuild it with full fronts.
-    ++TieFallbacks;
+    ++Done.TieFallbacks;
     for (size_t I = Pos * N; I < K * N; ++I)
       Buf.Fronts[I].clear();
     buildRow<false>(Pos);
@@ -377,9 +427,9 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
   // the same as per-label increments at every point outside a pass. The
   // instruments register with the pass's first label, since registration
   // order is the metrics file's order.
-  if (KeptLabels != Kept0) {
+  if (Done.Labels != Kept0) {
     AllocatorMetrics &M = AllocatorMetrics::get();
-    M.Labels.add(KeptLabels - Kept0);
+    M.Labels.add(Done.Labels - Kept0);
     M.Evictions.add(EvictedLabels - Evicted0);
   }
 }
@@ -484,7 +534,7 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
         Tick Start = Bound;
         if (Ready > T.FirstFit) {
           Start = T.Line->earliestFit(Ready, T.Dur);
-          ++FitQueries;
+          ++Done.FitQueries;
           if (Start + T.Dur > T.Lft)
             continue;
           if constexpr (Extremes)
@@ -501,11 +551,11 @@ template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
         Label L{Start + T.Dur, C, Start, static_cast<int32_t>(PrevIdx),
                 static_cast<int32_t>(LabelIdx)};
         if constexpr (Extremes) {
-          KeptLabels += paretoExtremesInsert(Front, L);
+          Done.Labels += paretoExtremesInsert(Front, L);
         } else {
           ParetoInsertOutcome Outcome =
               paretoInsertAt(Front, Rank, L, Params.MaxFrontSize);
-          KeptLabels += Outcome.Inserted;
+          Done.Labels += Outcome.Inserted;
           EvictedLabels += Outcome.EvictedForCap;
         }
       }
@@ -661,7 +711,7 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
     }
     if (Violated) {
       AllocatorMetrics::get().Reruns.add();
-      ++DpReruns;
+      ++Done.Reruns;
       continue;
     }
     break;
@@ -674,17 +724,20 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
     const ProcessorNode &Node = G.node(NodeId);
     Tick Dur = Path[Pos].Finish - Path[Pos].Start;
 
-    // Recompute the unconstrained ready time to detect contention.
-    gatherPlaced(TaskId, Dist);
-    Tick Ready = std::max(externalReady(NodeId, Release), ExtraReady[Pos]);
-    Tick ChainTr = 0;
+    // Recompute the unconstrained ready time to detect contention. The
+    // terms are derived again at each position: the placements and the
+    // replicas recorded before it count.
+    gatherPlaced(Pos, Chain, Dist);
+    PlacedTerms Placed = placedOn(NodeId, Release);
+    Tick Ready = std::max(Placed.Ready, ExtraReady[Pos]);
     Tick ChainBill = 0;
     if (Pos > 0) {
-      Tick EdgeBase = chainEdgeBase(J, Chain[Pos - 1], TaskId);
-      ChainTr = Policy.previewTicks(Chain[Pos - 1], EdgeBase,
-                                    Path[Pos - 1].NodeId, NodeId);
-      ChainBill = Policy.billedTicks(Chain[Pos - 1], EdgeBase,
-                                     Path[Pos - 1].NodeId, NodeId);
+      Tick ChainTr = 0;
+      if (Path[Pos - 1].NodeId != NodeId &&
+          !Buf.ChainReplicas.contains(NodeId)) {
+        ChainTr = Buf.ChainFar.Wait;
+        ChainBill = Buf.ChainFar.Billed;
+      }
       Ready = std::max(Ready, Path[Pos - 1].Finish + ChainTr);
     }
     if (Path[Pos].Start > Ready) {
@@ -709,7 +762,7 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
         if (Cost.nodeCost(Other, CheapDur) + 1e-9 >=
             Cost.nodeCost(NodeId, Dur))
           continue;
-        Tick CheapReady = externalReady(Other, Release);
+        Tick CheapReady = placedOn(Other, Release).Ready;
         const Interval *Blocking =
             Cheap.timeline().firstOverlap(CheapReady, CheapReady + CheapDur);
         if (Blocking) {
@@ -720,12 +773,10 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
       }
     }
 
-    Tick Inbound = placedInboundTicks(
-        NodeId, /*SkipPred=*/Pos > 0 ? Chain[Pos - 1] : J.taskCount());
     // The node-switch penalty shapes the DP toward coarse placements
     // but is not a real quota charge, so it is excluded here.
-    double PlaceCost =
-        Cost.nodeCost(NodeId, Dur) + Cost.transferCost(ChainBill + Inbound);
+    double PlaceCost = Cost.nodeCost(NodeId, Dur) +
+                       Cost.transferCost(ChainBill + Placed.Inbound);
 
     bool Reserved = G.node(NodeId).timeline().reserve(
         Path[Pos].Start, Path[Pos].Finish, Owner);

@@ -24,6 +24,7 @@
 #include "core/CriticalWork.h"
 #include "core/Distribution.h"
 #include "core/ParetoFront.h"
+#include "obs/Profiler.h"
 #include "resource/DataPolicy.h"
 #include "sim/Time.h"
 #include "support/SmallVector.h"
@@ -92,6 +93,25 @@ struct ChainSplit {
   std::array<std::vector<ChainStep>, 2> Paths;
 };
 
+/// The deterministic work of chain placements: Pareto labels kept (at
+/// the last position: labels that changed a front's extremes),
+/// earliest-fit queries issued, window-violation reruns, forward passes
+/// that found no path before building a front, fronts a pass did not
+/// build although their task fits its window there, and last positions
+/// rebuilt with full fronts after a near cost tie or a skip next to the
+/// band.
+struct DpWork {
+  uint64_t Labels = 0;
+  uint64_t FitQueries = 0;
+  uint64_t Reruns = 0;
+  uint64_t PassesUnreachable = 0;
+  uint64_t FrontsSkipped = 0;
+  uint64_t TieFallbacks = 0;
+
+  DpWork &operator+=(const DpWork &Other);
+  DpWork &operator-=(const DpWork &Other);
+};
+
 /// How a chain placement ended.
 enum class ChainOutcome {
   Placed,
@@ -158,21 +178,9 @@ public:
               Tick Deadline, OwnerId Owner,
               std::vector<CollisionRecord> &Collisions);
 
-  /// Cumulative DP work of this allocator instance — Pareto labels
-  /// kept (at the last position: labels that changed a front's
-  /// extremes), earliest-fit queries issued, window-violation reruns,
-  /// forward passes that found no path before building a front, fronts a
-  /// pass did not build although their task fits its window there, and
-  /// last positions rebuilt with full fronts after a near cost tie or a
-  /// skip next to the band.
-  /// Deltas around an `allocate` call give that call's deterministic
-  /// work (the caller attributes them to the `chain.dp` profiler phase).
-  uint64_t labelsKept() const { return KeptLabels; }
-  uint64_t fitQueries() const { return FitQueries; }
-  uint64_t dpReruns() const { return DpReruns; }
-  uint64_t passesUnreachable() const { return PassesUnreachable; }
-  uint64_t frontsSkipped() const { return FrontsSkipped; }
-  uint64_t tieFallbacks() const { return TieFallbacks; }
+  /// The cumulative DP work of this allocator. A `ChainDpPhase` around
+  /// a placement attributes that placement's share to `chain.dp`.
+  const DpWork &work() const { return Done; }
 
 private:
   struct Label {
@@ -218,7 +226,8 @@ private:
     Tick Inbound;
     double ExecCost;
     /// Chain-edge transfer ticks and step cost from a previous chain
-    /// task on this node ([0]) and on any other node ([1]).
+    /// task on this node ([0], where the transfer is free) and on any
+    /// other node ([1]).
     Tick ChainTr[2];
     double StepCost[2];
   };
@@ -226,21 +235,33 @@ private:
   /// `NodeTerms::EarliestFinish` of a front that can hold no label.
   static constexpr Tick NoLabel = std::numeric_limits<Tick>::max();
 
-  /// A placed predecessor of the current task: the producer, the edge's
-  /// base transfer, and the producer's node and finish.
+  /// An edge from a placed predecessor of the current task: the
+  /// producer's finish, and what the transfer costs on a node where it
+  /// is not free (`Buffers::PredFree`). `Billed` is 0 on the edges from
+  /// the previous chain task, which the chain edge bills.
   struct PlacedPred {
-    unsigned Task;
-    Tick Base;
-    unsigned Node;
     Tick End;
+    Tick Wait;
+    Tick Billed;
   };
 
-  /// A placed successor of the current task: the edge's base transfer,
-  /// and the consumer's node and start.
+  /// An edge to a placed successor of the current task: the consumer's
+  /// node and start, and the ticks the transfer takes from any other
+  /// node (0 when the consumer's node holds a replica of the task's
+  /// data).
   struct PlacedSucc {
-    Tick Base;
     unsigned Node;
     Tick Start;
+    Tick Wait;
+  };
+
+  /// What the gathered predecessors impose on the task on one node.
+  struct PlacedTerms {
+    /// Ready time, the release included.
+    Tick Ready;
+    /// Billed inbound ticks from predecessors other than the previous
+    /// chain task.
+    Tick Inbound;
   };
 
   /// The verify-and-rerun loop of one chain placement, from attempt
@@ -279,23 +300,17 @@ private:
   bool pick(OptimizationBias Bias, const std::vector<unsigned> &Chain,
             std::vector<ChainStep> &Path) const;
 
-  /// Gathers the placed predecessors and successors of \p TaskId into
-  /// `Preds` and `Succs`, in edge order. The fold helpers below read
-  /// them; none of them depends on the node the task would run on.
-  void gatherPlaced(unsigned TaskId, const Distribution &Dist);
+  /// Derives the transfer terms of position \p Pos's task once, from
+  /// the placed neighbours in \p Dist, the chain edge and the replicas
+  /// the policy holds now: `Preds` and `PredFree`, `Succs`, and the
+  /// chain edge's. None of them depends on the node the task would run
+  /// on, so each node then needs only bit tests, maxes and adds.
+  void gatherPlaced(size_t Pos, const std::vector<unsigned> &Chain,
+                    const Distribution &Dist);
 
-  /// Ready time of the gathered task on node \p NodeId considering
-  /// placed predecessors only (the immediate chain predecessor is added
-  /// by the DP transition).
-  Tick externalReady(unsigned NodeId, Tick Release) const;
-
-  /// Latest feasible finish of the gathered task \p TaskId on \p NodeId
-  /// given placed successors and the deadline.
-  Tick latestFinish(unsigned TaskId, unsigned NodeId, Tick Deadline) const;
-
-  /// Inbound transfer ticks billed from the gathered task's placed
-  /// predecessors other than \p SkipPred.
-  Tick placedInboundTicks(unsigned NodeId, unsigned SkipPred) const;
+  /// The gathered predecessors' terms on node \p NodeId. The previous
+  /// chain task's transfer is added by the DP transition.
+  PlacedTerms placedOn(unsigned NodeId, Tick Release) const;
 
   /// The scratch state of one chain placement. Every allocator on a
   /// thread shares one set: a placement fills each buffer before it
@@ -307,7 +322,18 @@ private:
     /// The terms of the last forward pass, position-major like `Fronts`.
     std::vector<NodeTerms> Terms;
     std::vector<PlacedPred> Preds;
+    /// `PredFree[I]`: the nodes where `Preds[I]`'s transfer is free, the
+    /// producer's and those holding a replica of its data. It may be
+    /// longer than `Preds`; the rest is stale.
+    std::vector<NodeSet> PredFree;
     std::vector<PlacedSucc> Succs;
+    /// The chain edge into the current task: its cost from another node,
+    /// and the nodes holding a replica of the previous task's data, where
+    /// it is free. At position 0 it costs nothing.
+    DataPolicy::FarTicks ChainFar;
+    NodeSet ChainReplicas;
+    /// The nodes holding a replica of the current task's data.
+    NodeSet OwnReplicas;
     /// Chain position of each task of the job, for the precedence check.
     std::vector<size_t> PosOf;
   };
@@ -323,13 +349,30 @@ private:
   /// The node ids the forward pass searches.
   const std::vector<unsigned> &Search;
   Buffers &Buf;
-  uint64_t KeptLabels = 0;
+  DpWork Done;
   uint64_t EvictedLabels = 0;
-  uint64_t FitQueries = 0;
-  uint64_t DpReruns = 0;
-  uint64_t PassesUnreachable = 0;
-  uint64_t FrontsSkipped = 0;
-  uint64_t TieFallbacks = 0;
+};
+
+/// The `chain.dp` profiler phase, open while the object lives. When it
+/// closes it attaches the work its allocator did meanwhile, plus the
+/// work handed to `add`. The scheduler and the stage-2 repair run each
+/// chain placement inside one.
+class ChainDpPhase {
+public:
+  explicit ChainDpPhase(const ChainAllocator &Allocator);
+  ~ChainDpPhase();
+
+  /// Also attaches \p Work: that of an allocator made inside the phase.
+  void add(const DpWork &Work) { Added += Work; }
+
+  ChainDpPhase(const ChainDpPhase &) = delete;
+  ChainDpPhase &operator=(const ChainDpPhase &) = delete;
+
+private:
+  obs::PhaseScope Scope;
+  const ChainAllocator &Allocator;
+  DpWork Start;
+  DpWork Added;
 };
 
 } // namespace cws

@@ -260,8 +260,8 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
       // re-runs it. The DP requires consecutive chain tasks to share an
       // edge, so the owned tasks re-run as maximal contiguous segments
       // of the original chain; across the gaps the placement of the
-      // task owned elsewhere carries the precedence
-      // (placedInboundTicks sees it in the distribution).
+      // task owned elsewhere carries the precedence (the DP reads its
+      // placement from the distribution).
       const std::vector<unsigned> &Chain = Phases[Ph].TaskIds;
       bool ReranAny = false;
       for (size_t I = 0; I < Chain.size();) {
@@ -275,9 +275,14 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
           ++E;
         CriticalWork Segment = Phases[Ph];
         Segment.TaskIds.assign(Chain.begin() + I, Chain.begin() + E);
-        if (!Allocator.allocate(Segment, Fixed, Release,
-                                Scheduled.deadline(), In.Owner,
-                                Out.Collisions))
+        bool Placed;
+        {
+          ChainDpPhase DpPhase(Allocator);
+          Placed = Allocator.allocate(Segment, Fixed, Release,
+                                      Scheduled.deadline(), In.Owner,
+                                      Out.Collisions);
+        }
+        if (!Placed)
           return std::nullopt;
         ReranAny = true;
         I = E;

@@ -8,7 +8,6 @@
 #include "core/Scheduler.h"
 #include "job/Job.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
 
@@ -143,18 +142,9 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
         L.Result.Phases.push_back(std::move(Work));
         M.Phases.add();
         const CriticalWork &Chain = L.Result.Phases.back();
-        CWS_PHASE_AS(DpPhase, "chain.dp");
-        uint64_t Labels0 = Allocator.labelsKept();
-        uint64_t Fits0 = Allocator.fitQueries();
-        uint64_t Reruns0 = Allocator.dpReruns();
-        uint64_t Unreachable0 = Allocator.passesUnreachable();
-        uint64_t Skipped0 = Allocator.frontsSkipped();
-        uint64_t Ties0 = Allocator.tieFallbacks();
+        ChainDpPhase DpPhase(Allocator);
         obs::Span AllocSpan("core", "allocateChain", "chain_len",
                             static_cast<int64_t>(Chain.TaskIds.size()));
-        // Work of the Time lane's continuation after a split.
-        uint64_t ForkLabels = 0, ForkFits = 0, ForkReruns = 0;
-        uint64_t ForkUnreachable = 0, ForkSkipped = 0, ForkTies = 0;
         ChainSplit Split;
         ChainOutcome Outcome =
             Allocator.allocate(Chain, L.Result.Dist, Release, J.deadline(),
@@ -180,25 +170,10 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
           Placed = Allocator.resume(Chain, Split, L.Bias, L.Result.Dist,
                                     Release, J.deadline(), Owner,
                                     L.Result.Collisions);
-          ForkLabels = TimeAllocator.labelsKept();
-          ForkFits = TimeAllocator.fitQueries();
-          ForkReruns = TimeAllocator.dpReruns();
-          ForkUnreachable = TimeAllocator.passesUnreachable();
-          ForkSkipped = TimeAllocator.frontsSkipped();
-          ForkTies = TimeAllocator.tieFallbacks();
+          // The Time lane's continuation is work of this placement too.
+          DpPhase.add(TimeAllocator.work());
         }
         AllocSpan.arg("placed", Placed);
-        DpPhase.work("labels", Allocator.labelsKept() - Labels0 + ForkLabels);
-        DpPhase.work("fit_queries",
-                     Allocator.fitQueries() - Fits0 + ForkFits);
-        DpPhase.work("dp_reruns",
-                     Allocator.dpReruns() - Reruns0 + ForkReruns);
-        DpPhase.work("passes_unreachable", Allocator.passesUnreachable() -
-                                               Unreachable0 + ForkUnreachable);
-        DpPhase.work("fronts_skipped",
-                     Allocator.frontsSkipped() - Skipped0 + ForkSkipped);
-        DpPhase.work("tie_fallbacks",
-                     Allocator.tieFallbacks() - Ties0 + ForkTies);
       }
       const CriticalWork &Work = L.Result.Phases.back();
       if (Placed) {

@@ -37,32 +37,41 @@ static Tick scaleTicks(Tick Ticks, double Factor) {
   return ceilTicks(static_cast<double>(Ticks) * Factor - 1e-9);
 }
 
-Tick DataPolicy::previewTicks(unsigned ProducerTask, Tick BaseTicks,
-                              unsigned SrcNode, unsigned DstNode) const {
-  Tick Wire = Net.transferTicks(BaseTicks, SrcNode, DstNode);
+DataPolicy::FarTicks DataPolicy::far(Tick BaseTicks) const {
+  Tick Wire = Net.farTicks(BaseTicks);
   if (Wire == 0)
-    return 0;
+    return {0, 0};
   switch (Kind) {
   case DataPolicyKind::ActiveReplication:
-    if (hasReplica(ProducerTask, DstNode))
-      return 0;
-    return scaleTicks(Wire, Config.ReplicationFactor);
+    return {scaleTicks(Wire, Config.ReplicationFactor),
+            scaleTicks(Wire, Config.ReplicationBilling)};
   case DataPolicyKind::RemoteAccess:
-    return Wire;
-  case DataPolicyKind::StaticStorage:
-    return scaleTicks(Wire, Config.StaticPenalty);
+    return {Wire, Wire};
+  case DataPolicyKind::StaticStorage: {
+    Tick Moved = scaleTicks(Wire, Config.StaticPenalty);
+    return {Moved, Moved};
+  }
   }
   CWS_UNREACHABLE("unknown data policy");
 }
 
+void DataPolicy::replicaNodes(unsigned ProducerTask, NodeSet &Nodes) const {
+  Nodes.clear();
+  for (uint64_t Key : Replicas)
+    if (Key >> 32 == ProducerTask)
+      Nodes.insert(static_cast<unsigned>(Key));
+}
+
+Tick DataPolicy::previewTicks(unsigned ProducerTask, Tick BaseTicks,
+                              unsigned SrcNode, unsigned DstNode) const {
+  FarTicks Far = far(BaseTicks);
+  return isFree(ProducerTask, SrcNode, DstNode) ? 0 : Far.Wait;
+}
+
 Tick DataPolicy::billedTicks(unsigned ProducerTask, Tick BaseTicks,
                              unsigned SrcNode, unsigned DstNode) const {
-  if (Kind != DataPolicyKind::ActiveReplication)
-    return previewTicks(ProducerTask, BaseTicks, SrcNode, DstNode);
-  Tick Wire = Net.transferTicks(BaseTicks, SrcNode, DstNode);
-  if (Wire == 0 || hasReplica(ProducerTask, DstNode))
-    return 0;
-  return scaleTicks(Wire, Config.ReplicationBilling);
+  FarTicks Far = far(BaseTicks);
+  return isFree(ProducerTask, SrcNode, DstNode) ? 0 : Far.Billed;
 }
 
 Tick DataPolicy::transferTicks(unsigned ProducerTask, Tick BaseTicks,

@@ -12,6 +12,13 @@
 /// transfer time, source node, destination node) tuple into an effective
 /// transfer time, optionally remembering replica locations.
 ///
+/// Every transfer has one derivation. It is free on one node and to a
+/// node that holds a replica of the producer's data; otherwise it costs
+/// `DataPolicy::far` of the edge's base time, whichever two nodes it
+/// joins, since the network is uniform. So a caller that prices one edge
+/// on many nodes derives its far ticks and its replica set once and
+/// tests each node in O(1).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CWS_RESOURCE_DATAPOLICY_H
@@ -20,6 +27,8 @@
 #include "resource/Network.h"
 #include "sim/Time.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +63,29 @@ struct DataPolicyConfig {
   double ReplicationBilling = 0.25;
 };
 
+/// A set of node ids with an O(1) membership test for any node count:
+/// one bit per id, up to the largest id inserted.
+class NodeSet {
+public:
+  /// Empties the set and keeps its storage.
+  void clear() { std::fill(Words.begin(), Words.end(), 0); }
+
+  void insert(unsigned Node) {
+    size_t Word = Node / 64;
+    if (Word >= Words.size())
+      Words.resize(Word + 1, 0);
+    Words[Word] |= uint64_t(1) << (Node % 64);
+  }
+
+  bool contains(unsigned Node) const {
+    size_t Word = Node / 64;
+    return Word < Words.size() && (Words[Word] >> (Node % 64) & 1) != 0;
+  }
+
+private:
+  std::vector<uint64_t> Words;
+};
+
 /// Stateful data placement policy used while building one distribution.
 ///
 /// The replica memory only matters for ActiveReplication; reset() clears
@@ -65,20 +97,36 @@ public:
 
   DataPolicyKind kind() const { return Kind; }
 
+  /// What a transfer that is not free costs: the ticks the consumer
+  /// waits for it and the ticks it is billed for.
+  struct FarTicks {
+    Tick Wait;
+    Tick Billed;
+  };
+
+  /// The cost of a transfer with base time \p BaseTicks between two
+  /// distinct nodes, to a node holding no replica of the producer's data.
+  FarTicks far(Tick BaseTicks) const;
+
+  /// Sets \p Nodes to the nodes holding a replica of \p ProducerTask's
+  /// data.
+  void replicaNodes(unsigned ProducerTask, NodeSet &Nodes) const;
+
   /// Effective transfer ticks of a dataset produced by task
   /// \p ProducerTask on \p SrcNode and consumed on \p DstNode.
   /// For ActiveReplication this *records* the new replica.
   Tick transferTicks(unsigned ProducerTask, Tick BaseTicks, unsigned SrcNode,
                      unsigned DstNode);
 
-  /// Like transferTicks but without recording replicas; usable from
-  /// const contexts (cost previews in the DP allocator).
+  /// Like transferTicks but without recording replicas: 0 when the
+  /// transfer is free, else `far(BaseTicks).Wait`.
   Tick previewTicks(unsigned ProducerTask, Tick BaseTicks, unsigned SrcNode,
                     unsigned DstNode) const;
 
-  /// Transfer ticks the consumer is *billed* for. Equal to previewTicks
-  /// except under ActiveReplication, where the VO's replica service
-  /// amortizes most of the wire cost (ReplicationBilling).
+  /// Transfer ticks the consumer is *billed* for: 0 when the transfer is
+  /// free, else `far(BaseTicks).Billed`. Equal to previewTicks except
+  /// under ActiveReplication, where the VO's replica service amortizes
+  /// most of the wire cost (ReplicationBilling).
   Tick billedTicks(unsigned ProducerTask, Tick BaseTicks, unsigned SrcNode,
                    unsigned DstNode) const;
 
@@ -91,6 +139,12 @@ private:
   }
 
   bool hasReplica(unsigned ProducerTask, unsigned Node) const;
+
+  /// Whether moving \p ProducerTask's data from \p SrcNode to \p DstNode
+  /// is free: on one node, or to a replica.
+  bool isFree(unsigned ProducerTask, unsigned SrcNode, unsigned DstNode) const {
+    return SrcNode == DstNode || hasReplica(ProducerTask, DstNode);
+  }
 
   DataPolicyKind Kind;
   const Network &Net;

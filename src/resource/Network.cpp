@@ -10,11 +10,16 @@
 
 using namespace cws;
 
-Tick Network::transferTicks(Tick BaseTicks, unsigned SrcNode,
-                            unsigned DstNode) const {
+Tick Network::farTicks(Tick BaseTicks) const {
   CWS_CHECK(BaseTicks >= 0, "negative base transfer time");
-  if (SrcNode == DstNode || BaseTicks == 0)
-    return SrcNode == DstNode ? 0 : Config.Latency;
+  if (BaseTicks == 0)
+    return Config.Latency;
   double Scaled = static_cast<double>(BaseTicks) * Config.TransferScale;
   return Config.Latency + ceilTicks(Scaled - 1e-9);
+}
+
+Tick Network::transferTicks(Tick BaseTicks, unsigned SrcNode,
+                            unsigned DstNode) const {
+  Tick Far = farTicks(BaseTicks);
+  return SrcNode == DstNode ? 0 : Far;
 }

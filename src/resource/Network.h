@@ -38,6 +38,10 @@ public:
   /// \p SrcNode to \p DstNode. Zero when both are the same node.
   Tick transferTicks(Tick BaseTicks, unsigned SrcNode, unsigned DstNode) const;
 
+  /// Ticks to move data with base transfer time \p BaseTicks between
+  /// two distinct nodes: the network is uniform, so any two.
+  Tick farTicks(Tick BaseTicks) const;
+
   const NetworkConfig &config() const { return Config; }
 
 private:

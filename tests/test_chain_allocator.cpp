@@ -65,31 +65,26 @@ struct BothBiases {
   std::array<bool, 2> Placed{};
   std::array<Distribution, 2> Dist;
   std::array<std::vector<CollisionRecord>, 2> Logs;
-  uint64_t FitQueries = 0;
-  uint64_t PassesUnreachable = 0;
-  uint64_t FrontsSkipped = 0;
-  uint64_t TieFallbacks = 0;
+  /// The DP work of the placement and of both continuations.
+  DpWork Work;
 };
 
+/// `allocateBoth` from a copy of \p Start, which may hold replicas.
 BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
-                        const Network &Net, DataPolicyKind Kind,
-                        const Distribution &Pinned,
+                        const DataPolicy &Start, const Distribution &Pinned,
                         const AllocatorPolicy &Params, Tick Release,
                         Tick Deadline) {
   constexpr OwnerId Owner = 42;
   BothBiases R;
   Grid G = Env;
   CostModel Cost(Env);
-  DataPolicy Policy(Kind, Net);
+  DataPolicy Policy = Start;
   Distribution Dist = Pinned;
   std::array<std::vector<CollisionRecord>, 2> Logs;
   ChainAllocator A(J, G, Policy, Cost, Params);
   R.Outcome = A.allocate(W, Dist, Release, Deadline, Owner,
                          BiasLogs{&Logs[0], &Logs[1]}, R.Split);
-  R.FitQueries = A.fitQueries();
-  R.PassesUnreachable = A.passesUnreachable();
-  R.FrontsSkipped = A.frontsSkipped();
-  R.TieFallbacks = A.tieFallbacks();
+  R.Work = A.work();
   for (size_t B = 0; B < 2; ++B) {
     if (R.Outcome != ChainOutcome::Split) {
       R.Placed[B] = R.Outcome == ChainOutcome::Placed;
@@ -104,12 +99,18 @@ BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
     ChainAllocator AB(J, GB, PB, Cost, Params);
     R.Placed[B] = AB.resume(W, R.Split, static_cast<OptimizationBias>(B),
                             R.Dist[B], Release, Deadline, Owner, R.Logs[B]);
-    R.FitQueries += AB.fitQueries();
-    R.PassesUnreachable += AB.passesUnreachable();
-    R.FrontsSkipped += AB.frontsSkipped();
-    R.TieFallbacks += AB.tieFallbacks();
+    R.Work += AB.work();
   }
   return R;
+}
+
+BothBiases allocateBoth(const Job &J, const CriticalWork &W, const Grid &Env,
+                        const Network &Net, DataPolicyKind Kind,
+                        const Distribution &Pinned,
+                        const AllocatorPolicy &Params, Tick Release,
+                        Tick Deadline) {
+  return allocateBoth(J, W, Env, DataPolicy(Kind, Net), Pinned, Params,
+                      Release, Deadline);
 }
 
 /// Everything a placement serving both biases decided, as one line: the
@@ -496,8 +497,8 @@ TEST(ChainAllocator, SearchingOnlyOpenNodesMatchesSearchingEveryCandidate) {
       ASSERT_EQ(Diff, "") << "trial " << Trial << ", cap " << Cap;
       ++Compared;
       ++Outcomes[static_cast<size_t>(All.Outcome)];
-      FitsAll += All.FitQueries;
-      FitsOpen += Searched.FitQueries;
+      FitsAll += All.Work.FitQueries;
+      FitsOpen += Searched.Work.FitQueries;
       for (const CollisionRecord &C : All.Logs[0])
         MovedToFull += C.Resolution == CollisionResolution::Moved &&
                        C.NodeId == CheapFull;
@@ -602,8 +603,8 @@ TEST(ChainAllocator, PinnedDigestOfRandomChainsAtTightWindows) {
                                   Release, Deadline);
       Text += describe(R);
       ++Outcomes[static_cast<size_t>(R.Outcome)];
-      Unreachable += R.PassesUnreachable;
-      Skipped += R.FrontsSkipped;
+      Unreachable += R.Work.PassesUnreachable;
+      Skipped += R.Work.FrontsSkipped;
     }
   }
   // Not vacuous: every outcome occurred and capped fronts evicted
@@ -674,7 +675,7 @@ TEST(ChainAllocator, PinnedDigestOfNearTieChains) {
                                   Release, Deadline);
       Text += describe(R);
       ++Outcomes[static_cast<size_t>(R.Outcome)];
-      Fallbacks += R.TieFallbacks;
+      Fallbacks += R.Work.TieFallbacks;
     }
   }
   // Not vacuous: every outcome occurred, and near ties sent last
@@ -751,8 +752,8 @@ TEST(ChainAllocator, PinnedDigestOfIncomingBestChains) {
                                   Release, Deadline);
       Text += describe(R);
       ++Outcomes[static_cast<size_t>(R.Outcome)];
-      Fallbacks += R.TieFallbacks;
-      Queries += R.FitQueries;
+      Fallbacks += R.Work.TieFallbacks;
+      Queries += R.Work.FitQueries;
     }
   }
   // Not vacuous: every outcome occurred, and last positions still went
@@ -764,6 +765,159 @@ TEST(ChainAllocator, PinnedDigestOfIncomingBestChains) {
   EXPECT_GT(Fallbacks, 0u);
   EXPECT_EQ(Queries, 173859u);
   EXPECT_EQ(obs::fnv1a64(Text), 0xd4c664cf97f55cf3ULL) << Text.size() << " bytes";
+}
+
+TEST(ChainAllocator, PinnedDigestAtNonDefaultTransferSettings) {
+  // The DP's byte-identity oracle away from the default transfer model,
+  // where the other pinned digests never go. A transfer between two
+  // nodes pays a latency of 3 ticks on top of 1.7 times its base, the
+  // policy's factors are not the defaults, and many edges carry no data,
+  // so they cost the latency alone. Grids have 65 to 100 nodes, and the
+  // candidates always include an id above 64. Some data already has
+  // replicas before the chain is placed: the pinned producers' data, and
+  // chain tasks' data, as a collision repair leaves it behind when it
+  // releases a placement. Chains carry parallel and non-adjacent edges,
+  // and now and then a cheap candidate is full for the Cost bias's
+  // `Moved` scan to report. Every decision of both biases, split and
+  // resumed as the scheduler does, is hashed at four front caps. No call
+  // takes two random draws as arguments, so the draws do not depend on
+  // the order in which a compiler evaluates arguments.
+  const double Perfs[] = {1.0, 0.8, 0.5, 0.4, 0.33, 0.25};
+  const DataPolicyKind Kinds[] = {DataPolicyKind::ActiveReplication,
+                                  DataPolicyKind::RemoteAccess,
+                                  DataPolicyKind::StaticStorage};
+  NetworkConfig NetConfig;
+  NetConfig.TransferScale = 1.7;
+  NetConfig.Latency = 3;
+  const Network Net(NetConfig);
+  DataPolicyConfig DataConfig;
+  DataConfig.ReplicationFactor = 0.55;
+  DataConfig.StaticPenalty = 1.45;
+  DataConfig.ReplicationBilling = 0.3;
+  Prng Rng(6464);
+  std::string Text;
+  size_t Outcomes[3] = {0, 0, 0};
+  size_t HighPlacements = 0, Moved = 0;
+  for (int Trial = 0; Trial < 1000; ++Trial) {
+    const auto M = static_cast<unsigned>(Rng.uniformInt(65, 100));
+    const auto N = static_cast<unsigned>(Rng.uniformInt(1, 6));
+    const auto K = static_cast<unsigned>(Rng.uniformInt(1, 6));
+    Job J;
+    Tick Work = 0;
+    for (unsigned T = 0; T < K; ++T) {
+      Tick Ref = Rng.uniformInt(1, 4);
+      J.addTask("t", Ref, 10.0 * static_cast<double>(Ref));
+      Work += Ref;
+    }
+    for (unsigned T = 1; T < K; ++T) {
+      J.addEdge(T - 1, T, Rng.bernoulli(0.4) ? 0 : Rng.uniformInt(1, 3));
+      if (Rng.bernoulli(0.15))
+        J.addEdge(T - 1, T, Rng.uniformInt(0, 5)); // A parallel edge.
+    }
+    if (K >= 3 && Rng.bernoulli(0.2))
+      J.addEdge(0, 2, Rng.uniformInt(0, 6)); // Takes the rerun path.
+    const Tick Release = Rng.uniformInt(0, 10);
+    const Tick Deadline =
+        Release + Rng.uniformInt(Work, 3 * Work + 4 * Tick(K) + 8);
+    // Placed neighbours outside the chain: producers that end just after
+    // the release and consumers near the deadline.
+    std::vector<unsigned> Preds, Succs;
+    for (int64_t I = Rng.uniformInt(0, 2); I > 0; --I) {
+      Preds.push_back(J.addTask("p", 1, 10));
+      auto Consumer = static_cast<unsigned>(Rng.index(K));
+      J.addEdge(Preds.back(), Consumer, Rng.uniformInt(0, 4));
+    }
+    for (int64_t I = Rng.uniformInt(0, 2); I > 0; --I) {
+      Succs.push_back(J.addTask("s", 1, 10));
+      auto Producer = static_cast<unsigned>(Rng.index(K));
+      J.addEdge(Producer, Succs.back(), Rng.uniformInt(0, 4));
+    }
+    J.setDeadline(Deadline);
+
+    // The candidates, in id order: one above 64, the rest anywhere.
+    std::vector<unsigned> Cand{64 + static_cast<unsigned>(Rng.index(M - 64))};
+    while (Cand.size() < N) {
+      auto Id = static_cast<unsigned>(Rng.index(M));
+      if (std::find(Cand.begin(), Cand.end(), Id) == Cand.end())
+        Cand.push_back(Id);
+    }
+    std::sort(Cand.begin(), Cand.end());
+    const unsigned CheapFull =
+        Trial % 4 == 0 && N >= 2 ? Cand[Rng.index(N)] : M;
+    Grid Env;
+    for (unsigned Id = 0; Id < M; ++Id) {
+      double Perf = Perfs[Rng.index(6)];
+      if (Id == CheapFull)
+        Env.addNodePriced(Perf, 0.01);
+      else
+        Env.addNode(Perf);
+    }
+    for (unsigned Id : Cand) {
+      Timeline &Line = Env.node(Id).timeline();
+      if (Id == CheapFull) {
+        Line.reserve(0, Deadline + 50, 9);
+        continue;
+      }
+      for (int64_t I = Rng.uniformInt(0, 5); I > 0; --I) {
+        Tick Begin = Rng.uniformInt(0, Deadline);
+        Line.reserve(Begin, Begin + Rng.uniformInt(1, 8), 9);
+      }
+    }
+    auto AnyNode = [&] {
+      return Rng.bernoulli(0.5) ? Cand[Rng.index(N)]
+                                : static_cast<unsigned>(Rng.index(M));
+    };
+    Distribution Pinned;
+    for (unsigned Pred : Preds) {
+      unsigned Node = AnyNode();
+      Tick End = Release + Rng.uniformInt(1, 4);
+      if (Env.node(Node).timeline().reserve(End - 1, End, 42))
+        Pinned.add({Pred, Node, End - 1, End, 1.0});
+    }
+    for (unsigned Succ : Succs) {
+      unsigned Node = AnyNode();
+      Tick Start = Deadline - Rng.uniformInt(0, 6);
+      if (Env.node(Node).timeline().reserve(Start, Start + 1, 42))
+        Pinned.add({Succ, Node, Start, Start + 1, 1.0});
+    }
+
+    DataPolicyKind Kind = Kinds[Rng.index(3)];
+    DataPolicy Policy(Kind, Net, DataConfig);
+    for (int64_t I = Rng.uniformInt(0, 5); I > 0; --I) {
+      unsigned Producer = !Preds.empty() && Rng.bernoulli(0.5)
+                              ? Preds[Rng.index(Preds.size())]
+                              : static_cast<unsigned>(Rng.index(K));
+      Tick Base = Rng.uniformInt(0, 4);
+      auto Src = static_cast<unsigned>(Rng.index(M));
+      Policy.transferTicks(Producer, Base, Src, AnyNode());
+    }
+
+    CriticalWork W;
+    for (unsigned T = 0; T < K; ++T)
+      W.TaskIds.push_back(T);
+    AllocatorPolicy Params;
+    Params.CandidateNodes = Cand;
+    Params.NodeSwitchPenalty = Rng.bernoulli(0.3) ? 5.0 : 0.0;
+    for (size_t Cap : {size_t(2), size_t(3), size_t(8), SIZE_MAX}) {
+      Params.MaxFrontSize = Cap;
+      BothBiases R = allocateBoth(J, W, Env, Policy, Pinned, Params, Release,
+                                  Deadline);
+      Text += describe(R);
+      ++Outcomes[static_cast<size_t>(R.Outcome)];
+      for (size_t Bias = 0; Bias < 2; ++Bias)
+        for (const Placement &P : R.Dist[Bias].placements())
+          HighPlacements += P.TaskId < K && P.NodeId >= 64;
+      for (const CollisionRecord &C : R.Logs[0])
+        Moved += C.Resolution == CollisionResolution::Moved;
+    }
+  }
+  // Not vacuous: every outcome occurred, chain tasks landed on nodes
+  // above 64, and the `Moved` scan reported contended nodes.
+  for (size_t Outcome : Outcomes)
+    EXPECT_GT(Outcome, 0u);
+  EXPECT_GT(HighPlacements, 0u);
+  EXPECT_GT(Moved, 0u);
+  EXPECT_EQ(obs::fnv1a64(Text), 0x05f4ef4b5ce164b0ULL) << Text.size() << " bytes";
 }
 
 TEST(ChainAllocator, BandCandidateAfterASkipDecidesTheCostPick) {
@@ -829,7 +983,7 @@ TEST(ChainAllocator, BandCandidateAfterASkipDecidesTheCostPick) {
     EXPECT_EQ(Time[0].NodeId, 0u) << Cap;
     EXPECT_EQ(Time[1].NodeId, 2u) << Cap;
     EXPECT_EQ(Time[1].End, 2) << Cap;
-    EXPECT_GT(R.TieFallbacks, 0u) << Cap;
+    EXPECT_GT(R.Work.TieFallbacks, 0u) << Cap;
   }
 }
 
@@ -885,6 +1039,6 @@ TEST(ChainAllocator, MiddleLabelNearTieDecidesTheCostPick) {
     EXPECT_EQ(Time[1].NodeId, 1u) << Cap;
     EXPECT_EQ(Time[1].End, 2) << Cap;
     // The near tie sends the last position back to full fronts.
-    EXPECT_GT(R.TieFallbacks, 0u) << Cap;
+    EXPECT_GT(R.Work.TieFallbacks, 0u) << Cap;
   }
 }
