@@ -8,9 +8,9 @@
 /// \file
 /// Measures what the observability layer costs on the scheduling hot
 /// path: `scheduleJob` throughput with tracing disabled vs enabled,
-/// plus the raw per-call price of a disabled span, a counter add, a
-/// guarded disabled-journal append, a sampler tick and a disabled
-/// profiler phase. The guard budget and the measured costs are emitted
+/// plus the raw per-call price of a span with the tracer and the
+/// profiler off, a counter add, a guarded disabled-journal append and a
+/// sampler tick. The guard budget and the measured costs are emitted
 /// through the harness, so the overhead contract itself appears in the
 /// `BENCH_*.json` trajectory; breaching the budget fails a recorded
 /// check — the contract that lets instrumentation live in hot paths.
@@ -40,9 +40,9 @@ using namespace cws;
 namespace {
 
 /// The disabled-path budget: an order of magnitude above what one
-/// span + counter + guarded append + sampler tick + phase guard costs
-/// on any current machine, so a trip means someone put a lock or an
-/// allocation on the disabled path.
+/// span + counter + guarded append + sampler tick costs on any current
+/// machine, so a trip means someone put a lock or an allocation on the
+/// disabled path.
 constexpr double GuardBudgetNs = 50.0;
 
 Job makeBenchJob() {
@@ -115,9 +115,9 @@ CWS_BENCH(obs_overhead,
   uint64_t EventsPerCall = obs::Tracer::global().recorded() / (Warmup + Iters);
   obs::Tracer::global().reset();
 
-  // --- Raw disabled-mode primitives: one span + one counter add + one
-  // guarded journal append + one sampler tick + one disabled profiler
-  // phase, exactly as the instrumentation sites are written. ---
+  // --- Raw disabled-mode primitives: one span (tracer and profiler
+  // off) + one counter add + one guarded journal append + one sampler
+  // tick, exactly as the instrumentation sites are written. ---
   obs::Counter &C = obs::Registry::global().counter("bench_obs_probe_total");
   obs::Journal &Jn = obs::Journal::global();
   obs::TimeSeries &Ts = obs::TimeSeries::global();
@@ -128,7 +128,6 @@ CWS_BENCH(obs_overhead,
   double PrimNs = timeNs([&] {
                     for (int I = 0; I < PrimIters; ++I) {
                       obs::Span S("bench", "probe");
-                      CWS_PHASE("bench.probe");
                       C.add();
                       if (Jn.enabled())
                         Jn.append(obs::JournalKind::Note, I, I, {{"i", I}});

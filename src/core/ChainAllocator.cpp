@@ -8,7 +8,7 @@
 #include "core/ChainAllocator.h"
 #include "job/Job.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
+#include "obs/Trace.h"
 #include "resource/Grid.h"
 #include "support/Check.h"
 
@@ -56,13 +56,11 @@ DpWork &DpWork::operator-=(const DpWork &Other) {
   return *this;
 }
 
-static obs::PhaseAccum &chainDpAccum() {
-  static obs::PhaseAccum &Accum = obs::Profiler::global().phase("chain.dp");
-  return Accum;
-}
-
-ChainDpPhase::ChainDpPhase(const ChainAllocator &Allocator)
-    : Scope(chainDpAccum()), Allocator(Allocator), Start(Allocator.work()) {}
+ChainDpPhase::ChainDpPhase(const ChainAllocator &Allocator,
+                           const CriticalWork &Chain)
+    : Scope("core", "chain.dp", "chain_len",
+            static_cast<int64_t>(Chain.TaskIds.size())),
+      Allocator(Allocator), Start(Allocator.work()) {}
 
 ChainDpPhase::~ChainDpPhase() {
   DpWork W = Allocator.work();

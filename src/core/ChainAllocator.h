@@ -24,7 +24,7 @@
 #include "core/CriticalWork.h"
 #include "core/Distribution.h"
 #include "core/ParetoFront.h"
-#include "obs/Profiler.h"
+#include "obs/Trace.h"
 #include "resource/DataPolicy.h"
 #include "sim/Time.h"
 #include "support/SmallVector.h"
@@ -353,23 +353,26 @@ private:
   uint64_t EvictedLabels = 0;
 };
 
-/// The `chain.dp` profiler phase, open while the object lives. When it
+/// The `chain.dp` span, open while the object lives. It carries the
+/// chain's length and whether it was placed to the trace, and when it
 /// closes it attaches the work its allocator did meanwhile, plus the
-/// work handed to `add`. The scheduler and the stage-2 repair run each
-/// chain placement inside one.
+/// work handed to `add`, to the phase. The scheduler and the stage-2
+/// repair run each chain placement inside one.
 class ChainDpPhase {
 public:
-  explicit ChainDpPhase(const ChainAllocator &Allocator);
+  ChainDpPhase(const ChainAllocator &Allocator, const CriticalWork &Chain);
   ~ChainDpPhase();
 
   /// Also attaches \p Work: that of an allocator made inside the phase.
   void add(const DpWork &Work) { Added += Work; }
+  /// Records whether the chain was placed.
+  void placed(bool Placed) { Scope.arg("placed", Placed); }
 
   ChainDpPhase(const ChainDpPhase &) = delete;
   ChainDpPhase &operator=(const ChainDpPhase &) = delete;
 
 private:
-  obs::PhaseScope Scope;
+  obs::Span Scope;
   const ChainAllocator &Allocator;
   DpWork Start;
   DpWork Added;

@@ -277,10 +277,11 @@ cws::repairVariantByDp(const Job &Scheduled, const ScheduleVariant &V,
         Segment.TaskIds.assign(Chain.begin() + I, Chain.begin() + E);
         bool Placed;
         {
-          ChainDpPhase DpPhase(Allocator);
+          ChainDpPhase DpPhase(Allocator, Segment);
           Placed = Allocator.allocate(Segment, Fixed, Release,
                                       Scheduled.deadline(), In.Owner,
                                       Out.Collisions);
+          DpPhase.placed(Placed);
         }
         if (!Placed)
           return std::nullopt;

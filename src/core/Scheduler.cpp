@@ -142,9 +142,7 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
         L.Result.Phases.push_back(std::move(Work));
         M.Phases.add();
         const CriticalWork &Chain = L.Result.Phases.back();
-        ChainDpPhase DpPhase(Allocator);
-        obs::Span AllocSpan("core", "allocateChain", "chain_len",
-                            static_cast<int64_t>(Chain.TaskIds.size()));
+        ChainDpPhase DpPhase(Allocator, Chain);
         ChainSplit Split;
         ChainOutcome Outcome =
             Allocator.allocate(Chain, L.Result.Dist, Release, J.deadline(),
@@ -173,7 +171,7 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
           // The Time lane's continuation is work of this placement too.
           DpPhase.add(TimeAllocator.work());
         }
-        AllocSpan.arg("placed", Placed);
+        DpPhase.placed(Placed);
       }
       const CriticalWork &Work = L.Result.Phases.back();
       if (Placed) {

@@ -10,14 +10,12 @@
 #include "job/Job.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
 
 #include <cmath>
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <optional>
 
@@ -88,15 +86,8 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
                          Tick Now) {
   static obs::Counter &Builds = obs::Registry::global().counter(
       "cws_strategy_builds_total", "strategies generated");
-  static obs::Histogram &BuildMicros = obs::Registry::global().histogram(
-      "cws_strategy_build_micros",
-      {50, 100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000,
-       250000, 1000000},
-      "wall-clock latency of one Strategy::build (microseconds)");
-  CWS_PHASE_AS(BuildPhase, "strategy.build");
   obs::Span BuildSpan("core", "strategy.build", "job",
                       static_cast<int64_t>(J.id()));
-  auto T0 = std::chrono::steady_clock::now();
   Strategy S;
   S.Kind = Config.Kind;
   S.JobId = J.id();
@@ -239,14 +230,10 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
     }
   }
   Builds.add();
-  BuildMicros.observe(static_cast<double>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count()));
   BuildSpan.arg("variants", static_cast<int64_t>(S.Variants.size()));
-  BuildPhase.work("variants_built", VariantsBuilt);
-  BuildPhase.work("variants_kept", S.Variants.size());
-  BuildPhase.work("intervals_copied", IntervalsCopied);
+  BuildSpan.work("variants_built", VariantsBuilt);
+  BuildSpan.work("variants_kept", S.Variants.size());
+  BuildSpan.work("intervals_copied", IntervalsCopied);
   return S;
 }
 

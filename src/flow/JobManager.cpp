@@ -9,7 +9,6 @@
 #include "core/Shift.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
 
@@ -193,9 +192,9 @@ std::optional<Tick> JobManager::onNegotiation(unsigned JobId, Tick Now,
 
   const ScheduleVariant *Pick = nullptr;
   {
-    CWS_PHASE_AS(TenderPhase, "tender.eval");
+    obs::Span Tender("flow", "tender.eval");
     Pick = A.S.bestFitting(Meta.grid(), Owner);
-    TenderPhase.work("variants_scanned", A.S.variants().size());
+    Tender.work("variants_scanned", A.S.variants().size());
   }
   if (!Pick) {
     // The whole arrival-time strategy went stale during negotiation:

@@ -10,7 +10,6 @@
 #include "job/Job.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/TimeSeries.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
@@ -106,17 +105,16 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   MetaMetrics &M = MetaMetrics::get();
   M.ReallocAttempts.add();
   obs::TimeSeries::global().sampleEvent(Now, "reallocate");
-  obs::Span ReallocSpan("flow", "meta.reallocate", "job",
-                        static_cast<int64_t>(J.id()));
+  // Every stage, the stage-3 rebuild included: its build is a child
+  // phase, and the grids the stages copy count here.
+  obs::Span RepairSpan("flow", "meta.repair", "job",
+                       static_cast<int64_t>(J.id()));
   obs::Journal &Jn = obs::Journal::global();
   if (Jn.enabled())
     Jn.append(obs::JournalKind::Reallocate, static_cast<int64_t>(J.id()),
               Now, {}, "stale-strategy");
   OwnerId Owner = ownerOf(J.id());
   ReallocationResult Out;
-  // Every stage, the stage-3 rebuild included: its build is a child
-  // phase, and the grids the stages copy count here.
-  CWS_PHASE_AS(RepairPhase, "meta.repair");
   uint64_t Copied = 0;
   uint64_t Scanned = 0;
 
@@ -160,9 +158,9 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
     }
     if (R) {
       bool IsShift = R->Stage == RepairStage::Shift;
-      RepairPhase.work("repaired", 1);
-      RepairPhase.work("placements_pinned", R->PlacementsPinned);
-      RepairPhase.work("works_rerun", R->WorksRerun);
+      RepairSpan.work("repaired", 1);
+      RepairSpan.work("placements_pinned", R->PlacementsPinned);
+      RepairSpan.work("works_rerun", R->WorksRerun);
       Out.S = Strategy::repaired(Stale, std::move(R->Repaired), Now);
       Out.Stage = R->Stage;
       (IsShift ? M.RepairedShift : M.RepairedDp).add();
@@ -181,9 +179,9 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
       // The swap: the old reservations die only now, with the repaired
       // replacement validated against the live grid.
       releaseCommitted(Owner);
-      RepairPhase.work("intervals_copied", Copied);
-      RepairPhase.work("intervals_scanned", Scanned);
-      ReallocSpan.arg("stage", IsShift ? 1 : 2);
+      RepairSpan.work("intervals_copied", Copied);
+      RepairSpan.work("intervals_scanned", Scanned);
+      RepairSpan.arg("stage", IsShift ? 1 : 2);
       return Out;
     }
   }
@@ -194,8 +192,8 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
   // strategy's state intact for the caller's rejection path.
   Out.S = Strategy::build(J, rebuildGrid(Owner, Now, Copied), Net, Config,
                           Owner, Now);
-  RepairPhase.work("intervals_copied", Copied);
-  RepairPhase.work("intervals_scanned", Scanned);
+  RepairSpan.work("intervals_copied", Copied);
+  RepairSpan.work("intervals_scanned", Scanned);
   if (Out.S.admissible()) {
     Out.Stage = RepairStage::Rebuild;
     M.Rebuilt.add();
@@ -210,7 +208,7 @@ ReallocationResult Metascheduler::reallocate(const Job &J,
               Now,
               {{"stage", 3}, {"ok", Out.Stage == RepairStage::Rebuild ? 1 : 0}},
               repairStageName(Out.Stage));
-  ReallocSpan.arg("stage", 3);
+  RepairSpan.arg("stage", 3);
   return Out;
 }
 

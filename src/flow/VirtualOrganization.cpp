@@ -9,7 +9,7 @@
 #include "flow/Economy.h"
 #include "flow/Metascheduler.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
+#include "obs/Trace.h"
 #include "obs/TimeSeries.h"
 #include "resource/Network.h"
 #include "sim/Simulator.h"
@@ -114,14 +114,14 @@ cws::runMultiFlowVo(const VoConfig &Config,
   // Every flow's manager re-validates in flow order; each journals its
   // invalidations in ascending job id.
   Background.setObserver([&Managers](Tick Now) {
-    CWS_PHASE_AS(InvalidatePhase, "env.invalidate");
+    obs::Span Invalidate("sim", "env.invalidate");
     uint64_t Placements = 0;
     for (auto &M : Managers)
       Placements += M->onEnvironmentChange(Now);
     // Only a change that re-validated something attaches the counter,
     // so a run that never re-validated has no `placements` key.
     if (Placements)
-      InvalidatePhase.work("placements", Placements);
+      Invalidate.work("placements", Placements);
   });
   Background.start(BackgroundUntil);
 
@@ -193,7 +193,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
     DrainArmed = false;
     // Admission: build and admit each of the tick's arrivals.
     if (!ArrivalBatch.empty()) {
-      CWS_PHASE_AS(AdmissionPhase, "meta.admission");
+      obs::Span Admission("flow", "meta.admission");
       std::vector<PendingArrival> Batch;
       Batch.swap(ArrivalBatch);
       std::sort(Batch.begin(), Batch.end(),
@@ -203,7 +203,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
       BM.AdmissionBatches.add();
       BM.AdmissionJobs.add(Batch.size());
       BM.AdmissionBatchJobs.observe(static_cast<double>(Batch.size()));
-      AdmissionPhase.work("jobs", Batch.size());
+      Admission.work("jobs", Batch.size());
       for (const PendingArrival &PA : Batch) {
         if (!PA.Manager->onArrival(*PA.J, Now))
           continue;
@@ -225,15 +225,15 @@ cws::runMultiFlowVo(const VoConfig &Config,
       BM.CommitBatches.add();
       BM.CommitJobs.add(Ready.size());
       BM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
-      CWS_PHASE_AS(ApplyPhase, "commit.apply");
-      ApplyPhase.work("tenders", Ready.size());
+      obs::Span Apply("flow", "commit.apply");
+      Apply.work("tenders", Ready.size());
       uint64_t Scanned = 0;
       for (const PendingNegotiation &PN : Ready)
         if (std::optional<Tick> Completion =
                 PN.Manager->onNegotiation(PN.JobId, Now, &Scanned))
           Sim.at(*Completion,
                  [PN](Tick CNow) { PN.Manager->onCompletion(PN.JobId, CNow); });
-      ApplyPhase.work("intervals_scanned", Scanned);
+      Apply.work("intervals_scanned", Scanned);
     }
   };
 

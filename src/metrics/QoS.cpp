@@ -8,6 +8,8 @@
 #include "metrics/QoS.h"
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 using namespace cws;
 
@@ -83,48 +85,63 @@ VoAggregates cws::summarizeVo(const VoRunResult &Run) {
   return A;
 }
 
-void cws::publishVoAggregates(const VoAggregates &A, obs::Registry &R) {
-  auto Set = [&R](const char *Name, const char *Help, double Value) {
-    R.realGauge(Name, Help).set(Value);
+namespace {
+/// One QoS gauge, published as `cws_vo_<Suffix>` and as
+/// `cws_flow_<Suffix>{flow="..."}`.
+struct AggregateGauge {
+  const char *Suffix;
+  const char *Help;
+  /// The per-flow help; null means Help + " per flow".
+  const char *FlowHelp;
+  double Value;
+};
+
+std::vector<AggregateGauge> aggregateGauges(const VoAggregates &A) {
+  return {
+      {"jobs", "compound jobs in the summarized VO run",
+       "compound jobs of the flow", static_cast<double>(A.Jobs)},
+      {"committed_jobs", "jobs whose schedule was committed",
+       "committed jobs of the flow", static_cast<double>(A.Committed)},
+      {"admissible_percent", "share of admissible jobs", nullptr,
+       A.AdmissiblePercent},
+      {"committed_percent", "share of committed jobs", nullptr,
+       A.CommittedPercent},
+      {"rejected_percent", "share of rejected jobs", nullptr,
+       A.RejectedPercent},
+      {"switched_percent", "share of jobs that switched supporting schedules",
+       nullptr, A.SwitchedPercent},
+      {"reallocated_percent", "share of reallocated jobs", nullptr,
+       A.ReallocatedPercent},
+      {"shift_recovered_percent",
+       "share of jobs recovered by shifting a stale schedule", nullptr,
+       A.ShiftRecoveredPercent},
+      {"mean_commit_shift", "mean shift over shift-recovered commits",
+       nullptr, A.MeanCommitShift},
+      {"mean_cost", "mean quota cost of committed jobs", nullptr, A.MeanCost},
+      {"mean_cf", "mean cost-function value of committed jobs", nullptr,
+       A.MeanCf},
+      {"mean_run_ticks", "mean start-to-completion wall ticks", nullptr,
+       A.MeanRunTicks},
+      {"mean_response_ticks", "mean arrival-to-completion wall ticks",
+       nullptr, A.MeanResponseTicks},
+      {"mean_ttl", "mean strategy time-to-live of admissible jobs", nullptr,
+       A.MeanTtl},
+      {"mean_start_deviation", "mean |actual - forecast| start deviation",
+       nullptr, A.MeanStartDeviation},
+      {"mean_start_deviation_ratio", "mean start deviation / run time ratio",
+       nullptr, A.MeanStartDeviationRatio},
+      {"mean_collisions", "mean collisions per committed job", nullptr,
+       A.MeanCollisions},
+      {"execution_killed_percent",
+       "share of committed jobs killed at a wall limit", nullptr,
+       A.ExecutionKilledPercent},
   };
-  Set("cws_vo_jobs", "compound jobs in the summarized VO run",
-      static_cast<double>(A.Jobs));
-  Set("cws_vo_committed_jobs", "jobs whose schedule was committed",
-      static_cast<double>(A.Committed));
-  Set("cws_vo_admissible_percent", "share of admissible jobs",
-      A.AdmissiblePercent);
-  Set("cws_vo_committed_percent", "share of committed jobs",
-      A.CommittedPercent);
-  Set("cws_vo_rejected_percent", "share of rejected jobs",
-      A.RejectedPercent);
-  Set("cws_vo_switched_percent",
-      "share of jobs that switched supporting schedules",
-      A.SwitchedPercent);
-  Set("cws_vo_reallocated_percent", "share of reallocated jobs",
-      A.ReallocatedPercent);
-  Set("cws_vo_shift_recovered_percent",
-      "share of jobs recovered by shifting a stale schedule",
-      A.ShiftRecoveredPercent);
-  Set("cws_vo_mean_commit_shift", "mean shift over shift-recovered commits",
-      A.MeanCommitShift);
-  Set("cws_vo_mean_cost", "mean quota cost of committed jobs", A.MeanCost);
-  Set("cws_vo_mean_cf", "mean cost-function value of committed jobs",
-      A.MeanCf);
-  Set("cws_vo_mean_run_ticks", "mean start-to-completion wall ticks",
-      A.MeanRunTicks);
-  Set("cws_vo_mean_response_ticks", "mean arrival-to-completion wall ticks",
-      A.MeanResponseTicks);
-  Set("cws_vo_mean_ttl", "mean strategy time-to-live of admissible jobs",
-      A.MeanTtl);
-  Set("cws_vo_mean_start_deviation",
-      "mean |actual - forecast| start deviation", A.MeanStartDeviation);
-  Set("cws_vo_mean_start_deviation_ratio",
-      "mean start deviation / run time ratio", A.MeanStartDeviationRatio);
-  Set("cws_vo_mean_collisions", "mean collisions per committed job",
-      A.MeanCollisions);
-  Set("cws_vo_execution_killed_percent",
-      "share of committed jobs killed at a wall limit",
-      A.ExecutionKilledPercent);
+}
+} // namespace
+
+void cws::publishVoAggregates(const VoAggregates &A, obs::Registry &R) {
+  for (const AggregateGauge &G : aggregateGauges(A))
+    R.realGauge(std::string("cws_vo_") + G.Suffix, G.Help).set(G.Value);
 }
 
 void cws::publishFlowAggregates(const VoAggregates &A,
@@ -133,51 +150,8 @@ void cws::publishFlowAggregates(const VoAggregates &A,
   // splits the family at '{' for the HELP/TYPE headers. The flow name
   // is user-controlled, so it is escaped per the exposition format.
   std::string Label = "{flow=\"" + obs::escapeLabelValue(Flow) + "\"}";
-  auto Set = [&R, &Label](const char *Name, const char *Help,
-                          double Value) {
-    R.realGauge(std::string(Name) + Label, Help).set(Value);
-  };
-  Set("cws_flow_jobs", "compound jobs of the flow",
-      static_cast<double>(A.Jobs));
-  Set("cws_flow_committed_jobs", "committed jobs of the flow",
-      static_cast<double>(A.Committed));
-  Set("cws_flow_admissible_percent", "share of admissible jobs per flow",
-      A.AdmissiblePercent);
-  Set("cws_flow_committed_percent", "share of committed jobs per flow",
-      A.CommittedPercent);
-  Set("cws_flow_rejected_percent", "share of rejected jobs per flow",
-      A.RejectedPercent);
-  Set("cws_flow_switched_percent",
-      "share of jobs that switched supporting schedules per flow",
-      A.SwitchedPercent);
-  Set("cws_flow_reallocated_percent", "share of reallocated jobs per flow",
-      A.ReallocatedPercent);
-  Set("cws_flow_shift_recovered_percent",
-      "share of jobs recovered by shifting a stale schedule per flow",
-      A.ShiftRecoveredPercent);
-  Set("cws_flow_mean_commit_shift",
-      "mean shift over shift-recovered commits per flow",
-      A.MeanCommitShift);
-  Set("cws_flow_mean_cost", "mean quota cost of committed jobs per flow",
-      A.MeanCost);
-  Set("cws_flow_mean_cf",
-      "mean cost-function value of committed jobs per flow", A.MeanCf);
-  Set("cws_flow_mean_run_ticks",
-      "mean start-to-completion wall ticks per flow", A.MeanRunTicks);
-  Set("cws_flow_mean_response_ticks",
-      "mean arrival-to-completion wall ticks per flow",
-      A.MeanResponseTicks);
-  Set("cws_flow_mean_ttl",
-      "mean strategy time-to-live of admissible jobs per flow", A.MeanTtl);
-  Set("cws_flow_mean_start_deviation",
-      "mean |actual - forecast| start deviation per flow",
-      A.MeanStartDeviation);
-  Set("cws_flow_mean_start_deviation_ratio",
-      "mean start deviation / run time ratio per flow",
-      A.MeanStartDeviationRatio);
-  Set("cws_flow_mean_collisions",
-      "mean collisions per committed job per flow", A.MeanCollisions);
-  Set("cws_flow_execution_killed_percent",
-      "share of committed jobs killed at a wall limit per flow",
-      A.ExecutionKilledPercent);
+  for (const AggregateGauge &G : aggregateGauges(A))
+    R.realGauge(std::string("cws_flow_") + G.Suffix + Label,
+                G.FlowHelp ? G.FlowHelp : std::string(G.Help) + " per flow")
+        .set(G.Value);
 }

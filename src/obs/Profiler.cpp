@@ -8,6 +8,7 @@
 #include "obs/Profiler.h"
 
 #include "obs/Metrics.h"
+#include "obs/Trace.h"
 #include "support/File.h"
 #include "support/Json.h"
 
@@ -77,12 +78,17 @@ Profiler &Profiler::global() {
 }
 
 PhaseAccum &Profiler::phase(const char *Name) {
-  return Phases.try_emplace(Name).first->second;
+  for (const auto &[Address, Accum] : ByAddress)
+    if (Address == Name)
+      return *Accum;
+  PhaseAccum &Accum = Phases.try_emplace(Name).first->second;
+  ByAddress.emplace_back(Name, &Accum);
+  return Accum;
 }
 
 void Profiler::reset() {
   disable();
-  // Zeroed in place: call sites hold references to the accumulators.
+  // Zeroed in place: `ByAddress` and open spans point at them.
   for (auto &Entry : Phases)
     Entry.second = PhaseAccum();
   Prov = RunProvenance();
@@ -220,15 +226,15 @@ bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
   return true;
 }
 
-void PhaseScope::open(PhaseAccum &Phase) {
+void Span::openPhase() {
   Profiler &P = Profiler::global();
-  Accum = &Phase;
+  Accum = &P.phase(Name);
   Parent = P.Open;
   P.Open = this;
   StartNs = nowNs();
 }
 
-void PhaseScope::close() {
+void Span::closePhase() {
   double DurUs = static_cast<double>(nowNs() - StartNs) / 1000.0;
   Profiler::global().Open = Parent;
   if (Parent)
@@ -239,9 +245,7 @@ void PhaseScope::close() {
   Accum->DurUs.observe(DurUs);
 }
 
-void PhaseScope::work(const char *Counter, uint64_t N) {
-  if (!Accum)
-    return;
+void Span::addWork(const char *Counter, uint64_t N) {
   for (auto &W : Accum->Work)
     if (W.first == Counter) {
       W.second += N;

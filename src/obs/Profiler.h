@@ -6,19 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A scoped hierarchical phase profiler answering "where did the
-/// scheduler's wall-clock and work go": RAII `CWS_PHASE("chain.dp")`
-/// guards accumulate per-phase call counts, total/self wall time and
-/// duration quantiles (via `obs::Histogram`), plus named *work
+/// A hierarchical phase profiler answering "where did the scheduler's
+/// wall-clock and work go": every `obs::Span` (obs/Trace.h) adds its
+/// call count, total/self wall time and duration quantiles (via
+/// `obs::Histogram`) to the phase of its name, plus named *work
 /// counters* (placements re-validated, DP labels kept, variants built)
-/// attached with `PhaseScope::work`.
+/// attached with `Span::work`.
 ///
-/// Every scope of one phase name adds into that name's accumulator.
-/// A call site resolves its accumulator once, through a function-local
-/// static (`CWS_PHASE` and `CWS_PHASE_AS` do this), so closing a scope
-/// is plain arithmetic on it: no lookup by name. Exports list phases
-/// sorted by name. Counts and work counters are identical from run to
-/// run; only the wall-time fields vary.
+/// Every span of one phase name adds into that name's accumulator. A
+/// span finds it by the address of its name literal, so opening one
+/// compares a few pointers and closing it is plain arithmetic: no
+/// string is built or compared after a site's first span. Exports list
+/// phases sorted by name. Counts and work counters are identical from
+/// run to run; only the wall-time fields vary.
 ///
 /// Like the tracer, the profiler is disabled by default and the
 /// disabled path is one load of a flag plus a branch: no clock read,
@@ -46,7 +46,7 @@
 namespace cws {
 namespace obs {
 
-class PhaseScope;
+class Span;
 
 /// Merged statistics of one phase, the unit of every export form.
 struct PhaseStats {
@@ -90,16 +90,15 @@ struct ParsedProfile {
 bool parseProfileJson(const std::string &Text, ParsedProfile &Out,
                       std::string &Error);
 
-/// The accumulator of one phase name: every scope of that name adds
-/// its count, wall time and work here. `Profiler::phase` hands it out;
-/// call sites keep the reference.
+/// The accumulator of one phase name: every span of that name adds its
+/// count, wall time and work here.
 class PhaseAccum {
 public:
   PhaseAccum();
 
 private:
   friend class Profiler;
-  friend class PhaseScope;
+  friend class Span;
 
   uint64_t Count = 0;
   double TotalUs = 0.0;
@@ -113,7 +112,7 @@ private:
 /// The process's phase profiler.
 class Profiler {
 public:
-  /// The instance every `PhaseScope` records into.
+  /// The instance every `Span` records into.
   static Profiler &global();
 
   /// Starts accumulating. Unlike the tracer there is no ring to size:
@@ -122,10 +121,6 @@ public:
   void enable() { On = true; }
   void disable() { On = false; }
   bool enabled() const { return On; }
-
-  /// The accumulator of phase \p Name, created on first use. It lives
-  /// as long as the profiler, so a call site may cache the reference.
-  PhaseAccum &phase(const char *Name);
 
   /// Zeroes every accumulator (they survive, like the metrics
   /// registry's instruments), drops the provenance and disables the
@@ -153,65 +148,26 @@ public:
   std::string chromeTraceEvents() const;
 
 private:
-  friend class PhaseScope;
+  friend class Span;
 
   Profiler() = default;
 
+  /// The accumulator of phase \p Name, created on first use. Found by
+  /// the name's address; a second address of a known name joins that
+  /// name's accumulator.
+  PhaseAccum &phase(const char *Name);
+
   bool On = false;
   /// By name, so exports come out sorted; map nodes never move, so the
-  /// references phase() hands out stay valid.
+  /// pointers `ByAddress` holds stay valid.
   std::map<std::string, PhaseAccum> Phases;
-  /// Innermost open scope (the self-time chain).
-  PhaseScope *Open = nullptr;
+  /// Every name address seen, with its accumulator. Names are literals,
+  /// as the tracer requires, so an address keeps its name.
+  std::vector<std::pair<const char *, PhaseAccum *>> ByAddress;
+  /// Innermost open span (the self-time chain).
+  Span *Open = nullptr;
   RunProvenance Prov;
 };
-
-/// RAII phase guard; see the file comment for the accounting rules.
-class PhaseScope {
-public:
-  /// Opens a scope of \p Phase; records nothing unless the profiler
-  /// is enabled now.
-  explicit PhaseScope(PhaseAccum &Phase) {
-    if (Profiler::global().enabled())
-      open(Phase);
-  }
-  ~PhaseScope() {
-    if (Accum)
-      close();
-  }
-  /// Attaches \p N units of \p Counter to this phase.
-  void work(const char *Counter, uint64_t N);
-
-  PhaseScope(const PhaseScope &) = delete;
-  PhaseScope &operator=(const PhaseScope &) = delete;
-
-private:
-  void open(PhaseAccum &Phase);
-  void close();
-
-  /// Null when the scope opened with the profiler disabled.
-  PhaseAccum *Accum = nullptr;
-  PhaseScope *Parent = nullptr;
-  int64_t StartNs = 0;
-  /// Closed child time, accumulated by the children.
-  double ChildUs = 0.0;
-};
-
-#define CWS_PHASE_CONCAT_IMPL(A, B) A##B
-#define CWS_PHASE_CONCAT(A, B) CWS_PHASE_CONCAT_IMPL(A, B)
-/// Declares \p Scope, a `PhaseScope` open for the enclosing block,
-/// resolving its accumulator once per call site; name the scope when
-/// the site attaches work:
-///   CWS_PHASE_AS(DpPhase, "chain.dp");
-///   DpPhase.work("labels", Kept);
-#define CWS_PHASE_AS(Scope, NameLiteral)                                       \
-  static ::cws::obs::PhaseAccum &CWS_PHASE_CONCAT(CwsPhaseAccum_, __LINE__) =  \
-      ::cws::obs::Profiler::global().phase(NameLiteral);                       \
-  ::cws::obs::PhaseScope Scope(CWS_PHASE_CONCAT(CwsPhaseAccum_, __LINE__))
-/// Opens an unnamed profiler phase for the enclosing block:
-///   CWS_PHASE("meta.commit.apply");
-#define CWS_PHASE(NameLiteral)                                                 \
-  CWS_PHASE_AS(CWS_PHASE_CONCAT(CwsPhaseScope_, __LINE__), NameLiteral)
 
 /// Publishes \p P's snapshot into \p R as `cws_phase_count` /
 /// `cws_phase_total_us` / `cws_phase_self_us` gauges and

@@ -7,8 +7,9 @@
 ///
 /// \file
 /// A low-overhead span tracer: a ring buffer of begin/end/instant
-/// events, recorded through RAII `Span` guards, exported as Chrome
-/// trace-event JSON (loadable in chrome://tracing or Perfetto).
+/// events, recorded through RAII `Span` scopes, exported as Chrome
+/// trace-event JSON (loadable in chrome://tracing or Perfetto). A
+/// `Span` also times its region into the phase profiler.
 ///
 /// The tracer is disabled by default. While disabled every record call
 /// is a single load of a flag plus a predictable branch, so
@@ -20,13 +21,15 @@
 /// test keeps it that way. Every event is on trace thread 1.
 ///
 /// Event names and categories must be string literals (or otherwise
-/// outlive the tracer): the ring buffer stores the pointers only.
+/// outlive the tracer): the ring buffer stores the pointers only, and
+/// the profiler finds a span's phase by the address of its name.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CWS_OBS_TRACE_H
 #define CWS_OBS_TRACE_H
 
+#include "obs/Profiler.h"
 #include "support/Ring.h"
 
 #include <cstdint>
@@ -88,9 +91,10 @@ public:
 
   /// Restricts recording to the categories in \p CommaSeparated (e.g.
   /// "core,flow"); the empty string lifts the restriction. High-volume
-  /// categories (one `sim.event` instant per simulator event) can this
-  /// way be masked out before they wrap the ring. The filter survives
-  /// enable()/disable() (reset() clears it) and may be changed mid-run.
+  /// categories (`sim`: one `sim.tick` span per simulator event) can
+  /// this way be masked out before they wrap the ring. The filter
+  /// survives enable()/disable() (reset() clears it) and may be changed
+  /// mid-run. It masks trace events only; the profiler times every span.
   void setCategoryFilter(const std::string &CommaSeparated);
 
   /// True when events of \p Category currently pass the filter.
@@ -146,17 +150,23 @@ private:
   int64_t EpochMicros = 0;
 };
 
-/// RAII span guard: records a Begin event on construction and the
-/// matching End on destruction. Arguments attached with `arg()` are
-/// emitted with the End event, so values computed inside the span
-/// (counts, outcomes) can be attached before it closes.
+/// RAII scope of one timed region, the one scope type of the program.
+/// It feeds each sink that is on when it opens:
+/// - the tracer: a Begin event now and the matching End on destruction.
+///   Arguments attached with `arg()` travel with the End event, so
+///   values computed inside the span can be attached before it closes.
+/// - the profiler (obs/Profiler.h): its wall time and the counters
+///   attached with `work()` go to the phase named \p Name.
+/// With both sinks off, a span costs two flag loads.
 class Span {
 public:
   Span(const char *Category, const char *Name)
       : Category(Category), Name(Name),
-        Active(Tracer::global().enabled()) {
-    if (Active)
+        Traced(Tracer::global().enabled()) {
+    if (Traced)
       Tracer::global().record(TracePhase::Begin, Category, Name);
+    if (Profiler::global().enabled())
+      openPhase();
   }
   Span(const char *Category, const char *Name, const char *Key,
        int64_t Value)
@@ -164,28 +174,46 @@ public:
     arg(Key, Value);
   }
   ~Span() {
-    if (Active)
+    if (Accum)
+      closePhase();
+    if (Traced)
       Tracer::global().record(TracePhase::End, Category, Name, Args,
                               ArgCount);
   }
   /// Attaches a numeric argument to the closing event (at most two;
   /// later calls overwrite the second slot).
   void arg(const char *Key, int64_t Value) {
-    if (!Active)
+    if (!Traced)
       return;
     size_t Slot = ArgCount < 2 ? ArgCount++ : 1;
     Args[Slot] = TraceArg{Key, Value};
+  }
+  /// Adds \p N units of \p Counter to the phase.
+  void work(const char *Counter, uint64_t N) {
+    if (Accum)
+      addWork(Counter, N);
   }
 
   Span(const Span &) = delete;
   Span &operator=(const Span &) = delete;
 
 private:
+  void openPhase();
+  void closePhase();
+  void addWork(const char *Counter, uint64_t N);
+
   const char *Category;
   const char *Name;
   TraceArg Args[2];
   uint8_t ArgCount = 0;
-  bool Active;
+  bool Traced;
+  /// The phase's accumulator; null when the profiler was off at open.
+  PhaseAccum *Accum = nullptr;
+  /// The enclosing open span, whose self time excludes this one.
+  Span *Parent = nullptr;
+  int64_t StartNs = 0;
+  /// Closed child time, accumulated by the children.
+  double ChildUs = 0.0;
 };
 
 /// Publishes the global tracer's loss counters into \p R as

@@ -8,7 +8,6 @@
 #include "sim/Simulator.h"
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
-#include "obs/Profiler.h"
 #include "obs/TimeSeries.h"
 #include "obs/Trace.h"
 #include "support/Check.h"
@@ -51,18 +50,16 @@ size_t Simulator::run(Tick Until) {
   obs::Span RunSpan("sim", "sim.run");
   auto T0 = std::chrono::steady_clock::now();
   size_t Executed = 0;
-  obs::Tracer &Tr = obs::Tracer::global();
   obs::TimeSeries &Ts = obs::TimeSeries::global();
   while (!Events.empty() && Events.nextTime() <= Until) {
     // Advance the clock before dispatching so handlers scheduling
     // relative work (after()) see the firing time as now().
     Now = Events.nextTime();
-    Tr.instant("sim", "sim.event", "vt", Now);
     // Periodic telemetry frames are taken at the tick boundary, before
     // the event dispatches, so they see the state the tick starts from.
     Ts.onTick(Now);
     {
-      CWS_PHASE("sim.tick");
+      obs::Span TickSpan("sim", "sim.tick", "vt", Now);
       Events.runNext();
     }
     ++Executed;
@@ -85,18 +82,4 @@ size_t Simulator::run(Tick Until) {
   // subsequent run() resumes consistently.
   Now = std::max(Now, Until);
   return Executed;
-}
-
-bool Simulator::step() {
-  if (Events.empty())
-    return false;
-  Now = Events.nextTime();
-  obs::Tracer::global().instant("sim", "sim.event", "vt", Now);
-  obs::TimeSeries::global().onTick(Now);
-  Events.runNext();
-  SimMetrics &M = SimMetrics::get();
-  M.Events.add();
-  M.QueueDepth.set(static_cast<int64_t>(Events.size()));
-  M.VirtualTicks.set(Now);
-  return true;
 }

@@ -49,9 +49,6 @@ public:
   /// Returns the number of events executed.
   size_t run(Tick Until = TickMax);
 
-  /// Executes exactly one event if any remain; returns false otherwise.
-  bool step();
-
   /// Number of pending events.
   size_t pending() const { return Events.size(); }
 

@@ -50,7 +50,8 @@ const Flags::Entry *Flags::find(const std::string &Name) const {
   return nullptr;
 }
 
-bool Flags::parse(int Argc, char **Argv) const {
+bool Flags::parse(int Argc, char **Argv,
+                  std::vector<std::string> *Operands) const {
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--help" || Arg == "-h") {
@@ -60,6 +61,10 @@ bool Flags::parse(int Argc, char **Argv) const {
       return false;
     }
     if (Arg.rfind("--", 0) != 0) {
+      if (Operands) {
+        Operands->push_back(Arg);
+        continue;
+      }
       std::fprintf(stderr, "unexpected positional argument '%s'\n",
                    Arg.c_str());
       std::exit(2);

@@ -11,7 +11,8 @@
 /// do not parse as the flag's type, non-finite reals, values outside a
 /// flag's choice list and values outside its bounds all exit 2 with a
 /// message, so typos in experiment scripts never silently run the
-/// default configuration.
+/// default configuration. Operands (file paths) go to a caller that
+/// asks for them and exit 2 otherwise.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +56,12 @@ public:
                const std::string &Help);
 
   /// Parses argv. On `--help`, prints usage and returns false (caller
-  /// should exit). Unknown flags and rejected values exit 2.
-  bool parse(int Argc, char **Argv) const;
+  /// should exit). Unknown flags and rejected values exit 2. An argument
+  /// that does not start with `--` is an operand: appended to
+  /// \p Operands in command-line order, or rejected with exit 2 when
+  /// \p Operands is null.
+  bool parse(int Argc, char **Argv,
+             std::vector<std::string> *Operands = nullptr) const;
 
 private:
   enum class Kind { Int, Real, String, Bool };

@@ -14,10 +14,11 @@
 #  2. an injected one-event divergence exits 1 and the Markdown report
 #     names the job id, the tick, and both cause chains;
 #  3. the exit-code convention holds: 2 on missing files, unknown
-#     flags, malformed artifacts, bad flag values of cws-sim and
-#     cws-sched, and the removed knobs (`--build-threads`, `--shards`,
-#     `--invalidation`, sweep axes `shards` and `invalidation`) (never
-#     an abort, never a silent default);
+#     flags, malformed artifacts, bad flag values of cws-sim,
+#     cws-sched, cws-diff and cws-explain, and the removed knobs
+#     (`--build-threads`, `--shards`, `--invalidation`, sweep axes
+#     `shards` and `invalidation`) (never an abort, never a silent
+#     default), and every flag of those tools takes `--name=value`;
 #  4. the baseline gate round-trips: a fresh MANIFEST passes, a
 #     divergent artifact fails with exit 1, a stale digest fails with 2;
 #  5. cws-explain --diff-job renders both timelines and the divergence.
@@ -81,6 +82,31 @@ STATUS=0
 "$DIFF" --mode journal "$TMP/garbage" "$TMP/a.jsonl" 2> /dev/null \
   || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
+for ARGS in "--quantile-tol nan" "--quantile-tol inf" "--quantile-tol -1" \
+            "--max-findings 99999999999999999999" "--max-findings 0" \
+            "--mode=bogus"; do
+  STATUS=0
+  "$DIFF" $ARGS "$TMP/a.jsonl" "$TMP/b.jsonl" > /dev/null 2>&1 \
+    || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "cws-diff $ARGS exited $STATUS, expected 2"
+done
+"$DIFF" --mode=journal --max-findings=3 "$TMP/a.jsonl" "$TMP/b.jsonl" \
+  > /dev/null || fail "cws-diff rejected --name=value flags"
+for ARGS in "--job 99999999999999999999" "--job -2" "--job=x"; do
+  STATUS=0
+  "$EXPLAIN" $ARGS "$TMP/a.jsonl" > /dev/null 2>&1 || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "cws-explain $ARGS exited $STATUS, expected 2"
+done
+STATUS=0
+"$EXPLAIN" --diff-job 99999999999999999999 "$TMP/a.jsonl" "$TMP/b.jsonl" \
+  > /dev/null 2>&1 || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "cws-explain bad --diff-job exited $STATUS"
+STATUS=0
+"$EXPLAIN" --summary "$TMP/a.jsonl" "$TMP/b.jsonl" > /dev/null 2>&1 \
+  || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "cws-explain with two journals exited $STATUS"
+"$EXPLAIN" --job=3 "$TMP/a.jsonl" > /dev/null \
+  || fail "cws-explain rejected --job=3"
 for ARGS in "--jobs -3" "--slack 0" "--strategy S9" "--jobs abc" \
             "--slack 1e300" "--slack inf" "--sample-every 0" \
             "--sample-every -5" "--csv 5" "--exec 2" \
@@ -136,7 +162,7 @@ STATUS=0
 JOB=$(sed -n 's/.*"kind":"reject".*"job":\([0-9]*\).*/\1/p' \
       "$TMP/bad.jsonl" | head -1)
 [ -n "$JOB" ] || JOB=0
-"$EXPLAIN" --diff-job "$JOB" "$TMP/a.jsonl" "$TMP/bad.jsonl" \
+"$EXPLAIN" --diff-job="$JOB" "$TMP/a.jsonl" "$TMP/bad.jsonl" \
   > "$TMP/expl.txt" || fail "cws-explain --diff-job failed"
 grep -q -- "--- run A ---" "$TMP/expl.txt" \
   || fail "diff-job output lacks run A's timeline"

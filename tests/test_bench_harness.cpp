@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "harness.h"
+#include "obs/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +45,7 @@ CWS_BENCH(harness_fixture, "test fixture: one metric, stable work",
   Ctx.setWork("units", 40);
   Ctx.addMetric("latency_us", 100.0 + 10.0 * Ctx.rep());
   Ctx.check("always holds", true);
-  CWS_PHASE("fixture.phase");
+  obs::Span Phase("test", "fixture.phase");
 }
 
 CWS_BENCH(harness_unstable_fixture, "test fixture: rep-varying work",

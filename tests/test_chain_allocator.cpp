@@ -401,15 +401,17 @@ TEST(ChainAllocator, SearchingOnlyOpenNodesMatchesSearchingEveryCandidate) {
     bool PinPred = Rng.bernoulli(0.4);
     bool PinSucc = Rng.bernoulli(0.4);
     unsigned Pred = 0, Succ = 0;
+    // Each edge draws its transfer, then its chain task, in two
+    // statements: the order of a call's arguments is unspecified.
     if (PinPred) {
       Pred = J.addTask("p", 1, 10);
-      J.addEdge(Pred, static_cast<unsigned>(Rng.index(K)),
-                Rng.uniformInt(0, 4));
+      Tick Base = Rng.uniformInt(0, 4);
+      J.addEdge(Pred, static_cast<unsigned>(Rng.index(K)), Base);
     }
     if (PinSucc) {
       Succ = J.addTask("s", 1, 10);
-      J.addEdge(static_cast<unsigned>(Rng.index(K)), Succ,
-                Rng.uniformInt(0, 4));
+      Tick Base = Rng.uniformInt(0, 4);
+      J.addEdge(static_cast<unsigned>(Rng.index(K)), Succ, Base);
     }
     J.setDeadline(Deadline);
     Tick Shortest = J.task(0).RefTicks;
@@ -555,15 +557,17 @@ TEST(ChainAllocator, PinnedDigestOfRandomChainsAtTightWindows) {
     bool PinPred = Rng.bernoulli(0.4);
     bool PinSucc = Rng.bernoulli(0.4);
     unsigned Pred = 0, Succ = 0;
+    // Each edge draws its transfer, then its chain task, in two
+    // statements: the order of a call's arguments is unspecified.
     if (PinPred) {
       Pred = J.addTask("p", 1, 10);
-      J.addEdge(Pred, static_cast<unsigned>(Rng.index(K)),
-                Rng.uniformInt(0, 4));
+      Tick Base = Rng.uniformInt(0, 4);
+      J.addEdge(Pred, static_cast<unsigned>(Rng.index(K)), Base);
     }
     if (PinSucc) {
       Succ = J.addTask("s", 1, 10);
-      J.addEdge(static_cast<unsigned>(Rng.index(K)), Succ,
-                Rng.uniformInt(0, 4));
+      Tick Base = Rng.uniformInt(0, 4);
+      J.addEdge(static_cast<unsigned>(Rng.index(K)), Succ, Base);
     }
     J.setDeadline(Deadline);
 

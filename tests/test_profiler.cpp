@@ -5,9 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The hierarchical phase profiler: nesting and self-time accounting,
-// work summed over repeated scopes, the disabled fast path, reset, the
-// JSON round trip, metric publication, the Chrome-trace fragment, and
+// The hierarchical phase profiler, fed by `obs::Span`: nesting and
+// self-time accounting, work summed over repeated spans, one phase per
+// name whatever its address, the disabled fast path, reset, the JSON
+// round trip, metric publication, the Chrome-trace fragment, and
 // run-to-run invariance of the counts and work counters a profiled VO
 // run accumulates.
 //
@@ -17,6 +18,7 @@
 #include "obs/Journal.h"
 #include "obs/Metrics.h"
 #include "obs/Profiler.h"
+#include "obs/Trace.h"
 
 #include <gtest/gtest.h>
 
@@ -58,10 +60,10 @@ TEST_F(ProfilerTest, NestingAndSelfTime) {
   Profiler &P = Profiler::global();
   P.enable();
   for (int I = 0; I < 3; ++I) {
-    CWS_PHASE("outer");
+    Span Outer("test", "outer");
     burn(200);
     {
-      CWS_PHASE_AS(S, "inner");
+      Span S("test", "inner");
       S.work("units", 2);
       burn(200);
     }
@@ -98,9 +100,9 @@ TEST_F(ProfilerTest, OpenScopesAreNotCounted) {
   Profiler &P = Profiler::global();
   P.enable();
   {
-    CWS_PHASE("closed");
+    Span Closed("test", "closed");
   }
-  CWS_PHASE_AS(Open, "still.open");
+  Span Open("test", "still.open");
   std::vector<PhaseStats> S = P.snapshot();
   const PhaseStats *Closed = find(S, "closed");
   ASSERT_NE(Closed, nullptr);
@@ -115,12 +117,42 @@ TEST_F(ProfilerTest, DisabledPathRecordsNothing) {
   Profiler &P = Profiler::global();
   ASSERT_FALSE(P.enabled());
   for (int I = 0; I < 1000; ++I) {
-    CWS_PHASE("ghost");
-    CWS_PHASE_AS(S, "ghost.child");
+    Span Ghost("test", "ghost");
+    Span S("test", "ghost.child");
     S.work("units", 5);
   }
   EXPECT_TRUE(P.snapshot().empty());
   EXPECT_EQ(P.chromeTraceEvents(), "");
+}
+
+TEST_F(ProfilerTest, OneNameIsOnePhaseWhateverItsAddress) {
+  // Two arrays are two objects, so their addresses differ: the address
+  // lookup must still find the one phase of the name.
+  static const char First[] = "same.name";
+  static const char Second[] = "same.name";
+  ASSERT_NE(static_cast<const void *>(First),
+            static_cast<const void *>(Second));
+  Profiler &P = Profiler::global();
+  P.enable();
+  {
+    Span S("test", First);
+    S.work("units", 1);
+  }
+  {
+    Span S("test", Second);
+    S.work("units", 2);
+  }
+  {
+    Span S("test", First);
+  }
+  P.disable();
+  std::vector<PhaseStats> S = P.snapshot();
+  ASSERT_EQ(S.size(), 1u);
+  EXPECT_EQ(S[0].Name, "same.name");
+  EXPECT_EQ(S[0].Count, 3u);
+  const uint64_t *Units = S[0].work("units");
+  ASSERT_NE(Units, nullptr);
+  EXPECT_EQ(*Units, 3u);
 }
 
 TEST_F(ProfilerTest, ResetForgetsPhasesUntilTheyCloseAgain) {
@@ -129,13 +161,13 @@ TEST_F(ProfilerTest, ResetForgetsPhasesUntilTheyCloseAgain) {
   Profiler &P = Profiler::global();
   P.enable();
   for (const char *Name : {"before.only", "both"}) {
-    PhaseScope S(P.phase(Name));
+    Span S("test", Name);
     S.work("units", 7);
   }
   P.reset();
   P.enable();
   {
-    PhaseScope S(P.phase("both"));
+    Span S("test", "both");
   }
   P.disable();
   std::vector<PhaseStats> S = P.snapshot();
@@ -160,8 +192,8 @@ TEST_F(ProfilerTest, JsonRoundTrip) {
     P.setProvenance(Prov);
     P.enable();
     {
-      CWS_PHASE("round.trip");
-      CWS_PHASE_AS(S, "round.trip.child");
+      Span Outer("test", "round.trip");
+      Span S("test", "round.trip.child");
       S.work("labels", 123);
     }
     P.disable();
@@ -197,8 +229,8 @@ TEST_F(ProfilerTest, PublishesPhaseMetrics) {
   Profiler &P = Profiler::global();
   P.enable();
   {
-    CWS_PHASE("pub.phase");
-    CWS_PHASE_AS(S, "pub.phase");
+    Span Outer("test", "pub.phase");
+    Span S("test", "pub.phase");
     S.work("units", 4);
   }
   P.disable();
@@ -218,7 +250,7 @@ TEST_F(ProfilerTest, ChromeTraceFragment) {
   EXPECT_EQ(P.chromeTraceEvents(), "");
   P.enable();
   {
-    CWS_PHASE("trace.me");
+    Span S("test", "trace.me");
   }
   P.disable();
   std::string Fragment = P.chromeTraceEvents();
@@ -259,6 +291,9 @@ TEST_F(ProfilerTest, VoRunCountsAreRunToRunInvariant) {
   EXPECT_TRUE(Reference.count("sim.tick"));
   EXPECT_TRUE(Reference.count("chain.dp"));
   EXPECT_TRUE(Reference.count("strategy.build"));
+  // Regions inside a build that were timed for the tracer alone.
+  EXPECT_TRUE(Reference.count("scheduleJob"));
+  EXPECT_TRUE(Reference.count("extractCriticalWork"));
   EXPECT_EQ(profiledVoWork(), Reference);
 }
 

@@ -127,18 +127,6 @@ TEST(Simulator, CancelledEventDoesNotRun) {
   EXPECT_FALSE(Fired);
 }
 
-TEST(Simulator, StepExecutesOneEvent) {
-  Simulator Sim;
-  int Count = 0;
-  Sim.at(1, [&](Tick) { ++Count; });
-  Sim.at(2, [&](Tick) { ++Count; });
-  EXPECT_TRUE(Sim.step());
-  EXPECT_EQ(Count, 1);
-  EXPECT_TRUE(Sim.step());
-  EXPECT_EQ(Count, 2);
-  EXPECT_FALSE(Sim.step());
-}
-
 TEST(Simulator, PendingCount) {
   Simulator Sim;
   Sim.at(1, [](Tick) {});

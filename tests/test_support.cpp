@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 using namespace cws;
@@ -147,4 +148,22 @@ TEST(Flags, RejectsValuesAboveTheUpperBoundAndNonFiniteReals) {
   EXPECT_EQ(Csv, 1);
   EXPECT_DOUBLE_EQ(Slack, 1e6);
   EXPECT_DOUBLE_EQ(Rate, -1e300);
+}
+
+TEST(Flags, HandsOperandsToACallerThatAsksForThem) {
+  int64_t Jobs = 0;
+  bool Quick = false;
+  Flags F;
+  F.addInt("jobs", &Jobs, "job count");
+  F.addBool("quick", &Quick, "switch");
+  const char *Argv[] = {"prog", "a.jsonl", "--jobs", "3",
+                        "--quick", "b.jsonl", "--jobs=4"};
+  std::vector<std::string> Operands;
+  EXPECT_TRUE(F.parse(7, const_cast<char **>(Argv), &Operands));
+  EXPECT_EQ(Operands, (std::vector<std::string>{"a.jsonl", "b.jsonl"}));
+  EXPECT_EQ(Jobs, 4);
+  EXPECT_TRUE(Quick);
+  // A caller that takes no operands rejects them.
+  EXPECT_EXIT(F.parse(7, const_cast<char **>(Argv)),
+              ::testing::ExitedWithCode(2), "unexpected positional argument");
 }

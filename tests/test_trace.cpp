@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "obs/Profiler.h"
 #include "obs/Trace.h"
 
 #include <gtest/gtest.h>
@@ -118,9 +119,22 @@ private:
 
 class TraceTest : public ::testing::Test {
 protected:
-  void SetUp() override { Tracer::global().reset(); }
-  void TearDown() override { Tracer::global().reset(); }
+  void SetUp() override {
+    Tracer::global().reset();
+    Profiler::global().reset();
+  }
+  void TearDown() override {
+    Tracer::global().reset();
+    Profiler::global().reset();
+  }
 };
+
+/// Opens and closes one span with two arguments and a work counter.
+void runProbeSpan() {
+  Span S("test", "probe", "input", 7);
+  S.arg("output", 42);
+  S.work("units", 3);
+}
 
 TEST_F(TraceTest, DisabledRecordsNothing) {
   Tracer &T = Tracer::global();
@@ -179,6 +193,54 @@ TEST_F(TraceTest, SpanArgsTravelWithTheEndEvent) {
   EXPECT_EQ(E[1].Args[0].Value, 7);
   EXPECT_STREQ(E[1].Args[1].Key, "output");
   EXPECT_EQ(E[1].Args[1].Value, 42);
+}
+
+TEST_F(TraceTest, OneSpanFeedsTheTracerAndTheProfiler) {
+  Tracer &T = Tracer::global();
+  Profiler &P = Profiler::global();
+  T.enable(16);
+  P.enable();
+  runProbeSpan();
+  T.disable();
+  P.disable();
+  std::vector<TraceEvent> E = T.snapshot();
+  ASSERT_EQ(E.size(), 2u);
+  EXPECT_EQ(E[0].Phase, TracePhase::Begin);
+  EXPECT_EQ(E[1].Phase, TracePhase::End);
+  EXPECT_STREQ(E[1].Name, "probe");
+  ASSERT_EQ(E[1].ArgCount, 2u);
+  EXPECT_STREQ(E[1].Args[0].Key, "input");
+  EXPECT_EQ(E[1].Args[0].Value, 7);
+  EXPECT_STREQ(E[1].Args[1].Key, "output");
+  EXPECT_EQ(E[1].Args[1].Value, 42);
+  std::vector<PhaseStats> Phases = P.snapshot();
+  ASSERT_EQ(Phases.size(), 1u);
+  EXPECT_EQ(Phases[0].Name, "probe");
+  EXPECT_EQ(Phases[0].Count, 1u);
+  const uint64_t *Units = Phases[0].work("units");
+  ASSERT_NE(Units, nullptr);
+  EXPECT_EQ(*Units, 3u);
+}
+
+TEST_F(TraceTest, ASpanFeedsOnlyTheSinkThatIsOn) {
+  Tracer &T = Tracer::global();
+  Profiler &P = Profiler::global();
+  T.enable(16);
+  runProbeSpan();
+  T.disable();
+  EXPECT_EQ(T.recorded(), 2u);
+  EXPECT_TRUE(P.snapshot().empty());
+
+  T.reset();
+  P.enable();
+  runProbeSpan();
+  P.disable();
+  EXPECT_EQ(T.recorded(), 0u);
+  std::vector<PhaseStats> Phases = P.snapshot();
+  ASSERT_EQ(Phases.size(), 1u);
+  EXPECT_EQ(Phases[0].Count, 1u);
+  ASSERT_NE(Phases[0].work("units"), nullptr);
+  EXPECT_EQ(*Phases[0].work("units"), 3u);
 }
 
 TEST_F(TraceTest, RingWraparoundKeepsTheNewestEvents) {

@@ -40,9 +40,9 @@
 #include "obs/Provenance.h"
 #include "obs/Report.h"
 #include "support/File.h"
+#include "support/Flags.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -56,33 +56,6 @@ static void printUsage() {
       "usage: cws-diff [options] <A> <B>\n"
       "       cws-diff --against-baseline DIR --journal J [--timeseries T]\n"
       "       cws-diff --digest <file>\n"
-      "\n"
-      "  --mode M              auto|journal|series|sweep (default auto)\n"
-      "  --report FILE         write the Markdown diff report to FILE\n"
-      "  --allow-meta LIST     provenance fields allowed to differ, comma\n"
-      "                        list of seed,config_hash,scenario,shards,cli\n"
-      "                        (default: shards,cli)\n"
-      "  --ignore-meta         skip provenance comparison entirely\n"
-      "  --statistical         accept a statistically compatible sweep\n"
-      "                        verdict (CI overlap, quantile shift) as pass\n"
-      "  --outcomes            journal mode: compare per-job commit/reject\n"
-      "                        verdicts only (the cross-reallocation-mode\n"
-      "                        equivalence gate; placements may differ)\n"
-      "  --allow-repair-saves  with --outcomes: accept the divergence a\n"
-      "                        staged repair is meant to cause — jobs A\n"
-      "                        committed with a repair on record where B\n"
-      "                        rejected, and verdicts decided after the\n"
-      "                        first repair diverged the grids (A = repair\n"
-      "                        run, B = rebuild oracle; A must never\n"
-      "                        commit fewer jobs than B in total)\n"
-      "  --quantile-tol X      relative p50/p90/p99 shift tolerance\n"
-      "                        (default 0.10)\n"
-      "  --exclude-series L    comma list of extra series globs to skip\n"
-      "  --max-findings N      findings to print per comparison "
-      "(default 20)\n"
-      "  --against-baseline D  compare --journal/--timeseries artifacts\n"
-      "                        against the golden baselines in D\n"
-      "  --digest FILE         print the fnv1a64 content digest of FILE\n"
       "\n"
       "exit codes: 0 identical/compatible, 1 divergence, 2 usage or I/O\n");
 }
@@ -374,94 +347,72 @@ static int diffAgainstBaseline(const std::string &Dir,
 }
 
 int main(int Argc, char **Argv) {
-  // Positional file operands rule out support/Flags.h (key=value only),
-  // matching cws-explain's hand-rolled parsing.
-  std::vector<std::string> Paths;
-  Mode M = Mode::Auto;
+  std::string ModeName = "auto";
   std::string ReportFile, BaselineDir, JournalFile, TimeSeriesFile;
-  std::string DigestFile;
+  std::string DigestFile, ExcludeSeries;
+  std::string AllowMeta = "shards,cli";
   bool Statistical = false;
   bool Outcomes = false;
   obs::DiffOptions Opts;
-
-  auto NeedValue = [&](int &I, const char *Flag) -> const char * {
-    if (I + 1 >= Argc) {
-      std::fprintf(stderr, "cws-diff: %s needs a value\n", Flag);
-      std::exit(2);
-    }
-    return Argv[++I];
-  };
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--help" || Arg == "-h") {
-      printUsage();
-      return 0;
-    }
-    if (Arg == "--mode") {
-      std::string V = NeedValue(I, "--mode");
-      if (V == "auto")
-        M = Mode::Auto;
-      else if (V == "journal")
-        M = Mode::Journal;
-      else if (V == "series")
-        M = Mode::Series;
-      else if (V == "sweep")
-        M = Mode::Sweep;
-      else {
-        std::fprintf(stderr, "cws-diff: bad mode '%s'\n", V.c_str());
-        return 2;
-      }
-    } else if (Arg == "--report") {
-      ReportFile = NeedValue(I, "--report");
-    } else if (Arg == "--allow-meta") {
-      if (!parseMetaList(NeedValue(I, "--allow-meta"), Opts.Meta))
-        return 2;
-    } else if (Arg == "--ignore-meta") {
-      Opts.Meta.Off = true;
-    } else if (Arg == "--statistical") {
-      Statistical = true;
-    } else if (Arg == "--outcomes") {
-      Outcomes = true;
-    } else if (Arg == "--allow-repair-saves") {
-      Opts.AllowRepairSaves = true;
-    } else if (Arg == "--quantile-tol") {
-      char *End = nullptr;
-      const char *V = NeedValue(I, "--quantile-tol");
-      Opts.QuantileShiftTol = std::strtod(V, &End);
-      if (!End || *End != '\0' || Opts.QuantileShiftTol < 0) {
-        std::fprintf(stderr, "cws-diff: bad tolerance '%s'\n", V);
-        return 2;
-      }
-    } else if (Arg == "--exclude-series") {
-      std::vector<std::string> Globs;
-      splitCommas(NeedValue(I, "--exclude-series"), Globs);
-      for (const std::string &G : Globs)
-        Opts.Series.push_back({G, obs::SeriesClass::Excluded, 0.0});
-    } else if (Arg == "--max-findings") {
-      char *End = nullptr;
-      const char *V = NeedValue(I, "--max-findings");
-      long N = std::strtol(V, &End, 10);
-      if (!End || *End != '\0' || N < 1) {
-        std::fprintf(stderr, "cws-diff: bad finding count '%s'\n", V);
-        return 2;
-      }
-      Opts.MaxFindings = static_cast<size_t>(N);
-    } else if (Arg == "--against-baseline") {
-      BaselineDir = NeedValue(I, "--against-baseline");
-    } else if (Arg == "--journal") {
-      JournalFile = NeedValue(I, "--journal");
-    } else if (Arg == "--timeseries") {
-      TimeSeriesFile = NeedValue(I, "--timeseries");
-    } else if (Arg == "--digest") {
-      DigestFile = NeedValue(I, "--digest");
-    } else if (!Arg.empty() && Arg[0] == '-') {
-      std::fprintf(stderr, "cws-diff: unknown flag '%s'\n", Arg.c_str());
-      printUsage();
-      return 2;
-    } else {
-      Paths.push_back(Arg);
-    }
+  int64_t MaxFindings = static_cast<int64_t>(Opts.MaxFindings);
+  Flags F;
+  F.addString("mode", &ModeName,
+              "artifact kind: auto (detected from the content, the "
+              "default), journal, series or sweep",
+              {"auto", "journal", "series", "sweep"});
+  F.addString("report", &ReportFile, "write the Markdown diff report here");
+  F.addString("allow-meta", &AllowMeta,
+              "provenance fields allowed to differ, a comma list of "
+              "seed,config_hash,scenario,shards,cli (default: shards,cli)");
+  F.addBool("ignore-meta", &Opts.Meta.Off,
+            "skip provenance comparison entirely");
+  F.addBool("statistical", &Statistical,
+            "accept a statistically compatible sweep verdict (CI overlap, "
+            "quantile shift) as pass");
+  F.addBool("outcomes", &Outcomes,
+            "journal mode: compare per-job commit/reject verdicts only (the "
+            "cross-reallocation-mode equivalence gate; placements may "
+            "differ)");
+  F.addBool("allow-repair-saves", &Opts.AllowRepairSaves,
+            "with --outcomes: accept the divergence a staged repair is "
+            "meant to cause: jobs A committed with a repair on record where "
+            "B rejected, and verdicts decided after the first repair "
+            "diverged the grids (A = repair run, B = rebuild oracle; A must "
+            "never commit fewer jobs than B in total)");
+  F.addReal("quantile-tol", &Opts.QuantileShiftTol,
+            "relative p50/p90/p99 shift tolerance, >= 0 (default 0.10)");
+  F.addString("exclude-series", &ExcludeSeries,
+              "comma list of extra series globs to skip");
+  F.addInt("max-findings", &MaxFindings,
+           "findings to print per comparison (default 20)", /*AtLeast=*/1);
+  F.addString("against-baseline", &BaselineDir,
+              "compare --journal/--timeseries artifacts against the golden "
+              "baselines in this directory");
+  F.addString("journal", &JournalFile, "fresh journal for --against-baseline");
+  F.addString("timeseries", &TimeSeriesFile,
+              "fresh time series for --against-baseline");
+  F.addString("digest", &DigestFile,
+              "print the fnv1a64 content digest of this file");
+  std::vector<std::string> Paths;
+  if (!F.parse(Argc, Argv, &Paths)) {
+    printUsage();
+    return 0;
   }
+  if (Opts.QuantileShiftTol < 0) {
+    std::fprintf(stderr, "cws-diff: --quantile-tol must be >= 0\n");
+    return 2;
+  }
+  if (!parseMetaList(AllowMeta, Opts.Meta))
+    return 2;
+  Opts.MaxFindings = static_cast<size_t>(MaxFindings);
+  std::vector<std::string> Globs;
+  splitCommas(ExcludeSeries, Globs);
+  for (const std::string &G : Globs)
+    Opts.Series.push_back({G, obs::SeriesClass::Excluded, 0.0});
+  const Mode M = ModeName == "journal" ? Mode::Journal
+                 : ModeName == "series" ? Mode::Series
+                 : ModeName == "sweep"  ? Mode::Sweep
+                                        : Mode::Auto;
 
   if (Opts.AllowRepairSaves && !Outcomes) {
     std::fprintf(stderr,

@@ -29,11 +29,13 @@
 #include "obs/Explain.h"
 #include "obs/Journal.h"
 #include "support/File.h"
+#include "support/Flags.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
+#include <vector>
 
 using namespace cws;
 
@@ -44,88 +46,43 @@ static void printUsage() {
       "                   [--summary] <journal.jsonl>\n"
       "       cws-explain --diff-job N <a.jsonl> <b.jsonl>\n"
       "\n"
-      "  --job N            causal timeline of job N\n"
-      "  --why-reallocated  every reallocation, its triggering\n"
-      "                     environment change and the broken slot\n"
-      "  --why-rejected     every rejection and the decision before it\n"
-      "  --summary          per-flow decision counts (default)\n"
-      "  --diff-job N       job N's timeline from two journals and their\n"
-      "                     first divergence\n"
-      "\n"
       "exit codes: 0 ok, 1 validation failure, 2 usage or I/O\n");
 }
 
 int main(int Argc, char **Argv) {
-  // The journal path is positional, so support/Flags.h (key=value only)
-  // does not fit; the four modes make hand parsing short enough.
-  std::string Path;
-  std::string PathB;
-  int64_t JobId = -1;
-  int64_t DiffJobId = -1;
-  bool WantJob = false;
-  bool WantDiffJob = false;
+  // Job ids are >= 0 and -1 names the environment's stream, so an id
+  // below -1 marks a mode that was not asked for.
+  constexpr int64_t NoJob = INT64_MIN;
+  int64_t JobId = NoJob;
+  int64_t DiffJobId = NoJob;
   bool WantReallocated = false;
   bool WantRejected = false;
   bool WantSummary = false;
-  for (int I = 1; I < Argc; ++I) {
-    std::string Arg = Argv[I];
-    if (Arg == "--help" || Arg == "-h") {
-      printUsage();
-      return 0;
-    }
-    if (Arg == "--diff-job") {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "cws-explain: --diff-job needs a job id\n");
-        return 2;
-      }
-      char *End = nullptr;
-      DiffJobId = std::strtoll(Argv[++I], &End, 10);
-      if (!End || *End != '\0') {
-        std::fprintf(stderr, "cws-explain: bad job id '%s'\n", Argv[I]);
-        return 2;
-      }
-      WantDiffJob = true;
-    } else if (Arg == "--job") {
-      if (I + 1 >= Argc) {
-        std::fprintf(stderr, "cws-explain: --job needs a job id\n");
-        return 2;
-      }
-      char *End = nullptr;
-      JobId = std::strtoll(Argv[++I], &End, 10);
-      if (!End || *End != '\0') {
-        std::fprintf(stderr, "cws-explain: bad job id '%s'\n", Argv[I]);
-        return 2;
-      }
-      WantJob = true;
-    } else if (Arg.rfind("--job=", 0) == 0) {
-      char *End = nullptr;
-      JobId = std::strtoll(Arg.c_str() + 6, &End, 10);
-      if (!End || *End != '\0') {
-        std::fprintf(stderr, "cws-explain: bad job id '%s'\n",
-                     Arg.c_str() + 6);
-        return 2;
-      }
-      WantJob = true;
-    } else if (Arg == "--why-reallocated") {
-      WantReallocated = true;
-    } else if (Arg == "--why-rejected") {
-      WantRejected = true;
-    } else if (Arg == "--summary") {
-      WantSummary = true;
-    } else if (!Arg.empty() && Arg[0] == '-' && Arg != "-") {
-      std::fprintf(stderr, "cws-explain: unknown flag '%s'\n", Arg.c_str());
-      printUsage();
-      return 2;
-    } else if (Path.empty()) {
-      Path = Arg;
-    } else if (WantDiffJob && PathB.empty()) {
-      PathB = Arg;
-    } else {
-      std::fprintf(stderr, "cws-explain: more than one journal file\n");
-      return 2;
-    }
+  Flags F;
+  F.addInt("job", &JobId,
+           "causal timeline of job N (-1: the environment's changes)",
+           /*AtLeast=*/-1);
+  F.addBool("why-reallocated", &WantReallocated,
+            "every reallocation, its triggering environment change and the "
+            "broken slot");
+  F.addBool("why-rejected", &WantRejected,
+            "every rejection and the decision before it");
+  F.addBool("summary", &WantSummary, "per-flow decision counts (default)");
+  F.addInt("diff-job", &DiffJobId,
+           "job N's timeline from two journals and their first divergence",
+           /*AtLeast=*/-1);
+  std::vector<std::string> Paths;
+  if (!F.parse(Argc, Argv, &Paths)) {
+    printUsage();
+    return 0;
   }
-  if (Path.empty() || (WantDiffJob && PathB.empty())) {
+  const bool WantJob = JobId != NoJob;
+  const bool WantDiffJob = DiffJobId != NoJob;
+  if (Paths.size() > (WantDiffJob ? 2u : 1u)) {
+    std::fprintf(stderr, "cws-explain: more than one journal file\n");
+    return 2;
+  }
+  if (Paths.size() < (WantDiffJob ? 2u : 1u)) {
     printUsage();
     return 2;
   }
@@ -135,6 +92,7 @@ int main(int Argc, char **Argv) {
   }
   if (!WantJob && !WantDiffJob && !WantReallocated && !WantRejected)
     WantSummary = true;
+  const std::string &Path = Paths[0];
 
   std::string Text;
   if (!readFile(Path, Text)) {
@@ -153,6 +111,7 @@ int main(int Argc, char **Argv) {
     // An inspection across two runs, not a gate: skip the validation
     // pass so a journal from a misbehaving run can still be compared.
     obs::ParsedJournal B;
+    const std::string &PathB = Paths[1];
     if (!readFile(PathB, Text)) {
       std::fprintf(stderr, "cws-explain: cannot open '%s'\n", PathB.c_str());
       return 2;
