@@ -49,22 +49,11 @@ using namespace cws;
 
 namespace {
 
-/// The per-kind sums Fig. 4b and 4c print means and ratios of.
-struct KindSums {
-  uint64_t Committed = 0;
-  uint64_t TtlSum = 0;
-  uint64_t TtlSamples = 0;
-  double DevRunRatioSum = 0;
-  uint64_t PairedCf = 0;
-  double PairedEcon = 0;
-  uint64_t PairedCompletion = 0;
-
-  double meanTtl() const {
-    return TtlSamples ? static_cast<double>(TtlSum) / TtlSamples : 0.0;
-  }
-  double meanDevRunRatio() const {
-    return Committed ? DevRunRatioSum / static_cast<double>(Committed) : 0.0;
-  }
+/// One strategy type's sums over the jobs MS1, S2 and S3 all committed.
+struct PairedSums {
+  uint64_t Cf = 0;
+  double Econ = 0;
+  uint64_t Completion = 0;
 };
 
 uint64_t scaled(double X, double Scale) {
@@ -76,48 +65,31 @@ uint64_t scaled(double X, double Scale) {
 CWS_BENCH(fig4, "Fig. 4a group load, 4b paired cost and time, 4c TTL and "
                 "start deviation per strategy type",
           /*Reps=*/1, /*Warmup=*/0, /*Profile=*/true) {
-  constexpr uint64_t Seed = 2009;
-  VoConfig Config = makeFig4VoConfig();
-  Config.JobCount = 400;
-  Ctx.setSeed(Seed);
-  Ctx.setConfig("jobs=" + std::to_string(Config.JobCount) + "\n");
+  Fig4Config Config;
+  Config.Vo.JobCount = 400;
+  Ctx.setSeed(Config.Seed);
+  Ctx.setConfig("jobs=" + std::to_string(Config.Vo.JobCount) + "\n");
 
-  const StrategyKind Kinds[] = {StrategyKind::S1, StrategyKind::S2,
-                                StrategyKind::S3, StrategyKind::MS1};
-  std::map<StrategyKind, VoRunResult> Runs;
-  for (StrategyKind Kind : Kinds)
-    Runs[Kind] = runVirtualOrganization(Config, Kind, Seed);
-
-  std::map<StrategyKind, KindSums> Sums;
-  for (const auto &[Kind, Run] : Runs) {
-    std::string Key = std::string(strategyName(Kind)) + ".";
+  const std::vector<Fig4Row> Rows = runFig4(Config);
+  auto Row = [&Rows](StrategyKind Kind) -> const Fig4Row & {
+    return *std::find_if(Rows.begin(), Rows.end(), [Kind](const Fig4Row &R) {
+      return R.Run.Kind == Kind;
+    });
+  };
+  for (const Fig4Row &R : Rows) {
+    std::string Key = std::string(strategyName(R.Run.Kind)) + ".";
     const char *Groups[] = {"fast", "medium", "slow"};
-    for (PerfGroup G : {PerfGroup::Fast, PerfGroup::Medium, PerfGroup::Slow})
-      Ctx.setWork(Key + "load_" + Groups[static_cast<size_t>(G)] +
-                      "_pct_x1000",
-                  scaled(Run.JobLoadPercent[static_cast<size_t>(G)], 1000));
-    KindSums &S = Sums[Kind];
-    uint64_t Switched = 0, Reallocated = 0;
-    for (const VoJobStats &St : Run.Jobs) {
-      Switched += St.Switched;
-      Reallocated += St.Reallocated;
-      if (St.Admissible && St.TtlClosed) {
-        S.TtlSum += static_cast<uint64_t>(St.Ttl);
-        ++S.TtlSamples;
-      }
-      if (!St.Committed)
-        continue;
-      ++S.Committed;
-      S.DevRunRatioSum += static_cast<double>(St.startDeviation()) /
-                          static_cast<double>(std::max<Tick>(1, St.runTicks()));
-    }
-    Ctx.setWork(Key + "jobs", Run.Jobs.size());
-    Ctx.setWork(Key + "committed", S.Committed);
-    Ctx.setWork(Key + "switched", Switched);
-    Ctx.setWork(Key + "reallocated", Reallocated);
-    Ctx.setWork(Key + "ttl_sum", S.TtlSum);
-    Ctx.setWork(Key + "ttl_samples", S.TtlSamples);
-    Ctx.setWork(Key + "dev_run_ratio_sum_x1e6", scaled(S.DevRunRatioSum, 1e6));
+    for (size_t G = 0; G < 3; ++G)
+      Ctx.setWork(Key + "load_" + Groups[G] + "_pct_x1000",
+                  scaled(R.Run.JobLoadPercent[G], 1000));
+    Ctx.setWork(Key + "jobs", R.Agg.Jobs);
+    Ctx.setWork(Key + "committed", R.Agg.Committed);
+    Ctx.setWork(Key + "switched", R.Agg.Switched);
+    Ctx.setWork(Key + "reallocated", R.Agg.Reallocated);
+    Ctx.setWork(Key + "ttl_sum", static_cast<uint64_t>(R.Agg.TtlSum));
+    Ctx.setWork(Key + "ttl_samples", R.Agg.TtlSamples);
+    Ctx.setWork(Key + "dev_run_ratio_sum_x1e6",
+                scaled(R.Agg.StartDeviationRatioSum, 1e6));
   }
 
   // Fig. 4b pairs MS1, S2 and S3 over the jobs all three committed.
@@ -125,29 +97,30 @@ CWS_BENCH(fig4, "Fig. 4a group load, 4b paired cost and time, 4c TTL and "
                                  StrategyKind::S3};
   std::map<unsigned, unsigned> CommittedBy;
   for (StrategyKind Kind : Paired)
-    for (const VoJobStats &St : Runs[Kind].Jobs)
+    for (const VoJobStats &St : Row(Kind).Run.Jobs)
       CommittedBy[St.JobId] += St.Committed;
   uint64_t PairedJobs = 0;
   for (const auto &[JobId, Count] : CommittedBy)
     PairedJobs += Count == 3;
   Ctx.setWork("paired_jobs", PairedJobs);
+  std::map<StrategyKind, PairedSums> Sums;
   for (StrategyKind Kind : Paired) {
-    KindSums &S = Sums[Kind];
-    for (const VoJobStats &St : Runs[Kind].Jobs) {
+    PairedSums &S = Sums[Kind];
+    for (const VoJobStats &St : Row(Kind).Run.Jobs) {
       if (CommittedBy[St.JobId] != 3)
         continue;
-      S.PairedCf += static_cast<uint64_t>(St.Cf);
-      S.PairedEcon += St.Cost;
-      S.PairedCompletion += static_cast<uint64_t>(St.Completion - St.Arrival);
+      S.Cf += static_cast<uint64_t>(St.Cf);
+      S.Econ += St.Cost;
+      S.Completion += static_cast<uint64_t>(St.Completion - St.Arrival);
     }
     std::string Key = std::string(strategyName(Kind)) + ".";
-    Ctx.setWork(Key + "paired_cf_sum", S.PairedCf);
-    Ctx.setWork(Key + "paired_econ_cost_x100", scaled(S.PairedEcon, 100));
-    Ctx.setWork(Key + "paired_completion_sum", S.PairedCompletion);
+    Ctx.setWork(Key + "paired_cf_sum", S.Cf);
+    Ctx.setWork(Key + "paired_econ_cost_x100", scaled(S.Econ, 100));
+    Ctx.setWork(Key + "paired_completion_sum", S.Completion);
   }
 
-  auto SlowShare = [&Runs](StrategyKind Kind) {
-    const double *L = Runs[Kind].JobLoadPercent;
+  auto SlowShare = [&Row](StrategyKind Kind) {
+    const double *L = Row(Kind).Run.JobLoadPercent;
     double Total = L[0] + L[1] + L[2];
     return Total > 0 ? L[2] / Total : 0.0;
   };
@@ -156,24 +129,28 @@ CWS_BENCH(fig4, "Fig. 4a group load, 4b paired cost and time, 4c TTL and "
             SlowShare(StrategyKind::S1) > SlowShare(StrategyKind::S2) &&
                 SlowShare(StrategyKind::S2) > SlowShare(StrategyKind::S3));
 
-  const KindSums &Ms1 = Sums[StrategyKind::MS1];
-  const KindSums &S2 = Sums[StrategyKind::S2];
-  const KindSums &S3 = Sums[StrategyKind::S3];
+  const PairedSums &Ms1 = Sums[StrategyKind::MS1];
+  const PairedSums &S2 = Sums[StrategyKind::S2];
+  const PairedSums &S3 = Sums[StrategyKind::S3];
   Ctx.check("fig4b: S3 has the lowest relative completion cost (CF)",
-            S3.PairedCf < S2.PairedCf && S3.PairedCf < Ms1.PairedCf);
-  Ctx.setWork("claim_fig4b_s3_slowest",
-              S3.PairedCompletion >= S2.PairedCompletion &&
-                  S3.PairedCompletion >= Ms1.PairedCompletion);
+            S3.Cf < S2.Cf && S3.Cf < Ms1.Cf);
+  Ctx.setWork("claim_fig4b_s3_slowest", S3.Completion >= S2.Completion &&
+                                            S3.Completion >= Ms1.Completion);
   Ctx.setWork("claim_fig4b_ms1_slower_than_s2",
-              Ms1.PairedCompletion > S2.PairedCompletion);
+              Ms1.Completion > S2.Completion);
 
+  const VoAggregates &AggMs1 = Row(StrategyKind::MS1).Agg;
+  const VoAggregates &AggS2 = Row(StrategyKind::S2).Agg;
+  const VoAggregates &AggS3 = Row(StrategyKind::S3).Agg;
   Ctx.check("fig4c: S3's strategies live the longest",
-            S3.meanTtl() > S2.meanTtl() && S3.meanTtl() > Ms1.meanTtl());
+            AggS3.MeanTtl > AggS2.MeanTtl && AggS3.MeanTtl > AggMs1.MeanTtl);
   Ctx.check("fig4c: MS1's reduced coverage yields the largest start-time "
             "deviation",
-            Ms1.meanDevRunRatio() > S2.meanDevRunRatio() &&
-                Ms1.meanDevRunRatio() > S3.meanDevRunRatio());
+            AggMs1.MeanStartDeviationRatio > AggS2.MeanStartDeviationRatio &&
+                AggMs1.MeanStartDeviationRatio >
+                    AggS3.MeanStartDeviationRatio);
   Ctx.setWork("claim_fig4c_s2_least_deviation",
-              S2.meanDevRunRatio() < S3.meanDevRunRatio() &&
-                  S2.meanDevRunRatio() < Ms1.meanDevRunRatio());
+              AggS2.MeanStartDeviationRatio < AggS3.MeanStartDeviationRatio &&
+                  AggS2.MeanStartDeviationRatio <
+                      AggMs1.MeanStartDeviationRatio);
 }

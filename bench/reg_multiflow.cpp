@@ -41,32 +41,17 @@ CWS_BENCH(multiflow, "competing strategy flows on one grid",
       {StrategyKind::S1, StrategyKind::S2, StrategyKind::S3, StrategyKind::MS1},
       Seed);
   for (const VoRunResult &Run : Results) {
-    uint64_t Admissible = 0, Committed = 0, ShiftRecovered = 0, Cf = 0,
-             TtlSum = 0, TtlSamples = 0;
-    double Cost = 0;
-    for (const VoJobStats &St : Run.Jobs) {
-      Admissible += St.Admissible;
-      ShiftRecovered += St.ShiftRecovered;
-      if (St.Admissible && St.TtlClosed) {
-        TtlSum += static_cast<uint64_t>(St.Ttl);
-        ++TtlSamples;
-      }
-      if (!St.Committed)
-        continue;
-      ++Committed;
-      Cf += static_cast<uint64_t>(St.Cf);
-      Cost += St.Cost;
-    }
+    VoAggregates A = summarizeVo(Run);
     std::string Key = std::string(strategyName(Run.Kind)) + ".";
-    Ctx.setWork(Key + "jobs", Run.Jobs.size());
-    Ctx.setWork(Key + "admissible", Admissible);
-    Ctx.setWork(Key + "committed", Committed);
-    Ctx.setWork(Key + "shift_recovered", ShiftRecovered);
-    Ctx.setWork(Key + "cf_sum", Cf);
+    Ctx.setWork(Key + "jobs", A.Jobs);
+    Ctx.setWork(Key + "admissible", A.Admissible);
+    Ctx.setWork(Key + "committed", A.Committed);
+    Ctx.setWork(Key + "shift_recovered", A.ShiftRecovered);
+    Ctx.setWork(Key + "cf_sum", static_cast<uint64_t>(A.CfSum));
     Ctx.setWork(Key + "econ_cost_x100",
-                static_cast<uint64_t>(std::llround(Cost * 100)));
-    Ctx.setWork(Key + "ttl_sum", TtlSum);
-    Ctx.setWork(Key + "ttl_samples", TtlSamples);
+                static_cast<uint64_t>(std::llround(A.CostSum * 100)));
+    Ctx.setWork(Key + "ttl_sum", static_cast<uint64_t>(A.TtlSum));
+    Ctx.setWork(Key + "ttl_samples", A.TtlSamples);
     const char *Groups[] = {"fast", "medium", "slow"};
     for (size_t G = 0; G < 3; ++G)
       Ctx.setWork(Key + "load_" + Groups[G] + "_pct_x1000",

@@ -23,8 +23,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "flow/VirtualOrganization.h"
 #include "harness.h"
+#include "metrics/QoS.h"
 #include "obs/Metrics.h"
 
 #include <sys/resource.h>
@@ -110,11 +110,8 @@ CWS_BENCH(vo_scale,
     uint64_t ApplyScanned =
         bench::phaseWork("commit.apply", "intervals_scanned") - ApplyScanned0;
 
-    uint64_t Committed = 0;
-    for (const VoJobStats &St : Run.Jobs)
-      Committed += St.Committed;
     const std::string Key = "jobs" + std::to_string(Jobs) + ".";
-    Ctx.setWork(Key + "committed", Committed);
+    Ctx.setWork(Key + "committed", summarizeVo(Run).Committed);
     Ctx.setWork(Key + "builds", Builds.value() - Builds0);
     Ctx.setWork(Key + "build_intervals_copied", BuildCopied);
     Ctx.setWork(Key + "repair_intervals_copied", RepairCopied);

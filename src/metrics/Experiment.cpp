@@ -12,6 +12,7 @@
 #include "support/Check.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace cws;
 
@@ -115,15 +116,10 @@ std::vector<Fig4Row> cws::runFig4(const Fig4Config &Config) {
   std::vector<Fig4Row> Rows;
   Rows.reserve(Config.Kinds.size());
   for (StrategyKind Kind : Config.Kinds) {
-    VoRunResult Run = runVirtualOrganization(Config.Vo, Kind, Config.Seed);
     Fig4Row Row;
-    Row.Kind = Kind;
-    Row.Agg = summarizeVo(Run);
-    Row.LoadFast = Run.JobLoadPercent[static_cast<size_t>(PerfGroup::Fast)];
-    Row.LoadMedium =
-        Run.JobLoadPercent[static_cast<size_t>(PerfGroup::Medium)];
-    Row.LoadSlow = Run.JobLoadPercent[static_cast<size_t>(PerfGroup::Slow)];
-    Rows.push_back(Row);
+    Row.Run = runVirtualOrganization(Config.Vo, Kind, Config.Seed);
+    Row.Agg = summarizeVo(Row.Run);
+    Rows.push_back(std::move(Row));
   }
   return Rows;
 }

@@ -92,13 +92,10 @@ struct Fig4Config {
   uint64_t Seed = 2009;
 };
 
-/// One strategy type's dynamic results.
+/// One strategy type's dynamic results: the run and its aggregates.
 struct Fig4Row {
-  StrategyKind Kind = StrategyKind::S1;
+  VoRunResult Run;
   VoAggregates Agg;
-  double LoadFast = 0.0;
-  double LoadMedium = 0.0;
-  double LoadSlow = 0.0;
 };
 
 /// Runs the Fig. 4 study; one row per configured strategy type (all

@@ -19,67 +19,59 @@ VoAggregates cws::summarizeVo(const VoRunResult &Run) {
   if (A.Jobs == 0)
     return A;
 
-  size_t Admissible = 0;
   size_t Rejected = 0;
-  size_t Switched = 0;
-  size_t Reallocated = 0;
-  size_t ShiftRecovered = 0;
-  size_t TtlSamples = 0;
   for (const auto &St : Run.Jobs) {
-    if (St.Admissible)
-      ++Admissible;
-    if (St.Rejected)
-      ++Rejected;
-    if (St.Switched)
-      ++Switched;
-    if (St.Reallocated)
-      ++Reallocated;
+    A.Admissible += St.Admissible;
+    Rejected += St.Rejected;
+    A.Switched += St.Switched;
+    A.Reallocated += St.Reallocated;
     if (St.ShiftRecovered) {
-      ++ShiftRecovered;
+      ++A.ShiftRecovered;
       A.MeanCommitShift += static_cast<double>(St.CommitShift);
     }
     if (St.Admissible && St.TtlClosed) {
-      A.MeanTtl += static_cast<double>(St.Ttl);
-      ++TtlSamples;
+      A.TtlSum += St.Ttl;
+      ++A.TtlSamples;
     }
     if (!St.Committed)
       continue;
     ++A.Committed;
     if (St.ExecutionKilled)
       A.ExecutionKilledPercent += 1.0;
-    A.MeanCost += St.Cost;
-    A.MeanCf += static_cast<double>(St.Cf);
+    A.CfSum += St.Cf;
+    A.CostSum += St.Cost;
+    A.StartDeviationRatioSum +=
+        static_cast<double>(St.startDeviation()) /
+        static_cast<double>(std::max<Tick>(1, St.runTicks()));
     A.MeanRunTicks += static_cast<double>(St.runTicks());
     A.MeanResponseTicks += static_cast<double>(St.Completion - St.Arrival);
     A.MeanStartDeviation += static_cast<double>(St.startDeviation());
-    A.MeanStartDeviationRatio +=
-        static_cast<double>(St.startDeviation()) /
-        static_cast<double>(std::max<Tick>(1, St.runTicks()));
     A.MeanCollisions += static_cast<double>(St.Collisions);
   }
 
   auto Pct = [&](size_t N) {
     return 100.0 * static_cast<double>(N) / static_cast<double>(A.Jobs);
   };
-  A.AdmissiblePercent = Pct(Admissible);
+  A.AdmissiblePercent = Pct(A.Admissible);
   A.CommittedPercent = Pct(A.Committed);
   A.RejectedPercent = Pct(Rejected);
-  A.SwitchedPercent = Pct(Switched);
-  A.ReallocatedPercent = Pct(Reallocated);
-  A.ShiftRecoveredPercent = Pct(ShiftRecovered);
-  if (ShiftRecovered > 0)
-    A.MeanCommitShift /= static_cast<double>(ShiftRecovered);
-  if (TtlSamples > 0)
-    A.MeanTtl /= static_cast<double>(TtlSamples);
+  A.SwitchedPercent = Pct(A.Switched);
+  A.ReallocatedPercent = Pct(A.Reallocated);
+  A.ShiftRecoveredPercent = Pct(A.ShiftRecovered);
+  if (A.ShiftRecovered > 0)
+    A.MeanCommitShift /= static_cast<double>(A.ShiftRecovered);
+  if (A.TtlSamples > 0)
+    A.MeanTtl = static_cast<double>(A.TtlSum) /
+                static_cast<double>(A.TtlSamples);
   if (A.Committed > 0) {
     auto N = static_cast<double>(A.Committed);
     A.ExecutionKilledPercent = 100.0 * A.ExecutionKilledPercent / N;
-    A.MeanCost /= N;
-    A.MeanCf /= N;
+    A.MeanCost = A.CostSum / N;
+    A.MeanCf = static_cast<double>(A.CfSum) / N;
     A.MeanRunTicks /= N;
     A.MeanResponseTicks /= N;
     A.MeanStartDeviation /= N;
-    A.MeanStartDeviationRatio /= N;
+    A.MeanStartDeviationRatio = A.StartDeviationRatioSum / N;
     A.MeanCollisions /= N;
   }
   return A;

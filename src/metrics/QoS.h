@@ -19,13 +19,28 @@
 #include "obs/Metrics.h"
 
 #include <cstddef>
+#include <cstdint>
 
 namespace cws {
 
-/// Mean QoS factors of one run.
+/// QoS factors of one run: the exact totals, and the shares and means
+/// derived from them.
 struct VoAggregates {
   size_t Jobs = 0;
   size_t Committed = 0;
+  size_t Admissible = 0;
+  size_t Switched = 0;
+  size_t Reallocated = 0;
+  size_t ShiftRecovered = 0;
+  /// Strategy time-to-live summed over the admissible jobs whose
+  /// strategy expired (TtlSamples of them).
+  int64_t TtlSum = 0;
+  size_t TtlSamples = 0;
+  /// Sums over committed jobs, in job order: CF, quota cost, and start
+  /// deviation / run ticks.
+  int64_t CfSum = 0;
+  double CostSum = 0.0;
+  double StartDeviationRatioSum = 0.0;
   double AdmissiblePercent = 0.0;
   double CommittedPercent = 0.0;
   double RejectedPercent = 0.0;

@@ -210,11 +210,9 @@ bool cws::obs::parseSloFile(const std::string &Text,
 // Indicators
 //===----------------------------------------------------------------------===//
 
-std::map<std::string, double>
-cws::obs::computeIndicators(const ParsedJournal &J,
-                            const ParsedTimeSeries &Ts) {
-  std::map<std::string, double> Ind;
-
+/// The journal-derived indicators of computeIndicators.
+static void addJournalIndicators(const ParsedJournal &J,
+                                 std::map<std::string, double> &Ind) {
   // Journal-side counts and the per-job completion/deadline join.
   struct JobOutcome {
     int64_t Deadline = 0;
@@ -327,6 +325,17 @@ cws::obs::computeIndicators(const ParsedJournal &J,
     Ind["mean_commit_cost"] = CommitCostSum / static_cast<double>(CommitCostN);
   if (CommitCfN > 0)
     Ind["mean_commit_cf"] = CommitCfSum / static_cast<double>(CommitCfN);
+}
+
+std::map<std::string, double>
+cws::obs::computeIndicators(const ParsedJournal &J,
+                            const ParsedTimeSeries &Ts) {
+  std::map<std::string, double> Ind;
+  // A journal whose ring dropped events lost the head of the run, so
+  // counts and rates over the events it kept would describe another
+  // run. Its indicators stay undefined: SLO rules on them fail closed.
+  if (J.Dropped == 0)
+    addJournalIndicators(J, Ind);
 
   // Time-series side: per-node mean contention (busy + background).
   if (!Ts.empty()) {
@@ -473,6 +482,14 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
     auto It = Ind.find(Name);
     return It == Ind.end() ? 0.0 : It->second;
   };
+  // An undefined indicator renders n/a.
+  auto Show = [&Ind](const char *Name, std::string (*Render)(double)) {
+    auto It = Ind.find(Name);
+    return It == Ind.end() ? std::string("n/a") : Render(It->second);
+  };
+  // The journal-derived sections of a ring-truncated journal.
+  const std::string Truncated = "n/a: the journal ring dropped " +
+                                std::to_string(J.Dropped) + " events.\n\n";
   Tick Horizon = 0;
   for (const ParsedJournalEvent &E : J.Events)
     Horizon = std::max(Horizon, static_cast<Tick>(E.At));
@@ -488,18 +505,18 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
     Out += "| " + K + " | " + V + " |\n";
   };
   Row("run horizon (ticks)", std::to_string(Horizon));
-  Row("jobs submitted", renderNumber(Get("jobs_submitted")));
-  Row("jobs committed", renderNumber(Get("jobs_committed")));
-  Row("jobs rejected", renderNumber(Get("jobs_rejected")));
-  Row("commit rate", renderPercent(Get("commit_rate")));
-  Row("deadline miss rate", Ind.count("deadline_miss_rate")
-                                ? renderPercent(Get("deadline_miss_rate"))
-                                : "n/a");
-  Row("environment changes", renderNumber(Get("env_changes")));
-  Row("invalidations", renderNumber(Get("invalidations")));
-  Row("reallocations", renderNumber(Get("reallocations")));
+  if (J.Dropped > 0)
+    Row("journal events dropped", std::to_string(J.Dropped));
+  Row("jobs submitted", Show("jobs_submitted", renderNumber));
+  Row("jobs committed", Show("jobs_committed", renderNumber));
+  Row("jobs rejected", Show("jobs_rejected", renderNumber));
+  Row("commit rate", Show("commit_rate", renderPercent));
+  Row("deadline miss rate", Show("deadline_miss_rate", renderPercent));
+  Row("environment changes", Show("env_changes", renderNumber));
+  Row("invalidations", Show("invalidations", renderNumber));
+  Row("reallocations", Show("reallocations", renderNumber));
   Row("reallocations per commit",
-      renderRate(Get("reallocations_per_commit")));
+      Show("reallocations_per_commit", renderRate));
   // Staged-repair mix, present only in repair-mode journals (a
   // rebuild-mode run has no repair.stage events).
   if (Ind.count("realloc_failed")) {
@@ -591,7 +608,9 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
   //===--- Reallocation / invalidation timeline ---------------------------===//
   Out += "## Reallocation / invalidation timeline\n\n";
   double TotalChurn = Get("reallocations") + Get("invalidations");
-  if (TotalChurn == 0) {
+  if (J.Dropped > 0) {
+    Out += Truncated;
+  } else if (TotalChurn == 0) {
     Out += "No reallocations or invalidations recorded.\n\n";
   } else {
     // ~12 equal tick buckets across the run.
@@ -648,7 +667,9 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
     else if (E.Kind == "reallocate")
       ++Flows[E.FlowId].Reallocations;
   }
-  if (Flows.empty()) {
+  if (J.Dropped > 0) {
+    Out += Truncated;
+  } else if (Flows.empty()) {
     Out += "No per-flow events in the journal.\n\n";
   } else {
     Out += "| flow | arrivals | commits | rejects | invalidations | "

@@ -114,10 +114,22 @@ bool parseSloFile(const std::string &Text, std::vector<SloRule> &Out,
 ///  - `reallocations_per_commit` — reallocations over committed jobs
 ///    (over 1 when nothing committed);
 ///  - `mean_commit_cost` / `mean_commit_cf` — mean committed schedule
-///    cost / cost-function value (absent with no commits);
+///    cost / cost-function value (absent with no commits; the journal
+///    records each commit's cost as a whole number);
+///  - `realloc_repaired_shift` / `realloc_repaired_dp` /
+///    `realloc_rebuilt` / `realloc_failed` — staged-repair outcome
+///    counts, and `repair_stage12_share` — shift and DP repairs over the
+///    reallocations that delivered a strategy (repair-mode journals
+///    only; absent without `repair.stage` events);
 ///  - `mean_node_busy` / `max_node_busy` — grid mean / per-node max of
 ///    the mean `util_busy` + `util_background` fraction (time-series
-///    only; absent without one).
+///    only; absent without one);
+///  - `env_scan_placements` — placements the invalidation passes
+///    re-validated (time-series only; absent when not sampled).
+///
+/// Every journal-derived indicator is absent when the journal's ring
+/// dropped events (`J.Dropped > 0`): the run's head is lost, so SLO
+/// rules on them fail closed.
 std::map<std::string, double> computeIndicators(const ParsedJournal &J,
                                                 const ParsedTimeSeries &Ts);
 
@@ -154,7 +166,9 @@ std::string renderProfileSection(const ParsedProfile &P);
 /// the top-5 most-contended nodes, the reallocation / invalidation
 /// timeline, the per-flow QoS table (flows in ascending id order), the
 /// "Where the time went" phase breakdown when a profile \p Profile is
-/// attached, and the SLO verdict when \p Slo is non-empty.
+/// attached, and the SLO verdict when \p Slo is non-empty. For a
+/// journal whose ring dropped events, the overview states the dropped
+/// count and the journal-derived rows and sections render n/a.
 /// Deterministic for fixed inputs.
 std::string renderRunReport(const ParsedJournal &J,
                             const ParsedTimeSeries &Ts,

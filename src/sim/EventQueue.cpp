@@ -9,44 +9,21 @@
 #include "support/Check.h"
 
 #include <algorithm>
+#include <utility>
 
 using namespace cws;
 
-EventId EventQueue::schedule(Tick At, EventFn Fn) {
-  EventId Id = NextId++;
-  Handlers.emplace(Id, std::move(Fn));
-  Heap.push_back({At, NextSeq++, Id});
+void EventQueue::schedule(Tick At, EventFn Fn) {
+  Heap.push_back({At, NextSeq++, std::move(Fn)});
   std::push_heap(Heap.begin(), Heap.end(), later);
-  return Id;
-}
-
-bool EventQueue::cancel(EventId Id) {
-  // The heap entry stays behind as a tombstone and is skipped lazily.
-  return Handlers.erase(Id) > 0;
-}
-
-void EventQueue::skipDead() {
-  while (!Heap.empty() && !Handlers.count(Heap.front().Id)) {
-    std::pop_heap(Heap.begin(), Heap.end(), later);
-    Heap.pop_back();
-  }
-}
-
-Tick EventQueue::nextTime() {
-  skipDead();
-  return Heap.empty() ? TickMax : Heap.front().At;
 }
 
 Tick EventQueue::runNext() {
-  skipDead();
   CWS_CHECK(!Heap.empty(), "runNext on an empty event queue");
   std::pop_heap(Heap.begin(), Heap.end(), later);
-  Entry Top = Heap.back();
+  // Move the entry off the heap first: the handler may schedule more.
+  Entry Top = std::move(Heap.back());
   Heap.pop_back();
-  auto It = Handlers.find(Top.Id);
-  CWS_CHECK(It != Handlers.end(), "live heap entry without handler");
-  EventFn Fn = std::move(It->second);
-  Handlers.erase(It);
-  Fn(Top.At);
+  Top.Fn(Top.At);
   return Top.At;
 }

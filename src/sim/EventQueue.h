@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace cws {
@@ -28,30 +27,22 @@ namespace cws {
 /// An event handler; receives the firing time.
 using EventFn = std::function<void(Tick)>;
 
-/// Identifies a scheduled event for cancellation.
-using EventId = uint64_t;
-
-/// Min-heap of timed events with stable same-tick ordering and lazy
-/// cancellation via tombstones.
+/// Min-heap of timed events with stable same-tick ordering.
 class EventQueue {
 public:
-  /// Schedules \p Fn at \p At. Returns an id usable with cancel().
-  EventId schedule(Tick At, EventFn Fn);
+  /// Schedules \p Fn at \p At.
+  void schedule(Tick At, EventFn Fn);
 
-  /// Cancels a pending event; returns false if it already fired or was
-  /// cancelled before.
-  bool cancel(EventId Id);
+  /// True when no events are pending.
+  bool empty() const { return Heap.empty(); }
 
-  /// True when no live events remain.
-  bool empty() const { return Handlers.empty(); }
+  /// Number of pending events.
+  size_t size() const { return Heap.size(); }
 
-  /// Number of live (non-cancelled, unfired) events.
-  size_t size() const { return Handlers.size(); }
+  /// Time of the earliest event; TickMax when empty.
+  Tick nextTime() const { return Heap.empty() ? TickMax : Heap.front().At; }
 
-  /// Time of the earliest live event; TickMax when empty.
-  Tick nextTime();
-
-  /// Pops and runs the earliest live event; returns its time. Requires
+  /// Pops and runs the earliest event; returns its time. Requires
   /// !empty().
   Tick runNext();
 
@@ -59,7 +50,7 @@ private:
   struct Entry {
     Tick At;
     uint64_t Seq;
-    EventId Id;
+    EventFn Fn;
   };
 
   static bool later(const Entry &A, const Entry &B) {
@@ -68,13 +59,8 @@ private:
     return A.Seq > B.Seq;
   }
 
-  /// Removes cancelled entries from the heap top.
-  void skipDead();
-
   std::vector<Entry> Heap;
-  std::unordered_map<EventId, EventFn> Handlers;
   uint64_t NextSeq = 0;
-  EventId NextId = 1;
 };
 
 } // namespace cws

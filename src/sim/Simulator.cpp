@@ -36,13 +36,13 @@ struct SimMetrics {
 };
 } // namespace
 
-EventId Simulator::at(Tick At, EventFn Fn) {
-  return Events.schedule(std::max(At, Now), std::move(Fn));
+void Simulator::at(Tick At, EventFn Fn) {
+  Events.schedule(std::max(At, Now), std::move(Fn));
 }
 
-EventId Simulator::after(Tick Delay, EventFn Fn) {
+void Simulator::after(Tick Delay, EventFn Fn) {
   CWS_CHECK(Delay >= 0, "cannot schedule into the past");
-  return Events.schedule(Now + Delay, std::move(Fn));
+  Events.schedule(Now + Delay, std::move(Fn));
 }
 
 size_t Simulator::run(Tick Until) {

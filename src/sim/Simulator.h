@@ -28,10 +28,10 @@ public:
   Tick now() const { return Now; }
 
   /// Schedules \p Fn at absolute time \p At (clamped to now()).
-  EventId at(Tick At, EventFn Fn);
+  void at(Tick At, EventFn Fn);
 
   /// Schedules \p Fn after \p Delay ticks.
-  EventId after(Tick Delay, EventFn Fn);
+  void after(Tick Delay, EventFn Fn);
 
   /// Schedules \p Fn at the current tick, behind every event already
   /// queued for it (same-tick events fire in insertion order). This is
@@ -40,10 +40,7 @@ public:
   /// Events inserted *after* the drain (including by the drain itself)
   /// fire later the same tick, so a drain that triggers more same-tick
   /// work simply re-arms.
-  EventId atEndOfTick(EventFn Fn) { return at(Now, std::move(Fn)); }
-
-  /// Cancels a pending event.
-  bool cancel(EventId Id) { return Events.cancel(Id); }
+  void atEndOfTick(EventFn Fn) { at(Now, std::move(Fn)); }
 
   /// Runs until the queue drains or the clock passes \p Until.
   /// Returns the number of events executed.

@@ -217,6 +217,11 @@ bool cws::sweep::runSweep(const SweepGrid &Grid, const SweepOptions &Opts,
     else if (Hash != J.Prov.ConfigHash)
       return Fail("config hash " + J.Prov.ConfigHash +
                   " diverges from the scenario's " + Hash);
+    // A journal that lost its head leaves every journal indicator
+    // undefined; pooling the run would drop it from their statistics.
+    if (J.Dropped > 0)
+      return Fail("journal ring dropped " + std::to_string(J.Dropped) +
+                  " events");
 
     Acc.addRun(Spec.ScenarioIndex, obs::computeIndicators(J, Ts));
   }

@@ -52,7 +52,8 @@ struct SweepOptions {
 /// the first failure: an unspawnable or failing child, unreadable or
 /// unparsable artifacts, a missing provenance stamp, or a provenance
 /// mismatch (wrong seed / scenario, diverging config hash within a
-/// scenario, journal and series disagreeing).
+/// scenario, journal and series disagreeing), or a journal whose ring
+/// dropped events.
 bool runSweep(const SweepGrid &Grid, const SweepOptions &Opts,
               obs::SweepStore &Out, std::string &Error);
 

@@ -32,17 +32,6 @@ void SweepAccumulator::addRun(size_t ScenarioIndex,
     Samples[ScenarioIndex][Name].push_back(Value);
 }
 
-void SweepAccumulator::merge(const SweepAccumulator &Other) {
-  CWS_CHECK(Other.Samples.size() == Samples.size(),
-            "merging accumulators of different scenario lists");
-  Runs += Other.Runs;
-  for (size_t S = 0; S < Samples.size(); ++S)
-    for (const auto &[Name, Values] : Other.Samples[S]) {
-      std::vector<double> &Mine = Samples[S][Name];
-      Mine.insert(Mine.end(), Values.begin(), Values.end());
-    }
-}
-
 obs::SweepStore SweepAccumulator::finalize() const {
   obs::SweepStore Store;
   Store.Seeds = Seeds;
@@ -53,8 +42,8 @@ obs::SweepStore SweepAccumulator::finalize() const {
     Sc.Axes = Scenarios[S].second;
     for (const auto &[Name, Raw] : Samples[S]) {
       // Sort first: every statistic below is a function of the sorted
-      // sample vector, so insertion order (worker scheduling, merge
-      // splits) can never leak into the result.
+      // sample vector, so insertion order can never leak into the
+      // result.
       std::vector<double> Sorted = Raw;
       std::sort(Sorted.begin(), Sorted.end());
       obs::SweepIndicatorStats St;

@@ -10,10 +10,8 @@
 /// accumulator keeps every raw sample and finalizes by sorting each
 /// indicator's samples first, so every derived statistic — mean, sample
 /// stddev, 95% CI half-width, exact p50/p90/p99 quantiles, extrema —
-/// depends only on the sample *multiset*, never on arrival order. That
-/// is what makes sweep results identical at any worker-process count
-/// and lets `merge` (plain concatenation) reproduce the sequential
-/// result exactly.
+/// depends only on the sample *multiset*, never on arrival order, and
+/// sweep results are identical at any worker-process count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,11 +42,6 @@ public:
   /// scenario \p ScenarioIndex.
   void addRun(size_t ScenarioIndex,
               const std::map<std::string, double> &Indicators);
-
-  /// Concatenates \p Other's samples (same scenario list required).
-  /// finalize() after merging equals finalize() after sequential
-  /// addRun calls in any interleaving.
-  void merge(const SweepAccumulator &Other);
 
   /// Runs added so far.
   uint64_t runs() const { return Runs; }

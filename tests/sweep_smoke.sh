@@ -13,7 +13,9 @@
 #  2. pooled statistics are identical at any --workers value
 #     (cws-diff sweep mode);
 #  3. quantile SLO rules gate the exit code: 0 on sane bounds, exactly 1
-#     on a forced breach (for cws-report --sweep and cws-sweep alike).
+#     on a forced breach (for cws-report --sweep and cws-sweep alike);
+#  4. a run whose journal ring dropped events is refused with exit 2,
+#     naming the run and its dropped count.
 #
 #===----------------------------------------------------------------------===#
 set -eu
@@ -97,5 +99,23 @@ STATUS=0
          --slo "$TMP/breach.slo" --quiet 1 > /dev/null || STATUS=$?
 [ "$STATUS" -eq 1 ] \
   || fail "forced breach exited $STATUS via cws-sweep, expected 1"
+
+#=== 4. A ring-truncated journal is refused ==============================#
+# 1,500 jobs overflow the journal's 65,536-event ring, so the journal
+# lost the head of the run and has no indicators to pool.
+cat > "$TMP/long.grid" <<EOF
+axis strategy S1
+seeds 1
+base_seed 42
+jobs 1500
+EOF
+STATUS=0
+"$SWEEP" --grid "$TMP/long.grid" --workers 1 --runs-dir "$TMP/r6" \
+         --quiet 1 > /dev/null 2> "$TMP/long.err" || STATUS=$?
+[ "$STATUS" -eq 2 ] \
+  || fail "ring-truncated journal exited $STATUS via cws-sweep, expected 2"
+grep -q "run 0 (strategy=S1 seed 42): journal ring dropped [1-9][0-9]* events" \
+     "$TMP/long.err" \
+  || fail "refusal names no run or dropped count: $(cat "$TMP/long.err")"
 
 echo "sweep smoke ok"

@@ -89,9 +89,8 @@ TEST(Fig4, TinyRunProducesRows) {
   ASSERT_EQ(Rows.size(), 4u);
   for (const auto &R : Rows) {
     EXPECT_EQ(R.Agg.Jobs, 20u);
-    EXPECT_GE(R.LoadFast, 0.0);
-    EXPECT_GE(R.LoadMedium, 0.0);
-    EXPECT_GE(R.LoadSlow, 0.0);
+    for (double Load : R.Run.JobLoadPercent)
+      EXPECT_GE(Load, 0.0);
   }
 }
 
@@ -137,14 +136,78 @@ TEST(SummarizeVo, CountsCategories) {
   Committed.TtlClosed = true;
   VoJobStats Inadmissible;
   Inadmissible.TtlClosed = true;
-  Run.Jobs = {Committed, Inadmissible};
+  VoJobStats Shifted;
+  Shifted.Admissible = true;
+  Shifted.Committed = true;
+  Shifted.ShiftRecovered = true;
+  Shifted.Switched = true;
+  Shifted.CommitShift = 4;
+  Shifted.Arrival = 5;
+  Shifted.ForecastStart = 6;
+  Shifted.ActualStart = 10;
+  Shifted.Completion = 18;
+  Shifted.Cost = 20.5;
+  Shifted.Cf = 7;
+  VoJobStats Reallocated;
+  Reallocated.Admissible = true;
+  Reallocated.Committed = true;
+  Reallocated.Switched = true;
+  Reallocated.Reallocated = true;
+  Reallocated.Arrival = 2;
+  Reallocated.ForecastStart = 12;
+  Reallocated.ActualStart = 12;
+  Reallocated.Completion = 22;
+  Reallocated.Cost = 30.0;
+  Reallocated.Cf = 9;
+  Reallocated.Ttl = 5;
+  Reallocated.TtlClosed = true;
+  // Killed at once: a zero run time counts as one tick in the ratio.
+  VoJobStats Killed;
+  Killed.Admissible = true;
+  Killed.Committed = true;
+  Killed.ExecutionKilled = true;
+  Killed.Arrival = 3;
+  Killed.ForecastStart = 15;
+  Killed.ActualStart = 14;
+  Killed.Completion = 14;
+  Killed.Cost = 10.0;
+  Killed.Cf = 3;
+  VoJobStats Expired;
+  Expired.Admissible = true;
+  Expired.Rejected = true;
+  Expired.Ttl = 7;
+  Expired.TtlClosed = true;
+  Run.Jobs = {Committed, Inadmissible, Shifted, Reallocated, Killed, Expired};
   VoAggregates A = summarizeVo(Run);
-  EXPECT_EQ(A.Jobs, 2u);
-  EXPECT_EQ(A.Committed, 1u);
-  EXPECT_DOUBLE_EQ(A.AdmissiblePercent, 50.0);
-  EXPECT_DOUBLE_EQ(A.MeanCost, 50.0);
-  EXPECT_DOUBLE_EQ(A.MeanCf, 12.0);
-  EXPECT_DOUBLE_EQ(A.MeanRunTicks, 20.0);
-  EXPECT_DOUBLE_EQ(A.MeanStartDeviation, 2.0);
-  EXPECT_DOUBLE_EQ(A.MeanTtl, 25.0);
+  EXPECT_EQ(A.Jobs, 6u);
+  EXPECT_EQ(A.Committed, 4u);
+  EXPECT_EQ(A.Admissible, 5u);
+  EXPECT_EQ(A.Switched, 2u);
+  EXPECT_EQ(A.Reallocated, 1u);
+  EXPECT_EQ(A.ShiftRecovered, 1u);
+  EXPECT_EQ(A.TtlSum, 37);
+  EXPECT_EQ(A.TtlSamples, 3u);
+  EXPECT_EQ(A.CfSum, 31);
+  EXPECT_DOUBLE_EQ(A.CostSum, 110.5);
+  EXPECT_DOUBLE_EQ(A.StartDeviationRatioSum, 0.1 + 0.5 + 0.0 + 1.0);
+
+  auto Pct = [&A](size_t N) { return 100.0 * N / static_cast<double>(A.Jobs); };
+  EXPECT_EQ(A.AdmissiblePercent, Pct(A.Admissible));
+  EXPECT_EQ(A.CommittedPercent, Pct(A.Committed));
+  EXPECT_EQ(A.RejectedPercent, Pct(1));
+  EXPECT_EQ(A.SwitchedPercent, Pct(A.Switched));
+  EXPECT_EQ(A.ReallocatedPercent, Pct(A.Reallocated));
+  EXPECT_EQ(A.ShiftRecoveredPercent, Pct(A.ShiftRecovered));
+  auto N = static_cast<double>(A.Committed);
+  EXPECT_EQ(A.MeanTtl, static_cast<double>(A.TtlSum) /
+                           static_cast<double>(A.TtlSamples));
+  EXPECT_EQ(A.MeanCf, static_cast<double>(A.CfSum) / N);
+  EXPECT_EQ(A.MeanCost, A.CostSum / N);
+  EXPECT_EQ(A.MeanStartDeviationRatio, A.StartDeviationRatioSum / N);
+  EXPECT_DOUBLE_EQ(A.MeanCf, 7.75);
+  EXPECT_DOUBLE_EQ(A.MeanCost, 27.625);
+  EXPECT_DOUBLE_EQ(A.MeanRunTicks, (20.0 + 8.0 + 10.0 + 0.0) / 4);
+  EXPECT_DOUBLE_EQ(A.MeanStartDeviation, (2.0 + 4.0 + 0.0 + 1.0) / 4);
+  EXPECT_DOUBLE_EQ(A.MeanCommitShift, 4.0);
+  EXPECT_DOUBLE_EQ(A.ExecutionKilledPercent, 25.0);
 }

@@ -172,11 +172,12 @@ TEST_F(ReportTest, DistributionRulesFailClosedInSingleRunEvaluation) {
 //===----------------------------------------------------------------------===//
 
 /// Three arrivals on two flows; one on-time commit, one deadline miss,
-/// one reject; one reallocation after an environment change.
-ParsedJournal syntheticJournal() {
+/// one reject; one reallocation after an environment change. A ring of
+/// fewer than eight slots drops the oldest events.
+ParsedJournal syntheticJournal(size_t Capacity = 64) {
   Journal &Jn = Journal::global();
   Jn.reset();
-  Jn.enable(64);
+  Jn.enable(Capacity);
   Jn.append(JournalKind::Arrival, 1, 10, {{"deadline", 100}, {"tasks", 2}},
             "S1", /*FlowId=*/0);
   Jn.append(JournalKind::Arrival, 2, 12, {{"deadline", 150}, {"tasks", 2}},
@@ -267,6 +268,48 @@ TEST_F(ReportTest, UnjudgedDeadlineMissRateIsUndefinedAndFailsClosed) {
   EXPECT_NE(Report.find("| deadline miss rate | n/a |"), std::string::npos)
       << Report;
   EXPECT_NE(Report.find("SLO: **FAIL**"), std::string::npos) << Report;
+}
+
+TEST_F(ReportTest, RingTruncatedJournalLeavesIndicatorsUndefined) {
+  // Five slots keep both commits but drop all three arrivals: counts
+  // over the survivors would read 0 jobs submitted and 2 committed.
+  ParsedJournal J = syntheticJournal(/*Capacity=*/5);
+  ASSERT_EQ(J.Dropped, 3u);
+  ParsedTimeSeries Ts;
+  std::string Error;
+  ASSERT_TRUE(parseTimeSeriesCsv("seq,tick,reason,series,node,flow,value\n"
+                                 "0,10,sample,util_busy,0,,0.4\n"
+                                 "0,10,sample,util_background,0,,0.2\n",
+                                 Ts, Error))
+      << Error;
+  std::map<std::string, double> Ind = computeIndicators(J, Ts);
+  // Only the time-series indicators remain.
+  EXPECT_EQ(Ind.size(), 2u);
+  EXPECT_EQ(Ind.count("mean_node_busy"), 1u);
+  EXPECT_EQ(Ind.count("max_node_busy"), 1u);
+
+  std::vector<SloResult> Results =
+      evaluateSlo({{"commit_rate", /*IsUpper=*/false, 0.0, /*Stat=*/"",
+                    /*AcrossSeeds=*/false}},
+                  Ind);
+  ASSERT_EQ(Results.size(), 1u);
+  EXPECT_FALSE(Results[0].Known);
+  EXPECT_FALSE(Results[0].Pass);
+
+  std::string Report = renderRunReport(J, Ts, Results);
+  for (const char *Row :
+       {"| journal events dropped | 3 |", "| jobs submitted | n/a |",
+        "| commit rate | n/a |", "| reallocations per commit | n/a |"})
+    EXPECT_NE(Report.find(Row), std::string::npos) << Row << "\n" << Report;
+  // The timeline and the per-flow table do not count the survivors.
+  const std::string Truncated = "n/a: the journal ring dropped 3 events.";
+  size_t Timeline = Report.find(Truncated);
+  ASSERT_NE(Timeline, std::string::npos) << Report;
+  EXPECT_NE(Report.find(Truncated, Timeline + 1), std::string::npos)
+      << Report;
+  // A journal that dropped nothing has no dropped row.
+  EXPECT_EQ(renderRunReport(syntheticJournal(), Ts, {}).find("dropped"),
+            std::string::npos);
 }
 
 TEST_F(ReportTest, JoinsUtilizationFromTheTimeSeries) {

@@ -46,7 +46,7 @@ const std::vector<Fig4Row> &fig4Rows() {
 
 const Fig4Row &fig4Row(StrategyKind Kind) {
   for (const auto &R : fig4Rows())
-    if (R.Kind == Kind)
+    if (R.Run.Kind == Kind)
       return R;
   ADD_FAILURE() << "missing fig4 row";
   return fig4Rows().front();
@@ -91,8 +91,9 @@ TEST(Fig4Shape, S3IsCheapestUnderCf) {
 
 TEST(Fig4Shape, S3IsLeastSlowNodeBound) {
   auto SlowShare = [](const Fig4Row &R) {
-    double Total = R.LoadFast + R.LoadMedium + R.LoadSlow;
-    return Total > 0 ? R.LoadSlow / Total : 0.0;
+    const double *L = R.Run.JobLoadPercent;
+    double Total = L[0] + L[1] + L[2];
+    return Total > 0 ? L[2] / Total : 0.0;
   };
   EXPECT_LT(SlowShare(fig4Row(StrategyKind::S3)),
             SlowShare(fig4Row(StrategyKind::S1)));

@@ -38,25 +38,6 @@ TEST(EventQueue, SameTickFiresInSubmissionOrder) {
   EXPECT_EQ(Order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue Q;
-  bool Fired = false;
-  EventId Id = Q.schedule(5, [&](Tick) { Fired = true; });
-  EXPECT_TRUE(Q.cancel(Id));
-  EXPECT_FALSE(Q.cancel(Id));
-  EXPECT_TRUE(Q.empty());
-  EXPECT_FALSE(Fired);
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue Q;
-  EventId A = Q.schedule(5, [](Tick) {});
-  Q.schedule(9, [](Tick) {});
-  EXPECT_EQ(Q.nextTime(), 5);
-  Q.cancel(A);
-  EXPECT_EQ(Q.nextTime(), 9);
-}
-
 TEST(EventQueue, NextTimeOnEmpty) {
   EventQueue Q;
   EXPECT_EQ(Q.nextTime(), TickMax);
@@ -116,15 +97,6 @@ TEST(Simulator, RunUntilStopsAtHorizon) {
   EXPECT_EQ(Fired, 1);
   EXPECT_EQ(Sim.run(), 1u);
   EXPECT_EQ(Fired, 2);
-}
-
-TEST(Simulator, CancelledEventDoesNotRun) {
-  Simulator Sim;
-  bool Fired = false;
-  EventId Id = Sim.at(4, [&](Tick) { Fired = true; });
-  EXPECT_TRUE(Sim.cancel(Id));
-  Sim.run();
-  EXPECT_FALSE(Fired);
 }
 
 TEST(Simulator, PendingCount) {

@@ -246,10 +246,9 @@ TEST(SweepStats, SingleSampleHasZeroSpread) {
   EXPECT_DOUBLE_EQ(St->P50, 0.25);
 }
 
-TEST(SweepStats, MergeEqualsSequentialPoolingExactly) {
-  // The worker-count independence invariant in miniature: pooling
-  // {A then B}, {B then A}, and merge(one half, other half) all give
-  // bit-identical statistics because finalize() sorts first.
+TEST(SweepStats, PoolingOrderDoesNotChangeStatistics) {
+  // Pooling {A then B} and {B then A} gives bit-identical statistics
+  // because finalize() sorts first.
   std::map<std::string, double> RunsAB[4] = {
       {{"x", 0.7}, {"y", 3.0}},
       {{"x", 0.1}},
@@ -262,16 +261,8 @@ TEST(SweepStats, MergeEqualsSequentialPoolingExactly) {
   SweepAccumulator Backward(ScenarioList{{"s", {}}}, 4);
   for (size_t I = 4; I-- > 0;)
     Backward.addRun(0, RunsAB[I]);
-  SweepAccumulator Left(ScenarioList{{"s", {}}}, 4);
-  Left.addRun(0, RunsAB[0]);
-  Left.addRun(0, RunsAB[3]);
-  SweepAccumulator Right(ScenarioList{{"s", {}}}, 4);
-  Right.addRun(0, RunsAB[2]);
-  Right.addRun(0, RunsAB[1]);
-  Left.merge(Right);
-  std::string A = obs::sweepCsv(Forward.finalize());
-  EXPECT_EQ(A, obs::sweepCsv(Backward.finalize()));
-  EXPECT_EQ(A, obs::sweepCsv(Left.finalize()));
+  EXPECT_EQ(obs::sweepCsv(Forward.finalize()),
+            obs::sweepCsv(Backward.finalize()));
 }
 
 //===----------------------------------------------------------------------===//

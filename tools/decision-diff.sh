@@ -18,7 +18,8 @@
 # 24 configurations. Per configuration it compares the journal events
 # after the meta line, the --timeseries rows after the `# provenance`
 # comment (both of those lines record the command line), the --csv 1
-# stdout and the exit code.
+# stdout, the QoS aggregates (the `cws_vo_*` and `cws_flow_*` lines of
+# --metrics; the file's other lines hold timings) and the exit code.
 #
 # Exits 0 when every configuration matches, 1 naming the first one that
 # differs, and 2 on a usage error.
@@ -41,16 +42,20 @@ Work=$(mktemp -d) || exit 2
 trap 'rm -rf "$Work"' EXIT
 
 # Runs one build on one configuration: stdout, exit code, journal
-# events and time-series rows go to files named by the side.
+# events, time-series rows and QoS aggregates go to files named by the
+# side.
 run() {
   Side=$1
   Build=$2
   shift 2
   "$Build/tools/cws-sim" --seed 7 --csv 1 --journal "$Work/$Side.jsonl" \
-      --timeseries "$Work/$Side.ts.csv" "$@" > "$Work/$Side.out" 2> /dev/null
+      --timeseries "$Work/$Side.ts.csv" --metrics "$Work/$Side.prom" "$@" \
+      > "$Work/$Side.out" 2> /dev/null
   echo $? > "$Work/$Side.code"
   tail -n +2 "$Work/$Side.jsonl" > "$Work/$Side.events" 2> /dev/null
   grep -v '^# provenance' "$Work/$Side.ts.csv" > "$Work/$Side.series" \
+      2> /dev/null
+  grep -E '^cws_(vo|flow)_' "$Work/$Side.prom" > "$Work/$Side.qos" \
       2> /dev/null
 }
 
@@ -63,13 +68,13 @@ for Strategy in S1 S2 S3 MS1; do
                "--jobs 150 --slack 1.3" \
                "--jobs 300 --repair-oracle 1"; do
     Config="--strategy $Strategy $Shape"
-    rm -f "$Work"/*.jsonl "$Work"/*.ts.csv
+    rm -f "$Work"/*.jsonl "$Work"/*.ts.csv "$Work"/*.prom
     # Word splitting of $Config is intended: it holds the flags.
     # shellcheck disable=SC2086
     run parent "$1" $Config
     # shellcheck disable=SC2086
     run new "$2" $Config
-    for Part in code out events series; do
+    for Part in code out events series qos; do
       cmp -s "$Work/parent.$Part" "$Work/new.$Part" || {
         echo "decision-diff: differs ($Part) at: $Config" >&2
         exit 1
