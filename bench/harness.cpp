@@ -407,9 +407,26 @@ const char *cws::bench::benchVerdictName(BenchVerdict V) {
   CWS_UNREACHABLE("unknown bench verdict");
 }
 
+/// The ratchet's noise test for a metric that moved: the sample counts
+/// agree (a repetition-count change is never noise), the means' 95%
+/// CIs overlap, and p50/p90/p99 each shift by at most 10% of the larger
+/// magnitude. NaN (n/a) matches only NaN.
+static bool withinNoise(const obs::SweepIndicatorStats &A,
+                        const obs::SweepIndicatorStats &B) {
+  auto Near = [](double X, double Y, double Slack) {
+    return X == Y || (std::isnan(X) && std::isnan(Y)) ||
+           std::fabs(X - Y) <= Slack;
+  };
+  auto QuantileNear = [&Near](double X, double Y) {
+    return Near(X, Y, 0.10 * std::max(std::fabs(X), std::fabs(Y)));
+  };
+  return A.N == B.N && Near(A.Mean, B.Mean, A.Ci95 + B.Ci95) &&
+         QuantileNear(A.P50, B.P50) && QuantileNear(A.P90, B.P90) &&
+         QuantileNear(A.P99, B.P99);
+}
+
 BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
-                                            const ParsedBench &New,
-                                            double QuantileShiftTol) {
+                                            const ParsedBench &New) {
   BenchCompareResult R;
 
   // Identity first: two runs of different configurations must not be
@@ -444,7 +461,8 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
   }
 
   // Work counters gate exactly: they are deterministic quantities of
-  // the measured workload, the only signal a 1-core host can ratchet.
+  // the measured workload, the only signal a shared 4-vCPU host can
+  // ratchet.
   size_t I = 0, J = 0;
   while (I < Base.Work.size() || J < New.Work.size()) {
     if (J >= New.Work.size() ||
@@ -477,12 +495,10 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
       MetricsMoved = true;
       continue;
     }
-    obs::DiffVerdict V =
-        obs::compareIndicatorStats(M.second, It->second, QuantileShiftTol);
-    if (V == obs::DiffVerdict::Identical)
+    if (obs::sameIndicatorStats(M.second, It->second))
       continue;
     MetricsMoved = true;
-    if (V == obs::DiffVerdict::Diverged)
+    if (!withinNoise(M.second, It->second))
       R.Advisory.push_back("metric " + M.first + ": " +
                            obs::renderIndicatorStats(M.second) + " -> " +
                            obs::renderIndicatorStats(It->second) +

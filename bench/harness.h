@@ -19,11 +19,11 @@
 ///  - **work counters**: deterministic per-run quantities (placements
 ///    re-validated, DP labels kept, variants built). The harness checks
 ///    them stable across repetitions and `cws-bench --against` gates on
-///    them exactly — the only honest ratchet on a noisy 1-core host;
+///    them exactly — the only honest ratchet on a shared 4-vCPU host;
 ///  - **metrics**: measured distributions (wall times, throughputs).
-///    Compared with the CI-overlap + quantile-shift tests of
-///    `obs/Diff`, but always *advisory* — they never move the exit
-///    code;
+///    A moved metric outside the ratchet's noise test (CI overlap and
+///    a 10% quantile shift) is reported, but metrics are always
+///    *advisory* — they never move the exit code;
 ///  - **checks**: named pass/fail invariants (differential oracles,
 ///    overhead budgets). Any failure fails the bench run itself;
 ///  - the merged phase **profile** of the measured repetitions.
@@ -241,12 +241,11 @@ struct BenchCompareResult {
 /// shard count and CLI text may differ (committed BENCH files record a
 /// shard count, which is now always 1). Work counters
 /// and checks gate, including a check the baseline recorded and the
-/// new run does not; metric statistics are tested with
-/// `obs::compareIndicatorStats` (tolerance \p QuantileShiftTol) but
-/// only ever produce advisory findings.
+/// new run does not. A metric that moved is an advisory finding when it
+/// fails the noise test: equal sample counts, overlapping 95% CIs of
+/// the means, and p50/p90/p99 each within 10% of the larger magnitude.
 BenchCompareResult compareBench(const ParsedBench &Base,
-                                const ParsedBench &New,
-                                double QuantileShiftTol = 0.10);
+                                const ParsedBench &New);
 
 /// Renders one bench run as console text (work / metric / check
 /// tables).

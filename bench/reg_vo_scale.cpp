@@ -16,18 +16,13 @@
 /// reservations copied per job (`strategy.build` and `meta.repair`
 /// together) and the reservations scanned per job (`meta.repair` and
 /// `commit.apply` together) to stay within ±10% of the 1,000-job run's
-/// along the curve. Wall time, jobs/s and the process's peak RSS are
-/// advisory metrics; the peak is the process's, so in a full
-/// `cws-bench` pass it also carries the entries that ran before this
-/// one.
+/// along the curve. Wall time and jobs/s are advisory metrics.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "harness.h"
 #include "metrics/QoS.h"
 #include "obs/Metrics.h"
-
-#include <sys/resource.h>
 
 #include <chrono>
 #include <cmath>
@@ -57,13 +52,6 @@ struct FlatAlongCurve {
   }
   bool holds() const { return Base > 0 && Flat; }
 };
-
-/// Peak resident set of the process so far, in MiB.
-double peakRssMiB() {
-  rusage Ru{};
-  getrusage(RUSAGE_SELF, &Ru);
-  return static_cast<double>(Ru.ru_maxrss) / 1024.0;
-}
 
 } // namespace
 
@@ -129,5 +117,4 @@ CWS_BENCH(vo_scale,
             Copied.holds());
   Ctx.check("reservations scanned per job stay within 10% along the curve",
             Scanned.holds());
-  Ctx.addMetric("peak_rss_mb", peakRssMiB());
 }

@@ -22,59 +22,23 @@ const char *cws::obs::diffVerdictName(DiffVerdict V) {
   switch (V) {
   case DiffVerdict::Identical:
     return "identical";
-  case DiffVerdict::Compatible:
-    return "compatible";
   case DiffVerdict::Diverged:
     return "diverged";
   }
   return "?";
 }
 
-bool cws::obs::globMatch(const std::string &Pattern, const std::string &Text) {
-  // Iterative star-backtracking: '*' matches any run of characters.
-  size_t P = 0, T = 0, Star = std::string::npos, Mark = 0;
-  while (T < Text.size()) {
-    if (P < Pattern.size() &&
-        (Pattern[P] == Text[T] || Pattern[P] == '?')) {
-      ++P;
-      ++T;
-    } else if (P < Pattern.size() && Pattern[P] == '*') {
-      Star = P++;
-      Mark = T;
-    } else if (Star != std::string::npos) {
-      P = Star + 1;
-      T = ++Mark;
-    } else {
-      return false;
-    }
-  }
-  while (P < Pattern.size() && Pattern[P] == '*')
-    ++P;
-  return P == Pattern.size();
-}
-
-std::vector<SeriesRule> cws::obs::defaultSeriesRules() {
-  // Wall-time-contaminated families can never be compared across runs;
-  // the sim's own telemetry keeps them out of ts.csv by construction,
-  // but metrics-registry exports carry them.
-  return {{"*_us", SeriesClass::Excluded, 0.0},
-          {"*_ms", SeriesClass::Excluded, 0.0},
-          {"*wall*", SeriesClass::Excluded, 0.0}};
-}
-
 namespace {
 
-/// Findings accumulator honoring MaxFindings.
+/// Findings accumulator: keeps the first MaxFindings, counts them all.
 struct Findings {
+  static constexpr size_t MaxFindings = 20;
   std::vector<DiffFinding> Items;
   size_t Total = 0;
-  size_t Cap;
-
-  explicit Findings(size_t Cap) : Cap(Cap) {}
 
   void add(std::string Where, std::string A, std::string B) {
     ++Total;
-    if (Items.size() < Cap)
+    if (Items.size() < MaxFindings)
       Items.push_back({std::move(Where), std::move(A), std::move(B)});
   }
 };
@@ -190,11 +154,11 @@ DiffResult cws::obs::diffJournals(const ParsedJournal &A,
                                   const DiffOptions &Opts) {
   DiffResult R;
   R.Mode = "journal";
-  Findings Meta(Opts.MaxFindings);
+  Findings Meta;
   compareMeta(Meta, A.Prov, B.Prov, Opts.Meta);
   R.MetaFindings = std::move(Meta.Items);
 
-  Findings F(Opts.MaxFindings);
+  Findings F;
   JobChains CA = chainsOf(A);
   JobChains CB = chainsOf(B);
 
@@ -310,7 +274,7 @@ DiffResult cws::obs::diffJournalOutcomes(const ParsedJournal &A,
                                          const DiffOptions &Opts) {
   DiffResult R;
   R.Mode = "journal-outcomes";
-  Findings Meta(Opts.MaxFindings);
+  Findings Meta;
   compareMeta(Meta, A.Prov, B.Prov, Opts.Meta);
   R.MetaFindings = std::move(Meta.Items);
 
@@ -360,7 +324,7 @@ DiffResult cws::obs::diffJournalOutcomes(const ParsedJournal &A,
         FirstRepairTick = std::min(FirstRepairTick, E.At);
     }
 
-  Findings F(Opts.MaxFindings);
+  Findings F;
   std::set<int64_t> Jobs;
   for (const auto &[Job, V] : VA)
     Jobs.insert(Job);
@@ -432,17 +396,6 @@ DiffResult cws::obs::diffJournalOutcomes(const ParsedJournal &A,
 
 namespace {
 
-SeriesClass classify(const std::string &Series,
-                     const std::vector<SeriesRule> &Rules, double &Eps) {
-  for (const SeriesRule &R : Rules)
-    if (globMatch(R.Pattern, Series)) {
-      Eps = R.Eps;
-      return R.Class;
-    }
-  Eps = 0.0;
-  return SeriesClass::Exact;
-}
-
 std::string rowKey(const TimeSeriesRow &R) {
   std::string Out = "seq " + std::to_string(R.Seq) + " t=" +
                     std::to_string(R.At) + " " + R.Series;
@@ -464,59 +417,29 @@ DiffResult cws::obs::diffTimeSeries(const ParsedTimeSeries &A,
                                     const DiffOptions &Opts) {
   DiffResult R;
   R.Mode = "series";
-  Findings Meta(Opts.MaxFindings);
+  Findings Meta;
   compareMeta(Meta, A.Prov, B.Prov, Opts.Meta);
   R.MetaFindings = std::move(Meta.Items);
 
-  std::vector<SeriesRule> Rules;
-  if (!Opts.NoDefaultSeriesRules)
-    Rules = defaultSeriesRules();
-  Rules.insert(Rules.end(), Opts.Series.begin(), Opts.Series.end());
-
-  auto Included = [&Rules](const TimeSeriesRow &Row, double &Eps,
-                           SeriesClass &C) {
-    C = classify(Row.Series, Rules, Eps);
-    return C != SeriesClass::Excluded;
-  };
-
-  Findings F(Opts.MaxFindings);
-  size_t IA = 0, IB = 0, ExcludedRows = 0;
-  while (IA < A.Rows.size() || IB < B.Rows.size()) {
-    double EpsA = 0, EpsB = 0;
-    SeriesClass ClA = SeriesClass::Exact, ClB = SeriesClass::Exact;
-    if (IA < A.Rows.size() && !Included(A.Rows[IA], EpsA, ClA)) {
-      ++IA;
-      ++ExcludedRows;
+  Findings F;
+  for (size_t I = 0; I < std::max(A.Rows.size(), B.Rows.size()); ++I) {
+    // Surplus rows past the common prefix.
+    if (I >= B.Rows.size()) {
+      F.add(rowKey(A.Rows[I]), rowText(A.Rows[I]), Absent);
       continue;
     }
-    if (IB < B.Rows.size() && !Included(B.Rows[IB], EpsB, ClB)) {
-      ++IB;
-      ++ExcludedRows;
+    if (I >= A.Rows.size()) {
+      F.add(rowKey(B.Rows[I]), Absent, rowText(B.Rows[I]));
       continue;
     }
-    if (IA >= A.Rows.size() || IB >= B.Rows.size()) {
-      // One run has surplus rows past the common prefix.
-      if (IA < A.Rows.size())
-        F.add(rowKey(A.Rows[IA]), rowText(A.Rows[IA]), Absent);
-      else
-        F.add(rowKey(B.Rows[IB]), Absent, rowText(B.Rows[IB]));
-      ++IA;
-      ++IB;
-      continue;
-    }
-    const TimeSeriesRow &RA = A.Rows[IA];
-    const TimeSeriesRow &RB = B.Rows[IB];
-    ++IA;
-    ++IB;
+    const TimeSeriesRow &RA = A.Rows[I];
+    const TimeSeriesRow &RB = B.Rows[I];
     if (RA.Seq != RB.Seq || RA.At != RB.At || RA.Reason != RB.Reason ||
         RA.Series != RB.Series || RA.Node != RB.Node || RA.Flow != RB.Flow) {
       F.add("row alignment", rowText(RA), rowText(RB));
       continue;
     }
-    bool Equal = RA.Value == RB.Value;
-    if (!Equal && ClA == SeriesClass::Tolerance)
-      Equal = std::fabs(RA.Value - RB.Value) <= EpsA;
-    if (!Equal)
+    if (RA.Value != RB.Value)
       F.add(rowKey(RA), renderNumber(RA.Value), renderNumber(RB.Value));
   }
 
@@ -527,9 +450,6 @@ DiffResult cws::obs::diffTimeSeries(const ParsedTimeSeries &A,
   if (R.identical()) {
     R.Summary = "series identical: " + std::to_string(A.Rows.size()) +
                 " rows agree";
-    if (ExcludedRows > 0)
-      R.Summary += " (" + std::to_string(ExcludedRows) +
-                   " wall-time row(s) excluded)";
   } else {
     R.Summary = "series diverge: " + std::to_string(R.TotalFindings) +
                 " finding(s)";
@@ -543,45 +463,15 @@ DiffResult cws::obs::diffTimeSeries(const ParsedTimeSeries &A,
 // Sweep mode
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-/// NaN-aware exact equality (n/a round-trips as NaN).
-bool statEq(double X, double Y) {
-  if (std::isnan(X) || std::isnan(Y))
-    return std::isnan(X) && std::isnan(Y);
-  return X == Y;
-}
-
-} // namespace
-
-DiffVerdict cws::obs::compareIndicatorStats(const SweepIndicatorStats &A,
-                                            const SweepIndicatorStats &B,
-                                            double QuantileShiftTol) {
-  if (A.N == B.N && statEq(A.Mean, B.Mean) && statEq(A.Stddev, B.Stddev) &&
-      statEq(A.Ci95, B.Ci95) && statEq(A.P50, B.P50) &&
-      statEq(A.P90, B.P90) && statEq(A.P99, B.P99) && statEq(A.Min, B.Min) &&
-      statEq(A.Max, B.Max))
-    return DiffVerdict::Identical;
-  // Not field-equal: statistical compatibility. Sample counts must
-  // agree (a replica-count change is never "noise"); means pass when
-  // their 95% CIs overlap; quantiles pass within the relative shift
-  // tolerance.
-  bool Compatible = A.N == B.N;
-  if (Compatible && !statEq(A.Mean, B.Mean))
-    Compatible = !std::isnan(A.Mean) && !std::isnan(B.Mean) &&
-                 std::fabs(A.Mean - B.Mean) <= A.Ci95 + B.Ci95;
-  auto QuantileOk = [QuantileShiftTol](double X, double Y) {
-    if (statEq(X, Y))
-      return true;
-    if (std::isnan(X) || std::isnan(Y))
-      return false;
-    double Scale = std::max(std::fabs(X), std::fabs(Y));
-    return std::fabs(X - Y) <= QuantileShiftTol * Scale;
+bool cws::obs::sameIndicatorStats(const SweepIndicatorStats &A,
+                                  const SweepIndicatorStats &B) {
+  // n/a round-trips as NaN, and an n/a statistic equals only n/a.
+  auto Same = [](double X, double Y) {
+    return X == Y || (std::isnan(X) && std::isnan(Y));
   };
-  if (Compatible)
-    Compatible = QuantileOk(A.P50, B.P50) && QuantileOk(A.P90, B.P90) &&
-                 QuantileOk(A.P99, B.P99);
-  return Compatible ? DiffVerdict::Compatible : DiffVerdict::Diverged;
+  return A.N == B.N && Same(A.Mean, B.Mean) && Same(A.Stddev, B.Stddev) &&
+         Same(A.Ci95, B.Ci95) && Same(A.P50, B.P50) && Same(A.P90, B.P90) &&
+         Same(A.P99, B.P99) && Same(A.Min, B.Min) && Same(A.Max, B.Max);
 }
 
 std::string cws::obs::renderIndicatorStats(const SweepIndicatorStats &S) {
@@ -593,19 +483,14 @@ std::string cws::obs::renderIndicatorStats(const SweepIndicatorStats &S) {
          " p99=" + Num(S.P99);
 }
 
-DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
-                                const DiffOptions &Opts) {
+DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B) {
   DiffResult R;
   R.Mode = "sweep";
-  Findings F(Opts.MaxFindings);
-  bool AllCompatible = true;
-
+  Findings F;
   if (A.Seeds != B.Seeds)
     F.add("sweep.seeds", std::to_string(A.Seeds), std::to_string(B.Seeds));
   if (A.Runs != B.Runs)
     F.add("sweep.runs", std::to_string(A.Runs), std::to_string(B.Runs));
-  if (F.Total > 0)
-    AllCompatible = false;
 
   std::map<std::string, const SweepScenario *> SB;
   for (const SweepScenario &S : B.Scenarios)
@@ -615,7 +500,6 @@ DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
     auto I = SB.find(SA.Id);
     if (I == SB.end()) {
       F.add("scenario " + SA.Id, "present", Absent);
-      AllCompatible = false;
       continue;
     }
     SeenB.insert(SA.Id);
@@ -623,58 +507,32 @@ DiffResult cws::obs::diffSweeps(const SweepStore &A, const SweepStore &B,
     for (const auto &[Name, StA] : SA.Indicators) {
       const SweepIndicatorStats *StB = SBS.indicator(Name);
       std::string Where = "scenario " + SA.Id + " " + Name;
-      if (!StB) {
+      if (!StB)
         F.add(Where, "present", Absent);
-        AllCompatible = false;
-        continue;
-      }
-      DiffVerdict V = compareIndicatorStats(StA, *StB, Opts.QuantileShiftTol);
-      if (V == DiffVerdict::Identical)
-        continue;
-      bool Compatible = V == DiffVerdict::Compatible;
-      if (!Compatible)
-        AllCompatible = false;
-      F.add(Where + (Compatible ? " (compatible)" : " (regressed)"),
-            renderIndicatorStats(StA), renderIndicatorStats(*StB));
+      else if (!sameIndicatorStats(StA, *StB))
+        F.add(Where, renderIndicatorStats(StA), renderIndicatorStats(*StB));
     }
     // Indicators only the B side has.
     for (const auto &[Name, StB] : SBS.Indicators)
-      if (!SA.indicator(Name)) {
+      if (!SA.indicator(Name))
         F.add("scenario " + SA.Id + " " + Name, Absent, "present");
-        AllCompatible = false;
-      }
   }
   for (const SweepScenario &S : B.Scenarios)
-    if (!SeenB.count(S.Id)) {
+    if (!SeenB.count(S.Id))
       F.add("scenario " + S.Id, Absent, "present");
-      AllCompatible = false;
-    }
 
   R.Findings = std::move(F.Items);
   R.TotalFindings = F.Total;
-  if (R.TotalFindings == 0)
-    R.Verdict = DiffVerdict::Identical;
-  else if (AllCompatible)
-    R.Verdict = DiffVerdict::Compatible;
-  else
-    R.Verdict = DiffVerdict::Diverged;
-  switch (R.Verdict) {
-  case DiffVerdict::Identical:
+  R.Verdict = R.TotalFindings == 0 ? DiffVerdict::Identical
+                                   : DiffVerdict::Diverged;
+  if (R.identical()) {
     R.Summary = "sweeps identical: " + std::to_string(A.Scenarios.size()) +
                 " scenario(s) agree on every pooled statistic";
-    break;
-  case DiffVerdict::Compatible:
-    R.Summary = "sweeps statistically compatible: " +
-                std::to_string(R.TotalFindings) +
-                " indicator(s) shifted within CI overlap / quantile "
-                "tolerance";
-    break;
-  case DiffVerdict::Diverged:
+  } else {
     R.Summary = "sweep regression: " + std::to_string(R.TotalFindings) +
                 " finding(s)";
     if (!R.Findings.empty())
       R.Summary += ", first at " + R.Findings.front().Where;
-    break;
   }
   return R;
 }

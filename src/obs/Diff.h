@@ -20,23 +20,18 @@
 ///    *first* diverging (job, event) with both runs' cause chains —
 ///    "job 42 diverged at t=310: run A reallocated, run B committed"
 ///    instead of "byte 48211 differs".
-///  - **Series mode** compares telemetry time-series rows under
-///    per-series tolerance classes: exact for deterministic counter
-///    deltas (the default), epsilon bands for derived ratios, and
-///    excluded for wall-time-contaminated series (`*_us` / `*_ms` /
-///    `*wall*` are excluded out of the box — sim artifacts never carry
-///    them, but metrics-registry CSVs do).
-///  - **Sweep mode** compares pooled per-scenario indicator
-///    distributions: exact field equality first, then a CI-overlap
-///    test on the means and a relative quantile-shift test on
-///    p50/p90/p99, yielding a three-way verdict (identical /
-///    compatible / diverged) that backs the baseline regression gate.
+///  - **Series mode** compares telemetry time-series rows one by one:
+///    every row's key and value must match exactly (the sampler writes
+///    only deterministic counter deltas and sim-time fractions).
+///  - **Sweep mode** compares pooled per-scenario indicator statistics
+///    field by field; every indicator whose statistics differ is a
+///    finding.
 ///
+/// Every comparison is exact: a run reproduces another or it does not.
 /// All comparisons are pure functions over the parsed artifact
 /// structures, so tests pin verdicts and renderings without running
-/// the binary. Exit-code convention of every consumer: 0 identical (or
-/// statistically compatible when accepted), 1 divergence, 2 usage/IO
-/// error.
+/// the binary. Exit-code convention of every consumer: 0 identical, 1
+/// divergence, 2 usage/IO error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -64,40 +59,14 @@ struct MetaPolicy {
   bool AllowScenario = false;
   bool AllowShards = true;
   bool AllowCli = true;
-  /// Skip meta comparison entirely (legacy unstamped artifacts).
+  /// Skip meta comparison entirely (`explainJobDiff` compares one
+  /// job's causal chain, not the runs' identities).
   bool Off = false;
 };
 
-/// Tolerance class of one time-series pattern.
-enum class SeriesClass : uint8_t {
-  /// Values must match exactly (deterministic counter deltas).
-  Exact,
-  /// |a - b| <= Eps passes (derived ratios, utilization fractions).
-  Tolerance,
-  /// The series is skipped entirely (wall-time histograms).
-  Excluded,
-};
-
-/// One tolerance rule: glob `Pattern` (with `*` wildcards) -> class.
-/// First matching rule wins; unmatched series default to Exact.
-struct SeriesRule {
-  std::string Pattern;
-  SeriesClass Class = SeriesClass::Exact;
-  double Eps = 0.0;
-};
-
-/// Comparison options shared by the three modes.
+/// Comparison options shared by the modes.
 struct DiffOptions {
   MetaPolicy Meta;
-  /// Tolerance rules checked in order; `defaultSeriesRules()` is
-  /// prepended unless `NoDefaultSeriesRules`.
-  std::vector<SeriesRule> Series;
-  bool NoDefaultSeriesRules = false;
-  /// Sweep mode: relative shift of p50/p90/p99 still considered
-  /// compatible (|a-b| <= Tol * max(|a|, |b|)).
-  double QuantileShiftTol = 0.10;
-  /// Findings kept per result; the total is still counted.
-  size_t MaxFindings = 20;
   /// Outcome mode only: compare a repair-mode run (A) against its
   /// rebuild oracle (B) up to the divergence staged repair is *meant*
   /// to cause. Staged repair strictly dominates the rebuild — its
@@ -120,20 +89,10 @@ struct DiffOptions {
   bool AllowRepairSaves = false;
 };
 
-/// The built-in wall-time exclusions (`*_us`, `*_ms`, `*wall*`).
-std::vector<SeriesRule> defaultSeriesRules();
-
-/// Matches \p Text against glob \p Pattern (`*` matches any run, no
-/// other metacharacters).
-bool globMatch(const std::string &Pattern, const std::string &Text);
-
-/// Three-way comparison outcome.
+/// Comparison outcome.
 enum class DiffVerdict : uint8_t {
   /// Semantically equal under the policy.
   Identical,
-  /// Sweep mode only: not field-equal, but every difference passes the
-  /// CI-overlap and quantile-shift tests.
-  Compatible,
   Diverged,
 };
 
@@ -173,7 +132,7 @@ struct DiffResult {
   std::string Mode;
   std::vector<DiffFinding> MetaFindings;
   std::vector<DiffFinding> Findings;
-  /// Total differences found (Findings is capped at MaxFindings).
+  /// Total differences found (Findings keeps the first 20).
   size_t TotalFindings = 0;
   /// Journal mode only.
   JournalDivergence First;
@@ -202,28 +161,23 @@ DiffResult diffJournals(const ParsedJournal &A, const ParsedJournal &B,
 DiffResult diffJournalOutcomes(const ParsedJournal &A, const ParsedJournal &B,
                                const DiffOptions &Opts = DiffOptions());
 
-/// Series mode: row-by-row comparison under the tolerance rules.
+/// Series mode: exact row-by-row comparison.
 DiffResult diffTimeSeries(const ParsedTimeSeries &A,
                           const ParsedTimeSeries &B,
                           const DiffOptions &Opts = DiffOptions());
 
-/// Sweep mode's rule for one pooled indicator. Identical when every
-/// statistic is field-equal (NaN equals NaN). Compatible when the
-/// sample counts agree, the means' 95% CIs overlap and p50/p90/p99
-/// shift by at most \p QuantileShiftTol of the larger magnitude.
-/// Diverged otherwise.
-DiffVerdict compareIndicatorStats(const SweepIndicatorStats &A,
-                                  const SweepIndicatorStats &B,
-                                  double QuantileShiftTol);
+/// Whether every pooled statistic of \p A equals \p B's (NaN equals
+/// NaN).
+bool sameIndicatorStats(const SweepIndicatorStats &A,
+                        const SweepIndicatorStats &B);
 
 /// Renders \p S as "n=3 mean=100±5 p50=100 p90=104 p99=105" (NaN as
 /// n/a).
 std::string renderIndicatorStats(const SweepIndicatorStats &S);
 
-/// Sweep mode: scenario/indicator alignment, then compareIndicatorStats
+/// Sweep mode: scenario/indicator alignment, then sameIndicatorStats
 /// per indicator.
-DiffResult diffSweeps(const SweepStore &A, const SweepStore &B,
-                      const DiffOptions &Opts = DiffOptions());
+DiffResult diffSweeps(const SweepStore &A, const SweepStore &B);
 
 /// Renders the terse console form (one line per finding, first
 /// divergence with both cause chains).

@@ -210,9 +210,12 @@ bool cws::obs::parseSloFile(const std::string &Text,
 // Indicators
 //===----------------------------------------------------------------------===//
 
-/// The journal-derived indicators of computeIndicators.
-static void addJournalIndicators(const ParsedJournal &J,
-                                 std::map<std::string, double> &Ind) {
+/// The journal-derived indicators of computeIndicators; \p Undefined
+/// receives the ones this journal leaves out, with the reason.
+static void
+addJournalIndicators(const ParsedJournal &J,
+                     std::map<std::string, double> &Ind,
+                     std::map<std::string, std::string> &Undefined) {
   // Journal-side counts and the per-job completion/deadline join.
   struct JobOutcome {
     int64_t Deadline = 0;
@@ -292,10 +295,11 @@ static void addJournalIndicators(const ParsedJournal &J,
   Ind["reject_rate"] = Submitted > 0 ? Rejected / Submitted : 0.0;
   // With no committed job carrying a deadline the rate is undefined:
   // leaving it out (instead of a reassuring 0.0) makes an SLO rule on
-  // it fail closed through the unknown-indicator path, and the report
-  // renders n/a.
+  // it fail closed, and the report renders n/a.
   if (Judged > 0)
     Ind["deadline_miss_rate"] = Missed / Judged;
+  else
+    Undefined["deadline_miss_rate"] = "no committed job has a deadline";
   Ind["reallocations"] = Reallocations;
   Ind["invalidations"] = Invalidations;
   Ind["env_changes"] = EnvChanges;
@@ -317,25 +321,46 @@ static void addJournalIndicators(const ParsedJournal &J,
     if (RepairResolved > 0)
       Ind["repair_stage12_share"] =
           (RepairShift + RepairDp) / RepairResolved;
+    else
+      Undefined["repair_stage12_share"] =
+          "no repair stage resolved a reallocation";
+  } else {
+    for (const char *Name :
+         {"realloc_repaired_shift", "realloc_repaired_dp", "realloc_rebuilt",
+          "realloc_failed", "repair_stage12_share"})
+      Undefined[Name] = "no repair stage on record (a rebuild-mode journal)";
   }
   // Cost / cost-function means over committed schedules: the sweep's
   // cost-vs-time QoS axes. Undefined (absent) with no commits, same
   // convention as deadline_miss_rate.
   if (CommitCostN > 0)
     Ind["mean_commit_cost"] = CommitCostSum / static_cast<double>(CommitCostN);
+  else
+    Undefined["mean_commit_cost"] = "no commit records a cost";
   if (CommitCfN > 0)
     Ind["mean_commit_cf"] = CommitCfSum / static_cast<double>(CommitCfN);
+  else
+    Undefined["mean_commit_cf"] = "no commit records a cost-function value";
 }
 
 std::map<std::string, double>
-cws::obs::computeIndicators(const ParsedJournal &J,
-                            const ParsedTimeSeries &Ts) {
+cws::obs::computeIndicators(const ParsedJournal &J, const ParsedTimeSeries &Ts,
+                            std::map<std::string, std::string> *Undefined) {
   std::map<std::string, double> Ind;
+  std::map<std::string, std::string> Why;
+  addJournalIndicators(J, Ind, Why);
   // A journal whose ring dropped events lost the head of the run, so
   // counts and rates over the events it kept would describe another
   // run. Its indicators stay undefined: SLO rules on them fail closed.
-  if (J.Dropped == 0)
-    addJournalIndicators(J, Ind);
+  if (J.Dropped > 0) {
+    const std::string Lost =
+        "the journal ring dropped " + std::to_string(J.Dropped) + " events";
+    for (const auto &Entry : Ind)
+      Why[Entry.first] = Lost;
+    for (auto &Entry : Why)
+      Entry.second = Lost;
+    Ind.clear();
+  }
 
   // Time-series side: per-node mean contention (busy + background).
   if (!Ts.empty()) {
@@ -366,33 +391,71 @@ cws::obs::computeIndicators(const ParsedJournal &J,
   for (const TimeSeriesRow &R : Ts.Rows)
     if (R.Node < 0 && R.Series == "env_scan_placements")
       Ind["env_scan_placements"] = R.Value;
+  for (const char *Name :
+       {"mean_node_busy", "max_node_busy", "env_scan_placements"})
+    if (!Ind.count(Name))
+      Why[Name] = Ts.empty() ? "no time series attached"
+                             : "the time series has no rows for it";
+  if (Undefined)
+    *Undefined = std::move(Why);
   return Ind;
 }
 
 std::vector<SloResult>
-cws::obs::evaluateSlo(const std::vector<SloRule> &Rules,
-                      const std::map<std::string, double> &Ind) {
+cws::obs::evaluateSlo(const std::vector<SloRule> &Rules, const ParsedJournal &J,
+                      const ParsedTimeSeries &Ts,
+                      const ParsedProfile *Profile) {
+  std::map<std::string, std::string> Undefined;
+  std::map<std::string, double> Ind = computeIndicators(J, Ts, &Undefined);
+  if (Profile)
+    addProfileIndicators(*Profile, Ind);
   std::vector<SloResult> Out;
   for (const SloRule &R : Rules) {
     SloResult Res;
     Res.Rule = R;
     auto It = Ind.find(R.Indicator);
+    auto Why = Undefined.find(R.Indicator);
     if (!R.Stat.empty() || R.AcrossSeeds) {
       // Distribution rules need the pooled statistics of a sweep; a
       // single run has none, so they fail closed here instead of
       // silently gating on the point value.
-      Res.Known = false;
-      Res.Pass = false;
-    } else if (It == Ind.end()) {
-      // Unknown indicators fail closed: a typo must not silently pass.
-      Res.Known = false;
-      Res.Pass = false;
-    } else {
-      Res.Known = true;
+      Res.Missing = "a distribution rule needs --sweep";
+    } else if (It != Ind.end()) {
       Res.Actual = It->second;
       Res.Pass = R.IsUpper ? Res.Actual <= R.Bound : Res.Actual >= R.Bound;
+    } else if (Why != Undefined.end()) {
+      Res.Missing = "undefined in this run: " + Why->second;
+    } else if (!Profile && R.Indicator.rfind("phase.", 0) == 0) {
+      // A budget that passes because nothing was profiled is no budget.
+      Res.Missing = "phase indicators need --profile";
+    } else {
+      // A typo must not silently pass.
+      Res.Missing = "no such indicator";
     }
     Out.push_back(std::move(Res));
+  }
+  return Out;
+}
+
+std::string cws::obs::renderSloBreaches(const std::string &Tool,
+                                        const std::vector<SloResult> &Slo) {
+  std::string Out;
+  for (const SloResult &R : Slo) {
+    if (R.Pass)
+      continue;
+    Out += Tool + ": SLO breach: " + R.Rule.fullName();
+    if (!R.known()) {
+      Out += ": " + R.Missing + "\n";
+      continue;
+    }
+    char Buf[64];
+    std::snprintf(Buf, sizeof(Buf), " = %g", R.Actual);
+    Out += Buf;
+    if (!R.Scenario.empty())
+      Out += " at " + R.Scenario;
+    std::snprintf(Buf, sizeof(Buf), " violates %s %g\n",
+                  R.Rule.IsUpper ? "<=" : ">=", R.Rule.Bound);
+    Out += Buf;
   }
   return Out;
 }
@@ -700,9 +763,9 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
     bool AllPass = true;
     for (const SloResult &R : Slo) {
       AllPass = AllPass && R.Pass;
-      Out += "| " + R.Rule.Indicator + " | " +
+      Out += "| " + R.Rule.fullName() + " | " +
              (R.Rule.IsUpper ? "<= " : ">= ") + renderNumber(R.Rule.Bound) +
-             " | " + (R.Known ? renderRate(R.Actual) : "unknown") + " | " +
+             " | " + (R.known() ? renderRate(R.Actual) : R.Missing) + " | " +
              (R.Pass ? "ok" : "**BREACH**") + " |\n";
     }
     Out += "\nSLO: " + std::string(AllPass ? "**PASS**" : "**FAIL**") +
@@ -908,14 +971,14 @@ bool cws::obs::parseSweepCsv(const std::string &Text, SweepStore &Out,
   return true;
 }
 
-std::vector<SweepSloResult>
+std::vector<SloResult>
 cws::obs::evaluateSweepSlo(const std::vector<SloRule> &Rules,
                            const SweepStore &S) {
-  std::vector<SweepSloResult> Out;
+  std::vector<SloResult> Out;
   for (const SloRule &R : Rules) {
-    SweepSloResult Res;
+    SloResult Res;
     Res.Rule = R;
-    Res.Worst = std::numeric_limits<double>::quiet_NaN();
+    Res.Actual = std::numeric_limits<double>::quiet_NaN();
     bool StatKnown = true;
     for (const SweepScenario &Sc : S.Scenarios) {
       const SweepIndicatorStats *St = Sc.indicator(R.Indicator);
@@ -928,20 +991,21 @@ cws::obs::evaluateSweepSlo(const std::vector<SloRule> &Rules,
         break;
       ++Res.Evaluated;
       // Track the scenario closest to (or deepest past) the bound.
-      bool Worse = std::isnan(Res.Worst) ||
-                   (R.IsUpper ? Value > Res.Worst : Value < Res.Worst);
+      bool Worse = std::isnan(Res.Actual) ||
+                   (R.IsUpper ? Value > Res.Actual : Value < Res.Actual);
       if (Worse) {
-        Res.Worst = Value;
-        Res.WorstScenario = Sc.Id;
+        Res.Actual = Value;
+        Res.Scenario = Sc.Id;
       }
     }
     // Fail closed: unknown statistic, or an indicator no scenario
     // produced (a typo or a degenerate grid must not pass the gate).
-    Res.Known = StatKnown && Res.Evaluated > 0;
-    if (Res.Known) {
-      // NaN comparisons are false, so an undefined worst value breaches.
-      Res.Pass = R.IsUpper ? Res.Worst <= R.Bound : Res.Worst >= R.Bound;
-    }
+    if (!StatKnown)
+      Res.Missing = "no such statistic";
+    else if (Res.Evaluated == 0)
+      Res.Missing = "no scenario defines it";
+    else // NaN comparisons are false, so an undefined worst value breaches.
+      Res.Pass = R.IsUpper ? Res.Actual <= R.Bound : Res.Actual >= R.Bound;
     Out.push_back(std::move(Res));
   }
   return Out;
@@ -1069,7 +1133,7 @@ static std::string renderStatCell(const SweepIndicatorStats *St,
 }
 
 std::string cws::obs::renderSweepReport(const SweepStore &S,
-                                        const std::vector<SweepSloResult> &Slo) {
+                                        const std::vector<SloResult> &Slo) {
   std::string Out = "# CWS sweep report\n\n";
 
   //===--- Overview -------------------------------------------------------===//
@@ -1164,7 +1228,7 @@ std::string cws::obs::renderSweepReport(const SweepStore &S,
   // axes — the capacity-question answers ("at what arrival rate does
   // the miss rate cross 5%?").
   std::vector<SweepCrossing> Crossings;
-  for (const SweepSloResult &R : Slo) {
+  for (const SloResult &R : Slo) {
     std::vector<SweepCrossing> C = estimateSweepCrossings(
         S, R.Rule.Indicator, R.Rule.Stat, R.Rule.Bound);
     Crossings.insert(Crossings.end(), C.begin(), C.end());
@@ -1196,12 +1260,12 @@ std::string cws::obs::renderSweepReport(const SweepStore &S,
     Out += "| rule | bound | worst scenario | actual | status |\n";
     Out += "|---|---|---|---|---|\n";
     bool AllPass = true;
-    for (const SweepSloResult &R : Slo) {
+    for (const SloResult &R : Slo) {
       AllPass = AllPass && R.Pass;
       Out += "| " + R.Rule.fullName() + " | " +
              (R.Rule.IsUpper ? "<= " : ">= ") + renderNumber(R.Rule.Bound) +
-             " | " + (R.Known ? R.WorstScenario : "-") + " | " +
-             (R.Known ? renderRate(R.Worst) : "unknown") + " | " +
+             " | " + (R.known() ? R.Scenario : "-") + " | " +
+             (R.known() ? renderRate(R.Actual) : R.Missing) + " | " +
              (R.Pass ? "ok" : "**BREACH**") + " |\n";
     }
     Out += "\nSLO: " + std::string(AllPass ? "**PASS**" : "**FAIL**") +

@@ -18,8 +18,8 @@
 ///   reallocations_per_commit <= 0.5
 ///
 /// Indicators are derived from the journal and series (see
-/// `computeIndicators`); a rule naming an unknown indicator fails
-/// closed. `cws-report --slo` exits nonzero on any breach, making the
+/// `computeIndicators`); a rule without a value fails closed and says
+/// why. `cws-report --slo` exits nonzero on any breach, making the
 /// report a CI-gateable alerting analog.
 ///
 //===----------------------------------------------------------------------===//
@@ -76,8 +76,8 @@ bool parseTimeSeriesCsv(const std::string &Text, ParsedTimeSeries &Out,
 ///
 /// parses to Indicator="deadline_miss_rate", Stat="p90",
 /// AcrossSeeds=true. Stat rules gate per-scenario pooled distributions
-/// (`evaluateSweepSlo`); in single-run evaluation they are unknown and
-/// fail closed.
+/// (`evaluateSweepSlo`); in single-run evaluation they have no value
+/// and fail closed.
 struct SloRule {
   std::string Indicator;
   bool IsUpper = true;
@@ -129,22 +129,50 @@ bool parseSloFile(const std::string &Text, std::vector<SloRule> &Out,
 ///
 /// Every journal-derived indicator is absent when the journal's ring
 /// dropped events (`J.Dropped > 0`): the run's head is lost, so SLO
-/// rules on them fail closed.
-std::map<std::string, double> computeIndicators(const ParsedJournal &J,
-                                                const ParsedTimeSeries &Ts);
+/// rules on them fail closed. When \p Undefined is given, it receives
+/// each indicator this run leaves out, with the reason.
+std::map<std::string, double>
+computeIndicators(const ParsedJournal &J, const ParsedTimeSeries &Ts,
+                  std::map<std::string, std::string> *Undefined = nullptr);
 
-/// Outcome of one rule against the computed indicators.
+/// Outcome of one SLO rule, in a single run or across a sweep.
 struct SloResult {
   SloRule Rule;
-  /// The indicator's value; 0 when unknown.
+  /// The value checked against the bound: the run's indicator, or in a
+  /// sweep the worst scenario's statistic (largest for `<=` rules,
+  /// smallest for `>=`). Meaningless when the rule has no value.
   double Actual = 0.0;
-  /// False when the rule names no computed indicator (fails closed).
-  bool Known = false;
+  /// Sweep only: the scenario holding `Actual`.
+  std::string Scenario;
+  /// Why the rule has no value; empty when it has one. A rule without
+  /// a value fails closed.
+  std::string Missing;
   bool Pass = false;
+  /// Sweep only: scenarios evaluated / skipped for lacking the
+  /// indicator.
+  uint64_t Evaluated = 0;
+  uint64_t Skipped = 0;
+
+  bool known() const { return Missing.empty(); }
 };
 
+/// Evaluates single-run rules against the indicators of \p J joined
+/// with \p Ts, plus the `phase.*` indicators of \p Profile when one is
+/// attached. A rule without a value fails closed, and `Missing` says
+/// why: a distribution rule needs a sweep; a `phase.*` rule needs a
+/// profile; an indicator `computeIndicators` can define was left
+/// undefined by this run (no judged job, a ring-truncated journal, no
+/// time series, a rebuild-mode journal); or nothing defines the name.
 std::vector<SloResult> evaluateSlo(const std::vector<SloRule> &Rules,
-                                   const std::map<std::string, double> &Ind);
+                                   const ParsedJournal &J,
+                                   const ParsedTimeSeries &Ts,
+                                   const ParsedProfile *Profile = nullptr);
+
+/// One `<Tool>: SLO breach: ...` line per failed rule of \p Slo (run or
+/// sweep results), with the rule's full name and its value or the
+/// reason it has none; empty when every rule passed.
+std::string renderSloBreaches(const std::string &Tool,
+                              const std::vector<SloResult> &Slo);
 
 /// Adds the `phase.*` indicators of profile \p P to \p Ind, making
 /// phase budgets SLO-gateable: per phase `phase.<name>.count`,
@@ -245,28 +273,13 @@ std::string sweepCsv(const SweepStore &S);
 bool parseSweepCsv(const std::string &Text, SweepStore &Out,
                    std::string &Error);
 
-/// Outcome of one SLO rule against a sweep store. A rule gates every
+/// Evaluates sweep SLO rules: a rule's statistic defaults to the
+/// scenario mean when no `.stat` suffix is given. A rule gates every
 /// scenario: it passes only when each scenario that defines the
 /// indicator satisfies the bound, and at least one does (an indicator
-/// no scenario produced fails closed, like unknown indicators).
-struct SweepSloResult {
-  SloRule Rule;
-  bool Known = false;
-  bool Pass = false;
-  /// The worst value across scenarios (largest for `<=` rules,
-  /// smallest for `>=`); NaN when unknown.
-  double Worst = 0.0;
-  /// Id of the scenario holding the worst value.
-  std::string WorstScenario;
-  /// Scenarios evaluated / skipped for lacking the indicator.
-  uint64_t Evaluated = 0;
-  uint64_t Skipped = 0;
-};
-
-/// Evaluates sweep SLO rules: a rule's statistic defaults to the
-/// scenario mean when no `.stat` suffix is given.
-std::vector<SweepSloResult> evaluateSweepSlo(const std::vector<SloRule> &Rules,
-                                             const SweepStore &S);
+/// no scenario produced fails closed).
+std::vector<SloResult> evaluateSweepSlo(const std::vector<SloRule> &Rules,
+                                        const SweepStore &S);
 
 /// One estimated threshold crossing along a numeric scenario axis: the
 /// indicator's pooled statistic moves across \p Bound between two
@@ -300,7 +313,7 @@ std::vector<SweepCrossing> estimateSweepCrossings(const SweepStore &S,
 /// tables of marginal means, crossing-point estimates for each SLO
 /// rule, and the SLO verdict. Deterministic for fixed inputs.
 std::string renderSweepReport(const SweepStore &S,
-                              const std::vector<SweepSloResult> &Slo);
+                              const std::vector<SloResult> &Slo);
 
 } // namespace obs
 } // namespace cws

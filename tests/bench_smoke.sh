@@ -136,7 +136,8 @@ STATUS=0
 "$REPORT" --journal "$TMP/run.jsonl" --slo "$TMP/run.slo" \
           > /dev/null 2> "$TMP/noprof.err" || STATUS=$?
 [ "$STATUS" -eq 1 ] || fail "phase rules without a profile exited $STATUS, expected 1 (fail closed)"
-grep -q "unknown indicator 'phase." "$TMP/noprof.err" \
-  || fail "fail-closed breach does not name the phase indicator"
+grep -q "SLO breach: phase.chain.dp.self_us: phase indicators need --profile" \
+     "$TMP/noprof.err" \
+  || fail "fail-closed breach does not name the phase indicator and why"
 
 echo "bench smoke ok"

@@ -14,11 +14,14 @@
 #  2. an injected one-event divergence exits 1 and the Markdown report
 #     names the job id, the tick, and both cause chains;
 #  3. the exit-code convention holds: 2 on missing files, unknown
-#     flags, malformed artifacts, bad flag values of cws-sim,
-#     cws-sched, cws-diff and cws-explain, and the removed knobs
-#     (`--build-threads`, `--shards`, `--invalidation`, sweep axes
-#     `shards` and `invalidation`) (never an abort, never a silent
-#     default), and every flag of those tools takes `--name=value`;
+#     flags, malformed artifacts, two different artifact kinds, bad
+#     flag values of cws-sim, cws-sched and cws-explain, and the
+#     removed knobs (`--build-threads`, `--shards`, `--invalidation`,
+#     sweep axes `shards` and `invalidation`, and cws-diff's `--mode`,
+#     `--ignore-meta`, `--statistical`, `--quantile-tol`,
+#     `--exclude-series` and `--max-findings`) (never an abort, never a
+#     silent default), and every flag of those tools takes
+#     `--name=value`;
 #  4. the baseline gate round-trips: a fresh MANIFEST passes, a
 #     divergent artifact fails with exit 1, a stale digest fails with 2;
 #  5. cws-explain --diff-job renders both timelines and the divergence.
@@ -78,19 +81,30 @@ echo "not an artifact" > "$TMP/garbage"
 STATUS=0
 "$DIFF" "$TMP/garbage" "$TMP/a.jsonl" 2> /dev/null || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "undetectable artifact exited $STATUS, expected 2"
+# A journal whose second line is cut: detected as a journal, then
+# refused by the parser.
+{ head -n 1 "$TMP/a.jsonl"; sed -n 2p "$TMP/a.jsonl" | cut -c 1-20; } \
+  > "$TMP/cut.jsonl"
 STATUS=0
-"$DIFF" --mode journal "$TMP/garbage" "$TMP/a.jsonl" 2> /dev/null \
-  || STATUS=$?
+"$DIFF" "$TMP/cut.jsonl" "$TMP/a.jsonl" 2> "$TMP/cut.err" || STATUS=$?
 [ "$STATUS" -eq 2 ] || fail "malformed journal exited $STATUS, expected 2"
-for ARGS in "--quantile-tol nan" "--quantile-tol inf" "--quantile-tol -1" \
-            "--max-findings 99999999999999999999" "--max-findings 0" \
-            "--mode=bogus"; do
+grep -q "cut.jsonl: " "$TMP/cut.err" \
+  || fail "malformed journal error names no file: $(cat "$TMP/cut.err")"
+STATUS=0
+"$DIFF" "$TMP/a.jsonl" "$TMP/a.csv" 2> "$TMP/kinds.err" || STATUS=$?
+[ "$STATUS" -eq 2 ] || fail "journal vs series exited $STATUS, expected 2"
+grep -q "different artifact kinds" "$TMP/kinds.err" \
+  || fail "kind mismatch not reported: $(cat "$TMP/kinds.err")"
+for ARGS in "--mode journal" "--ignore-meta" "--statistical" \
+            "--quantile-tol 0.1" "--exclude-series x" "--max-findings 3"; do
   STATUS=0
-  "$DIFF" $ARGS "$TMP/a.jsonl" "$TMP/b.jsonl" > /dev/null 2>&1 \
-    || STATUS=$?
+  "$DIFF" $ARGS "$TMP/a.jsonl" "$TMP/b.jsonl" > /dev/null \
+    2> "$TMP/removed.err" || STATUS=$?
   [ "$STATUS" -eq 2 ] || fail "cws-diff $ARGS exited $STATUS, expected 2"
+  grep -q "unknown flag '${ARGS%% *}'" "$TMP/removed.err" \
+    || fail "cws-diff $ARGS not refused as unknown: $(cat "$TMP/removed.err")"
 done
-"$DIFF" --mode=journal --max-findings=3 "$TMP/a.jsonl" "$TMP/b.jsonl" \
+"$DIFF" --allow-meta=shards,cli "$TMP/a.jsonl" "$TMP/b.jsonl" \
   > /dev/null || fail "cws-diff rejected --name=value flags"
 for ARGS in "--job 99999999999999999999" "--job -2" "--job=x"; do
   STATUS=0

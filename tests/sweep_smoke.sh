@@ -75,7 +75,7 @@ EOF
 "$SWEEP" --grid "$TMP/mini.grid" --workers 4 --out "$TMP/w4.csv" \
          --runs-dir "$TMP/r4" --quiet 1 > /dev/null \
   || fail "sweep with 4 workers failed"
-"$DIFF" --mode sweep "$TMP/w1.csv" "$TMP/w4.csv" > /dev/null \
+"$DIFF" "$TMP/w1.csv" "$TMP/w4.csv" > /dev/null \
   || fail "pooled statistics depend on the worker count"
 
 #=== 3. Quantile SLO gating ==============================================#

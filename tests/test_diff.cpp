@@ -7,9 +7,8 @@
 //
 // obs/Diff: the fixed point of two runs of one workload,
 // first-divergence localization of an injected one-event change, the
-// meta policy, series tolerance classes, the sweep CI-overlap /
-// quantile-shift verdicts with pinned numerics, and the Markdown report
-// golden.
+// meta policy, exact series and sweep comparison, and the Markdown
+// report golden.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 using namespace cws;
@@ -121,22 +121,6 @@ SweepStore store(const SweepIndicatorStats &S) {
 }
 
 } // namespace
-
-//===----------------------------------------------------------------------===//
-// Glob matching and default rules
-//===----------------------------------------------------------------------===//
-
-TEST(DiffGlob, MatchesStarsAnywhere) {
-  EXPECT_TRUE(globMatch("*", "anything"));
-  EXPECT_TRUE(globMatch("*_us", "queue_wait_us"));
-  EXPECT_FALSE(globMatch("*_us", "queue_wait_ms"));
-  EXPECT_TRUE(globMatch("*wall*", "sched_wall_clock"));
-  EXPECT_TRUE(globMatch("util_*", "util_busy"));
-  EXPECT_FALSE(globMatch("util_*x", "util_busy"));
-  EXPECT_TRUE(globMatch("jobs_committed", "jobs_committed"));
-  EXPECT_FALSE(globMatch("jobs_committed", "jobs_committed2"));
-  EXPECT_TRUE(globMatch("a*b*c", "a-xx-b-yy-c"));
-}
 
 //===----------------------------------------------------------------------===//
 // Journal fixed point across repeated runs
@@ -271,38 +255,31 @@ TEST_F(DiffTest, UnstampedJournalsSkipMetaComparison) {
 }
 
 //===----------------------------------------------------------------------===//
-// Series tolerance classes
+// Series comparison
 //===----------------------------------------------------------------------===//
 
-TEST(DiffSeries, ToleranceClassesGateValueComparison) {
+TEST(DiffSeries, EveryRowComparesExactly) {
   ParsedTimeSeries A, B;
   A.Rows = {row(0, 1, "jobs_committed", 3), row(1, 1, "sched_wall_us", 120),
             row(2, 1, "util_busy", 0.500)};
   B.Rows = {row(0, 1, "jobs_committed", 3), row(1, 1, "sched_wall_us", 480),
             row(2, 1, "util_busy", 0.501)};
 
-  // Default rules: the wall-time series is excluded, util_busy is
-  // exact — its drift is a finding.
+  // No series is skipped or banded: a wall-time-named row and a small
+  // utilization drift are both findings.
   DiffResult R = diffTimeSeries(A, B);
   EXPECT_EQ(R.Verdict, DiffVerdict::Diverged);
-  ASSERT_EQ(R.Findings.size(), 1u);
-  EXPECT_NE(R.Findings[0].Where.find("util_busy"), std::string::npos);
+  ASSERT_EQ(R.Findings.size(), 2u);
+  EXPECT_EQ(R.Findings[0].Where, "seq 1 t=1 sched_wall_us");
+  EXPECT_EQ(R.Findings[0].A, "120");
+  EXPECT_EQ(R.Findings[0].B, "480");
+  EXPECT_EQ(R.Findings[1].Where, "seq 2 t=1 util_busy");
+  EXPECT_EQ(R.Summary, "series diverge: 2 finding(s), first at seq 1 t=1 "
+                       "sched_wall_us");
 
-  // An epsilon band admits the drift.
-  DiffOptions Opts;
-  Opts.Series.push_back({"util_*", SeriesClass::Tolerance, 0.01});
-  EXPECT_TRUE(diffTimeSeries(A, B, Opts).identical());
-
-  // Without the default rules the wall-time series diverges too.
-  DiffOptions Raw;
-  Raw.NoDefaultSeriesRules = true;
-  EXPECT_EQ(diffTimeSeries(A, B, Raw).TotalFindings, 2u);
-
-  // Exact divergence on a counter is always reported.
-  B.Rows[0].Value = 4;
-  DiffResult C = diffTimeSeries(A, B, Opts);
-  EXPECT_EQ(C.Verdict, DiffVerdict::Diverged);
-  EXPECT_NE(C.Findings[0].Where.find("jobs_committed"), std::string::npos);
+  B.Rows[1].Value = 120;
+  B.Rows[2].Value = 0.500;
+  EXPECT_TRUE(diffTimeSeries(A, B).identical());
 }
 
 TEST(DiffSeries, SurplusRowsAreAbsentFindings) {
@@ -326,40 +303,35 @@ TEST(DiffSweep, ExactEqualityIsIdentical) {
   EXPECT_EQ(R.Verdict, DiffVerdict::Identical);
 }
 
-TEST(DiffSweep, CiOverlapAndQuantileShiftAreCompatible) {
-  // Means 0.50 vs 0.58 with CI half-widths 0.05 + 0.04 = 0.09 >= 0.08:
-  // overlapping. Quantiles shift by < 10% relative.
+TEST(DiffSweep, AnyStatisticChangeDiverges) {
   SweepStore A = store(stats(2, 0.50, 0.05, 0.50, 0.60, 0.70));
-  SweepStore B = store(stats(2, 0.58, 0.04, 0.52, 0.63, 0.73));
-  DiffResult R = diffSweeps(A, B);
-  EXPECT_EQ(R.Verdict, DiffVerdict::Compatible);
-  ASSERT_EQ(R.Findings.size(), 1u);
-  EXPECT_NE(R.Findings[0].Where.find("(compatible)"), std::string::npos);
+  // A mean shift inside the CI overlap (|0.08| <= 0.05 + 0.04), a mean
+  // shift past it, and a lone p99 change each diverge.
+  for (const SweepIndicatorStats &Moved :
+       {stats(2, 0.58, 0.04, 0.50, 0.60, 0.70),
+        stats(2, 0.65, 0.04, 0.50, 0.60, 0.70),
+        stats(2, 0.50, 0.05, 0.50, 0.60, 0.71)}) {
+    DiffResult R = diffSweeps(A, store(Moved));
+    EXPECT_EQ(R.Verdict, DiffVerdict::Diverged);
+    ASSERT_EQ(R.Findings.size(), 1u);
+    EXPECT_EQ(R.Findings[0].Where, "scenario strategy=S1 commit_rate");
+    EXPECT_EQ(R.Findings[0].A, renderIndicatorStats(A.Scenarios[0].Indicators
+                                                        .at("commit_rate")));
+    EXPECT_EQ(R.Summary, "sweep regression: 1 finding(s), first at "
+                         "scenario strategy=S1 commit_rate");
+  }
 }
 
-TEST(DiffSweep, CiSeparationIsDiverged) {
-  // Means 0.50 vs 0.65: |0.15| > 0.05 + 0.04 — the CIs do not overlap.
-  SweepStore A = store(stats(2, 0.50, 0.05, 0.50, 0.60, 0.70));
-  SweepStore B = store(stats(2, 0.65, 0.04, 0.50, 0.60, 0.70));
-  DiffResult R = diffSweeps(A, B);
-  EXPECT_EQ(R.Verdict, DiffVerdict::Diverged);
-  ASSERT_EQ(R.Findings.size(), 1u);
-  EXPECT_NE(R.Findings[0].Where.find("(regressed)"), std::string::npos);
+TEST(DiffSweep, NaStatisticsMatchOnlyNa) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  SweepStore A = store(stats(0, NaN, NaN, NaN, NaN, NaN));
+  EXPECT_TRUE(diffSweeps(A, store(stats(0, NaN, NaN, NaN, NaN, NaN)))
+                  .identical());
+  EXPECT_EQ(diffSweeps(A, store(stats(0, 0, NaN, NaN, NaN, NaN))).Verdict,
+            DiffVerdict::Diverged);
 }
 
-TEST(DiffSweep, QuantileShiftBeyondToleranceIsDiverged) {
-  // Identical means, but p99 0.70 -> 0.80 is a 12.5% relative shift,
-  // past the 10% default tolerance.
-  SweepStore A = store(stats(2, 0.50, 0.05, 0.50, 0.60, 0.70));
-  SweepStore B = store(stats(2, 0.50, 0.05, 0.50, 0.60, 0.80));
-  EXPECT_EQ(diffSweeps(A, B).Verdict, DiffVerdict::Diverged);
-  // A looser tolerance admits it.
-  DiffOptions Opts;
-  Opts.QuantileShiftTol = 0.20;
-  EXPECT_EQ(diffSweeps(A, B, Opts).Verdict, DiffVerdict::Compatible);
-}
-
-TEST(DiffSweep, SampleCountChangeIsNeverCompatible) {
+TEST(DiffSweep, SampleCountChangeDiverges) {
   SweepStore A = store(stats(2, 0.50, 0.05, 0.50, 0.60, 0.70));
   SweepStore B = store(stats(3, 0.50, 0.05, 0.50, 0.60, 0.70));
   B.Runs = 3;

@@ -149,24 +149,6 @@ TEST_F(ReportTest, ParsesQuantileSloGrammar) {
   EXPECT_FALSE(parseSloFile("x <= 1 across the universe\n", Rules, Error));
 }
 
-TEST_F(ReportTest, DistributionRulesFailClosedInSingleRunEvaluation) {
-  // A `.stat` / `across seeds` rule gates a pooled distribution; a
-  // single run has none, so it must never pass here.
-  std::map<std::string, double> Ind{{"deadline_miss_rate", 0.0}};
-  std::vector<SloRule> Rules;
-  std::string Error;
-  ASSERT_TRUE(parseSloFile("deadline_miss_rate.p90 <= 0.5 across seeds\n"
-                           "deadline_miss_rate.max <= 0.5\n",
-                           Rules, Error))
-      << Error;
-  std::vector<SloResult> R = evaluateSlo(Rules, Ind);
-  ASSERT_EQ(R.size(), 2u);
-  EXPECT_FALSE(R[0].Known);
-  EXPECT_FALSE(R[0].Pass);
-  EXPECT_FALSE(R[1].Known);
-  EXPECT_FALSE(R[1].Pass);
-}
-
 //===----------------------------------------------------------------------===//
 // Indicators
 //===----------------------------------------------------------------------===//
@@ -260,10 +242,11 @@ TEST_F(ReportTest, UnjudgedDeadlineMissRateIsUndefinedAndFailsClosed) {
   std::vector<SloResult> Results =
       evaluateSlo({{"deadline_miss_rate", /*IsUpper=*/true, 0.05,
                     /*Stat=*/"", /*AcrossSeeds=*/false}},
-                  Ind);
+                  J, ParsedTimeSeries());
   ASSERT_EQ(Results.size(), 1u);
   EXPECT_FALSE(Results[0].Pass); // undefined fails closed
-  EXPECT_FALSE(Results[0].Known);
+  EXPECT_EQ(Results[0].Missing,
+            "undefined in this run: no committed job has a deadline");
   std::string Report = renderRunReport(J, ParsedTimeSeries(), Results);
   EXPECT_NE(Report.find("| deadline miss rate | n/a |"), std::string::npos)
       << Report;
@@ -290,11 +273,17 @@ TEST_F(ReportTest, RingTruncatedJournalLeavesIndicatorsUndefined) {
 
   std::vector<SloResult> Results =
       evaluateSlo({{"commit_rate", /*IsUpper=*/false, 0.0, /*Stat=*/"",
+                    /*AcrossSeeds=*/false},
+                   {"deadline_miss_rate", /*IsUpper=*/true, 1.0, /*Stat=*/"",
                     /*AcrossSeeds=*/false}},
-                  Ind);
-  ASSERT_EQ(Results.size(), 1u);
-  EXPECT_FALSE(Results[0].Known);
-  EXPECT_FALSE(Results[0].Pass);
+                  J, Ts);
+  ASSERT_EQ(Results.size(), 2u);
+  // The ring, not the run, is why: every journal indicator says so.
+  for (const SloResult &R : Results) {
+    EXPECT_EQ(R.Missing,
+              "undefined in this run: the journal ring dropped 3 events");
+    EXPECT_FALSE(R.Pass);
+  }
 
   std::string Report = renderRunReport(J, Ts, Results);
   for (const char *Row :
@@ -338,23 +327,99 @@ TEST_F(ReportTest, JoinsUtilizationFromTheTimeSeries) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ReportTest, EvaluatesRulesAndFailsClosedOnUnknownIndicators) {
-  std::map<std::string, double> Ind{{"commit_rate", 0.6},
-                                    {"deadline_miss_rate", 0.1}};
+  // The synthetic run commits 2 of 3 jobs and misses one of two
+  // deadlines.
   std::vector<SloRule> Rules{
       {"commit_rate", /*IsUpper=*/false, 0.5, /*Stat=*/"",
        /*AcrossSeeds=*/false},
       {"deadline_miss_rate", /*IsUpper=*/true, 0.05, /*Stat=*/"",
        /*AcrossSeeds=*/false},
-      {"made_up_indicator", /*IsUpper=*/true, 1.0, /*Stat=*/"",
+      {"jobs_submited", /*IsUpper=*/false, 0.0, /*Stat=*/"",
        /*AcrossSeeds=*/false}};
-  std::vector<SloResult> Results = evaluateSlo(Rules, Ind);
+  std::vector<SloResult> Results =
+      evaluateSlo(Rules, syntheticJournal(), ParsedTimeSeries());
   ASSERT_EQ(Results.size(), 3u);
   EXPECT_TRUE(Results[0].Pass);
-  EXPECT_DOUBLE_EQ(Results[0].Actual, 0.6);
-  EXPECT_FALSE(Results[1].Pass); // 0.1 > 0.05
-  EXPECT_TRUE(Results[1].Known);
-  EXPECT_FALSE(Results[2].Pass); // unknown fails closed
-  EXPECT_FALSE(Results[2].Known);
+  EXPECT_DOUBLE_EQ(Results[0].Actual, 2.0 / 3.0);
+  EXPECT_FALSE(Results[1].Pass); // 0.5 > 0.05
+  EXPECT_TRUE(Results[1].known());
+  EXPECT_FALSE(Results[2].Pass); // a misspelling fails closed
+  EXPECT_EQ(Results[2].Missing, "no such indicator");
+  EXPECT_EQ(renderSloBreaches("cws-report", Results),
+            "cws-report: SLO breach: deadline_miss_rate = 0.5 violates <= "
+            "0.05\n"
+            "cws-report: SLO breach: jobs_submited: no such indicator\n");
+}
+
+TEST_F(ReportTest, DistributionRuleWithoutASweepSaysSo) {
+  // A `.stat` / `across seeds` rule gates a pooled distribution; a
+  // single run has none, so it never passes here, even on an indicator
+  // the run defines.
+  std::vector<SloRule> Rules;
+  std::string Error;
+  ASSERT_TRUE(parseSloFile("deadline_miss_rate.p90 <= 1 across seeds\n"
+                           "deadline_miss_rate.max <= 1\n",
+                           Rules, Error))
+      << Error;
+  ParsedJournal J = syntheticJournal();
+  std::vector<SloResult> R = evaluateSlo(Rules, J, ParsedTimeSeries());
+  ASSERT_EQ(R.size(), 2u);
+  for (const SloResult &Res : R) {
+    EXPECT_EQ(Res.Missing, "a distribution rule needs --sweep");
+    EXPECT_FALSE(Res.Pass);
+  }
+  // The table names the rule in full.
+  std::string Report = renderRunReport(J, ParsedTimeSeries(), R);
+  EXPECT_NE(Report.find("| deadline_miss_rate.p90 | <= 1 | a distribution "
+                        "rule needs --sweep | **BREACH** |"),
+            std::string::npos)
+      << Report;
+}
+
+TEST_F(ReportTest, PhaseRuleWithoutAProfileSaysSo) {
+  std::vector<SloRule> Rules{{"phase.chain.dp.self_us", /*IsUpper=*/false,
+                              0.0, /*Stat=*/"", /*AcrossSeeds=*/false}};
+  ParsedJournal J = syntheticJournal();
+  std::vector<SloResult> R = evaluateSlo(Rules, J, ParsedTimeSeries());
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_EQ(R[0].Missing, "phase indicators need --profile");
+  EXPECT_FALSE(R[0].Pass);
+
+  // With a profile the same rule gates the phase, and a phase the
+  // profile lacks is a name nothing defines.
+  ParsedProfile Profile;
+  PhaseStats Dp;
+  Dp.Name = "chain.dp";
+  Dp.SelfUs = 12.5;
+  Profile.Phases.push_back(Dp);
+  Rules.push_back({"phase.no.such.self_us", /*IsUpper=*/false, 0.0,
+                   /*Stat=*/"", /*AcrossSeeds=*/false});
+  R = evaluateSlo(Rules, J, ParsedTimeSeries(), &Profile);
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_TRUE(R[0].Pass);
+  EXPECT_DOUBLE_EQ(R[0].Actual, 12.5);
+  EXPECT_EQ(R[1].Missing, "no such indicator");
+}
+
+TEST_F(ReportTest, IndicatorThisRunLeavesUndefinedSaysWhy) {
+  // The synthetic run has no time series and no repair stage on record
+  // (a rebuild-mode journal).
+  std::vector<SloRule> Rules{
+      {"mean_node_busy", /*IsUpper=*/true, 1.0, /*Stat=*/"",
+       /*AcrossSeeds=*/false},
+      {"realloc_repaired_dp", /*IsUpper=*/false, 0.0, /*Stat=*/"",
+       /*AcrossSeeds=*/false}};
+  std::vector<SloResult> R =
+      evaluateSlo(Rules, syntheticJournal(), ParsedTimeSeries());
+  ASSERT_EQ(R.size(), 2u);
+  EXPECT_EQ(R[0].Missing, "undefined in this run: no time series attached");
+  EXPECT_EQ(R[1].Missing, "undefined in this run: no repair stage on record "
+                          "(a rebuild-mode journal)");
+  EXPECT_EQ(renderSloBreaches("cws-report", R),
+            "cws-report: SLO breach: mean_node_busy: undefined in this run: "
+            "no time series attached\n"
+            "cws-report: SLO breach: realloc_repaired_dp: undefined in this "
+            "run: no repair stage on record (a rebuild-mode journal)\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -363,12 +428,10 @@ TEST_F(ReportTest, EvaluatesRulesAndFailsClosedOnUnknownIndicators) {
 
 TEST_F(ReportTest, ReportRendersOverviewFlowsAndSloVerdict) {
   ParsedJournal J = syntheticJournal();
-  std::map<std::string, double> Ind =
-      computeIndicators(J, ParsedTimeSeries());
   std::vector<SloRule> Rules{{"deadline_miss_rate", /*IsUpper=*/true, 0.05,
                               /*Stat=*/"", /*AcrossSeeds=*/false}};
-  std::string Report =
-      renderRunReport(J, ParsedTimeSeries(), evaluateSlo(Rules, Ind));
+  std::string Report = renderRunReport(
+      J, ParsedTimeSeries(), evaluateSlo(Rules, J, ParsedTimeSeries()));
   EXPECT_EQ(Report.rfind("# CWS run report\n", 0), 0u);
   EXPECT_NE(Report.find("| jobs submitted | 3 |"), std::string::npos)
       << Report;
@@ -383,7 +446,7 @@ TEST_F(ReportTest, ReportRendersOverviewFlowsAndSloVerdict) {
       J, ParsedTimeSeries(),
       evaluateSlo({{"commit_rate", /*IsUpper=*/false, 0.5, /*Stat=*/"",
                     /*AcrossSeeds=*/false}},
-                  Ind));
+                  J, ParsedTimeSeries()));
   EXPECT_NE(Passing.find("SLO: **PASS**"), std::string::npos) << Passing;
 }
 

@@ -349,13 +349,16 @@ TEST(SweepSlo, GatesQuantilesPerScenarioAndTracksTheWorst) {
   ASSERT_TRUE(obs::parseSloFile("miss.p90 <= 0.05 across seeds\n", Rules,
                                 Error))
       << Error;
-  std::vector<obs::SweepSloResult> R = obs::evaluateSweepSlo(Rules, S);
+  std::vector<obs::SloResult> R = obs::evaluateSweepSlo(Rules, S);
   ASSERT_EQ(R.size(), 1u);
-  EXPECT_TRUE(R[0].Known);
+  EXPECT_TRUE(R[0].known());
   EXPECT_FALSE(R[0].Pass); // lam=0.9's p90 = 0.096 > 0.05
-  EXPECT_EQ(R[0].WorstScenario, "lam=0.9");
-  EXPECT_NEAR(R[0].Worst, 0.096, 1e-12);
+  EXPECT_EQ(R[0].Scenario, "lam=0.9");
+  EXPECT_NEAR(R[0].Actual, 0.096, 1e-12);
   EXPECT_EQ(R[0].Evaluated, 2u);
+  EXPECT_EQ(obs::renderSloBreaches("cws-sweep", R),
+            "cws-sweep: SLO breach: miss.p90 = 0.096 at lam=0.9 violates "
+            "<= 0.05\n");
 
   // Loosening the bound above every scenario's p90 passes.
   Rules[0].Bound = 0.2;
@@ -367,12 +370,12 @@ TEST(SweepSlo, DefaultStatIsTheMeanAndLowerBoundsTrackTheMinimum) {
   std::vector<obs::SloRule> Rules;
   std::string Error;
   ASSERT_TRUE(obs::parseSloFile("miss >= 0.025\n", Rules, Error)) << Error;
-  std::vector<obs::SweepSloResult> R = obs::evaluateSweepSlo(Rules, S);
+  std::vector<obs::SloResult> R = obs::evaluateSweepSlo(Rules, S);
   ASSERT_EQ(R.size(), 1u);
-  EXPECT_TRUE(R[0].Known);
+  EXPECT_TRUE(R[0].known());
   // Worst for a >= rule is the smallest scenario mean: lam=0.8's 0.03.
-  EXPECT_NEAR(R[0].Worst, 0.03, 1e-12);
-  EXPECT_EQ(R[0].WorstScenario, "lam=0.8");
+  EXPECT_NEAR(R[0].Actual, 0.03, 1e-12);
+  EXPECT_EQ(R[0].Scenario, "lam=0.8");
   EXPECT_TRUE(R[0].Pass);
 }
 
@@ -383,12 +386,15 @@ TEST(SweepSlo, UnknownIndicatorsFailClosed) {
   ASSERT_TRUE(obs::parseSloFile("no_such.p90 <= 1.0 across seeds\n", Rules,
                                 Error))
       << Error;
-  std::vector<obs::SweepSloResult> R = obs::evaluateSweepSlo(Rules, S);
+  std::vector<obs::SloResult> R = obs::evaluateSweepSlo(Rules, S);
   ASSERT_EQ(R.size(), 1u);
-  EXPECT_FALSE(R[0].Known);
+  EXPECT_FALSE(R[0].known());
   EXPECT_FALSE(R[0].Pass);
+  EXPECT_EQ(R[0].Missing, "no scenario defines it");
   EXPECT_EQ(R[0].Evaluated, 0u);
   EXPECT_EQ(R[0].Skipped, 2u);
+  EXPECT_EQ(obs::renderSloBreaches("cws-sweep", R),
+            "cws-sweep: SLO breach: no_such.p90: no scenario defines it\n");
 }
 
 //===----------------------------------------------------------------------===//
@@ -462,7 +468,7 @@ TEST(SweepReport, RendersScenariosTrendsCrossingsAndVerdict) {
   ASSERT_TRUE(obs::parseSloFile("deadline_miss_rate <= 0.05\n", Rules,
                                 Error))
       << Error;
-  std::vector<obs::SweepSloResult> Slo = obs::evaluateSweepSlo(Rules, S);
+  std::vector<obs::SloResult> Slo = obs::evaluateSweepSlo(Rules, S);
   std::string Report = obs::renderSweepReport(S, Slo);
   EXPECT_NE(Report.find("# CWS sweep report"), std::string::npos);
   EXPECT_NE(Report.find("lam=0.9"), std::string::npos);

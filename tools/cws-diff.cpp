@@ -13,16 +13,13 @@
 ///   cws-diff --against-baseline DIR --journal J [--timeseries TS]
 ///   cws-diff --digest <file>
 ///
-/// The artifact kind is auto-detected (decision journal, telemetry
-/// time series, or pooled sweep statistics) unless forced with
-/// `--mode`. Journal comparisons align events per job, compare the
-/// provenance header field by field under `--allow-meta`, and localize
-/// the first diverging (job, event) with both runs' cause chains.
-/// Series comparisons honor per-series tolerance classes (wall-time
-/// series are excluded by default). Sweep comparisons add a
-/// statistical compatibility test (CI overlap on means, relative
-/// quantile shift) whose "compatible" verdict passes only under
-/// `--statistical`.
+/// The artifact kind (decision journal, telemetry time series, or
+/// pooled sweep statistics) is detected from the content, and every
+/// comparison is exact. Journal comparisons align events per job,
+/// compare the provenance header field by field under `--allow-meta`,
+/// and localize the first diverging (job, event) with both runs' cause
+/// chains. Series comparisons match every row; sweep comparisons match
+/// every pooled statistic.
 ///
 /// `--against-baseline DIR` checks freshly produced artifacts against
 /// the committed golden baselines in DIR (see examples/baseline/): a
@@ -30,8 +27,7 @@
 /// baselines with tools/update-baselines.sh after intentional
 /// behavior changes.
 ///
-/// Exit codes: 0 identical (or statistically compatible with
-/// `--statistical`), 1 divergence, 2 usage / I/O / parse error.
+/// Exit codes: 0 identical, 1 divergence, 2 usage / I/O / parse error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -57,11 +53,11 @@ static void printUsage() {
       "       cws-diff --against-baseline DIR --journal J [--timeseries T]\n"
       "       cws-diff --digest <file>\n"
       "\n"
-      "exit codes: 0 identical/compatible, 1 divergence, 2 usage or I/O\n");
+      "exit codes: 0 identical, 1 divergence, 2 usage or I/O\n");
 }
 
 namespace {
-enum class Mode { Auto, Journal, Series, Sweep };
+enum class Mode { Unknown, Journal, Series, Sweep };
 } // namespace
 
 /// Sniffs the artifact kind from its leading lines.
@@ -83,7 +79,7 @@ static Mode detectMode(const std::string &Text) {
       return Mode::Sweep;
     break;
   }
-  return Mode::Auto;
+  return Mode::Unknown;
 }
 
 static bool parseMetaList(const std::string &List, obs::MetaPolicy &Policy) {
@@ -116,24 +112,11 @@ static bool parseMetaList(const std::string &List, obs::MetaPolicy &Policy) {
   return true;
 }
 
-static void splitCommas(const std::string &List,
-                        std::vector<std::string> &Out) {
-  size_t Pos = 0;
-  while (Pos <= List.size()) {
-    size_t Comma = List.find(',', Pos);
-    std::string Item = List.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    Pos = Comma == std::string::npos ? List.size() + 1 : Comma + 1;
-    if (!Item.empty())
-      Out.push_back(Item);
-  }
-}
-
 /// Runs one A-vs-B comparison. Returns 0/1/2 per the tool contract and
 /// appends the Markdown report section for `--report`.
 static int diffOnce(const std::string &PathA, const std::string &PathB,
-                    Mode M, const obs::DiffOptions &Opts, bool Statistical,
-                    bool Outcomes, std::string &ReportOut) {
+                    const obs::DiffOptions &Opts, bool Outcomes,
+                    std::string &ReportOut) {
   std::string TextA, TextB;
   if (!readFile(PathA, TextA)) {
     std::fprintf(stderr, "cws-diff: cannot open '%s'\n", PathA.c_str());
@@ -143,22 +126,18 @@ static int diffOnce(const std::string &PathA, const std::string &PathB,
     std::fprintf(stderr, "cws-diff: cannot open '%s'\n", PathB.c_str());
     return 2;
   }
-  if (M == Mode::Auto) {
-    M = detectMode(TextA);
-    Mode MB = detectMode(TextB);
-    if (M == Mode::Auto || MB == Mode::Auto) {
-      std::fprintf(stderr,
-                   "cws-diff: cannot detect artifact kind of '%s'; use "
-                   "--mode\n",
-                   (M == Mode::Auto ? PathA : PathB).c_str());
-      return 2;
-    }
-    if (M != MB) {
-      std::fprintf(stderr,
-                   "cws-diff: '%s' and '%s' are different artifact kinds\n",
-                   PathA.c_str(), PathB.c_str());
-      return 2;
-    }
+  const Mode M = detectMode(TextA);
+  const Mode MB = detectMode(TextB);
+  if (M == Mode::Unknown || MB == Mode::Unknown) {
+    std::fprintf(stderr, "cws-diff: cannot detect artifact kind of '%s'\n",
+                 (M == Mode::Unknown ? PathA : PathB).c_str());
+    return 2;
+  }
+  if (M != MB) {
+    std::fprintf(stderr,
+                 "cws-diff: '%s' and '%s' are different artifact kinds\n",
+                 PathA.c_str(), PathB.c_str());
+    return 2;
   }
   if (Outcomes && M != Mode::Journal) {
     std::fprintf(stderr, "cws-diff: --outcomes applies to journals only\n");
@@ -211,20 +190,16 @@ static int diffOnce(const std::string &PathA, const std::string &PathB,
                    Error.c_str());
       return 2;
     }
-    R = obs::diffSweeps(A, B, Opts);
+    R = obs::diffSweeps(A, B);
     break;
   }
-  case Mode::Auto:
-    return 2; // Unreachable; detectMode ran above.
+  case Mode::Unknown:
+    return 2; // Unreachable; rejected above.
   }
 
   std::cout << obs::renderDiffText(R, PathA, PathB);
   ReportOut += obs::renderDiffReport(R, PathA, PathB);
-  if (R.identical())
-    return 0;
-  if (R.Verdict == obs::DiffVerdict::Compatible && Statistical)
-    return 0;
-  return 1;
+  return R.identical() ? 0 : 1;
 }
 
 /// `--digest`: canonical content digest used by baseline MANIFEST
@@ -331,8 +306,7 @@ static int diffAgainstBaseline(const std::string &Dir,
                   Fresh.c_str());
       continue;
     }
-    int Rc = diffOnce(Golden, Fresh, Mode::Auto, Opts,
-                      /*Statistical=*/false, /*Outcomes=*/false, ReportOut);
+    int Rc = diffOnce(Golden, Fresh, Opts, /*Outcomes=*/false, ReportOut);
     if (Rc == 2)
       return 2;
     Worst = std::max(Worst, Rc);
@@ -347,28 +321,16 @@ static int diffAgainstBaseline(const std::string &Dir,
 }
 
 int main(int Argc, char **Argv) {
-  std::string ModeName = "auto";
   std::string ReportFile, BaselineDir, JournalFile, TimeSeriesFile;
-  std::string DigestFile, ExcludeSeries;
+  std::string DigestFile;
   std::string AllowMeta = "shards,cli";
-  bool Statistical = false;
   bool Outcomes = false;
   obs::DiffOptions Opts;
-  int64_t MaxFindings = static_cast<int64_t>(Opts.MaxFindings);
   Flags F;
-  F.addString("mode", &ModeName,
-              "artifact kind: auto (detected from the content, the "
-              "default), journal, series or sweep",
-              {"auto", "journal", "series", "sweep"});
   F.addString("report", &ReportFile, "write the Markdown diff report here");
   F.addString("allow-meta", &AllowMeta,
               "provenance fields allowed to differ, a comma list of "
               "seed,config_hash,scenario,shards,cli (default: shards,cli)");
-  F.addBool("ignore-meta", &Opts.Meta.Off,
-            "skip provenance comparison entirely");
-  F.addBool("statistical", &Statistical,
-            "accept a statistically compatible sweep verdict (CI overlap, "
-            "quantile shift) as pass");
   F.addBool("outcomes", &Outcomes,
             "journal mode: compare per-job commit/reject verdicts only (the "
             "cross-reallocation-mode equivalence gate; placements may "
@@ -379,12 +341,6 @@ int main(int Argc, char **Argv) {
             "B rejected, and verdicts decided after the first repair "
             "diverged the grids (A = repair run, B = rebuild oracle; A must "
             "never commit fewer jobs than B in total)");
-  F.addReal("quantile-tol", &Opts.QuantileShiftTol,
-            "relative p50/p90/p99 shift tolerance, >= 0 (default 0.10)");
-  F.addString("exclude-series", &ExcludeSeries,
-              "comma list of extra series globs to skip");
-  F.addInt("max-findings", &MaxFindings,
-           "findings to print per comparison (default 20)", /*AtLeast=*/1);
   F.addString("against-baseline", &BaselineDir,
               "compare --journal/--timeseries artifacts against the golden "
               "baselines in this directory");
@@ -398,21 +354,8 @@ int main(int Argc, char **Argv) {
     printUsage();
     return 0;
   }
-  if (Opts.QuantileShiftTol < 0) {
-    std::fprintf(stderr, "cws-diff: --quantile-tol must be >= 0\n");
-    return 2;
-  }
   if (!parseMetaList(AllowMeta, Opts.Meta))
     return 2;
-  Opts.MaxFindings = static_cast<size_t>(MaxFindings);
-  std::vector<std::string> Globs;
-  splitCommas(ExcludeSeries, Globs);
-  for (const std::string &G : Globs)
-    Opts.Series.push_back({G, obs::SeriesClass::Excluded, 0.0});
-  const Mode M = ModeName == "journal" ? Mode::Journal
-                 : ModeName == "series" ? Mode::Series
-                 : ModeName == "sweep"  ? Mode::Sweep
-                                        : Mode::Auto;
 
   if (Opts.AllowRepairSaves && !Outcomes) {
     std::fprintf(stderr,
@@ -444,8 +387,7 @@ int main(int Argc, char **Argv) {
       printUsage();
       return 2;
     }
-    Rc = diffOnce(Paths[0], Paths[1], M, Opts, Statistical, Outcomes,
-                  Report);
+    Rc = diffOnce(Paths[0], Paths[1], Opts, Outcomes, Report);
   }
 
   if (!ReportFile.empty() && Rc != 2 && !writeTextFile(ReportFile, Report)) {

@@ -24,7 +24,9 @@
 /// rules fail closed. With `--slo` each rule of the file
 /// (`indicator <= bound`, `#` comments) is evaluated against the run's
 /// indicators and any breach makes the tool exit 1 — a CI-gateable
-/// alerting analog.
+/// alerting analog. A rule without a value breaches too, and its line
+/// says why (a distribution rule, no profile, an indicator this run
+/// leaves undefined, or an unknown name).
 ///
 /// With `--sweep` the tool reads a pooled statistics store written by
 /// `cws-sweep --out` and renders the sweep report instead: per-scenario
@@ -79,6 +81,20 @@ int main(int Argc, char **Argv) {
 
   std::string Text;
   std::string Error;
+  std::vector<obs::SloRule> Rules;
+  if (!SloFile.empty()) {
+    if (!readFile(SloFile, Text)) {
+      std::fprintf(stderr, "cws-report: cannot open '%s'\n",
+                   SloFile.c_str());
+      return 2;
+    }
+    if (!obs::parseSloFile(Text, Rules, Error)) {
+      std::fprintf(stderr, "cws-report: %s: %s\n", SloFile.c_str(),
+                   Error.c_str());
+      return 2;
+    }
+  }
+  std::vector<obs::SloResult> Slo;
 
   //===--- Sweep mode ----------------------------------------------------===//
   if (!SweepFile.empty()) {
@@ -99,39 +115,10 @@ int main(int Argc, char **Argv) {
                    Error.c_str());
       return 2;
     }
-    std::vector<obs::SweepSloResult> Slo;
-    bool Breached = false;
-    if (!SloFile.empty()) {
-      if (!readFile(SloFile, Text)) {
-        std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                     SloFile.c_str());
-        return 2;
-      }
-      std::vector<obs::SloRule> Rules;
-      if (!obs::parseSloFile(Text, Rules, Error)) {
-        std::fprintf(stderr, "cws-report: %s: %s\n", SloFile.c_str(),
-                     Error.c_str());
-        return 2;
-      }
+    if (!SloFile.empty())
       Slo = obs::evaluateSweepSlo(Rules, Store);
-      for (const obs::SweepSloResult &R : Slo) {
-        if (R.Pass)
-          continue;
-        Breached = true;
-        if (!R.Known)
-          std::fprintf(stderr,
-                       "cws-report: SLO breach: no scenario defines "
-                       "'%s'\n",
-                       R.Rule.fullName().c_str());
-        else
-          std::fprintf(stderr,
-                       "cws-report: SLO breach: %s = %g at %s violates "
-                       "%s %g\n",
-                       R.Rule.fullName().c_str(), R.Worst,
-                       R.WorstScenario.c_str(),
-                       R.Rule.IsUpper ? "<=" : ">=", R.Rule.Bound);
-      }
-    }
+    std::string Breaches = obs::renderSloBreaches("cws-report", Slo);
+    std::fputs(Breaches.c_str(), stderr);
     std::string Report = obs::renderSweepReport(Store, Slo);
     if (OutFile.empty()) {
       std::cout << Report;
@@ -140,7 +127,7 @@ int main(int Argc, char **Argv) {
                    OutFile.c_str());
       return 2;
     }
-    return Breached ? 1 : 0;
+    return Breaches.empty() ? 0 : 1;
   }
 
   if (JournalFile.empty()) {
@@ -198,41 +185,10 @@ int main(int Argc, char **Argv) {
     HasProfile = true;
   }
 
-  std::vector<obs::SloResult> Slo;
-  bool Breached = false;
-  if (!SloFile.empty()) {
-    if (!readFile(SloFile, Text)) {
-      std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                   SloFile.c_str());
-      return 2;
-    }
-    std::vector<obs::SloRule> Rules;
-    if (!obs::parseSloFile(Text, Rules, Error)) {
-      std::fprintf(stderr, "cws-report: %s: %s\n", SloFile.c_str(),
-                   Error.c_str());
-      return 2;
-    }
-    std::map<std::string, double> Ind = obs::computeIndicators(J, Ts);
-    // phase.* rules gate only an attached profile; without one they
-    // stay unknown and fail closed.
-    if (HasProfile)
-      obs::addProfileIndicators(Profile, Ind);
-    Slo = obs::evaluateSlo(Rules, Ind);
-    for (const obs::SloResult &R : Slo) {
-      if (R.Pass)
-        continue;
-      Breached = true;
-      if (!R.Known)
-        std::fprintf(stderr,
-                     "cws-report: SLO breach: unknown indicator '%s'\n",
-                     R.Rule.Indicator.c_str());
-      else
-        std::fprintf(stderr,
-                     "cws-report: SLO breach: %s = %g violates %s %g\n",
-                     R.Rule.Indicator.c_str(), R.Actual,
-                     R.Rule.IsUpper ? "<=" : ">=", R.Rule.Bound);
-    }
-  }
+  if (!SloFile.empty())
+    Slo = obs::evaluateSlo(Rules, J, Ts, HasProfile ? &Profile : nullptr);
+  std::string Breaches = obs::renderSloBreaches("cws-report", Slo);
+  std::fputs(Breaches.c_str(), stderr);
 
   std::string Report =
       obs::renderRunReport(J, Ts, Slo, HasProfile ? &Profile : nullptr);
@@ -243,5 +199,5 @@ int main(int Argc, char **Argv) {
                  OutFile.c_str());
     return 2;
   }
-  return Breached ? 1 : 0;
+  return Breaches.empty() ? 0 : 1;
 }

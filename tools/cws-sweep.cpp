@@ -128,8 +128,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  std::vector<obs::SweepSloResult> Slo;
-  bool Breached = false;
+  std::vector<obs::SloResult> Slo;
   if (!SloFile.empty()) {
     if (!readFile(SloFile, Text)) {
       std::fprintf(stderr, "cws-sweep: cannot open '%s'\n", SloFile.c_str());
@@ -142,23 +141,9 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     Slo = obs::evaluateSweepSlo(Rules, Store);
-    for (const obs::SweepSloResult &R : Slo) {
-      if (R.Pass)
-        continue;
-      Breached = true;
-      if (!R.Known)
-        std::fprintf(stderr,
-                     "cws-sweep: SLO breach: no scenario defines '%s'\n",
-                     R.Rule.fullName().c_str());
-      else
-        std::fprintf(stderr,
-                     "cws-sweep: SLO breach: %s = %g at %s violates %s "
-                     "%g\n",
-                     R.Rule.fullName().c_str(), R.Worst,
-                     R.WorstScenario.c_str(), R.Rule.IsUpper ? "<=" : ">=",
-                     R.Rule.Bound);
-    }
   }
+  std::string Breaches = obs::renderSloBreaches("cws-sweep", Slo);
+  std::fputs(Breaches.c_str(), stderr);
 
   std::string Report = obs::renderSweepReport(Store, Slo);
   if (ReportFile.empty()) {
@@ -171,5 +156,5 @@ int main(int Argc, char **Argv) {
   if (!OutFile.empty())
     std::fprintf(stderr, "cws-sweep: wrote pooled statistics to %s\n",
                  OutFile.c_str());
-  return Breached ? 1 : 0;
+  return Breaches.empty() ? 0 : 1;
 }

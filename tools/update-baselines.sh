@@ -6,7 +6,9 @@
 #
 # Regenerates examples/baseline/ — the golden run artifacts that CI's
 # `cws-diff --against-baseline` regression gate compares every build
-# against, and examples/baseline/bench/ — the BENCH_*.json perf
+# against, the report and explain-summary goldens that CI re-renders
+# from them and compares with `diff -u`, and
+# examples/baseline/bench/ — the BENCH_*.json perf
 # baselines that CI's `cws-bench --against` ratchet compares every
 # build against. Run from the repository root after an *intentional*
 # behavior change, inspect the diff, and commit the result:
@@ -26,11 +28,13 @@ set -eu
 BUILD=${1:-build}
 OUT=examples/baseline
 
-[ -x "$BUILD/tools/cws-sim" ] && [ -x "$BUILD/tools/cws-diff" ] || {
-  echo "update-baselines: $BUILD/tools/cws-sim or cws-diff missing;" \
-       "build first (cmake --build $BUILD -j)" >&2
-  exit 2
-}
+for T in cws-sim cws-diff cws-report cws-explain; do
+  [ -x "$BUILD/tools/$T" ] || {
+    echo "update-baselines: $BUILD/tools/$T missing;" \
+         "build first (cmake --build $BUILD -j)" >&2
+    exit 2
+  }
+done
 mkdir -p "$OUT"
 
 # The pinned example workload. Relative binary path keeps the recorded
@@ -50,6 +54,16 @@ mkdir -p "$OUT"
 } > "$OUT/MANIFEST"
 
 echo "update-baselines: wrote $OUT/{example.journal.jsonl,example.ts.csv,MANIFEST}"
+
+# The report and explain goldens, rendered from the committed journal
+# and series with the default SLO.
+"$BUILD/tools/cws-report" --journal "$OUT/example.journal.jsonl" \
+    --timeseries "$OUT/example.ts.csv" --slo examples/default.slo \
+    > "$OUT/example.report.md"
+"$BUILD/tools/cws-explain" --summary "$OUT/example.journal.jsonl" \
+    > "$OUT/example.summary.txt"
+
+echo "update-baselines: wrote $OUT/{example.report.md,example.summary.txt}"
 
 # The perf baselines. One measured repetition: wall-time statistics are
 # advisory in the ratchet anyway, and only the deterministic work
