@@ -492,6 +492,50 @@ TEST(VirtualOrganization, PinnedDigestOfTightSlackRuns) {
       << Text.size() << " bytes";
 }
 
+TEST(VirtualOrganization, PinnedDigestOfTheFlowDrawnAtRelease) {
+  // The byte-identity oracle of the job stream itself: each job is drawn
+  // from the generator when it arrives, and must be the job the run
+  // would have drawn up front. One long S1 flow; the benchmark's bursty
+  // four-flow episodes over eight seeds; and execution with deviations
+  // under back-to-back arrivals, where most ticks hold several jobs.
+  auto StatsText = [](const VoConfig &Config,
+                      const std::vector<StrategyKind> &Kinds, uint64_t Seed) {
+    std::string Text;
+    for (const VoRunResult &R : runMultiFlowVo(Config, Kinds, Seed))
+      Text += voStatsCsv(R.Jobs);
+    return Text;
+  };
+  std::string Text;
+  VoConfig Long;
+  Long.JobCount = 300;
+  Text += StatsText(Long, {StrategyKind::S1}, /*Seed=*/7);
+
+  VoConfig Burst;
+  Burst.Workload.DeadlineSlack = 2.0;
+  Burst.GridCfg.MinNodes = Burst.GridCfg.MaxNodes = 25;
+  Burst.JobCount = 16;
+  Burst.InterarrivalLo = 0;
+  Burst.InterarrivalHi = 3;
+  Burst.Background.MeanGapFast = 8;
+  Burst.Background.MeanGapMedium = 14;
+  Burst.Background.MeanGapSlow = 24;
+  const std::vector<StrategyKind> FourFlows = {
+      StrategyKind::S1, StrategyKind::S2, StrategyKind::S3,
+      StrategyKind::MS1};
+  for (uint64_t Seed = 1; Seed <= 8; ++Seed)
+    Text += StatsText(Burst, FourFlows, Seed);
+
+  VoConfig BackToBack;
+  BackToBack.JobCount = 60;
+  BackToBack.InterarrivalLo = 0;
+  BackToBack.InterarrivalHi = 1;
+  BackToBack.ExecuteWithDeviations = true;
+  Text += StatsText(BackToBack, {StrategyKind::S1, StrategyKind::S3},
+                    /*Seed=*/11);
+  EXPECT_EQ(obs::fnv1a64(Text), 0x40edb25373069303ULL)
+      << Text.size() << " bytes";
+}
+
 TEST(VirtualOrganization, QuotaHoldsAcrossASameTickCommitDrain) {
   // Commits of one flow that land in one end-of-tick drain each see the
   // debits of those before them. With a quota worth a handful of jobs,
