@@ -279,6 +279,27 @@ std::string BenchRun::json() const {
 // JSON reader
 //===----------------------------------------------------------------------===//
 
+/// Reads a `work` object of counters into \p Out, sorted by name.
+static bool parseWork(const json::Value &Work, const std::string &Where,
+                      std::vector<std::pair<std::string, uint64_t>> &Out,
+                      std::string &Error) {
+  if (!Work.isObject()) {
+    Error = Where + "work must be an object";
+    return false;
+  }
+  for (const auto &M : Work.members()) {
+    uint64_t N = 0;
+    if (!M.second.getUint(N)) {
+      Error = Where + "work counter '" + M.first +
+              "' must be a non-negative integer";
+      return false;
+    }
+    Out.push_back({M.first, N});
+  }
+  std::sort(Out.begin(), Out.end());
+  return true;
+}
+
 bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
                                 std::string &Error) {
   json::Value Doc;
@@ -316,22 +337,9 @@ bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
   Doc.getInt("reps", Out.Reps);
   Doc.getInt("warmup", Out.Warmup);
 
-  if (const json::Value *Work = Doc.find("work")) {
-    if (!Work->isObject()) {
-      Error = "work must be an object";
+  if (const json::Value *Work = Doc.find("work"))
+    if (!parseWork(*Work, "", Out.Work, Error))
       return false;
-    }
-    for (const auto &M : Work->members()) {
-      uint64_t N = 0;
-      if (!M.second.getUint(N)) {
-        Error = "work counter '" + M.first +
-                "' must be a non-negative integer";
-        return false;
-      }
-      Out.Work.push_back({M.first, N});
-    }
-    std::sort(Out.Work.begin(), Out.Work.end());
-  }
   if (const json::Value *Checks = Doc.find("checks")) {
     if (!Checks->isArray()) {
       Error = "checks must be an array";
@@ -384,7 +392,22 @@ bool cws::bench::parseBenchJson(const std::string &Text, ParsedBench &Out,
       Error = "profile must be an array";
       return false;
     }
-    Out.ProfilePhases = Profile->array().size();
+    for (const json::Value &P : Profile->array()) {
+      ParsedPhase Phase;
+      const json::Value *Work = P.find("work");
+      if (!P.getString("name", Phase.Name) || !P.getUint("count", Phase.Count) ||
+          !Work) {
+        Error = "a profile phase needs a 'name', a 'count' and 'work'";
+        return false;
+      }
+      if (!parseWork(*Work, "phase '" + Phase.Name + "': ", Phase.Work, Error))
+        return false;
+      Out.Profile.push_back(std::move(Phase));
+    }
+    std::sort(Out.Profile.begin(), Out.Profile.end(),
+              [](const ParsedPhase &A, const ParsedPhase &B) {
+                return A.Name < B.Name;
+              });
   }
   return true;
 }
@@ -425,6 +448,54 @@ static bool withinNoise(const obs::SweepIndicatorStats &A,
          QuantileNear(A.P99, B.P99);
 }
 
+static const std::string &nameOf(const std::pair<std::string, uint64_t> &W) {
+  return W.first;
+}
+static const std::string &nameOf(const ParsedPhase &P) { return P.Name; }
+
+/// Walks two name-sorted lists in step and calls \p Dropped, \p Appeared
+/// or \p Both for each name.
+template <typename T, typename DroppedFn, typename AppearedFn,
+          typename BothFn>
+static void mergeByName(const std::vector<T> &Base, const std::vector<T> &New,
+                        DroppedFn Dropped, AppearedFn Appeared, BothFn Both) {
+  size_t I = 0, J = 0;
+  while (I < Base.size() || J < New.size()) {
+    if (J >= New.size() ||
+        (I < Base.size() && nameOf(Base[I]) < nameOf(New[J])))
+      Dropped(Base[I++]);
+    else if (I >= Base.size() || nameOf(New[J]) < nameOf(Base[I]))
+      Appeared(New[J++]);
+    else
+      Both(Base[I++], New[J++]);
+  }
+}
+
+/// Adds a finding to \p Out for each work counter that dropped, appeared
+/// or changed; \p Prefix names where the counters belong.
+static void compareWork(
+    const std::vector<std::pair<std::string, uint64_t>> &Base,
+    const std::vector<std::pair<std::string, uint64_t>> &New,
+    const std::string &Prefix, std::vector<std::string> &Out) {
+  using Counter = std::pair<std::string, uint64_t>;
+  mergeByName(
+      Base, New,
+      [&](const Counter &B) {
+        Out.push_back(Prefix + "work counter dropped: " + B.first + " (" +
+                      std::to_string(B.second) + ")");
+      },
+      [&](const Counter &N) {
+        Out.push_back(Prefix + "work counter appeared: " + N.first + " (" +
+                      std::to_string(N.second) + ")");
+      },
+      [&](const Counter &B, const Counter &N) {
+        if (B.second != N.second)
+          Out.push_back(Prefix + "work counter " + B.first + ": " +
+                        std::to_string(B.second) + " -> " +
+                        std::to_string(N.second));
+      });
+}
+
 BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
                                             const ParsedBench &New) {
   BenchCompareResult R;
@@ -463,27 +534,30 @@ BenchCompareResult cws::bench::compareBench(const ParsedBench &Base,
   // Work counters gate exactly: they are deterministic quantities of
   // the measured workload, the only signal a shared 4-vCPU host can
   // ratchet.
-  size_t I = 0, J = 0;
-  while (I < Base.Work.size() || J < New.Work.size()) {
-    if (J >= New.Work.size() ||
-        (I < Base.Work.size() && Base.Work[I].first < New.Work[J].first)) {
-      R.Gated.push_back("work counter dropped: " + Base.Work[I].first + " (" +
-                        std::to_string(Base.Work[I].second) + ")");
-      ++I;
-    } else if (I >= Base.Work.size() ||
-               New.Work[J].first < Base.Work[I].first) {
-      R.Gated.push_back("work counter appeared: " + New.Work[J].first + " (" +
-                        std::to_string(New.Work[J].second) + ")");
-      ++J;
-    } else {
-      if (Base.Work[I].second != New.Work[J].second)
-        R.Gated.push_back("work counter " + Base.Work[I].first + ": " +
-                          std::to_string(Base.Work[I].second) + " -> " +
-                          std::to_string(New.Work[J].second));
-      ++I;
-      ++J;
-    }
-  }
+  compareWork(Base.Work, New.Work, "", R.Gated);
+
+  // So are the profile's phase counts and work counters, for runs of the
+  // same reps and warmup; runs of other sizes report them only.
+  std::vector<std::string> &Profile =
+      Base.Reps == New.Reps && Base.Warmup == New.Warmup ? R.Gated
+                                                         : R.Advisory;
+  mergeByName(
+      Base.Profile, New.Profile,
+      [&](const ParsedPhase &B) {
+        Profile.push_back("phase dropped: " + B.Name + " (count " +
+                          std::to_string(B.Count) + ")");
+      },
+      [&](const ParsedPhase &N) {
+        Profile.push_back("phase appeared: " + N.Name + " (count " +
+                          std::to_string(N.Count) + ")");
+      },
+      [&](const ParsedPhase &B, const ParsedPhase &N) {
+        if (B.Count != N.Count)
+          Profile.push_back("phase " + B.Name + " count: " +
+                            std::to_string(B.Count) + " -> " +
+                            std::to_string(N.Count));
+        compareWork(B.Work, N.Work, "phase " + B.Name + " ", Profile);
+      });
 
   // Metrics are measured distributions; shifts are reported but never
   // gate — wall time on a shared CI host is weather, not signal.

@@ -183,6 +183,15 @@ uint64_t phaseWork(const char *Phase, const char *Counter);
 BenchRun runBench(const BenchInfo &Info, int Reps, int Warmup,
                   const std::string &Cli);
 
+/// One phase of a parsed profile: what the ratchet compares. Its
+/// times are not kept; the run's wall time is in its metrics.
+struct ParsedPhase {
+  std::string Name;
+  uint64_t Count = 0;
+  /// Sorted by counter name.
+  std::vector<std::pair<std::string, uint64_t>> Work;
+};
+
 /// A parsed `BENCH_<name>.json`.
 struct ParsedBench {
   std::string Name;
@@ -198,7 +207,8 @@ struct ParsedBench {
   std::vector<std::pair<std::string, uint64_t>> Work;
   std::vector<CheckOutcome> Checks;
   std::map<std::string, obs::SweepIndicatorStats> Metrics;
-  size_t ProfilePhases = 0;
+  /// Sorted by phase name.
+  std::vector<ParsedPhase> Profile;
 };
 
 /// Parses text written by `BenchRun::json`. Returns false and sets
@@ -214,8 +224,10 @@ enum class BenchVerdict : uint8_t {
   /// Work and checks equal; some metric moved, but metrics are
   /// advisory (wall-time wobble).
   Compatible,
-  /// A work counter changed, appeared or dropped, or a check fails or
-  /// dropped — the hard gate.
+  /// A work counter changed, appeared or dropped, a check fails or
+  /// dropped, or a profile phase of a run with the baseline's reps and
+  /// warmup appeared, dropped, or changed its count or a work counter —
+  /// the hard gate.
   Regressed,
   /// Provenance identity mismatch: the runs measure different
   /// configurations and must not be compared.
@@ -227,10 +239,12 @@ const char *benchVerdictName(BenchVerdict V);
 /// Result of `compareBench`.
 struct BenchCompareResult {
   BenchVerdict Verdict = BenchVerdict::Identical;
-  /// Hard findings: work-counter mismatches, failed checks.
+  /// Hard findings: work-counter mismatches, failed checks, profile
+  /// changes between runs of equal reps and warmup.
   std::vector<std::string> Gated;
   /// Advisory findings: metric shifts outside the CI-overlap /
-  /// quantile-shift tolerance, one-sided records.
+  /// quantile-shift tolerance, one-sided records, profile changes
+  /// between runs of different reps or warmup.
   std::vector<std::string> Advisory;
   /// Refusal causes: the mismatched provenance identity fields.
   std::vector<std::string> Mismatched;
@@ -241,9 +255,13 @@ struct BenchCompareResult {
 /// shard count and CLI text may differ (committed BENCH files record a
 /// shard count, which is now always 1). Work counters
 /// and checks gate, including a check the baseline recorded and the
-/// new run does not. A metric that moved is an advisory finding when it
-/// fails the noise test: equal sample counts, overlapping 95% CIs of
-/// the means, and p50/p90/p99 each within 10% of the larger magnitude.
+/// new run does not. The profile's phase names, counts and work
+/// counters are deterministic for a given reps and warmup, so they gate
+/// when both runs have the same of each and are advisory otherwise;
+/// phase times never gate. A metric that moved is an advisory finding
+/// when it fails the noise test: equal sample counts, overlapping 95%
+/// CIs of the means, and p50/p90/p99 each within 10% of the larger
+/// magnitude.
 BenchCompareResult compareBench(const ParsedBench &Base,
                                 const ParsedBench &New);
 

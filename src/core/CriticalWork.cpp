@@ -55,9 +55,13 @@ CriticalWork cws::findCriticalWork(const Job &J,
   if (BestEnd < 0)
     return Work;
   Work.RefLength = BestLen;
+  // Walk the chain back once to size it, then fill it from its end.
+  size_t Length = 0;
   for (int64_t At = BestEnd; At >= 0; At = From[static_cast<size_t>(At)])
-    Work.TaskIds.push_back(static_cast<unsigned>(At));
-  std::reverse(Work.TaskIds.begin(), Work.TaskIds.end());
+    ++Length;
+  Work.TaskIds.resize(Length);
+  for (int64_t At = BestEnd; At >= 0; At = From[static_cast<size_t>(At)])
+    Work.TaskIds[--Length] = static_cast<unsigned>(At);
   return Work;
 }
 

@@ -48,6 +48,10 @@ public:
   /// Adds a placement; at most one per task.
   void add(const Placement &P);
 
+  /// Makes room for \p Count placements, so a schedule of a job with
+  /// \p Count tasks allocates its placements once.
+  void reserve(size_t Count) { Places.reserve(Count); }
+
   /// The placement of \p TaskId, or nullptr when not placed.
   const Placement *find(unsigned TaskId) const;
 

@@ -44,7 +44,9 @@ struct Lane {
   Lane(Grid &Scratch, DataPolicy Policy, size_t Tasks, OptimizationBias Bias,
        bool WithTime)
       : Scratch(&Scratch), Policy(std::move(Policy)), Assigned(Tasks, false),
-        Remaining(Tasks), Bias(Bias), WithTime(WithTime) {}
+        Remaining(Tasks), Bias(Bias), WithTime(WithTime) {
+    Result.Dist.reserve(Tasks);
+  }
 
   /// The thread's lane or fork grid (see `runLanes`).
   Grid *Scratch;
@@ -152,6 +154,7 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
           // The picks differ: the Time bias continues on a copy of the
           // state the split left, with its own collision log.
           Forked.emplace(L);
+          Forked->Result.Dist.reserve(J.taskCount());
           Forked->Scratch = &ForkGrid;
           Results.IntervalsCopied += ForkGrid.assignLive(*L.Scratch, Now);
           Forked->Bias = OptimizationBias::Time;
@@ -216,6 +219,10 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
     }
     L.Result.Feasible =
         L.Result.Dist.covers(J) && L.Result.Dist.makespan() <= J.deadline();
+    // The result outlives the run in its strategy: keep only what it
+    // holds.
+    L.Result.Collisions.shrink_to_fit();
+    L.Result.Phases.shrink_to_fit();
     if (!L.Result.Feasible)
       M.Infeasible.add();
     M.Collisions.add(L.Result.Collisions.size());

@@ -229,6 +229,9 @@ Strategy Strategy::build(const Job &J, const Grid &Env, const Network &Net,
                   collisionResolutionName(C.Resolution));
     }
   }
+  // The strategy outlives the build while its job negotiates.
+  S.Levels.shrink_to_fit();
+  S.Variants.shrink_to_fit();
   Builds.add();
   BuildSpan.arg("variants", static_cast<int64_t>(S.Variants.size()));
   BuildSpan.work("variants_built", VariantsBuilt);

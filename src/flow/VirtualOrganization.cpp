@@ -95,17 +95,19 @@ cws::runMultiFlowVo(const VoConfig &Config,
   Prng BackgroundRng = Root.fork();
   JobGenerator Gen(Config.Workload, Root.next());
 
-  // Pre-generate the flow so the arrival schedule is independent of the
-  // strategy types under test.
-  std::vector<Job> Flow;
-  Flow.reserve(Config.JobCount);
+  // The arrival ticks come first, from their own stream, so the arrival
+  // schedule is independent of the strategy types under test; each job
+  // is drawn from the generator when it arrives (see the arrival events
+  // below).
+  std::vector<Tick> Arrivals;
+  Arrivals.reserve(Config.JobCount);
   Tick At = 0;
   for (size_t I = 0; I < Config.JobCount; ++I) {
     At += ArrivalRng.uniformInt(Config.InterarrivalLo,
                                 Config.InterarrivalHi);
-    Flow.push_back(Gen.next(At));
+    Arrivals.push_back(At);
   }
-  Tick LastArrival = Flow.empty() ? 0 : Flow.back().release();
+  Tick LastArrival = Arrivals.empty() ? 0 : Arrivals.back();
 
   // Background flows run past the last arrival so every strategy's TTL
   // has a chance to close.
@@ -170,7 +172,7 @@ cws::runMultiFlowVo(const VoConfig &Config,
   // land, whatever order the same-tick events fired in.
   struct PendingArrival {
     JobManager *Manager;
-    const Job *J;
+    Job J;
     Tick Delay;
   };
   struct PendingNegotiation {
@@ -198,16 +200,16 @@ cws::runMultiFlowVo(const VoConfig &Config,
       Batch.swap(ArrivalBatch);
       std::sort(Batch.begin(), Batch.end(),
                 [](const PendingArrival &A, const PendingArrival &B) {
-                  return A.J->id() < B.J->id();
+                  return A.J.id() < B.J.id();
                 });
       BM.AdmissionBatches.add();
       BM.AdmissionJobs.add(Batch.size());
       BM.AdmissionBatchJobs.observe(static_cast<double>(Batch.size()));
       Admission.work("jobs", Batch.size());
       for (const PendingArrival &PA : Batch) {
-        if (!PA.Manager->onArrival(*PA.J, Now))
+        if (!PA.Manager->onArrival(PA.J, Now))
           continue;
-        PendingNegotiation PN{PA.Manager, PA.J->id()};
+        PendingNegotiation PN{PA.Manager, PA.J.id()};
         Sim.after(PA.Delay, [&NegotiationBatch, &Arm, PN](Tick NegotiationNow) {
           NegotiationBatch.push_back(PN);
           Arm(NegotiationNow);
@@ -237,16 +239,24 @@ cws::runMultiFlowVo(const VoConfig &Config,
     }
   };
 
+  // Arrival events fire in (tick, insertion) order, which is job order,
+  // and nothing else draws from Gen: the job each one draws is the one
+  // the generator would have produced for that index up front. The
+  // pending batch owns the job until its manager has copied it.
   std::vector<size_t> FlowOf(Config.JobCount, 0);
-  for (size_t I = 0; I < Flow.size(); ++I) {
-    size_t F = I % NumFlows;
-    FlowOf[Flow[I].id()] = F;
-    PendingArrival PA{Managers[F].get(), &Flow[I],
-                      NegotiationRng.uniformInt(Config.NegotiationLo,
-                                                Config.NegotiationHi)};
-    Sim.at(PA.J->release(), [&ArrivalBatch, &Arm, PA](Tick Now) {
-      ArrivalBatch.push_back(PA);
-      Arm(Now);
+  auto Arrive = [&](size_t I, Tick Release, Tick Delay, Tick Now) {
+    Job J = Gen.next(Release);
+    CWS_CHECK(J.id() == I, "a job was drawn out of arrival order");
+    ArrivalBatch.push_back({Managers[FlowOf[I]].get(), std::move(J), Delay});
+    Arm(Now);
+  };
+  for (size_t I = 0; I < Arrivals.size(); ++I) {
+    FlowOf[I] = I % NumFlows;
+    Tick Delay = NegotiationRng.uniformInt(Config.NegotiationLo,
+                                           Config.NegotiationHi);
+    Tick Release = Arrivals[I];
+    Sim.at(Release, [&Arrive, I, Release, Delay](Tick Now) {
+      Arrive(I, Release, Delay, Now);
     });
   }
 

@@ -170,6 +170,10 @@ CoarseJob cws::coarsenJob(const Job &J, const CoarsenConfig &Config) {
   Result.Coarse.setRelease(J.release());
   Result.Coarse.setDeadline(J.deadline());
 
+  size_t Alive = 0;
+  for (const auto &P : G.Tasks)
+    Alive += P.Alive ? 1 : 0;
+  Result.Coarse.reserve(Alive, G.Edges.size());
   std::vector<unsigned> NewId(G.Tasks.size(), 0);
   for (unsigned T = 0; T < G.Tasks.size(); ++T) {
     const auto &P = G.Tasks[T];

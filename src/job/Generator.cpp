@@ -35,20 +35,20 @@ Job JobGenerator::next(Tick Release) {
   // defines precedence (every task of layer l+1 depends on at least one
   // task of layer l). So the graph is acyclic and its sources are the
   // first layer, but it need not be connected: a first-layer task that
-  // no later task picks has no edge at all.
+  // no later task picks has no edge at all. Tasks and edges are drawn
+  // first and added once their counts are known, so the job holds no
+  // spare capacity.
   std::vector<std::vector<unsigned>> Layers;
-  unsigned Created = 0;
-  while (Created < TaskCount) {
+  std::vector<Tick> Refs;
+  Refs.reserve(TaskCount);
+  while (Refs.size() < TaskCount) {
+    auto Created = static_cast<unsigned>(Refs.size());
     auto Width = static_cast<unsigned>(Rng.uniformInt(
         1, std::min<int64_t>(Config.MaxWidth, TaskCount - Created)));
     std::vector<unsigned> Layer;
     for (unsigned I = 0; I < Width; ++I) {
-      Tick Ref = Rng.uniformInt(Config.RefTicksLo, Config.RefTicksHi);
-      double Volume = Config.VolumePerRefTick * static_cast<double>(Ref);
-      unsigned TaskId =
-          J.addTask("T" + std::to_string(Created), Ref, Volume);
-      Layer.push_back(TaskId);
-      ++Created;
+      Layer.push_back(static_cast<unsigned>(Refs.size()));
+      Refs.push_back(Rng.uniformInt(Config.RefTicksLo, Config.RefTicksHi));
     }
     Layers.push_back(std::move(Layer));
   }
@@ -57,18 +57,26 @@ Job JobGenerator::next(Tick Release) {
     return Rng.uniformInt(Config.TransferLo, Config.TransferHi);
   };
 
+  std::vector<DataEdge> Drawn;
   for (size_t L = 1; L < Layers.size(); ++L) {
     const auto &Prev = Layers[L - 1];
     for (unsigned Dst : Layers[L]) {
       // Mandatory parent: every task after the first layer has a
       // predecessor.
       unsigned Parent = Prev[Rng.index(Prev.size())];
-      J.addEdge(Parent, Dst, RandomTransfer());
+      Drawn.push_back({Parent, Dst, RandomTransfer()});
       for (unsigned Src : Prev)
         if (Src != Parent && Rng.bernoulli(Config.EdgeDensity))
-          J.addEdge(Src, Dst, RandomTransfer());
+          Drawn.push_back({Src, Dst, RandomTransfer()});
     }
   }
+
+  J.reserve(TaskCount, Drawn.size());
+  for (size_t T = 0; T < Refs.size(); ++T)
+    J.addTask("T" + std::to_string(T), Refs[T],
+              Config.VolumePerRefTick * static_cast<double>(Refs[T]));
+  for (const DataEdge &E : Drawn)
+    J.addEdge(E.Src, E.Dst, E.BaseTransfer);
 
   J.setRelease(Release);
   double Span = Config.DeadlineSlack *

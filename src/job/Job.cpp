@@ -9,16 +9,31 @@
 #include "support/Check.h"
 
 #include <algorithm>
+#include <limits>
 
 using namespace cws;
+
+void Job::Adjacency::addTask() {
+  if (Offset.empty())
+    Offset.push_back(0);
+  Offset.push_back(Offset.back());
+}
+
+void Job::Adjacency::insert(unsigned TaskId, uint32_t EdgeIdx) {
+  // Behind the task's last edge, so each list keeps insertion order; the
+  // later tasks' lists shift up by one.
+  Edge.insert(Edge.begin() + Offset[TaskId + 1], EdgeIdx);
+  for (size_t T = TaskId + 1; T < Offset.size(); ++T)
+    ++Offset[T];
+}
 
 unsigned Job::addTask(std::string Name, Tick RefTicks, double Volume) {
   CWS_CHECK(RefTicks > 0, "task needs a positive reference time");
   CWS_CHECK(Volume >= 0.0, "task volume must be non-negative");
   auto TaskId = static_cast<unsigned>(Tasks.size());
   Tasks.push_back({TaskId, std::move(Name), RefTicks, Volume});
-  In.emplace_back();
-  Out.emplace_back();
+  In.addTask();
+  Out.addTask();
   return TaskId;
 }
 
@@ -27,10 +42,21 @@ void Job::addEdge(unsigned Src, unsigned Dst, Tick BaseTransfer) {
             "edge endpoint out of range");
   CWS_CHECK(Src != Dst, "self-dependency is not allowed");
   CWS_CHECK(BaseTransfer >= 0, "negative transfer time");
-  size_t EdgeIdx = Edges.size();
+  CWS_CHECK(Edges.size() < std::numeric_limits<uint32_t>::max(),
+            "too many edges");
+  auto EdgeIdx = static_cast<uint32_t>(Edges.size());
   Edges.push_back({Src, Dst, BaseTransfer});
-  Out[Src].push_back(EdgeIdx);
-  In[Dst].push_back(EdgeIdx);
+  Out.insert(Src, EdgeIdx);
+  In.insert(Dst, EdgeIdx);
+}
+
+void Job::reserve(size_t TaskCount, size_t EdgeCount) {
+  Tasks.reserve(TaskCount);
+  Edges.reserve(EdgeCount);
+  for (Adjacency *A : {&In, &Out}) {
+    A->Offset.reserve(TaskCount + 1);
+    A->Edge.reserve(EdgeCount);
+  }
 }
 
 const Task &Job::task(unsigned TaskId) const {
@@ -43,20 +69,20 @@ const DataEdge &Job::edge(size_t EdgeIdx) const {
   return Edges[EdgeIdx];
 }
 
-const std::vector<size_t> &Job::inEdges(unsigned TaskId) const {
-  CWS_CHECK(TaskId < In.size(), "task id out of range");
-  return In[TaskId];
+std::span<const uint32_t> Job::inEdges(unsigned TaskId) const {
+  CWS_CHECK(TaskId < Tasks.size(), "task id out of range");
+  return In.of(TaskId);
 }
 
-const std::vector<size_t> &Job::outEdges(unsigned TaskId) const {
-  CWS_CHECK(TaskId < Out.size(), "task id out of range");
-  return Out[TaskId];
+std::span<const uint32_t> Job::outEdges(unsigned TaskId) const {
+  CWS_CHECK(TaskId < Tasks.size(), "task id out of range");
+  return Out.of(TaskId);
 }
 
 std::vector<unsigned> Job::sources() const {
   std::vector<unsigned> Result;
   for (const auto &T : Tasks)
-    if (In[T.Id].empty())
+    if (In.of(T.Id).empty())
       Result.push_back(T.Id);
   return Result;
 }
@@ -64,7 +90,7 @@ std::vector<unsigned> Job::sources() const {
 std::vector<unsigned> Job::sinks() const {
   std::vector<unsigned> Result;
   for (const auto &T : Tasks)
-    if (Out[T.Id].empty())
+    if (Out.of(T.Id).empty())
       Result.push_back(T.Id);
   return Result;
 }
@@ -84,7 +110,7 @@ std::vector<unsigned> Job::topoOrder() const {
     unsigned Next = Ready.back();
     Ready.pop_back();
     Order.push_back(Next);
-    for (size_t EdgeIdx : Out[Next])
+    for (size_t EdgeIdx : Out.of(Next))
       if (--InDegree[Edges[EdgeIdx].Dst] == 0)
         Ready.push_back(Edges[EdgeIdx].Dst);
   }
@@ -105,7 +131,7 @@ Tick Job::criticalPathRefTicks() const {
   Tick Best = 0;
   for (unsigned TaskId : Order) {
     Tick Arrival = 0;
-    for (size_t EdgeIdx : In[TaskId]) {
+    for (size_t EdgeIdx : In.of(TaskId)) {
       const DataEdge &E = Edges[EdgeIdx];
       Arrival = std::max(Arrival, Longest[E.Src] + E.BaseTransfer);
     }

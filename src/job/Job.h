@@ -20,6 +20,8 @@
 #include "sim/Time.h"
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -58,8 +60,14 @@ public:
   unsigned addTask(std::string Name, Tick RefTicks, double Volume);
 
   /// Adds a data edge Src -> Dst. Both tasks must exist; self-edges are
-  /// rejected via CWS_CHECK.
+  /// rejected via CWS_CHECK. Costs O(tasks + edges): the edge is inserted
+  /// into both flat adjacency lists.
   void addEdge(unsigned Src, unsigned Dst, Tick BaseTransfer);
+
+  /// Makes room for \p TaskCount tasks and \p EdgeCount edges in total,
+  /// so a builder that knows the job's size allocates each array once and
+  /// leaves no spare capacity.
+  void reserve(size_t TaskCount, size_t EdgeCount);
 
   size_t taskCount() const { return Tasks.size(); }
   size_t edgeCount() const { return Edges.size(); }
@@ -69,9 +77,9 @@ public:
   const std::vector<Task> &tasks() const { return Tasks; }
   const std::vector<DataEdge> &edges() const { return Edges; }
 
-  /// Edge indices entering / leaving a task.
-  const std::vector<size_t> &inEdges(unsigned TaskId) const;
-  const std::vector<size_t> &outEdges(unsigned TaskId) const;
+  /// Edge indices entering / leaving a task, in insertion order.
+  std::span<const uint32_t> inEdges(unsigned TaskId) const;
+  std::span<const uint32_t> outEdges(unsigned TaskId) const;
 
   /// Tasks without predecessors / successors.
   std::vector<unsigned> sources() const;
@@ -99,11 +107,26 @@ public:
   void setDeadline(Tick T) { Deadline = T; }
 
 private:
+  /// The edge lists of one direction, flat: task T's edge indices are
+  /// Edge[Offset[T], Offset[T + 1]) in insertion order. Offset holds
+  /// taskCount() + 1 entries once the job has a task.
+  struct Adjacency {
+    std::vector<uint32_t> Offset;
+    std::vector<uint32_t> Edge;
+
+    void addTask();
+    void insert(unsigned TaskId, uint32_t EdgeIdx);
+    std::span<const uint32_t> of(unsigned TaskId) const {
+      return std::span<const uint32_t>(Edge).subspan(
+          Offset[TaskId], Offset[TaskId + 1] - Offset[TaskId]);
+    }
+  };
+
   unsigned Id;
   std::vector<Task> Tasks;
   std::vector<DataEdge> Edges;
-  std::vector<std::vector<size_t>> In;
-  std::vector<std::vector<size_t>> Out;
+  Adjacency In;
+  Adjacency Out;
   Tick Release = 0;
   Tick Deadline = TickMax;
 };

@@ -202,7 +202,11 @@ TEST(BenchJsonTest, RoundTrip) {
   EXPECT_EQ(*Units, 40u);
   ASSERT_TRUE(P.Metrics.count("latency_us"));
   EXPECT_DOUBLE_EQ(P.Metrics.at("latency_us").Mean, 110.0);
-  EXPECT_GT(P.ProfilePhases, 0u);
+  // The profile keeps each phase's name, count and work counters.
+  ASSERT_EQ(P.Profile.size(), 1u);
+  EXPECT_EQ(P.Profile[0].Name, "fixture.phase");
+  EXPECT_EQ(P.Profile[0].Count, 3u);
+  EXPECT_TRUE(P.Profile[0].Work.empty());
 
   EXPECT_FALSE(parseBenchJson("not json", P, Error));
   EXPECT_FALSE(parseBenchJson("{\"schema\":\"nope\"}", P, Error));
@@ -231,7 +235,19 @@ ParsedBench baselineBench() {
   S.Min = 95;
   S.Max = 105;
   B.Metrics["wall_us"] = S;
+  B.Profile = {{"chain.dp", 40, {{"fit_queries", 2000}, {"labels", 900}}},
+               {"strategy.build", 10, {{"variants_built", 30}}}};
   return B;
+}
+
+/// Every finding of \p R, one per line.
+std::string allFindings(const BenchCompareResult &R) {
+  std::string All;
+  for (const std::string &G : R.Gated)
+    All += "gated: " + G + "\n";
+  for (const std::string &A : R.Advisory)
+    All += "advisory: " + A + "\n";
+  return All;
 }
 
 TEST(BenchCompareTest, IdenticalRuns) {
@@ -314,6 +330,59 @@ TEST(BenchCompareTest, DroppedCheckRegresses) {
   EXPECT_EQ(R.Verdict, BenchVerdict::Regressed);
   ASSERT_EQ(R.Gated.size(), 1u);
   EXPECT_NE(R.Gated[0].find("oracle agrees"), std::string::npos);
+}
+
+TEST(BenchCompareTest, ChangedPhaseCountRegresses) {
+  ParsedBench Base = baselineBench();
+  ParsedBench New = Base;
+  New.Profile[1].Count = 11;
+  BenchCompareResult R = compareBench(Base, New);
+  EXPECT_EQ(R.Verdict, BenchVerdict::Regressed);
+  ASSERT_EQ(R.Gated.size(), 1u) << allFindings(R);
+  EXPECT_EQ(R.Gated[0], "phase strategy.build count: 10 -> 11");
+}
+
+TEST(BenchCompareTest, DroppedAndAppearedPhasesRegress) {
+  ParsedBench Base = baselineBench();
+  ParsedBench New = Base;
+  New.Profile[0].Name = "chain.dq";
+  BenchCompareResult R = compareBench(Base, New);
+  EXPECT_EQ(R.Verdict, BenchVerdict::Regressed);
+  EXPECT_EQ(allFindings(R), "gated: phase dropped: chain.dp (count 40)\n"
+                            "gated: phase appeared: chain.dq (count 40)\n");
+}
+
+TEST(BenchCompareTest, ChangedPhaseWorkCounterRegresses) {
+  ParsedBench Base = baselineBench();
+  ParsedBench New = Base;
+  New.Profile[0].Work[1].second = 901;
+  New.Profile[1].Work.push_back({"variants_kept", 20});
+  BenchCompareResult R = compareBench(Base, New);
+  EXPECT_EQ(R.Verdict, BenchVerdict::Regressed);
+  EXPECT_EQ(allFindings(R),
+            "gated: phase chain.dp work counter labels: 900 -> 901\n"
+            "gated: phase strategy.build work counter appeared: "
+            "variants_kept (20)\n");
+}
+
+TEST(BenchCompareTest, ProfileOfOtherRepsOrWarmupIsAdvisory) {
+  // A profile adds up every measured repetition, so runs of other sizes
+  // record other counts: they are reported but do not gate.
+  ParsedBench Base = baselineBench();
+  for (bool ChangeReps : {true, false}) {
+    ParsedBench New = Base;
+    if (ChangeReps)
+      New.Reps = 1;
+    else
+      New.Warmup = 1;
+    New.Profile[0].Count = 13;
+    New.Profile.pop_back();
+    BenchCompareResult R = compareBench(Base, New);
+    EXPECT_EQ(R.Verdict, BenchVerdict::Compatible);
+    EXPECT_EQ(allFindings(R),
+              "advisory: phase chain.dp count: 40 -> 13\n"
+              "advisory: phase dropped: strategy.build (count 10)\n");
+  }
 }
 
 TEST(BenchCompareTest, IdentityMismatchRefuses) {

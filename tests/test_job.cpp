@@ -176,15 +176,18 @@ std::vector<unsigned> referenceTopoOrder(const Job &J) {
 } // namespace
 
 // Counts every block this binary allocates; the test below reads the
-// count around one copy.
-void *operator new(std::size_t Size) {
+// count around one copy. Out of line, so the compiler does not pair an
+// inlined `new` with the `free` inside `delete`.
+[[gnu::noinline]] void *operator new(std::size_t Size) {
   ++HeapBlocks;
   if (void *P = std::malloc(Size ? Size : 1))
     return P;
   throw std::bad_alloc();
 }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P) noexcept { std::free(P); }
+[[gnu::noinline]] void operator delete(void *P, std::size_t) noexcept {
+  std::free(P);
+}
 
 TEST(Job, AdjacencyKeepsInsertionOrder) {
   // Random jobs whose tasks and edges are added interleaved, with

@@ -10,8 +10,11 @@
 # from them and compares with `diff -u`, and
 # examples/baseline/bench/ — the BENCH_*.json perf
 # baselines that CI's `cws-bench --against` ratchet compares every
-# build against. Run from the repository root after an *intentional*
-# behavior change, inspect the diff, and commit the result:
+# build against. A BENCH file is rewritten only when its fresh run is
+# neither identical nor compatible with it (or it is missing), so the
+# wall times of unchanged entries stay as recorded. Run from the
+# repository root after an *intentional* behavior change, inspect the
+# diff, and commit the result:
 #
 #   cmake -B build -S . && cmake --build build -j
 #   sh tools/update-baselines.sh [build-dir]
@@ -67,13 +70,42 @@ echo "update-baselines: wrote $OUT/{example.report.md,example.summary.txt}"
 
 # The perf baselines. One measured repetition: wall-time statistics are
 # advisory in the ratchet anyway, and only the deterministic work
-# counters / checks gate, so a single rep is exactly as strong and much
-# faster.
+# counters, checks and profile counts gate, so a single rep is exactly
+# as strong and much faster. The pass runs into a directory of the
+# build tree (its path lands in each file's recorded CLI) against the
+# committed files; an entry whose verdict is neither identical nor
+# compatible (or that has no baseline) is copied over.
 [ -x "$BUILD/tools/cws-bench" ] || {
   echo "update-baselines: $BUILD/tools/cws-bench missing;" \
        "build first (cmake --build $BUILD -j)" >&2
   exit 2
 }
-"$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$OUT/bench" > /dev/null
-
-echo "update-baselines: wrote $OUT/bench/BENCH_*.json"
+FRESH=$BUILD/bench-fresh
+rm -rf "$FRESH"
+trap 'rm -rf "$FRESH"' EXIT
+mkdir -p "$OUT/bench" "$FRESH"
+"$BUILD/tools/cws-bench" --reps 1 --warmup 0 --out "$FRESH" \
+    --against "$OUT/bench" > "$FRESH/ratchet.txt" || true
+if grep -q '^  check FAIL' "$FRESH/ratchet.txt"; then
+  grep '^bench \|^  check FAIL' "$FRESH/ratchet.txt" >&2
+  echo "update-baselines: a bench check fails; no BENCH file rewritten" >&2
+  exit 1
+fi
+sed -n 's/^against baseline, \([a-z0-9_]*\): \(.*\)$/\1 \2/p' \
+    "$FRESH/ratchet.txt" > "$FRESH/verdicts.txt"
+[ -s "$FRESH/verdicts.txt" ] || {
+  echo "update-baselines: the bench pass compared nothing" >&2
+  exit 1
+}
+REWRITTEN=0
+while read -r NAME VERDICT; do
+  case "$VERDICT" in
+    identical | compatible) ;;
+    *)
+      cp "$FRESH/BENCH_$NAME.json" "$OUT/bench/BENCH_$NAME.json"
+      echo "update-baselines: wrote $OUT/bench/BENCH_$NAME.json ($VERDICT)"
+      REWRITTEN=$((REWRITTEN + 1))
+      ;;
+  esac
+done < "$FRESH/verdicts.txt"
+echo "update-baselines: $REWRITTEN of $(wc -l < "$FRESH/verdicts.txt") BENCH files rewritten"
