@@ -18,17 +18,12 @@
 using namespace cws;
 
 namespace {
-/// DP-internal load indicators; the spans around allocate() live in the
-/// scheduler, these count the work inside one chain placement.
+/// The DP-internal count no span carries: the `chain.dp` span's work
+/// counters already keep the labels and the reruns.
 struct AllocatorMetrics {
-  obs::Counter &Labels = obs::Registry::global().counter(
-      "cws_chain_labels_total", "Pareto labels inserted by the chain DP");
   obs::Counter &Evictions = obs::Registry::global().counter(
       "cws_chain_front_evictions_total",
       "labels evicted when a Pareto front exceeded its size cap");
-  obs::Counter &Reruns = obs::Registry::global().counter(
-      "cws_chain_dp_reruns_total",
-      "DP re-runs forced by non-adjacent intra-chain precedence");
   static AllocatorMetrics &get() {
     static AllocatorMetrics M;
     return M;
@@ -421,15 +416,12 @@ void ChainAllocator::forward(const std::vector<unsigned> &Chain,
     buildRow<false>(Pos);
   }
 
-  // Published once per pass, from plain counts: the registry totals are
+  // Published once per pass, from plain counts: the registry total is
   // the same as per-label increments at every point outside a pass. The
-  // instruments register with the pass's first label, since registration
+  // counter registers with the pass's first label, since registration
   // order is the metrics file's order.
-  if (Done.Labels != Kept0) {
-    AllocatorMetrics &M = AllocatorMetrics::get();
-    M.Labels.add(Done.Labels - Kept0);
-    M.Evictions.add(EvictedLabels - Evicted0);
-  }
+  if (Done.Labels != Kept0)
+    AllocatorMetrics::get().Evictions.add(EvictedLabels - Evicted0);
 }
 
 template <bool Extremes> bool ChainAllocator::buildRow(size_t Pos) {
@@ -708,7 +700,6 @@ ChainOutcome ChainAllocator::run(const CriticalWork &Work, Distribution &Dist,
       }
     }
     if (Violated) {
-      AllocatorMetrics::get().Reruns.add();
       ++Done.Reruns;
       continue;
     }

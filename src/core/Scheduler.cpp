@@ -19,9 +19,6 @@ using namespace cws;
 
 namespace {
 struct SchedulerMetrics {
-  obs::Counter &Phases = obs::Registry::global().counter(
-      "cws_scheduler_phases_total",
-      "critical works extracted across all scheduleJob calls");
   obs::Counter &Collisions = obs::Registry::global().counter(
       "cws_scheduler_collisions_total",
       "resource collisions recorded during chain allocation");
@@ -142,7 +139,6 @@ LaneResults runLanes(const Job &J, const Grid &Env, const Network &Net,
         }
         CWS_CHECK(!Work.TaskIds.empty(), "tasks remain but no critical work");
         L.Result.Phases.push_back(std::move(Work));
-        M.Phases.add();
         const CriticalWork &Chain = L.Result.Phases.back();
         ChainDpPhase DpPhase(Allocator, Chain);
         ChainSplit Split;

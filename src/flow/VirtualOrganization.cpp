@@ -41,11 +41,6 @@ struct BatchMetrics {
   obs::Histogram &AdmissionBatchJobs = obs::Registry::global().histogram(
       "cws_shard_admission_batch_jobs", {1, 2, 4, 8, 16, 32, 64},
       "jobs per admission batch");
-  obs::Counter &CommitBatches = obs::Registry::global().counter(
-      "cws_shard_commit_batches_total", "commit-pipeline drains");
-  obs::Counter &CommitJobs = obs::Registry::global().counter(
-      "cws_shard_commit_jobs_total",
-      "negotiations applied by the commit pipeline");
   obs::Histogram &CommitBatchJobs = obs::Registry::global().histogram(
       "cws_shard_commit_batch_jobs", {1, 2, 4, 8, 16, 32, 64},
       "negotiations per commit-pipeline drain");
@@ -224,8 +219,6 @@ cws::runMultiFlowVo(const VoConfig &Config,
                 [](const PendingNegotiation &A, const PendingNegotiation &B) {
                   return A.JobId < B.JobId;
                 });
-      BM.CommitBatches.add();
-      BM.CommitJobs.add(Ready.size());
       BM.CommitBatchJobs.observe(static_cast<double>(Ready.size()));
       obs::Span Apply("flow", "commit.apply");
       Apply.work("tenders", Ready.size());

@@ -163,7 +163,6 @@ int ObsArtifacts::finish(const char *Tool) const {
       Extra += (Extra.empty() ? "" : ",") + PhaseExtra;
     if (!P.writeJson(Profile))
       return CannotWrite("profile", Profile);
-    obs::publishProfilerStats(P, obs::Registry::global());
     std::fprintf(stderr, "%s: wrote %zu profiled phases to %s\n", Tool,
                  P.snapshot().size(), Profile.c_str());
   }

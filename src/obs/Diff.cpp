@@ -279,90 +279,68 @@ DiffResult cws::obs::diffJournalOutcomes(const ParsedJournal &A,
   R.MetaFindings = std::move(Meta.Items);
 
   // Terminal verdict of every job, plus the tick of the event that
-  // decided it: rejected beats committed beats open (a reject is
-  // final; a commit without a reject stands).
-  struct Verdict {
-    std::string Out;
-    int64_t Tick = -1;
-  };
-  auto Verdicts = [](const ParsedJournal &J) {
-    std::map<int64_t, Verdict> V;
-    for (const ParsedJournalEvent &E : J.Events) {
-      if (E.JobId < 0)
-        continue;
-      if (E.Kind == "arrival")
-        V.emplace(E.JobId, Verdict{"open", E.At});
-      else if (E.Kind == "reject")
-        V[E.JobId] = {"rejected", E.At};
-      else if (E.Kind == "commit" && V[E.JobId].Out != "rejected")
-        V[E.JobId] = {"committed", E.At};
-    }
-    return V;
-  };
-  std::map<int64_t, Verdict> VA = Verdicts(A);
-  std::map<int64_t, Verdict> VB = Verdicts(B);
-
-  // Jobs run A's journal vouches for: a successful repair resolution
-  // explains why A could commit where the rebuild oracle rejected.
-  // The first *stage-1/2* success is also the moment the two runs'
-  // grids can part ways — a repair keeps placements of the stale plan
-  // that the rebuild run replaces with fresh ones — so decisive
-  // verdicts after that tick may legitimately drift in either
-  // direction, and strict equivalence is only enforceable before it.
-  std::set<int64_t> SavedByRepair;
-  int64_t FirstRepairTick = std::numeric_limits<int64_t>::max();
-  if (Opts.AllowRepairSaves)
-    for (const ParsedJournalEvent &E : A.Events) {
-      if (E.JobId < 0 || E.Kind != "repair.stage")
-        continue;
-      const int64_t *Ok = E.arg("ok");
-      if (!Ok || !*Ok)
-        continue;
-      SavedByRepair.insert(E.JobId);
-      const int64_t *Stage = E.arg("stage");
-      if (Stage && *Stage < 3)
-        FirstRepairTick = std::min(FirstRepairTick, E.At);
-    }
+  // decided it (JobVerdict). Jobs run A's journal vouches for: a
+  // successful repair resolution explains why A could commit where the
+  // rebuild oracle rejected. The first *stage-1/2* success is also the
+  // moment the two runs' grids can part ways — a repair keeps
+  // placements of the stale plan that the rebuild run replaces with
+  // fresh ones — so decisive verdicts after that tick may legitimately
+  // drift in either direction, and strict equivalence is only
+  // enforceable before it.
+  const JournalFold FA = foldJournal(A);
+  const JournalFold FB = foldJournal(B);
+  const int64_t FirstRepairTick = Opts.AllowRepairSaves
+                                      ? FA.FirstStage12Repair
+                                      : std::numeric_limits<int64_t>::max();
 
   Findings F;
   std::set<int64_t> Jobs;
-  for (const auto &[Job, V] : VA)
-    Jobs.insert(Job);
-  for (const auto &[Job, V] : VB)
-    Jobs.insert(Job);
+  for (const JournalFold *Fold : {&FA, &FB})
+    for (const auto &[Job, R] : Fold->Jobs)
+      if (R.Verdict != JobVerdict::None)
+        Jobs.insert(Job);
   size_t Agreed = 0;
   size_t Saves = 0;
   size_t Drift = 0;
   size_t CommittedA = 0;
   size_t CommittedB = 0;
-  auto Decisive = [](const std::string &O) {
-    return O == "committed" || O == "rejected";
+  auto VerdictOf = [](const JournalFold &Fold, int64_t Job) {
+    auto It = Fold.Jobs.find(Job);
+    return It == Fold.Jobs.end() ? JobRecord() : It->second;
+  };
+  auto Name = [](JobVerdict V) {
+    static const char *const Names[] = {Absent, "open", "committed",
+                                        "rejected"};
+    return Names[static_cast<size_t>(V)];
+  };
+  auto Decisive = [](JobVerdict V) {
+    return V == JobVerdict::Committed || V == JobVerdict::Rejected;
   };
   for (int64_t Job : Jobs) {
-    auto IA = VA.find(Job);
-    auto IB = VB.find(Job);
-    std::string OA = IA == VA.end() ? std::string(Absent) : IA->second.Out;
-    std::string OB = IB == VB.end() ? std::string(Absent) : IB->second.Out;
-    CommittedA += OA == "committed";
-    CommittedB += OB == "committed";
-    if (OA == OB) {
+    const JobRecord RA = VerdictOf(FA, Job);
+    const JobRecord RB = VerdictOf(FB, Job);
+    CommittedA += RA.Verdict == JobVerdict::Committed;
+    CommittedB += RB.Verdict == JobVerdict::Committed;
+    if (RA.Verdict == RB.Verdict) {
       ++Agreed;
       continue;
     }
-    if (OA == "committed" && OB == "rejected" && SavedByRepair.count(Job)) {
+    if (Opts.AllowRepairSaves && RA.Verdict == JobVerdict::Committed &&
+        RB.Verdict == JobVerdict::Rejected && RA.RepairedBy != 0) {
       ++Saves;
       continue;
     }
     // Post-repair drift: both verdicts decisive, both decided after
     // the grids could have diverged. Open/absent mismatches and any
     // divergence before the first repair are still defects.
-    if (Opts.AllowRepairSaves && Decisive(OA) && Decisive(OB) &&
-        IA->second.Tick >= FirstRepairTick &&
-        IB->second.Tick >= FirstRepairTick) {
+    if (Opts.AllowRepairSaves && Decisive(RA.Verdict) &&
+        Decisive(RB.Verdict) && RA.DecidedAt >= FirstRepairTick &&
+        RB.DecidedAt >= FirstRepairTick) {
       ++Drift;
       continue;
     }
-    F.add("job " + std::to_string(Job) + " outcome", OA, OB);
+    F.add("job " + std::to_string(Job) + " outcome", Name(RA.Verdict),
+          Name(RB.Verdict));
   }
   // The dominance backstop on accepted drift: repair exists to save
   // jobs, so the drift it causes must never leave the repair run

@@ -8,7 +8,6 @@
 #include "obs/Explain.h"
 #include "support/Table.h"
 
-#include <map>
 #include <sstream>
 
 using namespace cws;
@@ -238,55 +237,33 @@ std::string cws::obs::explainRejections(const ParsedJournal &J) {
 }
 
 std::string cws::obs::journalSummary(const ParsedJournal &J) {
-  struct FlowCounts {
-    int64_t Arrivals = 0, Variants = 0, Collisions = 0, Invalidations = 0,
-            Shifts = 0, Reallocations = 0, Commits = 0, Rejects = 0;
-  };
-  std::map<int64_t, FlowCounts> Flows;
-  int64_t EnvChanges = 0;
-  for (const ParsedJournalEvent &E : J.Events) {
-    if (E.Kind == "env.change") {
-      ++EnvChanges;
-      continue;
-    }
-    FlowCounts &C = Flows[E.FlowId];
-    if (E.Kind == "arrival")
-      ++C.Arrivals;
-    else if (E.Kind == "variant")
-      ++C.Variants;
-    else if (E.Kind == "collision")
-      ++C.Collisions;
-    else if (E.Kind == "invalidate")
-      ++C.Invalidations;
-    else if (E.Kind == "shift")
-      ++C.Shifts;
-    else if (E.Kind == "reallocate")
-      ++C.Reallocations;
-    else if (E.Kind == "commit")
-      ++C.Commits;
-    else if (E.Kind == "reject")
-      ++C.Rejects;
-  }
+  static constexpr JournalKind Columns[] = {
+      JournalKind::Arrival,      JournalKind::Variant,
+      JournalKind::Collision,    JournalKind::Invalidate,
+      JournalKind::ShiftAttempt, JournalKind::Reallocate,
+      JournalKind::Commit,       JournalKind::Reject};
+  const JournalFold Fold = foldJournal(J);
   Table T({"flow", "arrivals", "variants", "collisions", "invalidations",
            "shifts", "reallocs", "commits", "rejects"});
   bool HaveRows = false;
-  for (const auto &[Flow, C] : Flows) {
+  for (const auto &[Flow, Counts] : Fold.Flows) {
+    std::vector<std::string> Row{Flow < 0 ? std::string("-")
+                                          : std::to_string(Flow)};
+    int64_t Any = 0;
+    for (JournalKind K : Columns) {
+      Any += Counts[K];
+      Row.push_back(std::to_string(Counts[K]));
+    }
     // Flowless marker events (sim notes) would render an all-zero row.
-    if (C.Arrivals + C.Variants + C.Collisions + C.Invalidations +
-            C.Shifts + C.Reallocations + C.Commits + C.Rejects ==
-        0)
+    if (Any == 0)
       continue;
     HaveRows = true;
-    T.addRow({Flow < 0 ? std::string("-") : std::to_string(Flow),
-              std::to_string(C.Arrivals), std::to_string(C.Variants),
-              std::to_string(C.Collisions), std::to_string(C.Invalidations),
-              std::to_string(C.Shifts), std::to_string(C.Reallocations),
-              std::to_string(C.Commits), std::to_string(C.Rejects)});
+    T.addRow(Row);
   }
   std::ostringstream OS;
   OS << "journal: " << J.Recorded << " recorded, " << J.Dropped
-     << " dropped, " << J.Events.size() << " surviving; " << EnvChanges
-     << " environment change(s)\n";
+     << " dropped, " << J.Events.size() << " surviving; "
+     << Fold.Totals[JournalKind::EnvChange] << " environment change(s)\n";
   if (HaveRows)
     T.print(OS);
   return OS.str();

@@ -10,6 +10,9 @@
 #include "support/Check.h"
 #include "support/File.h"
 #include "support/Json.h"
+#include "support/Text.h"
+
+#include <algorithm>
 
 using namespace cws;
 using namespace cws::obs;
@@ -311,28 +314,97 @@ bool parseLine(const std::string &Line, ParsedJournal &Out,
 bool cws::obs::parseJournalJsonl(const std::string &Text, ParsedJournal &Out,
                                  std::string &Error) {
   Out = ParsedJournal{};
-  size_t Pos = 0;
-  size_t LineNo = 0;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    std::string Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    ++LineNo;
-    if (Line.find_first_not_of(" \t\r") == std::string::npos)
+  LineReader In(Text);
+  while (In.next()) {
+    if (In.line().find_first_not_of(" \t\r") == std::string::npos)
       continue;
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
     ParsedJournalEvent E;
     bool IsMeta = false;
     std::string Why;
-    if (!parseLine(Line, Out, E, IsMeta, Why)) {
-      Error = "line " + std::to_string(LineNo) + ": " + Why;
+    if (!parseLine(In.line(), Out, E, IsMeta, Why)) {
+      Error = In.error(Why);
       return false;
     }
     if (!IsMeta)
       Out.Events.push_back(std::move(E));
   }
   return true;
+}
+
+//===----------------------------------------------------------------------===//
+// The journal fold
+//===----------------------------------------------------------------------===//
+
+JournalFold cws::obs::foldJournal(const ParsedJournal &J) {
+  JournalFold F;
+  for (const ParsedJournalEvent &E : J.Events) {
+    JournalKind Kind;
+    if (!journalKindFromName(E.Kind, Kind))
+      continue;
+    ++F.Totals[Kind];
+    ++F.Flows[E.FlowId][Kind];
+    if (Kind == JournalKind::RepairOutcome) {
+      if (E.Detail == "shift")
+        ++F.RepairedShift;
+      else if (E.Detail == "dp")
+        ++F.RepairedDp;
+      else if (E.Detail == "rebuild")
+        ++F.Rebuilt;
+      else if (E.Detail == "failed")
+        ++F.RepairFailed;
+    }
+    if (E.JobId < 0)
+      continue;
+    JobRecord &R = F.Jobs[E.JobId];
+    switch (Kind) {
+    case JournalKind::Arrival:
+      if (const int64_t *D = E.arg("deadline"))
+        R.Deadline = *D;
+      if (R.Verdict == JobVerdict::None) {
+        R.Verdict = JobVerdict::Open;
+        R.DecidedAt = E.At;
+      }
+      break;
+    case JournalKind::Commit:
+      ++R.Commits;
+      // The journal's "makespan" is Distribution::makespan(), the
+      // absolute completion tick the deadline check compares against.
+      if (const int64_t *Makespan = E.arg("makespan"); Makespan && !R.Executed)
+        R.Completion = *Makespan;
+      if (const int64_t *Cost = E.arg("cost"))
+        R.Cost = *Cost;
+      if (const int64_t *Cf = E.arg("cf"))
+        R.Cf = *Cf;
+      if (R.Verdict != JobVerdict::Rejected) {
+        R.Verdict = JobVerdict::Committed;
+        R.DecidedAt = E.At;
+      }
+      break;
+    case JournalKind::Reject:
+      R.Verdict = JobVerdict::Rejected;
+      R.DecidedAt = E.At;
+      break;
+    case JournalKind::Execution:
+      // Actual completion under deviations overrides the committed
+      // forecast.
+      if (const int64_t *C = E.arg("completion")) {
+        R.Completion = *C;
+        R.Executed = true;
+      }
+      break;
+    case JournalKind::RepairOutcome: {
+      const int64_t *Ok = E.arg("ok");
+      if (!Ok || !*Ok)
+        break;
+      const int64_t *Stage = E.arg("stage");
+      R.RepairedBy |= 1u << (Stage && *Stage > 0 && *Stage < 32 ? *Stage : 0);
+      if (Stage && *Stage < 3)
+        F.FirstStage12Repair = std::min(F.FirstStage12Repair, E.At);
+      break;
+    }
+    default:
+      break;
+    }
+  }
+  return F;
 }

@@ -49,8 +49,12 @@
 #include "obs/Provenance.h"
 #include "support/Ring.h"
 
+#include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -276,6 +280,66 @@ struct ParsedJournal {
 /// sets \p Error (with a 1-based line number) on malformed input.
 bool parseJournalJsonl(const std::string &Text, ParsedJournal &Out,
                        std::string &Error);
+
+//===----------------------------------------------------------------------===//
+// The journal fold (cws-report, cws-explain, cws-diff, cws-sweep)
+//===----------------------------------------------------------------------===//
+
+/// Events of each kind.
+struct JournalKindCounts {
+  std::array<int64_t, JournalKindCount> N{};
+  int64_t &operator[](JournalKind K) { return N[static_cast<size_t>(K)]; }
+  int64_t operator[](JournalKind K) const {
+    return N[static_cast<size_t>(K)];
+  }
+};
+
+/// A job's terminal verdict: a reject is final, a commit without one
+/// stands, an arrival alone leaves the job open.
+enum class JobVerdict : uint8_t { None, Open, Committed, Rejected };
+
+/// What one job's events record.
+struct JobRecord {
+  /// Deadline of its arrival, when the arrival carries one.
+  std::optional<int64_t> Deadline;
+  /// Completion tick: the execution's when one is recorded, else the
+  /// commit's makespan (an absolute tick), else 0.
+  int64_t Completion = 0;
+  bool Executed = false;
+  /// Commit events of the job.
+  int64_t Commits = 0;
+  /// Cost and cost-function value of its commit (the journal records
+  /// each cost as a whole number).
+  std::optional<int64_t> Cost;
+  std::optional<int64_t> Cf;
+  JobVerdict Verdict = JobVerdict::None;
+  /// Tick of the event that decided the verdict.
+  int64_t DecidedAt = -1;
+  /// Bit `1 << S` for each stage S of a successful `repair.stage`
+  /// (bit 0 when the event names no stage); 0 when none succeeded.
+  unsigned RepairedBy = 0;
+};
+
+/// One pass over a parsed journal: every number the run report, the
+/// summary, the outcome diff and the sweep derive from it. Kinds are
+/// matched through `journalKindFromName`; unknown kinds count nowhere.
+struct JournalFold {
+  /// Events of each kind in the whole journal.
+  JournalKindCounts Totals;
+  /// Events of each kind per flow id; -1 holds the events that carry
+  /// no flow (environment changes, notes).
+  std::map<int64_t, JournalKindCounts> Flows;
+  /// Jobs by id, for events that name one.
+  std::map<int64_t, JobRecord> Jobs;
+  /// `repair.stage` outcomes by their detail.
+  int64_t RepairedShift = 0, RepairedDp = 0, Rebuilt = 0, RepairFailed = 0;
+  /// Tick of the first successful stage-1 or stage-2 repair, the moment
+  /// a repair run's grid can part from its rebuild oracle's.
+  int64_t FirstStage12Repair = std::numeric_limits<int64_t>::max();
+};
+
+/// Folds \p J's surviving events in one pass.
+JournalFold foldJournal(const ParsedJournal &J);
 
 } // namespace obs
 } // namespace cws

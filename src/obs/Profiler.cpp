@@ -254,25 +254,5 @@ void Span::addWork(const char *Counter, uint64_t N) {
   Accum->Work.emplace_back(Counter, N);
 }
 
-void publishProfilerStats(const Profiler &P, Registry &R) {
-  for (const PhaseStats &S : P.snapshot()) {
-    std::string Label = "{phase=\"" + escapeLabelValue(S.Name) + "\"}";
-    R.gauge("cws_phase_count" + Label,
-            "completed profiler scopes of the phase")
-        .set(static_cast<int64_t>(S.Count));
-    R.realGauge("cws_phase_total_us" + Label,
-                "wall microseconds inside the phase (children included)")
-        .set(S.TotalUs);
-    R.realGauge("cws_phase_self_us" + Label,
-                "wall microseconds inside the phase (children excluded)")
-        .set(S.SelfUs);
-    for (const auto &W : S.Work)
-      R.gauge("cws_phase_work{phase=\"" + escapeLabelValue(S.Name) +
-                  "\",counter=\"" + escapeLabelValue(W.first) + "\"}",
-              "deterministic work units attributed to the phase")
-          .set(static_cast<int64_t>(W.second));
-  }
-}
-
 } // namespace obs
 } // namespace cws

@@ -169,12 +169,6 @@ private:
   RunProvenance Prov;
 };
 
-/// Publishes \p P's snapshot into \p R as `cws_phase_count` /
-/// `cws_phase_total_us` / `cws_phase_self_us` gauges and
-/// `cws_phase_work{phase=...,counter=...}` counters, so a `--metrics`
-/// snapshot carries the phase breakdown next to everything else.
-void publishProfilerStats(const Profiler &P, Registry &R);
-
 } // namespace obs
 } // namespace cws
 

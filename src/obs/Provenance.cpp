@@ -7,9 +7,9 @@
 
 #include "obs/Provenance.h"
 #include "support/Json.h"
+#include "support/Text.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace cws;
 using namespace cws::obs;
@@ -76,25 +76,18 @@ bool cws::obs::parseProvenanceCsvComment(const std::string &Line,
   if (!takeField("seed=", SeedText) || !takeField("config=", P.ConfigHash) ||
       !takeField("scenario=", P.ScenarioId))
     return false;
-  char *End = nullptr;
-  P.Seed = std::strtoull(SeedText.c_str(), &End, 10);
-  if (End == SeedText.c_str() || *End)
+  if (!parseUint(SeedText, P.Seed))
     return false;
   // Optional shard count (absent in artifacts stamped before it
   // existed and in one-shot builds that resolve no shards).
   std::string ShardsText;
-  if (takeField("shards=", ShardsText)) {
-    P.Shards = std::strtoll(ShardsText.c_str(), &End, 10);
-    if (End == ShardsText.c_str() || *End)
-      return false;
-  }
+  if (takeField("shards=", ShardsText) && !parseInt(ShardsText, P.Shards))
+    return false;
   // Everything after `cli=` (spaces included) is the command line.
   const std::string CliKey = "cli=";
   if (Rest.compare(0, CliKey.size(), CliKey) != 0)
     return false;
   P.Cli = Rest.substr(CliKey.size());
-  if (!P.Cli.empty() && P.Cli.back() == '\r')
-    P.Cli.pop_back();
   P.Stamped = true;
   Out = P;
   return true;

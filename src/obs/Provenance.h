@@ -81,8 +81,9 @@ std::string cliStringOf(int Argc, char **Argv);
 /// string when \p P is not stamped.
 std::string provenanceCsvComment(const RunProvenance &P);
 
-/// Parses a `# provenance ...` comment line back. Returns false when
-/// \p Line is not a provenance comment or is malformed.
+/// Parses a `# provenance ...` comment line back, given without its
+/// line end (as `LineReader` reads it). Returns false when \p Line is
+/// not a provenance comment or is malformed.
 bool parseProvenanceCsvComment(const std::string &Line, RunProvenance &Out);
 
 /// The provenance members of a JSON object, as bits of readProvenance's

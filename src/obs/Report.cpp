@@ -8,11 +8,11 @@
 #include "obs/Report.h"
 #include "obs/Metrics.h"
 #include "support/Stats.h"
+#include "support/Text.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <set>
@@ -30,27 +30,22 @@ bool cws::obs::parseTimeSeriesCsv(const std::string &Text,
                                   ParsedTimeSeries &Out,
                                   std::string &Error) {
   Out = ParsedTimeSeries{};
-  size_t Pos = 0, LineNo = 0;
+  LineReader In(Text);
   bool SawHeader = false;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    std::string Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    ++LineNo;
+  while (In.next()) {
+    const std::string &Line = In.line();
     if (Line.empty())
       continue;
     if (!SawHeader) {
       // Comment lines may precede the header; the provenance stamp is
       // one of them.
-      if (!Line.empty() && Line[0] == '#') {
+      if (Line[0] == '#') {
         parseProvenanceCsvComment(Line, Out.Prov);
         continue;
       }
       if (Line != TimeSeriesHeader) {
-        Error = "line " + std::to_string(LineNo) + ": expected header '" +
-                std::string(TimeSeriesHeader) + "'";
+        Error = In.error("expected header '" + std::string(TimeSeriesHeader) +
+                         "'");
         return false;
       }
       SawHeader = true;
@@ -58,53 +53,32 @@ bool cws::obs::parseTimeSeriesCsv(const std::string &Text,
     }
     // Values never contain commas (series/reason names are literals,
     // flow labels are strategy names), so a plain split suffices.
-    std::vector<std::string> Fields;
-    size_t Start = 0;
-    while (true) {
-      size_t Comma = Line.find(',', Start);
-      if (Comma == std::string::npos) {
-        Fields.push_back(Line.substr(Start));
-        break;
-      }
-      Fields.push_back(Line.substr(Start, Comma - Start));
-      Start = Comma + 1;
-    }
+    std::vector<std::string> Fields = splitFields(Line, ",");
     if (Fields.size() != 7) {
-      Error = "line " + std::to_string(LineNo) + ": expected 7 fields, got " +
-              std::to_string(Fields.size());
+      Error = In.error("expected 7 fields, got " +
+                       std::to_string(Fields.size()));
       return false;
     }
     TimeSeriesRow R;
-    char *End = nullptr;
-    R.Seq = std::strtoull(Fields[0].c_str(), &End, 10);
-    if (End == Fields[0].c_str() || *End) {
-      Error = "line " + std::to_string(LineNo) + ": bad seq '" + Fields[0] +
-              "'";
+    auto Bad = [&](const char *What, const std::string &Field) {
+      Error = In.error(std::string("bad ") + What + " '" + Field + "'");
       return false;
-    }
-    R.At = std::strtoll(Fields[1].c_str(), &End, 10);
-    if (End == Fields[1].c_str() || *End) {
-      Error = "line " + std::to_string(LineNo) + ": bad tick '" + Fields[1] +
-              "'";
-      return false;
-    }
+    };
+    if (!parseUint(Fields[0], R.Seq))
+      return Bad("seq", Fields[0]);
+    if (!parseInt(Fields[1], R.At))
+      return Bad("tick", Fields[1]);
     R.Reason = Fields[2];
     R.Series = Fields[3];
-    if (!Fields[4].empty()) {
-      R.Node = std::strtoll(Fields[4].c_str(), &End, 10);
-      if (End == Fields[4].c_str() || *End) {
-        Error = "line " + std::to_string(LineNo) + ": bad node '" +
-                Fields[4] + "'";
-        return false;
-      }
-    }
+    if (!Fields[4].empty() && !parseInt(Fields[4], R.Node))
+      return Bad("node", Fields[4]);
     R.Flow = Fields[5];
-    R.Value = std::strtod(Fields[6].c_str(), &End);
-    if (End == Fields[6].c_str() || *End) {
-      Error = "line " + std::to_string(LineNo) + ": bad value '" +
-              Fields[6] + "'";
-      return false;
-    }
+    if (!parseReal(Fields[6], R.Value))
+      return Bad("value", Fields[6]);
+    // The ring keeps the newest frames and numbers them from 0 at
+    // enable, so the first row's seq counts the frames it dropped.
+    if (Out.Rows.empty())
+      Out.Dropped = R.Seq;
     Out.Rows.push_back(std::move(R));
   }
   if (!SawHeader) {
@@ -117,14 +91,9 @@ bool cws::obs::parseTimeSeriesCsv(const std::string &Text,
 bool cws::obs::parseSloFile(const std::string &Text,
                             std::vector<SloRule> &Out, std::string &Error) {
   Out.clear();
-  size_t Pos = 0, LineNo = 0;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    std::string Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    ++LineNo;
+  LineReader In(Text);
+  while (In.next()) {
+    std::string Line = In.line();
     if (size_t Hash = Line.find('#'); Hash != std::string::npos)
       Line = Line.substr(0, Hash);
     // Trim.
@@ -133,26 +102,25 @@ bool cws::obs::parseSloFile(const std::string &Text,
       continue;
     size_t E = Line.find_last_not_of(" \t\r");
     Line = Line.substr(B, E - B + 1);
+    auto Fail = [&](const std::string &Why) {
+      Error = In.error(Why);
+      return false;
+    };
     SloRule R;
     size_t Op = Line.find("<=");
     if (Op != std::string::npos) {
       R.IsUpper = true;
     } else {
       Op = Line.find(">=");
-      if (Op == std::string::npos) {
-        Error = "line " + std::to_string(LineNo) +
-                ": expected 'indicator <= bound' or 'indicator >= bound'";
-        return false;
-      }
+      if (Op == std::string::npos)
+        return Fail("expected 'indicator <= bound' or 'indicator >= bound'");
       R.IsUpper = false;
     }
     std::string Name = Line.substr(0, Op);
     if (size_t NE = Name.find_last_not_of(" \t"); NE != std::string::npos)
       Name = Name.substr(0, NE + 1);
-    if (Name.empty()) {
-      Error = "line " + std::to_string(LineNo) + ": missing indicator name";
-      return false;
-    }
+    if (Name.empty())
+      return Fail("missing indicator name");
     // Sweep grammar: a `.stat` suffix selects the pooled statistic the
     // rule gates on ("deadline_miss_rate.p90"). Any other dotted suffix
     // stays part of the indicator name — profile indicators like
@@ -168,38 +136,25 @@ bool cws::obs::parseSloFile(const std::string &Text,
       if (KnownStat) {
         R.Stat = Suffix;
         Name = Name.substr(0, Dot);
-        if (Name.empty()) {
-          Error = "line " + std::to_string(LineNo) +
-                  ": missing indicator name";
-          return false;
-        }
+        if (Name.empty())
+          return Fail("missing indicator name");
       }
     }
     R.Indicator = Name;
-    std::string Bound = Line.substr(Op + 2);
-    char *End = nullptr;
-    R.Bound = std::strtod(Bound.c_str(), &End);
-    if (End == Bound.c_str()) {
-      Error = "line " + std::to_string(LineNo) + ": bad bound '" + Bound +
-              "'";
-      return false;
-    }
-    while (*End == ' ' || *End == '\t')
-      ++End;
-    // Optional `across seeds` trailer: the rule explicitly scopes to
-    // sweep evaluation (and fails closed in single-run evaluation).
-    if (*End) {
-      std::string Trailer(End);
-      if (size_t TE = Trailer.find_last_not_of(" \t");
-          TE != std::string::npos)
-        Trailer = Trailer.substr(0, TE + 1);
-      if (Trailer == "across seeds") {
-        R.AcrossSeeds = true;
-      } else {
-        Error = "line " + std::to_string(LineNo) + ": trailing junk '" +
-                Trailer + "'";
-        return false;
-      }
+    // The bound, then an optional `across seeds` trailer: the rule
+    // explicitly scopes to sweep evaluation (and fails closed in
+    // single-run evaluation).
+    std::vector<std::string> Words =
+        splitFields(Line.substr(Op + 2), " \t", /*SkipEmpty=*/true);
+    if (Words.empty() || !parseReal(Words[0], R.Bound))
+      return Fail("bad bound '" + (Words.empty() ? "" : Words[0]) + "'");
+    if (Words.size() == 3 && Words[1] == "across" && Words[2] == "seeds") {
+      R.AcrossSeeds = true;
+    } else if (Words.size() > 1) {
+      std::string Trailer = Words[1];
+      for (size_t I = 2; I < Words.size(); ++I)
+        Trailer += " " + Words[I];
+      return Fail("trailing junk '" + Trailer + "'");
     }
     Out.push_back(std::move(R));
   }
@@ -210,83 +165,42 @@ bool cws::obs::parseSloFile(const std::string &Text,
 // Indicators
 //===----------------------------------------------------------------------===//
 
-/// The journal-derived indicators of computeIndicators; \p Undefined
-/// receives the ones this journal leaves out, with the reason.
-static void
-addJournalIndicators(const ParsedJournal &J,
-                     std::map<std::string, double> &Ind,
-                     std::map<std::string, std::string> &Undefined) {
-  // Journal-side counts and the per-job completion/deadline join.
-  struct JobOutcome {
-    int64_t Deadline = 0;
-    bool HaveDeadline = false;
-    int64_t Completion = 0;
-    bool HaveCompletion = false;
-    bool Committed = false;
+/// Why a series that lost its first frames has no utilization figures.
+static std::string droppedFramesReason(const ParsedTimeSeries &Ts) {
+  return "the time-series ring dropped " + std::to_string(Ts.Dropped) +
+         " frames";
+}
+
+/// The indicators of computeIndicators, read from the journal fold
+/// \p F of a journal that dropped \p Dropped events, joined with \p Ts;
+/// \p Why receives the ones this run leaves out, with the reason.
+static std::map<std::string, double>
+indicatorsOf(const JournalFold &F, uint64_t Dropped, const ParsedTimeSeries &Ts,
+             std::map<std::string, std::string> &Why) {
+  std::map<std::string, double> Ind;
+  auto Count = [&F](JournalKind K) {
+    return static_cast<double>(F.Totals[K]);
   };
-  std::map<int64_t, JobOutcome> Jobs;
-  double Submitted = 0, Committed = 0, Rejected = 0, Reallocations = 0,
-         Invalidations = 0, EnvChanges = 0;
-  double RepairShift = 0, RepairDp = 0, RepairRebuilt = 0, RepairFailed = 0;
-  double CommitCostSum = 0, CommitCfSum = 0;
-  uint64_t CommitCostN = 0, CommitCfN = 0;
-  for (const ParsedJournalEvent &E : J.Events) {
-    if (E.Kind == "arrival") {
-      ++Submitted;
-      if (const int64_t *D = E.arg("deadline")) {
-        Jobs[E.JobId].Deadline = *D;
-        Jobs[E.JobId].HaveDeadline = true;
-      }
-    } else if (E.Kind == "commit") {
-      ++Committed;
-      JobOutcome &O = Jobs[E.JobId];
-      O.Committed = true;
-      // The journal's "makespan" is Distribution::makespan(), the
-      // absolute completion tick the deadline check compares against.
-      const int64_t *Makespan = E.arg("makespan");
-      if (Makespan && !O.HaveCompletion)
-        O.Completion = *Makespan;
-      if (const int64_t *Cost = E.arg("cost")) {
-        CommitCostSum += static_cast<double>(*Cost);
-        ++CommitCostN;
-      }
-      if (const int64_t *Cf = E.arg("cf")) {
-        CommitCfSum += static_cast<double>(*Cf);
-        ++CommitCfN;
-      }
-    } else if (E.Kind == "execution") {
-      // Actual completion under deviations overrides the committed
-      // forecast.
-      if (const int64_t *C = E.arg("completion")) {
-        Jobs[E.JobId].Completion = *C;
-        Jobs[E.JobId].HaveCompletion = true;
-      }
-    } else if (E.Kind == "reject") {
-      ++Rejected;
-    } else if (E.Kind == "reallocate") {
-      ++Reallocations;
-    } else if (E.Kind == "repair.stage") {
-      if (E.Detail == "shift")
-        ++RepairShift;
-      else if (E.Detail == "dp")
-        ++RepairDp;
-      else if (E.Detail == "rebuild")
-        ++RepairRebuilt;
-      else if (E.Detail == "failed")
-        ++RepairFailed;
-    } else if (E.Kind == "invalidate") {
-      ++Invalidations;
-    } else if (E.Kind == "env.change") {
-      ++EnvChanges;
-    }
-  }
+  double Submitted = Count(JournalKind::Arrival);
+  double Committed = Count(JournalKind::Commit);
+  double Rejected = Count(JournalKind::Reject);
+  double Reallocations = Count(JournalKind::Reallocate);
   double Missed = 0, Judged = 0;
-  for (const auto &[JobId, O] : Jobs) {
-    if (!O.Committed || !O.HaveDeadline)
-      continue;
-    ++Judged;
-    if (O.Completion > O.Deadline)
-      ++Missed;
+  double CostSum = 0, CfSum = 0, CostN = 0, CfN = 0;
+  for (const auto &[JobId, R] : F.Jobs) {
+    if (R.Commits > 0 && R.Deadline) {
+      ++Judged;
+      if (R.Completion > *R.Deadline)
+        ++Missed;
+    }
+    if (R.Cost) {
+      CostSum += static_cast<double>(*R.Cost);
+      ++CostN;
+    }
+    if (R.Cf) {
+      CfSum += static_cast<double>(*R.Cf);
+      ++CfN;
+    }
   }
   Ind["jobs_submitted"] = Submitted;
   Ind["jobs_committed"] = Committed;
@@ -299,10 +213,10 @@ addJournalIndicators(const ParsedJournal &J,
   if (Judged > 0)
     Ind["deadline_miss_rate"] = Missed / Judged;
   else
-    Undefined["deadline_miss_rate"] = "no committed job has a deadline";
+    Why["deadline_miss_rate"] = "no committed job has a deadline";
   Ind["reallocations"] = Reallocations;
-  Ind["invalidations"] = Invalidations;
-  Ind["env_changes"] = EnvChanges;
+  Ind["invalidations"] = Count(JournalKind::Invalidate);
+  Ind["env_changes"] = Count(JournalKind::EnvChange);
   Ind["reallocations_per_commit"] =
       Reallocations / (Committed > 0 ? Committed : 1.0);
   // Staged-repair outcome mix (repair-mode journals only; a
@@ -311,50 +225,40 @@ addJournalIndicators(const ParsedJournal &J,
   // reallocations that delivered a strategy at all — a failed one is a
   // job even the stage-3 rebuild could not fix, so no mode resolves it
   // (same denominator as bench/reg_realloc_repair).
-  double RepairSeen = RepairShift + RepairDp + RepairRebuilt + RepairFailed;
-  double RepairResolved = RepairShift + RepairDp + RepairRebuilt;
-  if (RepairSeen > 0) {
-    Ind["realloc_repaired_shift"] = RepairShift;
-    Ind["realloc_repaired_dp"] = RepairDp;
-    Ind["realloc_rebuilt"] = RepairRebuilt;
-    Ind["realloc_failed"] = RepairFailed;
+  double Stage12 = static_cast<double>(F.RepairedShift + F.RepairedDp);
+  double RepairResolved = Stage12 + static_cast<double>(F.Rebuilt);
+  if (RepairResolved + static_cast<double>(F.RepairFailed) > 0) {
+    Ind["realloc_repaired_shift"] = static_cast<double>(F.RepairedShift);
+    Ind["realloc_repaired_dp"] = static_cast<double>(F.RepairedDp);
+    Ind["realloc_rebuilt"] = static_cast<double>(F.Rebuilt);
+    Ind["realloc_failed"] = static_cast<double>(F.RepairFailed);
     if (RepairResolved > 0)
-      Ind["repair_stage12_share"] =
-          (RepairShift + RepairDp) / RepairResolved;
+      Ind["repair_stage12_share"] = Stage12 / RepairResolved;
     else
-      Undefined["repair_stage12_share"] =
-          "no repair stage resolved a reallocation";
+      Why["repair_stage12_share"] = "no repair stage resolved a reallocation";
   } else {
     for (const char *Name :
          {"realloc_repaired_shift", "realloc_repaired_dp", "realloc_rebuilt",
           "realloc_failed", "repair_stage12_share"})
-      Undefined[Name] = "no repair stage on record (a rebuild-mode journal)";
+      Why[Name] = "no repair stage on record (a rebuild-mode journal)";
   }
   // Cost / cost-function means over committed schedules: the sweep's
   // cost-vs-time QoS axes. Undefined (absent) with no commits, same
   // convention as deadline_miss_rate.
-  if (CommitCostN > 0)
-    Ind["mean_commit_cost"] = CommitCostSum / static_cast<double>(CommitCostN);
+  if (CostN > 0)
+    Ind["mean_commit_cost"] = CostSum / CostN;
   else
-    Undefined["mean_commit_cost"] = "no commit records a cost";
-  if (CommitCfN > 0)
-    Ind["mean_commit_cf"] = CommitCfSum / static_cast<double>(CommitCfN);
+    Why["mean_commit_cost"] = "no commit records a cost";
+  if (CfN > 0)
+    Ind["mean_commit_cf"] = CfSum / CfN;
   else
-    Undefined["mean_commit_cf"] = "no commit records a cost-function value";
-}
-
-std::map<std::string, double>
-cws::obs::computeIndicators(const ParsedJournal &J, const ParsedTimeSeries &Ts,
-                            std::map<std::string, std::string> *Undefined) {
-  std::map<std::string, double> Ind;
-  std::map<std::string, std::string> Why;
-  addJournalIndicators(J, Ind, Why);
+    Why["mean_commit_cf"] = "no commit records a cost-function value";
   // A journal whose ring dropped events lost the head of the run, so
   // counts and rates over the events it kept would describe another
   // run. Its indicators stay undefined: SLO rules on them fail closed.
-  if (J.Dropped > 0) {
+  if (Dropped > 0) {
     const std::string Lost =
-        "the journal ring dropped " + std::to_string(J.Dropped) + " events";
+        "the journal ring dropped " + std::to_string(Dropped) + " events";
     for (const auto &Entry : Ind)
       Why[Entry.first] = Lost;
     for (auto &Entry : Why)
@@ -362,8 +266,12 @@ cws::obs::computeIndicators(const ParsedJournal &J, const ParsedTimeSeries &Ts,
     Ind.clear();
   }
 
-  // Time-series side: per-node mean contention (busy + background).
-  if (!Ts.empty()) {
+  // Time-series side: per-node mean contention (busy + background). A
+  // series whose ring dropped frames lost the head of the run, so its
+  // means would describe the tail only.
+  if (Ts.Dropped > 0) {
+    Why["mean_node_busy"] = Why["max_node_busy"] = droppedFramesReason(Ts);
+  } else {
     std::map<int64_t, std::pair<double, double>> NodeSum; // sum, count
     for (const TimeSeriesRow &R : Ts.Rows) {
       if (R.Node < 0 ||
@@ -387,15 +295,25 @@ cws::obs::computeIndicators(const ParsedJournal &J, const ParsedTimeSeries &Ts,
     }
   }
   // Invalidation-pass sizing, when the sampler ran: probe values are
-  // deltas since enable, so the last frame's value is the run total.
+  // deltas since enable, so the last frame's value is the run total,
+  // dropped frames or not.
   for (const TimeSeriesRow &R : Ts.Rows)
     if (R.Node < 0 && R.Series == "env_scan_placements")
       Ind["env_scan_placements"] = R.Value;
   for (const char *Name :
        {"mean_node_busy", "max_node_busy", "env_scan_placements"})
-    if (!Ind.count(Name))
+    if (!Ind.count(Name) && !Why.count(Name))
       Why[Name] = Ts.empty() ? "no time series attached"
                              : "the time series has no rows for it";
+  return Ind;
+}
+
+std::map<std::string, double>
+cws::obs::computeIndicators(const ParsedJournal &J, const ParsedTimeSeries &Ts,
+                            std::map<std::string, std::string> *Undefined) {
+  std::map<std::string, std::string> Why;
+  std::map<std::string, double> Ind =
+      indicatorsOf(foldJournal(J), J.Dropped, Ts, Why);
   if (Undefined)
     *Undefined = std::move(Why);
   return Ind;
@@ -540,7 +458,9 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
                                       const ParsedTimeSeries &Ts,
                                       const std::vector<SloResult> &Slo,
                                       const ParsedProfile *Profile) {
-  std::map<std::string, double> Ind = computeIndicators(J, Ts);
+  const JournalFold Fold = foldJournal(J);
+  std::map<std::string, std::string> Why;
+  std::map<std::string, double> Ind = indicatorsOf(Fold, J.Dropped, Ts, Why);
   auto Get = [&Ind](const char *Name) {
     auto It = Ind.find(Name);
     return It == Ind.end() ? 0.0 : It->second;
@@ -631,7 +551,10 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
       N.ReservedN += 1;
     }
   }
-  if (Nodes.empty()) {
+  if (Ts.Dropped > 0) {
+    // The means would cover the tail of the run only.
+    Out += "n/a: " + droppedFramesReason(Ts) + ".\n\n";
+  } else if (Nodes.empty()) {
     Out += "No per-node series in the input (run with `--timeseries`).\n\n";
   } else {
     double MeanBusy = 0, MeanBackground = 0;
@@ -709,47 +632,37 @@ std::string cws::obs::renderRunReport(const ParsedJournal &J,
 
   //===--- Per-flow QoS ---------------------------------------------------===//
   Out += "## Per-flow QoS\n\n";
-  struct FlowCounts {
-    int64_t Arrivals = 0, Commits = 0, Rejects = 0, Invalidations = 0,
-            Reallocations = 0;
-  };
+  // The kinds the table counts; a flow with none of them has no row.
+  static constexpr JournalKind Columns[] = {
+      JournalKind::Arrival, JournalKind::Commit, JournalKind::Reject,
+      JournalKind::Invalidate, JournalKind::Reallocate};
+  std::string Rows;
   // std::map: flows render in ascending id order, independent of event
   // order.
-  std::map<int64_t, FlowCounts> Flows;
-  for (const ParsedJournalEvent &E : J.Events) {
-    if (E.FlowId < 0 && E.JobId < 0)
-      continue; // flowless marker events
-    if (E.Kind == "arrival")
-      ++Flows[E.FlowId].Arrivals;
-    else if (E.Kind == "commit")
-      ++Flows[E.FlowId].Commits;
-    else if (E.Kind == "reject")
-      ++Flows[E.FlowId].Rejects;
-    else if (E.Kind == "invalidate")
-      ++Flows[E.FlowId].Invalidations;
-    else if (E.Kind == "reallocate")
-      ++Flows[E.FlowId].Reallocations;
+  for (const auto &[Flow, Counts] : Fold.Flows) {
+    std::string Cells;
+    int64_t Any = 0;
+    for (JournalKind K : Columns) {
+      Any += Counts[K];
+      Cells += " | " + std::to_string(Counts[K]);
+    }
+    if (Any == 0)
+      continue;
+    auto Arrivals = static_cast<double>(Counts[JournalKind::Arrival]);
+    auto Commits = static_cast<double>(Counts[JournalKind::Commit]);
+    double Rate = Arrivals > 0 ? Commits / Arrivals : 0.0;
+    Rows += "| " + (Flow < 0 ? std::string("-") : std::to_string(Flow)) +
+            Cells + " | " + renderPercent(Rate) + " |\n";
   }
   if (J.Dropped > 0) {
     Out += Truncated;
-  } else if (Flows.empty()) {
+  } else if (Rows.empty()) {
     Out += "No per-flow events in the journal.\n\n";
   } else {
     Out += "| flow | arrivals | commits | rejects | invalidations | "
            "reallocations | commit rate |\n";
     Out += "|---|---|---|---|---|---|---|\n";
-    for (const auto &[Flow, C] : Flows) {
-      double Rate = C.Arrivals > 0 ? static_cast<double>(C.Commits) /
-                                         static_cast<double>(C.Arrivals)
-                                   : 0.0;
-      Out += "| " + (Flow < 0 ? std::string("-") : std::to_string(Flow)) +
-             " | " + std::to_string(C.Arrivals) + " | " +
-             std::to_string(C.Commits) + " | " + std::to_string(C.Rejects) +
-             " | " + std::to_string(C.Invalidations) + " | " +
-             std::to_string(C.Reallocations) + " | " + renderPercent(Rate) +
-             " |\n";
-    }
-    Out += "\n";
+    Out += Rows + "\n";
   }
 
   //===--- Phase profile --------------------------------------------------===//
@@ -846,74 +759,57 @@ std::string cws::obs::sweepCsv(const SweepStore &S) {
   return Out;
 }
 
-/// Parses a CSV statistic cell: "n/a" -> NaN, else a double.
+/// Parses a CSV statistic cell: "n/a" -> NaN, else a finite number.
 static bool parseStatField(const std::string &Field, double &Out) {
   if (Field == "n/a") {
     Out = std::numeric_limits<double>::quiet_NaN();
     return true;
   }
-  char *End = nullptr;
-  Out = std::strtod(Field.c_str(), &End);
-  return End != Field.c_str() && !*End;
+  return parseReal(Field, Out);
 }
 
 bool cws::obs::parseSweepCsv(const std::string &Text, SweepStore &Out,
                              std::string &Error) {
   Out = SweepStore{};
-  size_t Pos = 0, LineNo = 0;
+  LineReader In(Text);
   bool SawHeader = false;
+  auto Fail = [&](const std::string &Why) {
+    Error = In.error(Why);
+    return false;
+  };
   // Scenario rows arrive grouped; remember the index of each id so
   // out-of-order files still pool correctly.
   std::map<std::string, size_t> Index;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    std::string Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    ++LineNo;
-    if (!Line.empty() && Line.back() == '\r')
-      Line.pop_back();
+  while (In.next()) {
+    const std::string &Line = In.line();
     if (Line.empty())
       continue;
     if (Line[0] == '#') {
       const std::string Meta = "# sweep ";
-      if (Line.compare(0, Meta.size(), Meta) == 0) {
-        std::string Rest = Line.substr(Meta.size());
-        size_t RunsAt = Rest.find("runs=");
-        size_t SeedsAt = Rest.find("seeds=");
-        if (RunsAt != std::string::npos)
-          Out.Runs = std::strtoull(Rest.c_str() + RunsAt + 5, nullptr, 10);
-        if (SeedsAt != std::string::npos)
-          Out.Seeds = std::strtoull(Rest.c_str() + SeedsAt + 6, nullptr, 10);
+      if (Line.compare(0, Meta.size(), Meta) != 0)
+        continue;
+      for (const std::string &Word : splitFields(Line.substr(Meta.size()),
+                                                 " \t", /*SkipEmpty=*/true)) {
+        size_t Eq = Word.find('=');
+        if (Eq == std::string::npos)
+          continue;
+        std::string Key = Word.substr(0, Eq), Value = Word.substr(Eq + 1);
+        uint64_t *Slot =
+            Key == "runs" ? &Out.Runs : Key == "seeds" ? &Out.Seeds : nullptr;
+        if (Slot && !parseUint(Value, *Slot))
+          return Fail("bad " + Key + " '" + Value + "'");
       }
       continue;
     }
     if (!SawHeader) {
-      if (Line != SweepHeader) {
-        Error = "line " + std::to_string(LineNo) + ": expected header '" +
-                std::string(SweepHeader) + "'";
-        return false;
-      }
+      if (Line != SweepHeader)
+        return Fail("expected header '" + std::string(SweepHeader) + "'");
       SawHeader = true;
       continue;
     }
-    std::vector<std::string> Fields;
-    size_t Start = 0;
-    while (true) {
-      size_t Comma = Line.find(',', Start);
-      if (Comma == std::string::npos) {
-        Fields.push_back(Line.substr(Start));
-        break;
-      }
-      Fields.push_back(Line.substr(Start, Comma - Start));
-      Start = Comma + 1;
-    }
-    if (Fields.size() != 12) {
-      Error = "line " + std::to_string(LineNo) + ": expected 12 fields, got " +
-              std::to_string(Fields.size());
-      return false;
-    }
+    std::vector<std::string> Fields = splitFields(Line, ",");
+    if (Fields.size() != 12)
+      return Fail("expected 12 fields, got " + std::to_string(Fields.size()));
     size_t ScIdx;
     if (auto It = Index.find(Fields[0]); It != Index.end()) {
       ScIdx = It->second;
@@ -923,45 +819,25 @@ bool cws::obs::parseSweepCsv(const std::string &Text, SweepStore &Out,
       SweepScenario Sc;
       Sc.Id = Fields[0];
       // axes: `name=value` pairs joined by ';'.
-      const std::string &Axes = Fields[1];
-      size_t APos = 0;
-      while (APos < Axes.size()) {
-        size_t Semi = Axes.find(';', APos);
-        if (Semi == std::string::npos)
-          Semi = Axes.size();
-        std::string Pair = Axes.substr(APos, Semi - APos);
-        APos = Semi + 1;
+      for (const std::string &Pair :
+           splitFields(Fields[1], ";", /*SkipEmpty=*/true)) {
         size_t Eq = Pair.find('=');
-        if (Eq == std::string::npos || Eq == 0) {
-          Error = "line " + std::to_string(LineNo) + ": bad axes entry '" +
-                  Pair + "'";
-          return false;
-        }
+        if (Eq == std::string::npos || Eq == 0)
+          return Fail("bad axes entry '" + Pair + "'");
         Sc.Axes.emplace_back(Pair.substr(0, Eq), Pair.substr(Eq + 1));
       }
       Out.Scenarios.push_back(std::move(Sc));
     }
     SweepIndicatorStats St;
-    char *End = nullptr;
-    St.N = std::strtoull(Fields[3].c_str(), &End, 10);
-    if (End == Fields[3].c_str() || *End) {
-      Error = "line " + std::to_string(LineNo) + ": bad n '" + Fields[3] +
-              "'";
-      return false;
-    }
+    if (!parseUint(Fields[3], St.N))
+      return Fail("bad n '" + Fields[3] + "'");
     double *Slots[] = {&St.Mean, &St.Stddev, &St.Ci95, &St.P50,
                        &St.P90,  &St.P99,    &St.Min,  &St.Max};
-    for (size_t I = 0; I < 8; ++I) {
-      if (!parseStatField(Fields[4 + I], *Slots[I])) {
-        Error = "line " + std::to_string(LineNo) + ": bad value '" +
-                Fields[4 + I] + "'";
-        return false;
-      }
-    }
-    if (Fields[2].empty()) {
-      Error = "line " + std::to_string(LineNo) + ": missing indicator name";
-      return false;
-    }
+    for (size_t I = 0; I < 8; ++I)
+      if (!parseStatField(Fields[4 + I], *Slots[I]))
+        return Fail("bad value '" + Fields[4 + I] + "'");
+    if (Fields[2].empty())
+      return Fail("missing indicator name");
     Out.Scenarios[ScIdx].Indicators[Fields[2]] = St;
   }
   if (!SawHeader) {
@@ -1028,34 +904,29 @@ cws::obs::estimateSweepCrossings(const SweepStore &S,
   std::vector<SweepCrossing> Out;
   if (S.Scenarios.empty())
     return Out;
-  // Numeric axes: every scenario value parses as a double and at least
-  // two distinct values exist.
+  // Numeric axes: every scenario value reads as a finite number and at
+  // least two distinct values exist.
   std::vector<std::string> AxisNames;
   for (const auto &[Axis, Value] : S.Scenarios.front().Axes)
     AxisNames.push_back(Axis);
   for (const std::string &Axis : AxisNames) {
     std::set<std::string> Distinct;
-    bool Numeric = true;
+    std::vector<double> Positions;
     for (const SweepScenario &Sc : S.Scenarios) {
       std::string V = Sc.axisValue(Axis);
-      if (V.empty()) {
-        Numeric = false;
+      double X = 0.0;
+      if (!parseReal(V, X))
         break;
-      }
-      char *End = nullptr;
-      std::strtod(V.c_str(), &End);
-      if (End == V.c_str() || *End) {
-        Numeric = false;
-        break;
-      }
+      Positions.push_back(X);
       Distinct.insert(V);
     }
-    if (!Numeric || Distinct.size() < 2)
+    if (Positions.size() < S.Scenarios.size() || Distinct.size() < 2)
       continue;
     // Group scenarios by the other axes (std::map: deterministic group
     // order), then walk each group along this axis.
     std::map<std::string, std::vector<AxisPoint>> Groups;
-    for (const SweepScenario &Sc : S.Scenarios) {
+    for (size_t I = 0; I < S.Scenarios.size(); ++I) {
+      const SweepScenario &Sc = S.Scenarios[I];
       const SweepIndicatorStats *St = Sc.indicator(Indicator);
       if (!St || St->N == 0)
         continue;
@@ -1064,7 +935,7 @@ cws::obs::estimateSweepCrossings(const SweepStore &S,
       if (!Known || std::isnan(Value))
         continue;
       AxisPoint P;
-      P.Axis = std::strtod(Sc.axisValue(Axis).c_str(), nullptr);
+      P.Axis = Positions[I];
       P.Value = Value;
       for (const auto &[Other, OtherValue] : Sc.Axes) {
         if (Other == Axis)

@@ -58,14 +58,18 @@ struct ParsedTimeSeries {
   /// Provenance stamp of the leading `# provenance ...` comment;
   /// `!Prov.valid()` for unstamped files.
   RunProvenance Prov;
+  /// Frames the sampler's ring dropped before the first row: frames
+  /// are numbered from 0 at enable, so the first row's `seq`.
+  uint64_t Dropped = 0;
   std::vector<TimeSeriesRow> Rows;
   bool empty() const { return Rows.empty(); }
 };
 
 /// Parses CSV text written by `TimeSeries::csv()`. Leading `#` comment
 /// lines are allowed before the header; a `# provenance ...` comment
-/// fills `Out.Prov`. Returns false and sets \p Error (with a 1-based
-/// line number) on malformed input.
+/// fills `Out.Prov`. A `seq` is a count, a `tick` and a `node` are
+/// int64 and a `value` is a finite number. Returns false and sets
+/// \p Error (with a 1-based line number) on malformed input.
 bool parseTimeSeriesCsv(const std::string &Text, ParsedTimeSeries &Out,
                         std::string &Error);
 

@@ -10,6 +10,7 @@
 #include "support/Check.h"
 #include "support/File.h"
 #include "support/Json.h"
+#include "support/Text.h"
 
 #include <chrono>
 #include <cstdio>
@@ -37,21 +38,14 @@ void Tracer::enable(size_t Capacity) {
 }
 
 void Tracer::setCategoryFilter(const std::string &CommaSeparated) {
-  std::vector<std::string> Parsed;
-  size_t Pos = 0;
-  while (Pos <= CommaSeparated.size()) {
-    size_t Comma = CommaSeparated.find(',', Pos);
-    if (Comma == std::string::npos)
-      Comma = CommaSeparated.size();
-    std::string Part = CommaSeparated.substr(Pos, Comma - Pos);
+  Categories.clear();
+  for (const std::string &Part : splitFields(CommaSeparated, ",")) {
     // Trim surrounding spaces so "core, flow" works.
     size_t B = Part.find_first_not_of(" \t");
     size_t E = Part.find_last_not_of(" \t");
     if (B != std::string::npos)
-      Parsed.push_back(Part.substr(B, E - B + 1));
-    Pos = Comma + 1;
+      Categories.push_back(Part.substr(B, E - B + 1));
   }
-  Categories = std::move(Parsed);
 }
 
 bool Tracer::categoryEnabled(const char *Category) const {

@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/Flags.h"
-#include "support/Check.h"
+#include "support/Text.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -99,8 +98,6 @@ bool Flags::parse(int Argc, char **Argv,
                    Want.c_str(), Value.c_str());
       std::exit(2);
     };
-    char *End = nullptr;
-    errno = 0;
     switch (E->FlagKind) {
     case Kind::Bool: {
       bool On = Value == "1" || Value == "true";
@@ -110,8 +107,8 @@ bool Flags::parse(int Argc, char **Argv,
       break;
     }
     case Kind::Int: {
-      long long V = std::strtoll(Value.c_str(), &End, 10);
-      if (Value.empty() || *End || errno == ERANGE)
+      int64_t V = 0;
+      if (!parseInt(Value, V))
         Reject("takes an integer");
       if (V < E->AtLeast)
         Reject("must be >= " + std::to_string(E->AtLeast));
@@ -121,11 +118,9 @@ bool Flags::parse(int Argc, char **Argv,
       break;
     }
     case Kind::Real: {
-      double V = std::strtod(Value.c_str(), &End);
-      if (Value.empty() || *End || errno == ERANGE)
-        Reject("takes a number");
-      if (!std::isfinite(V))
-        Reject("takes a finite number");
+      double V = 0.0;
+      if (!parseReal(Value, V))
+        Reject(std::isfinite(V) ? "takes a number" : "takes a finite number");
       char Bound[32];
       if (!(V > E->Above)) {
         std::snprintf(Bound, sizeof(Bound), "%g", E->Above);

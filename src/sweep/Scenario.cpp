@@ -8,11 +8,9 @@
 #include "sweep/Scenario.h"
 #include "job/Generator.h"
 #include "obs/Metrics.h"
+#include "support/Text.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 
 using namespace cws;
 using namespace cws::sweep;
@@ -45,35 +43,6 @@ static bool tokenShaped(const std::string &Value) {
   return true;
 }
 
-static std::vector<std::string> splitWords(const std::string &Line) {
-  std::vector<std::string> Words;
-  size_t Pos = 0;
-  while (Pos < Line.size()) {
-    while (Pos < Line.size() && (Line[Pos] == ' ' || Line[Pos] == '\t'))
-      ++Pos;
-    size_t Start = Pos;
-    while (Pos < Line.size() && Line[Pos] != ' ' && Line[Pos] != '\t')
-      ++Pos;
-    if (Pos > Start)
-      Words.push_back(Line.substr(Start, Pos - Start));
-  }
-  return Words;
-}
-
-/// Reads \p Word into \p Out when it is a decimal integer in [Lo, Hi].
-/// Digits only: strtoull alone would wrap a leading '-'.
-static bool parseUint(const std::string &Word, uint64_t Lo, uint64_t Hi,
-                      uint64_t &Out) {
-  if (Word.empty() || Word.find_first_not_of("0123456789") != Word.npos)
-    return false;
-  errno = 0;
-  uint64_t V = std::strtoull(Word.c_str(), nullptr, 10);
-  if (errno == ERANGE || V < Lo || V > Hi)
-    return false;
-  Out = V;
-  return true;
-}
-
 /// What is wrong with \p Value on axis \p Axis, as cws-sim would reject
 /// it in the flag the axis becomes, or "": `strategy` takes S1, S2, S3 or
 /// MS1, `jobs` an integer >= 0, `exec` 0 or 1, and the rest a finite
@@ -85,18 +54,16 @@ static std::string axisValueError(const std::string &Axis,
     return Value == "S1" || Value == "S2" || Value == "S3" || Value == "MS1"
                ? ""
                : "must be S1, S2, S3 or MS1";
-  char *End = nullptr;
-  errno = 0;
   if (Axis == "jobs" || Axis == "exec") {
-    long long V = std::strtoll(Value.c_str(), &End, 10);
-    if (*End || errno == ERANGE)
+    int64_t V = 0;
+    if (!parseInt(Value, V))
       return "must be an integer";
     if (Axis == "exec")
       return V == 0 || V == 1 ? "" : "must be 0 or 1";
     return V >= 0 ? "" : "must be >= 0";
   }
-  double V = std::strtod(Value.c_str(), &End);
-  if (*End || errno == ERANGE || !std::isfinite(V))
+  double V = 0.0;
+  if (!parseReal(Value, V))
     return "must be a finite number";
   if (Axis == "slack") {
     double Max = WorkloadConfig().maxDeadlineSlack();
@@ -120,22 +87,16 @@ static constexpr uint64_t MaxFlagInt = INT64_MAX;
 bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
                                 std::string &Error) {
   Out = SweepGrid{};
-  size_t Pos = 0, LineNo = 0;
-  while (Pos < Text.size()) {
-    size_t Eol = Text.find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text.size();
-    std::string Line = Text.substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    ++LineNo;
-    if (size_t Hash = Line.find('#'); Hash != std::string::npos)
-      Line = Line.substr(0, Hash);
-    std::vector<std::string> Words = splitWords(Line);
+  LineReader In(Text);
+  while (In.next()) {
+    std::vector<std::string> Words =
+        splitFields(In.line().substr(0, In.line().find('#')), " \t",
+                    /*SkipEmpty=*/true);
     if (Words.empty())
       continue;
     const std::string &Key = Words[0];
     auto Err = [&](const std::string &What) {
-      Error = "line " + std::to_string(LineNo) + ": " + What;
+      Error = In.error(What);
       return false;
     };
     if (Key == "axis") {
@@ -172,7 +133,7 @@ bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
     // The fixed knobs become cws-sim flags, so each takes the range its
     // flag accepts; cws-sim's integer flags are signed 64-bit.
     auto Uint = [&](uint64_t Lo, uint64_t Hi, uint64_t &V) {
-      return parseUint(Words[1], Lo, Hi, V) ||
+      return (parseUint(Words[1], V) && V >= Lo && V <= Hi) ||
              Err(Key + " must be an integer in [" + std::to_string(Lo) +
                  ", " + std::to_string(Hi) + "]");
     };
@@ -188,10 +149,8 @@ bool cws::sweep::parseSweepGrid(const std::string &Text, SweepGrid &Out,
         return false;
       Out.Jobs = static_cast<int64_t>(V);
     } else if (Key == "slack") {
-      char *End = nullptr;
-      Out.Slack = std::strtod(Words[1].c_str(), &End);
-      if (End == Words[1].c_str() || *End || !std::isfinite(Out.Slack) ||
-          Out.Slack <= 0 || Out.Slack > WorkloadConfig().maxDeadlineSlack())
+      if (!parseReal(Words[1], Out.Slack) || Out.Slack <= 0 ||
+          Out.Slack > WorkloadConfig().maxDeadlineSlack())
         return Err("bad slack '" + Words[1] + "'");
     } else if (Key == "sample_every") {
       if (!Uint(1, MaxFlagInt, V))

@@ -5,7 +5,7 @@
 # Scheduling" (PaCT 2009). Distributed without any warranty.
 #
 # Usage: diff_smoke.sh <cws-sim> <cws-diff> <cws-explain> <cws-sched>
-#                      <cws-sweep>
+#                      <cws-sweep> <cws-report>
 #
 # Pins the differential-analysis acceptance properties end to end:
 #  1. two runs of one workload are a semantic fixed point (exit 0)
@@ -19,8 +19,10 @@
 #     removed knobs (`--build-threads`, `--shards`, `--invalidation`,
 #     sweep axes `shards` and `invalidation`, and cws-diff's `--mode`,
 #     `--ignore-meta`, `--statistical`, `--quantile-tol`,
-#     `--exclude-series` and `--max-findings`) (never an abort, never a
-#     silent default), and every flag of those tools takes
+#     `--exclude-series` and `--max-findings`), and cws-report's
+#     malformed numbers (a sweep store's `runs=abc` or `seeds=-1`, a
+#     series tick out of range, a `nan` or `inf` value) (never an abort,
+#     never a silent default), and every flag of those tools takes
 #     `--name=value`;
 #  4. the baseline gate round-trips: a fresh MANIFEST passes, a
 #     divergent artifact fails with exit 1, a stale digest fails with 2;
@@ -34,6 +36,7 @@ DIFF=$2
 EXPLAIN=$3
 SCHED=$4
 SWEEP=$5
+REPORT=$6
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
@@ -147,6 +150,28 @@ for AXIS in "shards 1 4" "invalidation scan index"; do
   "$SWEEP" --grid "$TMP/removed.grid" --out "$TMP/removed.csv" --quiet 1 \
     > /dev/null 2>&1 || STATUS=$?
   [ "$STATUS" -eq 2 ] || fail "sweep axis $AXIS exited $STATUS, expected 2"
+done
+SWEEP_HEADER='scenario,axes,indicator,n,mean,stddev,ci95,p50,p90,p99,min,max'
+for META in "runs=abc seeds=3" "runs=6 seeds=-1"; do
+  printf '# cws-sweep statistics\n# sweep %s\n%s\n' "$META" "$SWEEP_HEADER" \
+    > "$TMP/bad.sweep.csv"
+  STATUS=0
+  "$REPORT" --sweep "$TMP/bad.sweep.csv" > /dev/null 2> "$TMP/bad.err" \
+    || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "cws-report on '# sweep $META' exited $STATUS"
+  grep -q "line 2: bad" "$TMP/bad.err" \
+    || fail "'# sweep $META' not refused on its line: $(cat "$TMP/bad.err")"
+done
+for ROW in "0,99999999999999999999,sample,util_busy,0,,0.5" \
+           "0,5,sample,util_busy,0,,nan" "0,5,sample,util_busy,0,,inf"; do
+  printf 'seq,tick,reason,series,node,flow,value\n%s\n' "$ROW" \
+    > "$TMP/bad.ts.csv"
+  STATUS=0
+  "$REPORT" --journal "$TMP/a.jsonl" --timeseries "$TMP/bad.ts.csv" \
+    > /dev/null 2> "$TMP/bad.err" || STATUS=$?
+  [ "$STATUS" -eq 2 ] || fail "cws-report on series row '$ROW' exited $STATUS"
+  grep -q "line 2: bad" "$TMP/bad.err" \
+    || fail "series row '$ROW' not refused on its line: $(cat "$TMP/bad.err")"
 done
 
 #=== 4. Baseline gate ====================================================#

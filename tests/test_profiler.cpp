@@ -225,26 +225,6 @@ TEST_F(ProfilerTest, JsonRoundTrip) {
                                 Parsed, Error));
 }
 
-TEST_F(ProfilerTest, PublishesPhaseMetrics) {
-  Profiler &P = Profiler::global();
-  P.enable();
-  {
-    Span Outer("test", "pub.phase");
-    Span S("test", "pub.phase");
-    S.work("units", 4);
-  }
-  P.disable();
-
-  Registry R;
-  publishProfilerStats(P, R);
-  std::string Prom = R.prometheusText();
-  EXPECT_NE(Prom.find("cws_phase_count"), std::string::npos);
-  EXPECT_NE(Prom.find("cws_phase_total_us"), std::string::npos);
-  EXPECT_NE(Prom.find("cws_phase_self_us"), std::string::npos);
-  EXPECT_NE(Prom.find("cws_phase_work"), std::string::npos);
-  EXPECT_NE(Prom.find("pub.phase"), std::string::npos);
-}
-
 TEST_F(ProfilerTest, ChromeTraceFragment) {
   Profiler &P = Profiler::global();
   EXPECT_EQ(P.chromeTraceEvents(), "");

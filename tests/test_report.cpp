@@ -13,8 +13,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "obs/Diff.h"
+#include "obs/Explain.h"
 #include "obs/Journal.h"
 #include "obs/Report.h"
+#include "support/File.h"
 
 #include <gtest/gtest.h>
 
@@ -88,6 +91,79 @@ TEST_F(ReportTest, RejectsMalformedCsv) {
                          "0,25,sample\n",
                          Ts, Error));
   EXPECT_NE(Error.find("line 2"), std::string::npos) << Error;
+}
+
+/// \p Text with every line ending in "\r\n".
+std::string crlf(const std::string &Text) {
+  std::string Out;
+  for (char C : Text) {
+    if (C == '\n')
+      Out += '\r';
+    Out += C;
+  }
+  return Out;
+}
+
+TEST_F(ReportTest, CrlfSeriesReadsLikeTheLfFile) {
+  std::string Text;
+  ASSERT_TRUE(readFile(CWS_EXAMPLES_DIR "/baseline/example.ts.csv", Text));
+  ParsedTimeSeries Lf, Crlf;
+  std::string Error;
+  ASSERT_TRUE(parseTimeSeriesCsv(Text, Lf, Error)) << Error;
+  ASSERT_TRUE(parseTimeSeriesCsv(crlf(Text), Crlf, Error)) << Error;
+  ASSERT_FALSE(Lf.Rows.empty());
+  EXPECT_TRUE(diffTimeSeries(Lf, Crlf).identical());
+  EXPECT_EQ(Crlf.Prov.Cli, Lf.Prov.Cli);
+  EXPECT_EQ(Crlf.Dropped, 0u);
+}
+
+TEST_F(ReportTest, RejectsNumbersOutOfRangeOrNotFinite) {
+  ParsedTimeSeries Ts;
+  std::string Error;
+  auto Row = [&](const std::string &Line) {
+    return parseTimeSeriesCsv("seq,tick,reason,series,node,flow,value\n" +
+                                  Line + "\n",
+                              Ts, Error)
+               ? std::string()
+               : Error;
+  };
+  EXPECT_EQ(Row("0,99999999999999999999,sample,util_busy,0,,0.5"),
+            "line 2: bad tick '99999999999999999999'");
+  EXPECT_EQ(Row("-1,5,sample,util_busy,0,,0.5"), "line 2: bad seq '-1'");
+  EXPECT_EQ(Row("0,5,sample,util_busy,1e3,,0.5"), "line 2: bad node '1e3'");
+  for (const char *Value : {"nan", "inf", "-inf", "1e999", "0.5x"})
+    EXPECT_EQ(Row(std::string("0,5,sample,util_busy,0,,") + Value),
+              std::string("line 2: bad value '") + Value + "'");
+  EXPECT_EQ(Row("0,5,sample,util_busy,0,,0.5"), "");
+}
+
+TEST_F(ReportTest, SweepStoreRejectsBadRunAndSeedCounts) {
+  const std::string Header =
+      "scenario,axes,indicator,n,mean,stddev,ci95,p50,p90,p99,min,max\n";
+  SweepStore S;
+  std::string Error;
+  EXPECT_FALSE(parseSweepCsv("# cws-sweep statistics\n# sweep runs=abc "
+                             "seeds=3\n" + Header,
+                             S, Error));
+  EXPECT_EQ(Error, "line 2: bad runs 'abc'");
+  EXPECT_FALSE(parseSweepCsv("# cws-sweep statistics\n# sweep runs=6 "
+                             "seeds=-1\n" + Header,
+                             S, Error));
+  EXPECT_EQ(Error, "line 2: bad seeds '-1'");
+  EXPECT_FALSE(parseSweepCsv(Header + "s,,miss,2,nan,0,0,0,0,0,0,0\n", S,
+                             Error));
+  EXPECT_EQ(Error, "line 2: bad value 'nan'");
+  // A store written by sweepCsv reads back, and so does its CRLF copy.
+  const std::string Store = "# cws-sweep statistics\n# sweep runs=6 seeds=3\n" +
+                            Header + "s,a=1;b=S1,miss,3,0.5,n/a,0,0,0,0,0,1\n";
+  for (const std::string &Text : {Store, crlf(Store)}) {
+    ASSERT_TRUE(parseSweepCsv(Text, S, Error)) << Error;
+    EXPECT_EQ(S.Runs, 6u);
+    EXPECT_EQ(S.Seeds, 3u);
+    ASSERT_EQ(S.Scenarios.size(), 1u);
+    EXPECT_EQ(S.Scenarios[0].axisValue("b"), "S1");
+    EXPECT_EQ(S.Scenarios[0].indicator("miss")->Max, 1.0);
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -495,6 +571,156 @@ TEST_F(ReportTest, UtilizationSectionRanksContendedNodes) {
   ASSERT_NE(Node1, std::string::npos) << Report;
   ASSERT_NE(Node0, std::string::npos) << Report;
   EXPECT_LT(Node1, Node0);
+}
+
+TEST_F(ReportTest, SeriesThatDroppedFramesHasNoUtilization) {
+  // The ring kept frames 40 onward: the first row's seq counts the 40
+  // frames it dropped.
+  ParsedTimeSeries Ts;
+  std::string Error;
+  ASSERT_TRUE(parseTimeSeriesCsv("seq,tick,reason,series,node,flow,value\n"
+                                 "40,10,sample,util_busy,0,,0.4\n"
+                                 "40,10,sample,util_background,0,,0.2\n"
+                                 "40,10,sample,env_scan_placements,,,12\n",
+                                 Ts, Error))
+      << Error;
+  EXPECT_EQ(Ts.Dropped, 40u);
+  std::map<std::string, std::string> Undefined;
+  std::map<std::string, double> Ind =
+      computeIndicators(ParsedJournal(), Ts, &Undefined);
+  EXPECT_EQ(Ind.count("mean_node_busy"), 0u);
+  EXPECT_EQ(Ind.count("max_node_busy"), 0u);
+  EXPECT_EQ(Undefined["mean_node_busy"],
+            "the time-series ring dropped 40 frames");
+  EXPECT_EQ(Undefined["max_node_busy"],
+            "the time-series ring dropped 40 frames");
+  // A running total survives the lost head.
+  EXPECT_DOUBLE_EQ(Ind["env_scan_placements"], 12.0);
+  std::string Report = renderRunReport(ParsedJournal(), Ts, {});
+  EXPECT_NE(Report.find("## Utilization\n\nn/a: the time-series ring "
+                        "dropped 40 frames.\n\n"),
+            std::string::npos)
+      << Report;
+}
+
+//===----------------------------------------------------------------------===//
+// The journal fold
+//===----------------------------------------------------------------------===//
+
+/// Two flows. Job 1 (flow 0) commits a forecast of t=120 against its
+/// deadline of 100 but executes by t=95; job 2 (flow 1) is invalidated,
+/// saved by a stage-2 repair and commits t=60 against 50; job 3 is
+/// rejected at admission; job 4's repair fails and it is rejected.
+const char FoldJournal[] =
+    "{\"kind\":\"journal.meta\",\"schema\":1,\"recorded\":19,\"dropped\":0}\n"
+    "{\"id\":1,\"kind\":\"note\",\"tick\":0,\"detail\":\"sim.start\"}\n"
+    "{\"id\":2,\"kind\":\"arrival\",\"tick\":1,\"job\":1,\"flow\":0,"
+    "\"args\":{\"deadline\":100}}\n"
+    "{\"id\":3,\"kind\":\"variant\",\"tick\":1,\"job\":1,\"flow\":0,"
+    "\"cause\":2}\n"
+    "{\"id\":4,\"kind\":\"collision\",\"tick\":1,\"job\":1,\"flow\":0,"
+    "\"cause\":3}\n"
+    "{\"id\":5,\"kind\":\"arrival\",\"tick\":2,\"job\":2,\"flow\":1,"
+    "\"args\":{\"deadline\":50}}\n"
+    "{\"id\":6,\"kind\":\"arrival\",\"tick\":3,\"job\":3,\"flow\":0,"
+    "\"args\":{\"deadline\":80}}\n"
+    "{\"id\":7,\"kind\":\"reject\",\"tick\":4,\"job\":3,\"flow\":0,"
+    "\"cause\":6}\n"
+    "{\"id\":8,\"kind\":\"commit\",\"tick\":5,\"job\":1,\"flow\":0,"
+    "\"cause\":4,\"args\":{\"makespan\":120,\"cost\":40,\"cf\":7}}\n"
+    "{\"id\":9,\"kind\":\"env.change\",\"tick\":8}\n"
+    "{\"id\":10,\"kind\":\"invalidate\",\"tick\":10,\"job\":2,\"flow\":1,"
+    "\"cause\":5,\"trigger\":9}\n"
+    "{\"id\":11,\"kind\":\"shift\",\"tick\":11,\"job\":2,\"flow\":1,"
+    "\"cause\":10}\n"
+    "{\"id\":12,\"kind\":\"reallocate\",\"tick\":12,\"job\":2,\"flow\":1,"
+    "\"cause\":11,\"trigger\":9}\n"
+    "{\"id\":13,\"kind\":\"repair.stage\",\"tick\":12,\"job\":2,\"flow\":1,"
+    "\"cause\":12,\"detail\":\"dp\",\"args\":{\"stage\":2,\"ok\":1}}\n"
+    "{\"id\":14,\"kind\":\"commit\",\"tick\":13,\"job\":2,\"flow\":1,"
+    "\"cause\":13,\"args\":{\"makespan\":60,\"cost\":30,\"cf\":5}}\n"
+    "{\"id\":15,\"kind\":\"arrival\",\"tick\":20,\"job\":4,\"flow\":1,"
+    "\"args\":{\"deadline\":200}}\n"
+    "{\"id\":16,\"kind\":\"reallocate\",\"tick\":30,\"job\":4,\"flow\":1,"
+    "\"cause\":15,\"trigger\":9}\n"
+    "{\"id\":17,\"kind\":\"repair.stage\",\"tick\":30,\"job\":4,\"flow\":1,"
+    "\"cause\":16,\"detail\":\"failed\",\"args\":{\"stage\":3,\"ok\":0}}\n"
+    "{\"id\":18,\"kind\":\"reject\",\"tick\":30,\"job\":4,\"flow\":1,"
+    "\"cause\":17}\n"
+    "{\"id\":19,\"kind\":\"execution\",\"tick\":95,\"job\":1,\"flow\":0,"
+    "\"cause\":8,\"args\":{\"completion\":95}}\n";
+
+TEST_F(ReportTest, OneFoldFeedsEveryJournalNumber) {
+  ParsedJournal A;
+  std::string Error;
+  ASSERT_TRUE(parseJournalJsonl(FoldJournal, A, Error)) << Error;
+  EXPECT_TRUE(validateJournal(A).empty());
+
+  JournalFold F = foldJournal(A);
+  EXPECT_EQ(F.Totals[JournalKind::Arrival], 4);
+  EXPECT_EQ(F.Totals[JournalKind::EnvChange], 1);
+  EXPECT_EQ(F.Flows.at(1)[JournalKind::Reallocate], 2);
+  EXPECT_EQ(F.Jobs.at(1).Completion, 95); // the execution, not the forecast
+  EXPECT_EQ(F.Jobs.at(2).Verdict, JobVerdict::Committed);
+  EXPECT_EQ(F.Jobs.at(2).DecidedAt, 13);
+  EXPECT_EQ(F.Jobs.at(2).RepairedBy, 1u << 2);
+  EXPECT_EQ(F.Jobs.at(4).RepairedBy, 0u);
+  EXPECT_EQ(F.FirstStage12Repair, 12);
+
+  // The indicators, the summary, the report's per-flow table and the
+  // outcome verdicts read what the four separate walks they replace
+  // read from this journal.
+  std::map<std::string, double> Ind = computeIndicators(A, ParsedTimeSeries());
+  const std::map<std::string, double> Want = {
+      {"jobs_submitted", 4},         {"jobs_committed", 2},
+      {"jobs_rejected", 2},          {"commit_rate", 0.5},
+      {"reject_rate", 0.5},          {"deadline_miss_rate", 0.5},
+      {"reallocations", 2},          {"invalidations", 1},
+      {"env_changes", 1},            {"reallocations_per_commit", 1},
+      {"realloc_repaired_shift", 0}, {"realloc_repaired_dp", 1},
+      {"realloc_rebuilt", 0},        {"realloc_failed", 1},
+      {"repair_stage12_share", 1},   {"mean_commit_cost", 35},
+      {"mean_commit_cf", 6}};
+  EXPECT_EQ(Ind, Want);
+
+  EXPECT_EQ(journalSummary(A),
+            "journal: 19 recorded, 0 dropped, 19 surviving; 1 environment "
+            "change(s)\n"
+            "| flow | arrivals | variants | collisions | invalidations | "
+            "shifts | reallocs | commits | rejects |\n"
+            "|------|----------|----------|------------|---------------|"
+            "--------|----------|---------|---------|\n"
+            "| 0    | 2        | 1        | 1          | 0             | "
+            "0      | 0        | 1       | 1       |\n"
+            "| 1    | 2        | 0        | 0          | 1             | "
+            "1      | 2        | 1       | 1       |\n");
+  std::string Report = renderRunReport(A, ParsedTimeSeries(), {});
+  EXPECT_NE(Report.find("| flow | arrivals | commits | rejects | "
+                        "invalidations | reallocations | commit rate |\n"
+                        "|---|---|---|---|---|---|---|\n"
+                        "| 0 | 2 | 1 | 1 | 0 | 0 | 50.0% |\n"
+                        "| 1 | 2 | 1 | 1 | 1 | 2 | 50.0% |\n\n"),
+            std::string::npos)
+      << Report;
+
+  // The rebuild oracle rejects job 2, which A's stage-2 repair saved.
+  std::string TextB = FoldJournal;
+  const std::string Commit = "\"kind\":\"commit\",\"tick\":13";
+  TextB.replace(TextB.find(Commit), Commit.size(),
+                "\"kind\":\"reject\",\"tick\":13");
+  ParsedJournal B;
+  ASSERT_TRUE(parseJournalJsonl(TextB, B, Error)) << Error;
+  DiffResult Strict = diffJournalOutcomes(A, B);
+  EXPECT_EQ(Strict.Summary, "outcomes diverge: 1 of 4 job verdict(s) differ");
+  ASSERT_EQ(Strict.Findings.size(), 1u);
+  EXPECT_EQ(Strict.Findings[0].Where, "job 2 outcome");
+  EXPECT_EQ(Strict.Findings[0].A, "committed");
+  EXPECT_EQ(Strict.Findings[0].B, "rejected");
+  DiffOptions Saves;
+  Saves.AllowRepairSaves = true;
+  EXPECT_EQ(diffJournalOutcomes(A, B, Saves).Summary,
+            "outcomes equivalent: 3 job verdict(s) agree, 1 repair save(s) "
+            "accepted");
 }
 
 } // namespace

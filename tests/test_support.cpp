@@ -7,9 +7,11 @@
 
 #include "support/Flags.h"
 #include "support/Table.h"
+#include "support/Text.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -110,6 +112,9 @@ TEST(Flags, RejectsBadValuesWithExitCode2) {
               "must be > 0");
   EXPECT_EXIT(Parse("--slack", "x"), ::testing::ExitedWithCode(2),
               "takes a number");
+  // An out-of-range value reads as no number at all.
+  EXPECT_EXIT(Parse("--slack", "1e999"), ::testing::ExitedWithCode(2),
+              "takes a number, got '1e999'");
   EXPECT_EXIT(Parse("--strategy", "S9"), ::testing::ExitedWithCode(2),
               "takes S1\\|S2");
   EXPECT_TRUE(Parse("--jobs", "0"));
@@ -166,4 +171,65 @@ TEST(Flags, HandsOperandsToACallerThatAsksForThem) {
   // A caller that takes no operands rejects them.
   EXPECT_EXIT(F.parse(7, const_cast<char **>(Argv)),
               ::testing::ExitedWithCode(2), "unexpected positional argument");
+}
+
+TEST(LineReader, StripsCarriageReturnsAndNumbersLinesFromOne) {
+  std::string Text = "a,b\r\n\r\nlast";
+  LineReader In(Text);
+  std::vector<std::string> Lines;
+  while (In.next())
+    Lines.push_back(In.line());
+  EXPECT_EQ(Lines, (std::vector<std::string>{"a,b", "", "last"}));
+  EXPECT_EQ(In.number(), 3u);
+  EXPECT_EQ(In.error("expected header"), "line 3: expected header");
+  // A final newline ends the last line; it starts no empty one.
+  std::string Lf = "x\n";
+  LineReader One(Lf);
+  ASSERT_TRUE(One.next());
+  EXPECT_EQ(One.line(), "x");
+  EXPECT_FALSE(One.next());
+  std::string Empty;
+  EXPECT_FALSE(LineReader(Empty).next());
+}
+
+TEST(SplitFields, KeepsEmptyFieldsUnlessAskedToSkipThem) {
+  EXPECT_EQ(splitFields("a,,b", ","),
+            (std::vector<std::string>{"a", "", "b"}));
+  EXPECT_EQ(splitFields("", ","), (std::vector<std::string>{""}));
+  EXPECT_EQ(splitFields("  axis \t jobs 1 ", " \t", /*SkipEmpty=*/true),
+            (std::vector<std::string>{"axis", "jobs", "1"}));
+  EXPECT_TRUE(splitFields(" \t", " \t", /*SkipEmpty=*/true).empty());
+}
+
+TEST(NumberReader, TakesAWholeFieldOrNothing) {
+  int64_t I = 7;
+  EXPECT_TRUE(parseInt("-42", I));
+  EXPECT_EQ(I, -42);
+  for (const char *Bad : {"", "12x", "1.5", "x", "99999999999999999999",
+                          "-99999999999999999999"}) {
+    EXPECT_FALSE(parseInt(Bad, I)) << Bad;
+    EXPECT_EQ(I, -42) << Bad;
+  }
+  uint64_t U = 7;
+  EXPECT_TRUE(parseUint("18446744073709551615", U));
+  EXPECT_EQ(U, UINT64_MAX);
+  // A count takes digits only: strtoull alone would wrap a sign.
+  for (const char *Bad : {"", "-1", "+1", " 1", "1 ", "abc",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parseUint(Bad, U)) << Bad;
+    EXPECT_EQ(U, UINT64_MAX) << Bad;
+  }
+  double R = 0.0;
+  EXPECT_TRUE(parseReal("2.5e-3", R));
+  EXPECT_DOUBLE_EQ(R, 2.5e-3);
+  for (const char *Bad : {"", "0.5x", "x", "1e999"}) {
+    EXPECT_FALSE(parseReal(Bad, R)) << Bad;
+    EXPECT_DOUBLE_EQ(R, 2.5e-3) << Bad;
+  }
+  // A non-finite value is refused but still read, so a caller can say
+  // which rule it broke.
+  for (const char *NonFinite : {"nan", "inf", "-inf", "infinity"}) {
+    EXPECT_FALSE(parseReal(NonFinite, R)) << NonFinite;
+    EXPECT_FALSE(std::isfinite(R)) << NonFinite;
+  }
 }

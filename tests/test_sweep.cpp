@@ -92,6 +92,30 @@ TEST(SweepGrid, RejectsMalformedGrids) {
   EXPECT_NE(Error.find("100000 runs"), std::string::npos) << Error;
 }
 
+TEST(SweepGrid, CrlfGridReadsLikeTheLfGrid) {
+  const std::string Lf = "# a grid\n"
+                         "axis strategy S1 S2\n"
+                         "axis jobs 10 20  # inline comment\n"
+                         "seeds 2\n"
+                         "slack 1.5\n";
+  std::string Crlf;
+  for (char C : Lf)
+    Crlf += C == '\n' ? std::string("\r\n") : std::string(1, C);
+  SweepGrid A, B;
+  std::string Error;
+  ASSERT_TRUE(parseSweepGrid(Lf, A, Error)) << Error;
+  ASSERT_TRUE(parseSweepGrid(Crlf, B, Error)) << Error;
+  ASSERT_EQ(B.Axes.size(), 2u);
+  EXPECT_EQ(B.Axes[0].Values, A.Axes[0].Values);
+  EXPECT_EQ(B.Axes[1].Values, A.Axes[1].Values);
+  EXPECT_EQ(B.Seeds, A.Seeds);
+  EXPECT_DOUBLE_EQ(B.Slack, A.Slack);
+  // A CRLF error names the same line as its LF copy.
+  EXPECT_FALSE(parseSweepGrid("seeds 1\r\naxis strategy S1 S9\r\n", B, Error));
+  EXPECT_EQ(Error, "line 2: axis strategy value 'S9' must be S1, S2, S3 or "
+                   "MS1");
+}
+
 /// Parses a grid that declares one axis on its second line; returns the
 /// parse error, or "" when the grid parses.
 std::string axisError(const std::string &Axis) {

@@ -37,10 +37,11 @@
 #include "obs/Report.h"
 #include "support/File.h"
 #include "support/Flags.h"
+#include "support/Text.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,9 @@ enum class Mode { Unknown, Journal, Series, Sweep };
 
 /// Sniffs the artifact kind from its leading lines.
 static Mode detectMode(const std::string &Text) {
-  std::istringstream In(Text);
-  std::string Line;
-  while (std::getline(In, Line)) {
+  LineReader In(Text);
+  while (In.next()) {
+    const std::string &Line = In.line();
     if (Line.empty())
       continue;
     if (Line.find("\"journal.meta\"") != std::string::npos)
@@ -83,31 +84,24 @@ static Mode detectMode(const std::string &Text) {
 }
 
 static bool parseMetaList(const std::string &List, obs::MetaPolicy &Policy) {
-  Policy.AllowSeed = Policy.AllowConfigHash = Policy.AllowScenario =
-      Policy.AllowShards = Policy.AllowCli = false;
-  size_t Pos = 0;
-  while (Pos <= List.size()) {
-    size_t Comma = List.find(',', Pos);
-    std::string Field = List.substr(
-        Pos, Comma == std::string::npos ? std::string::npos : Comma - Pos);
-    Pos = Comma == std::string::npos ? List.size() + 1 : Comma + 1;
-    if (Field.empty())
-      continue;
-    if (Field == "seed")
-      Policy.AllowSeed = true;
-    else if (Field == "config_hash")
-      Policy.AllowConfigHash = true;
-    else if (Field == "scenario")
-      Policy.AllowScenario = true;
-    else if (Field == "shards")
-      Policy.AllowShards = true;
-    else if (Field == "cli")
-      Policy.AllowCli = true;
-    else {
+  const std::pair<const char *, bool *> Fields[] = {
+      {"seed", &Policy.AllowSeed},
+      {"config_hash", &Policy.AllowConfigHash},
+      {"scenario", &Policy.AllowScenario},
+      {"shards", &Policy.AllowShards},
+      {"cli", &Policy.AllowCli}};
+  for (const auto &[Name, Allow] : Fields)
+    *Allow = false;
+  for (const std::string &Field : splitFields(List, ",", /*SkipEmpty=*/true)) {
+    auto It = std::find_if(
+        std::begin(Fields), std::end(Fields),
+        [&Field](const auto &F) { return Field == F.first; });
+    if (It == std::end(Fields)) {
       std::fprintf(stderr, "cws-diff: unknown meta field '%s'\n",
                    Field.c_str());
       return false;
     }
+    *It->second = true;
   }
   return true;
 }
@@ -144,52 +138,31 @@ static int diffOnce(const std::string &PathA, const std::string &PathB,
     return 2;
   }
 
-  std::string Error;
+  const char *Tool = "cws-diff";
   obs::DiffResult R;
   switch (M) {
   case Mode::Journal: {
     obs::ParsedJournal A, B;
-    if (!obs::parseJournalJsonl(TextA, A, Error)) {
-      std::fprintf(stderr, "cws-diff: %s: %s\n", PathA.c_str(),
-                   Error.c_str());
+    if (!parseArtifact(Tool, PathA, TextA, A, obs::parseJournalJsonl) ||
+        !parseArtifact(Tool, PathB, TextB, B, obs::parseJournalJsonl))
       return 2;
-    }
-    if (!obs::parseJournalJsonl(TextB, B, Error)) {
-      std::fprintf(stderr, "cws-diff: %s: %s\n", PathB.c_str(),
-                   Error.c_str());
-      return 2;
-    }
     R = Outcomes ? obs::diffJournalOutcomes(A, B, Opts)
                  : obs::diffJournals(A, B, Opts);
     break;
   }
   case Mode::Series: {
     obs::ParsedTimeSeries A, B;
-    if (!obs::parseTimeSeriesCsv(TextA, A, Error)) {
-      std::fprintf(stderr, "cws-diff: %s: %s\n", PathA.c_str(),
-                   Error.c_str());
+    if (!parseArtifact(Tool, PathA, TextA, A, obs::parseTimeSeriesCsv) ||
+        !parseArtifact(Tool, PathB, TextB, B, obs::parseTimeSeriesCsv))
       return 2;
-    }
-    if (!obs::parseTimeSeriesCsv(TextB, B, Error)) {
-      std::fprintf(stderr, "cws-diff: %s: %s\n", PathB.c_str(),
-                   Error.c_str());
-      return 2;
-    }
     R = obs::diffTimeSeries(A, B, Opts);
     break;
   }
   case Mode::Sweep: {
     obs::SweepStore A, B;
-    if (!obs::parseSweepCsv(TextA, A, Error)) {
-      std::fprintf(stderr, "cws-diff: %s: %s\n", PathA.c_str(),
-                   Error.c_str());
+    if (!parseArtifact(Tool, PathA, TextA, A, obs::parseSweepCsv) ||
+        !parseArtifact(Tool, PathB, TextB, B, obs::parseSweepCsv))
       return 2;
-    }
-    if (!obs::parseSweepCsv(TextB, B, Error)) {
-      std::fprintf(stderr, "cws-diff: %s: %s\n", PathB.c_str(),
-                   Error.c_str());
-      return 2;
-    }
     R = obs::diffSweeps(A, B);
     break;
   }
@@ -226,20 +199,17 @@ struct BaselineEntry {
 static bool parseManifest(const std::string &Text,
                           std::vector<BaselineEntry> &Out,
                           std::string &Error) {
-  std::istringstream In(Text);
-  std::string Line;
-  size_t N = 0;
-  while (std::getline(In, Line)) {
-    ++N;
-    if (Line.empty() || Line[0] == '#')
+  LineReader In(Text);
+  while (In.next()) {
+    if (In.line().empty() || In.line()[0] == '#')
       continue;
-    std::istringstream Fields(Line);
-    BaselineEntry E;
-    if (!(Fields >> E.Digest >> E.File)) {
-      Error = "line " + std::to_string(N) + ": expected '<digest>  <file>'";
+    std::vector<std::string> Fields =
+        splitFields(In.line(), " \t", /*SkipEmpty=*/true);
+    if (Fields.size() < 2) {
+      Error = In.error("expected '<digest>  <file>'");
       return false;
     }
-    Out.push_back(E);
+    Out.push_back({Fields[0], Fields[1]});
   }
   if (Out.empty()) {
     Error = "no baseline entries";
@@ -257,19 +227,9 @@ static int diffAgainstBaseline(const std::string &Dir,
                                const std::string &TimeSeriesFile,
                                const obs::DiffOptions &Opts,
                                std::string &ReportOut) {
-  std::string Text, Error;
-  std::string ManifestPath = Dir + "/MANIFEST";
-  if (!readFile(ManifestPath, Text)) {
-    std::fprintf(stderr, "cws-diff: cannot open '%s'\n",
-                 ManifestPath.c_str());
-    return 2;
-  }
   std::vector<BaselineEntry> Entries;
-  if (!parseManifest(Text, Entries, Error)) {
-    std::fprintf(stderr, "cws-diff: %s: %s\n", ManifestPath.c_str(),
-                 Error.c_str());
+  if (!readArtifact("cws-diff", Dir + "/MANIFEST", Entries, parseManifest))
     return 2;
-  }
 
   int Worst = 0;
   bool Compared = false;

@@ -94,33 +94,15 @@ int main(int Argc, char **Argv) {
     WantSummary = true;
   const std::string &Path = Paths[0];
 
-  std::string Text;
-  if (!readFile(Path, Text)) {
-    std::fprintf(stderr, "cws-explain: cannot open '%s'\n", Path.c_str());
-    return 2;
-  }
-
   obs::ParsedJournal J;
-  std::string Error;
-  if (!obs::parseJournalJsonl(Text, J, Error)) {
-    std::fprintf(stderr, "cws-explain: %s: %s\n", Path.c_str(),
-                 Error.c_str());
+  if (!readArtifact("cws-explain", Path, J, obs::parseJournalJsonl))
     return 2;
-  }
   if (WantDiffJob) {
     // An inspection across two runs, not a gate: skip the validation
     // pass so a journal from a misbehaving run can still be compared.
     obs::ParsedJournal B;
-    const std::string &PathB = Paths[1];
-    if (!readFile(PathB, Text)) {
-      std::fprintf(stderr, "cws-explain: cannot open '%s'\n", PathB.c_str());
+    if (!readArtifact("cws-explain", Paths[1], B, obs::parseJournalJsonl))
       return 2;
-    }
-    if (!obs::parseJournalJsonl(Text, B, Error)) {
-      std::fprintf(stderr, "cws-explain: %s: %s\n", PathB.c_str(),
-                   Error.c_str());
-      return 2;
-    }
     std::cout << obs::explainJobDiff(J, B, DiffJobId);
     return 0;
   }

@@ -79,21 +79,11 @@ int main(int Argc, char **Argv) {
   if (!F.parse(Argc, Argv))
     return 0;
 
-  std::string Text;
-  std::string Error;
+  const char *Tool = "cws-report";
   std::vector<obs::SloRule> Rules;
-  if (!SloFile.empty()) {
-    if (!readFile(SloFile, Text)) {
-      std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                   SloFile.c_str());
-      return 2;
-    }
-    if (!obs::parseSloFile(Text, Rules, Error)) {
-      std::fprintf(stderr, "cws-report: %s: %s\n", SloFile.c_str(),
-                   Error.c_str());
-      return 2;
-    }
-  }
+  if (!SloFile.empty() &&
+      !readArtifact(Tool, SloFile, Rules, obs::parseSloFile))
+    return 2;
   std::vector<obs::SloResult> Slo;
 
   //===--- Sweep mode ----------------------------------------------------===//
@@ -104,17 +94,9 @@ int main(int Argc, char **Argv) {
                            "--journal/--timeseries/--profile\n");
       return 2;
     }
-    if (!readFile(SweepFile, Text)) {
-      std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                   SweepFile.c_str());
-      return 2;
-    }
     obs::SweepStore Store;
-    if (!obs::parseSweepCsv(Text, Store, Error)) {
-      std::fprintf(stderr, "cws-report: %s: %s\n", SweepFile.c_str(),
-                   Error.c_str());
+    if (!readArtifact(Tool, SweepFile, Store, obs::parseSweepCsv))
       return 2;
-    }
     if (!SloFile.empty())
       Slo = obs::evaluateSweepSlo(Rules, Store);
     std::string Breaches = obs::renderSloBreaches("cws-report", Slo);
@@ -135,17 +117,9 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  if (!readFile(JournalFile, Text)) {
-    std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                 JournalFile.c_str());
-    return 2;
-  }
   obs::ParsedJournal J;
-  if (!obs::parseJournalJsonl(Text, J, Error)) {
-    std::fprintf(stderr, "cws-report: %s: %s\n", JournalFile.c_str(),
-                 Error.c_str());
+  if (!readArtifact(Tool, JournalFile, J, obs::parseJournalJsonl))
     return 2;
-  }
   std::vector<std::string> Violations = obs::validateJournal(J);
   if (!Violations.empty()) {
     std::fprintf(stderr, "cws-report: %s: journal fails validation:\n",
@@ -156,34 +130,15 @@ int main(int Argc, char **Argv) {
   }
 
   obs::ParsedTimeSeries Ts;
-  if (!TimeSeriesFile.empty()) {
-    if (!readFile(TimeSeriesFile, Text)) {
-      std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                   TimeSeriesFile.c_str());
-      return 2;
-    }
-    if (!obs::parseTimeSeriesCsv(Text, Ts, Error)) {
-      std::fprintf(stderr, "cws-report: %s: %s\n", TimeSeriesFile.c_str(),
-                   Error.c_str());
-      return 2;
-    }
-  }
+  if (!TimeSeriesFile.empty() &&
+      !readArtifact(Tool, TimeSeriesFile, Ts, obs::parseTimeSeriesCsv))
+    return 2;
 
   obs::ParsedProfile Profile;
-  bool HasProfile = false;
-  if (!ProfileFile.empty()) {
-    if (!readFile(ProfileFile, Text)) {
-      std::fprintf(stderr, "cws-report: cannot open '%s'\n",
-                   ProfileFile.c_str());
-      return 2;
-    }
-    if (!obs::parseProfileJson(Text, Profile, Error)) {
-      std::fprintf(stderr, "cws-report: %s: %s\n", ProfileFile.c_str(),
-                   Error.c_str());
-      return 2;
-    }
-    HasProfile = true;
-  }
+  bool HasProfile = !ProfileFile.empty();
+  if (HasProfile &&
+      !readArtifact(Tool, ProfileFile, Profile, obs::parseProfileJson))
+    return 2;
 
   if (!SloFile.empty())
     Slo = obs::evaluateSlo(Rules, J, Ts, HasProfile ? &Profile : nullptr);

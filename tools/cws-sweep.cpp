@@ -86,18 +86,9 @@ int main(int Argc, char **Argv) {
                     : Self.substr(0, Slash + 1) + "cws-sim";
   }
 
-  std::string Text;
-  if (!readFile(GridFile, Text)) {
-    std::fprintf(stderr, "cws-sweep: cannot open '%s'\n", GridFile.c_str());
-    return 2;
-  }
   sweep::SweepGrid Grid;
-  std::string Error;
-  if (!sweep::parseSweepGrid(Text, Grid, Error)) {
-    std::fprintf(stderr, "cws-sweep: %s: %s\n", GridFile.c_str(),
-                 Error.c_str());
+  if (!readArtifact("cws-sweep", GridFile, Grid, sweep::parseSweepGrid))
     return 2;
-  }
 
   size_t Scenarios = sweep::sweepScenarioCount(Grid);
   std::fprintf(stderr,
@@ -118,6 +109,7 @@ int main(int Argc, char **Argv) {
     };
 
   obs::SweepStore Store;
+  std::string Error;
   if (!sweep::runSweep(Grid, Opts, Store, Error)) {
     std::fprintf(stderr, "cws-sweep: %s\n", Error.c_str());
     return 2;
@@ -130,16 +122,9 @@ int main(int Argc, char **Argv) {
 
   std::vector<obs::SloResult> Slo;
   if (!SloFile.empty()) {
-    if (!readFile(SloFile, Text)) {
-      std::fprintf(stderr, "cws-sweep: cannot open '%s'\n", SloFile.c_str());
-      return 2;
-    }
     std::vector<obs::SloRule> Rules;
-    if (!obs::parseSloFile(Text, Rules, Error)) {
-      std::fprintf(stderr, "cws-sweep: %s: %s\n", SloFile.c_str(),
-                   Error.c_str());
+    if (!readArtifact("cws-sweep", SloFile, Rules, obs::parseSloFile))
       return 2;
-    }
     Slo = obs::evaluateSweepSlo(Rules, Store);
   }
   std::string Breaches = obs::renderSloBreaches("cws-sweep", Slo);
